@@ -1,6 +1,6 @@
 """Exact characters of folded alphabets and their decomposition identities."""
 
-from .laurent import InexactDivisionError, LaurentPoly, TruncatedSeries, VarTable
+from .laurent import InexactDivisionError, LaurentPoly, VarTable
 from .partitions import Partition, PartitionClass, RectSubset, as_partition, conjugate
 from .schur import (
     Alphabet,
@@ -55,7 +55,6 @@ __all__ = [
     "PartitionClass",
     "RectSubset",
     "SuiteConfig",
-    "TruncatedSeries",
     "VarTable",
     "VerificationReport",
     "as_partition",

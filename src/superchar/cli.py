@@ -180,7 +180,6 @@ def _cmd_suite(args) -> int:
             max_lambda_size=args.max_lambda_size,
             max_rank=args.max_rank,
             t_count=args.t_count,
-            parallelism=args.parallelism,
             seed=args.seed,
         )
     reports = verify.run_suite(config)
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lambda-size", dest="max_lambda_size", type=int, default=5)
     p.add_argument("--max-rank", dest="max_rank", type=int, default=3)
     p.add_argument("--t-count", dest="t_count", type=int, default=3)
-    p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--persist", help="directory for timestamped result copies")
     p.add_argument("--out")

@@ -263,54 +263,38 @@ XI_RELATIONS = frozenset(
 )
 
 
-def _class_sum(
+def _weighted_sum(
     lam: Partition,
-    cls: PartitionClass,
+    weight: PartitionClass | int,
     bracket: BracketType,
     X: Alphabet,
     Y: Alphabet,
 ) -> LaurentPoly:
-    """Sum over the class of the coefficient-weighted bracket characters.
+    """Sum of w(nu) c^lam_{nu,mu} bracket_mu(X|Y) over all pairs (nu, mu).
 
-    The double sum truncates automatically: the coefficient vanishes unless
-    both inner shapes fit inside lam and their sizes add up to |lam|.
+    A PartitionClass weight is membership (w = 1 on the class, 0 off it); an
+    int weight is a sign base with w = weight^|nu|.  The double sum truncates
+    automatically: the coefficient vanishes unless both inner shapes fit
+    inside lam and their sizes add up to |lam|.
     """
     total = LaurentPoly.zero(X.table)
     n = size(lam)
     for k in range(n + 1):
-        for kappa in partitions_of(k):
-            if not contains(lam, kappa) or not in_class(kappa, cls):
-                continue
-            for mu in partitions_of(n - k):
-                if not contains(lam, mu):
-                    continue
-                c = lr_coeff(lam, kappa, mu)
-                if c:
-                    total = total + c * bracket_schur(bracket, mu, X, Y)
-    return total
-
-
-def _signed_sum(
-    lam: Partition,
-    sign_base: int,
-    bracket: BracketType,
-    X: Alphabet,
-    Y: Alphabet,
-) -> LaurentPoly:
-    """Sum over all pairs with a (sign_base)^{|nu|} weight."""
-    total = LaurentPoly.zero(X.table)
-    n = size(lam)
-    for k in range(n + 1):
-        sign = 1 if (sign_base == 1 or k % 2 == 0) else -1
         for nu in partitions_of(k):
             if not contains(lam, nu):
+                continue
+            if isinstance(weight, PartitionClass):
+                w_nu = int(in_class(nu, weight))
+            else:
+                w_nu = weight ** k
+            if not w_nu:
                 continue
             for mu in partitions_of(n - k):
                 if not contains(lam, mu):
                     continue
                 c = lr_coeff(lam, nu, mu)
                 if c:
-                    total = total + (sign * c) * bracket_schur(bracket, mu, X, Y)
+                    total = total + (w_nu * c) * bracket_schur(bracket, mu, X, Y)
     return total
 
 
@@ -334,32 +318,32 @@ def general_dc_check(
 
     if relation == "plain_to_square":
         lhs = super_schur(lam, X, Y)
-        rhs = _class_sum(lam, PartitionClass.EVEN_ROWS, BracketType.SQUARE, X, Y)
+        rhs = _weighted_sum(lam, PartitionClass.EVEN_ROWS, BracketType.SQUARE, X, Y)
     elif relation == "plain_to_angle":
         lhs = super_schur(lam, X, Y)
-        rhs = _class_sum(lam, PartitionClass.EVEN_COLUMNS, BracketType.ANGLE, X, Y)
+        rhs = _weighted_sum(lam, PartitionClass.EVEN_COLUMNS, BracketType.ANGLE, X, Y)
     elif relation == "yconst_to_square_shifted":
         lhs = super_schur(lam, X, Y | consts((xi,)))
-        rhs = _class_sum(
+        rhs = _weighted_sum(
             lam, PartitionClass.EVEN_COLUMNS, BracketType.SQUARE, X | consts((-xi,)), Y
         )
     elif relation == "yconst_to_square_signed":
         lhs = super_schur(lam, X, Y | consts((xi,)))
-        rhs = _signed_sum(lam, -xi, BracketType.SQUARE, X, Y)
+        rhs = _weighted_sum(lam, -xi, BracketType.SQUARE, X, Y)
     elif relation == "xconst_to_angle_shifted":
         lhs = super_schur(lam, X | consts((xi,)), Y)
-        rhs = _class_sum(
+        rhs = _weighted_sum(
             lam, PartitionClass.EVEN_ROWS, BracketType.ANGLE, X, Y | consts((-xi,))
         )
     elif relation == "xconst_to_angle_signed":
         lhs = super_schur(lam, X | consts((xi,)), Y)
-        rhs = _signed_sum(lam, xi, BracketType.ANGLE, X, Y)
+        rhs = _weighted_sum(lam, xi, BracketType.ANGLE, X, Y)
     elif relation == "ypair_to_square":
         lhs = super_schur(lam, X, Y | consts((1, -1)))
-        rhs = _class_sum(lam, PartitionClass.EVEN_COLUMNS, BracketType.SQUARE, X, Y)
+        rhs = _weighted_sum(lam, PartitionClass.EVEN_COLUMNS, BracketType.SQUARE, X, Y)
     else:  # xpair_to_angle
         lhs = super_schur(lam, X | consts((1, -1)), Y)
-        rhs = _class_sum(lam, PartitionClass.EVEN_ROWS, BracketType.ANGLE, X, Y)
+        rhs = _weighted_sum(lam, PartitionClass.EVEN_ROWS, BracketType.ANGLE, X, Y)
 
     params = {
         "relation": relation,

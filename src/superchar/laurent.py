@@ -382,87 +382,3 @@ def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:
         raise InexactDivisionError(f"({var_i} - {var_j}) does not divide the polynomial")
     return LaurentPoly(table, quot)
 
-
-class TruncatedSeries:
-    """Power series in one auxiliary variable, truncated at a fixed degree.
-
-    Coefficients live in the Laurent ring; ``coeffs[m]`` is the coefficient
-    of the m-th power of the series variable and len(coeffs) == cutoff + 1.
-    """
-
-    __slots__ = ("table", "coeffs", "cutoff")
-
-    def __init__(self, table: VarTable, coeffs: list[LaurentPoly], cutoff: int):
-        if len(coeffs) != cutoff + 1:
-            raise ValueError("coefficient list does not match cutoff")
-        self.table = table
-        self.coeffs = list(coeffs)
-        self.cutoff = cutoff
-
-    @classmethod
-    def one(cls, table: VarTable, cutoff: int) -> "TruncatedSeries":
-        coeffs = [LaurentPoly.const(table, 1)] + [
-            LaurentPoly.zero(table) for _ in range(cutoff)
-        ]
-        return cls(table, coeffs, cutoff)
-
-    @classmethod
-    def from_poly_coeffs(
-        cls, table: VarTable, coeffs: list[LaurentPoly], cutoff: int
-    ) -> "TruncatedSeries":
-        padded = list(coeffs[: cutoff + 1])
-        padded += [LaurentPoly.zero(table)] * (cutoff + 1 - len(padded))
-        return cls(table, padded, cutoff)
-
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.table != other.table or self.cutoff != other.cutoff:
-            raise ValueError("series over different tables or cutoffs")
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        zero = LaurentPoly.zero(self.table)
-        out = [zero] * (self.cutoff + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.cutoff + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.table, out, self.cutoff)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Formal inverse; requires the constant coefficient to equal 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("series inverse requires constant coefficient 1")
-        zero = LaurentPoly.zero(self.table)
-        out = [LaurentPoly.const(self.table, 1)] + [zero] * self.cutoff
-        for n in range(1, self.cutoff + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                a = self.coeffs[k]
-                if not a.is_zero:
-                    acc = acc + a * out[n - k]
-            out[n] = -acc
-        return TruncatedSeries(self.table, out, self.cutoff)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.table == other.table
-            and self.cutoff == other.cutoff
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"<TruncatedSeries cutoff={self.cutoff} coeffs={[str(c) for c in self.coeffs]}>"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_inv(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inverse()

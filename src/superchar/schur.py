@@ -14,16 +14,11 @@ arithmetic over :mod:`superchar.laurent`.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import (
     LaurentPoly,
-    TruncatedSeries,
     VarTable,
     det,
     divide_linear,
@@ -122,60 +117,23 @@ def palindromic(table: VarTable, names: tuple[str, ...]) -> Alphabet:
 # ---------------------------------------------------------------------------
 
 
-def _linear_factor(table: VarTable, element: LaurentPoly, cutoff: int) -> TruncatedSeries:
-    """The series 1 - (element) t."""
-    coeffs = [LaurentPoly.const(table, 1), -element]
-    return TruncatedSeries.from_poly_coeffs(table, coeffs, cutoff)
-
-
-def _h_series(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
-    table = X.table
-    num = TruncatedSeries.one(table, degmax)
-    for y in Y.polys():
-        num = num * _linear_factor(table, y, degmax)
-    den = TruncatedSeries.one(table, degmax)
-    for x in X.polys():
-        den = den * _linear_factor(table, x, degmax)
-    series = num * den.inverse()
-    return tuple(series.coeffs)
-
-
-def _disk_key(X: Alphabet, Y: Alphabet, degmax: int) -> str:
-    payload = {
-        "vars": list(X.table.names),
-        "x": [[s, list(e)] for s, e in X.elements],
-        "y": [[s, list(e)] for s, e in Y.elements],
-        "degmax": degmax,
-    }
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 @lru_cache(maxsize=None)
 def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
-    cache_dir = os.environ.get("SUPERCHAR_CACHE_DIR")
-    path = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"h-{_disk_key(X, Y, degmax)}.json")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            return tuple(LaurentPoly.from_json_dict(d) for d in data)
-        except (OSError, ValueError, KeyError):
-            pass
-    result = _h_series(X, Y, degmax)
-    if path:
-        tmp = tempfile.NamedTemporaryFile(
-            "w", dir=cache_dir, delete=False, encoding="utf-8"
-        )
-        try:
-            json.dump([p.to_json_dict() for p in result], tmp)
-            tmp.close()
-            os.replace(tmp.name, path)
-        except OSError:
-            tmp.close()
-    return result
+    """[h_0, ..., h_degmax], multiplying 1 by one linear factor at a time.
+
+    Dividing by (1 - x t) is hs[m] += x * hs[m-1] with m ascending (each step
+    reads the updated hs[m-1]); multiplying by (1 - y t) is hs[m] -= y * hs[m-1]
+    with m descending (each step reads the old hs[m-1]).
+    """
+    table = X.table
+    hs = [LaurentPoly.const(table, 1)] + [LaurentPoly.zero(table)] * degmax
+    for x in X.polys():
+        for m in range(1, degmax + 1):
+            hs[m] = hs[m] + x * hs[m - 1]
+    for y in Y.polys():
+        for m in range(degmax, 0, -1):
+            hs[m] = hs[m] - y * hs[m - 1]
+    return tuple(hs)
 
 
 def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:

@@ -9,7 +9,6 @@ Schur polynomial of lam is homogeneous of degree |lam| in the t's.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 
@@ -721,16 +720,19 @@ class SuiteConfig:
     max_lambda_size: int = 5
     max_rank: int = 3
     t_count: int = 3
-    parallelism: int = 1
     seed: int = 0
 
     def __post_init__(self):
         for name, value in asdict(self).items():
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuiteConfig":
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         allowed = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - allowed
         if unknown:
@@ -782,14 +784,7 @@ def _battery_jobs(config: SuiteConfig):
 
 def run_suite(config: SuiteConfig) -> list[VerificationReport]:
     """Run the whole battery and return deterministically sorted reports."""
-    jobs = _battery_jobs(config)
-    workers = max(1, config.parallelism)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda job: job(), jobs))
-    else:
-        chunks = [job() for job in jobs]
-    reports = [report for chunk in chunks for report in chunk]
+    reports = [report for job in _battery_jobs(config) for report in job()]
     reports.sort(key=VerificationReport.sort_key)
     return reports
 

@@ -6,6 +6,7 @@ Each test prints one `CRITERION <n> <name>: PASS|FAIL` line (run pytest with
 
 import time
 
+from superchar import clear_caches
 from superchar.folding import (
     FoldingCase,
     FoldingTag,
@@ -137,7 +138,8 @@ def test_criterion_8_schur_invariants():
 def test_criterion_9_suite_determinism():
     started = time.time()
     config = dict(degmax=4, max_lambda_size=3, max_rank=2, t_count=2, seed=0)
-    serial = suite_to_json(run_suite(SuiteConfig(parallelism=1, **config)))
-    parallel = suite_to_json(run_suite(SuiteConfig(parallelism=4, **config)))
-    bad = [] if serial == parallel else ["outputs differ"]
+    clear_caches()
+    cold = suite_to_json(run_suite(SuiteConfig(**config)))
+    warm = suite_to_json(run_suite(SuiteConfig(**config)))
+    bad = [] if cold == warm else ["cold and warm cache outputs differ"]
     report(9, "suite determinism", bad, started)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from superchar import clear_caches
 from superchar.cli import main
 from superchar.laurent import LaurentPoly
 from superchar.schur import super_schur
@@ -114,9 +115,30 @@ def test_suite_command(tmp_path, capsys):
 
 def test_suite_byte_stable(tmp_path, capsys):
     args = ["suite", "--degmax", "1", "--max-lambda-size", "1", "--max-rank", "1", "--t-count", "1"]
-    _, first = run_cli(capsys, *args)
-    _, second = run_cli(capsys, *args, "--parallelism", "3")
-    assert first == second
+    clear_caches()
+    _, cold = run_cli(capsys, *args)
+    _, warm = run_cli(capsys, *args)
+    assert cold == warm
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"degmax": "6"}, {"degmax": True}, {"degmax": 1.5}, {"parallelism": 1}, [1]],
+)
+def test_bad_suite_config_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--config", str(path)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message.startswith("error: ") and "\n" not in message
+
+
+def test_parallelism_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--parallelism", "2"])
+    assert err.value.code == 2
 
 
 def test_out_flag(tmp_path, capsys):

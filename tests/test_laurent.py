@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from superchar.laurent import (
     InexactDivisionError,
     LaurentPoly,
-    TruncatedSeries,
     VarTable,
     det,
     divide_linear,
-    series_inv,
-    series_mul,
 )
 
 T2 = VarTable(("a", "b"))
@@ -108,36 +105,6 @@ def test_mismatched_tables_rejected():
     other = VarTable(("a",))
     with pytest.raises(ValueError):
         var("a") + LaurentPoly.variable(other, "a")
-
-
-def test_geometric_series():
-    x = var("a")
-    one = TruncatedSeries.one(T2, 3)
-    factor = TruncatedSeries.from_poly_coeffs(T2, [const(1), -x], 3)
-    inv = series_inv(factor)
-    assert inv.coeffs == [const(1), x, x * x, x * x * x]
-    assert series_mul(factor, inv) == one
-
-
-def test_series_inverse_product_example():
-    # 1/(1-t) * (1+t) has coefficients 1, 2, 2, 2, ... (hand multiplication)
-    geo = series_inv(TruncatedSeries.from_poly_coeffs(T2, [const(1), -const(1)], 3))
-    out = series_mul(geo, TruncatedSeries.from_poly_coeffs(T2, [const(1), const(1)], 3))
-    assert out.coeffs == [const(1), const(2), const(2), const(2)]
-
-
-def test_series_inverse_requires_unit_constant():
-    bad = TruncatedSeries.from_poly_coeffs(T2, [const(2)], 2)
-    with pytest.raises(ValueError):
-        bad.inverse()
-
-
-def test_series_mul_inverse_random():
-    rng = random.Random(7)
-    for _ in range(25):
-        coeffs = [const(1)] + [rand_poly(rng, 2) for _ in range(4)]
-        series = TruncatedSeries(T2, coeffs, 4)
-        assert series_mul(series, series.inverse()) == TruncatedSeries.one(T2, 4)
 
 
 def test_exact_div():

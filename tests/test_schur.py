@@ -2,6 +2,8 @@ import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superchar.laurent import LaurentPoly, VarTable
 from superchar.partitions import conjugate, part, partitions_upto, size
@@ -85,6 +87,31 @@ def test_h_list_matches_bruteforce():
     X, Y, _ = formal_pair(2, 2)
     hs = h_list(X, Y, 4)
     for m in range(5):
+        assert hs[m] == brute_h(X, Y, m)
+
+
+@st.composite
+def signed_alphabet_pairs(draw):
+    """Two alphabets over 1-3 variables: signed monomials with exponents in
+    {-1, 0, 1}, so the +-1 constants and inverses both occur."""
+    n = draw(st.integers(1, 3))
+    table = VarTable(tuple(f"v{i}" for i in range(1, n + 1)))
+    element = st.tuples(
+        st.sampled_from((1, -1)),
+        st.tuples(*[st.integers(-1, 1)] * n),
+    )
+    X = Alphabet(table, tuple(draw(st.lists(element, max_size=3))))
+    Y = Alphabet(table, tuple(draw(st.lists(element, max_size=3))))
+    return X, Y
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_alphabet_pairs(), st.integers(0, 6))
+def test_h_list_matches_bruteforce_random(pair, degmax):
+    X, Y = pair
+    hs = h_list(X, Y, degmax)
+    assert len(hs) == degmax + 1
+    for m in range(degmax + 1):
         assert hs[m] == brute_h(X, Y, m)
 
 
@@ -258,24 +285,6 @@ def test_schur_expand_rejects_laurent():
     table = t_table(2)
     with pytest.raises(ValueError):
         schur_expand(LaurentPoly.variable(table, "t1", -1), 2)
-
-
-def test_h_series_disk_cache(tmp_path, monkeypatch):
-    import superchar
-
-    monkeypatch.setenv("SUPERCHAR_CACHE_DIR", str(tmp_path))
-    superchar.clear_caches()
-    try:
-        X, Y, _ = formal_pair(1, 1)
-        first = h_list(X, Y, 3)
-        files = list(tmp_path.glob("h-*.json"))
-        assert files, "series should have been persisted"
-        superchar.clear_caches()
-        second = h_list(X, Y, 3)  # reloaded from disk
-        assert list(first) == list(second)
-    finally:
-        monkeypatch.delenv("SUPERCHAR_CACHE_DIR")
-        superchar.clear_caches()
 
 
 def test_alphabet_validation():

@@ -23,7 +23,7 @@ from superchar.verify import (
     suite_to_json,
 )
 
-SMALL = SuiteConfig(degmax=3, max_lambda_size=2, max_rank=1, t_count=2, parallelism=1, seed=1)
+SMALL = SuiteConfig(degmax=3, max_lambda_size=2, max_rank=1, t_count=2, seed=1)
 
 
 def test_report_invariant():
@@ -112,6 +112,10 @@ def test_suite_config_validation():
         SuiteConfig(degmax=-1)
     with pytest.raises(ValueError):
         SuiteConfig.from_json_dict({"degmax": 2, "bogus": 1})
+    with pytest.raises(ValueError):
+        SuiteConfig(degmax=True)
+    with pytest.raises(ValueError):
+        SuiteConfig(degmax="6")
     cfg = SuiteConfig.from_json_dict({"degmax": 2})
     assert cfg.degmax == 2 and cfg.t_count == 3
 
@@ -154,16 +158,11 @@ def test_concurrent_cache_access():
     assert all(r == results[0] for r in results)
 
 
-def test_run_suite_deterministic_across_parallelism():
-    serial = suite_to_json(run_suite(SMALL))
-    parallel = suite_to_json(
-        run_suite(
-            SuiteConfig(
-                degmax=3, max_lambda_size=2, max_rank=1, t_count=2, parallelism=4, seed=1
-            )
-        )
-    )
-    assert serial == parallel
+def test_run_suite_deterministic_across_cache_state():
+    superchar.clear_caches()
+    cold = suite_to_json(run_suite(SMALL))
+    warm = suite_to_json(run_suite(SMALL))
+    assert cold == warm
 
 
 def test_corrupted_series_is_detected(monkeypatch):
