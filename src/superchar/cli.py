@@ -36,7 +36,7 @@ def _parse_tokens(text: str) -> list[tuple[int, str | None, int]]:
     for raw in text.split(","):
         token = raw.strip()
         if not token:
-            raise argparse.ArgumentTypeError("empty alphabet token")
+            raise ValueError("empty alphabet token")
         sign = 1
         if token in ("1", "+1", "-1"):
             out.append((int(token), None, 0))
@@ -49,7 +49,7 @@ def _parse_tokens(text: str) -> list[tuple[int, str | None, int]]:
             power = -1
             token = token[: -len("^-1")]
         if not token.isidentifier():
-            raise argparse.ArgumentTypeError(f"bad alphabet token {raw!r}")
+            raise ValueError(f"bad alphabet token {raw!r}")
         out.append((sign, token, power))
     return out
 

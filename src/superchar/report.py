@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
@@ -43,6 +44,27 @@ def poly_comparison(check_id: str, params: dict, lhs, rhs) -> VerificationReport
     if diff.is_zero:
         return VerificationReport(check_id, params, True)
     return VerificationReport(check_id, params, False, witness=diff)
+
+
+def _first_failures(
+    reports: list[tuple[str, dict]], failures: Iterator[tuple[str, object]]
+) -> list[VerificationReport]:
+    """One report per ``(check_id, params)`` pair, witnessing its first failure.
+
+    ``failures`` yields ``(check_id, witness)`` for each failing instance in
+    enumeration order.  It is always exhausted, so every instance is evaluated
+    even after a check's first failure.
+    """
+    ids = {check_id for check_id, _ in reports}
+    first: dict[str, object] = {}
+    for check_id, witness in failures:
+        if check_id not in ids:
+            raise ValueError(f"failure under unreported check {check_id!r}")
+        first.setdefault(check_id, witness)
+    return [
+        VerificationReport(check_id, params, check_id not in first, first.get(check_id))
+        for check_id, params in reports
+    ]
 
 
 def value_comparison(check_id: str, params: dict, expected, actual) -> VerificationReport:

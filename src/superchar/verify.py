@@ -9,8 +9,9 @@ Schur polynomial of lam is homogeneous of degree |lam| in the t's.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 from . import folding, lr, partitions, schur
 from .laurent import LaurentPoly, VarTable
@@ -24,7 +25,7 @@ from .partitions import (
     partitions_upto,
     size,
 )
-from .report import VerificationReport, poly_comparison, value_comparison
+from .report import VerificationReport, _first_failures, poly_comparison, value_comparison
 from .schur import Alphabet, BracketType
 
 CAUCHY_KINDS = ("cauchy_plain", "cauchy_square", "cauchy_angle", "cauchy_angle_dual")
@@ -42,6 +43,16 @@ def _t_positions(table: VarTable, nT: int) -> tuple[int, ...]:
 
 def _truncate(p: LaurentPoly, positions: tuple[int, ...], degmax: int) -> LaurentPoly:
     return p.map_terms(lambda e: sum(e[i] for i in positions) <= degmax)
+
+
+def _truncated_product(
+    one: LaurentPoly, factors: Iterable[LaurentPoly], positions: tuple[int, ...], degmax: int
+) -> LaurentPoly:
+    """The product of ``factors`` in order, truncated after every multiply."""
+    out = one
+    for factor in factors:
+        out = _truncate(out * factor, positions, degmax)
+    return out
 
 
 def _geometric(u: LaurentPoly, positions: tuple[int, ...], degmax: int) -> LaurentPoly:
@@ -62,6 +73,10 @@ def _geometric(u: LaurentPoly, positions: tuple[int, ...], degmax: int) -> Laure
 
 def cauchy_alphabets(nx: int, ny: int, nT: int) -> tuple[Alphabet, Alphabet, VarTable]:
     """Formal X and Y alphabets over a table that also carries t1..tnT."""
+    if min(nx, ny, nT) < 0:
+        raise ValueError(
+            f"alphabet sizes must be nonnegative, got nx={nx}, ny={ny}, nT={nT}"
+        )
     x_names = tuple(f"x{i}" for i in range(1, nx + 1))
     y_names = tuple(f"y{i}" for i in range(1, ny + 1))
     t_names = tuple(f"t{i}" for i in range(1, nT + 1))
@@ -106,28 +121,30 @@ def cauchy_check(
             factor = schur.bracket_schur(BracketType.ANGLE, conjugate(lam), X, Y)
         lhs = lhs + factor * s_t
 
-    rhs = one
     t_polys = [LaurentPoly.variable(table, name) for name in t_names]
-    for tj in t_polys:
-        if kind == "cauchy_angle_dual":
-            for x in X.polys():
-                rhs = _truncate(rhs * (one + tj * x), positions, degmax)
-            for y in Y.polys():
-                rhs = _truncate(rhs * _geometric(-(tj * y), positions, degmax), positions, degmax)
-        else:
-            for y in Y.polys():
-                rhs = _truncate(rhs * (one - tj * y), positions, degmax)
-            for x in X.polys():
-                rhs = _truncate(rhs * _geometric(tj * x, positions, degmax), positions, degmax)
-    if kind in ("cauchy_square", "cauchy_angle_dual"):
-        pairs = combinations_with_replacement(range(nT), 2)
-    elif kind == "cauchy_angle":
-        pairs = combinations_with_replacement(range(nT), 2)
-        pairs = (p for p in pairs if p[0] != p[1])
-    else:
+    if kind == "cauchy_plain":
         pairs = ()
-    for i, j in pairs:
-        rhs = _truncate(rhs * (one - t_polys[i] * t_polys[j]), positions, degmax)
+    elif kind == "cauchy_angle":
+        pairs = combinations(range(nT), 2)
+    else:
+        pairs = combinations_with_replacement(range(nT), 2)
+
+    def factors():
+        for tj in t_polys:
+            if kind == "cauchy_angle_dual":
+                for x in X.polys():
+                    yield one + tj * x
+                for y in Y.polys():
+                    yield _geometric(-(tj * y), positions, degmax)
+            else:
+                for y in Y.polys():
+                    yield one - tj * y
+                for x in X.polys():
+                    yield _geometric(tj * x, positions, degmax)
+        for i, j in pairs:
+            yield one - t_polys[i] * t_polys[j]
+
+    rhs = _truncated_product(one, factors(), positions, degmax)
 
     params = {
         "kind": kind,
@@ -159,22 +176,16 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
         if in_class(lam, cls):
             lhs = lhs + schur.schur_in_table(lam, table)
 
-    rhs = one
     t_polys = [LaurentPoly.variable(table, name) for name in table.names]
-    if kind == "schur_sum":
-        for tp in t_polys:
-            rhs = _truncate(rhs * _geometric(tp, positions, degmax), positions, degmax)
-        pairs = [(i, j) for i in range(nT) for j in range(i + 1, nT)]
-    elif kind == "littlewood_even_rows":
-        pairs = list(combinations_with_replacement(range(nT), 2))
+    if kind == "littlewood_even_rows":
+        pairs = combinations_with_replacement(range(nT), 2)
     else:
-        pairs = [(i, j) for i in range(nT) for j in range(i + 1, nT)]
-    for i, j in pairs:
-        rhs = _truncate(
-            rhs * _geometric(t_polys[i] * t_polys[j], positions, degmax),
-            positions,
-            degmax,
-        )
+        pairs = combinations(range(nT), 2)
+    singles = t_polys if kind == "schur_sum" else []
+    monomials = chain(singles, (t_polys[i] * t_polys[j] for i, j in pairs))
+    rhs = _truncated_product(
+        one, (_geometric(u, positions, degmax) for u in monomials), positions, degmax
+    )
 
     params = {"kind": kind, "nT": nT, "degmax": degmax}
     return poly_comparison(f"littlewood.{kind}", params, lhs, rhs)
@@ -216,65 +227,43 @@ def check_partition_properties(
 ) -> list[VerificationReport]:
     from math import comb
 
-    out = []
     lams = partitions_upto(invol_max)
-    bad = next(
-        (lam for lam in lams if partitions.conjugate(partitions.conjugate(lam)) != lam),
-        None,
+
+    def failures():
+        for lam in lams:
+            if partitions.conjugate(partitions.conjugate(lam)) != lam:
+                yield "partitions.conjugate-involution", list(lam)
+        for lam in lams:
+            if in_class(lam, PartitionClass.EVEN_ROWS) != in_class(
+                partitions.conjugate(lam), PartitionClass.EVEN_COLUMNS
+            ):
+                yield "partitions.class-conjugate", list(lam)
+        for m in range(1, count_max + 1):
+            for a in range(1, count_max + 1):
+                if len(partitions.box_partitions(m, a)) != comb(m + a, a):
+                    yield "partitions.box-count", {"m": m, "a": a}
+        for m in range(1, subset_max + 1):
+            for a in range(1, subset_max + 1):
+                box = set(partitions.box_partitions(m, a))
+                for tag in (RectSubset.COLPAIRED, RectSubset.EVENROW, RectSubset.BOX):
+                    where = {"m": m, "a": a, "tag": tag.value}
+                    members = partitions.enumerate_rect_subset(tag, m, a)
+                    for lam in members:
+                        if lam not in box or not partitions.in_rect_subset(tag, m, a, lam):
+                            yield "partitions.rect-subsets", where
+                    for lam in box:
+                        if (lam in members) != partitions.in_rect_subset(tag, m, a, lam):
+                            yield "partitions.rect-subsets", where
+
+    return _first_failures(
+        [
+            ("partitions.conjugate-involution", {"max_size": invol_max}),
+            ("partitions.class-conjugate", {"max_size": invol_max}),
+            ("partitions.box-count", {"max": count_max}),
+            ("partitions.rect-subsets", {"max": subset_max}),
+        ],
+        failures(),
     )
-    out.append(
-        VerificationReport(
-            "partitions.conjugate-involution",
-            {"max_size": invol_max},
-            bad is None,
-            witness=None if bad is None else list(bad),
-        )
-    )
-    bad = next(
-        (
-            lam
-            for lam in lams
-            if in_class(lam, PartitionClass.EVEN_ROWS)
-            != in_class(partitions.conjugate(lam), PartitionClass.EVEN_COLUMNS)
-        ),
-        None,
-    )
-    out.append(
-        VerificationReport(
-            "partitions.class-conjugate",
-            {"max_size": invol_max},
-            bad is None,
-            witness=None if bad is None else list(bad),
-        )
-    )
-    ok = True
-    witness = None
-    for m in range(1, count_max + 1):
-        for a in range(1, count_max + 1):
-            if len(partitions.box_partitions(m, a)) != comb(m + a, a):
-                ok, witness = False, {"m": m, "a": a}
-    out.append(
-        VerificationReport("partitions.box-count", {"max": count_max}, ok, witness=witness)
-    )
-    ok = True
-    witness = None
-    for m in range(1, subset_max + 1):
-        for a in range(1, subset_max + 1):
-            box = set(partitions.box_partitions(m, a))
-            for tag in (RectSubset.COLPAIRED, RectSubset.EVENROW, RectSubset.BOX):
-                members = partitions.enumerate_rect_subset(tag, m, a)
-                for lam in members:
-                    if lam not in box or not partitions.in_rect_subset(tag, m, a, lam):
-                        ok, witness = False, {"m": m, "a": a, "tag": tag.value}
-                for lam in box:
-                    if (lam in members) != partitions.in_rect_subset(tag, m, a, lam):
-                        ok, witness = False, {"m": m, "a": a, "tag": tag.value}
-    out.append(
-        VerificationReport(
-            "partitions.rect-subsets", {"max": subset_max}, ok, witness=witness
-        )
-    )
-    return out
 
 
 def _random_alphabet(rng: random.Random, table: VarTable, count: int) -> Alphabet:
@@ -293,283 +282,247 @@ def check_schur_stability(
     rng = random.Random(seed)
     table = VarTable(("u1", "u2"))
     lams = partitions_upto(max_lambda)
-    witness = None
-    for _ in range(samples):
-        lam = rng.choice(lams)
-        X = _random_alphabet(rng, table, rng.randint(0, 2))
-        Y = _random_alphabet(rng, table, rng.randint(0, 2))
-        eta = _random_alphabet(rng, table, 1)
-        X2 = X | eta
-        Y2 = Y | eta
-        for tag in BracketType:
-            before = schur.bracket_schur(tag, lam, X, Y)
-            after = schur.bracket_schur(tag, lam, X2, Y2)
-            if before != after:
-                witness = {
-                    "lam": list(lam),
-                    "tag": tag.value,
-                    "x": X.describe(),
-                    "y": Y.describe(),
-                    "eta": eta.describe(),
-                }
-                break
-        if witness:
-            break
-    return VerificationReport(
-        "schur.stability",
-        {"max_lambda": max_lambda, "seed": seed, "samples": samples},
-        witness is None,
-        witness=witness,
-    )
+
+    def failures():
+        for _ in range(samples):
+            lam = rng.choice(lams)
+            X = _random_alphabet(rng, table, rng.randint(0, 2))
+            Y = _random_alphabet(rng, table, rng.randint(0, 2))
+            eta = _random_alphabet(rng, table, 1)
+            X2 = X | eta
+            Y2 = Y | eta
+            for tag in BracketType:
+                before = schur.bracket_schur(tag, lam, X, Y)
+                after = schur.bracket_schur(tag, lam, X2, Y2)
+                if before != after:
+                    yield "schur.stability", {
+                        "lam": list(lam),
+                        "tag": tag.value,
+                        "x": X.describe(),
+                        "y": Y.describe(),
+                        "eta": eta.describe(),
+                    }
+
+    params = {"max_lambda": max_lambda, "seed": seed, "samples": samples}
+    return _first_failures([("schur.stability", params)], failures())[0]
 
 
 def check_schur_invariants(max_lambda: int) -> list[VerificationReport]:
     """Hook vanishing, homogeneity, the two dualities, alternate forms, oracle."""
-    out = []
     lams = partitions_upto(max_lambda)
 
-    witness = None
-    for nx, ny in ((1, 0), (0, 1), (1, 1), (2, 1)):
-        X, Y, _ = cauchy_alphabets(nx, ny, 1)
-        for lam in lams:
-            outside = partitions.part(lam, nx + 1) > ny
-            value = schur.super_schur(lam, X, Y)
-            if outside and not value.is_zero:
-                witness = {"lam": list(lam), "nx": nx, "ny": ny}
-    out.append(
-        VerificationReport(
-            "schur.hook-vanishing", {"max_lambda": max_lambda}, witness is None, witness=witness
-        )
-    )
+    def failures():
+        for nx, ny in ((1, 0), (0, 1), (1, 1), (2, 1)):
+            X, Y, _ = cauchy_alphabets(nx, ny, 1)
+            for lam in lams:
+                outside = partitions.part(lam, nx + 1) > ny
+                value = schur.super_schur(lam, X, Y)
+                if outside and not value.is_zero:
+                    yield "schur.hook-vanishing", {"lam": list(lam), "nx": nx, "ny": ny}
 
-    witness = None
-    for nx in (1, 2, 3):
-        table = VarTable(tuple(f"x{i}" for i in range(1, nx + 1)))
-        X = Alphabet.formal(table)
-        none = Alphabet.empty(table)
-        for lam in lams:
-            sign = -1 if size(lam) % 2 else 1
-            lhs = schur.super_schur(lam, X.negated(), none)
-            rhs = sign * schur.super_schur(lam, X, none)
-            if lhs != rhs:
-                witness = {"lam": list(lam), "nx": nx}
-    out.append(
-        VerificationReport(
-            "schur.homogeneity", {"max_lambda": max_lambda}, witness is None, witness=witness
-        )
-    )
+        for nx in (1, 2, 3):
+            table = VarTable(tuple(f"x{i}" for i in range(1, nx + 1)))
+            X = Alphabet.formal(table)
+            none = Alphabet.empty(table)
+            for lam in lams:
+                sign = -1 if size(lam) % 2 else 1
+                lhs = schur.super_schur(lam, X.negated(), none)
+                rhs = sign * schur.super_schur(lam, X, none)
+                if lhs != rhs:
+                    yield "schur.homogeneity", {"lam": list(lam), "nx": nx}
 
-    wit_a = None
-    wit_bcd = None
-    for nx, ny in ((1, 1), (2, 1), (2, 2)):
-        X, Y, _ = cauchy_alphabets(nx, ny, 1)
-        for lam in lams:
-            sign = -1 if size(lam) % 2 else 1
-            if schur.super_schur(conjugate(lam), X, Y) != sign * schur.super_schur(lam, Y, X):
-                wit_a = {"lam": list(lam), "nx": nx, "ny": ny}
-            lhs = schur.bracket_schur(BracketType.ANGLE, conjugate(lam), X, Y)
-            rhs = sign * schur.bracket_schur(BracketType.SQUARE, lam, Y, X)
-            if lhs != rhs:
-                wit_bcd = {"lam": list(lam), "nx": nx, "ny": ny}
-    out.append(
-        VerificationReport(
-            "schur.dual-plain", {"max_lambda": max_lambda}, wit_a is None, witness=wit_a
-        )
-    )
-    out.append(
-        VerificationReport(
-            "schur.dual-bracket", {"max_lambda": max_lambda}, wit_bcd is None, witness=wit_bcd
-        )
-    )
+        for nx, ny in ((1, 1), (2, 1), (2, 2)):
+            X, Y, _ = cauchy_alphabets(nx, ny, 1)
+            for lam in lams:
+                sign = -1 if size(lam) % 2 else 1
+                if schur.super_schur(conjugate(lam), X, Y) != sign * schur.super_schur(lam, Y, X):
+                    yield "schur.dual-plain", {"lam": list(lam), "nx": nx, "ny": ny}
+                lhs = schur.bracket_schur(BracketType.ANGLE, conjugate(lam), X, Y)
+                rhs = sign * schur.bracket_schur(BracketType.SQUARE, lam, Y, X)
+                if lhs != rhs:
+                    yield "schur.dual-bracket", {"lam": list(lam), "nx": nx, "ny": ny}
 
-    witness = None
-    pairs = [cauchy_alphabets(2, 1, 1)[:2], cauchy_alphabets(1, 2, 1)[:2]]
-    pal_table = VarTable(("x1", "x2"))
-    pal = schur.palindromic(pal_table, ("x1", "x2")) | Alphabet.constants(pal_table, (1,))
-    pairs.append((pal, Alphabet.empty(pal_table)))
-    for X, Y in pairs:
-        for lam in lams:
-            for tag in (BracketType.SQUARE, BracketType.ANGLE):
-                direct = schur.bracket_schur(tag, lam, X, Y)
-                alt = schur.bracket_schur_altform(tag, lam, X, Y)
-                if direct != alt:
-                    witness = {"lam": list(lam), "tag": tag.value, "x": X.describe()}
-    out.append(
-        VerificationReport(
-            "schur.altform", {"max_lambda": max_lambda}, witness is None, witness=witness
-        )
-    )
+        pairs = [cauchy_alphabets(2, 1, 1)[:2], cauchy_alphabets(1, 2, 1)[:2]]
+        pal_table = VarTable(("x1", "x2"))
+        pal = schur.palindromic(pal_table, ("x1", "x2")) | Alphabet.constants(pal_table, (1,))
+        pairs.append((pal, Alphabet.empty(pal_table)))
+        for X, Y in pairs:
+            for lam in lams:
+                for tag in (BracketType.SQUARE, BracketType.ANGLE):
+                    direct = schur.bracket_schur(tag, lam, X, Y)
+                    alt = schur.bracket_schur_altform(tag, lam, X, Y)
+                    if direct != alt:
+                        yield "schur.altform", {
+                            "lam": list(lam),
+                            "tag": tag.value,
+                            "x": X.describe(),
+                        }
 
-    witness = None
-    for n in (1, 2, 3, 4):
-        table = schur.t_table(n)
-        T = Alphabet.formal(table)
-        none = Alphabet.empty(table)
-        for lam in lams:
-            if len(lam) > n:
-                continue
-            if schur.super_schur(lam, T, none) != schur.bialternant_schur(lam, n):
-                witness = {"lam": list(lam), "n": n}
-    out.append(
-        VerificationReport(
-            "schur.bialternant-agreement",
-            {"max_lambda": max_lambda},
-            witness is None,
-            witness=witness,
-        )
+        for n in (1, 2, 3, 4):
+            table = schur.t_table(n)
+            T = Alphabet.formal(table)
+            none = Alphabet.empty(table)
+            for lam in lams:
+                if len(lam) > n:
+                    continue
+                if schur.super_schur(lam, T, none) != schur.bialternant_schur(lam, n):
+                    yield "schur.bialternant-agreement", {"lam": list(lam), "n": n}
+
+    params = {"max_lambda": max_lambda}
+    return _first_failures(
+        [
+            ("schur.hook-vanishing", params),
+            ("schur.homogeneity", params),
+            ("schur.dual-plain", params),
+            ("schur.dual-bracket", params),
+            ("schur.altform", params),
+            ("schur.bialternant-agreement", params),
+        ],
+        failures(),
     )
-    return out
 
 
 def check_lr_oracle(max_size: int) -> VerificationReport:
     """Tableau counts against the Schur-expansion of explicit products."""
-    witness = None
-    for n in range(max_size + 1):
-        nvars = max(n, 1)
-        table = schur.t_table(nvars)
-        for k in range(n + 1):
-            if witness:
-                break
-            for mu in partitions_of(k):
-                for nu in partitions_of(n - k):
-                    if (size(mu), mu) > (size(nu), nu):
-                        continue  # product is symmetric; check both orders below
-                    product = schur.schur_in_table(mu, table) * schur.schur_in_table(
-                        nu, table
-                    )
-                    expansion = schur.schur_expand(product, nvars)
-                    for lam in partitions_of(n):
-                        want = expansion.get(lam, 0)
-                        if lr.lr_coeff(lam, mu, nu) != want or lr.lr_coeff(lam, nu, mu) != want:
-                            witness = {
-                                "lam": list(lam),
-                                "mu": list(mu),
-                                "nu": list(nu),
-                                "expected": want,
-                            }
-    return VerificationReport(
-        "lr.oracle", {"max_size": max_size}, witness is None, witness=witness
-    )
 
-
-def check_lr_properties(max_size: int, stack_max: int = 4) -> list[VerificationReport]:
-    out = []
-    wit_sym = None
-    wit_tr = None
-    for n in range(max_size + 1):
-        for lam in partitions_of(n):
-            lam_c = conjugate(lam)
+    def failures():
+        for n in range(max_size + 1):
+            nvars = max(n, 1)
+            table = schur.t_table(nvars)
             for k in range(n + 1):
                 for mu in partitions_of(k):
                     for nu in partitions_of(n - k):
-                        c = lr.lr_coeff(lam, mu, nu)
-                        if c != lr.lr_coeff(lam, nu, mu):
-                            wit_sym = {"lam": list(lam), "mu": list(mu), "nu": list(nu)}
-                        if c != lr.lr_coeff(lam_c, conjugate(mu), conjugate(nu)):
-                            wit_tr = {"lam": list(lam), "mu": list(mu), "nu": list(nu)}
-    out.append(
-        VerificationReport(
-            "lr.symmetry", {"max_size": max_size}, wit_sym is None, witness=wit_sym
-        )
-    )
-    out.append(
-        VerificationReport(
-            "lr.transpose", {"max_size": max_size}, wit_tr is None, witness=wit_tr
-        )
-    )
+                        if (size(mu), mu) > (size(nu), nu):
+                            continue  # product is symmetric; check both orders below
+                        product = schur.schur_in_table(mu, table) * schur.schur_in_table(
+                            nu, table
+                        )
+                        expansion = schur.schur_expand(product, nvars)
+                        for lam in partitions_of(n):
+                            want = expansion.get(lam, 0)
+                            if lr.lr_coeff(lam, mu, nu) != want or lr.lr_coeff(lam, nu, mu) != want:
+                                yield "lr.oracle", {
+                                    "lam": list(lam),
+                                    "mu": list(mu),
+                                    "nu": list(nu),
+                                    "expected": want,
+                                }
 
-    witness = None
-    for k in range(stack_max + 1):
-        for mu in partitions_of(k):
-            for j in range(stack_max + 1):
-                for nu in partitions_of(j):
-                    if lr.lr_coeff(partitions.add(mu, nu), mu, nu) != 1:
-                        witness = {"mu": list(mu), "nu": list(nu)}
-    out.append(
-        VerificationReport(
-            "lr.stacking", {"max_size": stack_max}, witness is None, witness=witness
-        )
-    )
+    return _first_failures([("lr.oracle", {"max_size": max_size})], failures())[0]
 
-    witness = None
-    for n in range(min(max_size, 5) + 1):
-        for lam in partitions_of(n):
-            for k in range(n):
-                for mu in partitions_of(k):
-                    for nu in partitions_of(max(n - k - 1, 0)):
-                        if size(mu) + size(nu) != n and lr.lr_coeff(lam, mu, nu) != 0:
-                            witness = {"lam": list(lam), "mu": list(mu), "nu": list(nu)}
-    out.append(
-        VerificationReport(
-            "lr.size-vanishing", {"max_size": min(max_size, 5)}, witness is None, witness=witness
-        )
-    )
 
-    witness = None
-    for n in range(min(max_size, 6) + 1):
-        for lam in partitions_of(n):
-            for nu in partitions_of(n):
-                want = 1 if lam == nu else 0
-                if lr.lr_coeff(lam, (), nu) != want or lr.lr_coeff(lam, nu, ()) != want:
-                    witness = {"lam": list(lam), "nu": list(nu)}
-    out.append(
-        VerificationReport(
-            "lr.empty-delta", {"max_size": min(max_size, 6)}, witness is None, witness=witness
-        )
+def check_lr_properties(max_size: int, stack_max: int = 4) -> list[VerificationReport]:
+    def failures():
+        for n in range(max_size + 1):
+            for lam in partitions_of(n):
+                lam_c = conjugate(lam)
+                for k in range(n + 1):
+                    for mu in partitions_of(k):
+                        for nu in partitions_of(n - k):
+                            c = lr.lr_coeff(lam, mu, nu)
+                            if c != lr.lr_coeff(lam, nu, mu):
+                                yield "lr.symmetry", {
+                                    "lam": list(lam),
+                                    "mu": list(mu),
+                                    "nu": list(nu),
+                                }
+                            if c != lr.lr_coeff(lam_c, conjugate(mu), conjugate(nu)):
+                                yield "lr.transpose", {
+                                    "lam": list(lam),
+                                    "mu": list(mu),
+                                    "nu": list(nu),
+                                }
+
+        for k in range(stack_max + 1):
+            for mu in partitions_of(k):
+                for j in range(stack_max + 1):
+                    for nu in partitions_of(j):
+                        if lr.lr_coeff(partitions.add(mu, nu), mu, nu) != 1:
+                            yield "lr.stacking", {"mu": list(mu), "nu": list(nu)}
+
+        for n in range(min(max_size, 5) + 1):
+            for lam in partitions_of(n):
+                for k in range(n):
+                    for mu in partitions_of(k):
+                        for nu in partitions_of(max(n - k - 1, 0)):
+                            if size(mu) + size(nu) != n and lr.lr_coeff(lam, mu, nu) != 0:
+                                yield "lr.size-vanishing", {
+                                    "lam": list(lam),
+                                    "mu": list(mu),
+                                    "nu": list(nu),
+                                }
+
+        for n in range(min(max_size, 6) + 1):
+            for lam in partitions_of(n):
+                for nu in partitions_of(n):
+                    want = 1 if lam == nu else 0
+                    if lr.lr_coeff(lam, (), nu) != want or lr.lr_coeff(lam, nu, ()) != want:
+                        yield "lr.empty-delta", {"lam": list(lam), "nu": list(nu)}
+
+    return _first_failures(
+        [
+            ("lr.symmetry", {"max_size": max_size}),
+            ("lr.transpose", {"max_size": max_size}),
+            ("lr.stacking", {"max_size": stack_max}),
+            ("lr.size-vanishing", {"max_size": min(max_size, 5)}),
+            ("lr.empty-delta", {"max_size": min(max_size, 6)}),
+        ],
+        failures(),
     )
-    return out
 
 
 def check_lr_rectangle(max_rect: int) -> list[VerificationReport]:
-    wit_rect = None
-    wit_sum = None
-    for m in range(1, max_rect + 1):
-        for a in range(1, max_rect + 1):
-            box = partitions.box_partitions(m, a)
-            box_shape = (m,) * a
-            for mu in box:
-                for nu in box:
-                    if lr.lr_rectangle(m, a, mu, nu) != lr.lr_coeff(box_shape, mu, nu):
-                        wit_rect = {"m": m, "a": a, "mu": list(mu), "nu": list(nu)}
-            for mu in box:
-                for variant in PartitionClass:
-                    got = lr.lr_rect_sum(m, a, mu, variant)
-                    want = 1 if lr.rect_sum_membership(m, a, mu, variant) else 0
-                    if got != want:
-                        wit_sum = {
-                            "m": m,
-                            "a": a,
-                            "mu": list(mu),
-                            "variant": variant.value,
-                        }
-    return [
-        VerificationReport(
-            "lr.rectangle", {"max": max_rect}, wit_rect is None, witness=wit_rect
-        ),
-        VerificationReport(
-            "lr.rect-sum", {"max": max_rect}, wit_sum is None, witness=wit_sum
-        ),
-    ]
+    def failures():
+        for m in range(1, max_rect + 1):
+            for a in range(1, max_rect + 1):
+                box = partitions.box_partitions(m, a)
+                box_shape = (m,) * a
+                for mu in box:
+                    for nu in box:
+                        if lr.lr_rectangle(m, a, mu, nu) != lr.lr_coeff(box_shape, mu, nu):
+                            yield "lr.rectangle", {
+                                "m": m,
+                                "a": a,
+                                "mu": list(mu),
+                                "nu": list(nu),
+                            }
+                for mu in box:
+                    for variant in PartitionClass:
+                        got = lr.lr_rect_sum(m, a, mu, variant)
+                        want = 1 if lr.rect_sum_membership(m, a, mu, variant) else 0
+                        if got != want:
+                            yield "lr.rect-sum", {
+                                "m": m,
+                                "a": a,
+                                "mu": list(mu),
+                                "variant": variant.value,
+                            }
+
+    return _first_failures(
+        [("lr.rectangle", {"max": max_rect}), ("lr.rect-sum", {"max": max_rect})],
+        failures(),
+    )
 
 
 def check_dc_sweep(
     max_lambda: int, max_x: int, max_y: int
 ) -> list[VerificationReport]:
     """All eight relations over all formal alphabet sizes and small shapes."""
-    out = []
     lams = partitions_upto(max_lambda)
+
+    def failures(relation, X, Y, xi):
+        for lam in lams:
+            rep = folding.general_dc_check(relation, lam, X, Y, xi)
+            if not rep.passed:
+                yield f"dc.{relation}", {"lam": list(lam), "diff": str(rep.witness)}
+
+    out = []
     for relation in folding.DC_RELATIONS:
         xis = (1, -1) if relation in folding.XI_RELATIONS else (1,)
         for nx in range(max_x + 1):
             for ny in range(max_y + 1):
                 X, Y, _ = cauchy_alphabets(nx, ny, 1)
                 for xi in xis:
-                    witness = None
-                    for lam in lams:
-                        rep = folding.general_dc_check(relation, lam, X, Y, xi)
-                        if not rep.passed:
-                            witness = {"lam": list(lam), "diff": str(rep.witness)}
-                            break
                     params = {
                         "relation": relation,
                         "nx": nx,
@@ -577,10 +530,8 @@ def check_dc_sweep(
                         "xi": xi,
                         "max_lambda": max_lambda,
                     }
-                    out.append(
-                        VerificationReport(
-                            f"dc.{relation}", params, witness is None, witness=witness
-                        )
+                    out += _first_failures(
+                        [(f"dc.{relation}", params)], failures(relation, X, Y, xi)
                     )
     return out
 
@@ -619,40 +570,29 @@ def check_fold_hook_sanity(max_rank: int, max_am: int = 4) -> VerificationReport
     rank one kills the 2 x 3 rectangle), so in-hook nonvanishing is not
     asserted.  Rejection at the case API is cross-checked against in_hook.
     """
-    witness = None
-    for case in fold_cases(max_rank):
-        X, Y = folding.fold_alphabets(case)
-        M, N = len(X), len(Y)
-        M_api, N_api = folding.ambient_hook(case)
-        for a in range(1, max_am + 1):
-            for m in range(1, max_am + 1):
-                rect = (m,) * a
-                value = schur.super_schur(rect, X, Y)
-                if not in_hook(rect, M, N) and not value.is_zero:
-                    witness = {
-                        "case": case.tag.value,
-                        "r": case.r,
-                        "s": case.s,
-                        "a": a,
-                        "m": m,
-                    }
-                rejected = False
-                try:
-                    folding.kr_supercharacter(case, a, m)
-                except ValueError:
-                    rejected = True
-                if rejected != (not in_hook(rect, M_api, N_api)):
-                    witness = {
-                        "case": case.tag.value,
-                        "r": case.r,
-                        "s": case.s,
-                        "a": a,
-                        "m": m,
-                        "rejection": rejected,
-                    }
-    return VerificationReport(
-        "fold.hook-sanity", {"max_rank": max_rank, "max_am": max_am}, witness is None, witness=witness
-    )
+
+    def failures():
+        for case in fold_cases(max_rank):
+            X, Y = folding.fold_alphabets(case)
+            M, N = len(X), len(Y)
+            M_api, N_api = folding.ambient_hook(case)
+            for a in range(1, max_am + 1):
+                for m in range(1, max_am + 1):
+                    rect = (m,) * a
+                    where = {"case": case.tag.value, "r": case.r, "s": case.s, "a": a, "m": m}
+                    value = schur.super_schur(rect, X, Y)
+                    if not in_hook(rect, M, N) and not value.is_zero:
+                        yield "fold.hook-sanity", where
+                    rejected = False
+                    try:
+                        folding.kr_supercharacter(case, a, m)
+                    except ValueError:
+                        rejected = True
+                    if rejected != (not in_hook(rect, M_api, N_api)):
+                        yield "fold.hook-sanity", {**where, "rejection": rejected}
+
+    params = {"max_rank": max_rank, "max_am": max_am}
+    return _first_failures([("fold.hook-sanity", params)], failures())[0]
 
 
 _DIMENSION_SPOTS = {

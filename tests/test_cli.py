@@ -164,6 +164,18 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fold", "--case", "D2", "--r", "0", "--a", "1", "--m", "1"])
     assert err.value.code == 2
+    capsys.readouterr()
+    for argv in (
+        ["char", "--x", "1x"],
+        ["char", "--x", "x1,,x2"],
+        ["verify", "--check", "cauchy_plain", "--nx", "-1"],
+        ["verify", "--check", "plain_to_square", "--lam", "2", "--nx", "-2"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        message = capsys.readouterr().err.strip()
+        assert message.startswith("error: ") and "\n" not in message, argv
 
 
 def test_out_of_hook_fold_exits_2(capsys):

@@ -91,10 +91,10 @@ def test_h_list_matches_bruteforce():
 
 
 @st.composite
-def signed_alphabet_pairs(draw):
-    """Two alphabets over 1-3 variables: signed monomials with exponents in
-    {-1, 0, 1}, so the +-1 constants and inverses both occur."""
-    n = draw(st.integers(1, 3))
+def signed_alphabet_pairs(draw, max_vars=3):
+    """Two alphabets over 1-max_vars variables: signed monomials with exponents
+    in {-1, 0, 1}, so the +-1 constants and inverses both occur."""
+    n = draw(st.integers(1, max_vars))
     table = VarTable(tuple(f"v{i}" for i in range(1, n + 1)))
     element = st.tuples(
         st.sampled_from((1, -1)),
@@ -158,6 +158,14 @@ def test_altform_agreement():
                 assert bracket_schur(tag, lam, X, Y) == bracket_schur_altform(
                     tag, lam, X, Y
                 ), (lam, tag)
+
+
+@settings(max_examples=30, deadline=None)
+@given(signed_alphabet_pairs(max_vars=2), st.sampled_from(partitions_upto(5)))
+def test_altform_matches_bracket_random(pair, lam):
+    X, Y = pair
+    for tag in (BracketType.SQUARE, BracketType.ANGLE):
+        assert bracket_schur(tag, lam, X, Y) == bracket_schur_altform(tag, lam, X, Y), tag
 
 
 def test_altform_rejects_plain():

@@ -3,9 +3,9 @@ import json
 import pytest
 
 import superchar
-from superchar import schur
+from superchar import lr, partitions, schur
 from superchar.laurent import LaurentPoly
-from superchar.report import VerificationReport
+from superchar.report import VerificationReport, _first_failures
 from superchar.verify import (
     SuiteConfig,
     cauchy_alphabets,
@@ -14,6 +14,7 @@ from superchar.verify import (
     check_fold_double_form,
     check_fold_hook_sanity,
     check_lr_oracle,
+    check_lr_properties,
     check_partition_properties,
     check_schur_invariants,
     check_schur_stability,
@@ -31,6 +32,8 @@ def test_report_invariant():
         VerificationReport("x", {}, True, witness="oops")
     with pytest.raises(ValueError):
         VerificationReport("x", {}, False)
+    with pytest.raises(ValueError):  # a failure under an id nobody reports
+        _first_failures([("x", {})], iter([("y", "oops")]))
 
 
 def test_cauchy_single_row_example():
@@ -105,6 +108,22 @@ def test_battery_pieces_pass():
     assert all(r.passed for r in check_fold_dimensions(2))
     assert all(r.passed for r in check_fold_double_form(2, 2))
     assert check_fold_hook_sanity(1, 3).passed
+
+
+def test_witness_is_first_failing_instance(monkeypatch):
+    monkeypatch.setattr(partitions, "box_partitions", lambda m, a: [])
+    by_id = {r.check_id: r for r in check_partition_properties(8, 4, 3)}
+    assert not by_id["partitions.box-count"].passed
+    assert by_id["partitions.box-count"].witness == {"m": 1, "a": 1}
+    monkeypatch.undo()
+
+    real = lr.lr_coeff
+    monkeypatch.setattr(lr, "lr_coeff", lambda lam, mu, nu: real(lam, mu, nu) + 1)
+    by_id = {r.check_id: r for r in check_lr_properties(3, 2)}
+    assert by_id["lr.stacking"].witness == {"mu": [], "nu": []}
+    assert by_id["lr.empty-delta"].witness == {"lam": [], "nu": []}
+    # a shift by one keeps the symmetries, so those checks still pass
+    assert by_id["lr.symmetry"].passed and by_id["lr.transpose"].passed
 
 
 def test_suite_config_validation():
