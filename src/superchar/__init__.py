@@ -33,11 +33,17 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Reset every memoized layer (series, characters, coefficients)."""
-    from . import schur as _schur
-    from .lr import lr_coeff as _lr
+    from . import lr as _lr, schur as _schur
 
-    _schur.clear_caches()
-    _lr.cache_clear()
+    for cached in (
+        _schur._h_list_cached,
+        _schur.super_schur,
+        _schur.bracket_schur,
+        _schur.bracket_schur_altform,
+        _schur._bialternant_in,
+        _lr.lr_coeff,
+    ):
+        cached.cache_clear()
 
 
 __all__ = [

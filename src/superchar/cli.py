@@ -7,6 +7,7 @@ check fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -176,11 +177,7 @@ def _cmd_suite(args) -> int:
             config = verify.SuiteConfig.from_json_dict(json.load(fh))
     else:
         config = verify.SuiteConfig(
-            degmax=args.degmax,
-            max_lambda_size=args.max_lambda_size,
-            max_rank=args.max_rank,
-            t_count=args.t_count,
-            seed=args.seed,
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(verify.SuiteConfig)}
         )
     reports = verify.run_suite(config)
     payload = verify.suite_to_json(reports)
@@ -255,11 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the whole battery")
     p.add_argument("--config", help="JSON file mirroring the SuiteConfig fields")
-    p.add_argument("--degmax", type=int, default=6)
-    p.add_argument("--max-lambda-size", dest="max_lambda_size", type=int, default=5)
-    p.add_argument("--max-rank", dest="max_rank", type=int, default=3)
-    p.add_argument("--t-count", dest="t_count", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    for field in dataclasses.fields(verify.SuiteConfig):
+        flag = "--" + field.name.replace("_", "-")
+        p.add_argument(flag, dest=field.name, type=int, default=field.default)
     p.add_argument("--persist", help="directory for timestamped result copies")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_suite)

@@ -165,19 +165,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers of a general polynomial are not defined")
-        result = LaurentPoly.const(self.table, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def exact_div(self, divisor: int) -> "LaurentPoly":
         """Divide every coefficient by an integer, failing loudly on remainders."""
         out = {}
@@ -203,71 +190,6 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         return hash((self.table, frozenset(self._terms.items())))
-
-    # -- substitution ------------------------------------------------------
-
-    def specialize(
-        self,
-        assignment: Mapping[str, "LaurentPoly | int"],
-        table: VarTable | None = None,
-    ) -> "LaurentPoly":
-        """Substitute signed Laurent monomials (or +-1 constants) for variables.
-
-        Every image must be a single-term polynomial with coefficient +-1, so
-        negative exponents substitute without leaving the ring.  Variables not
-        named in the assignment map to themselves and must exist in the target
-        table.
-        """
-        images: dict[str, tuple[int, tuple[int, ...]]] = {}
-        for name, value in assignment.items():
-            if isinstance(value, int):
-                if value not in (1, -1):
-                    raise ValueError(f"constant image for {name} must be +-1, got {value}")
-                images[name] = (value, None)  # exponents resolved once table is known
-            else:
-                if len(value._terms) != 1:
-                    raise ValueError(f"image of {name} must be a single monomial")
-                ((exps, coeff),) = value._terms.items()
-                if coeff not in (1, -1):
-                    raise ValueError(f"image of {name} must have coefficient +-1")
-                if table is None:
-                    table = value.table
-                elif table != value.table:
-                    raise ValueError("assignment images over different tables")
-                images[name] = (coeff, exps)
-        if table is None:
-            table = self.table
-        zero_exps = (0,) * len(table)
-        resolved: list[tuple[int, tuple[int, ...]]] = []
-        for name in self.table.names:
-            if name in images:
-                sign, exps = images[name]
-                resolved.append((sign, exps if exps is not None else zero_exps))
-            else:
-                if name not in table.index:
-                    raise ValueError(f"variable {name} missing from target table")
-                exps = [0] * len(table)
-                exps[table.index[name]] = 1
-                resolved.append((1, tuple(exps)))
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self._terms.items():
-            out = list(zero_exps)
-            sign = 1
-            for e, (img_sign, img_exps) in zip(exps, resolved):
-                if not e:
-                    continue
-                if img_sign == -1 and e % 2:
-                    sign = -sign
-                for i, v in enumerate(img_exps):
-                    if v:
-                        out[i] += v * e
-            key = tuple(out)
-            new = acc.get(key, 0) + sign * coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        return LaurentPoly(table, acc)
 
     # -- serialization -----------------------------------------------------
 

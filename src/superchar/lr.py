@@ -85,12 +85,6 @@ def lr_rectangle(m: int, a: int, mu: Partition, nu: Partition) -> int:
     return 1 if ok else 0
 
 
-_SUM_CLASS = {
-    RectSubset.BOX: PartitionClass.ALL,
-    RectSubset.COLPAIRED: PartitionClass.EVEN_COLUMNS,
-    RectSubset.EVENROW: PartitionClass.EVEN_ROWS,
-}
-
 _VARIANT_SUBSET = {
     PartitionClass.ALL: RectSubset.BOX,
     PartitionClass.EVEN_COLUMNS: RectSubset.COLPAIRED,

@@ -120,12 +120,6 @@ def in_class(lam: Partition, tag: PartitionClass) -> bool:
     raise ValueError(f"unknown class {tag!r}")
 
 
-def enumerate_class(tag: PartitionClass, max_size: int) -> list[Partition]:
-    if max_size < 0:
-        raise ValueError("max_size must be nonnegative")
-    return [lam for lam in partitions_upto(max_size) if in_class(lam, tag)]
-
-
 class RectSubset(enum.Enum):
     BOX = "box"
     COLPAIRED = "colpaired"

@@ -149,12 +149,6 @@ def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
     return _h_list_cached(X.canonical(), Y.canonical(), degmax)
 
 
-def _h_at(hs: tuple[LaurentPoly, ...], zero: LaurentPoly, k: int) -> LaurentPoly:
-    if k < 0:
-        return zero
-    return hs[k]
-
-
 # ---------------------------------------------------------------------------
 # Jacobi-Trudi determinants
 # ---------------------------------------------------------------------------
@@ -166,20 +160,52 @@ class BracketType(enum.Enum):
     ANGLE = "angle"
 
 
-@lru_cache(maxsize=None)
-def super_schur(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """det(h_{lam_i - i + j}) over 1 <= i, j <= len(lam); 1 for the empty shape."""
+def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet, entry) -> LaurentPoly:
+    """det(entry(h, lam_i - i, j)) over 1 <= i, j <= len(lam); 1 for the empty shape.
+
+    h(k) is h_k(X|Y), read as 0 for k < 0.
+    """
     lam = as_partition(lam)
     if not lam:
         return LaurentPoly.const(X.table, 1)
     n = len(lam)
     hs = h_list(X, Y, lam[0] + n)
     zero = LaurentPoly.zero(X.table)
-    rows = [
-        [_h_at(hs, zero, lam[i] - (i + 1) + (j + 1)) for j in range(n)]
-        for i in range(n)
-    ]
-    return det(rows)
+
+    def h(k: int) -> LaurentPoly:
+        return hs[k] if k >= 0 else zero
+
+    return det(
+        [[entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    )
+
+
+def _plain_entry(h, base: int, j: int) -> LaurentPoly:
+    return h(base + j)
+
+
+def _square_entry(h, base: int, j: int) -> LaurentPoly:
+    return h(base + j) - h(base - j)
+
+
+def _angle_entry(h, base: int, j: int) -> LaurentPoly:
+    return h(base + j) + h(base - j + 2)
+
+
+def _altform_angle_entry(h, base: int, j: int) -> LaurentPoly:
+    # A single entry in the first column, paired sums in the others.
+    return h(base + 1) if j == 1 else _angle_entry(h, base, j)
+
+
+def _altform_square_entry(h, base: int, j: int) -> LaurentPoly:
+    # The ANGLE rule with H_m = h_m - h_{m-2} in place of h_m.
+    return _altform_angle_entry(lambda k: h(k) - h(k - 2), base, j)
+
+
+@lru_cache(maxsize=None)
+def super_schur(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """det(h_{lam_i - i + j}) over 1 <= i, j <= len(lam); 1 for the empty shape."""
+    return _jacobi_trudi(lam, X, Y, _plain_entry)
 
 
 @lru_cache(maxsize=None)
@@ -192,30 +218,11 @@ def bracket_schur(tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet) ->
     """
     if tag is BracketType.PLAIN:
         return super_schur(lam, X, Y)
-    lam = as_partition(lam)
-    if not lam:
+    if tag is BracketType.SQUARE:
+        return _jacobi_trudi(lam, X, Y, _square_entry)
+    if not as_partition(lam):  # the empty shape is 1, not halved
         return LaurentPoly.const(X.table, 1)
-    n = len(lam)
-    hs = h_list(X, Y, lam[0] + n)
-    zero = LaurentPoly.zero(X.table)
-    rows = []
-    for i in range(n):
-        base = lam[i] - (i + 1)
-        if tag is BracketType.SQUARE:
-            row = [
-                _h_at(hs, zero, base + j) - _h_at(hs, zero, base - j)
-                for j in range(1, n + 1)
-            ]
-        else:
-            row = [
-                _h_at(hs, zero, base + j) + _h_at(hs, zero, base - j + 2)
-                for j in range(1, n + 1)
-            ]
-        rows.append(row)
-    result = det(rows)
-    if tag is BracketType.ANGLE:
-        result = result.exact_div(2)
-    return result
+    return _jacobi_trudi(lam, X, Y, _angle_entry).exact_div(2)
 
 
 @lru_cache(maxsize=None)
@@ -230,27 +237,9 @@ def bracket_schur_altform(
     """
     if tag is BracketType.PLAIN:
         raise ValueError("alternate forms exist for SQUARE and ANGLE only")
-    lam = as_partition(lam)
-    if not lam:
-        return LaurentPoly.const(X.table, 1)
-    n = len(lam)  # equals the first column length of the conjugate
-    hs = h_list(X, Y, lam[0] + n)
-    zero = LaurentPoly.zero(X.table)
-
     if tag is BracketType.SQUARE:
-        def f(k: int) -> LaurentPoly:
-            return _h_at(hs, zero, k) - _h_at(hs, zero, k - 2)
-    else:
-        def f(k: int) -> LaurentPoly:
-            return _h_at(hs, zero, k)
-
-    rows = []
-    for i in range(n):
-        base = lam[i] - (i + 1)
-        row = [f(base + 1)]
-        row.extend(f(base + j) + f(base - j + 2) for j in range(2, n + 1))
-        rows.append(row)
-    return det(rows)
+        return _jacobi_trudi(lam, X, Y, _altform_square_entry)
+    return _jacobi_trudi(lam, X, Y, _altform_angle_entry)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +340,3 @@ def schur_expand(p: LaurentPoly, n: int) -> dict[Partition, int]:
         out[lam] = c
         residual = residual - c * _bialternant_in(table, lam)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Cache control
-# ---------------------------------------------------------------------------
-
-
-def clear_caches() -> None:
-    """Drop all memoized series and characters (used by fault-injection tests)."""
-    _h_list_cached.cache_clear()
-    super_schur.cache_clear()
-    bracket_schur.cache_clear()
-    bracket_schur_altform.cache_clear()
-    _bialternant_in.cache_clear()

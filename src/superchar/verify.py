@@ -101,6 +101,8 @@ def cauchy_check(
         raise ValueError(f"unknown cauchy kind {kind!r}")
     if nT < 1:
         raise ValueError("need at least one t variable")
+    if degmax < 0:
+        raise ValueError(f"degmax must be nonnegative, got {degmax}")
     table = X.table
     t_names = tuple(f"t{i}" for i in range(1, nT + 1))
     positions = _t_positions(table, nT)
@@ -162,6 +164,8 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
         raise ValueError(f"unknown sum kind {kind!r}")
     if nT < 1:
         raise ValueError("need at least one t variable")
+    if degmax < 0:
+        raise ValueError(f"degmax must be nonnegative, got {degmax}")
     table = schur.t_table(nT)
     positions = tuple(range(nT))
     one = LaurentPoly.const(table, 1)

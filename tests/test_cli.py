@@ -170,6 +170,8 @@ def test_usage_errors_exit_2(capsys):
         ["char", "--x", "x1,,x2"],
         ["verify", "--check", "cauchy_plain", "--nx", "-1"],
         ["verify", "--check", "plain_to_square", "--lam", "2", "--nx", "-2"],
+        ["verify", "--check", "cauchy_plain", "--degmax", "-1"],
+        ["verify", "--check", "schur_sum", "--degmax", "-2"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
