@@ -184,24 +184,30 @@ def _rect(m: int, a: int) -> Partition:
     return (m,) * a
 
 
+def require_in_hook(case: FoldingCase, a: int, m: int) -> None:
+    """Reject the a-by-m rectangle if it lies outside the case's ambient hook."""
+    M, N = ambient_hook(case)
+    if not in_hook(_rect(m, a), M, N):
+        raise ValueError(
+            f"rectangle {a} x {m} lies outside the [{M},{N}] hook of {case.tag.value}"
+        )
+
+
 def kr_supercharacter(case: FoldingCase, a: int, m: int) -> LaurentPoly:
     """Character of the a-by-m rectangle over the case's folded alphabets.
 
     An empty rectangle (a = 0 or m = 0) is the empty diagram and gives 1;
-    rectangles outside the case's ambient hook are rejected (the identities
-    are only asserted inside it), though the underlying determinant is still
-    reachable through super_schur directly and vanishes out there.
+    any other rectangle must pass require_in_hook first (the identities are
+    only asserted inside the ambient hook), though the underlying
+    determinant is still reachable through super_schur directly and
+    vanishes out there.
     """
     if a < 0 or m < 0:
         raise ValueError("a and m must be nonnegative")
     X, Y = fold_alphabets(case)
     if a == 0 or m == 0:
         return LaurentPoly.const(X.table, 1)
-    M, N = ambient_hook(case)
-    if not in_hook(_rect(m, a), M, N):
-        raise ValueError(
-            f"rectangle {a} x {m} lies outside the [{M},{N}] hook of {case.tag.value}"
-        )
+    require_in_hook(case, a, m)
     return super_schur(_rect(m, a), X, Y)
 
 

@@ -220,6 +220,8 @@ def bracket_schur(tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet) ->
         return super_schur(lam, X, Y)
     if tag is BracketType.SQUARE:
         return _jacobi_trudi(lam, X, Y, _square_entry)
+    if tag is not BracketType.ANGLE:
+        raise ValueError(f"bracket tag must be a BracketType, not {tag!r}")
     if not as_partition(lam):  # the empty shape is 1, not halved
         return LaurentPoly.const(X.table, 1)
     return _jacobi_trudi(lam, X, Y, _angle_entry).exact_div(2)
@@ -239,6 +241,8 @@ def bracket_schur_altform(
         raise ValueError("alternate forms exist for SQUARE and ANGLE only")
     if tag is BracketType.SQUARE:
         return _jacobi_trudi(lam, X, Y, _altform_square_entry)
+    if tag is not BracketType.ANGLE:
+        raise ValueError(f"bracket tag must be a BracketType, not {tag!r}")
     return _jacobi_trudi(lam, X, Y, _altform_angle_entry)
 
 

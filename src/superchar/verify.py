@@ -572,7 +572,9 @@ def check_fold_hook_sanity(max_rank: int, max_am: int = 4) -> VerificationReport
     Only this direction holds: alphabets containing the pair {1, -1} also
     vanish at some in-hook rectangles (e.g. the symplectic-type folding at
     rank one kills the 2 x 3 rectangle), so in-hook nonvanishing is not
-    asserted.  Rejection at the case API is cross-checked against in_hook.
+    asserted, and a character is built only for rectangles outside the
+    alphabet's hook.  Rejection by folding.require_in_hook, the test that
+    kr_supercharacter applies, is cross-checked against in_hook.
     """
 
     def failures():
@@ -584,12 +586,11 @@ def check_fold_hook_sanity(max_rank: int, max_am: int = 4) -> VerificationReport
                 for m in range(1, max_am + 1):
                     rect = (m,) * a
                     where = {"case": case.tag.value, "r": case.r, "s": case.s, "a": a, "m": m}
-                    value = schur.super_schur(rect, X, Y)
-                    if not in_hook(rect, M, N) and not value.is_zero:
+                    if not in_hook(rect, M, N) and not schur.super_schur(rect, X, Y).is_zero:
                         yield "fold.hook-sanity", where
                     rejected = False
                     try:
-                        folding.kr_supercharacter(case, a, m)
+                        folding.require_in_hook(case, a, m)
                     except ValueError:
                         rejected = True
                     if rejected != (not in_hook(rect, M_api, N_api)):

@@ -1,5 +1,6 @@
 import pytest
 
+from superchar import folding
 from superchar.folding import (
     DC_RELATIONS,
     FoldingCase,
@@ -12,6 +13,7 @@ from superchar.folding import (
     general_dc_check,
     get_branch,
     kr_supercharacter,
+    require_in_hook,
     verify_decomposition,
 )
 from superchar.laurent import LaurentPoly, VarTable
@@ -60,7 +62,11 @@ def test_kr_vector_example():
     assert value.eval_all_ones() == 2
 
 
-def test_kr_empty_rectangle():
+def test_kr_empty_rectangle(monkeypatch):
+    def refuse(case, a, m):
+        raise AssertionError(f"hook consulted for {a} x {m}")
+
+    monkeypatch.setattr(folding, "require_in_hook", refuse)
     for tag in FoldingTag:
         case = FoldingCase(tag, 1, 1)
         assert kr_supercharacter(case, 1, 0) == 1
@@ -69,8 +75,13 @@ def test_kr_empty_rectangle():
 
 def test_kr_rejects_out_of_hook():
     case = FoldingCase(FoldingTag.A2_EE, 1, 0)  # hook [2, 0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as through_kr:
         kr_supercharacter(case, 3, 1)
+    with pytest.raises(ValueError) as direct:
+        require_in_hook(case, 3, 1)
+    assert str(through_kr.value) == str(direct.value)
+    assert str(direct.value) == "rectangle 3 x 1 lies outside the [2,0] hook of A2_EE"
+    require_in_hook(case, 2, 5)  # inside the hook: no error
 
 
 def test_rhs_type_b_column_pair_example():

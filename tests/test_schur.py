@@ -174,6 +174,17 @@ def test_altform_rejects_plain():
         bracket_schur_altform(BracketType.PLAIN, (1,), X, Y)
 
 
+@pytest.mark.parametrize("tag", ["plain", "square", "angle", None])
+@pytest.mark.parametrize("fn", [bracket_schur, bracket_schur_altform])
+def test_bracket_rejects_tags_that_are_not_bracket_types(fn, tag):
+    # Over X = {x1}, ANGLE of (2,) is x1^2 and SQUARE is -1 + x1^2; a tag
+    # that is not a BracketType must be rejected, not computed as ANGLE.
+    X, Y, _ = formal_pair(1, 0)
+    for lam in ((2,), ()):
+        with pytest.raises(ValueError, match="BracketType"):
+            fn(tag, lam, X, Y)
+
+
 def test_stability_under_shared_element():
     rng = random.Random(99)
     table = VarTable(("u1", "u2"))

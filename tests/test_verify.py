@@ -3,8 +3,9 @@ import json
 import pytest
 
 import superchar
-from superchar import lr, partitions, schur
+from superchar import folding, lr, partitions, schur
 from superchar.laurent import LaurentPoly
+from superchar.partitions import in_hook
 from superchar.report import VerificationReport, _first_failures
 from superchar.verify import (
     SuiteConfig,
@@ -124,6 +125,44 @@ def test_witness_is_first_failing_instance(monkeypatch):
     assert by_id["lr.empty-delta"].witness == {"lam": [], "nu": []}
     # a shift by one keeps the symmetries, so those checks still pass
     assert by_id["lr.symmetry"].passed and by_id["lr.transpose"].passed
+
+
+def test_hook_sanity_builds_only_out_of_hook_rectangles(monkeypatch):
+    superchar.clear_caches()
+    real = schur.super_schur
+    built = []
+
+    def spy(rect, X, Y):
+        built.append((rect, len(X), len(Y)))
+        return real(rect, X, Y)
+
+    def forbidden(case, a, m):
+        raise AssertionError("check_fold_hook_sanity called kr_supercharacter")
+
+    monkeypatch.setattr(schur, "super_schur", spy)
+    monkeypatch.setattr(folding, "kr_supercharacter", forbidden)
+    assert check_fold_hook_sanity(3).passed
+    assert built
+    inside = [entry for entry in built if in_hook(*entry)]
+    assert not inside, inside[:3]
+
+
+def test_hook_sanity_reports_a_missing_rejection(monkeypatch):
+    monkeypatch.setattr(folding, "require_in_hook", lambda case, a, m: None)
+    rep = check_fold_hook_sanity(3)
+    assert not rep.passed
+    # B1 at r = 0, s = 1 has the ambient hook [0, 3]: 1 x 4 is the first
+    # rectangle outside it.
+    assert rep.witness == {"case": "B1", "r": 0, "s": 1, "a": 1, "m": 4, "rejection": False}
+
+
+def test_hook_sanity_reports_a_nonvanishing_character(monkeypatch):
+    monkeypatch.setattr(schur, "super_schur", lambda rect, X, Y: LaurentPoly.const(X.table, 1))
+    rep = check_fold_hook_sanity(3)
+    assert not rep.passed
+    # B1 at r = 0, s = 1 folds to |X| = 0, |Y| = 3: 1 x 4 is the first
+    # rectangle outside that hook.
+    assert rep.witness == {"case": "B1", "r": 0, "s": 1, "a": 1, "m": 4}
 
 
 def test_suite_config_validation():
