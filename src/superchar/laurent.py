@@ -1,16 +1,43 @@
 """Exact sparse multivariate Laurent polynomial arithmetic over the integers.
 
 This is the ground ring for every character computed by the package.
-Coefficients are Python ints (arbitrary precision), exponent vectors are
-dense integer tuples positioned by a shared :class:`VarTable`, and all
-values are immutable after construction.  There is deliberately no
-floating point mode and no rational-function field here.
+Coefficients are Python ints (arbitrary precision) and all values are
+immutable after construction.  There is deliberately no floating point mode
+and no rational-function field here.
+
+Monomials are stored as packed keys: over a :class:`VarTable` of n names, the
+exponent vector (e_0, ..., e_{n-1}) is the single Python int
+
+    key = sum(e_i << shift_i),   shift_i = FIELD_BITS * (n - 1 - i),
+
+with signed, unbiased fields, so the product of two monomials is the sum of
+their keys.  Every exponent satisfies |e_i| <= EXPONENT_LIMIT =
+2**(FIELD_BITS - 1) - 1.  For such vectors the map is injective and int order
+equals lexicographic order of the tuples: at the first position i where two
+vectors differ, their keys differ by at least 2**shift_i, and the later fields
+together differ by less than that, so sorted keys give sorted tuples and the
+JSON form is unchanged.
+
+Each value carries an upper bound on |exponent| over its terms: a sum takes
+the larger operand bound, a product the sum of both.  A product whose bound
+passes EXPONENT_LIMIT raises :class:`ExponentOverflowError` before any key is
+formed, so fields never carry into one another.  Exponent tuples are the only
+form seen outside this module: the public constructor validates and packs
+them, and ``terms``, ``coeff``, ``map_terms`` and the serializers unpack.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from typing import Callable, Iterable, Iterator, Mapping
+
+FIELD_BITS = 32  # one signed big-endian struct "i" field per exponent
+EXPONENT_LIMIT = 2 ** (FIELD_BITS - 1) - 1
+
+
+class ExponentOverflowError(ValueError):
+    """Raised when an exponent, or the bound of a product, leaves the packed field."""
 
 
 class InexactDivisionError(ArithmeticError):
@@ -21,17 +48,44 @@ class VarTable:
     """Ordered list of distinct variable names.
 
     The ordering fixes exponent-vector positions for the lifetime of a
-    computation; two polynomials interoperate only over equal tables.
+    computation; two polynomials interoperate only over equal tables.  The
+    table also owns the packed-key layout: ``shifts[i]`` is the bit offset of
+    variable i's field.
     """
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "shifts", "_struct", "_bias")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names!r}")
+        n = len(names)
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
+        self.shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._struct = struct.Struct(f">{n}i")
+        # 2**(FIELD_BITS - 1) in every field: adding it makes each field
+        # nonnegative, and xor with it maps that to the two's complement
+        # field that struct reads and writes (and back).
+        self._bias = sum(1 << (shift + FIELD_BITS - 1) for shift in self.shifts)
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        """The packed key of an exponent vector, validated: the public boundary."""
+        if len(exps) != len(self.names):
+            raise ValueError(f"exponent vector {exps!r} does not fit {self!r}")
+        for e in exps:
+            if type(e) is not int:  # also rejects bool, a subclass of int
+                raise ValueError(f"exponent {e!r} in {exps!r} is not an int")
+            if not -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
+                raise ExponentOverflowError(
+                    f"exponent {e} in {exps!r} is outside the packed field "
+                    f"|e| <= {EXPONENT_LIMIT}"
+                )
+        return (int.from_bytes(self._struct.pack(*exps), "big") ^ self._bias) - self._bias
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        raw = ((key + self._bias) ^ self._bias).to_bytes(self._struct.size, "big")
+        return self._struct.unpack(raw)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -60,30 +114,34 @@ class LaurentPoly:
 
     Equality is term-set equality (an int on the right-hand side is read as
     a constant polynomial).  Instances are never mutated after construction.
+    This constructor validates and packs every exponent vector; ring
+    operations build their results through :func:`_trusted` instead.
     """
 
-    __slots__ = ("table", "_terms")
+    __slots__ = ("table", "_terms", "_bound")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], int]):
-        n = len(table)
-        clean: dict[tuple[int, ...], int] = {}
+        clean: dict[int, int] = {}
+        bound = 0
         for exps, coeff in terms.items():
-            if len(exps) != n:
-                raise ValueError(f"exponent vector {exps!r} does not fit {table!r}")
+            key = table.pack(exps)
             if coeff:
-                clean[tuple(exps)] = coeff
+                clean[key] = coeff
+                bound = max(bound, max(map(abs, exps), default=0))
         self.table = table
         self._terms = clean
+        self._bound = bound
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "LaurentPoly":
-        return cls(table, {})
+        return _trusted(table, {}, 0)
 
     @classmethod
     def const(cls, table: VarTable, value: int) -> "LaurentPoly":
-        return cls(table, {(0,) * len(table): int(value)})
+        value = int(value)
+        return _trusted(table, {0: value} if value else {}, 0)
 
     @classmethod
     def monomial(cls, table: VarTable, exps: Iterable[int], coeff: int = 1) -> "LaurentPoly":
@@ -102,10 +160,11 @@ class LaurentPoly:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self._terms.items())
+        unpack = self.table.unpack
+        return ((unpack(key), coeff) for key, coeff in self._terms.items())
 
     def coeff(self, exps: Iterable[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
+        return self._terms.get(self.table.pack(tuple(exps)), 0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -117,31 +176,42 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "LaurentPoly") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise ValueError("polynomials over different variable tables")
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.const(self.table, other)
         self._check(other)
-        acc = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            new = acc.get(exps, 0) + coeff
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        acc = dict(big)
+        for key, coeff in small.items():
+            new = acc.get(key, 0) + coeff
             if new:
-                acc[exps] = new
+                acc[key] = new
             else:
-                acc.pop(exps, None)
-        return LaurentPoly(self.table, acc)
+                del acc[key]
+        return _trusted(self.table, acc, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.table, {e: -c for e, c in self._terms.items()})
+        return _trusted(self.table, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.const(self.table, other)
-        return self + (-other)
+        self._check(other)
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            new = acc.get(key, 0) - coeff
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
+        return _trusted(self.table, acc, max(self._bound, other._bound))
 
     def __rsub__(self, other: int) -> "LaurentPoly":
         return LaurentPoly.const(self.table, other) - self
@@ -150,40 +220,55 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero(self.table)
-            return LaurentPoly(self.table, {e: c * other for e, c in self._terms.items()})
+            return _trusted(
+                self.table, {k: c * other for k, c in self._terms.items()}, self._bound
+            )
         self._check(other)
-        acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = acc.get(key, 0) + c1 * c2
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
-        return LaurentPoly(self.table, acc)
+        bound = self._bound + other._bound
+        if bound > EXPONENT_LIMIT:
+            raise ExponentOverflowError(
+                f"product exponent bound {bound} passes the packed field limit {EXPONENT_LIMIT}"
+            )
+        outer, inner = self._terms, other._terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        inner_items = inner.items()
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, c1 in outer.items():
+            for k2, c2 in inner_items:
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c}
+        return _trusted(self.table, acc, bound)
 
     __rmul__ = __mul__
 
     def exact_div(self, divisor: int) -> "LaurentPoly":
         """Divide every coefficient by an integer, failing loudly on remainders."""
         out = {}
-        for exps, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             q, r = divmod(coeff, divisor)
             if r:
                 raise InexactDivisionError(
-                    f"coefficient {coeff} of {monomial_str(self.table, exps)} "
+                    f"coefficient {coeff} of {monomial_str(self.table, self.table.unpack(key))} "
                     f"is not divisible by {divisor}"
                 )
-            out[exps] = q
-        return LaurentPoly(self.table, out)
+            out[key] = q
+        return _trusted(self.table, out, self._bound)
 
     def map_terms(self, keep: Callable[[tuple[int, ...]], bool]) -> "LaurentPoly":
-        return LaurentPoly(self.table, {e: c for e, c in self._terms.items() if keep(e)})
+        unpack = self.table.unpack
+        return _trusted(
+            self.table,
+            {k: c for k, c in self._terms.items() if keep(unpack(k))},
+            self._bound,
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self._terms == LaurentPoly.const(self.table, other)._terms
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.table == other.table and self._terms == other._terms
@@ -194,7 +279,8 @@ class LaurentPoly:
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self._terms.items())
+        unpack = self.table.unpack
+        return [(unpack(key), coeff) for key, coeff in sorted(self._terms.items())]
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,6 +319,15 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {self}>"
+
+
+def _trusted(table: VarTable, terms: dict[int, int], bound: int) -> LaurentPoly:
+    """Wrap ring-operation output: keys packed over ``table``, no zero coefficients."""
+    poly = object.__new__(LaurentPoly)
+    poly.table = table
+    poly._terms = terms
+    poly._bound = bound
+    return poly
 
 
 def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -278,29 +373,32 @@ def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:
     """
     table = p.table
     i = table.index[var_i]
-    j = table.index[var_j]
-    by_deg: dict[int, dict[tuple[int, ...], int]] = {}
-    for exps, coeff in p.terms():
-        k = exps[i]
+    shift = table.shifts[i]
+    unit = 1 << shift  # the key of var_i
+    half, mask = 1 << (FIELD_BITS - 1), (1 << FIELD_BITS) - 1
+    by_deg: dict[int, dict[int, int]] = {}
+    for key, coeff in p._terms.items():
+        # var_i's field of the biased key, less its bias: var_i's exponent.
+        k = (((key + table._bias) >> shift) & mask) - half
         if k < 0:
             raise ValueError("divide_linear expects no negative exponents in the pivot")
-        stripped = exps[:i] + (0,) + exps[i + 1 :]
-        by_deg.setdefault(k, {})[stripped] = coeff
+        by_deg.setdefault(k, {})[key - k * unit] = coeff
     if not by_deg:
         return LaurentPoly.zero(table)
-    dmax = max(by_deg)
     tj = LaurentPoly.variable(table, var_j)
     carry = LaurentPoly.zero(table)
-    quot: dict[tuple[int, ...], int] = {}
-    for k in range(dmax, 0, -1):
-        c_k = LaurentPoly(table, by_deg.get(k, {}))
-        term = c_k + carry
-        for exps, coeff in term.terms():
-            key = exps[:i] + (exps[i] + k - 1,) + exps[i + 1 :]
+    quot: dict[int, int] = {}
+    for k in range(max(by_deg), 0, -1):
+        term = _trusted(table, by_deg.get(k, {}), p._bound) + carry
+        lift = (k - 1) * unit
+        for key, coeff in term._terms.items():
+            key += lift
             quot[key] = quot.get(key, 0) + coeff
         carry = term * tj
-    remainder = LaurentPoly(table, by_deg.get(0, {})) + carry
+    remainder = _trusted(table, by_deg.get(0, {}), p._bound) + carry
     if not remainder.is_zero:
         raise InexactDivisionError(f"({var_i} - {var_j}) does not divide the polynomial")
-    return LaurentPoly(table, quot)
-
+    # p = (var_i - var_j) * quotient, so by Ostrowski's theorem the quotient's
+    # Newton polytope, shifted by var_i and by var_j, lies in p's: p's bound
+    # still holds.
+    return _trusted(table, {k: c for k, c in quot.items() if c}, p._bound)

@@ -91,10 +91,6 @@ def gl(M: int, N: int) -> AlgebraFamily:
     return AlgebraFamily(FamilyKind.GL, M, N)
 
 
-def type_b(r: int, s: int) -> AlgebraFamily:
-    return AlgebraFamily(FamilyKind.B, r, s) if r else AlgebraFamily(FamilyKind.B0, 0, s)
-
-
 def type_c(s: int) -> AlgebraFamily:
     return AlgebraFamily(FamilyKind.C, 1, s)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from superchar import clear_caches
+from superchar import clear_caches, laurent
 from superchar.cli import main
 from superchar.laurent import LaurentPoly
 from superchar.schur import super_schur
@@ -35,6 +35,24 @@ def test_char_supports_constants_and_inverses(capsys):
     assert code == 0
     poly = LaurentPoly.from_json_dict(json.loads(out))
     assert poly.eval_all_ones() == 4
+
+
+def test_char_exponent_past_16_bits_keeps_its_output(capsys):
+    code, out = run_cli(capsys, "char", "--lambda", "40000", "--x", "a")
+    assert code == 0
+    assert out == '{"vars":["a"],"terms":[{"exp":[40000],"coeff":"1"}]}\n'
+
+
+def test_char_past_the_exponent_field_exits_2(capsys, monkeypatch):
+    # A narrow field makes the bound check reachable with a small input.
+    monkeypatch.setattr(laurent, "EXPONENT_LIMIT", 30)
+    clear_caches()
+    with pytest.raises(SystemExit) as err:
+        main(["char", "--lambda", "40", "--x", "a"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message.startswith("error: ") and "\n" not in message
+    assert "field" in message
 
 
 def test_lr_command(capsys):

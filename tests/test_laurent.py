@@ -1,9 +1,14 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superchar.laurent import (
+    EXPONENT_LIMIT,
+    ExponentOverflowError,
     InexactDivisionError,
     LaurentPoly,
     VarTable,
@@ -96,6 +101,39 @@ def test_det_small():
     assert det(rows3) == 1
 
 
+@pytest.mark.parametrize(
+    "exp", [["1"], [1.5], [True], [EXPONENT_LIMIT + 1], [-EXPONENT_LIMIT - 1]]
+)
+def test_public_boundary_rejects_bad_exponents(exp):
+    data = {"vars": ["a"], "terms": [{"exp": exp, "coeff": "2"}]}
+    with pytest.raises(ValueError) as err:
+        LaurentPoly.from_json_dict(data)
+    assert "\n" not in str(err.value)
+    with pytest.raises(ValueError):
+        LaurentPoly(VarTable(("a",)), {tuple(exp): 2})
+
+
+def test_field_edges_are_exact():
+    top = var("b", EXPONENT_LIMIT - 1) * var("b")
+    assert top.sorted_terms() == [((0, EXPONENT_LIMIT), 1)]
+    lim = EXPONENT_LIMIT
+    corners = LaurentPoly(T2, {(lim, -lim): 2, (-lim, lim): 1})
+    assert corners.sorted_terms() == [((-lim, lim), 1), ((lim, -lim), 2)]
+    assert corners.coeff((lim, -lim)) == 2
+    data = {"vars": ["a"], "terms": [{"exp": [EXPONENT_LIMIT], "coeff": "1"}]}
+    assert LaurentPoly.from_json_dict(data).to_json_dict() == data
+
+
+def test_product_past_the_field_raises_instead_of_wrapping():
+    with pytest.raises(ExponentOverflowError) as err:
+        var("b", EXPONENT_LIMIT) * var("b")
+    assert isinstance(err.value, ValueError)
+    assert "\n" not in str(err.value)
+    half = var("a", EXPONENT_LIMIT // 2 + 1)
+    with pytest.raises(ExponentOverflowError):
+        half * half
+
+
 def test_json_round_trip():
     p = 3 * var("a", -2) * var("b") + 5 - var("b", 3)
     data = p.to_json_dict()
@@ -104,3 +142,112 @@ def test_json_round_trip():
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
     assert LaurentPoly.from_json_dict(json.loads(p.to_json())) == p
 
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a dict-of-exponent-tuples reference
+# ---------------------------------------------------------------------------
+
+
+def ref_add(p, q, sign=1):
+    acc = dict(p)
+    for e, c in q.items():
+        acc[e] = acc.get(e, 0) + sign * c
+    return {e: c for e, c in acc.items() if c}
+
+
+def ref_mul(p, q):
+    acc = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def ref_det(rows, n_vars):
+    """Leibniz expansion, independent of the cofactor recursion in det."""
+    total = {}
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = {(0,) * n_vars: -1 if inversions % 2 else 1}
+        for i, j in enumerate(perm):
+            term = ref_mul(term, rows[i][j])
+        total = ref_add(total, term)
+    return total
+
+
+def ref_json(table, ref):
+    terms = [{"exp": list(e), "coeff": str(c)} for e, c in sorted(ref.items())]
+    return json.dumps({"vars": list(table.names), "terms": terms}, separators=(",", ":"))
+
+
+def assert_matches(poly, ref):
+    assert dict(poly.terms()) == ref
+    assert all(type(e) is tuple for e, _ in poly.terms())
+    assert poly.sorted_terms() == sorted(ref.items())
+    assert poly.to_json() == ref_json(poly.table, ref)
+
+
+@st.composite
+def ref_polys(draw, n_vars, factors, count, max_terms=5):
+    """``count`` reference polynomials whose ``factors``-fold products stay in the field."""
+    near = EXPONENT_LIMIT // factors
+    exponent = st.one_of(
+        st.integers(-3, 3), st.integers(near - 2, near), st.integers(-near, -near + 2)
+    )
+    coeff = st.integers(-6, 6)
+    return [
+        draw(st.dictionaries(st.tuples(*[exponent] * n_vars), coeff, max_size=max_terms))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ring_ops_match_tuple_reference(data):
+    n_vars = data.draw(st.integers(1, 4))
+    table = VarTable(tuple("abcd"[:n_vars]))
+    p_ref, q_ref = data.draw(ref_polys(n_vars, factors=2, count=2))
+    p, q = LaurentPoly(table, p_ref), LaurentPoly(table, q_ref)
+    p_ref = {e: c for e, c in p_ref.items() if c}
+    q_ref = {e: c for e, c in q_ref.items() if c}
+    assert_matches(p, p_ref)
+    assert_matches(p + q, ref_add(p_ref, q_ref))
+    assert_matches(p - q, ref_add(p_ref, q_ref, -1))
+    assert_matches(-p, {e: -c for e, c in p_ref.items()})
+    assert_matches(p * q, ref_mul(p_ref, q_ref))
+    scaled = {e: 3 * c for e, c in p_ref.items()}
+    assert_matches(3 * p - 2, ref_add(scaled, {(0,) * n_vars: 2}, -1))
+
+    def keep(e):
+        assert type(e) is tuple
+        return sum(e) % 2 == 0
+
+    assert_matches(p.map_terms(keep), {e: c for e, c in p_ref.items() if sum(e) % 2 == 0})
+
+    if n_vars >= 2:  # a small pivot exponent keeps the synthetic division short
+        q_ref = {e: c for e, c in p_ref.items() if 0 <= e[0] <= 3}
+        a, b = (LaurentPoly.variable(table, name) for name in "ab")
+        assert_matches(divide_linear(LaurentPoly(table, q_ref) * (a - b), "a", "b"), q_ref)
+
+    d = data.draw(st.integers(2, 4))
+    assert_matches((p * d).exact_div(d), p_ref)
+    if all(c % d == 0 for c in p_ref.values()):
+        assert_matches(p.exact_div(d), {e: c // d for e, c in p_ref.items()})
+    else:
+        with pytest.raises(InexactDivisionError):
+            p.exact_div(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_det_matches_tuple_reference(data):
+    n_vars = data.draw(st.integers(1, 4))
+    size = data.draw(st.sampled_from((2, 3)))
+    table = VarTable(tuple("abcd"[:n_vars]))
+    entries = data.draw(ref_polys(n_vars, factors=size, count=size * size, max_terms=3))
+    refs = [{e: c for e, c in entry.items() if c} for entry in entries]
+    rows = [[LaurentPoly(table, refs[i * size + j]) for j in range(size)] for i in range(size)]
+    ref_rows = [refs[i * size : (i + 1) * size] for i in range(size)]
+    assert_matches(det(rows), ref_det(ref_rows, n_vars))

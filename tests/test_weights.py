@@ -10,7 +10,6 @@ from superchar.weights import (
     hw_from_diagram,
     is_finite_dimensional,
     kd_labels,
-    type_b,
     type_c,
     type_d,
 )
@@ -22,7 +21,7 @@ def F(*values):
 
 def test_hw_examples():
     assert hw_from_diagram(gl(2, 1), (2, 1)) == F(2, 1, 0)
-    assert hw_from_diagram(type_b(2, 1), (3, 1)) == F(2, 2, 0)
+    assert hw_from_diagram(AlgebraFamily(FamilyKind.B, 2, 1), (3, 1)) == F(2, 2, 0)
     assert hw_from_diagram(type_d(2, 0, plus=False), (2, 2)) == F(2, -2)
 
 
@@ -31,13 +30,13 @@ def test_hw_rejects_out_of_hook():
         hw_from_diagram(gl(2, 1), (2, 2, 2))
     assert "hook" in str(err.value)
     with pytest.raises(ValueError):
-        hw_from_diagram(type_b(0, 2), (3,))
+        hw_from_diagram(AlgebraFamily(FamilyKind.B0, 0, 2), (3,))
 
 
 def test_kd_examples():
     assert kd_labels(gl(2, 1), F(2, 1, 0)) == F(1, 1)
-    assert kd_labels(type_b(2, 1), F(2, 2, 0)) == F(4, 2, 0)
-    assert kd_labels(type_b(0, 2), F(1, 1)) == F(0, 2)
+    assert kd_labels(AlgebraFamily(FamilyKind.B, 2, 1), F(2, 2, 0)) == F(4, 2, 0)
+    assert kd_labels(AlgebraFamily(FamilyKind.B0, 0, 2), F(1, 1)) == F(0, 2)
 
 
 def test_kd_type_c():
@@ -51,22 +50,22 @@ def test_kd_type_c():
 
 def test_fd_examples():
     assert not is_finite_dimensional(gl(2, 1), F(-1, 0))
-    assert not is_finite_dimensional(type_b(2, 0), F(0, 1))
-    assert is_finite_dimensional(type_b(2, 0), F(0, 2))
+    assert not is_finite_dimensional(AlgebraFamily(FamilyKind.B, 2, 0), F(0, 1))
+    assert is_finite_dimensional(AlgebraFamily(FamilyKind.B, 2, 0), F(0, 2))
 
 
 def test_fd_half_integral_rejected():
-    assert not is_finite_dimensional(type_b(0, 2), F(1, 1))  # c = 1/2
+    assert not is_finite_dimensional(AlgebraFamily(FamilyKind.B0, 0, 2), F(1, 1))  # c = 1/2
 
 
 def all_families():
     yield gl(2, 1)
     yield gl(1, 2)
     yield gl(3, 0)
-    yield type_b(2, 1)
-    yield type_b(1, 2)
-    yield type_b(2, 0)
-    yield type_b(0, 2)
+    yield AlgebraFamily(FamilyKind.B, 2, 1)
+    yield AlgebraFamily(FamilyKind.B, 1, 2)
+    yield AlgebraFamily(FamilyKind.B, 2, 0)
+    yield AlgebraFamily(FamilyKind.B0, 0, 2)
     yield type_c(1)
     yield type_c(2)
     yield type_d(2, 1, plus=True)
