@@ -304,6 +304,28 @@ def _weighted_sum(
     return total
 
 
+def _dc_row(relation: str, xi: int):
+    """(xp, yp, w, bracket, xs, ys) for the relation's identity
+
+        s_lam(X + xp | Y + yp) = sum_{nu, mu} w(nu) c^lam_{nu,mu} bracket_mu(X + xs | Y + ys),
+
+    where xp, yp, xs and ys are constants adjoined to the alphabets and w is a
+    weight as in _weighted_sum.
+    """
+    rows, columns = PartitionClass.EVEN_ROWS, PartitionClass.EVEN_COLUMNS
+    square, angle = BracketType.SQUARE, BracketType.ANGLE
+    return {
+        "plain_to_square": ((), (), rows, square, (), ()),
+        "plain_to_angle": ((), (), columns, angle, (), ()),
+        "yconst_to_square_shifted": ((), (xi,), columns, square, (-xi,), ()),
+        "yconst_to_square_signed": ((), (xi,), -xi, square, (), ()),
+        "xconst_to_angle_shifted": ((xi,), (), rows, angle, (), (-xi,)),
+        "xconst_to_angle_signed": ((xi,), (), xi, angle, (), ()),
+        "ypair_to_square": ((), (1, -1), columns, square, (), ()),
+        "xpair_to_angle": ((1, -1), (), rows, angle, (), ()),
+    }[relation]
+
+
 def general_dc_check(
     relation: str,
     lam,
@@ -317,39 +339,11 @@ def general_dc_check(
         raise ValueError(f"unknown relation {relation!r}")
     if xi not in (1, -1):
         raise ValueError("xi must be +1 or -1")
-    table = X.table
-
-    def consts(values: tuple[int, ...]) -> Alphabet:
-        return Alphabet.constants(table, values)
-
-    if relation == "plain_to_square":
-        lhs = super_schur(lam, X, Y)
-        rhs = _weighted_sum(lam, PartitionClass.EVEN_ROWS, BracketType.SQUARE, X, Y)
-    elif relation == "plain_to_angle":
-        lhs = super_schur(lam, X, Y)
-        rhs = _weighted_sum(lam, PartitionClass.EVEN_COLUMNS, BracketType.ANGLE, X, Y)
-    elif relation == "yconst_to_square_shifted":
-        lhs = super_schur(lam, X, Y | consts((xi,)))
-        rhs = _weighted_sum(
-            lam, PartitionClass.EVEN_COLUMNS, BracketType.SQUARE, X | consts((-xi,)), Y
-        )
-    elif relation == "yconst_to_square_signed":
-        lhs = super_schur(lam, X, Y | consts((xi,)))
-        rhs = _weighted_sum(lam, -xi, BracketType.SQUARE, X, Y)
-    elif relation == "xconst_to_angle_shifted":
-        lhs = super_schur(lam, X | consts((xi,)), Y)
-        rhs = _weighted_sum(
-            lam, PartitionClass.EVEN_ROWS, BracketType.ANGLE, X, Y | consts((-xi,))
-        )
-    elif relation == "xconst_to_angle_signed":
-        lhs = super_schur(lam, X | consts((xi,)), Y)
-        rhs = _weighted_sum(lam, xi, BracketType.ANGLE, X, Y)
-    elif relation == "ypair_to_square":
-        lhs = super_schur(lam, X, Y | consts((1, -1)))
-        rhs = _weighted_sum(lam, PartitionClass.EVEN_COLUMNS, BracketType.SQUARE, X, Y)
-    else:  # xpair_to_angle
-        lhs = super_schur(lam, X | consts((1, -1)), Y)
-        rhs = _weighted_sum(lam, PartitionClass.EVEN_ROWS, BracketType.ANGLE, X, Y)
+    if xi != 1 and relation not in XI_RELATIONS:
+        raise ValueError(f"relation {relation!r} does not depend on xi; use xi = 1")
+    xp, yp, weight, bracket, xs, ys = _dc_row(relation, xi)
+    lhs = super_schur(lam, _with_consts(X, xp), _with_consts(Y, yp))
+    rhs = _weighted_sum(lam, weight, bracket, _with_consts(X, xs), _with_consts(Y, ys))
 
     params = {
         "relation": relation,

@@ -3,7 +3,10 @@
 Truncation semantics for the series checks: both sides are compared as
 polynomials of total degree <= degmax in the auxiliary t variables.  The
 character sums are cut at |lam| <= degmax, which loses nothing because the
-Schur polynomial of lam is homogeneous of degree |lam| in the t's.
+Schur polynomial of lam is homogeneous of degree |lam| in the t's.  The
+product sides are kept as their homogeneous t-degree parts 0..degmax, and each
+factor (1 - u) or 1/(1 - u) updates those parts in place, so no term of higher
+degree is ever formed.
 """
 
 from __future__ import annotations
@@ -32,43 +35,32 @@ CAUCHY_KINDS = ("cauchy_plain", "cauchy_square", "cauchy_angle", "cauchy_angle_d
 SUM_KINDS = ("schur_sum", "littlewood_even_rows", "littlewood_even_columns")
 
 
-# ---------------------------------------------------------------------------
-# Truncated product helpers
-# ---------------------------------------------------------------------------
-
-
-def _t_positions(table: VarTable, nT: int) -> tuple[int, ...]:
-    return tuple(table.index[f"t{i}"] for i in range(1, nT + 1))
-
-
-def _truncate(p: LaurentPoly, positions: tuple[int, ...], degmax: int) -> LaurentPoly:
-    return p.map_terms(lambda e: sum(e[i] for i in positions) <= degmax)
-
-
-def _truncated_product(
-    one: LaurentPoly, factors: Iterable[LaurentPoly], positions: tuple[int, ...], degmax: int
+def _graded_product(
+    table: VarTable, nT: int, factors: Iterable[tuple[LaurentPoly, bool]], degmax: int
 ) -> LaurentPoly:
-    """The product of ``factors`` in order, truncated after every multiply."""
-    out = one
-    for factor in factors:
-        out = _truncate(out * factor, positions, degmax)
-    return out
+    """The part of t-degree <= degmax of a product of factors (1 - u) and 1/(1 - u).
 
-
-def _geometric(u: LaurentPoly, positions: tuple[int, ...], degmax: int) -> LaurentPoly:
-    """1/(1-u) truncated, for a single signed monomial u of positive t-degree."""
-    ((exps, coeff),) = u.terms()
-    d = sum(exps[i] for i in positions)
-    if d < 1:
-        raise ValueError("geometric factor needs positive degree in the t variables")
-    acc: dict[tuple[int, ...], int] = {}
-    cur = (0,) * len(u.table)
-    c = 1
-    for _ in range(degmax // d + 1):
-        acc[cur] = acc.get(cur, 0) + c
-        cur = tuple(a + b for a, b in zip(cur, exps))
-        c *= coeff
-    return LaurentPoly(u.table, acc)
+    Each factor is (u, divide), with u a signed monomial of t-degree d >= 1 in
+    t1..tnT.  The product is kept as its homogeneous parts parts[0..degmax]:
+    multiplying by (1 - u) is parts[k] -= u * parts[k-d] with k descending
+    (each step reads the old parts[k-d]); dividing by (1 - u) is
+    parts[k] += u * parts[k-d] with k ascending (each step reads the updated
+    one).  No term above degmax is ever formed.
+    """
+    positions = [table.index[f"t{i}"] for i in range(1, nT + 1)]
+    parts = [LaurentPoly.const(table, 1)] + [LaurentPoly.zero(table)] * degmax
+    for u, divide in factors:
+        ((exps, _),) = u.terms()
+        d = sum(exps[i] for i in positions)
+        if d < 1:
+            raise ValueError(f"product factor {u} needs positive degree in the t variables")
+        if divide:
+            for k in range(d, degmax + 1):
+                parts[k] = parts[k] + u * parts[k - d]
+        else:
+            for k in range(degmax, d - 1, -1):
+                parts[k] = parts[k] - u * parts[k - d]
+    return sum(parts[1:], parts[0])
 
 
 def cauchy_alphabets(nx: int, ny: int, nT: int) -> tuple[Alphabet, Alphabet, VarTable]:
@@ -94,8 +86,8 @@ def cauchy_check(
     """One truncated Cauchy-type identity, compared exactly.
 
     The character sum side runs over shapes of size at most degmax with at
-    most nT rows; the product side is expanded factor by factor with the same
-    truncation.
+    most nT rows; the product side is built by _graded_product to the same
+    degree.
     """
     if kind not in CAUCHY_KINDS:
         raise ValueError(f"unknown cauchy kind {kind!r}")
@@ -105,10 +97,8 @@ def cauchy_check(
         raise ValueError(f"degmax must be nonnegative, got {degmax}")
     table = X.table
     t_names = tuple(f"t{i}" for i in range(1, nT + 1))
-    positions = _t_positions(table, nT)
     T = Alphabet.formal(table, t_names)
     none = Alphabet.empty(table)
-    one = LaurentPoly.const(table, 1)
 
     lhs = LaurentPoly.zero(table)
     for lam in partitions_upto(degmax, max_len=nT):
@@ -123,30 +113,24 @@ def cauchy_check(
             factor = schur.bracket_schur(BracketType.ANGLE, conjugate(lam), X, Y)
         lhs = lhs + factor * s_t
 
+    # For each t: (1 - t y) over Y and 1/(1 - t x) over X; the dual kind
+    # swaps the alphabets and negates them.
+    mul_over, div_over = (X.negated(), Y.negated()) if kind == "cauchy_angle_dual" else (Y, X)
     t_polys = [LaurentPoly.variable(table, name) for name in t_names]
+    factors = [
+        (t * w, divide)
+        for t in t_polys
+        for divide, alphabet in ((False, mul_over), (True, div_over))
+        for w in alphabet.polys()
+    ]
     if kind == "cauchy_plain":
         pairs = ()
     elif kind == "cauchy_angle":
         pairs = combinations(range(nT), 2)
     else:
         pairs = combinations_with_replacement(range(nT), 2)
-
-    def factors():
-        for tj in t_polys:
-            if kind == "cauchy_angle_dual":
-                for x in X.polys():
-                    yield one + tj * x
-                for y in Y.polys():
-                    yield _geometric(-(tj * y), positions, degmax)
-            else:
-                for y in Y.polys():
-                    yield one - tj * y
-                for x in X.polys():
-                    yield _geometric(tj * x, positions, degmax)
-        for i, j in pairs:
-            yield one - t_polys[i] * t_polys[j]
-
-    rhs = _truncated_product(one, factors(), positions, degmax)
+    factors += [(t_polys[i] * t_polys[j], False) for i, j in pairs]
+    rhs = _graded_product(table, nT, factors, degmax)
 
     params = {
         "kind": kind,
@@ -167,8 +151,6 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
     if degmax < 0:
         raise ValueError(f"degmax must be nonnegative, got {degmax}")
     table = schur.t_table(nT)
-    positions = tuple(range(nT))
-    one = LaurentPoly.const(table, 1)
 
     cls = {
         "schur_sum": PartitionClass.ALL,
@@ -187,9 +169,7 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
         pairs = combinations(range(nT), 2)
     singles = t_polys if kind == "schur_sum" else []
     monomials = chain(singles, (t_polys[i] * t_polys[j] for i, j in pairs))
-    rhs = _truncated_product(
-        one, (_geometric(u, positions, degmax) for u in monomials), positions, degmax
-    )
+    rhs = _graded_product(table, nT, ((u, True) for u in monomials), degmax)
 
     params = {"kind": kind, "nT": nT, "degmax": degmax}
     return poly_comparison(f"littlewood.{kind}", params, lhs, rhs)

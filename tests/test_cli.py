@@ -190,6 +190,8 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--check", "plain_to_square", "--lam", "2", "--nx", "-2"],
         ["verify", "--check", "cauchy_plain", "--degmax", "-1"],
         ["verify", "--check", "schur_sum", "--degmax", "-2"],
+        ["verify", "--check", "plain_to_square", "--nx", "1", "--ny", "1", "--lam", "2",
+         "--xi", "-1"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -1,14 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superchar
 from superchar import folding, lr, partitions, schur
-from superchar.laurent import LaurentPoly
+from superchar.laurent import LaurentPoly, VarTable
 from superchar.partitions import in_hook
 from superchar.report import VerificationReport, _first_failures
+from superchar.schur import Alphabet
 from superchar.verify import (
+    CAUCHY_KINDS,
     SuiteConfig,
+    _graded_product,
     cauchy_alphabets,
     cauchy_check,
     check_fold_dimensions,
@@ -68,6 +73,75 @@ def test_cauchy_truncation_prefix_soundness():
     X, Y, _ = cauchy_alphabets(1, 1, 2)
     results = [cauchy_check("cauchy_plain", X, Y, 2, d).passed for d in range(7)]
     assert all(results)
+
+
+def _t_degree(table, nT, u):
+    ((exps, _),) = u.terms()
+    return sum(exps[table.index[f"t{i}"]] for i in range(1, nT + 1))
+
+
+def _reference_graded_product(table, nT, factors, degmax):
+    """Each 1/(1-u) expanded as a geometric sum, everything multiplied out,
+    and the t-degree filter applied once, at the end."""
+    one = LaurentPoly.const(table, 1)
+    out = one
+    for u, divide in factors:
+        if divide:
+            series = power = one
+            for _ in range(degmax // _t_degree(table, nT, u)):
+                power = power * u
+                series = series + power
+            out = out * series
+        else:
+            out = out * (one - u)
+    positions = [table.index[f"t{i}"] for i in range(1, nT + 1)]
+    return out.map_terms(lambda e: sum(e[i] for i in positions) <= degmax)
+
+
+@st.composite
+def graded_factor_lists(draw):
+    """Signed monomials of t-degree 1-2 over 1-2 t variables and 0-2 others
+    (negative exponents allowed), each with a multiply-or-divide flag."""
+    nT = draw(st.integers(1, 2))
+    others = draw(st.integers(0, 2))
+    table = VarTable(
+        tuple(f"v{i}" for i in range(1, others + 1)) + tuple(f"t{i}" for i in range(1, nT + 1))
+    )
+
+    def factor():
+        d = draw(st.integers(1, 2))
+        t_exps = [d]
+        if nT == 2:
+            first = draw(st.integers(-2, 3))
+            t_exps = [first, d - first]
+        exps = [draw(st.integers(-2, 2)) for _ in range(others)] + t_exps
+        u = LaurentPoly.monomial(table, exps, draw(st.sampled_from((1, -1))))
+        return u, draw(st.booleans())
+
+    factors = [factor() for _ in range(draw(st.integers(0, 5)))]
+    return table, nT, factors, draw(st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_factor_lists())
+def test_graded_product_matches_geometric_reference(case):
+    table, nT, factors, degmax = case
+    expected = _reference_graded_product(table, nT, factors, degmax)
+    assert _graded_product(table, nT, factors, degmax) == expected
+
+
+def test_product_factor_of_degree_below_one_raises():
+    X, Y, table = cauchy_alphabets(1, 0, 1)
+    t1_inverse = Alphabet(table, ((1, (0, -1)),))  # the table is (x1, t1)
+    for kind in CAUCHY_KINDS:
+        with pytest.raises(ValueError, match="positive degree") as err:
+            cauchy_check(kind, X | t1_inverse, Y, 1, 3)
+        assert "\n" not in str(err.value)
+    t1 = LaurentPoly.variable(table, "t1")
+    for u in (t1 * LaurentPoly.variable(table, "t1", -1), LaurentPoly.variable(table, "t1", -1)):
+        for divide in (False, True):
+            with pytest.raises(ValueError, match="positive degree"):
+                _graded_product(table, 1, [(t1, True), (u, divide)], 3)
 
 
 def test_littlewood_examples():
