@@ -75,27 +75,27 @@ def test_cauchy_truncation_prefix_soundness():
     assert all(results)
 
 
-def _t_degree(table, nT, u):
-    ((exps, _),) = u.terms()
-    return sum(exps[table.index[f"t{i}"]] for i in range(1, nT + 1))
-
-
 def _reference_graded_product(table, nT, factors, degmax):
     """Each 1/(1-u) expanded as a geometric sum, everything multiplied out,
     and the t-degree filter applied once, at the end."""
+    positions = [table.index[f"t{i}"] for i in range(1, nT + 1)]
+
+    def t_degree(exps):
+        return sum(exps[i] for i in positions)
+
     one = LaurentPoly.const(table, 1)
     out = one
     for u, divide in factors:
         if divide:
+            ((exps, _),) = u.terms()
             series = power = one
-            for _ in range(degmax // _t_degree(table, nT, u)):
+            for _ in range(degmax // t_degree(exps)):
                 power = power * u
                 series = series + power
             out = out * series
         else:
             out = out * (one - u)
-    positions = [table.index[f"t{i}"] for i in range(1, nT + 1)]
-    return out.map_terms(lambda e: sum(e[i] for i in positions) <= degmax)
+    return out.map_terms(lambda exps: t_degree(exps) <= degmax)
 
 
 @st.composite
