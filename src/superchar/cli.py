@@ -269,6 +269,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    except RecursionError:
+        parser.exit(2, "error: input too large: recursion depth exceeded\n")
 
 
 if __name__ == "__main__":

@@ -92,9 +92,6 @@ class Alphabet:
             LaurentPoly.monomial(self.table, exps, sign) for sign, exps in self.elements
         )
 
-    def canonical(self) -> "Alphabet":
-        return Alphabet(self.table, tuple(sorted(self.elements)))
-
     def describe(self) -> list[str]:
         out = []
         for sign, exps in self.elements:
@@ -117,36 +114,42 @@ def palindromic(table: VarTable, names: tuple[str, ...]) -> Alphabet:
 # ---------------------------------------------------------------------------
 
 
+def graded_parts(one: LaurentPoly, factors, degmax: int) -> list[LaurentPoly]:
+    """The coefficients of t^0..t^degmax in one * prod (1 - u t^d)^(+-1).
+
+    Each factor is (u, d, divide) with d >= 1.  Multiplying by (1 - u t^d) is
+    parts[k] -= u * parts[k-d] with k descending (each step reads the old
+    parts[k-d]); dividing by it is parts[k] += u * parts[k-d] with k ascending
+    (each step reads the updated one).  A zero parts[k-d] is skipped, and no
+    coefficient above degmax is ever formed.
+    """
+    parts = [one] + [LaurentPoly.zero(one.table)] * degmax
+    for u, d, divide in factors:
+        for k in range(d, degmax + 1) if divide else range(degmax, d - 1, -1):
+            if not parts[k - d].is_zero:
+                step = u * parts[k - d]
+                parts[k] = parts[k] + step if divide else parts[k] - step
+    return parts
+
+
 @lru_cache(maxsize=None)
 def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
-    """[h_0, ..., h_degmax], multiplying 1 by one linear factor at a time.
-
-    Dividing by (1 - x t) is hs[m] += x * hs[m-1] with m ascending (each step
-    reads the updated hs[m-1]); multiplying by (1 - y t) is hs[m] -= y * hs[m-1]
-    with m descending (each step reads the old hs[m-1]).
-    """
-    table = X.table
-    hs = [LaurentPoly.const(table, 1)] + [LaurentPoly.zero(table)] * degmax
-    for x in X.polys():
-        for m in range(1, degmax + 1):
-            hs[m] = hs[m] + x * hs[m - 1]
-    for y in Y.polys():
-        for m in range(degmax, 0, -1):
-            hs[m] = hs[m] - y * hs[m - 1]
-    return tuple(hs)
+    """[h_0, ..., h_degmax]: 1 divided by each (1 - x t), then times each (1 - y t)."""
+    factors = [(x, 1, True) for x in X.polys()] + [(y, 1, False) for y in Y.polys()]
+    return tuple(graded_parts(LaurentPoly.const(X.table, 1), factors, degmax))
 
 
 def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
     """[h_0, ..., h_degmax] for the pair of alphabets.
 
-    Results are cached on the canonicalized (order-forgotten) alphabets; the
-    verification sweeps re-query identical pairs constantly.
+    Results are cached on the alphabets as given; the verification sweeps
+    re-query identical pairs constantly.
     """
     if degmax < 0:
         raise ValueError("degmax must be nonnegative")
     if X.table != Y.table:
         raise ValueError("alphabets over different tables")
-    return _h_list_cached(X.canonical(), Y.canonical(), degmax)
+    return _h_list_cached(X, Y, degmax)
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +259,13 @@ def t_table(n: int) -> VarTable:
     return VarTable(tuple(f"t{i}" for i in range(1, n + 1)))
 
 
-def _monomial_det(table: VarTable, exps_matrix: list[list[int]]) -> LaurentPoly:
-    """Determinant of (t_i ^ exps_matrix[i][j]) by permutation expansion."""
-    n = len(exps_matrix)
-    acc: dict[tuple[int, ...], int] = {}
-
-    def perms(remaining: tuple[int, ...], row: int, sign: int, exps: list[int]):
-        if not remaining:
-            key = tuple(exps)
-            acc[key] = acc.get(key, 0) + sign
-            return
-        for pos, col in enumerate(remaining):
-            exps[row] += exps_matrix[row][col]
-            perms(
-                remaining[:pos] + remaining[pos + 1 :],
-                row + 1,
-                sign if pos % 2 == 0 else -sign,
-                exps,
-            )
-            exps[row] -= exps_matrix[row][col]
-
-    perms(tuple(range(n)), 0, 1, [0] * len(table))
-    return LaurentPoly(table, acc)
-
-
 @lru_cache(maxsize=None)
 def _bialternant_in(table: VarTable, lam: Partition) -> LaurentPoly:
     n = len(table)
-    exps = [[lam[j] + n - (j + 1) if j < len(lam) else n - (j + 1) for j in range(n)]
-            for _ in range(n)]
-    numerator = _monomial_det(table, exps)
-    result = numerator
+    if not n:  # the empty alternants are both 1
+        return LaurentPoly.const(table, 1)
+    powers = [(lam[j] if j < len(lam) else 0) + n - 1 - j for j in range(n)]
+    result = det([[LaurentPoly.variable(table, t, e) for e in powers] for t in table.names])
     for i in range(n):
         for j in range(i + 1, n):
             result = divide_linear(result, table.names[i], table.names[j])

@@ -41,25 +41,18 @@ def _graded_product(
     """The part of t-degree <= degmax of a product of factors (1 - u) and 1/(1 - u).
 
     Each factor is (u, divide), with u a signed monomial of t-degree d >= 1 in
-    t1..tnT.  The product is kept as its homogeneous parts parts[0..degmax]:
-    multiplying by (1 - u) is parts[k] -= u * parts[k-d] with k descending
-    (each step reads the old parts[k-d]); dividing by (1 - u) is
-    parts[k] += u * parts[k-d] with k ascending (each step reads the updated
-    one).  No term above degmax is ever formed.
+    t1..tnT.  The homogeneous t-degree parts come from schur.graded_parts, the
+    recurrence that also gives h_m, so no term above degmax is ever formed.
     """
     positions = [table.index[f"t{i}"] for i in range(1, nT + 1)]
-    parts = [LaurentPoly.const(table, 1)] + [LaurentPoly.zero(table)] * degmax
+    graded = []
     for u, divide in factors:
         ((exps, _),) = u.terms()
         d = sum(exps[i] for i in positions)
         if d < 1:
             raise ValueError(f"product factor {u} needs positive degree in the t variables")
-        if divide:
-            for k in range(d, degmax + 1):
-                parts[k] = parts[k] + u * parts[k - d]
-        else:
-            for k in range(degmax, d - 1, -1):
-                parts[k] = parts[k] - u * parts[k - d]
+        graded.append((u, d, divide))
+    parts = schur.graded_parts(LaurentPoly.const(table, 1), graded, degmax)
     return sum(parts[1:], parts[0])
 
 

@@ -200,6 +200,15 @@ def test_usage_errors_exit_2(capsys):
         assert message.startswith("error: ") and "\n" not in message, argv
 
 
+def test_lr_deep_skew_shape_exits_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["lr", "--lam", "2400", "--mu", "1200", "--nu", "1200"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message.startswith("error: ") and "\n" not in message
+    assert "too large" in message
+
+
 def test_out_of_hook_fold_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fold", "--case", "A2_EE", "--r", "1", "--s", "0", "--a", "3", "--m", "1"])

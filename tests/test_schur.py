@@ -260,6 +260,7 @@ def test_bialternant_examples():
         table, "t1"
     ) + LaurentPoly.variable(table, "t2")
     assert bialternant_schur((), 3) == 1
+    assert bialternant_schur((), 0) == 1
     assert bialternant_schur((2, 1), 3).eval_all_ones() == 8
     assert count_ssyt((2, 1), 3) == 8
 
@@ -268,6 +269,35 @@ def test_bialternant_counts_tableaux():
     for n in (2, 3):
         for lam in partitions_upto(4, max_len=n):
             assert bialternant_schur(lam, n).eval_all_ones() == count_ssyt(lam, n)
+
+
+def reference_alternant(lam, n):
+    """det(t_i^{lam_j + n - j}) by permutation expansion, one term per permutation."""
+    exps = [(lam[j] if j < len(lam) else 0) + n - 1 - j for j in range(n)]
+    terms = {}
+
+    def expand(remaining, sign, powers):
+        if not remaining:
+            terms[tuple(powers)] = terms.get(tuple(powers), 0) + sign
+            return
+        for pos, col in enumerate(remaining):
+            expand(
+                remaining[:pos] + remaining[pos + 1 :],
+                sign if pos % 2 == 0 else -sign,
+                powers + [exps[col]],
+            )
+
+    expand(tuple(range(n)), 1, [])
+    return LaurentPoly(t_table(n), terms)
+
+
+def test_alternant_numerator_matches_permutation_expansion():
+    # The division by the Vandermonde a_delta is exact, so the numerator the
+    # determinant route formed is the quotient times a_delta.
+    for n in range(1, 6):
+        vandermonde = reference_alternant((), n)
+        for lam in partitions_upto(6, max_len=n):
+            assert bialternant_schur(lam, n) * vandermonde == reference_alternant(lam, n)
 
 
 def test_bialternant_rejects_short_tables():
