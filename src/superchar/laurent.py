@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Mapping
 
 FIELD_BITS = 32  # one signed big-endian struct "i" field per exponent
@@ -224,11 +225,7 @@ class LaurentPoly:
                 self.table, {k: c * other for k, c in self._terms.items()}, self._bound
             )
         self._check(other)
-        bound = self._bound + other._bound
-        if bound > EXPONENT_LIMIT:
-            raise ExponentOverflowError(
-                f"product exponent bound {bound} passes the packed field limit {EXPONENT_LIMIT}"
-            )
+        bound = _product_bound(self._bound, other._bound)
         outer, inner = self._terms, other._terms
         if len(outer) > len(inner):
             outer, inner = inner, outer
@@ -321,6 +318,16 @@ class LaurentPoly:
         return f"<LaurentPoly {self}>"
 
 
+def _product_bound(a: int, b: int) -> int:
+    """The exponent bound of a product of values bounded by a and b, checked."""
+    bound = a + b
+    if bound > EXPONENT_LIMIT:
+        raise ExponentOverflowError(
+            f"product exponent bound {bound} passes the packed field limit {EXPONENT_LIMIT}"
+        )
+    return bound
+
+
 def _trusted(table: VarTable, terms: dict[int, int], bound: int) -> LaurentPoly:
     """Wrap ring-operation output: keys packed over ``table``, no zero coefficients."""
     poly = object.__new__(LaurentPoly)
@@ -334,15 +341,35 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Division-free determinant of a square matrix of polynomials.
 
     Cofactor expansion memoized on the surviving column subset; fine for the
-    desk-scale matrices (n <= 8) this package produces.
+    desk-scale matrices (n <= 8) this package produces.  Every entry must be
+    over the first entry's table, and a 1 x 1 matrix returns its entry.
+
+    When every entry is invariant under inverting all variables (the folded
+    and bracket characters are), so is every minor, since inversion is a ring
+    automorphism; such a matrix goes to :func:`_invariant_det`, which forms
+    only the terms at keys >= 0.  Any other matrix runs the general
+    expansion through ``*``, ``+`` and ``-``.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix has no table to build 1 over")
-    table = rows[0][0].table
+    first = rows[0][0]
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
+        for entry in row:
+            first._check(entry)
+    if n == 1:
+        return first
+    # Packing is linear, so -key is the key of the inverse monomial.
+    if all(
+        entry._terms.get(-key) == coeff
+        for row in rows
+        for entry in row
+        for key, coeff in entry._terms.items()
+    ):
+        return _invariant_det(rows)
+    table = first.table
     one = LaurentPoly.const(table, 1)
     memo: dict[tuple[int, ...], LaurentPoly] = {(): one}
 
@@ -363,6 +390,66 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         return total
 
     return minor(tuple(range(n)))
+
+
+def _invariant_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """``det`` of a matrix whose entries all satisfy p(x^-1) = p(x).
+
+    Each minor is kept as its terms at keys >= 0 in one dict, with the bound
+    the general expansion would give it.  A term (k, c) of the rest minor
+    stands for itself and its mirror (-k, c); each meets only the entry's
+    terms at keys >= -k, read from the entry's keys sorted once.  The whole
+    determinant is mirrored once at the end.
+    """
+    n = len(rows)
+    table = rows[0][0].table
+    # Per entry: (sorted keys, (key, coeff) pairs in that order, bound), or
+    # None for a zero entry.
+    sorted_rows = [
+        [
+            (sorted(entry._terms), sorted(entry._terms.items()), entry._bound)
+            if entry._terms
+            else None
+            for entry in row
+        ]
+        for row in rows
+    ]
+    memo: dict[tuple[int, ...], tuple[dict[int, int], int]] = {(): ({0: 1}, 0)}
+
+    def minor(cols: tuple[int, ...]) -> tuple[dict[int, int], int]:
+        cached = memo.get(cols)
+        if cached is not None:
+            return cached
+        row = sorted_rows[n - len(cols)]
+        acc: dict[int, int] = {}
+        get = acc.get
+        bound = 0
+        for pos, col in enumerate(cols):
+            entry = row[col]
+            if entry is None:
+                continue
+            keys, items, entry_bound = entry
+            rest, rest_bound = minor(cols[:pos] + cols[pos + 1 :])
+            bound = max(bound, _product_bound(entry_bound, rest_bound))
+            odd = pos % 2
+            for k, c in rest.items():
+                if odd:
+                    c = -c
+                for k1 in (k, -k) if k else (0,):
+                    for k2, c2 in items[bisect_left(keys, -k1) :]:
+                        key = k1 + k2
+                        acc[key] = get(key, 0) + c * c2
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c}
+        memo[cols] = acc, bound
+        return acc, bound
+
+    half, bound = minor(tuple(range(n)))
+    terms = dict(half)
+    for k, c in half.items():
+        if k:
+            terms[-k] = c
+    return _trusted(table, terms, bound)
 
 
 def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:

@@ -251,3 +251,116 @@ def test_det_matches_tuple_reference(data):
     rows = [[LaurentPoly(table, refs[i * size + j]) for j in range(size)] for i in range(size)]
     ref_rows = [refs[i * size : (i + 1) * size] for i in range(size)]
     assert_matches(det(rows), ref_det(ref_rows, n_vars))
+
+
+# ---------------------------------------------------------------------------
+# det on inversion-invariant matrices, against the general cofactor expansion
+# ---------------------------------------------------------------------------
+
+
+def cofactor_det(rows):
+    """The general cofactor expansion of ``det``, built from public ``*``, ``+`` and ``-``."""
+    n = len(rows)
+    table = rows[0][0].table
+    memo = {(): LaurentPoly.const(table, 1)}
+
+    def minor(cols):
+        if cols in memo:
+            return memo[cols]
+        row = rows[n - len(cols)]
+        total = LaurentPoly.zero(table)
+        for pos, col in enumerate(cols):
+            if row[col].is_zero:
+                continue
+            piece = row[col] * minor(cols[:pos] + cols[pos + 1 :])
+            total = total + piece if pos % 2 == 0 else total - piece
+        memo[cols] = total
+        return total
+
+    return minor(tuple(range(n)))
+
+
+def inverted(p):
+    """sigma(p): every variable replaced by its inverse."""
+    return LaurentPoly(p.table, {tuple(-e for e in exps): c for exps, c in p.terms()})
+
+
+def assert_same_det(rows):
+    got, want = det(rows), cofactor_det(rows)
+    assert got == want
+    assert got._bound == want._bound  # later products raise exactly when they did
+
+
+@st.composite
+def det_matrices(draw, invariant):
+    n_vars = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 4))
+    table = VarTable(tuple("abc"[:n_vars]))
+    exps = st.tuples(*[st.integers(-3, 3)] * n_vars)
+    rows = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            p = LaurentPoly(table, draw(st.dictionaries(exps, st.integers(-4, 4), max_size=3)))
+            row.append(p + inverted(p) if invariant else p)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(det_matrices(invariant=True))
+def test_det_matches_cofactor_expansion_on_invariant_matrices(rows):
+    assert_same_det(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(det_matrices(invariant=False))
+def test_det_matches_cofactor_expansion_on_general_matrices(rows):
+    assert_same_det(rows)
+
+
+def count_muls(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+    return calls
+
+
+def test_invariant_det_makes_no_multiply_and_a_changed_coefficient_does(monkeypatch):
+    a, b = var("a"), var("b")
+    p = a + var("a", -1) + 2
+    q = a * b + var("a", -1) * var("b", -1) - 3
+    rows = [[p, q, const(1)], [q, LaurentPoly.zero(T2), p], [const(5), p, q]]
+    want = cofactor_det(rows)
+    broken = [row[:] for row in rows]
+    broken[2][1] = p + a  # a's coefficient 2 against a^-1's 1
+    want_broken = cofactor_det(broken)
+    calls = count_muls(monkeypatch)
+    assert det(rows) == want
+    assert calls == []
+    assert det(broken) == want_broken
+    assert calls
+
+
+@pytest.mark.parametrize("invariant", [True, False])
+def test_det_raises_past_the_field_on_both_paths(invariant):
+    big = var("a", 2**30) + var("a", -(2**30))
+    other = big if invariant else big + var("a", 2**30)
+    with pytest.raises(ExponentOverflowError):
+        det([[big, big], [other, big]])
+
+
+def test_det_rejects_an_entry_over_a_foreign_table():
+    a, b = var("a"), var("b")
+    with pytest.raises(ValueError, match="different variable tables"):
+        det([[a, LaurentPoly.zero(VarTable(["c"]))], [b, a]])
+
+
+def test_one_by_one_det_is_its_entry():
+    p = var("a", -2) + 3 * var("b")
+    assert det([[p]]) is p
