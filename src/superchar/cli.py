@@ -172,13 +172,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    given = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(verify.SuiteConfig)
+        if getattr(args, f.name) is not None
+    }
     if args.config:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"--config takes no field flags, got {flags}")
         with open(args.config, "r", encoding="utf-8") as fh:
             config = verify.SuiteConfig.from_json_dict(json.load(fh))
     else:
-        config = verify.SuiteConfig(
-            **{f.name: getattr(args, f.name) for f in dataclasses.fields(verify.SuiteConfig)}
-        )
+        config = verify.SuiteConfig(**given)
     reports = verify.run_suite(config)
     payload = verify.suite_to_json(reports)
     _emit(payload, args.out)
@@ -251,10 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("suite", help="run the whole battery")
-    p.add_argument("--config", help="JSON file mirroring the SuiteConfig fields")
+    p.add_argument(
+        "--config", help="JSON file mirroring the SuiteConfig fields; takes no field flags"
+    )
     for field in dataclasses.fields(verify.SuiteConfig):
         flag = "--" + field.name.replace("_", "-")
-        p.add_argument(flag, dest=field.name, type=int, default=field.default)
+        p.add_argument(flag, dest=field.name, type=int, help=f"default {field.default}")
     p.add_argument("--persist", help="directory for timestamped result copies")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_suite)

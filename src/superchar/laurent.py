@@ -126,6 +126,7 @@ class LaurentPoly:
         bound = 0
         for exps, coeff in terms.items():
             key = table.pack(exps)
+            _check_coeff(coeff)
             if coeff:
                 clean[key] = coeff
                 bound = max(bound, max(map(abs, exps), default=0))
@@ -141,7 +142,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, table: VarTable, value: int) -> "LaurentPoly":
-        value = int(value)
+        _check_coeff(value)
         return _trusted(table, {0: value} if value else {}, 0)
 
     @classmethod
@@ -318,6 +319,11 @@ class LaurentPoly:
         return f"<LaurentPoly {self}>"
 
 
+def _check_coeff(coeff: object) -> None:
+    if type(coeff) is not int:  # also rejects bool, a subclass of int
+        raise ValueError(f"coefficient {coeff!r} is not an int")
+
+
 def _product_bound(a: int, b: int) -> int:
     """The exponent bound of a product of values bounded by a and b, checked."""
     bound = a + b
@@ -344,11 +350,15 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     desk-scale matrices (n <= 8) this package produces.  Every entry must be
     over the first entry's table, and a 1 x 1 matrix returns its entry.
 
-    When every entry is invariant under inverting all variables (the folded
-    and bracket characters are), so is every minor, since inversion is a ring
-    automorphism; such a matrix goes to :func:`_invariant_det`, which forms
-    only the terms at keys >= 0.  Any other matrix runs the general
-    expansion through ``*``, ``+`` and ``-``.
+    Each minor is one dict of packed terms, with the bound that ``*``, ``+``
+    and ``-`` would give it, so a product past the field raises exactly as in
+    the ring.  When every entry is invariant under inverting all variables
+    (the folded and bracket characters are), so is every minor, since
+    inversion is a ring automorphism.  Then each minor keeps only its terms at
+    keys >= 0: a term (k, c) of the rest minor stands for itself and its
+    mirror (-k, c), and each meets only the entry's terms at keys >= -k, read
+    from the entry's keys sorted once.  The determinant is mirrored once at
+    the end.
     """
     n = len(rows)
     if n == 0:
@@ -362,81 +372,41 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     if n == 1:
         return first
     # Packing is linear, so -key is the key of the inverse monomial.
-    if all(
+    symmetric = all(
         entry._terms.get(-key) == coeff
         for row in rows
         for entry in row
         for key, coeff in entry._terms.items()
-    ):
-        return _invariant_det(rows)
-    table = first.table
-    one = LaurentPoly.const(table, 1)
-    memo: dict[tuple[int, ...], LaurentPoly] = {(): one}
-
-    def minor(cols: tuple[int, ...]) -> LaurentPoly:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = rows[n - len(cols)]
-        total = LaurentPoly.zero(table)
-        for pos, col in enumerate(cols):
-            entry = row[col]
-            if entry.is_zero:
-                continue
-            rest = minor(cols[:pos] + cols[pos + 1 :])
-            piece = entry * rest
-            total = total + piece if pos % 2 == 0 else total - piece
-        memo[cols] = total
-        return total
-
-    return minor(tuple(range(n)))
-
-
-def _invariant_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """``det`` of a matrix whose entries all satisfy p(x^-1) = p(x).
-
-    Each minor is kept as its terms at keys >= 0 in one dict, with the bound
-    the general expansion would give it.  A term (k, c) of the rest minor
-    stands for itself and its mirror (-k, c); each meets only the entry's
-    terms at keys >= -k, read from the entry's keys sorted once.  The whole
-    determinant is mirrored once at the end.
-    """
-    n = len(rows)
-    table = rows[0][0].table
-    # Per entry: (sorted keys, (key, coeff) pairs in that order, bound), or
-    # None for a zero entry.
-    sorted_rows = [
-        [
-            (sorted(entry._terms), sorted(entry._terms.items()), entry._bound)
-            if entry._terms
-            else None
-            for entry in row
-        ]
-        for row in rows
-    ]
+    )
+    # Per distinct entry object: (sorted keys, (key, coeff) pairs in that order).
+    ordered: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+    for row in rows:
+        for entry in row:
+            if id(entry) not in ordered:
+                ordered[id(entry)] = sorted(entry._terms), sorted(entry._terms.items())
     memo: dict[tuple[int, ...], tuple[dict[int, int], int]] = {(): ({0: 1}, 0)}
 
     def minor(cols: tuple[int, ...]) -> tuple[dict[int, int], int]:
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        row = sorted_rows[n - len(cols)]
+        row = rows[n - len(cols)]
         acc: dict[int, int] = {}
         get = acc.get
         bound = 0
         for pos, col in enumerate(cols):
             entry = row[col]
-            if entry is None:
+            if not entry._terms:
                 continue
-            keys, items, entry_bound = entry
+            keys, items = ordered[id(entry)]
             rest, rest_bound = minor(cols[:pos] + cols[pos + 1 :])
-            bound = max(bound, _product_bound(entry_bound, rest_bound))
+            bound = max(bound, _product_bound(entry._bound, rest_bound))
             odd = pos % 2
             for k, c in rest.items():
                 if odd:
                     c = -c
-                for k1 in (k, -k) if k else (0,):
-                    for k2, c2 in items[bisect_left(keys, -k1) :]:
+                for k1 in ((k, -k) if k else (0,)) if symmetric else (k,):
+                    for k2, c2 in items[bisect_left(keys, -k1) :] if symmetric else items:
                         key = k1 + k2
                         acc[key] = get(key, 0) + c * c2
         if 0 in acc.values():
@@ -444,12 +414,10 @@ def _invariant_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         memo[cols] = acc, bound
         return acc, bound
 
-    half, bound = minor(tuple(range(n)))
-    terms = dict(half)
-    for k, c in half.items():
-        if k:
-            terms[-k] = c
-    return _trusted(table, terms, bound)
+    terms, bound = minor(tuple(range(n)))
+    if symmetric:
+        terms.update({-k: c for k, c in terms.items()})
+    return _trusted(first.table, terms, bound)
 
 
 def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:

@@ -42,33 +42,40 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
         for i in range(len(lam))
         for j in range(lam[i] - 1, part(mu, i + 1) - 1, -1)
     ]
-    filling: dict[tuple[int, int], int] = {}
+    end = len(cells)
+    index = {cell: pos for pos, cell in enumerate(cells)}
+    # filling[pos] is the letter at cells[pos], 0 while empty.  Two sentinel
+    # slots stand in for a missing neighbour: `letters` to the right, 0 above.
+    filling = [0] * end + [letters, 0]
+    right = [index.get((i, j + 1), end) for i, j in cells]
+    above = [index.get((i - 1, j), end + 1) for i, j in cells]
     counts = [0] * (letters + 1)
-
-    def place(pos: int) -> int:
-        if pos == len(cells):
-            return 1
-        i, j = cells[pos]
-        right = filling.get((i, j + 1))
-        above = filling.get((i - 1, j)) if i and j >= part(mu, i) else None
-        total = 0
-        for v in range(1, letters + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice prefix would fail
-            if right is not None and v > right:
-                continue  # rows weakly increase left to right
-            if above is not None and v <= above:
-                continue  # columns strictly increase downwards
+    total = 0
+    pos = 0
+    while pos >= 0:  # backtrack over the cells in reading order
+        if pos == end:
+            total += 1
+            pos -= 1
+            continue
+        v = filling[pos]
+        if v:
+            counts[v] -= 1  # take back the letter placed here last
+        # The next letter after the last one tried such that rows weakly
+        # increase left to right, columns strictly increase downwards, letter
+        # v is used at most nu_v times, and the reading word stays a lattice
+        # word.
+        v = max(v, filling[above[pos]]) + 1
+        top = filling[right[pos]]
+        while v <= top and (counts[v] >= nu[v - 1] or v > 1 and counts[v] >= counts[v - 1]):
+            v += 1
+        if v <= top:
             counts[v] += 1
-            filling[(i, j)] = v
-            total += place(pos + 1)
-            del filling[(i, j)]
-            counts[v] -= 1
-        return total
-
-    return place(0)
+            filling[pos] = v
+            pos += 1
+        else:
+            filling[pos] = 0
+            pos -= 1
+    return total
 
 
 def lr_rectangle(m: int, a: int, mu: Partition, nu: Partition) -> int:

@@ -43,8 +43,8 @@ class Alphabet:
     def __post_init__(self):
         n = len(self.table)
         for sign, exps in self.elements:
-            if sign not in (1, -1):
-                raise ValueError(f"element sign must be +-1, got {sign}")
+            if type(sign) is not int or sign not in (1, -1):  # bool is not a sign
+                raise ValueError(f"element sign must be +-1, got {sign!r}")
             if len(exps) != n:
                 raise ValueError("element exponent vector does not fit the table")
 
@@ -66,9 +66,6 @@ class Alphabet:
     @classmethod
     def constants(cls, table: VarTable, values: tuple[int, ...]) -> "Alphabet":
         zero = (0,) * len(table)
-        for v in values:
-            if v not in (1, -1):
-                raise ValueError("constant alphabet elements must be +-1")
         return cls(table, tuple((v, zero) for v in values))
 
     def union(self, other: "Alphabet") -> "Alphabet":

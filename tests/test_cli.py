@@ -153,6 +153,18 @@ def test_bad_suite_config_exits_2(tmp_path, capsys, config):
     assert message.startswith("error: ") and "\n" not in message
 
 
+@pytest.mark.parametrize("flag", ["--degmax", "--seed"])
+def test_suite_config_with_a_field_flag_exits_2(tmp_path, capsys, flag):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"degmax": 1}))
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--config", str(path), flag, "3"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message.startswith("error: ") and "\n" not in message
+    assert flag in message
+
+
 def test_parallelism_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as err:
         main(["suite", "--parallelism", "2"])
@@ -200,9 +212,15 @@ def test_usage_errors_exit_2(capsys):
         assert message.startswith("error: ") and "\n" not in message, argv
 
 
-def test_lr_deep_skew_shape_exits_2(capsys):
+def test_lr_deep_skew_shape_answers(capsys):
+    code, out = run_cli(capsys, "lr", "--lam", "2400", "--mu", "1200", "--nu", "1200")
+    assert code == 0
+    assert out == "1\n"  # Pieri's rule
+
+
+def test_char_on_a_very_long_column_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["lr", "--lam", "2400", "--mu", "1200", "--nu", "1200"])
+        main(["char", "--lambda", ",".join(["1"] * 1200), "--x", "x", "--y", "y"])
     assert err.value.code == 2
     message = capsys.readouterr().err.strip()
     assert message.startswith("error: ") and "\n" not in message

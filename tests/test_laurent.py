@@ -113,6 +113,18 @@ def test_public_boundary_rejects_bad_exponents(exp):
         LaurentPoly(VarTable(("a",)), {tuple(exp): 2})
 
 
+@pytest.mark.parametrize("coeff", [1.5, 2.0, 0.0, "3", True, False])
+def test_public_boundary_rejects_inexact_coefficients(coeff):
+    for build in (
+        lambda: LaurentPoly(T2, {(1, 0): coeff}),
+        lambda: LaurentPoly.monomial(T2, (1, 0), coeff),
+        lambda: LaurentPoly.const(T2, coeff),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert "\n" not in str(err.value)
+
+
 def test_field_edges_are_exact():
     top = var("b", EXPONENT_LIMIT - 1) * var("b")
     assert top.sorted_terms() == [((0, EXPONENT_LIMIT), 1)]
@@ -292,15 +304,22 @@ def assert_same_det(rows):
 
 
 @st.composite
-def det_matrices(draw, invariant):
+def det_matrices(draw, invariant, hessenberg=False):
+    """Square matrices of 1-3 term entries; ``hessenberg`` gives n <= 6 and
+    zeros below the subdiagonal (the Jacobi-Trudi pattern of a one-column
+    shape) or, transposed, above the superdiagonal."""
     n_vars = draw(st.integers(1, 3))
-    size = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 6 if hessenberg else 4))
+    transposed = hessenberg and draw(st.booleans())
     table = VarTable(tuple("abc"[:n_vars]))
     exps = st.tuples(*[st.integers(-3, 3)] * n_vars)
     rows = []
-    for _ in range(size):
+    for i in range(size):
         row = []
-        for _ in range(size):
+        for j in range(size):
+            if hessenberg and (i - j if transposed else j - i) < -1:
+                row.append(LaurentPoly.zero(table))
+                continue
             p = LaurentPoly(table, draw(st.dictionaries(exps, st.integers(-4, 4), max_size=3)))
             row.append(p + inverted(p) if invariant else p)
         rows.append(row)
@@ -319,32 +338,36 @@ def test_det_matches_cofactor_expansion_on_general_matrices(rows):
     assert_same_det(rows)
 
 
-def count_muls(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(det_matrices(invariant=False, hessenberg=True))
+def test_det_matches_cofactor_expansion_on_hessenberg_matrices(rows):
+    assert_same_det(rows)
+
+
+def count_ring_ops(monkeypatch):
     calls = []
-    mul = LaurentPoly.__mul__
+    for name in ("__mul__", "__add__", "__sub__"):
+        op = getattr(LaurentPoly, name)
 
-    def spy(self, other):
-        calls.append(1)
-        return mul(self, other)
+        def spy(self, other, op=op, name=name):
+            calls.append(name)
+            return op(self, other)
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+        monkeypatch.setattr(LaurentPoly, name, spy)
     return calls
 
 
-def test_invariant_det_makes_no_multiply_and_a_changed_coefficient_does(monkeypatch):
+def test_det_makes_no_ring_operation_on_either_kind_of_matrix(monkeypatch):
     a, b = var("a"), var("b")
     p = a + var("a", -1) + 2
     q = a * b + var("a", -1) * var("b", -1) - 3
     rows = [[p, q, const(1)], [q, LaurentPoly.zero(T2), p], [const(5), p, q]]
-    want = cofactor_det(rows)
-    broken = [row[:] for row in rows]
-    broken[2][1] = p + a  # a's coefficient 2 against a^-1's 1
-    want_broken = cofactor_det(broken)
-    calls = count_muls(monkeypatch)
-    assert det(rows) == want
+    general = [row[:] for row in rows]
+    general[2][1] = p + a  # a's coefficient 2 against a^-1's 1
+    wants = [cofactor_det(rows), cofactor_det(general)]
+    calls = count_ring_ops(monkeypatch)
+    assert [det(rows), det(general)] == wants
     assert calls == []
-    assert det(broken) == want_broken
-    assert calls
 
 
 @pytest.mark.parametrize("invariant", [True, False])

@@ -6,7 +6,10 @@ from superchar.partitions import (
     add,
     box_partitions,
     conjugate,
+    contains,
+    part,
     partitions_of,
+    size,
 )
 from superchar.schur import schur_expand, schur_in_table, t_table
 
@@ -66,6 +69,68 @@ def test_stacking():
             for j in range(4):
                 for nu in partitions_of(j):
                     assert lr_coeff(add(mu, nu), mu, nu) == 1
+
+
+def recursive_lr(lam, mu, nu):
+    """The one-frame-per-box recursive fill that ``lr_coeff`` used to run."""
+    if size(lam) != size(mu) + size(nu) or not contains(lam, mu):
+        return 0
+    if not nu:
+        return 1
+    letters = len(nu)
+    cells = [
+        (i, j)
+        for i in range(len(lam))
+        for j in range(lam[i] - 1, part(mu, i + 1) - 1, -1)
+    ]
+    filling = {}
+    counts = [0] * (letters + 1)
+
+    def place(pos):
+        if pos == len(cells):
+            return 1
+        i, j = cells[pos]
+        right = filling.get((i, j + 1))
+        above = filling.get((i - 1, j)) if i and j >= part(mu, i) else None
+        total = 0
+        for v in range(1, letters + 1):
+            if counts[v] >= nu[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            if right is not None and v > right:
+                continue
+            if above is not None and v <= above:
+                continue
+            counts[v] += 1
+            filling[(i, j)] = v
+            total += place(pos + 1)
+            del filling[(i, j)]
+            counts[v] -= 1
+        return total
+
+    return place(0)
+
+
+def test_iterative_fill_matches_the_recursive_fill():
+    triples = 0
+    for n in range(9):
+        for lam in partitions_of(n):
+            for k in range(n + 1):
+                for mu in partitions_of(k):
+                    for nu in partitions_of(n - k):
+                        assert lr_coeff.__wrapped__(lam, mu, nu) == recursive_lr(lam, mu, nu), (
+                            lam, mu, nu,
+                        )
+                        triples += 1
+    assert triples == 6830
+
+
+def test_deep_skew_shapes_need_no_recursion():
+    # Pieri's rule: a horizontal (vertical) strip of 1200 boxes, coefficient 1.
+    assert lr_coeff((2400,), (1200,), (1200,)) == 1
+    assert lr_coeff((1,) * 2400, (1,) * 1200, (1,) * 1200) == 1
+    assert lr_coeff((2400,), (1200,), (1,) * 1200) == 0
 
 
 def test_rectangle_examples():

@@ -344,6 +344,11 @@ def test_alphabet_validation():
         Alphabet(table, ((1, (1, 0)),))
     with pytest.raises(ValueError):
         Alphabet.constants(table, (3,))
+    for sign in (True, 1.0, -1.0):
+        with pytest.raises(ValueError):
+            Alphabet(table, ((sign, (1,)),))
+        with pytest.raises(ValueError):
+            Alphabet.constants(table, (sign,))
 
 
 def test_h_list_rejects_bad_degmax():
