@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import struct
-from bisect import bisect_left
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping
 
 FIELD_BITS = 32  # one signed big-endian struct "i" field per exponent
@@ -182,8 +182,10 @@ class LaurentPoly:
             raise ValueError("polynomials over different variable tables")
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             other = LaurentPoly.const(self.table, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         big, small = self._terms, other._terms
         if len(big) < len(small):
@@ -203,8 +205,10 @@ class LaurentPoly:
         return _trusted(self.table, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             other = LaurentPoly.const(self.table, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
@@ -216,15 +220,19 @@ class LaurentPoly:
         return _trusted(self.table, acc, max(self._bound, other._bound))
 
     def __rsub__(self, other: int) -> "LaurentPoly":
+        if type(other) is not int:
+            return NotImplemented
         return LaurentPoly.const(self.table, other) - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             if other == 0:
                 return LaurentPoly.zero(self.table)
             return _trusted(
                 self.table, {k: c * other for k, c in self._terms.items()}, self._bound
             )
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         bound = _product_bound(self._bound, other._bound)
         outer, inner = self._terms, other._terms
@@ -352,13 +360,7 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
 
     Each minor is one dict of packed terms, with the bound that ``*``, ``+``
     and ``-`` would give it, so a product past the field raises exactly as in
-    the ring.  When every entry is invariant under inverting all variables
-    (the folded and bracket characters are), so is every minor, since
-    inversion is a ring automorphism.  Then each minor keeps only its terms at
-    keys >= 0: a term (k, c) of the rest minor stands for itself and its
-    mirror (-k, c), and each meets only the entry's terms at keys >= -k, read
-    from the entry's keys sorted once.  The determinant is mirrored once at
-    the end.
+    the ring.
     """
     n = len(rows)
     if n == 0:
@@ -371,19 +373,6 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             first._check(entry)
     if n == 1:
         return first
-    # Packing is linear, so -key is the key of the inverse monomial.
-    symmetric = all(
-        entry._terms.get(-key) == coeff
-        for row in rows
-        for entry in row
-        for key, coeff in entry._terms.items()
-    )
-    # Per distinct entry object: (sorted keys, (key, coeff) pairs in that order).
-    ordered: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-    for row in rows:
-        for entry in row:
-            if id(entry) not in ordered:
-                ordered[id(entry)] = sorted(entry._terms), sorted(entry._terms.items())
     memo: dict[tuple[int, ...], tuple[dict[int, int], int]] = {(): ({0: 1}, 0)}
 
     def minor(cols: tuple[int, ...]) -> tuple[dict[int, int], int]:
@@ -398,26 +387,57 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             entry = row[col]
             if not entry._terms:
                 continue
-            keys, items = ordered[id(entry)]
+            items = entry._terms.items()
             rest, rest_bound = minor(cols[:pos] + cols[pos + 1 :])
             bound = max(bound, _product_bound(entry._bound, rest_bound))
             odd = pos % 2
             for k, c in rest.items():
                 if odd:
                     c = -c
-                for k1 in ((k, -k) if k else (0,)) if symmetric else (k,):
-                    for k2, c2 in items[bisect_left(keys, -k1) :] if symmetric else items:
-                        key = k1 + k2
-                        acc[key] = get(key, 0) + c * c2
+                for k2, c2 in items:
+                    key = k + k2
+                    acc[key] = get(key, 0) + c * c2
         if 0 in acc.values():
             acc = {k: c for k, c in acc.items() if c}
         memo[cols] = acc, bound
         return acc, bound
 
     terms, bound = minor(tuple(range(n)))
-    if symmetric:
-        terms.update({-k: c for k, c in terms.items()})
     return _trusted(first.table, terms, bound)
+
+
+def z_to_x(p: LaurentPoly, table: VarTable) -> LaurentPoly:
+    """p with its i-th variable z_i replaced by x_i + x_i^-1, x_i the i-th of table.
+
+    p must have no negative exponent, and its table as many variables as
+    ``table``, so a key of p is a key over ``table`` too.  One pass per
+    variable expands z_i^a into sum_j C(a, j) x_i^(a - 2j): the term's key
+    less 2j units of x_i.  Each exponent a becomes exponents in [-a, a], so
+    p's bound still holds.
+    """
+    if len(p.table) != len(table):
+        raise ValueError(f"{p.table!r} and {table!r} differ in length")
+    half, mask, bias = 1 << (FIELD_BITS - 1), (1 << FIELD_BITS) - 1, table._bias
+    rows: dict[int, list[int]] = {}
+    terms = p._terms
+    for shift in table.shifts:
+        two = 2 << shift  # the key of x_i^2
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, coeff in terms.items():
+            a = (((key + bias) >> shift) & mask) - half
+            if a < 0:
+                raise ValueError("z_to_x expects no negative exponents")
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = [comb(a, j) for j in range(a + 1)]
+            for b in row:
+                acc[key] = get(key, 0) + coeff * b
+                key -= two
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c}
+        terms = acc
+    return _trusted(table, terms, p._bound)
 
 
 def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:

@@ -9,11 +9,20 @@ h_m: the plain determinant det(h_{lam_i - i + j}) gives the supersymmetric
 Schur function; the square-bracket and angle-bracket variants give the
 orthogonal-type and symplectic-type characters.  Everything is exact integer
 arithmetic over :mod:`superchar.laurent`.
+
+When both alphabets are inverse-paired (pairs {v, v^-1} plus constants, as
+every folded alphabet is), each pair contributes (1 - v t)(1 - v^-1 t) =
+1 - z t + t^2 with z = v + v^-1, so the h_m and their determinants are
+polynomials in the z's with about a sixth of the terms.  They are computed
+over :func:`z_table` and each character is turned back into x once by
+:func:`superchar.laurent.z_to_x`, an injective ring map; every character
+this module returns is over the alphabets' own table.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +32,7 @@ from .laurent import (
     det,
     divide_linear,
     monomial_str,
+    z_to_x,
 )
 from .partitions import Partition, as_partition
 
@@ -112,33 +122,85 @@ def palindromic(table: VarTable, names: tuple[str, ...]) -> Alphabet:
 
 
 def graded_parts(one: LaurentPoly, factors, degmax: int) -> list[LaurentPoly]:
-    """The coefficients of t^0..t^degmax in one * prod (1 - u t^d)^(+-1).
+    """The coefficients of t^0..t^degmax in one * prod (1 - sum u t^d)^(+-1).
 
-    Each factor is (u, d, divide) with d >= 1.  Multiplying by (1 - u t^d) is
-    parts[k] -= u * parts[k-d] with k descending (each step reads the old
-    parts[k-d]); dividing by it is parts[k] += u * parts[k-d] with k ascending
-    (each step reads the updated one).  A zero parts[k-d] is skipped, and no
-    coefficient above degmax is ever formed.
+    Each factor is (terms, divide), where terms is a tuple of (d, u) with
+    d >= 1 and u a polynomial or an int, standing for 1 - sum u t^d.
+    Multiplying by it is parts[k] -= sum u * parts[k-d] with k descending
+    (each step reads the old parts[k-d]); dividing by it is parts[k] +=
+    sum u * parts[k-d] with k ascending (each step reads the updated ones).
+    A zero parts[k-d] is skipped, and no coefficient above degmax is ever
+    formed.
     """
     parts = [one] + [LaurentPoly.zero(one.table)] * degmax
-    for u, d, divide in factors:
-        for k in range(d, degmax + 1) if divide else range(degmax, d - 1, -1):
-            if not parts[k - d].is_zero:
-                step = u * parts[k - d]
-                parts[k] = parts[k] + step if divide else parts[k] - step
+    for terms, divide in factors:
+        low = min(d for d, _ in terms)
+        for k in range(low, degmax + 1) if divide else range(degmax, low - 1, -1):
+            acc = parts[k]
+            for d, u in terms:
+                if k >= d and not parts[k - d].is_zero:
+                    step = u * parts[k - d]
+                    acc = acc + step if divide else acc - step
+            parts[k] = acc
     return parts
 
 
 @lru_cache(maxsize=None)
+def z_table(table: VarTable) -> VarTable:
+    """The table of z_i = x_i + x_i^-1, one per variable of table, in its order."""
+    return VarTable(f"z({name})" for name in table.names)
+
+
+def _inverse_pairs(alphabet: Alphabet) -> list[SignedMonomial] | None:
+    """One element s v per pair {s v, s v^-1} of an inverse-paired alphabet, else None.
+
+    The alphabet qualifies when every non-constant element is one variable
+    to the power +-1 and its inverse occurs with the same sign and
+    multiplicity; the v returned are the ones at power +1.
+    """
+    count = Counter(alphabet.elements)
+    pairs = []
+    for sign, exps in alphabet.elements:
+        if not any(exps):
+            continue
+        if sum(map(abs, exps)) != 1 or count[sign, exps] != count[sign, tuple(-e for e in exps)]:
+            return None
+        if 1 in exps:
+            pairs.append((sign, exps))
+    return pairs
+
+
+@lru_cache(maxsize=None)
 def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
-    """[h_0, ..., h_degmax]: 1 divided by each (1 - x t), then times each (1 - y t)."""
-    factors = [(x, 1, True) for x in X.polys()] + [(y, 1, False) for y in Y.polys()]
-    return tuple(graded_parts(LaurentPoly.const(X.table, 1), factors, degmax))
+    """[h_0, ..., h_degmax]: 1 divided by X's factors, then times Y's.
+
+    In x each element u is the factor 1 - u t.  Over the z table, a pair
+    {s v, s v^-1} is 1 - s z t + t^2 and a constant c is 1 - c t.
+    """
+    x_pairs, y_pairs = _inverse_pairs(X), _inverse_pairs(Y)
+    if x_pairs is None or y_pairs is None or not (x_pairs or y_pairs):
+        table = X.table
+        factors = [(((1, x),), True) for x in X.polys()]
+        factors += [(((1, y),), False) for y in Y.polys()]
+    else:
+        table = z_table(X.table)
+        factors = []
+        for alphabet, pairs, divide in ((X, x_pairs, True), (Y, y_pairs, False)):
+            factors += [
+                (((1, LaurentPoly.monomial(table, exps, sign)), (2, -1)), divide)
+                for sign, exps in pairs
+            ]
+            factors += [
+                (((1, sign),), divide) for sign, exps in alphabet.elements if not any(exps)
+            ]
+    return tuple(graded_parts(LaurentPoly.const(table, 1), factors, degmax))
 
 
 def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
     """[h_0, ..., h_degmax] for the pair of alphabets.
 
+    When X and Y are both inverse-paired and hold at least one pair, the
+    h_m are over ``z_table(X.table)``; otherwise they are over X.table.
     Results are cached on the alphabets as given; the verification sweeps
     re-query identical pairs constantly.
     """
@@ -163,21 +225,24 @@ class BracketType(enum.Enum):
 def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet, entry) -> LaurentPoly:
     """det(entry(h, lam_i - i, j)) over 1 <= i, j <= len(lam); 1 for the empty shape.
 
-    h(k) is h_k(X|Y), read as 0 for k < 0.
+    h(k) is h_k(X|Y), read as 0 for k < 0.  The determinant is taken over
+    the table h_list gives, and a z-valued one is turned into X.table's x.
     """
     lam = as_partition(lam)
     if not lam:
         return LaurentPoly.const(X.table, 1)
     n = len(lam)
     hs = h_list(X, Y, lam[0] + n)
-    zero = LaurentPoly.zero(X.table)
+    table = hs[0].table
+    zero = LaurentPoly.zero(table)
 
     def h(k: int) -> LaurentPoly:
         return hs[k] if k >= 0 else zero
 
-    return det(
+    value = det(
         [[entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     )
+    return value if table == X.table else z_to_x(value, X.table)
 
 
 def _plain_entry(h, base: int, j: int) -> LaurentPoly:

@@ -51,7 +51,7 @@ def _graded_product(
         d = sum(exps[i] for i in positions)
         if d < 1:
             raise ValueError(f"product factor {u} needs positive degree in the t variables")
-        graded.append((u, d, divide))
+        graded.append((((d, u),), divide))
     parts = schur.graded_parts(LaurentPoly.const(table, 1), graded, degmax)
     return sum(parts[1:], parts[0])
 

@@ -1,6 +1,6 @@
 import pytest
 
-from superchar import clear_caches, folding
+from superchar import clear_caches, folding, schur
 from superchar.folding import (
     DC_RELATIONS,
     FoldingCase,
@@ -16,9 +16,9 @@ from superchar.folding import (
     require_in_hook,
     verify_decomposition,
 )
-from superchar.laurent import LaurentPoly, VarTable
-from superchar.partitions import in_hook
-from superchar.schur import Alphabet, super_schur
+from superchar.laurent import LaurentPoly, VarTable, det
+from superchar.partitions import enumerate_rect_subset, in_hook, size
+from superchar.schur import Alphabet, BracketType, graded_parts, super_schur
 from superchar.verify import cauchy_alphabets, fold_cases
 
 
@@ -256,3 +256,61 @@ def test_folded_rectangles_satisfy_the_t_system():
                 rhs = T(a, m + 1) * T(a, m - 1) + T(a + 1, m) * T(a - 1, m)
                 failures += lhs != rhs
     assert (instances, failures) == (240, 0)
+
+
+# ---------------------------------------------------------------------------
+# Folded characters against a reference computed in x
+# ---------------------------------------------------------------------------
+
+X_ENTRY = {
+    BracketType.PLAIN: schur._plain_entry,
+    BracketType.SQUARE: schur._square_entry,
+    BracketType.ANGLE: schur._angle_entry,
+}
+
+
+def x_bracket(tag, lam, X, Y):
+    """The bracket character in x: h_m from one linear factor 1 - u t per
+    element, then the Jacobi-Trudi determinant with the library's entry rules."""
+    if not lam:
+        return LaurentPoly.const(X.table, 1)
+    n = len(lam)
+    factors = [(((1, x),), True) for x in X.polys()] + [(((1, y),), False) for y in Y.polys()]
+    hs = graded_parts(LaurentPoly.const(X.table, 1), factors, lam[0] + n)
+    zero = LaurentPoly.zero(X.table)
+
+    def h(k):
+        return hs[k] if k >= 0 else zero
+
+    entry = X_ENTRY[tag]
+    value = det([[entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return value.exact_div(2) if tag is BracketType.ANGLE else value
+
+
+def assert_same(got, want, label):
+    assert got == want, label
+    # The z route tracks its own exponent bound, which must still hold in x.
+    assert all(abs(e) <= got._bound for exps, _ in got.terms() for e in exps), label
+
+
+def test_folded_characters_match_the_x_reference():
+    """kr_supercharacter and every branch's decomposition_rhs, r + s <= 2 and a, m <= 3."""
+    clear_caches()
+    for case in fold_cases(2):
+        M, N = ambient_hook(case)
+        for a in range(1, 4):
+            for m in range(1, 4):
+                if not in_hook((m,) * a, M, N):
+                    continue
+                label = (case, a, m)
+                X, Y = fold_alphabets(case)
+                want = x_bracket(BracketType.PLAIN, (m,) * a, X, Y)
+                assert_same(kr_supercharacter(case, a, m), want, label)
+                for branch in branches(case):
+                    X, Y = branch_alphabets(case, branch)
+                    want = LaurentPoly.zero(X.table)
+                    for lam in enumerate_rect_subset(branch.subset, m, a):
+                        term = x_bracket(branch.bracket, lam, X, Y)
+                        negate = branch.alternating and (m * a + size(lam)) % 2
+                        want = want - term if negate else want + term
+                    assert_same(decomposition_rhs(case, branch, a, m), want, label + (branch.name,))

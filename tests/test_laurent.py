@@ -14,6 +14,7 @@ from superchar.laurent import (
     VarTable,
     det,
     divide_linear,
+    z_to_x,
 )
 
 T2 = VarTable(("a", "b"))
@@ -387,3 +388,76 @@ def test_det_rejects_an_entry_over_a_foreign_table():
 def test_one_by_one_det_is_its_entry():
     p = var("a", -2) + 3 * var("b")
     assert det([[p]]) is p
+
+
+# ---------------------------------------------------------------------------
+# Foreign operands
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("other", [1.5, None, "2", True])
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p, o: p + o,
+        lambda p, o: o + p,
+        lambda p, o: p - o,
+        lambda p, o: o - p,
+        lambda p, o: p * o,
+        lambda p, o: o * p,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+def test_foreign_operands_raise_type_error(op, other):
+    with pytest.raises(TypeError):
+        op(var("a") + 2, other)
+
+
+def test_exact_int_operands_still_work():
+    p = var("a") + 2
+    assert p + 1 == 1 + p == var("a") + 3
+    assert p - 1 == var("a") + 1 and 1 - p == -var("a") - 1
+    assert p * 2 == 2 * p == 2 * var("a") + 4
+
+
+# ---------------------------------------------------------------------------
+# z_to_x: z_i -> x_i + x_i^-1
+# ---------------------------------------------------------------------------
+
+Z2 = VarTable(("z(a)", "z(b)"))
+
+
+@st.composite
+def z_polys(draw):
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    return LaurentPoly(Z2, draw(st.dictionaries(exps, st.integers(-5, 5), max_size=5)))
+
+
+def test_z_to_x_of_a_variable_is_the_inverse_sum():
+    z = LaurentPoly.variable(Z2, "z(a)")
+    assert z_to_x(z, T2) == var("a") + var("a", -1)
+    assert z_to_x(z * z - 2, T2) == var("a", 2) + var("a", -2)
+    assert z_to_x(LaurentPoly.const(Z2, 7), T2) == 7
+
+
+@settings(max_examples=100, deadline=None)
+@given(z_polys(), z_polys())
+def test_z_to_x_is_a_ring_map(p, q):
+    assert z_to_x(p + q, T2) == z_to_x(p, T2) + z_to_x(q, T2)
+    assert z_to_x(p * q, T2) == z_to_x(p, T2) * z_to_x(q, T2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(z_polys())
+def test_z_to_x_at_ones_is_the_value_at_two(p):
+    x = z_to_x(p, T2)
+    assert x.eval_all_ones() == sum(c * 2 ** sum(exps) for exps, c in p.terms())
+    assert x._bound == p._bound
+    assert (not x.is_zero) == (not p.is_zero)  # the substitution is injective
+
+
+def test_z_to_x_rejects_negative_exponents_and_foreign_lengths():
+    with pytest.raises(ValueError, match="negative"):
+        z_to_x(LaurentPoly.variable(Z2, "z(b)", -1), T2)
+    with pytest.raises(ValueError, match="length"):
+        z_to_x(LaurentPoly.variable(Z2, "z(a)"), VarTable(("a",)))

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superchar.laurent import LaurentPoly, VarTable
+from superchar.laurent import LaurentPoly, VarTable, z_to_x
 from superchar.partitions import conjugate, part, partitions_upto, size
 from superchar.schur import (
     Alphabet,
@@ -19,6 +20,7 @@ from superchar.schur import (
     schur_in_table,
     super_schur,
     t_table,
+    z_table,
 )
 
 
@@ -77,10 +79,12 @@ def test_h_list_folded_example():
     X = palindromic(table, ("x1",))
     Y = Alphabet.constants(table, (-1,))
     hs = h_list(X, Y, 2)
+    assert all(h.table == z_table(table) for h in hs)
+    assert hs[1] == LaurentPoly.variable(z_table(table), "z(x1)") + 1
     x = LaurentPoly.variable(table, "x1")
-    assert hs[1] == x + 1 + LaurentPoly.variable(table, "x1", -1)
+    assert z_to_x(hs[1], table) == x + 1 + LaurentPoly.variable(table, "x1", -1)
     for m in range(3):
-        assert hs[m] == brute_h(X, Y, m)
+        assert z_to_x(hs[m], table) == brute_h(X, Y, m)
 
 
 def test_h_list_matches_bruteforce():
@@ -102,17 +106,41 @@ def signed_alphabet_pairs(draw, max_vars=3):
     )
     X = Alphabet(table, tuple(draw(st.lists(element, max_size=3))))
     Y = Alphabet(table, tuple(draw(st.lists(element, max_size=3))))
+    if draw(st.booleans()):  # inverse-paired, as the folded alphabets are
+        X, Y = (inverse_closed(A) for A in (X, Y))
     return X, Y
+
+
+def inverse_closed(alphabet):
+    """The constants and single variables of alphabet, each variable with its inverse."""
+    kept = [(s, e) for s, e in alphabet.elements if sum(map(abs, e)) <= 1]
+    mirrored = [(s, tuple(-x for x in e)) for s, e in kept if any(e)]
+    return Alphabet(alphabet.table, tuple(kept + mirrored))
+
+
+def inverse_paired(alphabet):
+    """Every non-constant element is one variable to the power +-1, and its
+    inverse occurs with the same sign and multiplicity."""
+    count = Counter(alphabet.elements)
+    return all(
+        sum(map(abs, exps)) == 1 and count[sign, exps] == count[sign, tuple(-e for e in exps)]
+        for sign, exps in alphabet.elements
+        if any(exps)
+    )
 
 
 @settings(max_examples=80, deadline=None)
 @given(signed_alphabet_pairs(), st.integers(0, 6))
 def test_h_list_matches_bruteforce_random(pair, degmax):
     X, Y = pair
+    table = X.table
     hs = h_list(X, Y, degmax)
     assert len(hs) == degmax + 1
+    has_pair = any(any(exps) for _, exps in X.elements + Y.elements)
+    in_z = inverse_paired(X) and inverse_paired(Y) and has_pair
+    assert all(h.table == (z_table(table) if in_z else table) for h in hs)
     for m in range(degmax + 1):
-        assert hs[m] == brute_h(X, Y, m)
+        assert (z_to_x(hs[m], table) if in_z else hs[m]) == brute_h(X, Y, m)
 
 
 def test_super_schur_empty_and_single_box():
@@ -141,7 +169,8 @@ def test_bracket_square_column_pair():
     Y = Alphabet.empty(table)
     value = bracket_schur(BracketType.SQUARE, (1, 1), X, Y)
     hs = h_list(X, Y, 2)
-    assert value == hs[1] * hs[1] - hs[2]
+    assert hs[0].table == z_table(table)
+    assert value == z_to_x(hs[1] * hs[1] - hs[2], table)
     # e_2 of a 4-element alphabet has 6 monomials
     assert value.eval_all_ones() == 6
 

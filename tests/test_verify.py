@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 from itertools import combinations
 
 import pytest
@@ -327,6 +329,33 @@ def test_run_suite_deterministic_across_cache_state():
     cold = suite_to_json(run_suite(SMALL))
     warm = suite_to_json(run_suite(SMALL))
     assert cold == warm
+
+
+# lru_caches that hold variable tables, not polynomials: clear_caches keeps them.
+TABLE_CACHES = {"folding._vartable", "schur.t_table", "schur.z_table"}
+
+
+def lru_caches():
+    """Every lru_cache defined in a superchar module, by module.name."""
+    out = {}
+    for info in pkgutil.iter_modules(superchar.__path__):
+        module = importlib.import_module(f"superchar.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def test_clear_caches_empties_every_polynomial_cache():
+    caches = lru_caches()
+    assert TABLE_CACHES <= set(caches)
+    memos = set(caches) - TABLE_CACHES
+    superchar.clear_caches()
+    run_suite(SMALL)
+    # The suite fills every memo cache, so the emptiness below is not vacuous.
+    assert {name for name in memos if caches[name].cache_info().currsize} == memos
+    superchar.clear_caches()
+    assert {name for name in memos if caches[name].cache_info().currsize} == set()
 
 
 def test_corrupted_series_is_detected(monkeypatch):
