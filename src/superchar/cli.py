@@ -153,8 +153,30 @@ def _cmd_weights(args) -> int:
     return 0
 
 
+# The verify flags with their defaults; each check reads only some of them.
+_VERIFY_DEFAULTS = {"nx": 1, "ny": 0, "nt": 2, "degmax": 4, "m": 2, "lam": (), "xi": 1}
+
+
+def _verify_reads(check: str) -> tuple[str, ...]:
+    if check in verify.CAUCHY_KINDS:
+        return ("nx", "ny", "nt", "degmax")
+    if check in verify.SUM_KINDS:
+        return ("nt", "degmax")
+    if check == "power_det":
+        return ("m",)
+    return ("nx", "ny", "lam", "xi")
+
+
 def _cmd_verify(args) -> int:
     check = args.check
+    reads = _verify_reads(check)
+    unread = [f for f in _VERIFY_DEFAULTS if f not in reads and getattr(args, f) is not None]
+    if unread:
+        flags = ", ".join("--" + name for name in unread)
+        raise ValueError(f"--check {check} does not read {flags}")
+    for name in reads:
+        if getattr(args, name) is None:
+            setattr(args, name, _VERIFY_DEFAULTS[name])
     if check in verify.CAUCHY_KINDS:
         X, Y, _ = verify.cauchy_alphabets(args.nx, args.ny, args.nt)
         report = verify.cauchy_check(check, X, Y, args.nt, args.degmax)
@@ -246,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = sub.add_parser("verify", help="run a single identity check")
     p.add_argument("--check", choices=check_names, required=True)
-    p.add_argument("--nx", type=int, default=1)
-    p.add_argument("--ny", type=int, default=0)
-    p.add_argument("--nt", type=int, default=2)
-    p.add_argument("--degmax", type=int, default=4)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--lam", type=parse_partition, default=())
-    p.add_argument("--xi", type=int, choices=(1, -1), default=1)
+    for name, default in _VERIFY_DEFAULTS.items():
+        p.add_argument(
+            "--" + name,
+            type=parse_partition if name == "lam" else int,
+            choices=(1, -1) if name == "xi" else None,
+            help=f"default {default}; an error for a check that does not read it",
+        )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -279,6 +301,8 @@ def main(argv=None) -> int:
         parser.exit(2, f"error: {exc}\n")
     except RecursionError:
         parser.exit(2, "error: input too large: recursion depth exceeded\n")
+    except MemoryError:
+        parser.exit(2, "error: input too large: out of memory\n")
 
 
 if __name__ == "__main__":

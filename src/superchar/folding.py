@@ -32,11 +32,9 @@ from .partitions import (
     PartitionClass,
     RectSubset,
     as_partition,
-    contains,
     enumerate_rect_subset,
     in_class,
-    in_hook,
-    partitions_of,
+    partitions_inside,
     size,
 )
 from .report import VerificationReport, poly_comparison
@@ -60,14 +58,22 @@ class FoldingCase:
     s: int
 
     def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise ValueError("case parameters must be nonnegative")
+        _require_counts(r=self.r, s=self.s)
         if self.tag is FoldingTag.D2 and self.r < 1:
             raise ValueError("the D2 case needs r >= 1")
 
     @property
     def x_count(self) -> int:
         return self.r - 1 if self.tag is FoldingTag.D2 else self.r
+
+
+def _require_counts(**values: int) -> None:
+    """Reject any value that is not an exact nonnegative int (bool included)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @lru_cache(maxsize=None)
@@ -180,14 +186,15 @@ def branch_alphabets(case: FoldingCase, branch: DecompBranch) -> tuple[Alphabet,
     return X, Y
 
 
-def _rect(m: int, a: int) -> Partition:
-    return (m,) * a
-
-
 def require_in_hook(case: FoldingCase, a: int, m: int) -> None:
-    """Reject the a-by-m rectangle if it lies outside the case's ambient hook."""
+    """Reject the a-by-m rectangle if it lies outside the case's ambient hook.
+
+    The rectangle's (M+1)-th row is m when a > M and 0 otherwise, so it is
+    in the [M, N] hook iff a <= M or m <= N; no row tuple is built.
+    """
+    _require_counts(a=a, m=m)
     M, N = ambient_hook(case)
-    if not in_hook(_rect(m, a), M, N):
+    if not (a <= M or m <= N):
         raise ValueError(
             f"rectangle {a} x {m} lies outside the [{M},{N}] hook of {case.tag.value}"
         )
@@ -202,19 +209,19 @@ def kr_supercharacter(case: FoldingCase, a: int, m: int) -> LaurentPoly:
     determinant is still reachable through super_schur directly and
     vanishes out there.
     """
-    if a < 0 or m < 0:
-        raise ValueError("a and m must be nonnegative")
+    _require_counts(a=a, m=m)
     X, Y = fold_alphabets(case)
     if a == 0 or m == 0:
         return LaurentPoly.const(X.table, 1)
     require_in_hook(case, a, m)
-    return super_schur(_rect(m, a), X, Y)
+    return super_schur((m,) * a, X, Y)
 
 
 def decomposition_rhs(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> LaurentPoly:
     """Sum of bracket characters over the branch's rectangle subset."""
     if branch not in branches(case):
         raise ValueError(f"branch {branch.name!r} does not belong to {case.tag.value}")
+    _require_counts(a=a, m=m)
     X, Y = branch_alphabets(case, branch)
     if a == 0 or m == 0:
         return LaurentPoly.const(X.table, 1)
@@ -279,25 +286,24 @@ def _weighted_sum(
     """Sum of w(nu) c^lam_{nu,mu} bracket_mu(X|Y) over all pairs (nu, mu).
 
     A PartitionClass weight is membership (w = 1 on the class, 0 off it); an
-    int weight is a sign base with w = weight^|nu|.  The double sum truncates
-    automatically: the coefficient vanishes unless both inner shapes fit
-    inside lam and their sizes add up to |lam|.
+    int weight is a sign base with w = weight^|nu|.  The coefficient vanishes
+    unless both inner shapes fit inside lam and their sizes add up to |lam|,
+    so nu and mu run over the shapes inside lam, grouped by size.
     """
     total = LaurentPoly.zero(X.table)
     n = size(lam)
+    by_size: list[list[Partition]] = [[] for _ in range(n + 1)]
+    for inner in partitions_inside(lam):
+        by_size[size(inner)].append(inner)
     for k in range(n + 1):
-        for nu in partitions_of(k):
-            if not contains(lam, nu):
-                continue
+        for nu in by_size[k]:
             if isinstance(weight, PartitionClass):
                 w_nu = int(in_class(nu, weight))
             else:
                 w_nu = weight ** k
             if not w_nu:
                 continue
-            for mu in partitions_of(n - k):
-                if not contains(lam, mu):
-                    continue
+            for mu in by_size[n - k]:
                 c = lr_coeff(lam, nu, mu)
                 if c:
                     total = total + (w_nu * c) * bracket_schur(bracket, mu, X, Y)

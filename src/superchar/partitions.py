@@ -16,8 +16,14 @@ EMPTY: Partition = ()
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Validate and canonicalize: weakly decreasing, positive, no stored zeros."""
-    lam = tuple(int(p) for p in parts)
+    """Validate and canonicalize: weakly decreasing, positive, no stored zeros.
+
+    Every part must be exactly an int; bool, float and str are refused.
+    """
+    lam = tuple(parts)
+    for p in lam:
+        if type(p) is not int:
+            raise ValueError(f"partition parts must be ints, got {p!r}")
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     for i, p in enumerate(lam):
@@ -62,17 +68,13 @@ def add(mu: Partition, nu: Partition) -> Partition:
     return tuple(part(mu, i) + part(nu, i) for i in range(1, n + 1))
 
 
-def partitions_of(
-    n: int, max_part: int | None = None, max_len: int | None = None
-) -> Iterator[Partition]:
-    """All partitions of n, parts bounded by max_part, length by max_len.
+def partitions_of(n: int, max_len: int | None = None) -> Iterator[Partition]:
+    """All partitions of n, length bounded by max_len.
 
     Yields in lexicographically decreasing order of the part sequence.
     """
     if n < 0:
         return
-    if max_part is None:
-        max_part = n
     if max_len is None:
         max_len = n
 
@@ -85,7 +87,7 @@ def partitions_of(
         for p in range(min(bound, remaining), 0, -1):
             yield from rec(remaining - p, p, slots - 1, prefix + (p,))
 
-    yield from rec(n, max_part, max_len, EMPTY)
+    yield from rec(n, n, max_len, EMPTY)
 
 
 def grevlex_key(lam: Partition) -> tuple:
@@ -94,11 +96,8 @@ def grevlex_key(lam: Partition) -> tuple:
 
 
 def partitions_upto(max_size: int, max_len: int | None = None) -> list[Partition]:
-    out: list[Partition] = []
-    for n in range(max_size + 1):
-        out.extend(partitions_of(n, max_len=max_len))
-    out.sort(key=grevlex_key)
-    return out
+    """All partitions of size <= max_size, graded order (partitions_of's within a grade)."""
+    return [lam for n in range(max_size + 1) for lam in partitions_of(n, max_len=max_len)]
 
 
 class PartitionClass(enum.Enum):
@@ -127,6 +126,8 @@ class RectSubset(enum.Enum):
 
 
 def _check_rect(m: int, a: int) -> None:
+    if type(m) is not int or type(a) is not int:
+        raise ValueError(f"rectangle sides must be ints, got m={m!r}, a={a!r}")
     if m < 1 or a < 1:
         raise ValueError(f"rectangle sides must be >= 1, got m={m}, a={a}")
 
@@ -154,20 +155,26 @@ def in_rect_subset(tag: RectSubset, m: int, a: int, lam: Partition) -> bool:
     raise ValueError(f"unknown subset {tag!r}")
 
 
-def box_partitions(m: int, a: int) -> list[Partition]:
-    """All partitions inside the a-by-m rectangle, graded order."""
-    _check_rect(m, a)
+def partitions_inside(outer: Iterable[int]) -> list[Partition]:
+    """All partitions inside outer (outer and the empty one included), graded order."""
+    outer = as_partition(outer)
     out: list[Partition] = []
 
     def rec(row: int, bound: int, prefix: Partition):
         out.append(prefix)
-        if row == a:
+        if row == len(outer):
             return
-        for p in range(bound, 0, -1):
+        for p in range(min(bound, outer[row]), 0, -1):
             rec(row + 1, p, prefix + (p,))
 
-    rec(0, m, EMPTY)
-    return sorted(set(out), key=grevlex_key)
+    rec(0, outer[0] if outer else 0, EMPTY)
+    return sorted(out, key=grevlex_key)
+
+
+def box_partitions(m: int, a: int) -> list[Partition]:
+    """All partitions inside the a-by-m rectangle, graded order."""
+    _check_rect(m, a)
+    return partitions_inside((m,) * a)
 
 
 def enumerate_rect_subset(tag: RectSubset, m: int, a: int) -> list[Partition]:

@@ -312,7 +312,7 @@ def bracket_schur_altform(
 
 
 # ---------------------------------------------------------------------------
-# Bialternant oracle and Schur expansion
+# Bialternant reference and Schur expansion
 # ---------------------------------------------------------------------------
 
 
@@ -348,11 +348,11 @@ def bialternant_schur(lam: Partition, n: int) -> LaurentPoly:
 
 
 def schur_in_table(lam: Partition, table: VarTable) -> LaurentPoly:
-    """Schur polynomial of lam in the given variables, 0 if lam is too long."""
+    """Schur polynomial of lam in the variables, by Jacobi-Trudi; 0 if lam is too long."""
     lam = as_partition(lam)
     if len(lam) > len(table):
         return LaurentPoly.zero(table)
-    return _bialternant_in(table, lam)
+    return super_schur(lam, Alphabet.formal(table), Alphabet.empty(table))
 
 
 def schur_expand(p: LaurentPoly, n: int) -> dict[Partition, int]:
@@ -383,5 +383,5 @@ def schur_expand(p: LaurentPoly, n: int) -> dict[Partition, int]:
         lam = tuple(e for e in lead if e)
         c = residual.coeff(lead)
         out[lam] = c
-        residual = residual - c * _bialternant_in(table, lam)
+        residual = residual - c * schur_in_table(lam, table)
     return out

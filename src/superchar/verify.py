@@ -136,7 +136,7 @@ def cauchy_check(
 
 
 def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
-    """Classical sum of Schur polynomials over a class against its product form."""
+    """Classical sum of Schur polynomials (bialternants, no h_m) against its product form."""
     if kind not in SUM_KINDS:
         raise ValueError(f"unknown sum kind {kind!r}")
     if nT < 1:
@@ -153,7 +153,7 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
     lhs = LaurentPoly.zero(table)
     for lam in partitions_upto(degmax, max_len=nT):
         if in_class(lam, cls):
-            lhs = lhs + schur.schur_in_table(lam, table)
+            lhs = lhs + schur.bialternant_schur(lam, nT)
 
     t_polys = [LaurentPoly.variable(table, name) for name in table.names]
     if kind == "littlewood_even_rows":

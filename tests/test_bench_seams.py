@@ -1,8 +1,12 @@
-"""The names the benchmark's tracer patches must exist where it looks them up.
+"""The seams the benchmark relies on must stay where it looks for them.
 
 ``perfbench/tracing.py`` replaces module attributes through
 ``owner.__dict__[attr]``, so a renamed or deleted seam would break only the
 traced benchmark.  These tests import the tracer and check every site.
+
+The benchmark's correctness gate is checked by corrupting ``schur.h_list``:
+it expects the classical sums and ``power_det`` to pass regardless, and every
+other identity to fail.  The last test pins which checks read the h-series.
 """
 
 import sys
@@ -10,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+import superchar
+from superchar import folding, schur, verify
 from superchar.laurent import LaurentPoly
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -43,3 +49,40 @@ def test_method_sites_exist(tracing):
 def test_memo_caches_keep_their_api(tracing):
     for fn in tracing.MEMO_CACHES:
         assert hasattr(fn, "cache_info") and hasattr(fn, "cache_clear"), fn
+
+
+@pytest.fixture
+def h_list_calls(monkeypatch):
+    """A counter of schur.h_list calls, with every memo cache cold."""
+    calls = []
+    real = schur.h_list
+
+    def spy(X, Y, degmax):
+        calls.append(degmax)
+        return real(X, Y, degmax)
+
+    superchar.clear_caches()
+    monkeypatch.setattr(schur, "h_list", spy)
+    yield calls
+    monkeypatch.undo()
+    superchar.clear_caches()
+
+
+def test_h_series_control_reaches_exactly_the_series_checks(h_list_calls):
+    for kind in verify.SUM_KINDS:
+        assert verify.littlewood_sum_check(kind, 2, 4).passed
+    assert verify.power_det_check(3).passed
+    assert h_list_calls == [], "the classical sums and power_det must not read h_m"
+
+    X, Y, _ = verify.cauchy_alphabets(1, 1, 2)
+    case = folding.FoldingCase(folding.FoldingTag.B1, 1, 0)
+    checks = [
+        lambda: verify.cauchy_check("cauchy_square", X, Y, 2, 3),
+        lambda: folding.general_dc_check("plain_to_square", (2, 1), X, Y),
+        lambda: folding.verify_decomposition(case, folding.get_branch(case, "D"), 1, 2),
+    ]
+    for check in checks:
+        superchar.clear_caches()
+        h_list_calls.clear()
+        assert check().passed
+        assert h_list_calls, "every series identity must read h_m"

@@ -231,3 +231,55 @@ def test_out_of_hook_fold_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fold", "--case", "A2_EE", "--r", "1", "--s", "0", "--a", "3", "--m", "1"])
     assert err.value.code == 2
+    # Membership is decided from a and m alone; no a-row tuple is built.
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["fold", "--case", "B1", "--r", "1", "--a", "1000000000000", "--m", "2"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message == "error: rectangle 1000000000000 x 2 lies outside the [2,1] hook of B1"
+
+
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    from superchar import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_char", exhausted)  # looked up by build_parser
+    with pytest.raises(SystemExit) as err:
+        main(["char", "--lambda", "2", "--x", "x"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message == "error: input too large: out of memory"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--check", "cauchy_plain", "--xi", "-1"], "--xi"),
+        (["--check", "power_det", "--degmax", "9"], "--degmax"),
+        (["--check", "schur_sum", "--nx", "5", "--lam", "3,1"], "--nx, --lam"),
+        (["--check", "plain_to_square", "--nt", "7"], "--nt"),
+        (["--check", "power_det", "--m", "2", "--xi", "1"], "--xi"),
+    ],
+)
+def test_verify_rejects_flags_its_check_does_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message == f"error: --check {argv[1]} does not read {flag}"
+
+
+def test_verify_defaults_fill_the_flags_a_check_reads(capsys):
+    code, out = run_cli(capsys, "verify", "--check", "littlewood_even_rows")
+    assert code == 0
+    assert json.loads(out)["params"] == {"kind": "littlewood_even_rows", "nT": 2, "degmax": 4}
+    code, out = run_cli(capsys, "verify", "--check", "power_det")
+    assert code == 0
+    assert json.loads(out)["params"] == {"m": 2}
+    code, out = run_cli(capsys, "verify", "--check", "xconst_to_angle_signed", "--xi", "-1")
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert params["lam"] == [] and params["x"] == ["x1"] and params["y"] == [] and params["xi"] == -1

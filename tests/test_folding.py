@@ -17,8 +17,18 @@ from superchar.folding import (
     verify_decomposition,
 )
 from superchar.laurent import LaurentPoly, VarTable, det
-from superchar.partitions import enumerate_rect_subset, in_hook, size
-from superchar.schur import Alphabet, BracketType, graded_parts, super_schur
+from superchar.lr import lr_coeff
+from superchar.partitions import (
+    PartitionClass,
+    contains,
+    enumerate_rect_subset,
+    in_class,
+    in_hook,
+    partitions_of,
+    partitions_upto,
+    size,
+)
+from superchar.schur import Alphabet, BracketType, bracket_schur, graded_parts, super_schur
 from superchar.verify import cauchy_alphabets, fold_cases
 
 
@@ -48,6 +58,23 @@ def test_case_validation():
         FoldingCase(FoldingTag.D2, 0, 1)
     with pytest.raises(ValueError):
         FoldingCase(FoldingTag.B1, -1, 0)
+
+
+@pytest.mark.parametrize("r, s", [(1.5, 0), (True, 0), (1, 1.0), (1, "0"), (1, False)])
+def test_case_parameters_must_be_exact_ints(r, s):
+    with pytest.raises(ValueError):
+        FoldingCase(FoldingTag.B1, r, s)
+
+
+@pytest.mark.parametrize("a, m", [(1.0, 1), (1, 2.5), (True, 1), (1, "1"), (0.0, 1)])
+def test_rectangle_parameters_must_be_exact_ints(a, m):
+    case = FoldingCase(FoldingTag.B1, 1, 0)
+    with pytest.raises(ValueError):
+        kr_supercharacter(case, a, m)
+    with pytest.raises(ValueError):
+        require_in_hook(case, a, m)
+    with pytest.raises(ValueError):
+        decomposition_rhs(case, get_branch(case, "D"), a, m)
 
 
 def test_kr_vector_example():
@@ -212,6 +239,38 @@ def test_dc_rejects_bad_arguments():
         general_dc_check("nonsense", (1,), X, Y)
     with pytest.raises(ValueError):
         general_dc_check("plain_to_square", (1,), X, Y, xi=2)
+
+
+def double_loop_weighted_sum(lam, weight, bracket, X, Y):
+    """_weighted_sum as the plain double loop over all partitions of each size."""
+    total = LaurentPoly.zero(X.table)
+    n = size(lam)
+    for k in range(n + 1):
+        for nu in partitions_of(k):
+            if not contains(lam, nu):
+                continue
+            if isinstance(weight, PartitionClass):
+                w_nu = int(in_class(nu, weight))
+            else:
+                w_nu = weight**k
+            if not w_nu:
+                continue
+            for mu in partitions_of(n - k):
+                if contains(lam, mu):
+                    c = lr_coeff(lam, nu, mu)
+                    total = total + (w_nu * c) * bracket_schur(bracket, mu, X, Y)
+    return total
+
+
+def test_weighted_sum_matches_the_double_loop():
+    X, Y, _ = cauchy_alphabets(2, 1, 1)
+    weights = (PartitionClass.EVEN_ROWS, PartitionClass.EVEN_COLUMNS, 1, -1)
+    for lam in partitions_upto(6):
+        for weight in weights:
+            for bracket in (BracketType.SQUARE, BracketType.ANGLE):
+                want = double_loop_weighted_sum(lam, weight, bracket, X, Y)
+                got = folding._weighted_sum(lam, weight, bracket, X, Y)
+                assert got == want, (lam, weight, bracket)
 
 
 def test_folded_character_vanishes_outside_alphabet_hook():

@@ -14,6 +14,13 @@ from superchar.partitions import (
 from superchar.schur import schur_expand, schur_in_table, t_table
 
 
+def test_lr_coeff_requires_exact_int_parts():
+    with pytest.raises(ValueError):
+        lr_coeff((2.5,), (1,), (1.9,))
+    with pytest.raises(ValueError):
+        lr_coeff((3,), ("2",), (1,))
+
+
 def test_empty_side_is_delta():
     assert lr_coeff((2, 1), (), (2, 1)) == 1
     assert lr_coeff((2, 1), (2, 1), ()) == 1

@@ -10,12 +10,15 @@ from superchar.partitions import (
     conjugate,
     contains,
     enumerate_rect_subset,
+    grevlex_key,
     in_class,
     in_hook,
     in_rect_subset,
     part,
+    partitions_inside,
     partitions_of,
     partitions_upto,
+    size,
 )
 
 
@@ -27,6 +30,20 @@ def test_as_partition():
         as_partition([1, 2])
     with pytest.raises(ValueError):
         as_partition([2, -1])
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1.2), (2.0,), (True,), ("3",), (2, 1.0)])
+def test_as_partition_requires_exact_ints(parts):
+    with pytest.raises(ValueError):
+        as_partition(parts)
+
+
+@pytest.mark.parametrize("m, a", [(2.0, 2), (2, 1.5), (True, 1), (1, "2")])
+def test_rectangle_sides_must_be_exact_ints(m, a):
+    with pytest.raises(ValueError):
+        box_partitions(m, a)
+    with pytest.raises(ValueError):
+        enumerate_rect_subset(RectSubset.EVENROW, m, a)
 
 
 def test_conjugate_examples():
@@ -80,6 +97,28 @@ def test_box_partitions_example():
     assert len(got) == comb(4, 2)
     # graded order, biggest first part first within a grade
     assert got == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
+
+
+def test_partitions_upto_is_in_graded_order():
+    for max_len in (None, 1, 2, 3):
+        got = partitions_upto(10, max_len=max_len)
+        assert got == sorted(got, key=grevlex_key)
+        assert len(set(got)) == len(got)
+        assert all(max_len is None or len(lam) <= max_len for lam in got)
+    assert len(partitions_upto(10)) == sum(len(list(partitions_of(n))) for n in range(11))
+
+
+def test_partitions_inside_matches_filtered_upto():
+    for outer in partitions_upto(8):
+        want = [lam for lam in partitions_upto(size(outer)) if contains(outer, lam)]
+        assert partitions_inside(outer) == want, outer
+
+
+def test_partitions_inside_validates_outer():
+    with pytest.raises(ValueError):
+        partitions_inside((1, 2))
+    with pytest.raises(ValueError):
+        partitions_inside((2.0,))
 
 
 def test_box_partition_counts():

@@ -150,6 +150,17 @@ def test_super_schur_empty_and_single_box():
     assert super_schur((1,), X, Y) == expected
 
 
+@pytest.mark.parametrize("lam", [(1.5,), (2, 0.5), ("1",), (2, 1.2)])
+def test_characters_require_exact_int_parts(lam):
+    X, Y, table = formal_pair(1, 0)
+    with pytest.raises(ValueError):
+        super_schur(lam, X, Y)
+    with pytest.raises(ValueError):
+        bracket_schur(BracketType.SQUARE, lam, X, Y)
+    with pytest.raises(ValueError):
+        schur_in_table(lam, table)
+
+
 def test_super_schur_hook_vanishing_example():
     X, Y, _ = formal_pair(1, 0)
     assert super_schur((1, 1), X, Y).is_zero
@@ -335,12 +346,16 @@ def test_bialternant_rejects_short_tables():
 
 
 def test_jacobi_trudi_matches_bialternant():
-    for n in (1, 2, 3, 4):
+    # n <= 6 with |lam| <= 6 is the range of the LR oracle in the battery,
+    # which takes its Schur polynomials from schur_in_table.
+    for n, max_size in ((1, 8), (2, 8), (3, 8), (4, 8), (5, 6), (6, 6)):
         table = t_table(n)
         T = Alphabet.formal(table)
         none = Alphabet.empty(table)
-        for lam in partitions_upto(8, max_len=n):
-            assert super_schur(lam, T, none) == bialternant_schur(lam, n)
+        for lam in partitions_upto(max_size, max_len=n):
+            reference = bialternant_schur(lam, n)
+            assert super_schur(lam, T, none) == reference
+            assert schur_in_table(lam, table) == reference
 
 
 def test_schur_expand_pieri():
