@@ -126,18 +126,22 @@ def _cmd_lr(args) -> int:
     return 0
 
 
+# Each family: whether it reads --r, and its builder from (r, s).
 _FAMILY_BUILDERS = {
-    "gl": lambda a: weights.gl(a.r, a.s),
-    "B": lambda a: weights.AlgebraFamily(weights.FamilyKind.B, a.r, a.s),
-    "B0": lambda a: weights.AlgebraFamily(weights.FamilyKind.B0, 0, a.s),
-    "C": lambda a: weights.type_c(a.s),
-    "D+": lambda a: weights.type_d(a.r, a.s, plus=True),
-    "D-": lambda a: weights.type_d(a.r, a.s, plus=False),
+    "gl": (True, weights.gl),
+    "B": (True, lambda r, s: weights.AlgebraFamily(weights.FamilyKind.B, r, s)),
+    "B0": (False, lambda r, s: weights.AlgebraFamily(weights.FamilyKind.B0, 0, s)),
+    "C": (False, lambda r, s: weights.type_c(s)),
+    "D+": (True, lambda r, s: weights.type_d(r, s, plus=True)),
+    "D-": (True, lambda r, s: weights.type_d(r, s, plus=False)),
 }
 
 
 def _cmd_weights(args) -> int:
-    family = _FAMILY_BUILDERS[args.family](args)
+    reads_r, build = _FAMILY_BUILDERS[args.family]
+    if args.r is not None and not reads_r:
+        raise ValueError(f"--family {args.family} does not read --r")
+    family = build(0 if args.r is None else args.r, args.s)
     hw = weights.hw_from_diagram(family, args.lam)
     labels = weights.kd_labels(family, hw)
     payload = json.dumps(
@@ -156,20 +160,22 @@ def _cmd_weights(args) -> int:
 # The verify flags with their defaults; each check reads only some of them.
 _VERIFY_DEFAULTS = {"nx": 1, "ny": 0, "nt": 2, "degmax": 4, "m": 2, "lam": (), "xi": 1}
 
-
-def _verify_reads(check: str) -> tuple[str, ...]:
-    if check in verify.CAUCHY_KINDS:
-        return ("nx", "ny", "nt", "degmax")
-    if check in verify.SUM_KINDS:
-        return ("nt", "degmax")
-    if check == "power_det":
-        return ("m",)
-    return ("nx", "ny", "lam", "xi")
+# Each pool of verify checks: its check names, the flags it reads, and how to
+# run one of its checks from the parsed flags.
+_VERIFY_POOLS = (
+    (verify.CAUCHY_KINDS, ("nx", "ny", "nt", "degmax"), lambda c, a: verify.cauchy_check(
+        c, *verify.cauchy_alphabets(a.nx, a.ny, a.nt)[:2], a.nt, a.degmax)),
+    (verify.SUM_KINDS, ("nt", "degmax"), lambda c, a: verify.littlewood_sum_check(
+        c, a.nt, a.degmax)),
+    (("power_det",), ("m",), lambda c, a: verify.power_det_check(a.m)),
+    (folding.DC_RELATIONS, ("nx", "ny", "lam", "xi"), lambda c, a: folding.general_dc_check(
+        c, a.lam, *verify.cauchy_alphabets(a.nx, a.ny, 1)[:2], a.xi)),
+)
 
 
 def _cmd_verify(args) -> int:
     check = args.check
-    reads = _verify_reads(check)
+    reads, run = next((reads, run) for names, reads, run in _VERIFY_POOLS if check in names)
     unread = [f for f in _VERIFY_DEFAULTS if f not in reads and getattr(args, f) is not None]
     if unread:
         flags = ", ".join("--" + name for name in unread)
@@ -177,18 +183,7 @@ def _cmd_verify(args) -> int:
     for name in reads:
         if getattr(args, name) is None:
             setattr(args, name, _VERIFY_DEFAULTS[name])
-    if check in verify.CAUCHY_KINDS:
-        X, Y, _ = verify.cauchy_alphabets(args.nx, args.ny, args.nt)
-        report = verify.cauchy_check(check, X, Y, args.nt, args.degmax)
-    elif check in verify.SUM_KINDS:
-        report = verify.littlewood_sum_check(check, args.nt, args.degmax)
-    elif check == "power_det":
-        report = verify.power_det_check(args.m)
-    elif check in folding.DC_RELATIONS:
-        X, Y, _ = verify.cauchy_alphabets(args.nx, args.ny, 1)
-        report = folding.general_dc_check(check, args.lam, X, Y, args.xi)
-    else:
-        raise ValueError(f"unknown check {check!r}")
+    report = run(check, args)
     _emit(report.to_json() + "\n", args.out)
     return 0 if report.passed else 1
 
@@ -254,20 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="highest weight and labels of a diagram")
     p.add_argument("--family", choices=sorted(_FAMILY_BUILDERS), required=True)
-    p.add_argument("--r", type=int, default=0)
+    p.add_argument("--r", type=int, help="default 0; an error for a family without r")
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=parse_partition, default=())
     p.add_argument("--out")
     p.set_defaults(func=_cmd_weights)
 
-    check_names = (
-        list(verify.CAUCHY_KINDS)
-        + list(verify.SUM_KINDS)
-        + ["power_det"]
-        + list(folding.DC_RELATIONS)
-    )
     p = sub.add_parser("verify", help="run a single identity check")
-    p.add_argument("--check", choices=check_names, required=True)
+    p.add_argument(
+        "--check", choices=[c for names, _, _ in _VERIFY_POOLS for c in names], required=True
+    )
     for name, default in _VERIFY_DEFAULTS.items():
         p.add_argument(
             "--" + name,

@@ -17,11 +17,15 @@ inverses adjoined, likewise yy):
     D1       xx        | yy, +1, -1  D: colpaired, square
     SPO      xx, +1,-1 | yy          C: evenrow, angle
     D2       x~x~, +1  | yy, -1      B: box, square, x~+{1}   (x~ has r-1 entries)
+
+Ambient hooks [M, N]: [2r, 2s+1] for B1 and A2_EVEN, [2r+1, 2s] for A2_ODD,
+[2r, 2s] for A2_EE, [2r, 2s+2] for D1 and D2, [2r+2, 2s] for SPO.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +39,7 @@ from .partitions import (
     enumerate_rect_subset,
     in_class,
     partitions_inside,
+    require_counts,
     size,
 )
 from .report import VerificationReport, poly_comparison
@@ -58,80 +63,13 @@ class FoldingCase:
     s: int
 
     def __post_init__(self):
-        _require_counts(r=self.r, s=self.s)
-        if self.tag is FoldingTag.D2 and self.r < 1:
-            raise ValueError("the D2 case needs r >= 1")
+        require_counts(r=self.r, s=self.s)
+        if self.x_count < 0:
+            raise ValueError(f"the {self.tag.value} case needs r >= {least_r(self.tag)}")
 
     @property
     def x_count(self) -> int:
-        return self.r - 1 if self.tag is FoldingTag.D2 else self.r
-
-
-def _require_counts(**values: int) -> None:
-    """Reject any value that is not an exact nonnegative int (bool included)."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
-@lru_cache(maxsize=None)
-def _vartable(x_count: int, s: int) -> VarTable:
-    names = tuple(f"x{i}" for i in range(1, x_count + 1))
-    names += tuple(f"y{i}" for i in range(1, s + 1))
-    return VarTable(names)
-
-
-def case_table(case: FoldingCase) -> VarTable:
-    return _vartable(case.x_count, case.s)
-
-
-def _x_names(case: FoldingCase) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, case.x_count + 1))
-
-
-def _y_names(case: FoldingCase) -> tuple[str, ...]:
-    return tuple(f"y{i}" for i in range(1, case.s + 1))
-
-
-def _with_consts(base: Alphabet, consts: tuple[int, ...]) -> Alphabet:
-    if not consts:
-        return base
-    return base | Alphabet.constants(base.table, consts)
-
-
-_CASE_CONSTS: dict[FoldingTag, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    FoldingTag.B1: ((), (-1,)),
-    FoldingTag.A2_EVEN: ((), (1,)),
-    FoldingTag.A2_ODD: ((1,), ()),
-    FoldingTag.A2_EE: ((), ()),
-    FoldingTag.D1: ((), (1, -1)),
-    FoldingTag.SPO: ((1, -1), ()),
-    FoldingTag.D2: ((1,), (-1,)),
-}
-
-
-def fold_alphabets(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
-    """The folded (X, Y) pair defining the case's generating series."""
-    table = case_table(case)
-    x_consts, y_consts = _CASE_CONSTS[case.tag]
-    X = _with_consts(palindromic(table, _x_names(case)), x_consts)
-    Y = _with_consts(palindromic(table, _y_names(case)), y_consts)
-    return X, Y
-
-
-def ambient_hook(case: FoldingCase) -> tuple[int, int]:
-    r, s = case.r, case.s
-    return {
-        FoldingTag.B1: (2 * r, 2 * s + 1),
-        FoldingTag.A2_EVEN: (2 * r, 2 * s + 1),
-        FoldingTag.A2_ODD: (2 * r + 1, 2 * s),
-        FoldingTag.A2_EE: (2 * r, 2 * s),
-        FoldingTag.D1: (2 * r, 2 * s + 2),
-        FoldingTag.SPO: (2 * r + 2, 2 * s),
-        FoldingTag.D2: (2 * r, 2 * s + 2),
-    }[case.tag]
+        return self.r - least_r(self.tag)
 
 
 @dataclass(frozen=True)
@@ -143,31 +81,81 @@ class DecompBranch:
     alternating: bool = False
 
 
-_BRANCHES: dict[FoldingTag, tuple[DecompBranch, ...]] = {
-    FoldingTag.B1: (
+# One row per case of the module docstring's table: the X and Y constants, the
+# ambient hook [M, N] at (r, s), the branches, and the least r; the x alphabet
+# has r - least_r variables.
+_Case = namedtuple("_Case", "x_consts y_consts hook branches least_r", defaults=(0,))
+_CASES: dict[FoldingTag, _Case] = {
+    FoldingTag.B1: _Case((), (-1,), lambda r, s: (2 * r, 2 * s + 1), (
         DecompBranch("B", RectSubset.COLPAIRED, BracketType.SQUARE, x_const=1),
         DecompBranch("D", RectSubset.BOX, BracketType.SQUARE),
-    ),
-    FoldingTag.A2_EVEN: (
+    )),
+    FoldingTag.A2_EVEN: _Case((), (1,), lambda r, s: (2 * r, 2 * s + 1), (
         DecompBranch("Bprime", RectSubset.COLPAIRED, BracketType.SQUARE, x_const=-1),
         DecompBranch("D", RectSubset.BOX, BracketType.SQUARE, alternating=True),
-    ),
-    FoldingTag.A2_ODD: (
+    )),
+    FoldingTag.A2_ODD: _Case((1,), (), lambda r, s: (2 * r + 1, 2 * s), (
         DecompBranch("B", RectSubset.EVENROW, BracketType.SQUARE, x_const=1),
         DecompBranch("C", RectSubset.BOX, BracketType.ANGLE),
-    ),
-    FoldingTag.A2_EE: (
+    )),
+    FoldingTag.A2_EE: _Case((), (), lambda r, s: (2 * r, 2 * s), (
         DecompBranch("D", RectSubset.EVENROW, BracketType.SQUARE),
         DecompBranch("C", RectSubset.COLPAIRED, BracketType.ANGLE),
-    ),
-    FoldingTag.D1: (DecompBranch("D", RectSubset.COLPAIRED, BracketType.SQUARE),),
-    FoldingTag.SPO: (DecompBranch("C", RectSubset.EVENROW, BracketType.ANGLE),),
-    FoldingTag.D2: (DecompBranch("B", RectSubset.BOX, BracketType.SQUARE, x_const=1),),
+    )),
+    FoldingTag.D1: _Case((), (1, -1), lambda r, s: (2 * r, 2 * s + 2), (
+        DecompBranch("D", RectSubset.COLPAIRED, BracketType.SQUARE),
+    )),
+    FoldingTag.SPO: _Case((1, -1), (), lambda r, s: (2 * r + 2, 2 * s), (
+        DecompBranch("C", RectSubset.EVENROW, BracketType.ANGLE),
+    )),
+    FoldingTag.D2: _Case((1,), (-1,), lambda r, s: (2 * r, 2 * s + 2), (
+        DecompBranch("B", RectSubset.BOX, BracketType.SQUARE, x_const=1),
+    ), least_r=1),
 }
 
 
+def least_r(tag: FoldingTag) -> int:
+    """The smallest r the case allows."""
+    return _CASES[tag].least_r
+
+
+def ambient_hook(case: FoldingCase) -> tuple[int, int]:
+    return _CASES[case.tag].hook(case.r, case.s)
+
+
 def branches(case: FoldingCase) -> tuple[DecompBranch, ...]:
-    return _BRANCHES[case.tag]
+    return _CASES[case.tag].branches
+
+
+@lru_cache(maxsize=None)
+def _vartable(x_count: int, s: int) -> VarTable:
+    names = tuple(f"x{i}" for i in range(1, x_count + 1))
+    names += tuple(f"y{i}" for i in range(1, s + 1))
+    return VarTable(names)
+
+
+def _with_consts(base: Alphabet, consts: tuple[int, ...]) -> Alphabet:
+    if not consts:
+        return base
+    return base | Alphabet.constants(base.table, consts)
+
+
+def _alphabets(case: FoldingCase, x_consts: tuple, y_consts: tuple) -> tuple[Alphabet, Alphabet]:
+    """The palindromic x and y alphabets of the case, with constants adjoined."""
+    table = _vartable(case.x_count, case.s)
+    X = palindromic(table, table.names[: case.x_count])
+    Y = palindromic(table, table.names[case.x_count :])
+    return _with_consts(X, x_consts), _with_consts(Y, y_consts)
+
+
+def fold_alphabets(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
+    """The folded (X, Y) pair defining the case's generating series."""
+    row = _CASES[case.tag]
+    return _alphabets(case, row.x_consts, row.y_consts)
+
+
+def branch_alphabets(case: FoldingCase, branch: DecompBranch) -> tuple[Alphabet, Alphabet]:
+    return _alphabets(case, () if branch.x_const is None else (branch.x_const,), ())
 
 
 def get_branch(case: FoldingCase, name: str) -> DecompBranch:
@@ -178,21 +166,13 @@ def get_branch(case: FoldingCase, name: str) -> DecompBranch:
     raise ValueError(f"case {case.tag.value} has branches {names}, not {name!r}")
 
 
-def branch_alphabets(case: FoldingCase, branch: DecompBranch) -> tuple[Alphabet, Alphabet]:
-    table = case_table(case)
-    consts = (branch.x_const,) if branch.x_const is not None else ()
-    X = _with_consts(palindromic(table, _x_names(case)), consts)
-    Y = palindromic(table, _y_names(case))
-    return X, Y
-
-
 def require_in_hook(case: FoldingCase, a: int, m: int) -> None:
     """Reject the a-by-m rectangle if it lies outside the case's ambient hook.
 
     The rectangle's (M+1)-th row is m when a > M and 0 otherwise, so it is
     in the [M, N] hook iff a <= M or m <= N; no row tuple is built.
     """
-    _require_counts(a=a, m=m)
+    require_counts(a=a, m=m)
     M, N = ambient_hook(case)
     if not (a <= M or m <= N):
         raise ValueError(
@@ -209,7 +189,7 @@ def kr_supercharacter(case: FoldingCase, a: int, m: int) -> LaurentPoly:
     determinant is still reachable through super_schur directly and
     vanishes out there.
     """
-    _require_counts(a=a, m=m)
+    require_counts(a=a, m=m)
     X, Y = fold_alphabets(case)
     if a == 0 or m == 0:
         return LaurentPoly.const(X.table, 1)
@@ -221,7 +201,7 @@ def decomposition_rhs(case: FoldingCase, branch: DecompBranch, a: int, m: int) -
     """Sum of bracket characters over the branch's rectangle subset."""
     if branch not in branches(case):
         raise ValueError(f"branch {branch.name!r} does not belong to {case.tag.value}")
-    _require_counts(a=a, m=m)
+    require_counts(a=a, m=m)
     X, Y = branch_alphabets(case, branch)
     if a == 0 or m == 0:
         return LaurentPoly.const(X.table, 1)
@@ -254,26 +234,6 @@ def verify_decomposition(
 # ---------------------------------------------------------------------------
 # The eight general decomposition relations
 # ---------------------------------------------------------------------------
-
-DC_RELATIONS = (
-    "plain_to_square",
-    "plain_to_angle",
-    "yconst_to_square_shifted",
-    "yconst_to_square_signed",
-    "xconst_to_angle_shifted",
-    "xconst_to_angle_signed",
-    "ypair_to_square",
-    "xpair_to_angle",
-)
-
-XI_RELATIONS = frozenset(
-    (
-        "yconst_to_square_shifted",
-        "yconst_to_square_signed",
-        "xconst_to_angle_shifted",
-        "xconst_to_angle_signed",
-    )
-)
 
 
 def _weighted_sum(
@@ -310,8 +270,8 @@ def _weighted_sum(
     return total
 
 
-def _dc_row(relation: str, xi: int):
-    """(xp, yp, w, bracket, xs, ys) for the relation's identity
+def _dc_rows(xi: int) -> dict[str, tuple]:
+    """relation -> (xp, yp, w, bracket, xs, ys) for the relation's identity
 
         s_lam(X + xp | Y + yp) = sum_{nu, mu} w(nu) c^lam_{nu,mu} bracket_mu(X + xs | Y + ys),
 
@@ -329,7 +289,15 @@ def _dc_row(relation: str, xi: int):
         "xconst_to_angle_signed": ((xi,), (), xi, angle, (), ()),
         "ypair_to_square": ((), (1, -1), columns, square, (), ()),
         "xpair_to_angle": ((1, -1), (), rows, angle, (), ()),
-    }[relation]
+    }
+
+
+DC_RELATIONS = tuple(_dc_rows(1))
+
+# The relations whose identity changes with xi = +-1.
+XI_RELATIONS = frozenset(
+    relation for relation, row in _dc_rows(-1).items() if row != _dc_rows(1)[relation]
+)
 
 
 def general_dc_check(
@@ -347,7 +315,7 @@ def general_dc_check(
         raise ValueError("xi must be +1 or -1")
     if xi != 1 and relation not in XI_RELATIONS:
         raise ValueError(f"relation {relation!r} does not depend on xi; use xi = 1")
-    xp, yp, weight, bracket, xs, ys = _dc_row(relation, xi)
+    xp, yp, weight, bracket, xs, ys = _dc_rows(xi)[relation]
     lhs = super_schur(lam, _with_consts(X, xp), _with_consts(Y, yp))
     rhs = _weighted_sum(lam, weight, bracket, _with_consts(X, xs), _with_consts(Y, ys))
 

@@ -125,9 +125,17 @@ class RectSubset(enum.Enum):
     EVENROW = "evenrow"
 
 
+def require_counts(**values: int) -> None:
+    """Reject any value that is not an exact nonnegative int (bool included)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def _check_rect(m: int, a: int) -> None:
-    if type(m) is not int or type(a) is not int:
-        raise ValueError(f"rectangle sides must be ints, got m={m!r}, a={a!r}")
+    require_counts(m=m, a=a)
     if m < 1 or a < 1:
         raise ValueError(f"rectangle sides must be >= 1, got m={m}, a={a}")
 

@@ -26,6 +26,7 @@ from .partitions import (
     in_hook,
     partitions_of,
     partitions_upto,
+    require_counts,
     size,
 )
 from .report import VerificationReport, _first_failures, poly_comparison, value_comparison
@@ -58,10 +59,7 @@ def _graded_product(
 
 def cauchy_alphabets(nx: int, ny: int, nT: int) -> tuple[Alphabet, Alphabet, VarTable]:
     """Formal X and Y alphabets over a table that also carries t1..tnT."""
-    if min(nx, ny, nT) < 0:
-        raise ValueError(
-            f"alphabet sizes must be nonnegative, got nx={nx}, ny={ny}, nT={nT}"
-        )
+    require_counts(nx=nx, ny=ny, nT=nT)
     x_names = tuple(f"x{i}" for i in range(1, nx + 1))
     y_names = tuple(f"y{i}" for i in range(1, ny + 1))
     t_names = tuple(f"t{i}" for i in range(1, nT + 1))
@@ -84,10 +82,9 @@ def cauchy_check(
     """
     if kind not in CAUCHY_KINDS:
         raise ValueError(f"unknown cauchy kind {kind!r}")
+    require_counts(nT=nT, degmax=degmax)
     if nT < 1:
         raise ValueError("need at least one t variable")
-    if degmax < 0:
-        raise ValueError(f"degmax must be nonnegative, got {degmax}")
     table = X.table
     t_names = tuple(f"t{i}" for i in range(1, nT + 1))
     T = Alphabet.formal(table, t_names)
@@ -139,10 +136,9 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
     """Classical sum of Schur polynomials (bialternants, no h_m) against its product form."""
     if kind not in SUM_KINDS:
         raise ValueError(f"unknown sum kind {kind!r}")
+    require_counts(nT=nT, degmax=degmax)
     if nT < 1:
         raise ValueError("need at least one t variable")
-    if degmax < 0:
-        raise ValueError(f"degmax must be nonnegative, got {degmax}")
     table = schur.t_table(nT)
 
     cls = {
@@ -170,6 +166,7 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
 
 def power_det_check(m: int) -> VerificationReport:
     """det(t_i^{m-j} - t_i^{m+j}) against its closed product form."""
+    require_counts(m=m)
     if m < 1:
         raise ValueError("m must be >= 1")
     table = schur.t_table(m)
@@ -514,16 +511,13 @@ def check_dc_sweep(
 
 
 def fold_cases(max_rank: int) -> list[folding.FoldingCase]:
-    cases = []
-    for tag in folding.FoldingTag:
-        for r in range(max_rank + 1):
-            for s in range(max_rank + 1 - r):
-                if r + s < 1:
-                    continue
-                if tag is folding.FoldingTag.D2 and r < 1:
-                    continue
-                cases.append(folding.FoldingCase(tag, r, s))
-    return cases
+    return [
+        folding.FoldingCase(tag, r, s)
+        for tag in folding.FoldingTag
+        for r in range(folding.least_r(tag), max_rank + 1)
+        for s in range(max_rank + 1 - r)
+        if r + s >= 1
+    ]
 
 
 def check_fold_sweep(max_rank: int, max_am: int = 3) -> list[VerificationReport]:
@@ -641,11 +635,7 @@ class SuiteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        require_counts(**asdict(self))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuiteConfig":
@@ -658,51 +648,38 @@ class SuiteConfig:
         return cls(**data)
 
 
-def _battery_jobs(config: SuiteConfig):
-    lr_oracle_max = config.max_lambda_size + 1  # 6 at the default config
-    lr_prop_max = config.max_lambda_size + 3  # 8 at the default config
-    rect_max = min(config.max_lambda_size, 4)  # 4 at the default config
-    power_det_max = max(1, min(config.degmax, 5))  # 5 at the default config
-
-    jobs = []
-    jobs.append(check_partition_properties)
-    jobs.append(lambda: [check_schur_stability(config.max_lambda_size, config.seed)])
-    jobs.append(lambda: check_schur_invariants(config.max_lambda_size))
-    jobs.append(lambda: [check_lr_oracle(lr_oracle_max)])
-    jobs.append(lambda: check_lr_properties(lr_prop_max))
-    jobs.append(lambda: check_lr_rectangle(rect_max))
-    jobs.append(lambda: check_dc_sweep(config.max_lambda_size, 3, 2))
-    jobs.append(lambda: check_fold_sweep(config.max_rank))
-    jobs.append(lambda: [check_fold_hook_sanity(config.max_rank)])
-    jobs.append(lambda: check_fold_dimensions(config.max_rank))
-    jobs.append(lambda: check_fold_double_form(config.max_rank))
-
-    def cauchy_job():
-        reports = []
-        for kind in CAUCHY_KINDS:
-            for nx in range(3):
-                for ny in range(3):
-                    for nT in range(1, config.t_count + 1):
-                        X, Y, _ = cauchy_alphabets(nx, ny, nT)
-                        reports.append(cauchy_check(kind, X, Y, nT, config.degmax))
-        return reports
-
-    def sums_job():
-        return [
-            littlewood_sum_check(kind, nT, config.degmax)
-            for kind in SUM_KINDS
-            for nT in range(1, config.t_count + 1)
-        ]
-
-    jobs.append(cauchy_job)
-    jobs.append(sums_job)
-    jobs.append(lambda: [power_det_check(m) for m in range(1, power_det_max + 1)])
-    return jobs
-
-
 def run_suite(config: SuiteConfig) -> list[VerificationReport]:
     """Run the whole battery and return deterministically sorted reports."""
-    reports = [report for job in _battery_jobs(config) for report in job()]
+    lam_max, rank, t_count, degmax = (
+        config.max_lambda_size, config.max_rank, config.t_count, config.degmax
+    )
+    reports = [
+        *check_partition_properties(),
+        check_schur_stability(lam_max, config.seed),
+        *check_schur_invariants(lam_max),
+        check_lr_oracle(lam_max + 1),  # 6 at the default config
+        *check_lr_properties(lam_max + 3),  # 8 at the default config
+        *check_lr_rectangle(min(lam_max, 4)),  # 4 at the default config
+        *check_dc_sweep(lam_max, 3, 2),
+        *check_fold_sweep(rank),
+        check_fold_hook_sanity(rank),
+        *check_fold_dimensions(rank),
+        *check_fold_double_form(rank),
+        *(
+            cauchy_check(kind, *cauchy_alphabets(nx, ny, nT)[:2], nT, degmax)
+            for kind in CAUCHY_KINDS
+            for nx in range(3)
+            for ny in range(3)
+            for nT in range(1, t_count + 1)
+        ),
+        *(
+            littlewood_sum_check(kind, nT, degmax)
+            for kind in SUM_KINDS
+            for nT in range(1, t_count + 1)
+        ),
+        # m <= 5 at the default config
+        *(power_det_check(m) for m in range(1, max(1, min(degmax, 5)) + 1)),
+    ]
     reports.sort(key=VerificationReport.sort_key)
     return reports
 

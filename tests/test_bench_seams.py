@@ -2,13 +2,16 @@
 
 ``perfbench/tracing.py`` replaces module attributes through
 ``owner.__dict__[attr]``, so a renamed or deleted seam would break only the
-traced benchmark.  These tests import the tracer and check every site.
+traced benchmark.  These tests import the tracer and check every site.  The
+request builders in ``perfbench/workloads.py`` read the case and relation
+tables, so the pools are built and one request of each kind is prepared.
 
 The benchmark's correctness gate is checked by corrupting ``schur.h_list``:
 it expects the classical sums and ``power_det`` to pass regardless, and every
 other identity to fail.  The last test pins which checks read the h-series.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -21,17 +24,33 @@ from superchar.laurent import LaurentPoly
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def import_perfbench(name):
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path.insert(0, PERFBENCH)
     try:
-        import tracing
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
         sys.dont_write_bytecode = saved
-    return tracing
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return import_perfbench("tracing")
+
+
+def test_request_pools_build_and_prepare():
+    workloads = import_perfbench("workloads")
+    fold, identity = workloads.fold_pool(), workloads.identity_pool()
+    assert (len(fold), len(identity)) == (1412, 6867)
+    firsts = {}
+    for req in fold + identity:
+        firsts.setdefault(req[0], req)
+    assert sorted(firsts) == ["cauchy", "dc", "fold", "power_det", "sum"]
+    for req in firsts.values():
+        module, name, args = workloads.prepare(req)
+        assert callable(getattr(module, name)), req
 
 
 def test_function_sites_exist(tracing):

@@ -77,6 +77,25 @@ def test_weights_command(capsys):
     assert record["finite_dimensional"] is True
 
 
+
+@pytest.mark.parametrize("family, r", [("C", "7"), ("B0", "3")])
+def test_weights_rejects_r_for_a_family_without_r(capsys, family, r):
+    with pytest.raises(SystemExit) as err:
+        main(["weights", "--family", family, "--r", r, "--s", "2"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message == f"error: --family {family} does not read --r"
+    code, out = run_cli(capsys, "weights", "--family", family, "--s", "2")
+    assert code == 0 and json.loads(out)["family"]
+
+
+def test_weights_r_defaults_to_0(capsys):
+    code, out = run_cli(capsys, "weights", "--family", "gl", "--s", "2", "--lambda", "1")
+    assert code == 0
+    _, explicit = run_cli(capsys, "weights", "--family", "gl", "--r", "0", "--s", "2",
+                          "--lambda", "1")
+    assert out == explicit
+
 def test_fold_polynomial_and_report(capsys):
     code, out = run_cli(
         capsys, "fold", "--case", "B1", "--r", "1", "--s", "0", "--a", "1", "--m", "2", "--json"

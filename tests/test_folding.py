@@ -53,6 +53,73 @@ def test_fold_alphabets_examples():
     assert len(X) == 3 and len(Y) == 3  # one x pair plus a constant on each side
 
 
+# The module docstring's case table written out: X constants, Y constants,
+# the ambient hook at (r, s), and each branch as (name, subset, bracket,
+# x_const, alternating).  D2's x~ has r - 1 variables.
+DOCSTRING_CASES = {
+    "B1": ((), (-1,), lambda r, s: (2 * r, 2 * s + 1),
+           [("B", "colpaired", "square", 1, False), ("D", "box", "square", None, False)]),
+    "A2_EVEN": ((), (1,), lambda r, s: (2 * r, 2 * s + 1),
+                [("Bprime", "colpaired", "square", -1, False), ("D", "box", "square", None, True)]),
+    "A2_ODD": ((1,), (), lambda r, s: (2 * r + 1, 2 * s),
+               [("B", "evenrow", "square", 1, False), ("C", "box", "angle", None, False)]),
+    "A2_EE": ((), (), lambda r, s: (2 * r, 2 * s),
+              [("D", "evenrow", "square", None, False), ("C", "colpaired", "angle", None, False)]),
+    "D1": ((), (1, -1), lambda r, s: (2 * r, 2 * s + 2),
+           [("D", "colpaired", "square", None, False)]),
+    "SPO": ((1, -1), (), lambda r, s: (2 * r + 2, 2 * s),
+            [("C", "evenrow", "angle", None, False)]),
+    "D2": ((1,), (-1,), lambda r, s: (2 * r, 2 * s + 2),
+           [("B", "box", "square", 1, False)]),
+}
+
+
+def palindrome_names(letter, count):
+    names = [f"{letter}{i}" for i in range(1, count + 1)]
+    return names + [f"{name}^-1" for name in names]
+
+
+def test_case_table_matches_the_docstring():
+    cases = fold_cases(3)
+    assert {case.tag.value for case in cases} == set(DOCSTRING_CASES)
+    for case in cases:
+        x_consts, y_consts, hook, rows = DOCSTRING_CASES[case.tag.value]
+        xs = palindrome_names("x", case.r - 1 if case.tag is FoldingTag.D2 else case.r)
+        ys = palindrome_names("y", case.s)
+        X, Y = fold_alphabets(case)
+        assert X.describe() == xs + [str(c) for c in x_consts], case
+        assert Y.describe() == ys + [str(c) for c in y_consts], case
+        assert ambient_hook(case) == hook(case.r, case.s), case
+        got = [
+            (b.name, b.subset.value, b.bracket.value, b.x_const, b.alternating)
+            for b in branches(case)
+        ]
+        assert got == rows, case
+        for b in branches(case):
+            X, Y = branch_alphabets(case, b)
+            assert X.describe() == xs + ([] if b.x_const is None else [str(b.x_const)]), case
+            assert Y.describe() == ys, case
+
+
+def test_dc_relation_table_is_pinned():
+    assert DC_RELATIONS == (
+        "plain_to_square",
+        "plain_to_angle",
+        "yconst_to_square_shifted",
+        "yconst_to_square_signed",
+        "xconst_to_angle_shifted",
+        "xconst_to_angle_signed",
+        "ypair_to_square",
+        "xpair_to_angle",
+    )
+    assert folding.XI_RELATIONS == {
+        "yconst_to_square_shifted",
+        "yconst_to_square_signed",
+        "xconst_to_angle_shifted",
+        "xconst_to_angle_signed",
+    }
+
+
 def test_case_validation():
     with pytest.raises(ValueError):
         FoldingCase(FoldingTag.D2, 0, 1)

@@ -22,6 +22,7 @@ from superchar.schur import (
     t_table,
     z_table,
 )
+from superchar.verify import cauchy_alphabets
 
 
 def formal_pair(nx, ny):
@@ -356,6 +357,52 @@ def test_jacobi_trudi_matches_bialternant():
             reference = bialternant_schur(lam, n)
             assert super_schur(lam, T, none) == reference
             assert schur_in_table(lam, table) == reference
+
+
+def supertableau_sum(lam, X, Y):
+    """Sum over (k|l)-semistandard supertableaux of shape lam; no determinant, no h_m.
+
+    Letters 0..k-1 are the even ones, weighted x_i; rows weakly increase and
+    columns strictly increase in them.  Letters k..k+l-1 are the odd ones,
+    weighted -y_j (h_1 = sum x - sum y); rows strictly increase and columns
+    weakly increase in them.  Even letters come before odd ones.
+    """
+    k = len(X)
+    letters = list(X.elements) + [(-sign, exps) for sign, exps in Y.elements]
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    filling = {}
+    terms = Counter()
+
+    def fits(c, i, j):
+        left, up = filling.get((i, j - 1)), filling.get((i - 1, j))
+        if c < k:
+            return (left is None or left <= c) and (up is None or up < c)
+        return (left is None or left < c) and (up is None or up <= c)
+
+    def fill(n, sign, exps):
+        if n == len(cells):
+            terms[exps] += sign
+            return
+        i, j = cells[n]
+        for c in range(len(letters)):
+            if fits(c, i, j):
+                filling[i, j] = c
+                s, e = letters[c]
+                fill(n + 1, sign * s, tuple(a + b for a, b in zip(exps, e)))
+                del filling[i, j]
+
+    fill(0, 1, (0,) * len(X.table))
+    return LaurentPoly(X.table, terms)
+
+
+def test_super_schur_matches_the_supertableau_sum():
+    for nx in range(5):
+        for ny in range(5 - nx):
+            if nx + ny < 1:
+                continue
+            X, Y, _ = cauchy_alphabets(nx, ny, 1)
+            for lam in partitions_upto(5):
+                assert super_schur(lam, X, Y) == supertableau_sum(lam, X, Y), (nx, ny, lam)
 
 
 def test_schur_expand_pieri():

@@ -197,6 +197,31 @@ def test_power_det_rejects_zero():
         power_det_check(0)
 
 
+
+X1, Y1, _ = cauchy_alphabets(1, 1, 2)
+COUNT_ENTRY_POINTS = {
+    "cauchy_alphabets.nx": lambda v: cauchy_alphabets(v, 0, 1),
+    "cauchy_alphabets.ny": lambda v: cauchy_alphabets(1, v, 1),
+    "cauchy_alphabets.nT": lambda v: cauchy_alphabets(1, 0, v),
+    "cauchy_check.nT": lambda v: cauchy_check("cauchy_plain", X1, Y1, v, 2),
+    "cauchy_check.degmax": lambda v: cauchy_check("cauchy_plain", X1, Y1, 2, v),
+    "littlewood_sum_check.nT": lambda v: littlewood_sum_check("schur_sum", v, 2),
+    "littlewood_sum_check.degmax": lambda v: littlewood_sum_check("schur_sum", 2, v),
+    "power_det_check.m": power_det_check,
+    "SuiteConfig.degmax": lambda v: SuiteConfig(degmax=v),
+    "SuiteConfig.seed": lambda v: SuiteConfig(seed=v),
+    "box_partitions.m": lambda v: partitions.box_partitions(v, 2),
+    "in_rect_subset.a": lambda v: partitions.in_rect_subset(partitions.RectSubset.BOX, 2, v, ()),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, -1])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_must_be_exact_nonnegative_ints(entry, value):
+    with pytest.raises(ValueError) as err:
+        COUNT_ENTRY_POINTS[entry](value)
+    assert "\n" not in str(err.value)
+
 def test_unknown_kinds_rejected():
     X, Y, _ = cauchy_alphabets(1, 0, 1)
     with pytest.raises(ValueError):
