@@ -8,6 +8,7 @@ from .schur import (
     bialternant_schur,
     bracket_schur,
     bracket_schur_altform,
+    bracket_sum,
     h_list,
     schur_expand,
     super_schur,
@@ -44,6 +45,7 @@ def clear_caches() -> None:
         _lr.lr_coeff,
     ):
         cached.cache_clear()
+    _schur._table_values.clear()
 
 
 __all__ = [
@@ -67,6 +69,7 @@ __all__ = [
     "bialternant_schur",
     "bracket_schur",
     "bracket_schur_altform",
+    "bracket_sum",
     "cauchy_check",
     "clear_caches",
     "conjugate",

@@ -14,7 +14,8 @@ When both alphabets are inverse-paired (pairs {v, v^-1} plus constants, as
 every folded alphabet is), each pair contributes (1 - v t)(1 - v^-1 t) =
 1 - z t + t^2 with z = v + v^-1, so the h_m and their determinants are
 polynomials in the z's with about a sixth of the terms.  They are computed
-over :func:`z_table` and each character is turned back into x once by
+over :func:`z_table`, and each character, or each weighted sum of bracket
+characters (:func:`bracket_sum`), is turned back into x once by
 :func:`superchar.laurent.z_to_x`, an injective ring map; every character
 this module returns is over the alphabets' own table.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .laurent import (
     LaurentPoly,
@@ -57,6 +58,11 @@ class Alphabet:
                 raise ValueError(f"element sign must be +-1, got {sign!r}")
             if len(exps) != n:
                 raise ValueError("element exponent vector does not fit the table")
+        # Alphabets key every memo; hash the nested tuples once.
+        object.__setattr__(self, "_hash", hash((self.table, self.elements)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def empty(cls, table: VarTable) -> "Alphabet":
@@ -222,27 +228,44 @@ class BracketType(enum.Enum):
     ANGLE = "angle"
 
 
-def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet, entry) -> LaurentPoly:
-    """det(entry(h, lam_i - i, j)) over 1 <= i, j <= len(lam); 1 for the empty shape.
+def _table_dets(shapes, X: Alphabet, Y: Alphabet, entry, halve: bool) -> list[LaurentPoly]:
+    """det(entry(h, lam_i - i, j)) over 1 <= i, j <= len(lam), for each shape.
 
-    h(k) is h_k(X|Y), read as 0 for k < 0.  The determinant is taken over
-    the table h_list gives, and a z-valued one is turned into X.table's x.
+    h(k) is h_k(X|Y), read as 0 for k < 0, from one h_list call at the
+    largest degree any shape needs; the values stay over the table h_list
+    gives (z for inverse-paired alphabets).  The empty shape is 1.  With
+    halve, each other determinant is halved exactly on its own, so one that
+    does not halve raises.
     """
-    lam = as_partition(lam)
-    if not lam:
-        return LaurentPoly.const(X.table, 1)
-    n = len(lam)
-    hs = h_list(X, Y, lam[0] + n)
+    hs = h_list(X, Y, max((lam[0] + len(lam) for lam in shapes if lam), default=0))
     table = hs[0].table
     zero = LaurentPoly.zero(table)
 
     def h(k: int) -> LaurentPoly:
         return hs[k] if k >= 0 else zero
 
-    value = det(
-        [[entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
-    return value if table == X.table else z_to_x(value, X.table)
+    out = []
+    for lam in shapes:
+        if not lam:
+            out.append(LaurentPoly.const(table, 1))
+            continue
+        n = len(lam)
+        value = det(
+            [[entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        )
+        out.append(value.exact_div(2) if halve else value)
+    return out
+
+
+def _in_x(value: LaurentPoly, table: VarTable) -> LaurentPoly:
+    return value if value.table == table else z_to_x(value, table)
+
+
+def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet, entry, halve=False) -> LaurentPoly:
+    """The one-shape case of _table_dets, over X.table; 1 for the empty shape."""
+    if not lam:
+        return LaurentPoly.const(X.table, 1)
+    return _in_x(_table_dets([lam], X, Y, entry, halve)[0], X.table)
 
 
 def _plain_entry(h, base: int, j: int) -> LaurentPoly:
@@ -267,32 +290,70 @@ def _altform_square_entry(h, base: int, j: int) -> LaurentPoly:
     return _altform_angle_entry(lambda k: h(k) - h(k - 2), base, j)
 
 
-@lru_cache(maxsize=None)
+# Each bracket's entry rule, and whether its determinant is halved.
+_BRACKETS = {
+    BracketType.PLAIN: (_plain_entry, False),
+    BracketType.SQUARE: (_square_entry, False),
+    BracketType.ANGLE: (_angle_entry, True),
+}
+
+
+def _require_tag(tag) -> None:
+    if not isinstance(tag, BracketType):
+        raise ValueError(f"bracket tag must be a BracketType, not {tag!r}")
+
+
+def _shape_args(lam, X, Y):
+    return as_partition(lam), X, Y
+
+
+def _bracket_args(tag, lam, X, Y):
+    _require_tag(tag)
+    return tag, as_partition(lam), X, Y
+
+
+def _memo(check):
+    """Memoize a function on the arguments check returns, checking them first.
+
+    A cache lookup takes (True,) and (1.0,) for (1,), so the shape is
+    validated before the lookup, not inside the cached body.  The public name
+    keeps cache_info and cache_clear.
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def checked(*args):
+            return cached(*check(*args))
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate
+
+
+@_memo(_shape_args)
 def super_schur(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """det(h_{lam_i - i + j}) over 1 <= i, j <= len(lam); 1 for the empty shape."""
     return _jacobi_trudi(lam, X, Y, _plain_entry)
 
 
-@lru_cache(maxsize=None)
+@_memo(_bracket_args)
 def bracket_schur(tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """The three determinant characters, selected by tag.
 
     SQUARE is det(h_{lam_i-i+j} - h_{lam_i-i-j}); ANGLE is half of
     det(h_{lam_i-i+j} + h_{lam_i-i-j+2}), where the halving is exact on the
-    integer determinant and failure to halve aborts the computation.
+    integer determinant and failure to halve aborts the computation.  The
+    empty shape is 1, not halved.
     """
     if tag is BracketType.PLAIN:
         return super_schur(lam, X, Y)
-    if tag is BracketType.SQUARE:
-        return _jacobi_trudi(lam, X, Y, _square_entry)
-    if tag is not BracketType.ANGLE:
-        raise ValueError(f"bracket tag must be a BracketType, not {tag!r}")
-    if not as_partition(lam):  # the empty shape is 1, not halved
-        return LaurentPoly.const(X.table, 1)
-    return _jacobi_trudi(lam, X, Y, _angle_entry).exact_div(2)
+    return _jacobi_trudi(lam, X, Y, *_BRACKETS[tag])
 
 
-@lru_cache(maxsize=None)
+@_memo(_bracket_args)
 def bracket_schur_altform(
     tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet
 ) -> LaurentPoly:
@@ -306,9 +367,47 @@ def bracket_schur_altform(
         raise ValueError("alternate forms exist for SQUARE and ANGLE only")
     if tag is BracketType.SQUARE:
         return _jacobi_trudi(lam, X, Y, _altform_square_entry)
-    if tag is not BracketType.ANGLE:
-        raise ValueError(f"bracket tag must be a BracketType, not {tag!r}")
     return _jacobi_trudi(lam, X, Y, _altform_angle_entry)
+
+
+# (tag, lam, X, Y) -> bracket_lam(X|Y) over h_list's table: bracket_sum's
+# memo, shared across the sums that meet a shape again.  clear_caches()
+# empties it.
+_table_values: dict[tuple, LaurentPoly] = {}
+
+
+def bracket_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """sum w * bracket_lam(X|Y) over the (lam, w) pairs of weighted, over X.table.
+
+    The shapes not yet in the memo share one _table_dets call, the terms are
+    added over h_list's table, and the sum is turned into x once.
+    """
+    _require_tag(tag)
+    weights: dict[Partition, int] = {}
+    for lam, w in weighted:
+        if type(w) is not int:
+            raise ValueError(f"weights must be ints, got {w!r}")
+        lam = as_partition(lam)
+        weights[lam] = weights.get(lam, 0) + w
+    terms = [(lam, w) for lam, w in weights.items() if w]
+    missing = [lam for lam, _ in terms if (tag, lam, X, Y) not in _table_values]
+    if missing:
+        for lam, value in zip(missing, _table_dets(missing, X, Y, *_BRACKETS[tag])):
+            _table_values[tag, lam, X, Y] = value
+    if not terms:
+        return LaurentPoly.zero(X.table)
+    total = None
+    for lam, w in terms:
+        value = _table_values[tag, lam, X, Y]
+        if total is None:
+            total = value if w == 1 else w * value
+        elif w == 1:
+            total = total + value
+        elif w == -1:
+            total = total - value
+        else:
+            total = total + w * value
+    return _in_x(total, X.table)
 
 
 # ---------------------------------------------------------------------------

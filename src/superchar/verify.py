@@ -179,6 +179,8 @@ def power_det_check(m: int) -> VerificationReport:
         [tvar(i, m - j) - tvar(i, m + j) for j in range(1, m + 1)]
         for i in range(1, m + 1)
     ]
+    # Looked up in laurent at call time, not imported at module level: the
+    # benchmark's tracer counts determinants by wrapping laurent.det.
     from .laurent import det
 
     lhs = det(rows)

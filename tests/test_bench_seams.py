@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import superchar
-from superchar import folding, schur, verify
+from superchar import folding, laurent, schur, verify
 from superchar.laurent import LaurentPoly
+from superchar.partitions import enumerate_rect_subset
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -105,3 +106,39 @@ def test_h_series_control_reaches_exactly_the_series_checks(h_list_calls):
         h_list_calls.clear()
         assert check().passed
         assert h_list_calls, "every series identity must read h_m"
+
+
+def counter(monkeypatch, owner, attr):
+    """Replace owner.attr by a wrapper that counts its calls; return the count list."""
+    calls = []
+    real = getattr(owner, attr)
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+def test_power_det_reaches_laurent_det(monkeypatch):
+    # The traced laurent.det span wraps laurent.det; power_det_check must look
+    # it up there at call time to be counted.
+    calls = counter(monkeypatch, laurent, "det")
+    assert verify.power_det_check(3).passed
+    assert len(calls) == 1
+
+
+def test_fold_request_reaches_schur_det_once_per_shape(monkeypatch):
+    # The Jacobi-Trudi determinants reach det through schur's module global,
+    # which the traced laurent.det span wraps too: one call for the
+    # rectangle and one per nonempty shape of the branch's subset.
+    case = folding.FoldingCase(folding.FoldingTag.A2_ODD, 2, 0)
+    for branch in folding.branches(case):
+        shapes = enumerate_rect_subset(branch.subset, 2, 3)
+        superchar.clear_caches()
+        calls = counter(monkeypatch, schur, "det")
+        assert folding.verify_decomposition(case, branch, 3, 2).passed
+        assert len(calls) == 1 + sum(1 for lam in shapes if lam), branch.name
+        monkeypatch.undo()
+    superchar.clear_caches()

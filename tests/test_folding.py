@@ -24,6 +24,7 @@ from superchar.partitions import (
     enumerate_rect_subset,
     in_class,
     in_hook,
+    partitions_inside,
     partitions_of,
     partitions_upto,
     size,
@@ -440,3 +441,72 @@ def test_folded_characters_match_the_x_reference():
                         negate = branch.alternating and (m * a + size(lam)) % 2
                         want = want - term if negate else want + term
                     assert_same(decomposition_rhs(case, branch, a, m), want, label + (branch.name,))
+
+
+# ---------------------------------------------------------------------------
+# The one-pass right-hand sides against the per-shape x sums they replace
+# ---------------------------------------------------------------------------
+
+
+def per_shape_rhs(case, branch, a, m):
+    """decomposition_rhs as x-valued bracket_schur terms added one shape at a time."""
+    X, Y = branch_alphabets(case, branch)
+    total = LaurentPoly.zero(X.table)
+    for lam in enumerate_rect_subset(branch.subset, m, a):
+        term = bracket_schur(branch.bracket, lam, X, Y)
+        negate = branch.alternating and (m * a + size(lam)) % 2
+        total = total - term if negate else total + term
+    return total
+
+
+def per_shape_weighted_sum(lam, weight, bracket, X, Y):
+    """_weighted_sum adding w(nu) c^lam_{nu,mu} bracket_mu(X|Y) in x, one (nu, mu) at a time."""
+    total = LaurentPoly.zero(X.table)
+    n = size(lam)
+    inside = list(partitions_inside(lam))
+    for nu in inside:
+        if isinstance(weight, PartitionClass):
+            w_nu = int(in_class(nu, weight))
+        else:
+            w_nu = weight ** size(nu)
+        for mu in inside:
+            if w_nu and size(nu) + size(mu) == n:
+                c = lr_coeff(lam, nu, mu)
+                if c:
+                    total = total + (w_nu * c) * bracket_schur(bracket, mu, X, Y)
+    return total
+
+
+def test_one_pass_rhs_matches_the_per_shape_sums():
+    """Every fold request with r + s <= 2 and a, m <= 3, cold and then warm."""
+    for case in fold_cases(2):
+        M, N = ambient_hook(case)
+        for branch in branches(case):
+            for a in range(1, 4):
+                for m in range(1, 4):
+                    if not in_hook((m,) * a, M, N):
+                        continue
+                    clear_caches()
+                    cold = decomposition_rhs(case, branch, a, m)
+                    warm = decomposition_rhs(case, branch, a, m)
+                    want = per_shape_rhs(case, branch, a, m)
+                    label = (case, branch.name, a, m)
+                    assert cold == want, label
+                    assert warm == want, label
+
+
+def test_one_pass_weighted_sums_match_the_per_shape_sums():
+    """Every dc relation's right-hand side, |lam| <= 4, nx <= 2, ny <= 1, both xi."""
+    clear_caches()
+    for xi in (1, -1):
+        for relation, (_, _, weight, bracket, xs, ys) in folding._dc_rows(xi).items():
+            if xi == -1 and relation not in folding.XI_RELATIONS:
+                continue
+            for nx in range(3):
+                for ny in range(2):
+                    X, Y, _ = cauchy_alphabets(nx, ny, 1)
+                    X, Y = folding._with_consts(X, xs), folding._with_consts(Y, ys)
+                    for lam in partitions_upto(4):
+                        got = folding._weighted_sum(lam, weight, bracket, X, Y)
+                        want = per_shape_weighted_sum(lam, weight, bracket, X, Y)
+                        assert got == want, (relation, xi, nx, ny, lam)

@@ -14,6 +14,7 @@ from superchar.schur import (
     bialternant_schur,
     bracket_schur,
     bracket_schur_altform,
+    bracket_sum,
     h_list,
     palindromic,
     schur_expand,
@@ -160,6 +161,55 @@ def test_characters_require_exact_int_parts(lam):
         bracket_schur(BracketType.SQUARE, lam, X, Y)
     with pytest.raises(ValueError):
         schur_in_table(lam, table)
+
+
+@pytest.mark.parametrize("lam", [(True,), (1.0,)])
+def test_characters_validate_before_the_memo(lam):
+    # (True,) and (1.0,) hash and compare equal to (1,), so a memo lookup
+    # would return the cached (1,) value; they must be refused all the same.
+    X, Y, _ = formal_pair(1, 1)
+    altforms = (BracketType.SQUARE, BracketType.ANGLE)
+    super_schur((1,), X, Y)
+    for tag in BracketType:
+        bracket_schur(tag, (1,), X, Y)
+    for tag in altforms:
+        bracket_schur_altform(tag, (1,), X, Y)
+    with pytest.raises(ValueError):
+        super_schur(lam, X, Y)
+    for tag in BracketType:
+        with pytest.raises(ValueError):
+            bracket_schur(tag, lam, X, Y)
+    for tag in altforms:
+        with pytest.raises(ValueError):
+            bracket_schur_altform(tag, lam, X, Y)
+
+
+def test_bracket_sum_matches_the_per_shape_sum():
+    table = VarTable(("x1", "y1"))
+    pairs = [
+        formal_pair(2, 1)[:2],  # the x route
+        (palindromic(table, ("x1",)), palindromic(table, ("y1",))),  # the z route
+    ]
+    weighted = [((2, 1), 3), ((1,), -1), ((), 2), ((1,), 1), ((2,), 0), ((1, 1), -2)]
+    for X, Y in pairs:
+        for tag in BracketType:
+            want = LaurentPoly.zero(X.table)
+            for lam, w in weighted:
+                want = want + w * bracket_schur(tag, lam, X, Y)
+            got = bracket_sum(tag, weighted, X, Y)
+            assert got == want and got.table == X.table, tag
+            assert bracket_sum(tag, [], X, Y) == LaurentPoly.zero(X.table)
+            cancel = bracket_sum(tag, [((2,), 1), ((2,), -1)], X, Y)
+            assert cancel.is_zero and cancel.table == X.table
+
+
+def test_bracket_sum_rejects_bad_arguments():
+    X, Y, _ = formal_pair(1, 1)
+    for weighted in ([((1,), True)], [((1,), 1.0)], [((1.0,), 1)], [((True,), 1)]):
+        with pytest.raises(ValueError):
+            bracket_sum(BracketType.SQUARE, weighted, X, Y)
+    with pytest.raises(ValueError, match="BracketType"):
+        bracket_sum("square", [((1,), 1)], X, Y)
 
 
 def test_super_schur_hook_vanishing_example():
@@ -440,6 +490,17 @@ def test_alphabet_validation():
             Alphabet(table, ((sign, (1,)),))
         with pytest.raises(ValueError):
             Alphabet.constants(table, (sign,))
+
+
+def test_equal_alphabets_hash_alike():
+    # Alphabets cache their hash; equal ones built separately must agree.
+    table = VarTable(("x1", "x2"))
+    A = palindromic(table, ("x1",)) | Alphabet.constants(table, (1,))
+    B = Alphabet(VarTable(["x1", "x2"]), tuple((s, tuple(list(e))) for s, e in A.elements))
+    assert A is not B and A == B and hash(A) == hash(B)
+    assert len({A, B}) == 1
+    C = palindromic(table, ("x1",)) | Alphabet.constants(table, (-1,))
+    assert A != C
 
 
 def test_h_list_rejects_bad_degmax():

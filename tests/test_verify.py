@@ -383,6 +383,42 @@ def test_clear_caches_empties_every_polynomial_cache():
     assert {name for name in memos if caches[name].cache_info().currsize} == set()
 
 
+def test_clear_caches_leaves_no_table_value_behind(monkeypatch):
+    case = folding.FoldingCase(folding.FoldingTag.A2_ODD, 1, 0)
+    branch = folding.get_branch(case, "C")
+    X, Y, _ = cauchy_alphabets(1, 1, 1)
+    superchar.clear_caches()
+    warm = folding.decomposition_rhs(case, branch, 2, 2)
+    assert folding.verify_decomposition(case, branch, 2, 2).passed
+    assert folding.general_dc_check("plain_to_angle", (2, 1), X, Y).passed
+    memos = {
+        name: fn
+        for name, fn in lru_caches().items()
+        if name.split(".")[0] in ("schur", "lr") and name not in TABLE_CACHES
+    }
+    assert schur._table_values and memos["schur.super_schur"].cache_info().currsize
+    superchar.clear_caches()
+    assert {name for name, fn in memos.items() if fn.cache_info().currsize} == set()
+    assert not schur._table_values
+
+    # A stale table value would hide a fault injected after a warm run.
+    real = schur.h_list
+
+    def corrupted(X, Y, degmax):
+        hs = list(real(X, Y, degmax))
+        if len(hs) > 1:
+            hs[1] = hs[1] + 1
+        return tuple(hs)
+
+    monkeypatch.setattr(schur, "h_list", corrupted)
+    try:
+        assert folding.decomposition_rhs(case, branch, 2, 2) != warm
+        assert not folding.verify_decomposition(case, branch, 2, 2).passed
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+
+
 def test_corrupted_series_is_detected(monkeypatch):
     superchar.clear_caches()
     real = schur.h_list
