@@ -46,6 +46,7 @@ def clear_caches() -> None:
     ):
         cached.cache_clear()
     _schur._table_values.clear()
+    _schur._pair_series.clear()
 
 
 __all__ = [

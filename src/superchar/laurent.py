@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -438,6 +439,59 @@ def z_to_x(p: LaurentPoly, table: VarTable) -> LaurentPoly:
             acc = {k: c for k, c in acc.items() if c}
         terms = acc
     return _trusted(table, terms, p._bound)
+
+
+def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...]) -> LaurentPoly:
+    """p with each e variable replaced by an elementary symmetric polynomial over table.
+
+    p's variables are e_1, ..., e_n of each block in turn, a block being
+    the positions in ``table`` of its n distinct variables; e_k becomes the
+    sum of the products of k of them.  p must have no negative exponent.
+    A key of the pass is the z key shifted above p's fields plus the e
+    exponents still to expand, so one pass per e variable expands e_k^a (the
+    product of a sums, formed once per pass and a) and clears its field.
+    The passes run from e_n, a single monomial, down to e_1, so the terms
+    multiply as late as they can.  The z exponent of a variable is at most
+    the sum of its block's e exponents, so the bound is p's times the
+    longest block.
+    """
+    etab = p.table
+    if sum(map(len, blocks)) != len(etab):
+        raise ValueError(f"blocks {blocks!r} do not fit {etab!r}")
+    bias, mask = etab._bias, (1 << FIELD_BITS) - 1
+    for key in p._terms:
+        if (key + bias) & bias != bias:  # some field's sign bit is set
+            raise ValueError("e_to_z expects no negative exponents")
+    bound = p._bound * max(map(len, blocks), default=0)
+    if bound > EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"z exponent bound {bound} passes the packed field limit")
+    width = FIELD_BITS * len(etab)
+    terms = p._terms
+    first = 0  # the position of the block's e_1 in p's table
+    for block in blocks:
+        units = [1 << (table.shifts[i] + width) for i in block]
+        for k in range(len(block), 0, -1):
+            shift = etab.shifts[first + k - 1]
+            e_k = [sum(combo) for combo in combinations(units, k)]
+            powers = [{0: 1}]
+            acc: dict[int, int] = {}
+            get = acc.get
+            for key, coeff in terms.items():
+                a = (key >> shift) & mask
+                while len(powers) <= a:
+                    last, step = powers[-1], {}
+                    for k1, c1 in last.items():
+                        for k2 in e_k:
+                            step[k1 + k2] = step.get(k1 + k2, 0) + c1
+                    powers.append(step)
+                key -= a << shift
+                for k2, c2 in powers[a].items():
+                    acc[key + k2] = get(key + k2, 0) + coeff * c2
+            terms = acc
+        first += len(block)
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    return _trusted(table, {key >> width: c for key, c in terms.items()}, bound)
 
 
 def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:

@@ -8,14 +8,13 @@ contains at least as many i's as (i+1)'s.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .partitions import (
     Partition,
     PartitionClass,
     RectSubset,
     as_partition,
     box_partitions,
+    checked_memo,
     contains,
     in_class,
     in_rect_subset,
@@ -24,7 +23,19 @@ from .partitions import (
 )
 
 
-@lru_cache(maxsize=None)
+def _int_parts(lam, mu, nu):
+    # One type pass over the tuples before the memo, which would take (True,)
+    # and (2.0,) for (1,) and (2,); the body validates everything else, and
+    # other iterables reach it untouched.
+    for shape in (lam, mu, nu):
+        if isinstance(shape, tuple):
+            for p in shape:
+                if type(p) is not int:
+                    raise ValueError(f"partition parts must be ints, got {p!r}")
+    return lam, mu, nu
+
+
+@checked_memo(_int_parts)
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of S_lam in S_mu * S_nu; 0 on any size or shape mismatch."""
     lam = as_partition(lam)

@@ -8,6 +8,7 @@ part of a short partition reads as 0.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache, wraps
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -32,6 +33,27 @@ def as_partition(parts: Iterable[int]) -> Partition:
         if i and lam[i - 1] < p:
             raise ValueError(f"parts must be weakly decreasing, got {lam}")
     return lam
+
+
+def checked_memo(check):
+    """Memoize a function on the arguments check returns, checking them first.
+
+    A cache lookup takes (True,) and (1.0,) for (1,), so the shape is
+    validated before the lookup, not inside the cached body.  The public name
+    keeps cache_info and cache_clear.
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def checked(*args):
+            return cached(*check(*args))
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate
 
 
 def part(lam: Partition, i: int) -> int:

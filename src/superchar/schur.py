@@ -13,11 +13,20 @@ arithmetic over :mod:`superchar.laurent`.
 When both alphabets are inverse-paired (pairs {v, v^-1} plus constants, as
 every folded alphabet is), each pair contributes (1 - v t)(1 - v^-1 t) =
 1 - z t + t^2 with z = v + v^-1, so the h_m and their determinants are
-polynomials in the z's with about a sixth of the terms.  They are computed
-over :func:`z_table`, and each character, or each weighted sum of bracket
-characters (:func:`bracket_sum`), is turned back into x once by
-:func:`superchar.laurent.z_to_x`, an injective ring map; every character
-this module returns is over the alphabets' own table.
+polynomials in the z's with about a sixth of the terms, over
+:func:`z_table`.  When each side's pairs also have one sign, on variables
+that occur once in all, and some side has two pairs, they are symmetric in
+each side's z's, so polynomials in the elementary symmetric e_k of them,
+with fewer terms again: a side's pairs are one factor,
+
+    prod (1 - z_i t + t^2)  =  sum_k (-1)^k e_k t^k (1 + t^2)^(r - k),
+
+over an :func:`e_table`.  Both maps back to x are injective ring maps, the
+e one unitriangular over the integers, so values equal over a table are
+equal in x and ANGLE values halve exactly there.  Each character, or each
+weighted sum of bracket characters (:func:`bracket_sum`), is turned back
+into x once by :func:`in_x`; every character this module returns is over
+the alphabets' own table.
 """
 
 from __future__ import annotations
@@ -25,17 +34,19 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
+from math import comb
 
 from .laurent import (
     LaurentPoly,
     VarTable,
     det,
     divide_linear,
+    e_to_z,
     monomial_str,
     z_to_x,
 )
-from .partitions import Partition, as_partition
+from .partitions import Partition, as_partition, checked_memo
 
 SignedMonomial = tuple[int, tuple[int, ...]]
 
@@ -127,18 +138,22 @@ def palindromic(table: VarTable, names: tuple[str, ...]) -> Alphabet:
 # ---------------------------------------------------------------------------
 
 
-def graded_parts(one: LaurentPoly, factors, degmax: int) -> list[LaurentPoly]:
-    """The coefficients of t^0..t^degmax in one * prod (1 - sum u t^d)^(+-1).
+def graded_parts(start, factors, degmax: int) -> list[LaurentPoly]:
+    """The coefficients of t^0..t^degmax in start * prod (1 - sum u t^d)^(+-1).
 
-    Each factor is (terms, divide), where terms is a tuple of (d, u) with
-    d >= 1 and u a polynomial or an int, standing for 1 - sum u t^d.
-    Multiplying by it is parts[k] -= sum u * parts[k-d] with k descending
-    (each step reads the old parts[k-d]); dividing by it is parts[k] +=
-    sum u * parts[k-d] with k ascending (each step reads the updated ones).
-    A zero parts[k-d] is skipped, and no coefficient above degmax is ever
-    formed.
+    start is a polynomial, the series' constant term, or the list of the
+    series' coefficients of t^0..t^degmax.  Each factor is (terms, divide),
+    where terms is a tuple of (d, u) with d >= 1 and u a polynomial or an
+    int, standing for 1 - sum u t^d.  Multiplying by it is parts[k] -= sum u
+    * parts[k-d] with k descending (each step reads the old parts[k-d]);
+    dividing by it is parts[k] += sum u * parts[k-d] with k ascending (each
+    step reads the updated ones).  A zero parts[k-d] is skipped, and no
+    coefficient above degmax is ever formed.
     """
-    parts = [one] + [LaurentPoly.zero(one.table)] * degmax
+    if isinstance(start, list):
+        parts = list(start)
+    else:
+        parts = [start] + [LaurentPoly.zero(start.table)] * degmax
     for terms, divide in factors:
         low = min(d for d, _ in terms)
         for k in range(low, degmax + 1) if divide else range(degmax, low - 1, -1):
@@ -155,6 +170,28 @@ def graded_parts(one: LaurentPoly, factors, degmax: int) -> list[LaurentPoly]:
 def z_table(table: VarTable) -> VarTable:
     """The table of z_i = x_i + x_i^-1, one per variable of table, in its order."""
     return VarTable(f"z({name})" for name in table.names)
+
+
+class ETable(VarTable):
+    """A table of e_1..e_n of the z's of each block of x variables, block by block.
+
+    Its names, ``e<k>(<block>)``, spell out the blocks, so equal e tables
+    always mean the same map to x.
+    """
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
+        super().__init__(
+            f"e{k}({','.join(block)})" for block in blocks for k in range(1, len(block) + 1)
+        )
+        self.blocks = blocks
+
+
+@lru_cache(maxsize=None)
+def e_table(blocks: tuple[tuple[str, ...], ...]) -> ETable:
+    """The e table of the blocks, each a tuple of x variable names."""
+    return ETable(blocks)
 
 
 def _inverse_pairs(alphabet: Alphabet) -> list[SignedMonomial] | None:
@@ -176,45 +213,129 @@ def _inverse_pairs(alphabet: Alphabet) -> list[SignedMonomial] | None:
     return pairs
 
 
+def _e_blocks(x_pairs, y_pairs) -> list[tuple[int, tuple[int, ...]]] | None:
+    """(sign, variable positions) of X's pairs and of Y's, or None off the e route.
+
+    The e route takes pairs of one sign on each side, on distinct variables
+    throughout, with at least two pairs on some side.  Then the map from the
+    e's to x is injective and unitriangular over the integers, so values
+    equal over the e table are equal in x, and a value halves exactly in e
+    when it does in x.
+    """
+    blocks = []
+    for pairs in (x_pairs, y_pairs):
+        signs = {sign for sign, _ in pairs}
+        if len(signs) > 1:
+            return None
+        blocks.append((signs.pop() if signs else 1, tuple(sorted(x.index(1) for _, x in pairs))))
+    every = blocks[0][1] + blocks[1][1]
+    if len(set(every)) != len(every) or max(len(x_pairs), len(y_pairs)) < 2:
+        return None
+    return blocks
+
+
+def _e_factor(sign: int, e: list) -> tuple:
+    """prod (1 - sign z_i t + t^2) over a block's z's, as graded_parts terms.
+
+    e is [1, e_1, ..., e_r] of the block.  The product is
+    sum_k (-sign)^k e_k t^k (1 + t^2)^(r-k), so each u_d of 1 - sum u_d t^d
+    is linear in the e_k; it is given as one term (d, c e_k) per k, with
+    e_0 = 1 an int.
+    """
+    r = len(e) - 1
+    return tuple(
+        (d, -((-sign) ** k) * comb(r - k, (d - k) // 2) * e[k])
+        for d in range(1, 2 * r + 1)
+        for k in range(d % 2, min(d, r) + 1, 2)
+        if (d - k) // 2 <= r - k
+    )
+
+
+# (table, X's pairs, Y's pairs) -> [h_0, ..., h_D] of the pairs alone, over
+# the z or e table, for the largest D asked so far: alphabets that differ only
+# in their constants share it.  clear_caches() empties it.
+_pair_series: dict[tuple, list[LaurentPoly]] = {}
+
+
 @lru_cache(maxsize=None)
 def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
     """[h_0, ..., h_degmax]: 1 divided by X's factors, then times Y's.
 
     In x each element u is the factor 1 - u t.  Over the z table, a pair
-    {s v, s v^-1} is 1 - s z t + t^2 and a constant c is 1 - c t.
+    {s v, s v^-1} is 1 - s z t + t^2; over the e table, all of a side's
+    pairs are one _e_factor.  The pairs' series comes from _pair_series, and
+    each constant c is then the factor 1 - c t.
     """
     x_pairs, y_pairs = _inverse_pairs(X), _inverse_pairs(Y)
     if x_pairs is None or y_pairs is None or not (x_pairs or y_pairs):
-        table = X.table
         factors = [(((1, x),), True) for x in X.polys()]
         factors += [(((1, y),), False) for y in Y.polys()]
-    else:
-        table = z_table(X.table)
-        factors = []
-        for alphabet, pairs, divide in ((X, x_pairs, True), (Y, y_pairs, False)):
-            factors += [
+        return tuple(graded_parts(LaurentPoly.const(X.table, 1), factors, degmax))
+    key = (X.table, tuple(x_pairs), tuple(y_pairs))
+    series = _pair_series.get(key)
+    if series is None or len(series) <= degmax:
+        blocks = _e_blocks(x_pairs, y_pairs)
+        if blocks is None:
+            table = z_table(X.table)
+            factors = [
                 (((1, LaurentPoly.monomial(table, exps, sign)), (2, -1)), divide)
+                for pairs, divide in ((x_pairs, True), (y_pairs, False))
                 for sign, exps in pairs
             ]
-            factors += [
-                (((1, sign),), divide) for sign, exps in alphabet.elements if not any(exps)
+        else:
+            names = X.table.names
+            table = e_table(tuple(tuple(names[i] for i in block) for _, block in blocks if block))
+            e = iter(LaurentPoly.variable(table, name) for name in table.names)
+            factors = [
+                (_e_factor(sign, [1] + [next(e) for _ in block]), divide)
+                for (sign, block), divide in zip(blocks, (True, False))
+                if block
             ]
-    return tuple(graded_parts(LaurentPoly.const(table, 1), factors, degmax))
+        series = _pair_series[key] = graded_parts(LaurentPoly.const(table, 1), factors, degmax)
+    consts = [
+        (((1, sign),), divide)
+        for alphabet, divide in ((X, True), (Y, False))
+        for sign, exps in alphabet.elements
+        if not any(exps)
+    ]
+    return tuple(graded_parts(series[: degmax + 1], consts, degmax))
 
 
 def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
-    """[h_0, ..., h_degmax] for the pair of alphabets.
+    """[h_0, ..., h_degmax] for the pair of alphabets, over one of three tables.
 
     When X and Y are both inverse-paired and hold at least one pair, the
-    h_m are over ``z_table(X.table)``; otherwise they are over X.table.
-    Results are cached on the alphabets as given; the verification sweeps
-    re-query identical pairs constantly.
+    h_m are polynomials in the z's of the pairs.  If moreover each side's
+    pairs have one sign, no variable occurs twice, and some side has at
+    least two pairs, they are over the ``e_table`` of X's and Y's blocks of
+    variables; otherwise over ``z_table(X.table)``.  Any other pair is over
+    X.table.  :func:`in_x` turns each table's values into x.  Results are
+    cached on the alphabets as given; the verification sweeps re-query
+    identical pairs constantly.
     """
     if degmax < 0:
         raise ValueError("degmax must be nonnegative")
     if X.table != Y.table:
         raise ValueError("alphabets over different tables")
     return _h_list_cached(X, Y, degmax)
+
+
+def in_x(value: LaurentPoly, table: VarTable) -> LaurentPoly:
+    """A value over table, over z_table(table) or over an e table of its variables, in x.
+
+    The e's go to the z's by :func:`superchar.laurent.e_to_z` and the z's to
+    x by :func:`superchar.laurent.z_to_x`; both are injective ring maps.
+    """
+    vt = value.table
+    if vt == table:
+        return value
+    z = z_table(table)
+    if isinstance(vt, ETable):
+        index = table.index
+        value = e_to_z(value, z, tuple(tuple(index[v] for v in b) for b in vt.blocks))
+    elif vt != z:
+        raise ValueError(f"{vt!r} is not {table!r}, its z table or an e table of it")
+    return z_to_x(value, table)
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +378,11 @@ def _table_dets(shapes, X: Alphabet, Y: Alphabet, entry, halve: bool) -> list[La
     return out
 
 
-def _in_x(value: LaurentPoly, table: VarTable) -> LaurentPoly:
-    return value if value.table == table else z_to_x(value, table)
-
-
 def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet, entry, halve=False) -> LaurentPoly:
     """The one-shape case of _table_dets, over X.table; 1 for the empty shape."""
     if not lam:
         return LaurentPoly.const(X.table, 1)
-    return _in_x(_table_dets([lam], X, Y, entry, halve)[0], X.table)
+    return in_x(_table_dets([lam], X, Y, entry, halve)[0], X.table)
 
 
 def _plain_entry(h, base: int, j: int) -> LaurentPoly:
@@ -312,34 +429,13 @@ def _bracket_args(tag, lam, X, Y):
     return tag, as_partition(lam), X, Y
 
 
-def _memo(check):
-    """Memoize a function on the arguments check returns, checking them first.
-
-    A cache lookup takes (True,) and (1.0,) for (1,), so the shape is
-    validated before the lookup, not inside the cached body.  The public name
-    keeps cache_info and cache_clear.
-    """
-
-    def decorate(fn):
-        cached = lru_cache(maxsize=None)(fn)
-
-        @wraps(fn)
-        def checked(*args):
-            return cached(*check(*args))
-
-        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-        return checked
-
-    return decorate
-
-
-@_memo(_shape_args)
+@checked_memo(_shape_args)
 def super_schur(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """det(h_{lam_i - i + j}) over 1 <= i, j <= len(lam); 1 for the empty shape."""
     return _jacobi_trudi(lam, X, Y, _plain_entry)
 
 
-@_memo(_bracket_args)
+@checked_memo(_bracket_args)
 def bracket_schur(tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """The three determinant characters, selected by tag.
 
@@ -353,7 +449,7 @@ def bracket_schur(tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet) ->
     return _jacobi_trudi(lam, X, Y, *_BRACKETS[tag])
 
 
-@_memo(_bracket_args)
+@checked_memo(_bracket_args)
 def bracket_schur_altform(
     tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet
 ) -> LaurentPoly:
@@ -376,11 +472,11 @@ def bracket_schur_altform(
 _table_values: dict[tuple, LaurentPoly] = {}
 
 
-def bracket_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """sum w * bracket_lam(X|Y) over the (lam, w) pairs of weighted, over X.table.
+def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """sum w * bracket_lam(X|Y) over the (lam, w) pairs of weighted, over h_list's table.
 
-    The shapes not yet in the memo share one _table_dets call, the terms are
-    added over h_list's table, and the sum is turned into x once.
+    The shapes not yet in the memo share one _table_dets call, and the terms
+    are added over the table; :func:`in_x` turns the sum into x.
     """
     _require_tag(tag)
     weights: dict[Partition, int] = {}
@@ -395,7 +491,7 @@ def bracket_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> Laurent
         for lam, value in zip(missing, _table_dets(missing, X, Y, *_BRACKETS[tag])):
             _table_values[tag, lam, X, Y] = value
     if not terms:
-        return LaurentPoly.zero(X.table)
+        return LaurentPoly.zero(h_list(X, Y, 0)[0].table)
     total = None
     for lam, w in terms:
         value = _table_values[tag, lam, X, Y]
@@ -407,7 +503,15 @@ def bracket_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> Laurent
             total = total - value
         else:
             total = total + w * value
-    return _in_x(total, X.table)
+    return total
+
+
+def bracket_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """sum w * bracket_lam(X|Y) over the (lam, w) pairs of weighted, over X.table.
+
+    The table_sum, turned into x once.
+    """
+    return in_x(table_sum(tag, weighted, X, Y), X.table)
 
 
 # ---------------------------------------------------------------------------

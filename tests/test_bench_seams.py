@@ -12,6 +12,7 @@ other identity to fail.  The last test pins which checks read the h-series.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -141,4 +142,33 @@ def test_fold_request_reaches_schur_det_once_per_shape(monkeypatch):
         assert folding.verify_decomposition(case, branch, 3, 2).passed
         assert len(calls) == 1 + sum(1 for lam in shapes if lam), branch.name
         monkeypatch.undo()
+    superchar.clear_caches()
+
+
+def test_fold_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
+    # The benchmark digests the left-hand side that verify_decomposition
+    # hands poly_comparison (looked up on folding): it must be the case's
+    # character over its own x table, whatever table the sides are built on.
+    workloads = import_perfbench("workloads")
+    pins = json.loads((Path(PERFBENCH) / "pinned.json").read_text())["fold"]
+    pool = workloads.fold_pool()
+    costliest = sorted(pool, key=lambda req: -pins[workloads.request_key(req)][1])[:6]
+    assert all(req[2:4] == (3, 0) and req[5:] == (4, 4) for req in costliest)
+    small = [req for req in pool if req[2] + req[3] <= 2 and max(req[5:]) <= 3]
+    seen = []
+    real = folding.poly_comparison
+
+    def capture(check_id, params, lhs, rhs):
+        seen.append(lhs)
+        return real(check_id, params, lhs, rhs)
+
+    monkeypatch.setattr(folding, "poly_comparison", capture)
+    superchar.clear_caches()
+    for req in costliest + small:
+        module, name, args = workloads.prepare(req)
+        seen.clear()
+        assert getattr(module, name)(*args).passed, req
+        (lhs,) = seen
+        assert lhs.table == folding.fold_alphabets(args[0])[0].table, req
+        assert workloads.lhs_digest(lhs) == pins[workloads.request_key(req)][0], req
     superchar.clear_caches()

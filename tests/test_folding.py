@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from superchar import clear_caches, folding, schur
+from superchar import clear_caches, folding, schur, verify
 from superchar.folding import (
     DC_RELATIONS,
     FoldingCase,
@@ -16,8 +18,9 @@ from superchar.folding import (
     require_in_hook,
     verify_decomposition,
 )
-from superchar.laurent import LaurentPoly, VarTable, det
+from superchar.laurent import InexactDivisionError, LaurentPoly, VarTable, det
 from superchar.lr import lr_coeff
+from superchar.report import poly_comparison
 from superchar.partitions import (
     PartitionClass,
     contains,
@@ -29,7 +32,16 @@ from superchar.partitions import (
     partitions_upto,
     size,
 )
-from superchar.schur import Alphabet, BracketType, bracket_schur, graded_parts, super_schur
+from superchar.schur import (
+    Alphabet,
+    BracketType,
+    ETable,
+    bracket_schur,
+    graded_parts,
+    in_x,
+    super_schur,
+    table_sum,
+)
 from superchar.verify import cauchy_alphabets, fold_cases
 
 
@@ -510,3 +522,106 @@ def test_one_pass_weighted_sums_match_the_per_shape_sums():
                         got = folding._weighted_sum(lam, weight, bracket, X, Y)
                         want = per_shape_weighted_sum(lam, weight, bracket, X, Y)
                         assert got == want, (relation, xi, nx, ny, lam)
+
+
+# ---------------------------------------------------------------------------
+# verify_decomposition over the e table against the z route
+# ---------------------------------------------------------------------------
+
+
+def fold_requests(max_rank, max_am):
+    return [
+        (case, branch, a, m)
+        for case in fold_cases(max_rank)
+        for branch in branches(case)
+        for a in range(1, max_am + 1)
+        for m in range(1, max_am + 1)
+        if in_hook((m,) * a, *ambient_hook(case))
+    ]
+
+
+def on_e_table(case):
+    return isinstance(schur.h_list(*fold_alphabets(case), 0)[0].table, ETable)
+
+
+def report_json(request):
+    """verify_decomposition's report as JSON, or the type of what it raised."""
+    try:
+        return verify_decomposition(*request).to_json()
+    except InexactDivisionError as exc:
+        return type(exc)
+
+
+def explicit_report(case, branch, a, m):
+    """The report with both table sides turned into x by in_x, whatever they are."""
+    report = verify_decomposition(case, branch, a, m)
+    X, Y = fold_alphabets(case)
+    lhs = in_x(table_sum(BracketType.PLAIN, [((m,) * a, 1)], X, Y), X.table)
+    rhs = decomposition_rhs(case, branch, a, m)
+    return poly_comparison(report.check_id, report.params, lhs, rhs).to_json()
+
+
+def test_e_route_reports_match_the_z_route(z_route):
+    """Every fold request with r + s <= 2 and a, m <= 3, cold and warm."""
+    requests = fold_requests(2, 3)
+    cold, warm = [], []
+    for request in requests:
+        clear_caches()
+        cold.append(report_json(request))
+        warm.append(report_json(request))
+    assert any(on_e_table(case) for case, *_ in requests)
+    z_route()
+    assert not any(on_e_table(case) for case, *_ in requests)
+    want = [explicit_report(*request) for request in requests]
+    assert cold == want
+    assert warm == want
+
+
+def corrupt_h1(monkeypatch):
+    real = schur.h_list
+
+    def corrupted(X, Y, degmax):
+        hs = list(real(X, Y, degmax))
+        if len(hs) > 1:
+            hs[1] = hs[1] + 1
+        return tuple(hs)
+
+    monkeypatch.setattr(schur, "h_list", corrupted)
+
+
+def test_a_corrupted_series_fails_alike_on_both_routes(monkeypatch, z_route):
+    # h_1 + 1 is a different series on each side of a decomposition, so it
+    # fails many of them, with the same witness on the e and the z route.
+    requests = [req for req in fold_requests(3, 3) if req[0].r + req[0].s == 3]
+    corrupt_h1(monkeypatch)
+    clear_caches()
+    got = [report_json(req) for req in requests]
+    failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
+    assert any(on_e_table(case) for case, *_ in failing)
+    z_route()
+    assert got == [report_json(req) for req in requests]
+
+
+def test_a_corrupted_e_factor_fails_the_dimensions_only(monkeypatch):
+    # Both sides of a decomposition share the pairs' block factor, and the
+    # identities hold for any series of it, so a corrupted factor leaves the
+    # decomposition reports green; the all-ones dimensions see it.
+    real = schur._e_factor
+
+    def corrupted(sign, e):
+        (d, u), *rest = real(sign, e)
+        return ((d, u + e[1]), *rest)  # one coefficient of u_1 off by one
+
+    requests = [req for req in fold_requests(3, 3) if on_e_table(req[0])]
+    e_cases = [case for case in fold_cases(3) if case.s == 0 and on_e_table(case)]
+    monkeypatch.setattr(schur, "_e_factor", corrupted)
+    clear_caches()
+    try:
+        failing = [rep.params for rep in verify.check_fold_dimensions(3) if not rep.passed]
+        assert failing == [{"case": case.tag.value, "r": case.r} for case in e_cases]
+        for request in requests:
+            got = report_json(request)
+            assert json.loads(got)["pass"] and got == explicit_report(*request), request
+    finally:
+        monkeypatch.undo()
+        clear_caches()

@@ -14,6 +14,7 @@ from superchar.laurent import (
     VarTable,
     det,
     divide_linear,
+    e_to_z,
     z_to_x,
 )
 
@@ -461,3 +462,52 @@ def test_z_to_x_rejects_negative_exponents_and_foreign_lengths():
         z_to_x(LaurentPoly.variable(Z2, "z(b)", -1), T2)
     with pytest.raises(ValueError, match="length"):
         z_to_x(LaurentPoly.variable(Z2, "z(a)"), VarTable(("a",)))
+
+
+# ---------------------------------------------------------------------------
+# e_to_z: e_k of a block -> the k-th elementary symmetric polynomial of its z's
+# ---------------------------------------------------------------------------
+
+Z3 = VarTable(("z(a)", "z(b)", "z(c)"))
+E3 = VarTable(("e1(a,c)", "e2(a,c)", "e1(b)"))
+E3_BLOCKS = ((0, 2), (1,))
+
+
+@st.composite
+def e_polys(draw):
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    return LaurentPoly(E3, draw(st.dictionaries(exps, st.integers(-5, 5), max_size=5)))
+
+
+def substituted(p):
+    """e_to_z by ring arithmetic: e1 -> z_a + z_c, e2 -> z_a z_c, f1 -> z_b."""
+    za, zb, zc = (LaurentPoly.variable(Z3, name) for name in Z3.names)
+    images = (za + zc, za * zc, zb)
+    total = LaurentPoly.zero(Z3)
+    for exps, coeff in p.terms():
+        term = LaurentPoly.const(Z3, coeff)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        total = total + term
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(e_polys(), e_polys())
+def test_e_to_z_is_the_substitution_and_a_ring_map(p, q):
+    z = e_to_z(p, Z3, E3_BLOCKS)
+    assert z == substituted(p)
+    assert e_to_z(p * q, Z3, E3_BLOCKS) == z * e_to_z(q, Z3, E3_BLOCKS)
+    assert e_to_z(p - q, Z3, E3_BLOCKS) == z - e_to_z(q, Z3, E3_BLOCKS)
+    assert all(e <= z._bound for exps, _ in z.terms() for e in exps)
+    assert (not z.is_zero) == (not p.is_zero)  # the e's are algebraically independent
+
+
+def test_e_to_z_rejects_negative_exponents_and_foreign_blocks():
+    with pytest.raises(ValueError, match="negative"):
+        e_to_z(LaurentPoly.variable(E3, "e2(a,c)", -1), Z3, E3_BLOCKS)
+    with pytest.raises(ValueError, match="do not fit"):
+        e_to_z(LaurentPoly.variable(E3, "e1(b)"), Z3, ((0, 2),))
+    with pytest.raises(ExponentOverflowError):
+        e_to_z(LaurentPoly.variable(E3, "e1(a,c)", EXPONENT_LIMIT), Z3, E3_BLOCKS)

@@ -21,6 +21,15 @@ def test_lr_coeff_requires_exact_int_parts():
         lr_coeff((3,), ("2",), (1,))
 
 
+def test_lr_coeff_checks_types_before_the_memo():
+    # (2.0,) and (True,) hash and compare equal to (2,) and (1,), so a memo
+    # lookup would answer for them once the int shapes are cached.
+    assert lr_coeff((2,), (1,), (1,)) == 1
+    for args in [((2.0,), (True,), (1,)), ((2,), (1.0,), (1,)), ((2,), (1,), (True,))]:
+        with pytest.raises(ValueError, match="must be ints"):
+            lr_coeff(*args)
+
+
 def test_empty_side_is_delta():
     assert lr_coeff((2, 1), (), (2, 1)) == 1
     assert lr_coeff((2, 1), (2, 1), ()) == 1

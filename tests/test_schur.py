@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superchar.laurent import LaurentPoly, VarTable, z_to_x
+from superchar import clear_caches, schur
+from superchar.laurent import LaurentPoly, VarTable, e_to_z, z_to_x
 from superchar.partitions import conjugate, part, partitions_upto, size
 from superchar.schur import (
     Alphabet,
@@ -14,13 +15,17 @@ from superchar.schur import (
     bialternant_schur,
     bracket_schur,
     bracket_schur_altform,
+    ETable,
     bracket_sum,
+    e_table,
     h_list,
+    in_x,
     palindromic,
     schur_expand,
     schur_in_table,
     super_schur,
     t_table,
+    table_sum,
     z_table,
 )
 from superchar.verify import cauchy_alphabets
@@ -139,10 +144,11 @@ def test_h_list_matches_bruteforce_random(pair, degmax):
     hs = h_list(X, Y, degmax)
     assert len(hs) == degmax + 1
     has_pair = any(any(exps) for _, exps in X.elements + Y.elements)
-    in_z = inverse_paired(X) and inverse_paired(Y) and has_pair
-    assert all(h.table == (z_table(table) if in_z else table) for h in hs)
+    paired = inverse_paired(X) and inverse_paired(Y) and has_pair
+    assert all(h.table == hs[0].table for h in hs)
+    assert (hs[0].table != table) == paired
     for m in range(degmax + 1):
-        assert (z_to_x(hs[m], table) if in_z else hs[m]) == brute_h(X, Y, m)
+        assert in_x(hs[m], table) == brute_h(X, Y, m)
 
 
 def test_super_schur_empty_and_single_box():
@@ -189,6 +195,7 @@ def test_bracket_sum_matches_the_per_shape_sum():
     pairs = [
         formal_pair(2, 1)[:2],  # the x route
         (palindromic(table, ("x1",)), palindromic(table, ("y1",))),  # the z route
+        (palindromic(TABLE_3, ("x1", "x2")), palindromic(TABLE_3, ("y1",))),  # the e route
     ]
     weighted = [((2, 1), 3), ((1,), -1), ((), 2), ((1,), 1), ((2,), 0), ((1, 1), -2)]
     for X, Y in pairs:
@@ -231,8 +238,9 @@ def test_bracket_square_column_pair():
     Y = Alphabet.empty(table)
     value = bracket_schur(BracketType.SQUARE, (1, 1), X, Y)
     hs = h_list(X, Y, 2)
-    assert hs[0].table == z_table(table)
-    assert value == z_to_x(hs[1] * hs[1] - hs[2], table)
+    for m in range(3):
+        assert in_x(hs[m], table) == brute_h(X, Y, m)
+    assert value == in_x(hs[1] * hs[1] - hs[2], table)
     # e_2 of a 4-element alphabet has 6 monomials
     assert value.eval_all_ones() == 6
 
@@ -507,3 +515,109 @@ def test_h_list_rejects_bad_degmax():
     X, Y, _ = formal_pair(1, 0)
     with pytest.raises(ValueError):
         h_list(X, Y, -1)
+
+
+# ---------------------------------------------------------------------------
+# The e table: e_1..e_r of the z's of each side's pairs
+# ---------------------------------------------------------------------------
+
+TABLE_3 = VarTable(("x1", "x2", "y1"))
+
+
+def signed_pairs(table, names, sign):
+    """The pairs {sign v, sign v^-1} for v in names."""
+    pairs = palindromic(table, names)
+    return pairs if sign == 1 else pairs.negated()
+
+
+def test_h_list_takes_the_e_table_only_where_it_is_exact():
+    T = TABLE_3
+    one = Alphabet.constants(T, (1,))
+    xx, yy = palindromic(T, ("x1", "x2")), palindromic(T, ("y1",))
+    e_route = {
+        "two x pairs": (xx, Alphabet.empty(T), (("x1", "x2"),)),
+        "two x pairs and a y pair": (xx | one, yy, (("x1", "x2"), ("y1",))),
+        "negative pairs": (signed_pairs(T, ("x1", "x2"), -1), yy, (("x1", "x2"), ("y1",))),
+        "two y pairs": (one, palindromic(T, ("y1", "x1")), (("x1", "y1"),)),
+    }
+    z_route = {
+        "one pair a side": (palindromic(T, ("x1",)), yy),
+        "a repeated pair": (xx | palindromic(T, ("x1",)), yy),
+        "a shared variable": (xx, palindromic(T, ("x2", "y1"))),
+        "mixed signs": (palindromic(T, ("x1",)) | signed_pairs(T, ("x2",), -1), yy),
+    }
+    for label, (X, Y, blocks) in e_route.items():
+        hs = h_list(X, Y, 4)
+        assert isinstance(hs[0].table, ETable) and hs[0].table == e_table(blocks), label
+        for m in range(5):
+            assert in_x(hs[m], T) == brute_h(X, Y, m), (label, m)
+    for label, (X, Y) in z_route.items():
+        hs = h_list(X, Y, 4)
+        assert hs[0].table == z_table(T), label
+        for m in range(5):
+            assert in_x(hs[m], T) == brute_h(X, Y, m), (label, m)
+
+
+def test_alphabets_that_differ_in_constants_share_the_pair_series():
+    T = TABLE_3
+    xx, yy = palindromic(T, ("x1", "x2")), palindromic(T, ("y1",))
+    plus, minus = Alphabet.constants(T, (1,)), Alphabet.constants(T, (-1,))
+    clear_caches()
+    for X, Y, degmax in [(xx, yy | minus, 2), (xx | plus, yy, 5), (xx, yy, 4), (xx | minus, yy, 6)]:
+        hs = h_list(X, Y, degmax)
+        assert [in_x(h, T) for h in hs] == [brute_h(X, Y, m) for m in range(degmax + 1)]
+    assert len(schur._pair_series) == 1
+    assert len(next(iter(schur._pair_series.values()))) == 7
+    clear_caches()
+
+
+def test_e_factor_is_the_product_of_the_pair_factors():
+    """prod (1 - s z_i t + t^2) against _e_factor, both sides in z, r <= 4."""
+    for r in range(1, 5):
+        table = VarTable(tuple(f"x{i}" for i in range(1, r + 1)))
+        etab, ztab = e_table((table.names,)), z_table(table)
+        e = [1] + [LaurentPoly.variable(etab, name) for name in etab.names]
+        for sign in (1, -1):
+            want = [LaurentPoly.const(ztab, 1)]  # coefficients of t^0, t^1, ...
+            for name in ztab.names:
+                factor = {0: 1, 1: -sign * LaurentPoly.variable(ztab, name), 2: 1}
+                want = [
+                    sum((factor[j] * want[d - j] for j in factor if 0 <= d - j < len(want)),
+                        LaurentPoly.zero(ztab))
+                    for d in range(len(want) + 2)
+                ]
+            got = [LaurentPoly.const(ztab, 1)] + [LaurentPoly.zero(ztab)] * (2 * r)
+            for d, u in schur._e_factor(sign, e):
+                got[d] = got[d] - (u if isinstance(u, int) else e_to_z(u, ztab, (tuple(range(r)),)))
+            assert got == want, (r, sign)
+
+
+def test_in_x_rejects_a_foreign_table():
+    value = LaurentPoly.variable(VarTable(("w",)), "w")
+    with pytest.raises(ValueError, match="z table or an e table"):
+        in_x(value, VarTable(("x1",)))
+    with pytest.raises(ValueError, match="z table or an e table"):
+        in_x(LaurentPoly.variable(z_table(TABLE_3), "z(x1)"), VarTable(("x1", "x2", "y2")))
+
+
+def test_angle_values_halve_exactly_in_e(z_route):
+    """Every ANGLE shape of size <= 6 over e-table alphabets, against the z route."""
+    T = VarTable(("x1", "x2", "x3", "y1", "y2"))
+    pairs = []
+    for sign in (1, -1):
+        for xs in (("x1", "x2"), ("x1", "x2", "x3")):
+            X = signed_pairs(T, xs, sign)
+            for Y in (Alphabet.empty(T), Alphabet.constants(T, (-1,)), palindromic(T, ("y1", "y2"))):
+                pairs.append((X | Alphabet.constants(T, (sign,)), Y))
+    shapes = [lam for lam in partitions_upto(6) if len(lam) <= 4]
+    clear_caches()
+    in_e = []
+    for X, Y in pairs:
+        values = [table_sum(BracketType.ANGLE, [(lam, 1)], X, Y) for lam in shapes]
+        assert all(isinstance(v.table, ETable) for v in values)
+        in_e.append([in_x(v, T) for v in values])
+    z_route()
+    for (X, Y), values in zip(pairs, in_e):
+        assert all(v.table == T for v in values)
+        assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
+        assert h_list(X, Y, 0)[0].table == z_table(T)

@@ -357,7 +357,7 @@ def test_run_suite_deterministic_across_cache_state():
 
 
 # lru_caches that hold variable tables, not polynomials: clear_caches keeps them.
-TABLE_CACHES = {"folding._vartable", "schur.t_table", "schur.z_table"}
+TABLE_CACHES = {"folding._vartable", "schur.e_table", "schur.t_table", "schur.z_table"}
 
 
 def lru_caches():
@@ -397,9 +397,10 @@ def test_clear_caches_leaves_no_table_value_behind(monkeypatch):
         if name.split(".")[0] in ("schur", "lr") and name not in TABLE_CACHES
     }
     assert schur._table_values and memos["schur.super_schur"].cache_info().currsize
+    assert schur._pair_series
     superchar.clear_caches()
     assert {name for name, fn in memos.items() if fn.cache_info().currsize} == set()
-    assert not schur._table_values
+    assert not schur._table_values and not schur._pair_series
 
     # A stale table value would hide a fault injected after a warm run.
     real = schur.h_list
