@@ -21,12 +21,21 @@ with fewer terms again: a side's pairs are one factor,
 
     prod (1 - z_i t + t^2)  =  sum_k (-1)^k e_k t^k (1 + t^2)^(r - k),
 
-over an :func:`e_table`.  Both maps back to x are injective ring maps, the
-e one unitriangular over the integers, so values equal over a table are
-equal in x and ANGLE values halve exactly there.  Each character, or each
-weighted sum of bracket characters (:func:`bracket_sum`), is turned back
-into x once by :func:`in_x`; every character this module returns is over
-the alphabets' own table.
+over an :func:`e_table`.  When both alphabets are formal instead (each
+element one variable at power 1, plus constants) under the same three
+conditions, a side's variables are one factor
+
+    prod (1 - s x_i t)  =  sum_k (-s)^k e_k t^k
+
+over an e table of the x's.  Every map back to x is an injective ring map
+(the e's of distinct variables are algebraically independent; Macdonald,
+Symmetric Functions, I.2), so values equal over a table are equal in x and
+ANGLE values halve exactly there.  Each character over the z or an e-of-z
+table, or each weighted sum of bracket characters (:func:`bracket_sum`), is
+turned back into x once by :func:`in_x`; a character over an e table of
+x's is a determinant over the x view of its series, each h_m converted
+once per alphabet pair.  Every character this module returns is over the
+alphabets' own table.
 """
 
 from __future__ import annotations
@@ -173,25 +182,30 @@ def z_table(table: VarTable) -> VarTable:
 
 
 class ETable(VarTable):
-    """A table of e_1..e_n of the z's of each block of x variables, block by block.
+    """A table of e_1..e_n of each block of x variables, block by block.
 
-    Its names, ``e<k>(<block>)``, spell out the blocks, so equal e tables
-    always mean the same map to x.
+    The e's are of the blocks' z's (over_z) or of their x's.  The names,
+    ``e<k>(z(<v>),...)`` or ``e<k>(<v>,...)``, spell out the blocks and what
+    the e's are of, so equal e tables always mean the same map to x.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "over_z")
 
-    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
+    def __init__(self, blocks: tuple[tuple[str, ...], ...], over_z: bool):
+        wrap = "z({})".format if over_z else str
         super().__init__(
-            f"e{k}({','.join(block)})" for block in blocks for k in range(1, len(block) + 1)
+            f"e{k}({','.join(map(wrap, block))})"
+            for block in blocks
+            for k in range(1, len(block) + 1)
         )
         self.blocks = blocks
+        self.over_z = over_z
 
 
 @lru_cache(maxsize=None)
-def e_table(blocks: tuple[tuple[str, ...], ...]) -> ETable:
-    """The e table of the blocks, each a tuple of x variable names."""
-    return ETable(blocks)
+def e_table(blocks: tuple[tuple[str, ...], ...], over_z: bool) -> ETable:
+    """The e table of the blocks, each a tuple of x variable names: of their z's or x's."""
+    return ETable(blocks, over_z)
 
 
 def _inverse_pairs(alphabet: Alphabet) -> list[SignedMonomial] | None:
@@ -213,23 +227,33 @@ def _inverse_pairs(alphabet: Alphabet) -> list[SignedMonomial] | None:
     return pairs
 
 
-def _e_blocks(x_pairs, y_pairs) -> list[tuple[int, tuple[int, ...]]] | None:
-    """(sign, variable positions) of X's pairs and of Y's, or None off the e route.
+def _formal(alphabet: Alphabet) -> list[SignedMonomial] | None:
+    """The non-constant elements when each is one variable at power 1, else None."""
+    out = [(sign, exps) for sign, exps in alphabet.elements if any(exps)]
+    if any(sum(map(abs, exps)) != 1 or 1 not in exps for _, exps in out):
+        return None
+    return out
 
-    The e route takes pairs of one sign on each side, on distinct variables
-    throughout, with at least two pairs on some side.  Then the map from the
-    e's to x is injective and unitriangular over the integers, so values
-    equal over the e table are equal in x, and a value halves exactly in e
-    when it does in x.
+
+def _e_blocks(x_vars, y_vars) -> list[tuple[int, tuple[int, ...]]] | None:
+    """(sign, variable positions) of X's variables and of Y's, or None off the e route.
+
+    The variables are the z's of the pairs, or the formal x's.  The e route
+    takes one sign on each side, distinct variables throughout, and at least
+    two variables on some side.  Then the e's of each side are algebraically
+    independent, and the map from them to x is injective (unitriangular over
+    the integers for z's), so values equal over the e table are equal in x,
+    and a value halves exactly in e when it does in x.
     """
     blocks = []
-    for pairs in (x_pairs, y_pairs):
-        signs = {sign for sign, _ in pairs}
+    for variables in (x_vars, y_vars):
+        signs = {sign for sign, _ in variables}
         if len(signs) > 1:
             return None
-        blocks.append((signs.pop() if signs else 1, tuple(sorted(x.index(1) for _, x in pairs))))
+        positions = tuple(sorted(exps.index(1) for _, exps in variables))
+        blocks.append((signs.pop() if signs else 1, positions))
     every = blocks[0][1] + blocks[1][1]
-    if len(set(every)) != len(every) or max(len(x_pairs), len(y_pairs)) < 2:
+    if len(set(every)) != len(every) or max(len(x_vars), len(y_vars)) < 2:
         return None
     return blocks
 
@@ -251,9 +275,58 @@ def _e_factor(sign: int, e: list) -> tuple:
     )
 
 
-# (table, X's pairs, Y's pairs) -> [h_0, ..., h_D] of the pairs alone, over
-# the z or e table, for the largest D asked so far: alphabets that differ only
-# in their constants share it.  clear_caches() empties it.
+def _formal_factor(sign: int, e: list) -> tuple:
+    """prod (1 - sign x_i t) = sum_k (-sign)^k e_k t^k over a block's x's, as graded_parts terms.
+
+    e is [1, e_1, ..., e_n] of the block; u_k is -(-sign)^k e_k.
+    """
+    return tuple((k, -((-sign) ** k) * e[k]) for k in range(1, len(e)))
+
+
+def _route(X: Alphabet, Y: Alphabet) -> tuple | None:
+    """(over_z, X's variables, Y's variables) for h_list's z and e tables, else None.
+
+    With over_z, both sides are inverse-paired and hold a pair, and the
+    variables are one s v per pair (the z or an e-of-z table).  Otherwise
+    both sides are formal and their variables take the e route (an e-of-x
+    table).
+    """
+    x_pairs, y_pairs = _inverse_pairs(X), _inverse_pairs(Y)
+    if x_pairs is not None and y_pairs is not None and (x_pairs or y_pairs):
+        return True, tuple(x_pairs), tuple(y_pairs)
+    x_vars, y_vars = _formal(X), _formal(Y)
+    if x_vars is None or y_vars is None or _e_blocks(x_vars, y_vars) is None:
+        return None
+    return False, tuple(x_vars), tuple(y_vars)
+
+
+def _variable_series(table: VarTable, over_z: bool, x_vars, y_vars, degmax: int) -> list:
+    """[h_0, ..., h_degmax] of the route's variables: X's factors divided, Y's multiplied."""
+    blocks = _e_blocks(x_vars, y_vars)
+    if blocks is None:  # only inverse pairs get here
+        ztab = z_table(table)
+        factors = [
+            (((1, LaurentPoly.monomial(ztab, exps, sign)), (2, -1)), divide)
+            for variables, divide in ((x_vars, True), (y_vars, False))
+            for sign, exps in variables
+        ]
+        return graded_parts(LaurentPoly.const(ztab, 1), factors, degmax)
+    names = table.names
+    etab = e_table(tuple(tuple(names[i] for i in block) for _, block in blocks if block), over_z)
+    e = iter(LaurentPoly.variable(etab, name) for name in etab.names)
+    factor = _e_factor if over_z else _formal_factor
+    factors = [
+        (factor(sign, [1] + [next(e) for _ in block]), divide)
+        for (sign, block), divide in zip(blocks, (True, False))
+        if block
+    ]
+    return graded_parts(LaurentPoly.const(etab, 1), factors, degmax)
+
+
+# (table, over_z, X's variables, Y's variables) -> [h_0, ..., h_D] of the
+# variables alone, over the z or an e table, for the largest D asked so far:
+# alphabets that differ only in their constants share it.  clear_caches()
+# empties it.
 _pair_series: dict[tuple, list[LaurentPoly]] = {}
 
 
@@ -262,36 +335,20 @@ def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, 
     """[h_0, ..., h_degmax]: 1 divided by X's factors, then times Y's.
 
     In x each element u is the factor 1 - u t.  Over the z table, a pair
-    {s v, s v^-1} is 1 - s z t + t^2; over the e table, all of a side's
-    pairs are one _e_factor.  The pairs' series comes from _pair_series, and
-    each constant c is then the factor 1 - c t.
+    {s v, s v^-1} is 1 - s z t + t^2; over an e table, all of a side's pairs
+    are one _e_factor, or all of its formal variables one _formal_factor.
+    The variables' series comes from _pair_series, and each constant c is
+    then the factor 1 - c t.
     """
-    x_pairs, y_pairs = _inverse_pairs(X), _inverse_pairs(Y)
-    if x_pairs is None or y_pairs is None or not (x_pairs or y_pairs):
+    route = _route(X, Y)
+    if route is None:
         factors = [(((1, x),), True) for x in X.polys()]
         factors += [(((1, y),), False) for y in Y.polys()]
         return tuple(graded_parts(LaurentPoly.const(X.table, 1), factors, degmax))
-    key = (X.table, tuple(x_pairs), tuple(y_pairs))
+    key = (X.table, *route)
     series = _pair_series.get(key)
     if series is None or len(series) <= degmax:
-        blocks = _e_blocks(x_pairs, y_pairs)
-        if blocks is None:
-            table = z_table(X.table)
-            factors = [
-                (((1, LaurentPoly.monomial(table, exps, sign)), (2, -1)), divide)
-                for pairs, divide in ((x_pairs, True), (y_pairs, False))
-                for sign, exps in pairs
-            ]
-        else:
-            names = X.table.names
-            table = e_table(tuple(tuple(names[i] for i in block) for _, block in blocks if block))
-            e = iter(LaurentPoly.variable(table, name) for name in table.names)
-            factors = [
-                (_e_factor(sign, [1] + [next(e) for _ in block]), divide)
-                for (sign, block), divide in zip(blocks, (True, False))
-                if block
-            ]
-        series = _pair_series[key] = graded_parts(LaurentPoly.const(table, 1), factors, degmax)
+        series = _pair_series[key] = _variable_series(*key, degmax)
     consts = [
         (((1, sign),), divide)
         for alphabet, divide in ((X, True), (Y, False))
@@ -302,16 +359,19 @@ def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, 
 
 
 def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
-    """[h_0, ..., h_degmax] for the pair of alphabets, over one of three tables.
+    """[h_0, ..., h_degmax] for the pair of alphabets, over one of four tables.
 
     When X and Y are both inverse-paired and hold at least one pair, the
     h_m are polynomials in the z's of the pairs.  If moreover each side's
     pairs have one sign, no variable occurs twice, and some side has at
-    least two pairs, they are over the ``e_table`` of X's and Y's blocks of
-    variables; otherwise over ``z_table(X.table)``.  Any other pair is over
-    X.table.  :func:`in_x` turns each table's values into x.  Results are
-    cached on the alphabets as given; the verification sweeps re-query
-    identical pairs constantly.
+    least two pairs, they are over the ``e_table`` of the z's of X's and Y's
+    blocks of variables; otherwise over ``z_table(X.table)``.  When X and Y
+    are formal (each element one variable at power 1, plus constants) with
+    the same three conditions on their variables, the h_m are over the
+    ``e_table`` of the x's of the blocks.  Any other pair is over X.table.
+    :func:`in_x` turns each table's values into x.  Results are cached on
+    the alphabets as given; the verification sweeps re-query identical
+    pairs constantly.
     """
     if degmax < 0:
         raise ValueError("degmax must be nonnegative")
@@ -323,17 +383,20 @@ def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
 def in_x(value: LaurentPoly, table: VarTable) -> LaurentPoly:
     """A value over table, over z_table(table) or over an e table of its variables, in x.
 
-    The e's go to the z's by :func:`superchar.laurent.e_to_z` and the z's to
-    x by :func:`superchar.laurent.z_to_x`; both are injective ring maps.
+    The e's of z's go to the z's by :func:`superchar.laurent.e_to_z` and the
+    z's to x by :func:`superchar.laurent.z_to_x`; the e's of x's go straight
+    to x by ``e_to_z``.  All are injective ring maps.
     """
     vt = value.table
     if vt == table:
         return value
-    z = z_table(table)
-    if isinstance(vt, ETable):
-        index = table.index
-        value = e_to_z(value, z, tuple(tuple(index[v] for v in b) for b in vt.blocks))
-    elif vt != z:
+    index = table.index
+    if isinstance(vt, ETable) and all(v in index for b in vt.blocks for v in b):
+        blocks = tuple(tuple(index[v] for v in b) for b in vt.blocks)
+        if not vt.over_z:
+            return e_to_z(value, table, blocks)
+        value = e_to_z(value, z_table(table), blocks)
+    elif vt != z_table(table):
         raise ValueError(f"{vt!r} is not {table!r}, its z table or an e table of it")
     return z_to_x(value, table)
 
@@ -349,16 +412,19 @@ class BracketType(enum.Enum):
     ANGLE = "angle"
 
 
-def _table_dets(shapes, X: Alphabet, Y: Alphabet, entry, halve: bool) -> list[LaurentPoly]:
+def _degree(shapes) -> int:
+    """The h_list degree a batch of shapes asks for: the largest lam_1 + len(lam)."""
+    return max((lam[0] + len(lam) for lam in shapes if lam), default=0)
+
+
+def _table_dets(shapes, hs, entry, halve: bool) -> list[LaurentPoly]:
     """det(entry(h, lam_i - i, j)) over 1 <= i, j <= len(lam), for each shape.
 
-    h(k) is h_k(X|Y), read as 0 for k < 0, from one h_list call at the
-    largest degree any shape needs; the values stay over the table h_list
-    gives (z for inverse-paired alphabets).  The empty shape is 1.  With
-    halve, each other determinant is halved exactly on its own, so one that
-    does not halve raises.
+    h(k) is hs[k], read as 0 for k < 0, from one h_list call at the degree
+    the batch asks for; the values stay over hs's table.  The empty shape
+    is 1.  With halve, each other determinant is halved exactly on its own,
+    so one that does not halve raises.
     """
-    hs = h_list(X, Y, max((lam[0] + len(lam) for lam in shapes if lam), default=0))
     table = hs[0].table
     zero = LaurentPoly.zero(table)
 
@@ -378,11 +444,28 @@ def _table_dets(shapes, X: Alphabet, Y: Alphabet, entry, halve: bool) -> list[La
     return out
 
 
+# (X, Y) -> [h_0, ..., h_D] in x, for alphabets whose h_list is over an e
+# table of x's: each h_m is converted once, and the list grows with the
+# degree asked.  clear_caches() empties it.
+_x_series: dict[tuple, list[LaurentPoly]] = {}
+
+
 def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet, entry, halve=False) -> LaurentPoly:
-    """The one-shape case of _table_dets, over X.table; 1 for the empty shape."""
+    """The one-shape determinant, over X.table; 1 for the empty shape.
+
+    Over the z and e-of-z tables the determinant is taken there and turned
+    into x.  Over an e table of x's it is taken over the x view of the
+    same series, _x_series, so each h_m, not each character, is converted.
+    """
     if not lam:
         return LaurentPoly.const(X.table, 1)
-    return in_x(_table_dets([lam], X, Y, entry, halve)[0], X.table)
+    hs = h_list(X, Y, _degree([lam]))
+    table = hs[0].table
+    if isinstance(table, ETable) and not table.over_z:
+        view = _x_series.setdefault((X, Y), [])
+        view += [in_x(h, X.table) for h in hs[len(view) :]]
+        return _table_dets([lam], view, entry, halve)[0]
+    return in_x(_table_dets([lam], hs, entry, halve)[0], X.table)
 
 
 def _plain_entry(h, base: int, j: int) -> LaurentPoly:
@@ -488,7 +571,8 @@ def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPo
     terms = [(lam, w) for lam, w in weights.items() if w]
     missing = [lam for lam, _ in terms if (tag, lam, X, Y) not in _table_values]
     if missing:
-        for lam, value in zip(missing, _table_dets(missing, X, Y, *_BRACKETS[tag])):
+        hs = h_list(X, Y, _degree(missing))
+        for lam, value in zip(missing, _table_dets(missing, hs, *_BRACKETS[tag])):
             _table_values[tag, lam, X, Y] = value
     if not terms:
         return LaurentPoly.zero(h_list(X, Y, 0)[0].table)

@@ -5,7 +5,8 @@ from superchar import clear_caches, schur
 
 @pytest.fixture
 def z_route(monkeypatch):
-    """A switch that turns the e route off: inverse-paired pairs then use the z table.
+    """A switch that turns both e routes off: inverse-paired pairs then use the z
+    table, and formal alphabets x.
 
     Calling it empties every cache first, so no e-table value survives.
     """
@@ -15,5 +16,21 @@ def z_route(monkeypatch):
         monkeypatch.setattr(schur, "_e_blocks", lambda x_pairs, y_pairs: None)
 
     yield use_z
+    monkeypatch.undo()
+    clear_caches()
+
+
+@pytest.fixture
+def x_route(monkeypatch):
+    """A switch that turns the formal e route off: formal alphabets then use x.
+
+    Calling it empties every cache first, so no e-table value survives.
+    """
+
+    def use_x():
+        clear_caches()
+        monkeypatch.setattr(schur, "_formal", lambda alphabet: None)
+
+    yield use_x
     monkeypatch.undo()
     clear_caches()

@@ -172,3 +172,64 @@ def test_fold_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
         assert lhs.table == folding.fold_alphabets(args[0])[0].table, req
         assert workloads.lhs_digest(lhs) == pins[workloads.request_key(req)][0], req
     superchar.clear_caches()
+
+
+def test_dc_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
+    # general_dc_check hands poly_comparison (looked up on folding) the left
+    # side in x, which the benchmark digests, whatever table the sides are
+    # built on; a corrupted series at the h_list seam must still change it.
+    workloads = import_perfbench("workloads")
+    pins = json.loads((Path(PERFBENCH) / "pinned.json").read_text())["identity"]
+    pool = [req for req in workloads.identity_pool() if req[0] == "dc"]
+    costliest = sorted(pool, key=lambda req: -pins[workloads.request_key(req)][1])[:6]
+    small = [req for req in pool if sum(req[2]) <= 3]
+    requests = costliest + small
+    on_e = []
+    seen = []
+    real = folding.poly_comparison
+
+    def capture(check_id, params, lhs, rhs):
+        seen.append(lhs)
+        return real(check_id, params, lhs, rhs)
+
+    def run(req):
+        module, name, args = workloads.prepare(req)
+        seen.clear()
+        report = getattr(module, name)(*args)
+        (lhs,) = seen
+        assert lhs.table == args[2].table, req
+        return report, workloads.lhs_digest(lhs)
+
+    monkeypatch.setattr(folding, "poly_comparison", capture)
+    superchar.clear_caches()
+    for req in requests:
+        X, Y = workloads.prepare(req)[2][2:4]
+        table = schur.h_list(X, Y, 0)[0].table
+        on_e.append(isinstance(table, schur.ETable) and not table.over_z)
+        report, digest = run(req)
+        assert report.passed and digest == pins[workloads.request_key(req)][0], req
+    assert all(on_e[:6]) and any(on_e[6:]) and not all(on_e[6:])
+
+    real_h_list = schur.h_list
+
+    def corrupted(X, Y, degmax):
+        hs = list(real_h_list(X, Y, degmax))
+        if len(hs) > 1:
+            hs[1] = hs[1] + 1
+        return tuple(hs)
+
+    monkeypatch.setattr(schur, "h_list", corrupted)
+    superchar.clear_caches()
+    try:
+        checked = 0
+        for req, e_route in zip(requests, on_e):
+            _, digest = run(req)
+            lam = req[2]
+            reads_h1 = any(lam[i] - i + j == 1 for i in range(len(lam)) for j in range(len(lam)))
+            if e_route and reads_h1:
+                assert digest != pins[workloads.request_key(req)][0], req
+                checked += 1
+        assert checked > 300
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()

@@ -349,7 +349,7 @@ def test_weighted_sum_matches_the_double_loop():
         for weight in weights:
             for bracket in (BracketType.SQUARE, BracketType.ANGLE):
                 want = double_loop_weighted_sum(lam, weight, bracket, X, Y)
-                got = folding._weighted_sum(lam, weight, bracket, X, Y)
+                got = in_x(folding._weighted_sum(lam, weight, bracket, X, Y), X.table)
                 assert got == want, (lam, weight, bracket)
 
 
@@ -519,7 +519,7 @@ def test_one_pass_weighted_sums_match_the_per_shape_sums():
                     X, Y, _ = cauchy_alphabets(nx, ny, 1)
                     X, Y = folding._with_consts(X, xs), folding._with_consts(Y, ys)
                     for lam in partitions_upto(4):
-                        got = folding._weighted_sum(lam, weight, bracket, X, Y)
+                        got = in_x(folding._weighted_sum(lam, weight, bracket, X, Y), X.table)
                         want = per_shape_weighted_sum(lam, weight, bracket, X, Y)
                         assert got == want, (relation, xi, nx, ny, lam)
 
@@ -622,6 +622,95 @@ def test_a_corrupted_e_factor_fails_the_dimensions_only(monkeypatch):
         for request in requests:
             got = report_json(request)
             assert json.loads(got)["pass"] and got == explicit_report(*request), request
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# The dc relations over the e table of the formal x's against the x route
+# ---------------------------------------------------------------------------
+
+
+def dc_requests(max_lambda, max_x, max_y):
+    """(relation, lam, X, Y, xi) of a dc sweep, as check_dc_sweep runs it."""
+    return [
+        (relation, lam, *cauchy_alphabets(nx, ny, 1)[:2], xi)
+        for relation in DC_RELATIONS
+        for nx in range(max_x + 1)
+        for ny in range(max_y + 1)
+        for xi in ((1, -1) if relation in folding.XI_RELATIONS else (1,))
+        for lam in partitions_upto(max_lambda)
+    ]
+
+
+def on_formal_e_table(X, Y):
+    table = schur.h_list(X, Y, 0)[0].table
+    return isinstance(table, ETable) and not table.over_z
+
+
+def dc_outcomes(monkeypatch, requests):
+    """Each request's report JSON and the two x sides it handed poly_comparison."""
+    sides = []
+    real = folding.poly_comparison
+
+    def capture(check_id, params, lhs, rhs):
+        sides.append((lhs, rhs))
+        return real(check_id, params, lhs, rhs)
+
+    monkeypatch.setattr(folding, "poly_comparison", capture)
+    try:
+        return [(general_dc_check(*req).to_json(), sides.pop()) for req in requests]
+    finally:
+        monkeypatch.setattr(folding, "poly_comparison", real)
+
+
+def test_dc_reports_match_the_x_route(monkeypatch, x_route):
+    """The battery's dc sweep, |lam| <= 5, nx <= 3, ny <= 2, both xi: cold, then warm."""
+    requests = dc_requests(5, 3, 2)
+    clear_caches()
+    cold = dc_outcomes(monkeypatch, requests)
+    warm = dc_outcomes(monkeypatch, requests)
+    assert any(on_formal_e_table(X, Y) for _, _, X, Y, _ in requests)
+    x_route()
+    assert not any(on_formal_e_table(X, Y) for _, _, X, Y, _ in requests)
+    want = dc_outcomes(monkeypatch, requests)
+    assert all(lhs.table == X.table for (_, (lhs, _)), (_, _, X, _, _) in zip(want, requests))
+    assert cold == want
+    assert warm == want
+
+
+def test_a_corrupted_series_fails_the_dc_relations_alike_on_both_routes(monkeypatch, x_route):
+    # h_1 + 1 is a different series for each side's constants, so it fails
+    # the relations whose sides differ in them, with the same witness on
+    # the formal e and the x route.
+    requests = dc_requests(4, 3, 2)
+    corrupt_h1(monkeypatch)
+    clear_caches()
+    got = [general_dc_check(*req).to_json() for req in requests]
+    failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
+    assert any(on_formal_e_table(X, Y) for _, _, X, Y, _ in failing)
+    x_route()
+    assert got == [general_dc_check(*req).to_json() for req in requests]
+
+
+def test_a_corrupted_formal_factor_leaves_the_dc_relations_green(monkeypatch):
+    # Both sides of a dc relation share the variables' factor, and the
+    # relations hold for any series of it, so a corrupted factor leaves the
+    # dc reports green; the x-valued characters (here the single box) see it.
+    real = schur._formal_factor
+
+    def corrupted(sign, e):
+        (d, u), *rest = real(sign, e)
+        return ((d, u + e[1]), *rest)  # one coefficient of u_1 off by one
+
+    requests = [req for req in dc_requests(4, 3, 2) if on_formal_e_table(*req[2:4])]
+    X, Y, _ = cauchy_alphabets(2, 1, 1)
+    monkeypatch.setattr(schur, "_formal_factor", corrupted)
+    clear_caches()
+    try:
+        assert all(general_dc_check(*req).passed for req in requests)
+        assert super_schur((1,), X, Y) != sum(X.polys(), LaurentPoly.zero(X.table)) - Y.polys()[0]
     finally:
         monkeypatch.undo()
         clear_caches()

@@ -98,7 +98,7 @@ def test_h_list_matches_bruteforce():
     X, Y, _ = formal_pair(2, 2)
     hs = h_list(X, Y, 4)
     for m in range(5):
-        assert hs[m] == brute_h(X, Y, m)
+        assert in_x(hs[m], X.table) == brute_h(X, Y, m)
 
 
 @st.composite
@@ -146,15 +146,27 @@ def test_h_list_matches_bruteforce_random(pair, degmax):
     has_pair = any(any(exps) for _, exps in X.elements + Y.elements)
     paired = inverse_paired(X) and inverse_paired(Y) and has_pair
     assert all(h.table == hs[0].table for h in hs)
-    assert (hs[0].table != table) == paired
+    assert (hs[0].table != table) == (paired or formal_e(X, Y))
     for m in range(degmax + 1):
         assert in_x(hs[m], table) == brute_h(X, Y, m)
+
+
+def formal_e(X, Y):
+    """Both sides formal, one sign a side, no variable twice, two on some side."""
+    sides = [[(s, e) for s, e in A.elements if any(e)] for A in (X, Y)]
+    variables = [e for side in sides for _, e in side]
+    return (
+        all(sorted(e) == [0] * (len(e) - 1) + [1] for e in variables)
+        and all(len({s for s, _ in side}) <= 1 for side in sides)
+        and len(set(variables)) == len(variables)
+        and max(map(len, sides)) >= 2
+    )
 
 
 def test_super_schur_empty_and_single_box():
     X, Y, _ = formal_pair(2, 1)
     assert super_schur((), X, Y) == 1
-    expected = h_list(X, Y, 1)[1]
+    expected = in_x(h_list(X, Y, 1)[1], X.table)
     assert super_schur((1,), X, Y) == expected
 
 
@@ -226,7 +238,7 @@ def test_super_schur_hook_vanishing_example():
 
 def test_bracket_single_box():
     X, Y, _ = formal_pair(2, 1)
-    h1 = h_list(X, Y, 1)[1]
+    h1 = in_x(h_list(X, Y, 1)[1], X.table)
     assert bracket_schur(BracketType.SQUARE, (1,), X, Y) == h1
     assert bracket_schur(BracketType.ANGLE, (1,), X, Y) == h1
     assert bracket_schur(BracketType.PLAIN, (2,), X, Y) == super_schur((2,), X, Y)
@@ -548,7 +560,7 @@ def test_h_list_takes_the_e_table_only_where_it_is_exact():
     }
     for label, (X, Y, blocks) in e_route.items():
         hs = h_list(X, Y, 4)
-        assert isinstance(hs[0].table, ETable) and hs[0].table == e_table(blocks), label
+        assert isinstance(hs[0].table, ETable) and hs[0].table == e_table(blocks, True), label
         for m in range(5):
             assert in_x(hs[m], T) == brute_h(X, Y, m), (label, m)
     for label, (X, Y) in z_route.items():
@@ -575,7 +587,7 @@ def test_e_factor_is_the_product_of_the_pair_factors():
     """prod (1 - s z_i t + t^2) against _e_factor, both sides in z, r <= 4."""
     for r in range(1, 5):
         table = VarTable(tuple(f"x{i}" for i in range(1, r + 1)))
-        etab, ztab = e_table((table.names,)), z_table(table)
+        etab, ztab = e_table((table.names,), True), z_table(table)
         e = [1] + [LaurentPoly.variable(etab, name) for name in etab.names]
         for sign in (1, -1):
             want = [LaurentPoly.const(ztab, 1)]  # coefficients of t^0, t^1, ...
@@ -621,3 +633,123 @@ def test_angle_values_halve_exactly_in_e(z_route):
         assert all(v.table == T for v in values)
         assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
         assert h_list(X, Y, 0)[0].table == z_table(T)
+
+
+# ---------------------------------------------------------------------------
+# The e table of formal x's: e_1..e_n of each side's variables
+# ---------------------------------------------------------------------------
+
+
+def formal(*names):
+    return Alphabet.formal(TABLE_3, names)
+
+
+def test_h_list_takes_the_formal_e_table_only_where_it_is_exact():
+    T = TABLE_3
+    one, minus = Alphabet.constants(T, (1,)), Alphabet.constants(T, (-1,))
+    e_route = {
+        "two x's": (formal("x1", "x2"), Alphabet.empty(T), (("x1", "x2"),)),
+        "two x's, a y and constants": (
+            formal("x1", "x2") | one, formal("y1") | minus | minus, (("x1", "x2"), ("y1",))
+        ),
+        "negated sides": (
+            formal("x1", "x2").negated() | one, formal("y1").negated(), (("x1", "x2"), ("y1",))
+        ),
+        "two y's": (one, formal("y1", "x1"), (("x1", "y1"),)),
+    }
+    x_route = {
+        "one variable a side": (formal("x1"), formal("y1") | one),
+        "a repeated variable": (formal("x1", "x2", "x1"), formal("y1")),
+        "a shared variable": (formal("x1", "x2"), formal("x2", "y1")),
+        "mixed signs": (formal("x1") | formal("x2").negated(), formal("y1")),
+        "an inverse": (formal("x1", "x2"), formal("y1").inverses()),
+        "a square": (formal("x1", "x2"), Alphabet(T, ((1, (0, 0, 2)),))),
+    }
+    for label, (X, Y, blocks) in e_route.items():
+        hs = h_list(X, Y, 5)
+        assert hs[0].table == e_table(blocks, False), label
+        assert not hs[0].table.over_z and hs[0].table != e_table(blocks, True), label
+        for m in range(6):
+            assert in_x(hs[m], T) == brute_h(X, Y, m), (label, m)
+    for label, (X, Y) in x_route.items():
+        hs = h_list(X, Y, 5)
+        assert hs[0].table == T, label
+        for m in range(6):
+            assert hs[m] == brute_h(X, Y, m), (label, m)
+
+
+def test_formal_factor_is_the_product_of_the_variable_factors():
+    """prod (1 - s x_i t) against _formal_factor, both sides in x, n <= 4."""
+    for n in range(1, 5):
+        table = VarTable(tuple(f"x{i}" for i in range(1, n + 1)))
+        etab = e_table((table.names,), False)
+        e = [1] + [LaurentPoly.variable(etab, name) for name in etab.names]
+        for sign in (1, -1):
+            want = [LaurentPoly.const(table, 1)] + [LaurentPoly.zero(table)] * n
+            for name in table.names:
+                x = sign * LaurentPoly.variable(table, name)
+                want = [want[0]] + [want[d] - x * want[d - 1] for d in range(1, n + 1)]
+            got = [LaurentPoly.const(table, 1)] + [LaurentPoly.zero(table)] * n
+            for d, u in schur._formal_factor(sign, e):
+                got[d] = got[d] - in_x(u, table)
+            assert got == want, (n, sign)
+
+
+def test_x_characters_convert_each_h_once_per_alphabet_pair():
+    X, Y = formal("x1", "x2"), formal("y1")
+    clear_caches()
+    values, lengths, firsts = [], [], []
+    for lam in ((1,), (2, 1), (3,), (1, 1, 1)):
+        values.append(super_schur(lam, X, Y))
+        view = schur._x_series[X, Y]
+        lengths.append(len(view))
+        firsts.append(view[1])
+    assert lengths == [3, 5, 5, 5]  # h_0..h_D for D = lam_1 + len(lam), grown as D rose
+    assert all(h is firsts[0] for h in firsts)  # each h_m converted once
+    assert [h.table for h in view] == [TABLE_3] * 5
+    assert not schur._table_values
+    clear_caches()
+    assert not schur._x_series
+    assert values == [in_x(table_sum(BracketType.PLAIN, [(lam, 1)], X, Y), TABLE_3)
+                      for lam in ((1,), (2, 1), (3,), (1, 1, 1))]
+    clear_caches()
+
+
+def test_in_x_rejects_a_foreign_e_table_of_x():
+    foreign = e_table((("x1", "w"),), False)
+    with pytest.raises(ValueError, match="z table or an e table"):
+        in_x(LaurentPoly.variable(foreign, "e1(x1,w)"), TABLE_3)
+    # The e's of x's are not the e's of z's: the names tell them apart.
+    assert e_table((("x1", "x2"),), False).names == ("e1(x1,x2)", "e2(x1,x2)")
+    assert e_table((("x1", "x2"),), True).names == ("e1(z(x1),z(x2))", "e2(z(x1),z(x2))")
+    with pytest.raises(ValueError, match="z table or an e table"):
+        in_x(LaurentPoly.variable(e_table((("x1", "x2"),), False), "e1(x1,x2)"),
+             VarTable(("x1", "y1")))
+
+
+def test_angle_values_halve_exactly_in_formal_e(x_route):
+    """Every ANGLE shape of size <= 6 over formal e-table alphabets, against the x route."""
+    T = VarTable(("x1", "x2", "x3", "y1", "y2"))
+    pairs = []
+    for sign in (1, -1):
+        for xs in (("x1", "x2"), ("x1", "x2", "x3")):
+            X = Alphabet.formal(T, xs)
+            X = X if sign == 1 else X.negated()
+            for Y in (
+                Alphabet.empty(T),
+                Alphabet.constants(T, (-1,)),
+                Alphabet.formal(T, ("y1", "y2")),
+                Alphabet.formal(T, ("y1",)).negated(),
+            ):
+                pairs.append((X | Alphabet.constants(T, (sign,)), Y))
+    shapes = partitions_upto(6)
+    clear_caches()
+    in_e = []
+    for X, Y in pairs:
+        values = [table_sum(BracketType.ANGLE, [(lam, 1)], X, Y) for lam in shapes]
+        assert all(isinstance(v.table, ETable) and not v.table.over_z for v in values)
+        in_e.append([in_x(v, T) for v in values])
+    x_route()
+    for (X, Y), values in zip(pairs, in_e):
+        assert h_list(X, Y, 0)[0].table == T
+        assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]

@@ -386,23 +386,25 @@ def test_clear_caches_empties_every_polynomial_cache():
 def test_clear_caches_leaves_no_table_value_behind(monkeypatch):
     case = folding.FoldingCase(folding.FoldingTag.A2_ODD, 1, 0)
     branch = folding.get_branch(case, "C")
-    X, Y, _ = cauchy_alphabets(1, 1, 1)
+    X, Y, _ = cauchy_alphabets(2, 1, 1)  # on the e table of x's
     superchar.clear_caches()
     warm = folding.decomposition_rhs(case, branch, 2, 2)
     assert folding.verify_decomposition(case, branch, 2, 2).passed
-    assert folding.general_dc_check("plain_to_angle", (2, 1), X, Y).passed
+    assert folding.general_dc_check("yconst_to_square_shifted", (2, 1), X, Y).passed
+    warm_char = schur.super_schur((2, 1), X, Y)
     memos = {
         name: fn
         for name, fn in lru_caches().items()
-        if name.split(".")[0] in ("schur", "lr") and name not in TABLE_CACHES
+        if name.split(".")[0] in ("folding", "schur", "lr") and name not in TABLE_CACHES
     }
     assert schur._table_values and memos["schur.super_schur"].cache_info().currsize
-    assert schur._pair_series
+    assert memos["folding._plain_sides"].cache_info().currsize
+    assert schur._pair_series and schur._x_series
     superchar.clear_caches()
     assert {name for name, fn in memos.items() if fn.cache_info().currsize} == set()
-    assert not schur._table_values and not schur._pair_series
+    assert not schur._table_values and not schur._pair_series and not schur._x_series
 
-    # A stale table value would hide a fault injected after a warm run.
+    # A stale table or x value would hide a fault injected after a warm run.
     real = schur.h_list
 
     def corrupted(X, Y, degmax):
@@ -415,6 +417,9 @@ def test_clear_caches_leaves_no_table_value_behind(monkeypatch):
     try:
         assert folding.decomposition_rhs(case, branch, 2, 2) != warm
         assert not folding.verify_decomposition(case, branch, 2, 2).passed
+        assert schur.super_schur((2, 1), X, Y) != warm_char
+        # The two sides' alphabets differ in constants, so h_1 + 1 breaks it.
+        assert not folding.general_dc_check("yconst_to_square_shifted", (2, 1), X, Y).passed
     finally:
         monkeypatch.undo()
         superchar.clear_caches()
