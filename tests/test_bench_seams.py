@@ -174,6 +174,35 @@ def test_fold_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
     superchar.clear_caches()
 
 
+def test_classical_requests_hand_poly_comparison_the_pinned_lhs(monkeypatch):
+    # The classical sums and power_det hand poly_comparison (looked up on
+    # verify) their left side over the t table, which the benchmark digests:
+    # the one-division sums and the determinant must give the pinned values.
+    workloads = import_perfbench("workloads")
+    pins = json.loads((Path(PERFBENCH) / "pinned.json").read_text())["identity"]
+    pool = workloads.identity_pool()
+    requests = [req for req in pool if req[0] == "sum" and req[2] <= 4]
+    requests += [("sum", "schur_sum", 5, 10)]
+    requests += [req for req in pool if req[0] == "power_det" and req[1] <= 5]
+    assert len(requests) == 3 * 4 * 11 + 1 + 5
+    seen = []
+    real = verify.poly_comparison
+
+    def capture(check_id, params, lhs, rhs):
+        seen.append(lhs)
+        return real(check_id, params, lhs, rhs)
+
+    monkeypatch.setattr(verify, "poly_comparison", capture)
+    superchar.clear_caches()
+    for req in requests:
+        module, name, args = workloads.prepare(req)
+        seen.clear()
+        assert getattr(module, name)(*args).passed, req
+        (lhs,) = seen
+        assert workloads.lhs_digest(lhs) == pins[workloads.request_key(req)][0], req
+    superchar.clear_caches()
+
+
 def test_dc_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
     # general_dc_check hands poly_comparison (looked up on folding) the left
     # side in x, which the benchmark digests, whatever table the sides are

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from superchar.laurent import (
     EXPONENT_LIMIT,
+    FIELD_BITS,
     ExponentOverflowError,
     InexactDivisionError,
     LaurentPoly,
     VarTable,
+    _trusted,
     det,
     divide_linear,
     e_to_z,
@@ -254,6 +256,74 @@ def test_ring_ops_match_tuple_reference(data):
             p.exact_div(d)
 
 
+def multiply_carry_divide_linear(p, var_i, var_j):
+    """divide_linear with each carry a ring product term * var_j: the reference."""
+    table = p.table
+    shift = table.shifts[table.index[var_i]]
+    unit = 1 << shift
+    half, mask = 1 << (FIELD_BITS - 1), (1 << FIELD_BITS) - 1
+    by_deg = {}
+    for key, coeff in p._terms.items():
+        k = (((key + table._bias) >> shift) & mask) - half
+        if k < 0:
+            raise ValueError("negative pivot exponent")
+        by_deg.setdefault(k, {})[key - k * unit] = coeff
+    if not by_deg:
+        return LaurentPoly.zero(table)
+    tj = LaurentPoly.variable(table, var_j)
+    carry = LaurentPoly.zero(table)
+    quot = {}
+    for k in range(max(by_deg), 0, -1):
+        term = _trusted(table, by_deg.get(k, {}), p._bound) + carry
+        for key, coeff in term._terms.items():
+            key += (k - 1) * unit
+            quot[key] = quot.get(key, 0) + coeff
+        carry = term * tj
+    if not (_trusted(table, by_deg.get(0, {}), p._bound) + carry).is_zero:
+        raise InexactDivisionError("remainder")
+    return _trusted(table, {k: c for k, c in quot.items() if c}, p._bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_divide_linear_matches_the_multiply_carry_reference(data):
+    # Same quotient, same bound, and the same error wherever the reference
+    # raises one: exponents near the field limit make the carry's bound
+    # check fire, as does a pivot exponent at the limit.
+    n_vars = data.draw(st.integers(2, 3))
+    table = VarTable(tuple("abc"[:n_vars]))
+    limit = EXPONENT_LIMIT
+    pivot, other = st.integers(0, 3), st.integers(-3, 3)
+    if data.draw(st.booleans()):  # near the field limit
+        pivot = st.one_of(pivot, st.integers(limit - 3, limit))
+        other = st.one_of(other, st.integers(limit - 4, limit), st.integers(-limit, -limit + 4))
+    exps = st.tuples(pivot, *[other] * (n_vars - 1))
+    p = LaurentPoly(table, data.draw(st.dictionaries(exps, st.integers(-6, 6), max_size=5)))
+    var_j = data.draw(st.sampled_from(table.names[1:]))
+    if data.draw(st.booleans()):
+        try:
+            p = p * (LaurentPoly.variable(table, "a") - LaurentPoly.variable(table, var_j))
+        except ExponentOverflowError:
+            pass
+
+    def outcome(divide):
+        try:
+            quotient = divide(p, "a", var_j)
+        except (ExponentOverflowError, InexactDivisionError) as err:
+            return type(err)
+        return quotient.sorted_terms(), quotient._bound
+
+    assert outcome(divide_linear) == outcome(multiply_carry_divide_linear)
+
+
+def test_divide_linear_raises_at_a_pivot_on_the_field_limit():
+    top = var("a", EXPONENT_LIMIT)
+    for p in (top, top - var("b", EXPONENT_LIMIT)):
+        for divide in (divide_linear, multiply_carry_divide_linear):
+            with pytest.raises(ExponentOverflowError):
+                divide(p, "a", "b")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_det_matches_tuple_reference(data):
@@ -273,8 +343,14 @@ def test_det_matches_tuple_reference(data):
 
 
 def cofactor_det(rows):
-    """The general cofactor expansion of ``det``, built from public ``*``, ``+`` and ``-``."""
+    """The general cofactor expansion of ``det``, built from public ``*``, ``+`` and ``-``.
+
+    A 1 x 1 matrix is its entry, bound included, as ``det`` documents: a
+    zero entry left by cancellation keeps the bound it came with.
+    """
     n = len(rows)
+    if n == 1:
+        return rows[0][0]
     table = rows[0][0].table
     memo = {(): LaurentPoly.const(table, 1)}
 

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superchar import clear_caches, schur
-from superchar.laurent import LaurentPoly, VarTable, e_to_z, z_to_x
-from superchar.partitions import conjugate, part, partitions_upto, size
+from superchar.laurent import InexactDivisionError, LaurentPoly, VarTable, e_to_z, z_to_x
+from superchar.partitions import PartitionClass, conjugate, in_class, part, partitions_upto, size
 from superchar.schur import (
     Alphabet,
     BracketType,
     bialternant_schur,
+    bialternant_sum,
     bracket_schur,
     bracket_schur_altform,
     ETable,
@@ -28,7 +29,7 @@ from superchar.schur import (
     table_sum,
     z_table,
 )
-from superchar.verify import cauchy_alphabets
+from superchar.verify import cauchy_alphabets, check_lr_oracle
 
 
 def formal_pair(nx, ny):
@@ -414,6 +415,42 @@ def test_alternant_numerator_matches_permutation_expansion():
 def test_bialternant_rejects_short_tables():
     with pytest.raises(ValueError):
         bialternant_schur((1, 1, 1), 2)
+    with pytest.raises(ValueError):
+        bialternant_sum([(1,), (1, 1, 1)], 2)
+    for n in (-1, 1.5, True):
+        with pytest.raises(ValueError):
+            bialternant_sum([], n)
+
+
+def test_bialternant_sum_matches_the_per_shape_sum():
+    # One Vandermonde division of the summed alternants against the sum of
+    # the per-shape ratios, for the three classes of the classical sums.
+    for n in range(5):
+        assert bialternant_sum([], n) == LaurentPoly.zero(t_table(n))
+    for n in range(1, 5):
+        for degmax in range(8):
+            shapes = partitions_upto(degmax, max_len=n)
+            for cls in PartitionClass:
+                lams = [lam for lam in shapes if in_class(lam, cls)]
+                expected = sum(
+                    (bialternant_schur(lam, n) for lam in lams), LaurentPoly.zero(t_table(n))
+                )
+                assert bialternant_sum(lams, n) == expected, (n, degmax, cls)
+
+
+def test_bialternant_sum_rejects_a_numerator_that_is_not_alternating(monkeypatch):
+    # An alternant with one term dropped is no longer divisible by the
+    # Vandermonde product, and the one division must say so.
+    real = schur._alternant
+
+    def dropped(table, lam):
+        value = real(table, lam)
+        (exps, _), *_ = value.sorted_terms()
+        return value - LaurentPoly.monomial(table, exps, value.coeff(exps))
+
+    monkeypatch.setattr(schur, "_alternant", dropped)
+    with pytest.raises(InexactDivisionError):
+        bialternant_sum([(2, 1)], 3)
 
 
 def test_jacobi_trudi_matches_bialternant():
@@ -495,6 +532,31 @@ def test_schur_expand_rejects_laurent():
     table = t_table(2)
     with pytest.raises(ValueError):
         schur_expand(LaurentPoly.variable(table, "t1", -1), 2)
+
+
+def test_schur_expand_stops_on_a_schur_polynomial_that_does_not_lead_with_one(monkeypatch):
+    # With u_1 of the formal-variable factor off by one e_1, S_(1)(t1, t2) is
+    # 2 t1 + 2 t2: subtracting c S_lam never clears the leading monomial, so
+    # the expansion must raise, and the LR oracle must fail, not hang.
+    real = schur._formal_factor
+
+    def corrupted(sign, e):
+        (d, u), *rest = real(sign, e)
+        return ((d, u + e[1]), *rest)
+
+    monkeypatch.setattr(schur, "_formal_factor", corrupted)
+    clear_caches()
+    try:
+        s1 = schur_in_table((1,), t_table(2))
+        assert s1.eval_all_ones() == 4
+        with pytest.raises(ValueError, match="does not lead with 1"):
+            schur_expand(s1 * s1, 2)
+        report = check_lr_oracle(3)
+        assert not report.passed
+        assert set(report.witness) == {"mu", "nu", "error"}
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 def test_alphabet_validation():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superchar
-from superchar import folding, lr, partitions, schur
+from superchar import folding, lr, partitions, schur, verify
 from superchar.laurent import LaurentPoly, VarTable
 from superchar.partitions import in_hook
 from superchar.report import VerificationReport, _first_failures
@@ -190,6 +190,31 @@ def test_power_det_small():
     assert (one - t1 * t1) == (one - t1 * t1)
     for m in (2, 3):
         assert power_det_check(m).passed
+
+
+def test_power_det_product_matches_the_old_order(monkeypatch):
+    # The right side is multiplied variable by variable; the product is the
+    # same polynomial as with every (1 - t_i^2) first, then each pair.
+    seen = []
+    real = verify.poly_comparison
+
+    def capture(check_id, params, lhs, rhs):
+        seen.append(rhs)
+        return real(check_id, params, lhs, rhs)
+
+    monkeypatch.setattr(verify, "poly_comparison", capture)
+    for m in range(1, 6):
+        table = schur.t_table(m)
+        one = LaurentPoly.const(table, 1)
+        t = [None] + [LaurentPoly.variable(table, name) for name in table.names]
+        old = one
+        for i in range(1, m + 1):
+            old = old * (one - t[i] * t[i])
+        for i, j in combinations(range(1, m + 1), 2):
+            old = old * (t[i] - t[j]) * (one - t[i] * t[j])
+        seen.clear()
+        assert power_det_check(m).passed
+        assert seen == [old], m
 
 
 def test_power_det_rejects_zero():
