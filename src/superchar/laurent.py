@@ -352,6 +352,64 @@ def _trusted(table: VarTable, terms: dict[int, int], bound: int) -> LaurentPoly:
     return poly
 
 
+class Accumulator:
+    """A running sum of polynomials and products, added into one dict of packed terms.
+
+    ``add(p, c, u)`` is the in-place form of ``total + c * u * p`` (of
+    ``total + c * p`` without u): no product or partial sum is built.  The
+    bound is the one that ``*`` and ``+`` would give the same sum, and a
+    product past the field raises before any of its keys is formed.
+    """
+
+    __slots__ = ("table", "terms", "bound")
+
+    def __init__(self, table: VarTable, start: LaurentPoly | None = None):
+        self.table = table
+        self.terms: dict[int, int] = {}
+        self.bound = 0
+        if start is not None:
+            self._check(start)
+            self.terms.update(start._terms)
+            self.bound = start._bound
+
+    def _check(self, p: LaurentPoly) -> None:
+        if p.table is not self.table and p.table != self.table:
+            raise ValueError("polynomials over different variable tables")
+
+    def add(self, p: LaurentPoly, c: int = 1, u: LaurentPoly | None = None) -> None:
+        self._check(p)
+        if not c:
+            return
+        acc = self.terms
+        get = acc.get
+        if u is None:
+            self.bound = max(self.bound, p._bound)
+            if c == 1 and not acc:
+                acc.update(p._terms)
+            else:
+                for key, coeff in p._terms.items():
+                    acc[key] = get(key, 0) + c * coeff
+            return
+        p._check(u)
+        self.bound = max(self.bound, _product_bound(u._bound, p._bound))
+        outer, inner = p._terms, u._terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        inner_items = inner.items()
+        for k1, c1 in outer.items():
+            c1 *= c
+            for k2, c2 in inner_items:
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+
+    def value(self) -> LaurentPoly:
+        """The sum, without its zero coefficients; the value takes over the dict, so add no more."""
+        terms = self.terms
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        return _trusted(self.table, terms, self.bound)
+
+
 def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Division-free determinant of a square matrix of polynomials.
 
@@ -377,9 +435,7 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     memo: dict[tuple[int, ...], tuple[dict[int, int], int]] = {(): ({0: 1}, 0)}
 
     def minor(cols: tuple[int, ...]) -> tuple[dict[int, int], int]:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
+        # Called on memo misses only: each sub-minor is looked up first.
         row = rows[n - len(cols)]
         acc: dict[int, int] = {}
         get = acc.get
@@ -389,7 +445,8 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             if not entry._terms:
                 continue
             items = entry._terms.items()
-            rest, rest_bound = minor(cols[:pos] + cols[pos + 1 :])
+            sub = cols[:pos] + cols[pos + 1 :]
+            rest, rest_bound = memo.get(sub) or minor(sub)
             bound = max(bound, _product_bound(entry._bound, rest_bound))
             odd = pos % 2
             for k, c in rest.items():

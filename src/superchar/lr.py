@@ -8,6 +8,9 @@ contains at least as many i's as (i+1)'s.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 from .partitions import (
     Partition,
     PartitionClass,
@@ -23,16 +26,73 @@ from .partitions import (
 )
 
 
-def _int_parts(lam, mu, nu):
+def _int_parts(*shapes):
     # One type pass over the tuples before the memo, which would take (True,)
     # and (2.0,) for (1,) and (2,); the body validates everything else, and
     # other iterables reach it untouched.
-    for shape in (lam, mu, nu):
+    for shape in shapes:
         if isinstance(shape, tuple):
             for p in shape:
                 if type(p) is not int:
                     raise ValueError(f"partition parts must be ints, got {p!r}")
-    return lam, mu, nu
+    return shapes
+
+
+def _fillings(lam: Partition, inner: Partition, caps: list[int], marked: bool):
+    """Backtrack over the lattice-word fillings of lam/inner; yield (filling, counts) at each.
+
+    The cells run in reading order (rows top to bottom, each right to left).
+    Letters are 1..len(caps), letter v used at most caps[v - 1] times; rows
+    weakly increase left to right, columns strictly increase downwards, and
+    the reading word stays a lattice word.  With marked, letter 1 stands for
+    the cells of an inner shape instead: a 1 has only 1s above it and to
+    its left, may repeat down a column, and is left out of the lattice
+    word, which then starts at letter 2.  filling[pos] is the letter at the
+    pos-th cell and counts[v] the uses of letter v; both are shared lists,
+    so read them before asking for the next filling.
+    """
+    letters = len(caps)
+    cells = [
+        (i, j)
+        for i in range(len(lam))
+        for j in range(lam[i] - 1, part(inner, i + 1) - 1, -1)
+    ]
+    end = len(cells)
+    index = {cell: pos for pos, cell in enumerate(cells)}
+    marker = 1 if marked else -1
+    # filling[pos] is 0 while empty.  Two sentinel slots stand in for a
+    # missing neighbour: `letters` to the right, and above 0, or the marker
+    # when the top row may be marked.
+    filling = [0] * end + [letters, int(marked)]
+    right = [index.get((i, j + 1), end) for i, j in cells]
+    above = [index.get((i - 1, j), end + 1) for i, j in cells]
+    caps = [0] + caps
+    first = 1 + int(marked)  # the lattice word's first letter
+    counts = [0] * (letters + 1)
+    pos = 0
+    while pos >= 0:
+        if pos == end:
+            yield filling, counts
+            pos -= 1
+            continue
+        v = filling[pos]
+        if v:
+            counts[v] -= 1  # take back the letter placed here last
+        # The next letter after the last one tried that keeps every rule; a
+        # marker may sit below a marker, any other letter only below a
+        # smaller one.
+        a = filling[above[pos]]
+        v = max(v + 1, a + (a != marker))
+        top = filling[right[pos]]
+        while v <= top and (counts[v] >= caps[v] or v > first and counts[v] >= counts[v - 1]):
+            v += 1
+        if v <= top:
+            counts[v] += 1
+            filling[pos] = v
+            pos += 1
+        else:
+            filling[pos] = 0
+            pos -= 1
 
 
 @checked_memo(_int_parts)
@@ -47,46 +107,32 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 0
     if not nu:
         return 1  # lam == mu is forced by the size check
-    letters = len(nu)
-    cells = [
-        (i, j)
-        for i in range(len(lam))
-        for j in range(lam[i] - 1, part(mu, i + 1) - 1, -1)
-    ]
-    end = len(cells)
-    index = {cell: pos for pos, cell in enumerate(cells)}
-    # filling[pos] is the letter at cells[pos], 0 while empty.  Two sentinel
-    # slots stand in for a missing neighbour: `letters` to the right, 0 above.
-    filling = [0] * end + [letters, 0]
-    right = [index.get((i, j + 1), end) for i, j in cells]
-    above = [index.get((i - 1, j), end + 1) for i, j in cells]
-    counts = [0] * (letters + 1)
-    total = 0
-    pos = 0
-    while pos >= 0:  # backtrack over the cells in reading order
-        if pos == end:
-            total += 1
-            pos -= 1
-            continue
-        v = filling[pos]
-        if v:
-            counts[v] -= 1  # take back the letter placed here last
-        # The next letter after the last one tried such that rows weakly
-        # increase left to right, columns strictly increase downwards, letter
-        # v is used at most nu_v times, and the reading word stays a lattice
-        # word.
-        v = max(v, filling[above[pos]]) + 1
-        top = filling[right[pos]]
-        while v <= top and (counts[v] >= nu[v - 1] or v > 1 and counts[v] >= counts[v - 1]):
-            v += 1
-        if v <= top:
-            counts[v] += 1
-            filling[pos] = v
-            pos += 1
-        else:
-            filling[pos] = 0
-            pos -= 1
-    return total
+    return sum(1 for _ in _fillings(lam, mu, list(nu), False))
+
+
+@checked_memo(_int_parts)
+def lr_table(lam: Partition) -> Mapping[tuple[Partition, Partition], int]:
+    """Every nonzero c^lam_{nu,mu} (the multiplicity of S_lam in S_nu * S_mu), by (nu, mu).
+
+    One backtracking pass over lam's cells, with nu's cells marked: each
+    marked filling is a tableau of shape lam/nu and content mu counted by
+    lr_coeff(lam, nu, mu), so the table agrees with it entry by entry.  The
+    mapping is the memo's own, read-only.
+    """
+    lam = as_partition(lam)
+    rows = []  # each row's cells, a slice of the filling
+    start = 0
+    for length in lam:
+        rows.append(slice(start, start + length))
+        start += length
+    table: dict[tuple[Partition, Partition], int] = {}
+    get = table.get
+    for filling, counts in _fillings(lam, (), [size(lam)] * (len(lam) + 1), True):
+        # nu's rows are the marks in each row, mu's the counts of the other letters.
+        nu = tuple(filter(None, [filling[row].count(1) for row in rows]))
+        key = nu, tuple(filter(None, counts[2:]))
+        table[key] = get(key, 0) + 1
+    return MappingProxyType(table)
 
 
 def lr_rectangle(m: int, a: int, mu: Partition, nu: Partition) -> int:

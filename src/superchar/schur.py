@@ -47,6 +47,7 @@ from functools import lru_cache
 from math import comb
 
 from .laurent import (
+    Accumulator,
     LaurentPoly,
     VarTable,
     det,
@@ -156,22 +157,29 @@ def graded_parts(start, factors, degmax: int) -> list[LaurentPoly]:
     int, standing for 1 - sum u t^d.  Multiplying by it is parts[k] -= sum u
     * parts[k-d] with k descending (each step reads the old parts[k-d]);
     dividing by it is parts[k] += sum u * parts[k-d] with k ascending (each
-    step reads the updated ones).  A zero parts[k-d] is skipped, and no
-    coefficient above degmax is ever formed.
+    step reads the updated ones).  Each step is one Accumulator, a zero
+    parts[k-d] is skipped, and no coefficient above degmax is ever formed.
     """
     if isinstance(start, list):
         parts = list(start)
     else:
         parts = [start] + [LaurentPoly.zero(start.table)] * degmax
+    table = parts[0].table
     for terms, divide in factors:
+        sign = 1 if divide else -1
         low = min(d for d, _ in terms)
         for k in range(low, degmax + 1) if divide else range(degmax, low - 1, -1):
-            acc = parts[k]
+            acc = None
             for d, u in terms:
                 if k >= d and not parts[k - d].is_zero:
-                    step = u * parts[k - d]
-                    acc = acc + step if divide else acc - step
-            parts[k] = acc
+                    if acc is None:
+                        acc = Accumulator(table, parts[k])
+                    if type(u) is int:
+                        acc.add(parts[k - d], sign * u)
+                    else:
+                        acc.add(parts[k - d], sign, u)
+            if acc is not None:
+                parts[k] = acc.value()
     return parts
 
 
@@ -418,18 +426,27 @@ def _degree(shapes) -> int:
 
 
 def _table_dets(shapes, hs, entry, halve: bool) -> list[LaurentPoly]:
-    """det(entry(h, lam_i - i, j)) over 1 <= i, j <= len(lam), for each shape.
+    """det(E(lam_i - i, j)) over 1 <= i, j <= len(lam), for each shape.
 
+    The entry E(base, j) is the sum c h(k) over the (c, k) of entry(base, j);
     h(k) is hs[k], read as 0 for k < 0, from one h_list call at the degree
-    the batch asks for; the values stay over hs's table.  The empty shape
-    is 1.  With halve, each other determinant is halved exactly on its own,
-    so one that does not halve raises.
+    the batch asks for; the values stay over hs's table.  Each entry (base,
+    j) is formed once per batch, by one Accumulator.  The empty shape is 1.
+    With halve, each other determinant is halved exactly on its own, so one
+    that does not halve raises.
     """
     table = hs[0].table
-    zero = LaurentPoly.zero(table)
+    # base -> [E(base, 1), E(base, 2), ...], as far as some shape asked.
+    rows: dict[int, list[LaurentPoly]] = {}
 
-    def h(k: int) -> LaurentPoly:
-        return hs[k] if k >= 0 else zero
+    def element(base: int, j: int) -> LaurentPoly:
+        combination = [(c, k) for c, k in entry(base, j) if k >= 0]
+        if len(combination) == 1 and combination[0][0] == 1:
+            return hs[combination[0][1]]
+        acc = Accumulator(table)
+        for c, k in combination:
+            acc.add(hs[k], c)
+        return acc.value()
 
     out = []
     for lam in shapes:
@@ -437,9 +454,13 @@ def _table_dets(shapes, hs, entry, halve: bool) -> list[LaurentPoly]:
             out.append(LaurentPoly.const(table, 1))
             continue
         n = len(lam)
-        value = det(
-            [[entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        )
+        matrix = []
+        for i in range(1, n + 1):
+            base = lam[i - 1] - i
+            row = rows.setdefault(base, [])
+            row += [element(base, j) for j in range(len(row) + 1, n + 1)]
+            matrix.append(row[:n])
+        value = det(matrix)
         out.append(value.exact_div(2) if halve else value)
     return out
 
@@ -468,26 +489,31 @@ def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet, entry, halve=False) 
     return in_x(_table_dets([lam], hs, entry, halve)[0], X.table)
 
 
-def _plain_entry(h, base: int, j: int) -> LaurentPoly:
-    return h(base + j)
+# Each entry rule maps (base, j) to the (c, k) of its entry sum c h_k.
 
 
-def _square_entry(h, base: int, j: int) -> LaurentPoly:
-    return h(base + j) - h(base - j)
+def _plain_entry(base: int, j: int) -> tuple:
+    return ((1, base + j),)
 
 
-def _angle_entry(h, base: int, j: int) -> LaurentPoly:
-    return h(base + j) + h(base - j + 2)
+def _square_entry(base: int, j: int) -> tuple:
+    return (1, base + j), (-1, base - j)
 
 
-def _altform_angle_entry(h, base: int, j: int) -> LaurentPoly:
+def _angle_entry(base: int, j: int) -> tuple:
+    return (1, base + j), (1, base - j + 2)
+
+
+def _altform_angle_entry(base: int, j: int) -> tuple:
     # A single entry in the first column, paired sums in the others.
-    return h(base + 1) if j == 1 else _angle_entry(h, base, j)
+    return ((1, base + 1),) if j == 1 else _angle_entry(base, j)
 
 
-def _altform_square_entry(h, base: int, j: int) -> LaurentPoly:
+def _altform_square_entry(base: int, j: int) -> tuple:
     # The ANGLE rule with H_m = h_m - h_{m-2} in place of h_m.
-    return _altform_angle_entry(lambda k: h(k) - h(k - 2), base, j)
+    return tuple(
+        pair for c, k in _altform_angle_entry(base, j) for pair in ((c, k), (-c, k - 2))
+    )
 
 
 # Each bracket's entry rule, and whether its determinant is halved.
@@ -559,7 +585,8 @@ def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPo
     """sum w * bracket_lam(X|Y) over the (lam, w) pairs of weighted, over h_list's table.
 
     The shapes not yet in the memo share one _table_dets call, and the terms
-    are added over the table; :func:`in_x` turns the sum into x.
+    are added over the table by one Accumulator; :func:`in_x` turns the sum
+    into x.
     """
     _require_tag(tag)
     weights: dict[Partition, int] = {}
@@ -574,20 +601,15 @@ def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPo
         hs = h_list(X, Y, _degree(missing))
         for lam, value in zip(missing, _table_dets(missing, hs, *_BRACKETS[tag])):
             _table_values[tag, lam, X, Y] = value
-    if not terms:
+    values = [(_table_values[tag, lam, X, Y], w) for lam, w in terms]
+    if not values:
         return LaurentPoly.zero(h_list(X, Y, 0)[0].table)
-    total = None
-    for lam, w in terms:
-        value = _table_values[tag, lam, X, Y]
-        if total is None:
-            total = value if w == 1 else w * value
-        elif w == 1:
-            total = total + value
-        elif w == -1:
-            total = total - value
-        else:
-            total = total + w * value
-    return total
+    if len(values) == 1 and values[0][1] == 1:
+        return values[0][0]
+    acc = Accumulator(values[0][0].table)
+    for value, w in values:
+        acc.add(value, w)
+    return acc.value()
 
 
 def bracket_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
@@ -608,13 +630,21 @@ def t_table(n: int) -> VarTable:
     return VarTable(tuple(f"t{i}" for i in range(1, n + 1)))
 
 
-def _alternant(table: VarTable, lam: Partition) -> LaurentPoly:
-    """det(t_i^{lam_j + n - j}) over the n variables of table; 1 when n = 0."""
+def _alternant(table: VarTable, lam: Partition, monomials: dict) -> LaurentPoly:
+    """det(t_i^{lam_j + n - j}) over the n variables of table; 1 when n = 0.
+
+    monomials maps (t, e) to t^e, filled here as entries are first met, so
+    the alternants of one sum share them.
+    """
     n = len(table)
     if not n:
         return LaurentPoly.const(table, 1)
     powers = [(lam[j] if j < len(lam) else 0) + n - 1 - j for j in range(n)]
-    return det([[LaurentPoly.variable(table, t, e) for e in powers] for t in table.names])
+    for t in table.names:
+        for e in powers:
+            if (t, e) not in monomials:
+                monomials[t, e] = LaurentPoly.variable(table, t, e)
+    return det([[monomials[t, e] for e in powers] for t in table.names])
 
 
 def _by_vandermonde(numerator: LaurentPoly) -> LaurentPoly:
@@ -628,7 +658,7 @@ def _by_vandermonde(numerator: LaurentPoly) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _bialternant_in(table: VarTable, lam: Partition) -> LaurentPoly:
-    return _by_vandermonde(_alternant(table, lam))
+    return _by_vandermonde(_alternant(table, lam, {}))
 
 
 def _checked_shapes(lams, n: int) -> list[Partition]:
@@ -662,8 +692,9 @@ def bialternant_sum(lams, n: int) -> LaurentPoly:
     shapes = _checked_shapes(lams, n)
     table = t_table(n)
     numerator = LaurentPoly.zero(table)
+    monomials: dict = {}
     for lam in shapes:
-        numerator = numerator + _alternant(table, lam)
+        numerator = numerator + _alternant(table, lam, monomials)
     return _by_vandermonde(numerator)
 
 

@@ -421,8 +421,10 @@ def x_bracket(tag, lam, X, Y):
     def h(k):
         return hs[k] if k >= 0 else zero
 
-    entry = X_ENTRY[tag]
-    value = det([[entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    def element(base, j):
+        return sum((c * h(k) for c, k in X_ENTRY[tag](base, j)), zero)
+
+    value = det([[element(lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
     return value.exact_div(2) if tag is BracketType.ANGLE else value
 
 

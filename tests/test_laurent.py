@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from superchar.laurent import (
     EXPONENT_LIMIT,
+    Accumulator,
     FIELD_BITS,
     ExponentOverflowError,
     InexactDivisionError,
@@ -465,6 +466,60 @@ def test_det_rejects_an_entry_over_a_foreign_table():
 def test_one_by_one_det_is_its_entry():
     p = var("a", -2) + 3 * var("b")
     assert det([[p]]) is p
+
+
+# ---------------------------------------------------------------------------
+# Accumulator against the ring's * and +
+# ---------------------------------------------------------------------------
+
+big_polys = st.dictionaries(
+    st.tuples(st.sampled_from((-2, -1, 0, 1, 2, 2**30, -(2**30))), st.integers(-2, 2)),
+    st.integers(-4, 4),
+    max_size=4,
+).map(lambda terms: LaurentPoly(T2, terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.none(), big_polys),
+    st.lists(
+        st.tuples(big_polys, st.sampled_from((-3, -1, 1, 2)), st.one_of(st.none(), big_polys)),
+        max_size=4,
+    ),
+)
+def test_accumulator_matches_the_ring_sum(start, steps):
+    def ring():
+        total = LaurentPoly.zero(T2) if start is None else start
+        for p, c, u in steps:
+            total = total + c * (p if u is None else u * p)
+        return total
+
+    def accumulated():
+        acc = Accumulator(T2, start)
+        for p, c, u in steps:
+            acc.add(p, c, u)
+        return acc.value()
+
+    def outcome(build):
+        try:
+            value = build()
+        except ExponentOverflowError:
+            return ExponentOverflowError
+        return value.sorted_terms(), value._bound
+
+    assert outcome(accumulated) == outcome(ring)
+
+
+def test_accumulator_rejects_a_foreign_table_and_skips_a_zero_weight():
+    other = LaurentPoly.variable(VarTable(["c"]), "c")
+    for args in [(other,), (var("a"), 1, other)]:
+        with pytest.raises(ValueError, match="different variable tables"):
+            Accumulator(T2).add(*args)
+    with pytest.raises(ValueError, match="different variable tables"):
+        Accumulator(T2, other)
+    acc = Accumulator(T2, var("a"))
+    acc.add(var("b", 2**30), 0, var("b", 2**30))  # c = 0 adds no term and no bound, as 0 * p
+    assert acc.value() == var("a") and acc.value()._bound == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from superchar.lr import lr_coeff, lr_rect_sum, lr_rectangle, rect_sum_membership
+from superchar.lr import lr_coeff, lr_rect_sum, lr_rectangle, lr_table, rect_sum_membership
 from superchar.partitions import (
     PartitionClass,
     add,
@@ -8,7 +8,9 @@ from superchar.partitions import (
     conjugate,
     contains,
     part,
+    partitions_inside,
     partitions_of,
+    partitions_upto,
     size,
 )
 from superchar.schur import schur_expand, schur_in_table, t_table
@@ -140,6 +142,41 @@ def test_iterative_fill_matches_the_recursive_fill():
                         )
                         triples += 1
     assert triples == 6830
+
+
+def test_lr_table_matches_lr_coeff_on_every_pair():
+    # Every shape with |lam| <= 9, against lr_coeff for every (nu, mu) inside
+    # lam whose sizes add up; the table holds no other pair.
+    shapes = pairs = 0
+    for lam in partitions_upto(9):
+        inside = partitions_inside(lam)
+        want = {}
+        for nu in inside:
+            for mu in inside:
+                if size(nu) + size(mu) == size(lam):
+                    c = lr_coeff.__wrapped__(lam, nu, mu)
+                    if c:
+                        want[nu, mu] = c
+                    pairs += 1
+        assert dict(lr_table(lam)) == want, lam
+        shapes += 1
+    assert (shapes, pairs) == (97, 3938)
+
+
+def test_lr_table_checks_types_and_is_read_only():
+    assert dict(lr_table((2, 1))) == {
+        ((), (2, 1)): 1,
+        ((1,), (2,)): 1,
+        ((1,), (1, 1)): 1,
+        ((2,), (1,)): 1,
+        ((1, 1), (1,)): 1,
+        ((2, 1), ()): 1,
+    }
+    for lam in [(2.0,), (True, True)]:
+        with pytest.raises(ValueError, match="must be ints"):
+            lr_table(lam)
+    with pytest.raises(TypeError):
+        lr_table((2, 1))[(), ()] = 2
 
 
 def test_deep_skew_shapes_need_no_recursion():

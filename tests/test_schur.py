@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superchar import clear_caches, schur
-from superchar.laurent import InexactDivisionError, LaurentPoly, VarTable, e_to_z, z_to_x
+from superchar.laurent import (
+    ExponentOverflowError,
+    InexactDivisionError,
+    LaurentPoly,
+    VarTable,
+    det,
+    e_to_z,
+    z_to_x,
+)
 from superchar.partitions import PartitionClass, conjugate, in_class, part, partitions_upto, size
 from superchar.schur import (
     Alphabet,
@@ -443,8 +451,8 @@ def test_bialternant_sum_rejects_a_numerator_that_is_not_alternating(monkeypatch
     # Vandermonde product, and the one division must say so.
     real = schur._alternant
 
-    def dropped(table, lam):
-        value = real(table, lam)
+    def dropped(table, lam, monomials):
+        value = real(table, lam, monomials)
         (exps, _), *_ = value.sorted_terms()
         return value - LaurentPoly.monomial(table, exps, value.coeff(exps))
 
@@ -815,3 +823,151 @@ def test_angle_values_halve_exactly_in_formal_e(x_route):
     for (X, Y), values in zip(pairs, in_e):
         assert h_list(X, Y, 0)[0].table == T
         assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
+
+
+# ---------------------------------------------------------------------------
+# The one-dict recurrence, entries and sums, against the ring's add chains
+# ---------------------------------------------------------------------------
+
+BIG = 2**30  # a product of two values at this exponent passes the packed field
+
+
+def ring_graded_parts(start, factors, degmax):
+    """The recurrence graded_parts used to run: one ``acc + u * part`` per term."""
+    if isinstance(start, list):
+        parts = list(start)
+    else:
+        parts = [start] + [LaurentPoly.zero(start.table)] * degmax
+    for terms, divide in factors:
+        low = min(d for d, _ in terms)
+        for k in range(low, degmax + 1) if divide else range(degmax, low - 1, -1):
+            acc = parts[k]
+            for d, u in terms:
+                if k >= d and not parts[k - d].is_zero:
+                    step = u * parts[k - d]
+                    acc = acc + step if divide else acc - step
+            parts[k] = acc
+    return parts
+
+
+def terms_and_bounds(values):
+    return [(v.sorted_terms(), v._bound) for v in values]
+
+
+def outcome(build):
+    """Every value's terms and bound, or the overflow the build raised."""
+    try:
+        values = build()
+    except ExponentOverflowError:
+        return ExponentOverflowError
+    return terms_and_bounds(values)
+
+
+@st.composite
+def graded_inputs(draw):
+    table = VarTable(("a", "b"))
+    exps = st.tuples(st.sampled_from((-1, 0, 1, 2, BIG)), st.integers(-1, 1))
+    poly = st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(
+        lambda terms: LaurentPoly(table, terms)
+    )
+    degmax = draw(st.integers(0, 5))
+    start = draw(st.one_of(poly, st.lists(poly, min_size=degmax + 1, max_size=degmax + 1)))
+    weight = st.one_of(poly, st.integers(-3, 3))
+    terms = st.lists(st.tuples(st.integers(1, 3), weight), min_size=1, max_size=3).map(tuple)
+    factors = draw(st.lists(st.tuples(terms, st.booleans()), max_size=3))
+    return start, factors, degmax
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_inputs())
+def test_graded_parts_matches_the_add_chain_recurrence(inputs):
+    start, factors, degmax = inputs
+    assert outcome(lambda: schur.graded_parts(start, factors, degmax)) == outcome(
+        lambda: ring_graded_parts(start, factors, degmax)
+    )
+
+
+def _ring_altform_square(h, base, j):
+    def H(k):
+        return h(k) - h(k - 2)
+
+    return H(base + 1) if j == 1 else H(base + j) + H(base - j + 2)
+
+
+def route_pairs():
+    """An alphabet pair on the e table of x's, one on the z table and one on the e table of z's."""
+    table = VarTable(("x1", "y1"))
+    return [
+        formal_pair(2, 1)[:2],
+        (palindromic(table, ("x1",)), palindromic(table, ("y1",))),
+        (palindromic(TABLE_3, ("x1", "x2")), palindromic(TABLE_3, ("y1",))),
+    ]
+
+
+# name -> (the library's rule, the rule as the ring sum it used to return, halve)
+ENTRY_RULES = {
+    "plain": (schur._plain_entry, lambda h, base, j: h(base + j), False),
+    "square": (schur._square_entry, lambda h, base, j: h(base + j) - h(base - j), False),
+    "angle": (schur._angle_entry, lambda h, base, j: h(base + j) + h(base - j + 2), True),
+    "altform_angle": (
+        schur._altform_angle_entry,
+        lambda h, base, j: h(base + 1) if j == 1 else h(base + j) + h(base - j + 2),
+        False,
+    ),
+    "altform_square": (schur._altform_square_entry, _ring_altform_square, False),
+}
+
+
+def per_entry_dets(shapes, hs, ring_entry, halve):
+    """_table_dets as it used to run: each entry of each shape formed on its own by the ring."""
+    table = hs[0].table
+    zero = LaurentPoly.zero(table)
+
+    def h(k):
+        return hs[k] if k >= 0 else zero
+
+    out = []
+    for lam in shapes:
+        if not lam:
+            out.append(LaurentPoly.const(table, 1))
+            continue
+        n = len(lam)
+        value = det(
+            [[ring_entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        )
+        out.append(value.exact_div(2) if halve else value)
+    return out
+
+
+@pytest.mark.parametrize("rule", ENTRY_RULES)
+def test_entries_formed_once_per_batch_match_the_per_entry_dets(rule):
+    entry, ring_entry, halve = ENTRY_RULES[rule]
+    shapes = partitions_upto(5, max_len=4)
+    for X, Y in route_pairs():
+        hs = h_list(X, Y, schur._degree(shapes))
+        formed = Counter()
+
+        def counted(base, j):
+            formed[base, j] += 1
+            return entry(base, j)
+
+        got = schur._table_dets(shapes, hs, counted, halve)
+        assert set(formed.values()) == {1}
+        want = per_entry_dets(shapes, hs, ring_entry, halve)
+        assert terms_and_bounds(got) == terms_and_bounds(want)
+
+
+def test_table_sum_adds_into_one_dict_like_the_add_chain():
+    weighted = [((2, 1), 3), ((1,), -1), ((), 2), ((1,), 1), ((2,), 0), ((1, 1), -2), ((3,), 1)]
+    merged = Counter()
+    for lam, w in weighted:
+        merged[lam] += w
+    for X, Y in route_pairs():
+        for tag in BracketType:
+            clear_caches()
+            got = table_sum(tag, weighted, X, Y)
+            chain = LaurentPoly.zero(got.table)
+            for lam, w in merged.items():
+                if w:
+                    chain = chain + w * table_sum(tag, [(lam, 1)], X, Y)
+            assert terms_and_bounds([got]) == terms_and_bounds([chain]), tag

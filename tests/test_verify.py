@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import superchar
 from superchar import folding, lr, partitions, schur, verify
-from superchar.laurent import LaurentPoly, VarTable
+from superchar.laurent import Accumulator, LaurentPoly, VarTable
 from superchar.partitions import in_hook
 from superchar.report import VerificationReport, _first_failures
 from superchar.schur import Alphabet
@@ -150,22 +150,24 @@ def test_product_factor_of_degree_below_one_raises():
 
 def test_graded_recurrence_never_multiplies_by_zero(monkeypatch):
     # h_m(0|Y) vanishes above |Y|, and the even-columns product has no odd
-    # t-degree parts: the recurrence skips those zero parts.
-    real = LaurentPoly.__mul__
+    # t-degree parts: the recurrence skips those zero parts.  Each step of
+    # the recurrence is one Accumulator, started from parts[k], and every
+    # add to it multiplies a part by u.
+    real = Accumulator.add
     calls, zero_operands = [], []
 
-    def spy(self, other):
+    def spy(self, p, c=1, u=None):
         calls.append(1)
-        if self.is_zero or (isinstance(other, LaurentPoly) and other.is_zero):
-            zero_operands.append((self, other))
-        return real(self, other)
+        if p.is_zero or not c or (u is not None and u.is_zero):
+            zero_operands.append((p, c, u))
+        return real(self, p, c, u)
 
     X, Y, _ = cauchy_alphabets(0, 2, 1)
     table = schur.t_table(3)
     t = [LaurentPoly.variable(table, name) for name in table.names]
     even_columns = [(t[i] * t[j], True) for i, j in combinations(range(3), 2)]
     superchar.clear_caches()
-    monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+    monkeypatch.setattr(Accumulator, "add", spy)
     hs = schur.h_list(X, Y, 5)
     product = _graded_product(table, 3, even_columns, 6)
     monkeypatch.undo()
