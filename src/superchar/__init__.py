@@ -38,6 +38,7 @@ def clear_caches() -> None:
 
     for cached in (
         _folding._alphabets,
+        _folding._palindromic_pair,
         _folding._with_consts,
         _folding._plain_sides,
         _schur._h_list_cached,

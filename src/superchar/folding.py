@@ -151,11 +151,19 @@ def _with_consts(base: Alphabet, consts: tuple[int, ...]) -> Alphabet:
 
 
 @lru_cache(maxsize=None)
+def _palindromic_pair(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
+    """The case's palindromic x and y alphabets before any constant, shared by all its pairs."""
+    table = _vartable(case.x_count, case.s)
+    return (
+        palindromic(table, table.names[: case.x_count]),
+        palindromic(table, table.names[case.x_count :]),
+    )
+
+
+@lru_cache(maxsize=None)
 def _alphabets(case: FoldingCase, x_consts: tuple, y_consts: tuple) -> tuple[Alphabet, Alphabet]:
     """The palindromic x and y alphabets of the case, with constants adjoined."""
-    table = _vartable(case.x_count, case.s)
-    X = palindromic(table, table.names[: case.x_count])
-    Y = palindromic(table, table.names[case.x_count :])
+    X, Y = _palindromic_pair(case)
     return _with_consts(X, x_consts), _with_consts(Y, y_consts)
 
 

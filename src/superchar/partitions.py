@@ -185,9 +185,12 @@ def in_rect_subset(tag: RectSubset, m: int, a: int, lam: Partition) -> bool:
     raise ValueError(f"unknown subset {tag!r}")
 
 
-def partitions_inside(outer: Iterable[int]) -> list[Partition]:
-    """All partitions inside outer (outer and the empty one included), graded order."""
-    outer = as_partition(outer)
+def _inside(outer: Partition) -> list[Partition]:
+    """All partitions inside a valid outer (outer and the empty one included), graded order.
+
+    The depth-first list is lexicographically decreasing within each size,
+    and the sort is stable, so sorting it by size alone gives graded order.
+    """
     out: list[Partition] = []
 
     def rec(row: int, bound: int, prefix: Partition):
@@ -198,15 +201,39 @@ def partitions_inside(outer: Iterable[int]) -> list[Partition]:
             rec(row + 1, p, prefix + (p,))
 
     rec(0, outer[0] if outer else 0, EMPTY)
-    return sorted(out, key=grevlex_key)
+    out.sort(key=sum)
+    return out
+
+
+def partitions_inside(outer: Iterable[int]) -> list[Partition]:
+    """All partitions inside outer (outer and the empty one included), graded order."""
+    return _inside(as_partition(outer))
 
 
 def box_partitions(m: int, a: int) -> list[Partition]:
     """All partitions inside the a-by-m rectangle, graded order."""
     _check_rect(m, a)
-    return partitions_inside((m,) * a)
+    return _inside((m,) * a)
 
 
 def enumerate_rect_subset(tag: RectSubset, m: int, a: int) -> list[Partition]:
+    """The tag's subset of the a-by-m rectangle, graded order.
+
+    Each member is built from a partition nu of a smaller box: COLPAIRED
+    doubles each row of nu in the (a//2)-row box, under a full row m when a
+    is odd; EVENROW is 2 nu over the box of width m//2 when m is even, and
+    2 nu + 1 padded with 1s to a rows when m is odd.  Both maps keep size
+    order and lexicographic order, so the list comes out graded.
+    """
     _check_rect(m, a)
-    return [lam for lam in box_partitions(m, a) if in_rect_subset(tag, m, a, lam)]
+    if tag is RectSubset.BOX:
+        return _inside((m,) * a)
+    if tag is RectSubset.COLPAIRED:
+        top = (m,) if a % 2 else EMPTY
+        return [sum(zip(nu, nu), top) for nu in _inside((m,) * (a // 2))]
+    if tag is RectSubset.EVENROW:
+        half = _inside((m // 2,) * a if m > 1 else EMPTY)
+        if m % 2:
+            return [tuple(2 * p + 1 for p in nu) + (1,) * (a - len(nu)) for nu in half]
+        return [tuple(2 * p for p in nu) for nu in half]
+    raise ValueError(f"unknown subset {tag!r}")

@@ -39,11 +39,14 @@ class VerificationReport:
 
 
 def poly_comparison(check_id: str, params: dict, lhs, rhs) -> VerificationReport:
-    """Report exact equality of two polynomials, witnessing the difference."""
-    diff = lhs - rhs
-    if diff.is_zero:
+    """Report exact equality of two polynomials, witnessing the difference.
+
+    Equal sides pass on one comparison of their terms; only a failing
+    comparison forms lhs - rhs.
+    """
+    if lhs == rhs:
         return VerificationReport(check_id, params, True)
-    return VerificationReport(check_id, params, False, witness=diff)
+    return VerificationReport(check_id, params, False, witness=lhs - rhs)
 
 
 def _first_failures(

@@ -139,8 +139,14 @@ class Alphabet:
 
 def palindromic(table: VarTable, names: tuple[str, ...]) -> Alphabet:
     """The multiset {v, v^-1 for v in names}, in v..., then inverses order."""
-    base = Alphabet.formal(table, names)
-    return base | base.inverses()
+    units = []
+    for name in names:
+        exps = [0] * len(table)
+        exps[table.index[name]] = 1
+        units.append(exps)
+    elements = [(1, tuple(exps)) for exps in units]
+    elements += [(1, tuple(-e for e in exps)) for exps in units]
+    return Alphabet(table, tuple(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +477,23 @@ def _table_dets(shapes, hs, entry, halve: bool) -> list[LaurentPoly]:
 _x_series: dict[tuple, list[LaurentPoly]] = {}
 
 
-def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet, entry, halve=False) -> LaurentPoly:
-    """The one-shape determinant, over X.table; 1 for the empty shape.
+def _jacobi_trudi(shapes, X: Alphabet, Y: Alphabet, entry, halve=False) -> list[LaurentPoly]:
+    """The shapes' determinants over X.table, from one h_list call; 1 for the empty shape.
 
-    Over the z and e-of-z tables the determinant is taken there and turned
-    into x.  Over an e table of x's it is taken over the x view of the
-    same series, _x_series, so each h_m, not each character, is converted.
+    Over the z and e-of-z tables the determinants are taken there and each
+    is turned into x.  Over an e table of x's they are taken over the x view
+    of the same series, _x_series, so each h_m, not each character, is
+    converted.
     """
-    if not lam:
-        return LaurentPoly.const(X.table, 1)
-    hs = h_list(X, Y, _degree([lam]))
+    if not any(shapes):
+        return [LaurentPoly.const(X.table, 1) for _ in shapes]
+    hs = h_list(X, Y, _degree(shapes))
     table = hs[0].table
     if isinstance(table, ETable) and not table.over_z:
         view = _x_series.setdefault((X, Y), [])
         view += [in_x(h, X.table) for h in hs[len(view) :]]
-        return _table_dets([lam], view, entry, halve)[0]
-    return in_x(_table_dets([lam], hs, entry, halve)[0], X.table)
+        return _table_dets(shapes, view, entry, halve)
+    return [in_x(value, X.table) for value in _table_dets(shapes, hs, entry, halve)]
 
 
 # Each entry rule maps (base, j) to the (c, k) of its entry sum c h_k.
@@ -541,7 +548,7 @@ def _bracket_args(tag, lam, X, Y):
 @checked_memo(_shape_args)
 def super_schur(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """det(h_{lam_i - i + j}) over 1 <= i, j <= len(lam); 1 for the empty shape."""
-    return _jacobi_trudi(lam, X, Y, _plain_entry)
+    return _jacobi_trudi([lam], X, Y, _plain_entry)[0]
 
 
 @checked_memo(_bracket_args)
@@ -555,7 +562,7 @@ def bracket_schur(tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet) ->
     """
     if tag is BracketType.PLAIN:
         return super_schur(lam, X, Y)
-    return _jacobi_trudi(lam, X, Y, *_BRACKETS[tag])
+    return _jacobi_trudi([lam], X, Y, *_BRACKETS[tag])[0]
 
 
 @checked_memo(_bracket_args)
@@ -571,8 +578,19 @@ def bracket_schur_altform(
     if tag is BracketType.PLAIN:
         raise ValueError("alternate forms exist for SQUARE and ANGLE only")
     if tag is BracketType.SQUARE:
-        return _jacobi_trudi(lam, X, Y, _altform_square_entry)
-    return _jacobi_trudi(lam, X, Y, _altform_angle_entry)
+        return _jacobi_trudi([lam], X, Y, _altform_square_entry)[0]
+    return _jacobi_trudi([lam], X, Y, _altform_angle_entry)[0]
+
+
+def bracket_batch(tag: BracketType, shapes, X: Alphabet, Y: Alphabet) -> list[LaurentPoly]:
+    """bracket_lam(X|Y) over X.table for each lam of shapes, in order.
+
+    The determinants come from one h_list call at the degree the batch asks
+    for and one _table_dets call; they are not memoized, nor looked up in
+    the per-shape memos of super_schur and bracket_schur.
+    """
+    _require_tag(tag)
+    return _jacobi_trudi([as_partition(lam) for lam in shapes], X, Y, *_BRACKETS[tag])
 
 
 # (tag, lam, X, Y) -> bracket_lam(X|Y) over h_list's table: bracket_sum's

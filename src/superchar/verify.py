@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, combinations, combinations_with_replacement
 
 from . import folding, lr, partitions, schur
-from .laurent import LaurentPoly, VarTable
+from .laurent import Accumulator, LaurentPoly, VarTable
 from .partitions import (
     PartitionClass,
     RectSubset,
@@ -33,6 +33,13 @@ from .report import VerificationReport, _first_failures, poly_comparison, value_
 from .schur import Alphabet, BracketType
 
 CAUCHY_KINDS = ("cauchy_plain", "cauchy_square", "cauchy_angle", "cauchy_angle_dual")
+# The bracket each Cauchy kind sums; the dual kind takes it at the conjugate shapes.
+_CAUCHY_BRACKETS = {
+    "cauchy_plain": BracketType.PLAIN,
+    "cauchy_square": BracketType.SQUARE,
+    "cauchy_angle": BracketType.ANGLE,
+    "cauchy_angle_dual": BracketType.ANGLE,
+}
 SUM_KINDS = ("schur_sum", "littlewood_even_rows", "littlewood_even_columns")
 
 
@@ -53,8 +60,11 @@ def _graded_product(
         if d < 1:
             raise ValueError(f"product factor {u} needs positive degree in the t variables")
         graded.append((((d, u),), divide))
-    parts = schur.graded_parts(LaurentPoly.const(table, 1), graded, degmax)
-    return sum(parts[1:], parts[0])
+    acc = Accumulator(table)
+    for part in schur.graded_parts(LaurentPoly.const(table, 1), graded, degmax):
+        if not part.is_zero:
+            acc.add(part)
+    return acc.value()
 
 
 def cauchy_alphabets(nx: int, ny: int, nT: int) -> tuple[Alphabet, Alphabet, VarTable]:
@@ -77,8 +87,9 @@ def cauchy_check(
     """One truncated Cauchy-type identity, compared exactly.
 
     The character sum side runs over shapes of size at most degmax with at
-    most nT rows; the product side is built by _graded_product to the same
-    degree.
+    most nT rows: each side's characters come from one schur.bracket_batch,
+    and the products are added into one Accumulator.  The product side is
+    built by _graded_product to the same degree.
     """
     if kind not in CAUCHY_KINDS:
         raise ValueError(f"unknown cauchy kind {kind!r}")
@@ -90,18 +101,15 @@ def cauchy_check(
     T = Alphabet.formal(table, t_names)
     none = Alphabet.empty(table)
 
-    lhs = LaurentPoly.zero(table)
-    for lam in partitions_upto(degmax, max_len=nT):
-        s_t = schur.super_schur(lam, T, none)
-        if kind == "cauchy_plain":
-            factor = schur.super_schur(lam, X, Y)
-        elif kind == "cauchy_square":
-            factor = schur.bracket_schur(BracketType.SQUARE, lam, X, Y)
-        elif kind == "cauchy_angle":
-            factor = schur.bracket_schur(BracketType.ANGLE, lam, X, Y)
-        else:
-            factor = schur.bracket_schur(BracketType.ANGLE, conjugate(lam), X, Y)
-        lhs = lhs + factor * s_t
+    shapes = partitions_upto(degmax, max_len=nT)
+    duals = kind == "cauchy_angle_dual"
+    chars = schur.bracket_batch(
+        _CAUCHY_BRACKETS[kind], [conjugate(lam) for lam in shapes] if duals else shapes, X, Y
+    )
+    acc = Accumulator(table)
+    for char, s_t in zip(chars, schur.bracket_batch(BracketType.PLAIN, shapes, T, none)):
+        acc.add(s_t, 1, char)
+    lhs = acc.value()
 
     # For each t: (1 - t y) over Y and 1/(1 - t x) over X; the dual kind
     # swaps the alphabets and negates them.

@@ -114,6 +114,27 @@ def test_case_table_matches_the_docstring():
             assert Y.describe() == ys, case
 
 
+def test_a_fold_request_builds_each_palindromic_base_once(monkeypatch):
+    # The fold pair and the branch pair share their constant-free bases.
+    calls = []
+    real = folding.palindromic
+
+    def spy(table, names):
+        calls.append(names)
+        return real(table, names)
+
+    monkeypatch.setattr(folding, "palindromic", spy)
+    for case in fold_cases(2):
+        if not in_hook((1,), *ambient_hook(case)):
+            continue
+        for branch in branches(case):
+            clear_caches()
+            calls.clear()
+            assert verify_decomposition(case, branch, 1, 1).passed
+            assert len(calls) == 2, (case, branch.name)
+    clear_caches()
+
+
 def test_dc_relation_table_is_pinned():
     assert DC_RELATIONS == (
         "plain_to_square",

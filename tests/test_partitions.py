@@ -176,6 +176,28 @@ def test_rect_subsets_contained_in_box():
                     assert (lam in members) == in_rect_subset(tag, m, a, lam)
 
 
+def filtered_rect_subset(tag, m, a):
+    """The subset as a filter: the box sorted by grevlex_key, kept pointwise by in_rect_subset."""
+    box = sorted(partitions_inside((m,) * a), key=grevlex_key)
+    return [lam for lam in box if in_rect_subset(tag, m, a, lam)]
+
+
+@pytest.mark.parametrize("tag", list(RectSubset))
+def test_rect_subsets_match_the_filtered_box_in_order(tag):
+    for m in range(1, 7):
+        for a in range(1, 7):
+            assert enumerate_rect_subset(tag, m, a) == filtered_rect_subset(tag, m, a), (m, a)
+
+
+def test_box_partitions_are_in_grevlex_order():
+    for m in range(1, 7):
+        for a in range(1, 7):
+            got = box_partitions(m, a)
+            assert got == sorted(got, key=grevlex_key), (m, a)
+            fits = [lam for lam in partitions_upto(m * a, max_len=a) if not lam or lam[0] <= m]
+            assert got == fits, (m, a)
+
+
 def test_rect_subset_rejects_bad_sides():
     with pytest.raises(ValueError):
         enumerate_rect_subset(RectSubset.BOX, 0, 1)

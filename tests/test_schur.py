@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +88,28 @@ def test_h_list_single_dual_variable():
     assert hs[0] == 1
     assert hs[1] == -LaurentPoly.variable(table, "y1")
     assert hs[2].is_zero and hs[3].is_zero
+
+
+def test_palindromic_matches_formal_union_inverses():
+    table = VarTable(("x1", "x2", "y1", "y2"))
+    for k in range(len(table) + 1):
+        for names in permutations(table.names, k):
+            formal = Alphabet.formal(table, names)
+            want = formal | formal.inverses()
+            got = palindromic(table, names)
+            assert got.elements == want.elements, names
+            assert got == want and hash(got) == hash(want)
+
+
+def test_alphabets_over_different_tables_raise():
+    A = palindromic(VarTable(("x1",)), ("x1",))
+    B = palindromic(VarTable(("x1", "y1")), ("y1",))
+    with pytest.raises(ValueError):
+        A | B
+    with pytest.raises(ValueError):
+        h_list(A, B, 2)
+    with pytest.raises(ValueError):
+        schur.bracket_batch(BracketType.PLAIN, [(1,)], A, B)
 
 
 def test_h_list_folded_example():

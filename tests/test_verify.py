@@ -12,7 +12,7 @@ import superchar
 from superchar import folding, lr, partitions, schur, verify
 from superchar.laurent import Accumulator, LaurentPoly, VarTable
 from superchar.partitions import in_hook
-from superchar.report import VerificationReport, _first_failures
+from superchar.report import VerificationReport, _first_failures, poly_comparison
 from superchar.schur import Alphabet
 from superchar.verify import (
     CAUCHY_KINDS,
@@ -174,6 +174,56 @@ def test_graded_recurrence_never_multiplies_by_zero(monkeypatch):
     assert calls and not zero_operands
     assert all(h.is_zero for h in hs[3:])
     assert all(sum(exps) % 2 == 0 for exps, _ in product.terms())
+
+
+def per_shape_cauchy_lhs(kind, X, Y, nT, degmax):
+    """The Cauchy character sum, one memoized character and one add per shape."""
+    table = X.table
+    T = Alphabet.formal(table, tuple(f"t{i}" for i in range(1, nT + 1)))
+    none = Alphabet.empty(table)
+    lhs = LaurentPoly.zero(table)
+    for lam in partitions.partitions_upto(degmax, max_len=nT):
+        if kind == "cauchy_plain":
+            factor = schur.super_schur(lam, X, Y)
+        elif kind == "cauchy_square":
+            factor = schur.bracket_schur(schur.BracketType.SQUARE, lam, X, Y)
+        elif kind == "cauchy_angle":
+            factor = schur.bracket_schur(schur.BracketType.ANGLE, lam, X, Y)
+        else:
+            factor = schur.bracket_schur(schur.BracketType.ANGLE, partitions.conjugate(lam), X, Y)
+        lhs = lhs + factor * schur.super_schur(lam, T, none)
+    return lhs
+
+
+def test_batched_cauchy_lhs_matches_the_per_shape_loop(monkeypatch):
+    seen = []
+    real = verify.poly_comparison
+
+    def capture(check_id, params, lhs, rhs):
+        seen.append(lhs)
+        return real(check_id, params, lhs, rhs)
+
+    monkeypatch.setattr(verify, "poly_comparison", capture)
+    for kind in CAUCHY_KINDS:
+        for nx in range(3):
+            for ny in range(3):
+                for nT in range(1, 4):
+                    X, Y, _ = cauchy_alphabets(nx, ny, nT)
+                    seen.clear()
+                    superchar.clear_caches()
+                    assert cauchy_check(kind, X, Y, nT, 6).passed
+                    superchar.clear_caches()
+                    assert seen == [per_shape_cauchy_lhs(kind, X, Y, nT, 6)], (kind, nx, ny, nT)
+
+
+def test_failing_poly_comparison_witnesses_the_difference():
+    table = VarTable(("x1", "y1"))
+    x, y = (LaurentPoly.variable(table, name) for name in table.names)
+    lhs, rhs = x * x + y, x * y + y + 3
+    rep = poly_comparison("c", {"n": 1}, lhs, rhs)
+    assert not rep.passed and rep.witness == lhs - rhs
+    assert poly_comparison("c", {"n": 1}, lhs, x * x + y).passed
+    assert poly_comparison("c", {"n": 1}, lhs, lhs).passed
 
 
 def test_littlewood_examples():
