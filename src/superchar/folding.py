@@ -320,11 +320,14 @@ def _dc_rows(xi: int) -> dict[str, tuple]:
     }
 
 
-DC_RELATIONS = tuple(_dc_rows(1))
+# xi -> _dc_rows(xi), built once.
+_DC_ROWS = {xi: _dc_rows(xi) for xi in (1, -1)}
+
+DC_RELATIONS = tuple(_DC_ROWS[1])
 
 # The relations whose identity changes with xi = +-1.
 XI_RELATIONS = frozenset(
-    relation for relation, row in _dc_rows(-1).items() if row != _dc_rows(1)[relation]
+    relation for relation, row in _DC_ROWS[-1].items() if row != _DC_ROWS[1][relation]
 )
 
 
@@ -357,7 +360,7 @@ def general_dc_check(
         raise ValueError("xi must be +1 or -1")
     if xi != 1 and relation not in XI_RELATIONS:
         raise ValueError(f"relation {relation!r} does not depend on xi; use xi = 1")
-    xp, yp, weight, bracket, xs, ys = _dc_rows(xi)[relation]
+    xp, yp, weight, bracket, xs, ys = _DC_ROWS[xi][relation]
     lhs, lhs_x = _plain_sides(lam, _with_consts(X, xp), _with_consts(Y, yp))
     rhs = _weighted_sum(lam, weight, bracket, _with_consts(X, xs), _with_consts(Y, ys))
     rhs_x = lhs_x if rhs == lhs else in_x(rhs, X.table)

@@ -413,13 +413,15 @@ class Accumulator:
 def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Division-free determinant of a square matrix of polynomials.
 
-    Cofactor expansion memoized on the surviving column subset; fine for the
-    desk-scale matrices (n <= 8) this package produces.  Every entry must be
-    over the first entry's table, and a 1 x 1 matrix returns its entry.
+    Cofactor expansion memoized on the surviving column subset, keyed by its
+    bitmask; fine for the desk-scale matrices (n <= 8) this package
+    produces.  Every entry must be over the first entry's table, and a 1 x 1
+    matrix returns its entry.
 
     Each minor is one dict of packed terms, with the bound that ``*``, ``+``
     and ``-`` would give it, so a product past the field raises exactly as in
-    the ring.
+    the ring.  The one-column minors are the last row's entries themselves
+    (a zero entry is 0 with bound 0); their dicts are only read.
     """
     n = len(rows)
     if n == 0:
@@ -432,9 +434,12 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             first._check(entry)
     if n == 1:
         return first
-    memo: dict[tuple[int, ...], tuple[dict[int, int], int]] = {(): ({0: 1}, 0)}
+    memo: dict[int, tuple[dict[int, int], int]] = {
+        1 << col: (entry._terms, entry._bound) if entry._terms else ({}, 0)
+        for col, entry in enumerate(rows[-1])
+    }
 
-    def minor(cols: tuple[int, ...]) -> tuple[dict[int, int], int]:
+    def minor(cols: tuple[int, ...], mask: int) -> tuple[dict[int, int], int]:
         # Called on memo misses only: each sub-minor is looked up first.
         row = rows[n - len(cols)]
         acc: dict[int, int] = {}
@@ -445,8 +450,8 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             if not entry._terms:
                 continue
             items = entry._terms.items()
-            sub = cols[:pos] + cols[pos + 1 :]
-            rest, rest_bound = memo.get(sub) or minor(sub)
+            sub = mask ^ (1 << col)
+            rest, rest_bound = memo.get(sub) or minor(cols[:pos] + cols[pos + 1 :], sub)
             bound = max(bound, _product_bound(entry._bound, rest_bound))
             odd = pos % 2
             for k, c in rest.items():
@@ -457,10 +462,10 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
                     acc[key] = get(key, 0) + c * c2
         if 0 in acc.values():
             acc = {k: c for k, c in acc.items() if c}
-        memo[cols] = acc, bound
+        memo[mask] = acc, bound
         return acc, bound
 
-    terms, bound = minor(tuple(range(n)))
+    terms, bound = minor(tuple(range(n)), (1 << n) - 1)
     return _trusted(first.table, terms, bound)
 
 

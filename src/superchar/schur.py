@@ -50,6 +50,7 @@ from .laurent import (
     Accumulator,
     LaurentPoly,
     VarTable,
+    _trusted,
     det,
     divide_linear,
     e_to_z,
@@ -106,9 +107,15 @@ class Alphabet:
         return cls(table, tuple((v, zero) for v in values))
 
     def union(self, other: "Alphabet") -> "Alphabet":
+        """Both element lists in order; each was checked when its alphabet was built."""
         if self.table != other.table:
             raise ValueError("alphabets over different tables")
-        return Alphabet(self.table, self.elements + other.elements)
+        out = object.__new__(Alphabet)
+        elements = self.elements + other.elements
+        object.__setattr__(out, "table", self.table)
+        object.__setattr__(out, "elements", elements)
+        object.__setattr__(out, "_hash", hash((self.table, elements)))
+        return out
 
     __or__ = union
 
@@ -222,31 +229,31 @@ def e_table(blocks: tuple[tuple[str, ...], ...], over_z: bool) -> ETable:
     return ETable(blocks, over_z)
 
 
-def _inverse_pairs(alphabet: Alphabet) -> list[SignedMonomial] | None:
-    """One element s v per pair {s v, s v^-1} of an inverse-paired alphabet, else None.
+def _inverse_pairs(elements: tuple[SignedMonomial, ...]) -> list[SignedMonomial] | None:
+    """One element s v per pair {s v, s v^-1} of an alphabet's non-constant elements, else None.
 
-    The alphabet qualifies when every non-constant element is one variable
-    to the power +-1 and its inverse occurs with the same sign and
-    multiplicity; the v returned are the ones at power +1.
+    They qualify when each is one variable to the power +-1 and its inverse
+    occurs with the same sign and multiplicity; the v returned are the ones
+    at power +1.  The elements are counted only when as many are at power
+    +1 as at -1.
     """
-    count = Counter(alphabet.elements)
-    pairs = []
-    for sign, exps in alphabet.elements:
-        if not any(exps):
-            continue
-        if sum(map(abs, exps)) != 1 or count[sign, exps] != count[sign, tuple(-e for e in exps)]:
+    pairs, inverses = [], []
+    for sign, exps in elements:
+        if sum(map(abs, exps)) != 1:
             return None
-        if 1 in exps:
-            pairs.append((sign, exps))
+        (pairs if 1 in exps else inverses).append((sign, exps))
+    if len(pairs) != len(inverses):
+        return None
+    if pairs and Counter(pairs) != Counter((s, tuple(-e for e in exps)) for s, exps in inverses):
+        return None
     return pairs
 
 
-def _formal(alphabet: Alphabet) -> list[SignedMonomial] | None:
-    """The non-constant elements when each is one variable at power 1, else None."""
-    out = [(sign, exps) for sign, exps in alphabet.elements if any(exps)]
-    if any(sum(map(abs, exps)) != 1 or 1 not in exps for _, exps in out):
+def _formal(elements: tuple[SignedMonomial, ...]) -> tuple[SignedMonomial, ...] | None:
+    """An alphabet's non-constant elements when each is one variable at power 1, else None."""
+    if any(sum(map(abs, exps)) != 1 or 1 not in exps for _, exps in elements):
         return None
-    return out
+    return elements
 
 
 def _e_blocks(x_vars, y_vars) -> list[tuple[int, tuple[int, ...]]] | None:
@@ -272,6 +279,13 @@ def _e_blocks(x_vars, y_vars) -> list[tuple[int, tuple[int, ...]]] | None:
     return blocks
 
 
+def _scaled(c: int, e_k):
+    """c e_k for a nonzero int c and e_k the int 1 or an e variable, built directly."""
+    if type(e_k) is int:
+        return c * e_k
+    return _trusted(e_k.table, {key: c * coeff for key, coeff in e_k._terms.items()}, e_k._bound)
+
+
 def _e_factor(sign: int, e: list) -> tuple:
     """prod (1 - sign z_i t + t^2) over a block's z's, as graded_parts terms.
 
@@ -282,7 +296,7 @@ def _e_factor(sign: int, e: list) -> tuple:
     """
     r = len(e) - 1
     return tuple(
-        (d, -((-sign) ** k) * comb(r - k, (d - k) // 2) * e[k])
+        (d, _scaled(-((-sign) ** k) * comb(r - k, (d - k) // 2), e[k]))
         for d in range(1, 2 * r + 1)
         for k in range(d % 2, min(d, r) + 1, 2)
         if (d - k) // 2 <= r - k
@@ -294,40 +308,54 @@ def _formal_factor(sign: int, e: list) -> tuple:
 
     e is [1, e_1, ..., e_n] of the block; u_k is -(-sign)^k e_k.
     """
-    return tuple((k, -((-sign) ** k) * e[k]) for k in range(1, len(e)))
+    return tuple((k, _scaled(-((-sign) ** k), e[k])) for k in range(1, len(e)))
 
 
-def _route(X: Alphabet, Y: Alphabet) -> tuple | None:
-    """(over_z, X's variables, Y's variables) for h_list's z and e tables, else None.
+def _route(x_elems, y_elems) -> tuple:
+    """(over_z, X's variables, Y's variables) from each side's non-constant elements.
 
-    With over_z, both sides are inverse-paired and hold a pair, and the
-    variables are one s v per pair (the z or an e-of-z table).  Otherwise
-    both sides are formal and their variables take the e route (an e-of-x
-    table).
+    over_z is True when both sides are inverse-paired and hold a pair; the
+    variables are then one s v per pair (the z or an e-of-z table).  It is
+    False when both sides are formal and their variables take the e route
+    (an e-of-x table).  Otherwise it is None, and the variables are the
+    elements themselves (x itself).
     """
-    x_pairs, y_pairs = _inverse_pairs(X), _inverse_pairs(Y)
+    x_pairs, y_pairs = _inverse_pairs(x_elems), _inverse_pairs(y_elems)
     if x_pairs is not None and y_pairs is not None and (x_pairs or y_pairs):
         return True, tuple(x_pairs), tuple(y_pairs)
-    x_vars, y_vars = _formal(X), _formal(Y)
-    if x_vars is None or y_vars is None or _e_blocks(x_vars, y_vars) is None:
-        return None
-    return False, tuple(x_vars), tuple(y_vars)
+    x_vars, y_vars = _formal(x_elems), _formal(y_elems)
+    if x_vars is not None and y_vars is not None and _e_blocks(x_vars, y_vars) is not None:
+        return False, x_vars, y_vars
+    return None, x_elems, y_elems
 
 
-def _variable_series(table: VarTable, over_z: bool, x_vars, y_vars, degmax: int) -> list:
+def _unit(table: VarTable, sign: int, exps: tuple[int, ...]) -> LaurentPoly:
+    """sign times the table's variable at the one position where exps is 1."""
+    return _trusted(table, {1 << table.shifts[exps.index(1)]: sign}, 1)
+
+
+def _variable_series(table: VarTable, over_z, x_vars, y_vars, degmax: int) -> list:
     """[h_0, ..., h_degmax] of the route's variables: X's factors divided, Y's multiplied."""
+    sides = ((x_vars, True), (y_vars, False))
+    if over_z is None:
+        factors = [
+            (((1, LaurentPoly.monomial(table, exps, sign)),), divide)
+            for variables, divide in sides
+            for sign, exps in variables
+        ]
+        return graded_parts(LaurentPoly.const(table, 1), factors, degmax)
     blocks = _e_blocks(x_vars, y_vars)
     if blocks is None:  # only inverse pairs get here
         ztab = z_table(table)
         factors = [
-            (((1, LaurentPoly.monomial(ztab, exps, sign)), (2, -1)), divide)
-            for variables, divide in ((x_vars, True), (y_vars, False))
+            (((1, _unit(ztab, sign, exps)), (2, -1)), divide)
+            for variables, divide in sides
             for sign, exps in variables
         ]
         return graded_parts(LaurentPoly.const(ztab, 1), factors, degmax)
     names = table.names
     etab = e_table(tuple(tuple(names[i] for i in block) for _, block in blocks if block), over_z)
-    e = iter(LaurentPoly.variable(etab, name) for name in etab.names)
+    e = iter(_trusted(etab, {1 << shift: 1}, 1) for shift in etab.shifts)
     factor = _e_factor if over_z else _formal_factor
     factors = [
         (factor(sign, [1] + [next(e) for _ in block]), divide)
@@ -337,10 +365,10 @@ def _variable_series(table: VarTable, over_z: bool, x_vars, y_vars, degmax: int)
     return graded_parts(LaurentPoly.const(etab, 1), factors, degmax)
 
 
-# (table, over_z, X's variables, Y's variables) -> [h_0, ..., h_D] of the
-# variables alone, over the z or an e table, for the largest D asked so far:
-# alphabets that differ only in their constants share it.  clear_caches()
-# empties it.
+# (table, X's non-constant elements, Y's) -> [h_0, ..., h_D] of the route's
+# variables alone, over x, the z or an e table, for the largest D asked so
+# far: alphabets that differ only in their constants share it, and the route
+# is found once for them.  clear_caches() empties it.
 _pair_series: dict[tuple, list[LaurentPoly]] = {}
 
 
@@ -354,15 +382,11 @@ def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, 
     The variables' series comes from _pair_series, and each constant c is
     then the factor 1 - c t.
     """
-    route = _route(X, Y)
-    if route is None:
-        factors = [(((1, x),), True) for x in X.polys()]
-        factors += [(((1, y),), False) for y in Y.polys()]
-        return tuple(graded_parts(LaurentPoly.const(X.table, 1), factors, degmax))
-    key = (X.table, *route)
+    x_elems, y_elems = (tuple(el for el in A.elements if any(el[1])) for A in (X, Y))
+    key = (X.table, x_elems, y_elems)
     series = _pair_series.get(key)
     if series is None or len(series) <= degmax:
-        series = _pair_series[key] = _variable_series(*key, degmax)
+        series = _pair_series[key] = _variable_series(X.table, *_route(x_elems, y_elems), degmax)
     consts = [
         (((1, sign),), divide)
         for alphabet, divide in ((X, True), (Y, False))
@@ -427,8 +451,12 @@ class BracketType(enum.Enum):
 
 
 def _degree(shapes) -> int:
-    """The h_list degree a batch of shapes asks for: the largest lam_1 + len(lam)."""
-    return max((lam[0] + len(lam) for lam in shapes if lam), default=0)
+    """The h_list degree a batch of shapes asks for: the largest lam_1 + len(lam) - 1.
+
+    Entry (i, j) of every rule reads h at most at lam_i - i + j <= lam_1 +
+    len(lam) - 1 (at i = 1, j = len(lam)).
+    """
+    return max((lam[0] + len(lam) - 1 for lam in shapes if lam), default=0)
 
 
 def _table_dets(shapes, hs, entry, halve: bool) -> list[LaurentPoly]:
@@ -593,10 +621,10 @@ def bracket_batch(tag: BracketType, shapes, X: Alphabet, Y: Alphabet) -> list[La
     return _jacobi_trudi([as_partition(lam) for lam in shapes], X, Y, *_BRACKETS[tag])
 
 
-# (tag, lam, X, Y) -> bracket_lam(X|Y) over h_list's table: bracket_sum's
+# (tag, X, Y) -> {lam: bracket_lam(X|Y) over h_list's table}: bracket_sum's
 # memo, shared across the sums that meet a shape again.  clear_caches()
 # empties it.
-_table_values: dict[tuple, LaurentPoly] = {}
+_table_values: dict[tuple, dict[Partition, LaurentPoly]] = {}
 
 
 def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
@@ -614,12 +642,12 @@ def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPo
         lam = as_partition(lam)
         weights[lam] = weights.get(lam, 0) + w
     terms = [(lam, w) for lam, w in weights.items() if w]
-    missing = [lam for lam, _ in terms if (tag, lam, X, Y) not in _table_values]
+    memo = _table_values.setdefault((tag, X, Y), {})
+    missing = [lam for lam, _ in terms if lam not in memo]
     if missing:
         hs = h_list(X, Y, _degree(missing))
-        for lam, value in zip(missing, _table_dets(missing, hs, *_BRACKETS[tag])):
-            _table_values[tag, lam, X, Y] = value
-    values = [(_table_values[tag, lam, X, Y], w) for lam, w in terms]
+        memo.update(zip(missing, _table_dets(missing, hs, *_BRACKETS[tag])))
+    values = [(memo[lam], w) for lam, w in terms]
     if not values:
         return LaurentPoly.zero(h_list(X, Y, 0)[0].table)
     if len(values) == 1 and values[0][1] == 1:

@@ -423,6 +423,52 @@ def test_det_matches_cofactor_expansion_on_hessenberg_matrices(rows):
     assert_same_det(rows)
 
 
+def det_outcome(det_fn, rows):
+    """The determinant's terms and bound, or the overflow it raised."""
+    try:
+        value = det_fn(rows)
+    except ExponentOverflowError:
+        return ExponentOverflowError
+    return value.sorted_terms(), value._bound
+
+
+@st.composite
+def zero_last_row_matrices(draw):
+    """n x n matrices, 2 <= n <= 5, with explicit zeros in the last row.
+
+    Each zero is p - p for a drawn p, so it carries p's bound; exponents
+    near EXPONENT_LIMIT // n make some products pass the field.
+    """
+    n_vars = draw(st.integers(1, 2))
+    size = draw(st.integers(2, 5))
+    table = VarTable(("a", "b")[:n_vars])
+    near = EXPONENT_LIMIT // size
+    exponent = st.one_of(st.integers(-3, 3), st.integers(near - 1, near + 1))
+    entry = st.dictionaries(st.tuples(*[exponent] * n_vars), st.integers(-4, 4), max_size=3).map(
+        lambda terms: LaurentPoly(table, terms)
+    )
+    rows = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    for col in draw(st.sets(st.integers(0, size - 1), min_size=1)):
+        p = draw(entry)
+        rows[-1][col] = p - p
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(zero_last_row_matrices())
+def test_det_matches_cofactor_expansion_with_zeros_in_the_last_row(rows):
+    # Values, bounds and overflow: a zero entry's one-column minor is 0
+    # with bound 0, whatever bound the zero entry carries.
+    assert det_outcome(det, rows) == det_outcome(cofactor_det, rows)
+
+
+def test_a_zero_last_row_entry_is_a_minor_of_bound_zero():
+    p = var("a", 9) - var("a", 9)
+    assert p.is_zero and p._bound == 9
+    got = det([[const(2), var("b", 2)], [var("a"), p]])
+    assert got == -var("a") * var("b", 2) and got._bound == 3  # not 0 + 9
+
+
 def count_ring_ops(monkeypatch):
     calls = []
     for name in ("__mul__", "__add__", "__sub__"):

@@ -209,3 +209,50 @@ def test_contains():
     assert contains((3, 2), (2, 2))
     assert not contains((3, 2), (2, 2, 1))
     assert contains((3, 2), ())
+
+
+# ---------------------------------------------------------------------------
+# The rectangle subsets as piece removals, computed independently
+# ---------------------------------------------------------------------------
+
+
+def removals(a, m, piece):
+    """Every shape reached from the a x m rectangle by removing pieces one at a time.
+
+    piece is "box" (a row's last cell), "horizontal" (a row's last two
+    cells) or "vertical" (the last cells of rows i and i + 1, which must
+    then end in the same column).  Every step must leave a partition.
+    """
+    start = (m,) * a
+    seen, todo = {start}, [start]
+    while todo:
+        rows = todo.pop()
+        for i in range(a):
+            if piece == "box":
+                cand = rows[:i] + (rows[i] - 1,) + rows[i + 1 :]
+            elif piece == "horizontal":
+                cand = rows[:i] + (rows[i] - 2,) + rows[i + 1 :]
+            elif i + 1 < a and rows[i] == rows[i + 1]:
+                cand = rows[:i] + (rows[i] - 1, rows[i + 1] - 1) + rows[i + 2 :]
+            else:
+                continue
+            if min(cand) >= 0 and all(x >= y for x, y in zip(cand, cand[1:])) and cand not in seen:
+                seen.add(cand)
+                todo.append(cand)
+    return {tuple(p for p in rows if p) for rows in seen}
+
+
+@pytest.mark.parametrize(
+    "tag, piece",
+    [
+        (RectSubset.BOX, "box"),
+        (RectSubset.COLPAIRED, "vertical"),
+        (RectSubset.EVENROW, "horizontal"),
+    ],
+)
+def test_rect_subsets_are_the_piece_removals(tag, piece):
+    for a in range(1, 7):
+        for m in range(1, 7):
+            got = enumerate_rect_subset(tag, m, a)
+            assert len(set(got)) == len(got), (a, m)
+            assert set(got) == removals(a, m, piece), (tag, a, m)

@@ -615,6 +615,25 @@ def test_equal_alphabets_hash_alike():
     assert A != C
 
 
+def test_union_is_the_validated_alphabet_of_both_element_lists():
+    table = VarTable(("x1", "x2"))
+    pairs = palindromic(table, ("x1",))
+    parts = [
+        Alphabet.empty(table),
+        pairs,
+        Alphabet.formal(table, ("x2",)).negated(),
+        Alphabet.constants(table, (1, -1)),
+        Alphabet(table, ((-1, (2, -3)),)),
+    ]
+    for A in parts:
+        for B in parts:
+            got = A | B
+            want = Alphabet(table, A.elements + B.elements)
+            assert got == want and hash(got) == hash(want) and got.elements == want.elements
+    with pytest.raises(ValueError, match="different tables"):
+        pairs | Alphabet.empty(VarTable(("x1",)))
+
+
 def test_h_list_rejects_bad_degmax():
     X, Y, _ = formal_pair(1, 0)
     with pytest.raises(ValueError):
@@ -770,6 +789,42 @@ def test_h_list_takes_the_formal_e_table_only_where_it_is_exact():
             assert hs[m] == brute_h(X, Y, m), (label, m)
 
 
+def per_pair_x_series(X, Y, degmax):
+    """h_list's x route as it used to run: every element a polynomial factor, in element order."""
+    factors = [(((1, x),), True) for x in X.polys()]
+    factors += [(((1, y),), False) for y in Y.polys()]
+    return schur.graded_parts(LaurentPoly.const(X.table, 1), factors, degmax)
+
+
+def test_x_route_shares_one_variables_series_per_alphabet_pair(x_route):
+    """The x route builds each pair's non-constant series once, then the constants as ints."""
+    T = TABLE_3
+    consts = [(), (1,), (-1,), (1, -1)]
+    bases = [
+        (formal("x1", "x2"), formal("y1")),
+        (formal("x1"), formal("y1")),
+        (Alphabet.empty(T), Alphabet.empty(T)),
+        (formal("x1", "x2", "x1"), formal("y1")),
+        (formal("x1", "x2"), formal("x2", "y1")),
+        (formal("x1") | formal("x2").negated(), formal("y1")),
+        (formal("x1", "x2"), formal("y1").inverses()),
+        (formal("x1", "x2"), Alphabet(T, ((1, (0, 0, 2)),))),
+    ]
+    x_route()
+    for X0, Y0 in bases:
+        for xc in consts:
+            for yc in consts:
+                X = X0 | Alphabet.constants(T, xc)
+                Y = Y0 | Alphabet.constants(T, yc)
+                got = h_list(X, Y, 5)
+                assert got[0].table == T
+                want = per_pair_x_series(X, Y, 5)
+                assert terms_and_bounds(got) == terms_and_bounds(want), (X, Y)
+    assert len(schur._pair_series) == len(bases)
+    clear_caches()
+    assert not schur._pair_series
+
+
 def test_formal_factor_is_the_product_of_the_variable_factors():
     """prod (1 - s x_i t) against _formal_factor, both sides in x, n <= 4."""
     for n in range(1, 5):
@@ -796,9 +851,9 @@ def test_x_characters_convert_each_h_once_per_alphabet_pair():
         view = schur._x_series[X, Y]
         lengths.append(len(view))
         firsts.append(view[1])
-    assert lengths == [3, 5, 5, 5]  # h_0..h_D for D = lam_1 + len(lam), grown as D rose
+    assert lengths == [2, 4, 4, 4]  # h_0..h_D for D = lam_1 + len(lam) - 1, grown as D rose
     assert all(h is firsts[0] for h in firsts)  # each h_m converted once
-    assert [h.table for h in view] == [TABLE_3] * 5
+    assert [h.table for h in view] == [TABLE_3] * 4
     assert not schur._table_values
     clear_caches()
     assert not schur._x_series
@@ -977,6 +1032,30 @@ def test_entries_formed_once_per_batch_match_the_per_entry_dets(rule):
         assert set(formed.values()) == {1}
         want = per_entry_dets(shapes, hs, ring_entry, halve)
         assert terms_and_bounds(got) == terms_and_bounds(want)
+
+
+class ReadSpy(list):
+    """A list that records every index read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, k):
+        self.read.add(k)
+        return super().__getitem__(k)
+
+
+@pytest.mark.parametrize("rule", ENTRY_RULES)
+def test_no_entry_rule_reads_h_past_lam1_plus_len_minus_one(rule):
+    entry, _, halve = ENTRY_RULES[rule]
+    X, Y = route_pairs()[1]
+    for lam in partitions_upto(6, max_len=4)[1:]:
+        degree = lam[0] + len(lam) - 1
+        assert schur._degree([lam]) == degree
+        hs = ReadSpy(h_list(X, Y, degree))
+        schur._table_dets([lam], hs, entry, halve)
+        assert max(hs.read) == degree, lam  # at entry (1, len(lam))
 
 
 def test_table_sum_adds_into_one_dict_like_the_add_chain():
