@@ -241,21 +241,28 @@ def decomposition_rhs(case: FoldingCase, branch: DecompBranch, a: int, m: int) -
     return bracket_sum(branch.bracket, weighted, X, Y)
 
 
+def _compared(check_id: str, params: dict, lhs, lhs_x, rhs, table) -> VerificationReport:
+    """poly_comparison of both sides in x, given the left side over h_list's table and in x.
+
+    Equal values over the table have equal x images, so the right side is
+    turned into x only when it differs from the left side there.
+    """
+    rhs_x = lhs_x if rhs == lhs else in_x(rhs, table)
+    return poly_comparison(check_id, params, lhs_x, rhs_x)
+
+
 def verify_decomposition(
     case: FoldingCase, branch: DecompBranch, a: int, m: int
 ) -> VerificationReport:
     """Compare kr_supercharacter with decomposition_rhs, exactly.
 
-    Both sides are built over h_list's table, where equal values have equal
-    x images, so the left side is turned into x once and the right side only
-    when the two differ there; poly_comparison then gets both in x.
+    Both sides are built over h_list's table; the left side is turned into x
+    once, and _compared hands both to poly_comparison in x.
     """
     X, Y = fold_alphabets(case)
     lhs = table_sum(BracketType.PLAIN, [(_rectangle(case, a, m), 1)], X, Y)
     (BX, BY), weighted = _rhs_terms(case, branch, a, m)
     rhs = table_sum(branch.bracket, weighted, BX, BY)
-    lhs_x = in_x(lhs, X.table)
-    rhs_x = lhs_x if rhs == lhs else in_x(rhs, BX.table)
     params = {
         "case": case.tag.value,
         "branch": branch.name,
@@ -264,7 +271,8 @@ def verify_decomposition(
         "a": a,
         "m": m,
     }
-    return poly_comparison(f"fold.{case.tag.value}.{branch.name}", params, lhs_x, rhs_x)
+    check_id = f"fold.{case.tag.value}.{branch.name}"
+    return _compared(check_id, params, lhs, in_x(lhs, X.table), rhs, BX.table)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +356,9 @@ def general_dc_check(
     """Check one of the eight alphabet-modification identities exactly.
 
     Both sides are built over h_list's table (for formal alphabets with two
-    variables on some side, the e's of each side's x's), where equal values
-    have equal x images.  The left side comes in x from _plain_sides, and
-    the right side is turned into x only when the two differ over the
-    table; poly_comparison gets both in x.
+    variables on some side, the e's of each side's x's).  The left side
+    comes in x from _plain_sides, and _compared hands both to
+    poly_comparison in x.
     """
     lam = as_partition(lam)
     if relation not in DC_RELATIONS:
@@ -363,8 +370,6 @@ def general_dc_check(
     xp, yp, weight, bracket, xs, ys = _DC_ROWS[xi][relation]
     lhs, lhs_x = _plain_sides(lam, _with_consts(X, xp), _with_consts(Y, yp))
     rhs = _weighted_sum(lam, weight, bracket, _with_consts(X, xs), _with_consts(Y, ys))
-    rhs_x = lhs_x if rhs == lhs else in_x(rhs, X.table)
-
     params = {
         "relation": relation,
         "lam": list(lam),
@@ -373,4 +378,4 @@ def general_dc_check(
     }
     if relation in XI_RELATIONS:
         params["xi"] = xi
-    return poly_comparison(f"dc.{relation}", params, lhs_x, rhs_x)
+    return _compared(f"dc.{relation}", params, lhs, lhs_x, rhs, X.table)

@@ -187,18 +187,10 @@ class LaurentPoly:
             other = LaurentPoly.const(self.table, other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check(other)
-        big, small = self._terms, other._terms
-        if len(big) < len(small):
-            big, small = small, big
-        acc = dict(big)
-        for key, coeff in small.items():
-            new = acc.get(key, 0) + coeff
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-        return _trusted(self.table, acc, max(self._bound, other._bound))
+        big, small = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
+        acc = Accumulator(self.table, big)
+        acc.add(small)
+        return acc.value()
 
     __radd__ = __add__
 
@@ -210,15 +202,9 @@ class LaurentPoly:
             other = LaurentPoly.const(self.table, other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check(other)
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = acc.get(key, 0) - coeff
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-        return _trusted(self.table, acc, max(self._bound, other._bound))
+        acc = Accumulator(self.table, self)
+        acc.add(other, -1)
+        return acc.value()
 
     def __rsub__(self, other: int) -> "LaurentPoly":
         if type(other) is not int:
@@ -234,21 +220,9 @@ class LaurentPoly:
             )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check(other)
-        bound = _product_bound(self._bound, other._bound)
-        outer, inner = self._terms, other._terms
-        if len(outer) > len(inner):
-            outer, inner = inner, outer
-        inner_items = inner.items()
-        acc: dict[int, int] = {}
-        get = acc.get
-        for k1, c1 in outer.items():
-            for k2, c2 in inner_items:
-                key = k1 + k2
-                acc[key] = get(key, 0) + c1 * c2
-        if 0 in acc.values():
-            acc = {k: c for k, c in acc.items() if c}
-        return _trusted(self.table, acc, bound)
+        acc = Accumulator(self.table)
+        acc.add(self, 1, other)
+        return acc.value()
 
     __rmul__ = __mul__
 
@@ -343,6 +317,11 @@ def _product_bound(a: int, b: int) -> int:
     return bound
 
 
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    """terms without its zero coefficients: the dict itself when it has none."""
+    return {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
+
+
 def _trusted(table: VarTable, terms: dict[int, int], bound: int) -> LaurentPoly:
     """Wrap ring-operation output: keys packed over ``table``, no zero coefficients."""
     poly = object.__new__(LaurentPoly)
@@ -357,8 +336,9 @@ class Accumulator:
 
     ``add(p, c, u)`` is the in-place form of ``total + c * u * p`` (of
     ``total + c * p`` without u): no product or partial sum is built.  The
-    bound is the one that ``*`` and ``+`` would give the same sum, and a
-    product past the field raises before any of its keys is formed.
+    ring's ``+``, ``-`` and ``*`` are each one Accumulator.  A sum's bound is
+    the larger of its operands', a product's the sum of both, and a product
+    past the field raises before any of its keys is formed.
     """
 
     __slots__ = ("table", "terms", "bound")
@@ -388,7 +368,11 @@ class Accumulator:
                 acc.update(p._terms)
             else:
                 for key, coeff in p._terms.items():
-                    acc[key] = get(key, 0) + c * coeff
+                    new = get(key, 0) + c * coeff
+                    if new:
+                        acc[key] = new
+                    else:
+                        del acc[key]
             return
         p._check(u)
         self.bound = max(self.bound, _product_bound(u._bound, p._bound))
@@ -404,10 +388,7 @@ class Accumulator:
 
     def value(self) -> LaurentPoly:
         """The sum, without its zero coefficients; the value takes over the dict, so add no more."""
-        terms = self.terms
-        if 0 in terms.values():
-            terms = {k: c for k, c in terms.items() if c}
-        return _trusted(self.table, terms, self.bound)
+        return _trusted(self.table, _nonzero(self.terms), self.bound)
 
 
 def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -460,10 +441,8 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
                 for k2, c2 in items:
                     key = k + k2
                     acc[key] = get(key, 0) + c * c2
-        if 0 in acc.values():
-            acc = {k: c for k, c in acc.items() if c}
-        memo[mask] = acc, bound
-        return acc, bound
+        memo[mask] = out = _nonzero(acc), bound
+        return out
 
     terms, bound = minor(tuple(range(n)), (1 << n) - 1)
     return _trusted(first.table, terms, bound)
@@ -497,9 +476,7 @@ def z_to_x(p: LaurentPoly, table: VarTable) -> LaurentPoly:
             for b in row:
                 acc[key] = get(key, 0) + coeff * b
                 key -= two
-        if 0 in acc.values():
-            acc = {k: c for k, c in acc.items() if c}
-        terms = acc
+        terms = _nonzero(acc)
     return _trusted(table, terms, p._bound)
 
 
@@ -512,8 +489,9 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
     A key of the pass is the z key shifted above p's fields plus the e
     exponents still to expand, so one pass per e variable expands e_k^a (the
     product of a sums, formed once per pass and a) and clears its field.
-    The passes run from e_n, a single monomial, down to e_1, so the terms
-    multiply as late as they can.  The z exponent of a variable is at most
+    The passes run from e_n, a single monomial whose pass only moves each
+    term's field, down to e_1, so the terms multiply as late as they can (a
+    block of one, e_1 = z, is that move alone).  The z exponent of a variable is at most
     the sum of its block's e exponents, so the bound is p's times the
     longest block.
     """
@@ -534,10 +512,18 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
         units = [1 << (table.shifts[i] + width) for i in block]
         for k in range(len(block), 0, -1):
             shift = etab.shifts[first + k - 1]
-            e_k = [sum(combo) for combo in combinations(units, k)]
-            powers = [{0: 1}]
             acc: dict[int, int] = {}
             get = acc.get
+            if k == len(block):  # e_k is one monomial: each term only moves its field there
+                unit = sum(units)
+                for key, coeff in terms.items():
+                    a = (key >> shift) & mask
+                    key += a * unit - (a << shift)
+                    acc[key] = get(key, 0) + coeff
+                terms = acc
+                continue
+            e_k = [sum(combo) for combo in combinations(units, k)]
+            powers = [{0: 1}]
             for key, coeff in terms.items():
                 a = (key >> shift) & mask
                 while len(powers) <= a:
@@ -551,9 +537,7 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
                     acc[key + k2] = get(key + k2, 0) + coeff * c2
             terms = acc
         first += len(block)
-    if 0 in terms.values():
-        terms = {k: c for k, c in terms.items() if c}
-    return _trusted(table, {key >> width: c for key, c in terms.items()}, bound)
+    return _trusted(table, {key >> width: c for key, c in _nonzero(terms).items()}, bound)
 
 
 def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:

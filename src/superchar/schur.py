@@ -12,36 +12,34 @@ arithmetic over :mod:`superchar.laurent`.
 
 When both alphabets are inverse-paired (pairs {v, v^-1} plus constants, as
 every folded alphabet is), each pair contributes (1 - v t)(1 - v^-1 t) =
-1 - z t + t^2 with z = v + v^-1, so the h_m and their determinants are
-polynomials in the z's with about a sixth of the terms, over
-:func:`z_table`.  When each side's pairs also have one sign, on variables
-that occur once in all, and some side has two pairs, they are symmetric in
-each side's z's, so polynomials in the elementary symmetric e_k of them,
-with fewer terms again: a side's pairs are one factor,
+1 - z t + t^2 with z = v + v^-1.  When each side's pairs also have one sign,
+on variables that occur once in all, the h_m are symmetric in each side's
+z's, so polynomials in the elementary symmetric e_k of them, with far
+fewer terms: a side's r pairs are one factor,
 
     prod (1 - z_i t + t^2)  =  sum_k (-1)^k e_k t^k (1 + t^2)^(r - k),
 
-over an :func:`e_table`.  When both alphabets are formal instead (each
-element one variable at power 1, plus constants) under the same three
-conditions, a side's variables are one factor
+over an :func:`e_table`; a single pair is a block of one, with e_1 = z.
+When both alphabets are formal instead (each element one variable at power
+1, plus constants) under the same two conditions, and some side has two
+variables (e_1 of one x is that x), a side's variables are one factor
 
     prod (1 - s x_i t)  =  sum_k (-s)^k e_k t^k
 
-over an e table of the x's.  Every map back to x is an injective ring map
-(the e's of distinct variables are algebraically independent; Macdonald,
-Symmetric Functions, I.2), so values equal over a table are equal in x and
-ANGLE values halve exactly there.  Each character over the z or an e-of-z
-table, or each weighted sum of bracket characters (:func:`bracket_sum`), is
-turned back into x once by :func:`in_x`; a character over an e table of
-x's is a determinant over the x view of its series, each h_m converted
-once per alphabet pair.  Every character this module returns is over the
-alphabets' own table.
+over an e table of the x's.  Every other pair of alphabets is computed in
+x.  Every map back to x is an injective ring map (the e's of distinct
+variables are algebraically independent; Macdonald, Symmetric Functions,
+I.2), so values equal over a table are equal in x and ANGLE values halve
+exactly there.  Each character over an e-of-z table, or each weighted sum
+of bracket characters (:func:`bracket_sum`), is turned back into x once by
+:func:`in_x`; a character over an e table of x's is a determinant over the
+x view of its series, each h_m converted once per alphabet pair.  Every
+character this module returns is over the alphabets' own table.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -67,24 +65,35 @@ class Alphabet:
     """An ordered finite multiset of signed Laurent monomials.
 
     Each element is (sign, exponent vector); the constants +1 and -1 are the
-    elements with an all-zero exponent vector.
+    elements with an all-zero exponent vector.  Each exponent vector is
+    checked as :meth:`VarTable.pack` checks a polynomial's: its length, exact
+    int exponents, each inside the packed field.  The alphabets built here
+    from table names or from checked elements are not checked again.
     """
 
     table: VarTable
     elements: tuple[SignedMonomial, ...]
 
     def __post_init__(self):
-        n = len(self.table)
+        pack = self.table.pack
         for sign, exps in self.elements:
             if type(sign) is not int or sign not in (1, -1):  # bool is not a sign
                 raise ValueError(f"element sign must be +-1, got {sign!r}")
-            if len(exps) != n:
-                raise ValueError("element exponent vector does not fit the table")
+            pack(exps)
         # Alphabets key every memo; hash the nested tuples once.
         object.__setattr__(self, "_hash", hash((self.table, self.elements)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    @classmethod
+    def _of_checked(cls, table: VarTable, elements: tuple[SignedMonomial, ...]) -> "Alphabet":
+        """The alphabet of elements that are valid by construction, built without the checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "table", table)
+        object.__setattr__(out, "elements", elements)
+        object.__setattr__(out, "_hash", hash((table, elements)))
+        return out
 
     @classmethod
     def empty(cls, table: VarTable) -> "Alphabet":
@@ -99,7 +108,7 @@ class Alphabet:
             exps = [0] * len(table)
             exps[table.index[name]] = 1
             elems.append((1, tuple(exps)))
-        return cls(table, tuple(elems))
+        return cls._of_checked(table, tuple(elems))
 
     @classmethod
     def constants(cls, table: VarTable, values: tuple[int, ...]) -> "Alphabet":
@@ -110,23 +119,18 @@ class Alphabet:
         """Both element lists in order; each was checked when its alphabet was built."""
         if self.table != other.table:
             raise ValueError("alphabets over different tables")
-        out = object.__new__(Alphabet)
-        elements = self.elements + other.elements
-        object.__setattr__(out, "table", self.table)
-        object.__setattr__(out, "elements", elements)
-        object.__setattr__(out, "_hash", hash((self.table, elements)))
-        return out
+        return Alphabet._of_checked(self.table, self.elements + other.elements)
 
     __or__ = union
 
     def inverses(self) -> "Alphabet":
-        return Alphabet(
+        return Alphabet._of_checked(
             self.table,
             tuple((s, tuple(-e for e in exps)) for s, exps in self.elements),
         )
 
     def negated(self) -> "Alphabet":
-        return Alphabet(self.table, tuple((-s, exps) for s, exps in self.elements))
+        return Alphabet._of_checked(self.table, tuple((-s, exps) for s, exps in self.elements))
 
     def polys(self) -> tuple[LaurentPoly, ...]:
         return tuple(
@@ -153,7 +157,7 @@ def palindromic(table: VarTable, names: tuple[str, ...]) -> Alphabet:
         units.append(exps)
     elements = [(1, tuple(exps)) for exps in units]
     elements += [(1, tuple(-e for e in exps)) for exps in units]
-    return Alphabet(table, tuple(elements))
+    return Alphabet._of_checked(table, tuple(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +202,10 @@ def graded_parts(start, factors, degmax: int) -> list[LaurentPoly]:
 
 @lru_cache(maxsize=None)
 def z_table(table: VarTable) -> VarTable:
-    """The table of z_i = x_i + x_i^-1, one per variable of table, in its order."""
+    """The table of z_i = x_i + x_i^-1, one per variable of table: in_x's step from e of z to x.
+
+    No h_list value is over it.
+    """
     return VarTable(f"z({name})" for name in table.names)
 
 
@@ -244,7 +251,7 @@ def _inverse_pairs(elements: tuple[SignedMonomial, ...]) -> list[SignedMonomial]
         (pairs if 1 in exps else inverses).append((sign, exps))
     if len(pairs) != len(inverses):
         return None
-    if pairs and Counter(pairs) != Counter((s, tuple(-e for e in exps)) for s, exps in inverses):
+    if sorted(pairs) != sorted((s, tuple(-e for e in exps)) for s, exps in inverses):
         return None
     return pairs
 
@@ -260,11 +267,11 @@ def _e_blocks(x_vars, y_vars) -> list[tuple[int, tuple[int, ...]]] | None:
     """(sign, variable positions) of X's variables and of Y's, or None off the e route.
 
     The variables are the z's of the pairs, or the formal x's.  The e route
-    takes one sign on each side, distinct variables throughout, and at least
-    two variables on some side.  Then the e's of each side are algebraically
-    independent, and the map from them to x is injective (unitriangular over
-    the integers for z's), so values equal over the e table are equal in x,
-    and a value halves exactly in e when it does in x.
+    takes one sign on each side and distinct variables throughout.  Then the
+    e's of each side are algebraically independent, and the map from them to
+    x is injective (unitriangular over the integers for z's), so values
+    equal over the e table are equal in x, and a value halves exactly in e
+    when it does in x.
     """
     blocks = []
     for variables in (x_vars, y_vars):
@@ -274,16 +281,9 @@ def _e_blocks(x_vars, y_vars) -> list[tuple[int, tuple[int, ...]]] | None:
         positions = tuple(sorted(exps.index(1) for _, exps in variables))
         blocks.append((signs.pop() if signs else 1, positions))
     every = blocks[0][1] + blocks[1][1]
-    if len(set(every)) != len(every) or max(len(x_vars), len(y_vars)) < 2:
+    if len(set(every)) != len(every):
         return None
     return blocks
-
-
-def _scaled(c: int, e_k):
-    """c e_k for a nonzero int c and e_k the int 1 or an e variable, built directly."""
-    if type(e_k) is int:
-        return c * e_k
-    return _trusted(e_k.table, {key: c * coeff for key, coeff in e_k._terms.items()}, e_k._bound)
 
 
 def _e_factor(sign: int, e: list) -> tuple:
@@ -296,7 +296,7 @@ def _e_factor(sign: int, e: list) -> tuple:
     """
     r = len(e) - 1
     return tuple(
-        (d, _scaled(-((-sign) ** k) * comb(r - k, (d - k) // 2), e[k]))
+        (d, -((-sign) ** k) * comb(r - k, (d - k) // 2) * e[k])
         for d in range(1, 2 * r + 1)
         for k in range(d % 2, min(d, r) + 1, 2)
         if (d - k) // 2 <= r - k
@@ -308,51 +308,39 @@ def _formal_factor(sign: int, e: list) -> tuple:
 
     e is [1, e_1, ..., e_n] of the block; u_k is -(-sign)^k e_k.
     """
-    return tuple((k, _scaled(-((-sign) ** k), e[k])) for k in range(1, len(e)))
+    return tuple((k, -((-sign) ** k) * e[k]) for k in range(1, len(e)))
 
 
-def _route(x_elems, y_elems) -> tuple:
-    """(over_z, X's variables, Y's variables) from each side's non-constant elements.
+def _route(x_elems, y_elems) -> tuple | None:
+    """The e route's (over_z, blocks) from each side's non-constant elements, or None for x.
 
-    over_z is True when both sides are inverse-paired and hold a pair; the
-    variables are then one s v per pair (the z or an e-of-z table).  It is
-    False when both sides are formal and their variables take the e route
-    (an e-of-x table).  Otherwise it is None, and the variables are the
-    elements themselves (x itself).
+    over_z is True when both sides are inverse-paired and hold a pair: the
+    variables are then the pairs' z's, one pair being a block of one.  It is
+    False when both sides are formal and some side has two variables: the
+    variables are then the x's.  blocks is _e_blocks of the variables.  Any
+    other pair, or variables that _e_blocks refuses, give None: the h_m are
+    computed in x.
     """
-    x_pairs, y_pairs = _inverse_pairs(x_elems), _inverse_pairs(y_elems)
-    if x_pairs is not None and y_pairs is not None and (x_pairs or y_pairs):
-        return True, tuple(x_pairs), tuple(y_pairs)
-    x_vars, y_vars = _formal(x_elems), _formal(y_elems)
-    if x_vars is not None and y_vars is not None and _e_blocks(x_vars, y_vars) is not None:
-        return False, x_vars, y_vars
-    return None, x_elems, y_elems
+    x_vars, y_vars = _inverse_pairs(x_elems), _inverse_pairs(y_elems)
+    over_z = x_vars is not None and y_vars is not None and bool(x_vars or y_vars)
+    if not over_z:
+        x_vars, y_vars = _formal(x_elems), _formal(y_elems)
+        if x_vars is None or y_vars is None or max(len(x_vars), len(y_vars)) < 2:
+            return None
+    blocks = _e_blocks(x_vars, y_vars)
+    return None if blocks is None else (over_z, blocks)
 
 
-def _unit(table: VarTable, sign: int, exps: tuple[int, ...]) -> LaurentPoly:
-    """sign times the table's variable at the one position where exps is 1."""
-    return _trusted(table, {1 << table.shifts[exps.index(1)]: sign}, 1)
-
-
-def _variable_series(table: VarTable, over_z, x_vars, y_vars, degmax: int) -> list:
-    """[h_0, ..., h_degmax] of the route's variables: X's factors divided, Y's multiplied."""
-    sides = ((x_vars, True), (y_vars, False))
-    if over_z is None:
+def _variable_series(table: VarTable, route, x_elems, y_elems, degmax: int) -> list:
+    """[h_0, ..., h_degmax] of the non-constant elements: X's factors divided, Y's multiplied."""
+    if route is None:
         factors = [
             (((1, LaurentPoly.monomial(table, exps, sign)),), divide)
-            for variables, divide in sides
-            for sign, exps in variables
+            for elems, divide in ((x_elems, True), (y_elems, False))
+            for sign, exps in elems
         ]
         return graded_parts(LaurentPoly.const(table, 1), factors, degmax)
-    blocks = _e_blocks(x_vars, y_vars)
-    if blocks is None:  # only inverse pairs get here
-        ztab = z_table(table)
-        factors = [
-            (((1, _unit(ztab, sign, exps)), (2, -1)), divide)
-            for variables, divide in sides
-            for sign, exps in variables
-        ]
-        return graded_parts(LaurentPoly.const(ztab, 1), factors, degmax)
+    over_z, blocks = route
     names = table.names
     etab = e_table(tuple(tuple(names[i] for i in block) for _, block in blocks if block), over_z)
     e = iter(_trusted(etab, {1 << shift: 1}, 1) for shift in etab.shifts)
@@ -365,8 +353,8 @@ def _variable_series(table: VarTable, over_z, x_vars, y_vars, degmax: int) -> li
     return graded_parts(LaurentPoly.const(etab, 1), factors, degmax)
 
 
-# (table, X's non-constant elements, Y's) -> [h_0, ..., h_D] of the route's
-# variables alone, over x, the z or an e table, for the largest D asked so
+# (table, X's non-constant elements, Y's) -> [h_0, ..., h_D] of the
+# non-constant elements alone, over x or an e table, for the largest D asked so
 # far: alphabets that differ only in their constants share it, and the route
 # is found once for them.  clear_caches() empties it.
 _pair_series: dict[tuple, list[LaurentPoly]] = {}
@@ -376,17 +364,17 @@ _pair_series: dict[tuple, list[LaurentPoly]] = {}
 def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
     """[h_0, ..., h_degmax]: 1 divided by X's factors, then times Y's.
 
-    In x each element u is the factor 1 - u t.  Over the z table, a pair
-    {s v, s v^-1} is 1 - s z t + t^2; over an e table, all of a side's pairs
-    are one _e_factor, or all of its formal variables one _formal_factor.
-    The variables' series comes from _pair_series, and each constant c is
-    then the factor 1 - c t.
+    In x each element u is the factor 1 - u t.  Over an e table, all of a
+    side's pairs are one _e_factor, or all of its formal variables one
+    _formal_factor.  The non-constant elements' series comes from
+    _pair_series, and each constant c is then the factor 1 - c t.
     """
     x_elems, y_elems = (tuple(el for el in A.elements if any(el[1])) for A in (X, Y))
     key = (X.table, x_elems, y_elems)
     series = _pair_series.get(key)
     if series is None or len(series) <= degmax:
-        series = _pair_series[key] = _variable_series(X.table, *_route(x_elems, y_elems), degmax)
+        route = _route(x_elems, y_elems)
+        series = _pair_series[key] = _variable_series(X.table, route, x_elems, y_elems, degmax)
     consts = [
         (((1, sign),), divide)
         for alphabet, divide in ((X, True), (Y, False))
@@ -397,29 +385,27 @@ def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, 
 
 
 def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
-    """[h_0, ..., h_degmax] for the pair of alphabets, over one of four tables.
+    """[h_0, ..., h_degmax] for the pair of alphabets, over one of three tables.
 
-    When X and Y are both inverse-paired and hold at least one pair, the
-    h_m are polynomials in the z's of the pairs.  If moreover each side's
-    pairs have one sign, no variable occurs twice, and some side has at
-    least two pairs, they are over the ``e_table`` of the z's of X's and Y's
-    blocks of variables; otherwise over ``z_table(X.table)``.  When X and Y
-    are formal (each element one variable at power 1, plus constants) with
-    the same three conditions on their variables, the h_m are over the
-    ``e_table`` of the x's of the blocks.  Any other pair is over X.table.
-    :func:`in_x` turns each table's values into x.  Results are cached on
-    the alphabets as given; the verification sweeps re-query identical
-    pairs constantly.
+    When X and Y are both inverse-paired and hold at least one pair, each
+    side's pairs have one sign, and no variable occurs twice, the h_m are
+    over the ``e_table`` of the z's of X's and Y's blocks of variables (a
+    single pair is a block of one).  When X and Y are formal (each element
+    one variable at power 1, plus constants) with the same two conditions
+    on their variables and at least two variables on some side, the h_m are
+    over the ``e_table`` of the x's of the blocks.  Any other pair is over
+    X.table.  :func:`in_x` turns each table's values into x.  degmax must
+    be an exact nonnegative int.  Results are cached on the alphabets as
+    given; the verification sweeps re-query identical pairs constantly.
     """
-    if degmax < 0:
-        raise ValueError("degmax must be nonnegative")
+    require_counts(degmax=degmax)
     if X.table != Y.table:
         raise ValueError("alphabets over different tables")
     return _h_list_cached(X, Y, degmax)
 
 
 def in_x(value: LaurentPoly, table: VarTable) -> LaurentPoly:
-    """A value over table, over z_table(table) or over an e table of its variables, in x.
+    """A value over table or over an e table of its variables, in x.
 
     The e's of z's go to the z's by :func:`superchar.laurent.e_to_z` and the
     z's to x by :func:`superchar.laurent.z_to_x`; the e's of x's go straight
@@ -429,14 +415,12 @@ def in_x(value: LaurentPoly, table: VarTable) -> LaurentPoly:
     if vt == table:
         return value
     index = table.index
-    if isinstance(vt, ETable) and all(v in index for b in vt.blocks for v in b):
-        blocks = tuple(tuple(index[v] for v in b) for b in vt.blocks)
-        if not vt.over_z:
-            return e_to_z(value, table, blocks)
-        value = e_to_z(value, z_table(table), blocks)
-    elif vt != z_table(table):
-        raise ValueError(f"{vt!r} is not {table!r}, its z table or an e table of it")
-    return z_to_x(value, table)
+    if not (isinstance(vt, ETable) and all(v in index for b in vt.blocks for v in b)):
+        raise ValueError(f"{vt!r} is not {table!r} or an e table of it")
+    blocks = tuple(tuple(index[v] for v in b) for b in vt.blocks)
+    if not vt.over_z:
+        return e_to_z(value, table, blocks)
+    return z_to_x(e_to_z(value, z_table(table), blocks), table)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +492,8 @@ _x_series: dict[tuple, list[LaurentPoly]] = {}
 def _jacobi_trudi(shapes, X: Alphabet, Y: Alphabet, entry, halve=False) -> list[LaurentPoly]:
     """The shapes' determinants over X.table, from one h_list call; 1 for the empty shape.
 
-    Over the z and e-of-z tables the determinants are taken there and each
-    is turned into x.  Over an e table of x's they are taken over the x view
+    Over an e-of-z table the determinants are taken there and each is turned
+    into x.  Over an e table of x's they are taken over the x view
     of the same series, _x_series, so each h_m, not each character, is
     converted.
     """

@@ -4,18 +4,17 @@ from superchar import clear_caches, schur
 
 
 @pytest.fixture
-def z_route(monkeypatch):
-    """A switch that turns both e routes off: inverse-paired pairs then use the z
-    table, and formal alphabets x.
+def all_in_x(monkeypatch):
+    """A switch that turns both e routes off: every pair of alphabets then uses x.
 
     Calling it empties every cache first, so no e-table value survives.
     """
 
-    def use_z():
+    def use_x():
         clear_caches()
-        monkeypatch.setattr(schur, "_e_blocks", lambda x_pairs, y_pairs: None)
+        monkeypatch.setattr(schur, "_e_blocks", lambda x_vars, y_vars: None)
 
-    yield use_z
+    yield use_x
     monkeypatch.undo()
     clear_caches()
 

@@ -584,8 +584,11 @@ def explicit_report(case, branch, a, m):
     return poly_comparison(report.check_id, report.params, lhs, rhs).to_json()
 
 
-def test_e_route_reports_match_the_z_route(z_route):
-    """Every fold request with r + s <= 2 and a, m <= 3, cold and warm."""
+def test_e_route_reports_match_the_z_route(all_in_x):
+    """Every fold request with r + s <= 2 and a, m <= 3, cold and warm, against x.
+
+    The reference was once the z table's recurrence; it is now the x one.
+    """
     requests = fold_requests(2, 3)
     cold, warm = [], []
     for request in requests:
@@ -593,7 +596,7 @@ def test_e_route_reports_match_the_z_route(z_route):
         cold.append(report_json(request))
         warm.append(report_json(request))
     assert any(on_e_table(case) for case, *_ in requests)
-    z_route()
+    all_in_x()
     assert not any(on_e_table(case) for case, *_ in requests)
     want = [explicit_report(*request) for request in requests]
     assert cold == want
@@ -612,16 +615,16 @@ def corrupt_h1(monkeypatch):
     monkeypatch.setattr(schur, "h_list", corrupted)
 
 
-def test_a_corrupted_series_fails_alike_on_both_routes(monkeypatch, z_route):
+def test_a_corrupted_series_fails_alike_on_both_routes(monkeypatch, all_in_x):
     # h_1 + 1 is a different series on each side of a decomposition, so it
-    # fails many of them, with the same witness on the e and the z route.
+    # fails many of them, with the same witness on the e and the x route.
     requests = [req for req in fold_requests(3, 3) if req[0].r + req[0].s == 3]
     corrupt_h1(monkeypatch)
     clear_caches()
     got = [report_json(req) for req in requests]
     failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
     assert any(on_e_table(case) for case, *_ in failing)
-    z_route()
+    all_in_x()
     assert got == [report_json(req) for req in requests]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from superchar.laurent import (
     InexactDivisionError,
     LaurentPoly,
     VarTable,
+    _product_bound,
     _trusted,
     det,
     divide_linear,
@@ -566,6 +568,133 @@ def test_accumulator_rejects_a_foreign_table_and_skips_a_zero_weight():
     acc = Accumulator(T2, var("a"))
     acc.add(var("b", 2**30), 0, var("b", 2**30))  # c = 0 adds no term and no bound, as 0 * p
     assert acc.value() == var("a") and acc.value()._bound == 1
+
+
+# ---------------------------------------------------------------------------
+# +, - and * against the merge loops they ran before they wrapped Accumulator
+# ---------------------------------------------------------------------------
+
+
+def loop_add(self, other):
+    if type(other) is int:
+        other = LaurentPoly.const(self.table, other)
+    elif not isinstance(other, LaurentPoly):
+        return NotImplemented
+    self._check(other)
+    big, small = self._terms, other._terms
+    if len(big) < len(small):
+        big, small = small, big
+    acc = dict(big)
+    for key, coeff in small.items():
+        new = acc.get(key, 0) + coeff
+        if new:
+            acc[key] = new
+        else:
+            del acc[key]
+    return _trusted(self.table, acc, max(self._bound, other._bound))
+
+
+def loop_sub(self, other):
+    if type(other) is int:
+        other = LaurentPoly.const(self.table, other)
+    elif not isinstance(other, LaurentPoly):
+        return NotImplemented
+    self._check(other)
+    acc = dict(self._terms)
+    for key, coeff in other._terms.items():
+        new = acc.get(key, 0) - coeff
+        if new:
+            acc[key] = new
+        else:
+            del acc[key]
+    return _trusted(self.table, acc, max(self._bound, other._bound))
+
+
+def loop_mul(self, other):
+    if type(other) is int:
+        if other == 0:
+            return LaurentPoly.zero(self.table)
+        return _trusted(self.table, {k: c * other for k, c in self._terms.items()}, self._bound)
+    if not isinstance(other, LaurentPoly):
+        return NotImplemented
+    self._check(other)
+    bound = _product_bound(self._bound, other._bound)
+    outer, inner = self._terms, other._terms
+    if len(outer) > len(inner):
+        outer, inner = inner, outer
+    inner_items = inner.items()
+    acc = {}
+    get = acc.get
+    for k1, c1 in outer.items():
+        for k2, c2 in inner_items:
+            key = k1 + k2
+            acc[key] = get(key, 0) + c1 * c2
+    if 0 in acc.values():
+        acc = {k: c for k, c in acc.items() if c}
+    return _trusted(self.table, acc, bound)
+
+
+# name -> (the loop, the ring operator, the dunder method)
+LOOP_OPS = {
+    "add": (loop_add, operator.add, LaurentPoly.__add__),
+    "sub": (loop_sub, operator.sub, LaurentPoly.__sub__),
+    "mul": (loop_mul, operator.mul, LaurentPoly.__mul__),
+}
+
+
+def op_outcome(op, p, q):
+    """op(p, q) as (table, terms, bound), or the exception type it raised."""
+    try:
+        value = op(p, q)
+    except (ExponentOverflowError, ValueError) as exc:
+        return type(exc)
+    assert 0 not in value._terms.values()
+    return value.table, value._terms, value._bound
+
+
+# Exponents near and at the field edge, so that some products overflow.
+EDGE_EXPONENTS = (-2, -1, 0, 1, 2, 2**30, -(2**30), EXPONENT_LIMIT - 1, -EXPONENT_LIMIT)
+
+
+@st.composite
+def loop_operands(draw):
+    """Two polynomials over one of several tables; the second may cancel the first."""
+    n = draw(st.integers(1, 4))
+    table = VarTable(tuple("abcd"[:n]))
+    poly = st.dictionaries(
+        st.tuples(*[st.sampled_from(EDGE_EXPONENTS)] * n), st.integers(-3, 3), max_size=6
+    ).map(lambda terms: LaurentPoly(table, terms))
+    p = draw(poly)
+    q = draw(st.one_of(poly, st.just(-p), st.just(p), poly.map(lambda r: r - p)))
+    if draw(st.booleans()):  # an equal table that is another object
+        q = _trusted(VarTable(tuple(table.names)), q._terms, q._bound)
+    return p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop_operands(), st.sampled_from((-2, 0, 1, 3)))
+def test_ring_operators_match_their_merge_loops(operands, k):
+    p, q = operands
+    for name, (loop, ring, _) in LOOP_OPS.items():
+        for a, b in ((p, q), (q, p), (p, k), (p, p)):
+            assert op_outcome(ring, a, b) == op_outcome(loop, a, b), (name, a, b)
+    # The reflected int forms: k + p and k * p are p's methods, k - p is k's constant less p.
+    const = LaurentPoly.const(p.table, k)
+    assert op_outcome(lambda a, b: b + a, p, k) == op_outcome(loop_add, p, k)
+    assert op_outcome(lambda a, b: b * a, p, k) == op_outcome(loop_mul, p, k)
+    assert op_outcome(lambda a, b: b - a, p, k) == op_outcome(loop_sub, const, p)
+
+
+def test_ring_operators_refuse_foreign_tables_and_operands_as_their_loops_did():
+    p, foreign = var("a") + 2, LaurentPoly.variable(VarTable(["c"]), "c")
+    for name, (loop, ring, method) in LOOP_OPS.items():
+        assert op_outcome(ring, p, foreign) == op_outcome(loop, p, foreign) == ValueError, name
+        for other in (True, False, 1.0, 2.5, None, "2"):
+            assert method(p, other) is NotImplemented and loop(p, other) is NotImplemented
+            with pytest.raises(TypeError):
+                ring(p, other)
+            with pytest.raises(TypeError):
+                ring(other, p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from superchar import clear_caches, schur
 from superchar.laurent import (
+    EXPONENT_LIMIT,
     ExponentOverflowError,
     InexactDivisionError,
     LaurentPoly,
     VarTable,
     det,
     e_to_z,
-    z_to_x,
 )
 from superchar.partitions import PartitionClass, conjugate, in_class, part, partitions_upto, size
 from superchar.schur import (
@@ -117,12 +117,13 @@ def test_h_list_folded_example():
     X = palindromic(table, ("x1",))
     Y = Alphabet.constants(table, (-1,))
     hs = h_list(X, Y, 2)
-    assert all(h.table == z_table(table) for h in hs)
-    assert hs[1] == LaurentPoly.variable(z_table(table), "z(x1)") + 1
+    etab = e_table((("x1",),), True)  # one pair is a block of one, e_1 = z
+    assert all(h.table == etab for h in hs)
+    assert hs[1] == LaurentPoly.variable(etab, "e1(z(x1))") + 1
     x = LaurentPoly.variable(table, "x1")
-    assert z_to_x(hs[1], table) == x + 1 + LaurentPoly.variable(table, "x1", -1)
+    assert in_x(hs[1], table) == x + 1 + LaurentPoly.variable(table, "x1", -1)
     for m in range(3):
-        assert z_to_x(hs[m], table) == brute_h(X, Y, m)
+        assert in_x(hs[m], table) == brute_h(X, Y, m)
 
 
 def test_h_list_matches_bruteforce():
@@ -174,12 +175,25 @@ def test_h_list_matches_bruteforce_random(pair, degmax):
     table = X.table
     hs = h_list(X, Y, degmax)
     assert len(hs) == degmax + 1
-    has_pair = any(any(exps) for _, exps in X.elements + Y.elements)
-    paired = inverse_paired(X) and inverse_paired(Y) and has_pair
     assert all(h.table == hs[0].table for h in hs)
-    assert (hs[0].table != table) == (paired or formal_e(X, Y))
+    assert hs[0].table != z_table(table)  # no h_list value is over the z's themselves
+    assert hs[0].table == table or isinstance(hs[0].table, ETable)
+    assert (hs[0].table != table) == (paired_e(X, Y) or formal_e(X, Y))
     for m in range(degmax + 1):
         assert in_x(hs[m], table) == brute_h(X, Y, m)
+
+
+def paired_e(X, Y):
+    """Both sides inverse-paired with a pair in all, one sign a side, no pair's variable twice."""
+    sides = [[(s, e) for s, e in A.elements if 1 in e] for A in (X, Y)]
+    variables = [e for side in sides for _, e in side]
+    return (
+        inverse_paired(X)
+        and inverse_paired(Y)
+        and bool(variables)
+        and all(len({s for s, _ in side}) <= 1 for side in sides)
+        and len(set(variables)) == len(variables)
+    )
 
 
 def formal_e(X, Y):
@@ -604,6 +618,33 @@ def test_alphabet_validation():
             Alphabet.constants(table, (sign,))
 
 
+@pytest.mark.parametrize(
+    "exponent, error",
+    [
+        (True, ValueError),
+        (False, ValueError),
+        (1.0, ValueError),
+        (0.0, ValueError),
+        (EXPONENT_LIMIT + 1, ExponentOverflowError),
+        (-EXPONENT_LIMIT - 1, ExponentOverflowError),
+    ],
+)
+def test_alphabet_exponents_are_checked_as_the_ring_checks_them(exponent, error):
+    table = VarTable(("x1", "x2"))
+    for elements in (
+        ((1, (exponent, 0)), (1, (0, 1))),  # formal but for the bad exponent: the e route
+        ((1, (exponent, 0)),),  # one element: the x route
+        ((1, (exponent, 0)), (1, (-1, 0)), (-1, (0, 0))),  # paired but for it: the z's
+    ):
+        with pytest.raises(error) as caught:
+            Alphabet(table, elements)
+        with pytest.raises(error) as packed:
+            table.pack((exponent, 0))
+        assert str(caught.value) == str(packed.value) and "\n" not in str(caught.value)
+    for e in (EXPONENT_LIMIT, -EXPONENT_LIMIT):  # the field's edges are exponents
+        assert Alphabet(table, ((1, (e, 0)),)).elements == ((1, (e, 0)),)
+
+
 def test_equal_alphabets_hash_alike():
     # Alphabets cache their hash; equal ones built separately must agree.
     table = VarTable(("x1", "x2"))
@@ -636,8 +677,10 @@ def test_union_is_the_validated_alphabet_of_both_element_lists():
 
 def test_h_list_rejects_bad_degmax():
     X, Y, _ = formal_pair(1, 0)
-    with pytest.raises(ValueError):
-        h_list(X, Y, -1)
+    for degmax in (-1, True, False, 2.0, "3", None):
+        with pytest.raises(ValueError, match="degmax"):
+            h_list(X, Y, degmax)
+    assert len(h_list(X, Y, 1)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +705,10 @@ def test_h_list_takes_the_e_table_only_where_it_is_exact():
         "two x pairs and a y pair": (xx | one, yy, (("x1", "x2"), ("y1",))),
         "negative pairs": (signed_pairs(T, ("x1", "x2"), -1), yy, (("x1", "x2"), ("y1",))),
         "two y pairs": (one, palindromic(T, ("y1", "x1")), (("x1", "y1"),)),
+        "one pair a side": (palindromic(T, ("x1",)), yy, (("x1",), ("y1",))),
+        "one pair and a constant": (one, yy, (("y1",),)),
     }
-    z_route = {
-        "one pair a side": (palindromic(T, ("x1",)), yy),
+    x_route = {
         "a repeated pair": (xx | palindromic(T, ("x1",)), yy),
         "a shared variable": (xx, palindromic(T, ("x2", "y1"))),
         "mixed signs": (palindromic(T, ("x1",)) | signed_pairs(T, ("x2",), -1), yy),
@@ -674,11 +718,11 @@ def test_h_list_takes_the_e_table_only_where_it_is_exact():
         assert isinstance(hs[0].table, ETable) and hs[0].table == e_table(blocks, True), label
         for m in range(5):
             assert in_x(hs[m], T) == brute_h(X, Y, m), (label, m)
-    for label, (X, Y) in z_route.items():
+    for label, (X, Y) in x_route.items():
         hs = h_list(X, Y, 4)
-        assert hs[0].table == z_table(T), label
+        assert hs[0].table == T, label
         for m in range(5):
-            assert in_x(hs[m], T) == brute_h(X, Y, m), (label, m)
+            assert hs[m] == brute_h(X, Y, m), (label, m)
 
 
 def test_alphabets_that_differ_in_constants_share_the_pair_series():
@@ -717,14 +761,16 @@ def test_e_factor_is_the_product_of_the_pair_factors():
 
 def test_in_x_rejects_a_foreign_table():
     value = LaurentPoly.variable(VarTable(("w",)), "w")
-    with pytest.raises(ValueError, match="z table or an e table"):
+    with pytest.raises(ValueError, match="or an e table of it"):
         in_x(value, VarTable(("x1",)))
-    with pytest.raises(ValueError, match="z table or an e table"):
-        in_x(LaurentPoly.variable(z_table(TABLE_3), "z(x1)"), VarTable(("x1", "x2", "y2")))
+    # The z table is only in_x's step from e of z to x: no value arrives over it.
+    for table in (TABLE_3, VarTable(("x1", "x2", "y2"))):
+        with pytest.raises(ValueError, match="or an e table of it"):
+            in_x(LaurentPoly.variable(z_table(TABLE_3), "z(x1)"), table)
 
 
-def test_angle_values_halve_exactly_in_e(z_route):
-    """Every ANGLE shape of size <= 6 over e-table alphabets, against the z route."""
+def test_angle_values_halve_exactly_in_e(all_in_x):
+    """Every ANGLE shape of size <= 6 over e-table alphabets, against the x route."""
     T = VarTable(("x1", "x2", "x3", "y1", "y2"))
     pairs = []
     for sign in (1, -1):
@@ -739,11 +785,11 @@ def test_angle_values_halve_exactly_in_e(z_route):
         values = [table_sum(BracketType.ANGLE, [(lam, 1)], X, Y) for lam in shapes]
         assert all(isinstance(v.table, ETable) for v in values)
         in_e.append([in_x(v, T) for v in values])
-    z_route()
+    all_in_x()
     for (X, Y), values in zip(pairs, in_e):
         assert all(v.table == T for v in values)
         assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
-        assert h_list(X, Y, 0)[0].table == z_table(T)
+        assert h_list(X, Y, 0)[0].table == T
 
 
 # ---------------------------------------------------------------------------
@@ -864,12 +910,12 @@ def test_x_characters_convert_each_h_once_per_alphabet_pair():
 
 def test_in_x_rejects_a_foreign_e_table_of_x():
     foreign = e_table((("x1", "w"),), False)
-    with pytest.raises(ValueError, match="z table or an e table"):
+    with pytest.raises(ValueError, match="or an e table of it"):
         in_x(LaurentPoly.variable(foreign, "e1(x1,w)"), TABLE_3)
     # The e's of x's are not the e's of z's: the names tell them apart.
     assert e_table((("x1", "x2"),), False).names == ("e1(x1,x2)", "e2(x1,x2)")
     assert e_table((("x1", "x2"),), True).names == ("e1(z(x1),z(x2))", "e2(z(x1),z(x2))")
-    with pytest.raises(ValueError, match="z table or an e table"):
+    with pytest.raises(ValueError, match="or an e table of it"):
         in_x(LaurentPoly.variable(e_table((("x1", "x2"),), False), "e1(x1,x2)"),
              VarTable(("x1", "y1")))
 
