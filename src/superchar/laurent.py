@@ -448,14 +448,27 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return _trusted(first.table, terms, bound)
 
 
-def z_to_x(p: LaurentPoly, table: VarTable) -> LaurentPoly:
-    """p with its i-th variable z_i replaced by x_i + x_i^-1, x_i the i-th of table.
+def _z_row(a: int) -> list[int]:
+    """C(a, j) for j = 0..a: z^a = (x + x^-1)^a = sum_j C(a, j) x^(a - 2j)."""
+    return [comb(a, j) for j in range(a + 1)]
 
-    p must have no negative exponent, and its table as many variables as
-    ``table``, so a key of p is a key over ``table`` too.  One pass per
-    variable expands z_i^a into sum_j C(a, j) x_i^(a - 2j): the term's key
-    less 2j units of x_i.  Each exponent a becomes exponents in [-a, a], so
-    p's bound still holds.
+
+def _skew_row(a: int) -> list[int]:
+    """C(a, j) - C(a, j - 1) for j = 0..a+1: (x - x^-1) z^a = sum_j those x^(a + 1 - 2j)."""
+    row = _z_row(a)
+    return [c - d for c, d in zip(row + [0], [0] + row)]
+
+
+def _z_passes(
+    p: LaurentPoly, table: VarTable, row_of: Callable[[int], list[int]], lift: int
+) -> dict[int, int]:
+    """p's terms with each z_i^a expanded into sum_j row_of(a)[j] x_i^(a + lift - 2j).
+
+    The loop of :func:`z_to_x` and :func:`z_to_x_skew`, one pass per
+    variable, with one row per exponent a.  p must have no negative
+    exponent, and its table as many variables as ``table``, so a key of p
+    is a key over ``table`` too: a row's first term is the term's key moved
+    up by lift units of x_i, and each next one 2 units lower.
     """
     if len(p.table) != len(table):
         raise ValueError(f"{p.table!r} and {table!r} differ in length")
@@ -463,21 +476,47 @@ def z_to_x(p: LaurentPoly, table: VarTable) -> LaurentPoly:
     rows: dict[int, list[int]] = {}
     terms = p._terms
     for shift in table.shifts:
-        two = 2 << shift  # the key of x_i^2
+        two, up = 2 << shift, lift << shift  # the keys of x_i^2 and x_i^lift
         acc: dict[int, int] = {}
         get = acc.get
         for key, coeff in terms.items():
             a = (((key + bias) >> shift) & mask) - half
             if a < 0:
-                raise ValueError("z_to_x expects no negative exponents")
+                raise ValueError("z_to_x and z_to_x_skew expect no negative exponents")
             row = rows.get(a)
             if row is None:
-                row = rows[a] = [comb(a, j) for j in range(a + 1)]
+                row = rows[a] = row_of(a)
+            key += up
             for b in row:
                 acc[key] = get(key, 0) + coeff * b
                 key -= two
         terms = _nonzero(acc)
-    return _trusted(table, terms, p._bound)
+    return terms
+
+
+def z_to_x(p: LaurentPoly, table: VarTable) -> LaurentPoly:
+    """p with its i-th variable z_i replaced by x_i + x_i^-1, x_i the i-th of table.
+
+    p must have no negative exponent, and its table as many variables as
+    ``table``.  One pass per variable (:func:`_z_passes`) expands z_i^a
+    into sum_j C(a, j) x_i^(a - 2j).  Each exponent a becomes exponents in
+    [-a, a], so p's bound still holds.
+    """
+    return _trusted(table, _z_passes(p, table, _z_row, 0), p._bound)
+
+
+def z_to_x_skew(p: LaurentPoly, table: VarTable) -> LaurentPoly:
+    """z_to_x(p, table) times prod_i (x_i - x_i^-1), in z_to_x's passes.
+
+    Each pass expands z_i^a into (x_i - x_i^-1)(x_i + x_i^-1)^a =
+    sum_j (C(a, j) - C(a, j - 1)) x_i^(a + 1 - 2j), so no product is
+    formed.  p must have no negative exponent, and its table as many
+    variables as ``table``.  Each exponent a becomes exponents in
+    [-a - 1, a + 1], so the bound is p's plus one, checked against the
+    field before any key is formed.
+    """
+    bound = _product_bound(p._bound, 1)
+    return _trusted(table, _z_passes(p, table, _skew_row, 1), bound)
 
 
 def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...]) -> LaurentPoly:

@@ -202,9 +202,10 @@ def graded_parts(start, factors, degmax: int) -> list[LaurentPoly]:
 
 @lru_cache(maxsize=None)
 def z_table(table: VarTable) -> VarTable:
-    """The table of z_i = x_i + x_i^-1, one per variable of table: in_x's step from e of z to x.
+    """The table of z_i = x_i + x_i^-1, one per variable of table.
 
-    No h_list value is over it.
+    It is in_x's step from e of z to x, and the table of power_det's
+    Vandermonde in the z's.  No h_list value is over it.
     """
     return VarTable(f"z({name})" for name in table.names)
 

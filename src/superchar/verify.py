@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from itertools import chain, combinations, combinations_with_replacement
 
-from . import folding, lr, partitions, schur
+from . import folding, laurent, lr, partitions, schur
 from .laurent import Accumulator, LaurentPoly, VarTable
 from .partitions import (
     PartitionClass,
@@ -178,18 +178,41 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
     return poly_comparison(f"littlewood.{kind}", params, lhs, rhs)
 
 
+def _z_vandermonde(table: VarTable) -> LaurentPoly:
+    """prod_{j<i} (z_i - z_j) over the z table of table, variable by variable."""
+    zt = schur.z_table(table)
+    z = [LaurentPoly.variable(zt, name) for name in zt.names]
+    out = LaurentPoly.const(zt, 1)
+    for i in range(len(z)):
+        for j in range(i):
+            out = out * (z[i] - z[j])
+    return out
+
+
 def power_det_check(m: int) -> VerificationReport:
     """det(t_i^{m-j} - t_i^{m+j}) against its closed product form.
 
-    The right side is prod_i (1 - t_i^2) prod_{j<i} (t_j - t_i)(1 - t_j t_i),
-    multiplied in variable by variable.  The determinant is looked up in
-    ``laurent`` and no h_m is read.
+    The product prod_i (1 - t_i^2) prod_{j<i} (t_j - t_i)(1 - t_j t_i) is
+    (-1)^m prod_i t_i^m (t_i - t_i^-1) times the Vandermonde of the
+    z_i = t_i + t_i^-1, since 1 - t^2 = -t (t - t^-1) and
+    (t_j - t_i)(1 - t_j t_i) = t_i t_j (z_i - z_j).  The Vandermonde has
+    m! terms; ``laurent.z_to_x_skew`` turns it into t times the factors
+    (t_i - t_i^-1), and one Accumulator product applies the sign and the
+    monomial.  The product side is built before the determinant, so the
+    two never hold their working sets at once.  The determinant is looked
+    up in ``laurent`` and no h_m is read.
     """
     require_counts(m=m)
     if m < 1:
         raise ValueError("m must be >= 1")
     table = schur.t_table(m)
-    one = LaurentPoly.const(table, 1)
+    acc = Accumulator(table)
+    acc.add(
+        laurent.z_to_x_skew(_z_vandermonde(table), table),
+        (-1) ** m,
+        LaurentPoly.monomial(table, [m] * m),
+    )
+    rhs = acc.value()
 
     def tvar(i: int, power: int) -> LaurentPoly:
         return LaurentPoly.variable(table, f"t{i}", power)
@@ -198,20 +221,9 @@ def power_det_check(m: int) -> VerificationReport:
         [tvar(i, m - j) - tvar(i, m + j) for j in range(1, m + 1)]
         for i in range(1, m + 1)
     ]
-    # Looked up in laurent at call time, not imported at module level: the
-    # benchmark's tracer counts determinants by wrapping laurent.det.
-    from .laurent import det
-
-    lhs = det(rows)
-    # Variable by variable: (1 - t_i^2), then (t_j - t_i)(1 - t_j t_i) for
-    # each j < i.  At m = 6 this order forms 1.22 M term pairs, its largest
-    # partial product has 107,520 terms, against 2.46 M and 138,432 with
-    # every (1 - t_i^2) first.
-    rhs = one
-    for i in range(1, m + 1):
-        rhs = rhs * (one - tvar(i, 2))
-        for j in range(1, i):
-            rhs = rhs * ((tvar(j, 1) - tvar(i, 1)) * (one - tvar(j, 1) * tvar(i, 1)))
+    # Looked up on laurent at call time: the benchmark's tracer counts
+    # determinants by wrapping laurent.det.
+    lhs = laurent.det(rows)
     return poly_comparison("power-det", {"m": m}, lhs, rhs)
 
 

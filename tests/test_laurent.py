@@ -4,7 +4,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superchar.laurent import (
@@ -21,6 +21,7 @@ from superchar.laurent import (
     divide_linear,
     e_to_z,
     z_to_x,
+    z_to_x_skew,
 )
 
 T2 = VarTable(("a", "b"))
@@ -517,7 +518,7 @@ def test_one_by_one_det_is_its_entry():
 
 
 # ---------------------------------------------------------------------------
-# Accumulator against the ring's * and +
+# Accumulator against a chain on plain exponent-tuple dicts
 # ---------------------------------------------------------------------------
 
 big_polys = st.dictionaries(
@@ -527,35 +528,70 @@ big_polys = st.dictionaries(
 ).map(lambda terms: LaurentPoly(T2, terms))
 
 
-@settings(max_examples=100, deadline=None)
+def dict_chain(start, steps):
+    """The chain start + sum c * u * p on plain exponent-tuple dicts: (sorted terms, bound).
+
+    No LaurentPoly operation and no Accumulator: a sum's bound is the
+    larger of its operands', a product's the sum of both, and a product
+    whose bound passes the field gives ExponentOverflowError.
+    """
+
+    def bound(p):
+        return max((abs(e) for exps, _ in p.terms() for e in exps), default=0)
+
+    total, total_bound = {}, 0
+    if start is not None:
+        total, total_bound = dict(start.terms()), bound(start)
+    for p, c, u in steps:
+        if u is None:
+            products, step_bound = list(p.terms()), bound(p)
+        else:
+            step_bound = bound(p) + bound(u)
+            if step_bound > EXPONENT_LIMIT:
+                return ExponentOverflowError
+            products = [
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in p.terms()
+                for e2, c2 in u.terms()
+            ]
+        for exps, coeff in products:
+            total[exps] = total.get(exps, 0) + c * coeff
+        total_bound = max(total_bound, step_bound)
+    return sorted((exps, coeff) for exps, coeff in total.items() if coeff), total_bound
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.one_of(st.none(), big_polys),
     st.lists(
-        st.tuples(big_polys, st.sampled_from((-3, -1, 1, 2)), st.one_of(st.none(), big_polys)),
+        st.tuples(
+            big_polys, st.sampled_from((-3, -2, -1, 1, 2, 5)), st.one_of(st.none(), big_polys)
+        ),
         max_size=4,
     ),
 )
+@example(
+    start=LaurentPoly(T2, {(1, 0): 2}),
+    steps=[
+        (LaurentPoly(T2, {(1, 0): 1, (0, -1): 3}), -3, None),
+        (LaurentPoly(T2, {(2, 0): -1}), 2, LaurentPoly(T2, {(-1, 1): 4, (0, 0): 1})),
+        (LaurentPoly(T2, {(3, 0): 1}), 5, LaurentPoly(T2, {(-3, 0): 1})),
+    ],
+)
 def test_accumulator_matches_the_ring_sum(start, steps):
-    def ring():
-        total = LaurentPoly.zero(T2) if start is None else start
-        for p, c, u in steps:
-            total = total + c * (p if u is None else u * p)
-        return total
-
     def accumulated():
         acc = Accumulator(T2, start)
         for p, c, u in steps:
             acc.add(p, c, u)
         return acc.value()
 
-    def outcome(build):
-        try:
-            value = build()
-        except ExponentOverflowError:
-            return ExponentOverflowError
-        return value.sorted_terms(), value._bound
-
-    assert outcome(accumulated) == outcome(ring)
+    try:
+        value = accumulated()
+    except ExponentOverflowError:
+        outcome = ExponentOverflowError
+    else:
+        outcome = value.sorted_terms(), value._bound
+    assert outcome == dict_chain(start, steps)
 
 
 def test_accumulator_rejects_a_foreign_table_and_skips_a_zero_weight():
@@ -768,6 +804,55 @@ def test_z_to_x_rejects_negative_exponents_and_foreign_lengths():
         z_to_x(LaurentPoly.variable(Z2, "z(b)", -1), T2)
     with pytest.raises(ValueError, match="length"):
         z_to_x(LaurentPoly.variable(Z2, "z(a)"), VarTable(("a",)))
+
+
+# ---------------------------------------------------------------------------
+# z_to_x_skew: z_to_x times prod (x_i - x_i^-1), in z_to_x's passes
+# ---------------------------------------------------------------------------
+
+
+def skewed(p):
+    """z_to_x_skew by ring arithmetic: z_to_x(p), then one * per factor (x_i - x_i^-1)."""
+    out = z_to_x(p, T2)
+    for name in T2.names:
+        out = out * (var(name) - var(name, -1))
+    return out
+
+
+def test_z_to_x_skew_of_a_constant_is_the_skew_factors():
+    z = LaurentPoly.variable(Z2, "z(a)")
+    da = var("a") - var("a", -1)
+    assert z_to_x_skew(LaurentPoly.const(Z2, 1), T2) == da * (var("b") - var("b", -1))
+    assert z_to_x_skew(z, T2) == (var("a", 2) - var("a", -2)) * (var("b") - var("b", -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_polys())
+def test_z_to_x_skew_is_z_to_x_times_the_skew_factors(p):
+    x = z_to_x_skew(p, T2)
+    assert x == skewed(p)
+    assert x._bound == p._bound + 1
+    assert all(abs(e) <= x._bound for exps, _ in x.terms() for e in exps)
+
+
+def test_z_to_x_skew_rejects_what_z_to_x_rejects():
+    cases = [
+        (LaurentPoly.variable(Z2, "z(b)", -1), T2, "negative"),
+        (LaurentPoly.variable(Z2, "z(a)"), VarTable(("a",)), "length"),
+    ]
+    for p, table, message in cases:
+        with pytest.raises(ValueError, match=message) as plain:
+            z_to_x(p, table)
+        with pytest.raises(ValueError) as skew:
+            z_to_x_skew(p, table)
+        assert (type(skew.value), str(skew.value)) == (type(plain.value), str(plain.value))
+
+
+def test_z_to_x_skew_raises_past_the_field():
+    # A constant with a claimed bound: the check must come before any row is built.
+    assert z_to_x_skew(_trusted(Z2, {0: 3}, EXPONENT_LIMIT - 1), T2)._bound == EXPONENT_LIMIT
+    with pytest.raises(ExponentOverflowError):
+        z_to_x_skew(_trusted(Z2, {0: 3}, EXPONENT_LIMIT), T2)
 
 
 # ---------------------------------------------------------------------------

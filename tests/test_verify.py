@@ -3,13 +3,14 @@ import importlib
 import json
 import pkgutil
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superchar
-from superchar import folding, lr, partitions, schur, verify
+from superchar import folding, laurent, lr, partitions, schur, verify
 from superchar.laurent import Accumulator, LaurentPoly, VarTable
 from superchar.partitions import in_hook
 from superchar.report import VerificationReport, _first_failures, poly_comparison
@@ -244,9 +245,37 @@ def test_power_det_small():
         assert power_det_check(m).passed
 
 
+def variable_by_variable(table, m):
+    """The product side as it was multiplied before the z form: (1 - t_i^2),
+    then (t_j - t_i)(1 - t_j t_i) for each j < i, variable by variable."""
+    one = LaurentPoly.const(table, 1)
+
+    def tvar(i, power):
+        return LaurentPoly.variable(table, f"t{i}", power)
+
+    rhs = one
+    for i in range(1, m + 1):
+        rhs = rhs * (one - tvar(i, 2))
+        for j in range(1, i):
+            rhs = rhs * ((tvar(j, 1) - tvar(i, 1)) * (one - tvar(j, 1) * tvar(i, 1)))
+    return rhs
+
+
+def every_square_first(table, m):
+    """The product side with every (1 - t_i^2) first, then each pair."""
+    one = LaurentPoly.const(table, 1)
+    t = [None] + [LaurentPoly.variable(table, name) for name in table.names]
+    old = one
+    for i in range(1, m + 1):
+        old = old * (one - t[i] * t[i])
+    for i, j in combinations(range(1, m + 1), 2):
+        old = old * (t[i] - t[j]) * (one - t[i] * t[j])
+    return old
+
+
 def test_power_det_product_matches_the_old_order(monkeypatch):
-    # The right side is multiplied variable by variable; the product is the
-    # same polynomial as with every (1 - t_i^2) first, then each pair.
+    # The product side is the same polynomial, with the same terms, as the
+    # two orders it was multiplied in before.
     seen = []
     real = verify.poly_comparison
 
@@ -257,16 +286,48 @@ def test_power_det_product_matches_the_old_order(monkeypatch):
     monkeypatch.setattr(verify, "poly_comparison", capture)
     for m in range(1, 6):
         table = schur.t_table(m)
-        one = LaurentPoly.const(table, 1)
-        t = [None] + [LaurentPoly.variable(table, name) for name in table.names]
-        old = one
-        for i in range(1, m + 1):
-            old = old * (one - t[i] * t[i])
-        for i, j in combinations(range(1, m + 1), 2):
-            old = old * (t[i] - t[j]) * (one - t[i] * t[j])
         seen.clear()
         assert power_det_check(m).passed
-        assert seen == [old], m
+        assert seen == [variable_by_variable(table, m)], m
+        assert seen == [every_square_first(table, m)], m
+
+
+def corrupt_skew_row(monkeypatch):
+    # (x + x^-1) z^a in place of (x - x^-1) z^a: the row C(a, j) + C(a, j - 1).
+    def row(a):
+        binomials = [comb(a, j) for j in range(a + 1)]
+        return [c + d for c, d in zip(binomials + [0], [0] + binomials)]
+
+    monkeypatch.setattr(laurent, "_skew_row", row)
+
+
+def corrupt_vandermonde_factor(monkeypatch):
+    # The Vandermonde with its factor (z_m - z_1) swapped for (z_m + z_1).
+    real = verify._z_vandermonde
+
+    def vandermonde(table):
+        v = real(table)
+        first, last = v.table.names[0], v.table.names[-1]
+        z1, zm = (LaurentPoly.variable(v.table, name) for name in (first, last))
+        return laurent.divide_linear(v, last, first) * (zm + z1)
+
+    monkeypatch.setattr(verify, "_z_vandermonde", vandermonde)
+
+
+def corrupt_det(monkeypatch):
+    real = laurent.det
+    monkeypatch.setattr(laurent, "det", lambda rows: real(rows) + 1)
+
+
+@pytest.mark.parametrize(
+    "fault, first_m",
+    [(corrupt_skew_row, 1), (corrupt_vandermonde_factor, 2), (corrupt_det, 1)],
+)
+def test_power_det_fails_under_a_fault(monkeypatch, fault, first_m):
+    # m = 1 has no Vandermonde factor to corrupt.
+    fault(monkeypatch)
+    for m in range(first_m, 6):
+        assert not power_det_check(m).passed, m
 
 
 def test_power_det_rejects_zero():
