@@ -126,22 +126,12 @@ def _cmd_lr(args) -> int:
     return 0
 
 
-# Each family: whether it reads --r, and its builder from (r, s).
-_FAMILY_BUILDERS = {
-    "gl": (True, weights.gl),
-    "B": (True, lambda r, s: weights.AlgebraFamily(weights.FamilyKind.B, r, s)),
-    "B0": (False, lambda r, s: weights.AlgebraFamily(weights.FamilyKind.B0, 0, s)),
-    "C": (False, lambda r, s: weights.type_c(s)),
-    "D+": (True, lambda r, s: weights.type_d(r, s, plus=True)),
-    "D-": (True, lambda r, s: weights.type_d(r, s, plus=False)),
-}
-
-
 def _cmd_weights(args) -> int:
-    reads_r, build = _FAMILY_BUILDERS[args.family]
-    if args.r is not None and not reads_r:
+    kind = weights.FamilyKind(args.family)
+    if args.r is not None and kind in weights.FIXED_R:
         raise ValueError(f"--family {args.family} does not read --r")
-    family = build(0 if args.r is None else args.r, args.s)
+    r = weights.FIXED_R.get(kind, 0 if args.r is None else args.r)
+    family = weights.AlgebraFamily(kind, r, args.s)
     hw = weights.hw_from_diagram(family, args.lam)
     labels = weights.kd_labels(family, hw)
     payload = json.dumps(
@@ -248,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lr)
 
     p = sub.add_parser("weights", help="highest weight and labels of a diagram")
-    p.add_argument("--family", choices=sorted(_FAMILY_BUILDERS), required=True)
+    p.add_argument("--family", choices=sorted(k.value for k in weights.FamilyKind), required=True)
     p.add_argument("--r", type=int, help="default 0; an error for a family without r")
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=parse_partition, default=())

@@ -524,7 +524,9 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
 
     p's variables are e_1, ..., e_n of each block in turn, a block being
     the positions in ``table`` of its n distinct variables; e_k becomes the
-    sum of the products of k of them.  p must have no negative exponent.
+    sum of the products of k of them.  A position that repeats (the map would
+    not be injective) or falls outside ``table`` is refused, and so is a
+    negative exponent in p.
     A key of the pass is the z key shifted above p's fields plus the e
     exponents still to expand, so one pass per e variable expands e_k^a (the
     product of a sums, formed once per pass and a) and clears its field.
@@ -537,6 +539,9 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
     etab = p.table
     if sum(map(len, blocks)) != len(etab):
         raise ValueError(f"blocks {blocks!r} do not fit {etab!r}")
+    positions = [i for block in blocks for i in block]
+    if len(set(positions)) != len(positions) or not all(0 <= i < len(table) for i in positions):
+        raise ValueError(f"blocks {blocks!r} repeat or leave the positions of {table!r}")
     bias, mask = etab._bias, (1 << FIELD_BITS) - 1
     for key in p._terms:
         if (key + bias) & bias != bias:  # some field's sign bit is set

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import Partition, as_partition, conjugate, part
+from .partitions import Partition, as_partition, conjugate, part, require_counts
 
 Weight = tuple[Fraction, ...]
 Labels = tuple[Fraction, ...]
@@ -31,6 +31,16 @@ class FamilyKind(enum.Enum):
     D_MINUS = "D-"
 
 
+# The families whose r is fixed: B0(s) = osp(1|2s) is B at r = 0, and
+# C(s+1) = osp(2|2s) is gl(1|s)'s rule plus one label at r = 1.
+FIXED_R = {FamilyKind.B0: 0, FamilyKind.C: 1}
+
+# Families that take gl(M|N)'s rule with (M, N) = (r, s); the others take the
+# orthosymplectic rule, in which D+ and D- differ from B.
+_GL_RULE = (FamilyKind.GL, FamilyKind.C)
+_D_KINDS = (FamilyKind.D_PLUS, FamilyKind.D_MINUS)
+
+
 @dataclass(frozen=True)
 class AlgebraFamily:
     kind: FamilyKind
@@ -38,27 +48,23 @@ class AlgebraFamily:
     s: int
 
     def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise ValueError("family parameters must be nonnegative")
-        if self.kind is FamilyKind.B and self.r < 1:
+        kind, r, s = self.kind, self.r, self.s
+        if not isinstance(kind, FamilyKind):
+            raise ValueError(f"family kind must be a FamilyKind, got {kind!r}")
+        require_counts(r=r, s=s)
+        if kind is FamilyKind.B and r < 1:
             raise ValueError("the B family needs r >= 1 (r = 0 is B0)")
-        if self.kind is FamilyKind.B0 and self.r != 0:
+        if kind is FamilyKind.B0 and r != FIXED_R[kind]:
             raise ValueError("B0 has no r parameter")
-        if self.kind in (FamilyKind.B, FamilyKind.B0) and self.r + self.s < 1:
+        if kind in (FamilyKind.B, FamilyKind.B0) and r + s < 1:
             raise ValueError("B-type families need r + s >= 1")
-        if self.kind is FamilyKind.C and (self.r != 1 or self.s < 1):
+        if kind is FamilyKind.C and (r != FIXED_R[kind] or s < 1):
             raise ValueError("the C family is the r = 1 case with s >= 1")
-        if self.kind in (FamilyKind.D_PLUS, FamilyKind.D_MINUS) and self.r < 2:
+        if kind in _D_KINDS and r < 2:
             raise ValueError("the D families need r >= 2")
 
     @property
     def weight_length(self) -> int:
-        if self.kind is FamilyKind.GL:
-            return self.r + self.s  # here (r, s) plays the role of (M, N)
-        if self.kind is FamilyKind.B0:
-            return self.s
-        if self.kind is FamilyKind.C:
-            return self.s + 1
         return self.r + self.s
 
     @property
@@ -69,12 +75,6 @@ class AlgebraFamily:
 
     @property
     def hook(self) -> tuple[int, int]:
-        if self.kind is FamilyKind.GL:
-            return (self.r, self.s)
-        if self.kind is FamilyKind.B0:
-            return (0, self.s)
-        if self.kind is FamilyKind.C:
-            return (1, self.s)
         return (self.r, self.s)
 
     def describe(self) -> str:
@@ -116,23 +116,14 @@ def hw_from_diagram(family: AlgebraFamily, lam) -> Weight:
     _require_hook(family, lam)
     lam_c = conjugate(lam)
     F = Fraction
-    k = family.kind
-    if k is FamilyKind.GL:
-        M, N = family.r, family.s
-        eps = [F(part(lam, j)) for j in range(1, M + 1)]
-        delta = [F(max(part(lam_c, j) - M, 0)) for j in range(1, N + 1)]
-        return tuple(eps + delta)
-    if k is FamilyKind.B0:
-        return tuple(F(part(lam_c, j)) for j in range(1, family.s + 1))
-    if k is FamilyKind.C:
-        s = family.s
-        head = [F(part(lam, 1))]
-        tail = [F(max(part(lam_c, j) - 1, 0)) for j in range(1, s + 1)]
-        return tuple(head + tail)
     r, s = family.r, family.s
+    if family.kind in _GL_RULE:
+        eps = [F(part(lam, j)) for j in range(1, r + 1)]
+        delta = [F(max(part(lam_c, j) - r, 0)) for j in range(1, s + 1)]
+        return tuple(eps + delta)
     delta = [F(part(lam_c, j)) for j in range(1, s + 1)]
     eps = [F(max(part(lam, j) - s, 0)) for j in range(1, r + 1)]
-    if k is FamilyKind.D_MINUS:
+    if family.kind is FamilyKind.D_MINUS:
         eps[-1] = -eps[-1]
     return tuple(delta + eps)
 
@@ -144,97 +135,55 @@ def kd_labels(family: AlgebraFamily, weight) -> Labels:
         raise ValueError(
             f"{family.describe()} expects {family.weight_length} coordinates, got {len(L)}"
         )
-    k = family.kind
-
-    def lab(j: int) -> Fraction:  # 1-indexed coordinate access
-        return L[j - 1]
-
-    if k is FamilyKind.GL:
-        M, N = family.r, family.s
-        out = []
-        for j in range(1, M + N):
-            if j == M:
-                out.append(lab(M) + lab(M + 1))
-            else:
-                out.append(lab(j) - lab(j + 1))
-        return tuple(out)
-    if k is FamilyKind.B0:
-        s = family.s
-        out = [lab(j) - lab(j + 1) for j in range(1, s)]
-        out.append(2 * lab(s))
-        return tuple(out)
-    if k is FamilyKind.C:
-        s = family.s
-        out = [lab(1) + lab(2)]
-        out.extend(lab(j) - lab(j + 1) for j in range(2, s + 1))
-        out.append(lab(s + 1))
-        return tuple(out)
     r, s = family.r, family.s
     n = r + s
+    if family.kind in _GL_RULE:
+        # C's rank is n, one past gl(1|s)'s: its last label L_n reads a zero
+        # coordinate past the end.
+        L += (0,)
+        return tuple(
+            L[j - 1] + L[j] if j == r else L[j - 1] - L[j] for j in range(1, family.rank + 1)
+        )
     out = []
     for j in range(1, n + 1):
-        if j == s:
-            out.append(lab(s) + lab(s + 1))
-        elif j == n:
-            if k is FamilyKind.B:
-                out.append(2 * lab(n))
-            else:
-                out.append(lab(n - 1) + lab(n))
+        if j == n:  # tested first: at r = 0 (B0) the last node is the odd node
+            out.append(L[n - 2] + L[n - 1] if family.kind in _D_KINDS else 2 * L[n - 1])
+        elif j == s:
+            out.append(L[s - 1] + L[s])
         else:
-            out.append(lab(j) - lab(j + 1))
+            out.append(L[j - 1] - L[j])
     return tuple(out)
 
 
 def is_finite_dimensional(family: AlgebraFamily, labels) -> bool:
     """Evaluate the family's finite-dimensionality condition on the labels.
 
-    For B and D at s = 0 there is no odd node, so only the dominance
-    conditions apply together with the parity content of the consistency
-    condition (last label even for B; last two labels of equal parity for D).
+    Every label but the odd node's (node r for gl and C, node s for the
+    orthosymplectic families) is a nonnegative integer. For B and D at s = 0
+    there is no odd node, so only the dominance conditions apply together
+    with the parity content of the consistency condition (last label even
+    for B; last two labels of equal parity for D).
     """
     b = tuple(Fraction(x) for x in labels)
     if len(b) != family.rank:
         raise ValueError(f"{family.describe()} has rank {family.rank}, got {len(b)}")
-    k = family.kind
-
-    def dominant(skip: int | None) -> bool:
-        return all(
-            (x.denominator == 1 and x >= 0)
-            for j, x in enumerate(b, start=1)
-            if j != skip
-        )
-
-    if k is FamilyKind.GL:
-        return dominant(family.r if family.s else None)
-    if k is FamilyKind.C:
-        return dominant(1)
-    if k is FamilyKind.B0:
-        s = family.s
-        if not dominant(s):
-            return False
-        c = b[s - 1] / 2
-        return c.denominator == 1 and c >= 0
     r, s = family.r, family.s
     n = r + s
-    if not dominant(s if s else None):
+    gl_rule = family.kind in _GL_RULE
+    odd = r if gl_rule else s  # no label has index 0, nor index r in gl(r|0)
+    if not all(x.denominator == 1 and x >= 0 for j, x in enumerate(b, 1) if j != odd):
         return False
-    if k is FamilyKind.B:
-        if s == 0:
-            return b[n - 1] % 2 == 0
-        c = b[s - 1] - sum(b[s : n - 1]) - b[n - 1] / 2
-        if c.denominator != 1 or c < 0:
-            return False
-        if c < r and any(b[j] != 0 for j in range(s + int(c), n)):
-            return False
+    if gl_rule:
         return True
-    # D+/D- share one condition set
+    d = family.kind in _D_KINDS
     if s == 0:
-        return (b[n - 2] - b[n - 1]) % 2 == 0
-    c = b[s - 1] - sum(b[s : n - 2]) - (b[n - 2] + b[n - 1]) / 2
+        return (b[n - 2] - b[n - 1] if d else b[n - 1]) % 2 == 0
+    if d:
+        c = b[s - 1] - sum(b[s : n - 2]) - (b[n - 2] + b[n - 1]) / 2
+    else:
+        c = b[s - 1] - sum(b[s : n - 1]) - b[n - 1] / 2
     if c.denominator != 1 or c < 0:
         return False
-    if c < r - 1 and any(b[j] != 0 for j in range(s + int(c), n)):
+    if c < (r - 1 if d else r) and any(b[j] != 0 for j in range(s + int(c), n)):
         return False
-    if c == r - 1 and b[n - 2] != b[n - 1]:
-        return False
-    return True
+    return not d or c != r - 1 or b[n - 2] == b[n - 1]

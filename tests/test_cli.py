@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,39 @@ def test_char_past_the_exponent_field_exits_2(capsys, monkeypatch):
     message = capsys.readouterr().err.strip()
     assert message.startswith("error: ") and "\n" not in message
     assert "field" in message
+
+
+def test_char_tokens_starting_with_a_minus_attach_with_equals(capsys):
+    # argparse reads a separate "-1,x1" as an option; "--x=-1,x1" keeps it a value.
+    code, attached = run_cli(capsys, "char", "--lambda", "1", "--x=-1,x1")
+    assert code == 0
+    code, reordered = run_cli(capsys, "char", "--lambda", "1", "--x", "x1,-1")
+    assert code == 0
+    assert attached == reordered
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_lines():
+    """Each `superchar ...` line of README's CLI block, split, its comment dropped."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.startswith("superchar ")
+    ]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    config = {"degmax": 2, "max_lambda_size": 2, "max_rank": 1, "t_count": 1, "seed": 0}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert {argv[1] for argv in lines} == {"char", "fold", "lr", "weights", "verify", "suite"}
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_lr_command(capsys):

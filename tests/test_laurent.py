@@ -902,3 +902,13 @@ def test_e_to_z_rejects_negative_exponents_and_foreign_blocks():
         e_to_z(LaurentPoly.variable(E3, "e1(b)"), Z3, ((0, 2),))
     with pytest.raises(ExponentOverflowError):
         e_to_z(LaurentPoly.variable(E3, "e1(a,c)", EXPONENT_LIMIT), Z3, E3_BLOCKS)
+
+
+@pytest.mark.parametrize("blocks", [((0, 0),), ((0, 5),), ((0, -1),), ((0,), (0,))])
+def test_e_to_z_rejects_repeated_or_outside_positions(blocks):
+    # ((0, 0),) would map e1 + e2 to 2*a + a^2, a map that is not injective.
+    Z = VarTable(("a", "b", "c"))
+    E = VarTable(("e1", "e2"))
+    p = LaurentPoly.variable(E, "e1") + LaurentPoly.variable(E, "e2")
+    with pytest.raises(ValueError, match="repeat or leave the positions"):
+        e_to_z(p, Z, blocks)
