@@ -29,7 +29,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly, VarTable
+from .laurent import Accumulator, InexactDivisionError, LaurentPoly, VarTable
 from .lr import lr_table
 from .lr import lr_coeff  # noqa: F401  (a site the benchmark tracer patches)
 from .partitions import (
@@ -44,9 +44,13 @@ from .partitions import (
 )
 from .report import VerificationReport, poly_comparison
 from .schur import (
+    _BRACKETS,
     Alphabet,
     BracketType,
+    _degree,
+    _table_dets,
     bracket_sum,
+    graded_parts,
     in_x,
     palindromic,
     super_schur,
@@ -173,8 +177,12 @@ def fold_alphabets(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
     return _alphabets(case, row.x_consts, row.y_consts)
 
 
+def _branch_x_consts(branch: DecompBranch) -> tuple[int, ...]:
+    return () if branch.x_const is None else (branch.x_const,)
+
+
 def branch_alphabets(case: FoldingCase, branch: DecompBranch) -> tuple[Alphabet, Alphabet]:
-    return _alphabets(case, () if branch.x_const is None else (branch.x_const,), ())
+    return _alphabets(case, _branch_x_consts(branch), ())
 
 
 def get_branch(case: FoldingCase, name: str) -> DecompBranch:
@@ -221,24 +229,23 @@ def kr_supercharacter(case: FoldingCase, a: int, m: int) -> LaurentPoly:
     return super_schur(_rectangle(case, a, m), X, Y)
 
 
-def _rhs_terms(case: FoldingCase, branch: DecompBranch, a: int, m: int):
-    """The branch's alphabets and its rectangle subset as (shape, sign) pairs."""
+def _rhs_weighted(case: FoldingCase, branch: DecompBranch, a: int, m: int):
+    """The branch's rectangle subset as (shape, sign) pairs."""
     if branch not in branches(case):
         raise ValueError(f"branch {branch.name!r} does not belong to {case.tag.value}")
     require_counts(a=a, m=m)
     if a == 0 or m == 0:
-        return branch_alphabets(case, branch), [((), 1)]
+        return [((), 1)]
     sign = -1 if branch.alternating else 1
-    weighted = [
+    return [
         (lam, sign ** (m * a + size(lam))) for lam in enumerate_rect_subset(branch.subset, m, a)
     ]
-    return branch_alphabets(case, branch), weighted
 
 
 def decomposition_rhs(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> LaurentPoly:
     """Sum of bracket characters over the branch's rectangle subset."""
-    (X, Y), weighted = _rhs_terms(case, branch, a, m)
-    return bracket_sum(branch.bracket, weighted, X, Y)
+    weighted = _rhs_weighted(case, branch, a, m)
+    return bracket_sum(branch.bracket, weighted, *branch_alphabets(case, branch))
 
 
 def _compared(check_id: str, params: dict, lhs, lhs_x, rhs, table) -> VerificationReport:
@@ -261,8 +268,15 @@ def verify_decomposition(
     """
     X, Y = fold_alphabets(case)
     lhs = table_sum(BracketType.PLAIN, [(_rectangle(case, a, m), 1)], X, Y)
-    (BX, BY), weighted = _rhs_terms(case, branch, a, m)
+    weighted = _rhs_weighted(case, branch, a, m)
+    BX, BY = branch_alphabets(case, branch)
     rhs = table_sum(branch.bracket, weighted, BX, BY)
+    check_id, params = fold_report_id(case, branch, a, m)
+    return _compared(check_id, params, lhs, in_x(lhs, X.table), rhs, BX.table)
+
+
+def fold_report_id(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple[str, dict]:
+    """The (check_id, params) of verify_decomposition's report."""
     params = {
         "case": case.tag.value,
         "branch": branch.name,
@@ -271,8 +285,7 @@ def verify_decomposition(
         "a": a,
         "m": m,
     }
-    check_id = f"fold.{case.tag.value}.{branch.name}"
-    return _compared(check_id, params, lhs, in_x(lhs, X.table), rhs, BX.table)
+    return f"fold.{case.tag.value}.{branch.name}", params
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +302,18 @@ def _weighted_sum(
 ) -> LaurentPoly:
     """Sum of w(nu) c^lam_{nu,mu} bracket_mu(X|Y) over all pairs (nu, mu).
 
+    The coefficient of each mu comes from _dc_coeffs, and the brackets are
+    summed by one table_sum, over h_list's table.
+    """
+    return table_sum(bracket, _dc_coeffs(lam, weight).items(), X, Y)
+
+
+def _dc_coeffs(lam: Partition, weight: PartitionClass | int) -> dict[Partition, int]:
+    """mu -> sum over nu of w(nu) c^lam_{nu,mu}, taken in the integers.
+
     A PartitionClass weight is membership (w = 1 on the class, 0 off it); an
     int weight is a sign base with w = weight^|nu|.  The nonzero c^lam_{nu,mu}
-    come from lam's lr_table.  The sum over nu is taken in the integers, one
-    coefficient per mu, and the brackets are summed by one table_sum, over
-    h_list's table.
+    come from lam's lr_table.
     """
     coeffs: dict[Partition, int] = {}
     for (nu, mu), c in lr_table(lam).items():
@@ -303,7 +323,7 @@ def _weighted_sum(
             w_nu = weight ** size(nu)
         if w_nu:
             coeffs[mu] = coeffs.get(mu, 0) + w_nu * c
-    return table_sum(bracket, coeffs.items(), X, Y)
+    return coeffs
 
 
 def _dc_rows(xi: int) -> dict[str, tuple]:
@@ -346,6 +366,18 @@ def _plain_sides(lam: Partition, X: Alphabet, Y: Alphabet) -> tuple[LaurentPoly,
     return value, in_x(value, X.table)
 
 
+def _dc_row(relation: str, lam, xi: int) -> tuple[Partition, tuple]:
+    """lam as a partition and the relation's _dc_rows row at xi, both checked."""
+    lam = as_partition(lam)
+    if relation not in DC_RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    if xi not in (1, -1):
+        raise ValueError("xi must be +1 or -1")
+    if xi != 1 and relation not in XI_RELATIONS:
+        raise ValueError(f"relation {relation!r} does not depend on xi; use xi = 1")
+    return lam, _DC_ROWS[xi][relation]
+
+
 def general_dc_check(
     relation: str,
     lam,
@@ -360,14 +392,7 @@ def general_dc_check(
     comes in x from _plain_sides, and _compared hands both to
     poly_comparison in x.
     """
-    lam = as_partition(lam)
-    if relation not in DC_RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    if xi not in (1, -1):
-        raise ValueError("xi must be +1 or -1")
-    if xi != 1 and relation not in XI_RELATIONS:
-        raise ValueError(f"relation {relation!r} does not depend on xi; use xi = 1")
-    xp, yp, weight, bracket, xs, ys = _DC_ROWS[xi][relation]
+    lam, (xp, yp, weight, bracket, xs, ys) = _dc_row(relation, lam, xi)
     lhs, lhs_x = _plain_sides(lam, _with_consts(X, xp), _with_consts(Y, yp))
     rhs = _weighted_sum(lam, weight, bracket, _with_consts(X, xs), _with_consts(Y, ys))
     params = {
@@ -379,3 +404,69 @@ def general_dc_check(
     if relation in XI_RELATIONS:
         params["xi"] = xi
     return _compared(f"dc.{relation}", params, lhs, lhs_x, rhs, X.table)
+
+
+# ---------------------------------------------------------------------------
+# Theorems over free h_1..h_D
+# ---------------------------------------------------------------------------
+#
+# Both sides of a fold or dc identity are Jacobi-Trudi determinants in the
+# h_k of one base pair (X|Y), with constants adjoined to X or Y.  A theorem
+# is the pair of sides, each (x_consts, y_consts, bracket, weighted): the sum
+# of w * bracket_lam over the (lam, w) of weighted, over the base pair with
+# x_consts adjoined to X and y_consts to Y.  Sending each free h_k to
+# h_k(X|Y) is a ring map (Macdonald, Symmetric Functions, I.2), so a theorem
+# whose sides are equal over free h_1..h_D, with each ANGLE determinant
+# halved there, holds for every base pair.  The converse fails: a theorem
+# that is not proved free says nothing about a given pair.
+
+
+def fold_theorem(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
+    """verify_decomposition's identity as a theorem; it does not depend on r or s."""
+    row = _CASES[case.tag]
+    return (
+        (row.x_consts, row.y_consts, BracketType.PLAIN, [(_rectangle(case, a, m), 1)]),
+        (_branch_x_consts(branch), (), branch.bracket, _rhs_weighted(case, branch, a, m)),
+    )
+
+
+def dc_theorem(relation: str, lam, xi: int = 1) -> tuple:
+    """general_dc_check's identity as a theorem; it does not depend on X or Y."""
+    lam, (xp, yp, weight, bracket, xs, ys) = _dc_row(relation, lam, xi)
+    return (
+        (xp, yp, BracketType.PLAIN, [(lam, 1)]),
+        (xs, ys, bracket, list(_dc_coeffs(lam, weight).items())),
+    )
+
+
+def free_sides(theorem) -> list[LaurentPoly] | None:
+    """Both sides of the theorem over free h_1..h_D, or None if an ANGLE value does not halve.
+
+    D is the largest degree either side's determinants read.  The series is
+    h_0 = 1 plus the free h_k, and each side's constants are applied to it
+    by graded_parts, as h_list applies an alphabet's constants.
+    """
+    D = _degree(lam for side in theorem for lam, _ in side[3])
+    table = VarTable(f"h{k}" for k in range(1, D + 1))
+    series = [LaurentPoly.const(table, 1)] + [LaurentPoly.variable(table, n) for n in table.names]
+    out = []
+    for x_consts, y_consts, bracket, weighted in theorem:
+        consts = [(((1, c),), True) for c in x_consts] + [(((1, c),), False) for c in y_consts]
+        terms = [(lam, w) for lam, w in weighted if w]
+        try:
+            values = _table_dets(
+                [lam for lam, _ in terms], graded_parts(series, consts, D), *_BRACKETS[bracket]
+            )
+        except InexactDivisionError:
+            return None
+        acc = Accumulator(table)
+        for value, (_, w) in zip(values, terms):
+            acc.add(value, w)
+        out.append(acc.value())
+    return out
+
+
+def proved_free(theorem) -> bool:
+    """Whether the theorem's sides are equal over free h_1..h_D (see free_sides)."""
+    sides = free_sides(theorem)
+    return sides is not None and sides[0] == sides[1]

@@ -468,7 +468,8 @@ def _z_passes(
     variable, with one row per exponent a.  p must have no negative
     exponent, and its table as many variables as ``table``, so a key of p
     is a key over ``table`` too: a row's first term is the term's key moved
-    up by lift units of x_i, and each next one 2 units lower.
+    up by lift units of x_i, and each next one 2 units lower.  A row's zero
+    coefficients (the middle one of an odd exponent's skew row) write no key.
     """
     if len(p.table) != len(table):
         raise ValueError(f"{p.table!r} and {table!r} differ in length")
@@ -481,14 +482,15 @@ def _z_passes(
         get = acc.get
         for key, coeff in terms.items():
             a = (((key + bias) >> shift) & mask) - half
-            if a < 0:
-                raise ValueError("z_to_x and z_to_x_skew expect no negative exponents")
             row = rows.get(a)
             if row is None:
+                if a < 0:
+                    raise ValueError("z_to_x and z_to_x_skew expect no negative exponents")
                 row = rows[a] = row_of(a)
             key += up
             for b in row:
-                acc[key] = get(key, 0) + coeff * b
+                if b:
+                    acc[key] = get(key, 0) + coeff * b
                 key -= two
         terms = _nonzero(acc)
     return terms

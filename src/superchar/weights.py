@@ -52,6 +52,8 @@ class AlgebraFamily:
         if not isinstance(kind, FamilyKind):
             raise ValueError(f"family kind must be a FamilyKind, got {kind!r}")
         require_counts(r=r, s=s)
+        if kind is FamilyKind.GL and r + s < 1:
+            raise ValueError("gl(0|0) is the empty algebra: the gl family needs r + s >= 1")
         if kind is FamilyKind.B and r < 1:
             raise ValueError("the B family needs r >= 1 (r = 0 is B0)")
         if kind is FamilyKind.B0 and r != FIXED_R[kind]:

@@ -124,6 +124,14 @@ def test_weights_rejects_r_for_a_family_without_r(capsys, family, r):
     assert code == 0 and json.loads(out)["family"]
 
 
+def test_weights_refuses_gl_0_0(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["weights", "--family", "gl"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip()
+    assert message == "error: gl(0|0) is the empty algebra: the gl family needs r + s >= 1"
+
+
 def test_weights_r_defaults_to_0(capsys):
     code, out = run_cli(capsys, "weights", "--family", "gl", "--s", "2", "--lambda", "1")
     assert code == 0

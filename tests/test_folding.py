@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,19 +11,24 @@ from superchar.folding import (
     ambient_hook,
     branch_alphabets,
     branches,
+    dc_theorem,
     decomposition_rhs,
     fold_alphabets,
+    fold_theorem,
+    free_sides,
     general_dc_check,
     get_branch,
     kr_supercharacter,
+    proved_free,
     require_in_hook,
     verify_decomposition,
 )
-from superchar.laurent import InexactDivisionError, LaurentPoly, VarTable, det
+from superchar.laurent import Accumulator, InexactDivisionError, LaurentPoly, VarTable, det
 from superchar.lr import lr_coeff
-from superchar.report import poly_comparison
+from superchar.report import _first_failures, poly_comparison
 from superchar.partitions import (
     PartitionClass,
+    RectSubset,
     contains,
     enumerate_rect_subset,
     in_class,
@@ -740,3 +746,260 @@ def test_a_corrupted_formal_factor_leaves_the_dc_relations_green(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# Theorems over free h_1..h_D
+# ---------------------------------------------------------------------------
+
+
+def dc_theorems(max_lambda):
+    """(relation, lam, xi) of every theorem a dc sweep meets."""
+    return [
+        (relation, lam, xi)
+        for relation in DC_RELATIONS
+        for xi in ((1, -1) if relation in folding.XI_RELATIONS else (1,))
+        for lam in partitions_upto(max_lambda)
+    ]
+
+
+def fold_theorems(max_rank, max_am):
+    """(tag, branch, a, m) -> the first fold request of a fold sweep that states it."""
+    out = {}
+    for case, branch, a, m in fold_requests(max_rank, max_am):
+        out.setdefault((case.tag, branch, a, m), (case, branch, a, m))
+    return out
+
+
+def dc_failures(relation, X, Y, xi, max_lambda):
+    """(check_id, witness) of each shape whose general_dc_check fails, as check_dc_sweep words it."""
+    for lam in partitions_upto(max_lambda):
+        report = general_dc_check(relation, lam, X, Y, xi)
+        if not report.passed:
+            yield f"dc.{relation}", {"lam": list(lam), "diff": str(report.witness)}
+
+
+def per_alphabet_dc_sweep(max_lambda, max_x, max_y):
+    """check_dc_sweep as it ran before the free proofs: general_dc_check at every pair."""
+    out = []
+    for relation in DC_RELATIONS:
+        for nx in range(max_x + 1):
+            for ny in range(max_y + 1):
+                X, Y, _ = cauchy_alphabets(nx, ny, 1)
+                for xi in (1, -1) if relation in folding.XI_RELATIONS else (1,):
+                    params = {"relation": relation, "nx": nx, "ny": ny, "xi": xi,
+                              "max_lambda": max_lambda}
+                    failures = dc_failures(relation, X, Y, xi, max_lambda)
+                    out += _first_failures([(f"dc.{relation}", params)], failures)
+    return out
+
+
+def per_alphabet_fold_sweep(max_rank, max_am):
+    """check_fold_sweep as it ran before the free proofs: verify_decomposition at every (r, s)."""
+    return [verify_decomposition(*request) for request in fold_requests(max_rank, max_am)]
+
+
+def test_every_default_sweep_theorem_is_proved_free():
+    """The default suite's sweeps: every theorem proved free, every alphabet passing alike."""
+    assert len(dc_theorems(5)) == 228
+    assert all(proved_free(dc_theorem(*theorem)) for theorem in dc_theorems(5))
+    fold = fold_theorems(3, 3)
+    assert len(fold) == 99
+    assert all(proved_free(fold_theorem(*request)) for request in fold.values())
+
+    clear_caches()
+    want = per_alphabet_dc_sweep(5, 3, 2) + per_alphabet_fold_sweep(3, 3)
+    assert all(report.passed for report in want)
+    got = verify.check_dc_sweep(5, 3, 2) + verify.check_fold_sweep(3, 3)
+    assert verify.suite_to_json(got) == verify.suite_to_json(want)
+
+
+def specialized(value, X, Y):
+    """A polynomial in free h_1..h_D with each h_k sent to h_k(X|Y), in x."""
+    hs = [in_x(h, X.table) for h in schur.h_list(X, Y, len(value.table))]
+    acc = Accumulator(X.table)
+    for exps, c in value.terms():
+        term = LaurentPoly.const(X.table, c)
+        for k, e in enumerate(exps, 1):
+            for _ in range(e):
+                term = term * hs[k]
+        acc.add(term)
+    return acc.value()
+
+
+def test_free_sides_specialize_to_the_fold_characters():
+    """Sent to the base pair's h_k, the free sides are kr_supercharacter and decomposition_rhs."""
+    count = 0
+    for case, branch, a, m in fold_requests(2, 3):
+        X, Y = folding._palindromic_pair(case)
+        lhs, rhs = free_sides(fold_theorem(case, branch, a, m))
+        assert specialized(lhs, X, Y) == kr_supercharacter(case, a, m), (case, branch, a, m)
+        assert specialized(rhs, X, Y) == decomposition_rhs(case, branch, a, m), (case, branch, a, m)
+        count += 1
+    assert count > 200
+
+
+def test_free_sides_specialize_to_the_dc_sides():
+    """Sent to the base pair's h_k, the free sides are general_dc_check's two sides in x."""
+    for relation, lam, xi in dc_theorems(4):
+        xp, yp, weight, bracket, xs, ys = folding._DC_ROWS[xi][relation]
+        lhs, rhs = free_sides(dc_theorem(relation, lam, xi))
+        for nx, ny in ((1, 1), (2, 1), (0, 2)):
+            X, Y, _ = cauchy_alphabets(nx, ny, 1)
+            with_consts = folding._with_consts
+            want_lhs = super_schur(lam, with_consts(X, xp), with_consts(Y, yp))
+            want_rhs = in_x(
+                folding._weighted_sum(lam, weight, bracket, with_consts(X, xs), with_consts(Y, ys)),
+                X.table,
+            )
+            assert specialized(lhs, X, Y) == want_lhs, (relation, xi, lam, nx, ny)
+            assert specialized(rhs, X, Y) == want_rhs, (relation, xi, lam, nx, ny)
+
+
+def mutate_branch(monkeypatch, tag, branch, mutant):
+    """Put mutant in place of branch in the tag's row of the case table."""
+    row = folding._CASES[tag]
+    swapped = tuple(mutant if b == branch else b for b in row.branches)
+    monkeypatch.setitem(folding._CASES, tag, row._replace(branches=swapped))
+
+
+def free_outcomes(monkeypatch, mutate):
+    """(tag, branch, a, m) -> proved_free of each default-sweep theorem, with the branch mutated.
+
+    Branches that mutate gives None for are left out.
+    """
+    out = {}
+    for (tag, branch, a, m), (case, *_) in fold_theorems(3, 3).items():
+        mutant = mutate(branch)
+        if mutant is None:
+            continue
+        with monkeypatch.context() as patch:
+            mutate_branch(patch, tag, branch, mutant)
+            out[tag, branch, a, m] = proved_free(fold_theorem(case, mutant, a, m))
+    return out
+
+
+OTHER_BRACKET = {BracketType.SQUARE: BracketType.ANGLE, BracketType.ANGLE: BracketType.SQUARE}
+SUBSETS = list(RectSubset)
+
+
+def other_subset(branch, k):
+    return replace(branch, subset=SUBSETS[(SUBSETS.index(branch.subset) + k) % len(SUBSETS)])
+
+
+def same_shapes(branch, k, a, m):
+    """Whether other_subset(branch, k) holds the branch's shapes of the a x m rectangle."""
+    mutant = other_subset(branch, k)
+    return enumerate_rect_subset(mutant.subset, m, a) == enumerate_rect_subset(branch.subset, m, a)
+
+
+@pytest.mark.parametrize(
+    "mutate, still_proved",
+    [
+        # a flipped x constant fails every theorem of the four branches with one
+        (
+            lambda b: b.x_const and replace(b, x_const=-b.x_const),
+            lambda b, a, m: False,
+        ),
+        # the other bracket fails all but the 1 x 1 box
+        (lambda b: replace(b, bracket=OTHER_BRACKET[b.bracket]), lambda b, a, m: a * m == 1),
+        # another rectangle subset fails wherever it holds other shapes
+        *(
+            (lambda b, k=k: other_subset(b, k), lambda b, a, m, k=k: same_shapes(b, k, a, m))
+            for k in (1, 2)
+        ),
+        # the sizes of COLPAIRED and EVENROW shapes have the parity of m a, so
+        # a flipped alternating sign fails the BOX branches alone
+        (
+            lambda b: replace(b, alternating=not b.alternating),
+            lambda b, a, m: b.subset is not RectSubset.BOX,
+        ),
+    ],
+    ids=["x-const", "bracket", "subset-1", "subset-2", "alternating"],
+)
+def test_a_mutated_branch_fails_the_free_check(monkeypatch, mutate, still_proved):
+    outcomes = free_outcomes(monkeypatch, lambda b: mutate(b) or None)
+    assert sum(not proved for proved in outcomes.values()) >= 36
+    for (tag, branch, a, m), proved in outcomes.items():
+        assert proved == still_proved(branch, a, m), (tag, branch.name, a, m)
+
+
+SWAPPED_CLASS = {
+    PartitionClass.EVEN_ROWS: PartitionClass.EVEN_COLUMNS,
+    PartitionClass.EVEN_COLUMNS: PartitionClass.EVEN_ROWS,
+}
+
+
+def swap_classes(row):
+    """The row with EVEN_ROWS and EVEN_COLUMNS swapped in its weight, or None for a sign weight."""
+    xp, yp, weight, *rest = row
+    return (xp, yp, SWAPPED_CLASS[weight], *rest) if weight in SWAPPED_CLASS else None
+
+
+def negate_sign(row):
+    """The row with its sign weight negated, or None for a class weight."""
+    xp, yp, weight, *rest = row
+    return None if isinstance(weight, PartitionClass) else (xp, yp, -weight, *rest)
+
+
+@pytest.mark.parametrize(
+    "mutate, still_proved",
+    [
+        # () and (1) have no nonempty nu in either class, and the self-conjugate
+        # (2, 1) has a conjugation-symmetric sum, so the swap leaves them proved
+        (swap_classes, {(), (1,), (2, 1)}),
+        # nu = () is all of lam = ()'s sum, and w(()) = 1 whatever the sign
+        (negate_sign, {()}),
+    ],
+    ids=["swapped-classes", "negated-sign"],
+)
+def test_a_mutated_relation_fails_the_free_check(monkeypatch, mutate, still_proved):
+    count = 0
+    for relation, lam, xi in dc_theorems(5):
+        mutant = mutate(folding._DC_ROWS[xi][relation])
+        if mutant is None:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setitem(folding._DC_ROWS[xi], relation, mutant)
+            assert proved_free(dc_theorem(relation, lam, xi)) == (lam in still_proved), (
+                relation, xi, lam
+            )
+        count += 1
+    assert count >= 76
+
+
+def test_a_mutated_fold_sweep_falls_back_to_the_per_alphabet_reports(monkeypatch):
+    """Unproved theorems give the per-alphabet reports, witnesses included."""
+    b1, ee = FoldingCase(FoldingTag.B1, 1, 0), FoldingCase(FoldingTag.A2_EE, 1, 0)
+    b1_b, ee_c = get_branch(b1, "B"), get_branch(ee, "C")
+    mutate_branch(monkeypatch, FoldingTag.B1, b1_b, replace(b1_b, x_const=-1))
+    mutate_branch(monkeypatch, FoldingTag.A2_EE, ee_c, replace(ee_c, bracket=BracketType.SQUARE))
+    clear_caches()
+    try:
+        want = per_alphabet_fold_sweep(2, 3)
+        got = verify.check_fold_sweep(2, 3)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    failing = {(r.params["case"], r.params["branch"]) for r in want if not r.passed}
+    assert failing == {("B1", "B"), ("A2_EE", "C")}
+    assert verify.suite_to_json(got) == verify.suite_to_json(want)
+
+
+def test_a_mutated_dc_sweep_falls_back_to_the_per_alphabet_reports(monkeypatch):
+    """Unproved theorems give the per-alphabet reports, witnesses included."""
+    for relation, mutate in (("plain_to_square", swap_classes),
+                             ("xconst_to_angle_signed", negate_sign)):
+        for xi in (1, -1) if relation in folding.XI_RELATIONS else (1,):
+            rows = folding._DC_ROWS[xi]
+            monkeypatch.setitem(rows, relation, mutate(rows[relation]))
+    clear_caches()
+    try:
+        want = per_alphabet_dc_sweep(4, 2, 1)
+        got = verify.check_dc_sweep(4, 2, 1)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    failing = {r.params["relation"] for r in want if not r.passed}
+    assert failing == {"plain_to_square", "xconst_to_angle_signed"}
+    assert verify.suite_to_json(got) == verify.suite_to_json(want)

@@ -465,6 +465,15 @@ def test_run_suite_default_all_pass():
     )
 
 
+def test_run_suite_at_rank_five_is_pinned():
+    # The rank-5 fold sweep's byte-identity gate, beside the default one.
+    reports = run_suite(SuiteConfig(max_rank=5))
+    assert len(reports) == 2272
+    assert hashlib.sha256(suite_to_json(reports).encode()).hexdigest() == (
+        "32834803715eba152516adad0e56f6337b62a80a765518e331f60bd062b4924d"
+    )
+
+
 def test_run_suite_degmax_zero_trivial():
     reports = run_suite(SuiteConfig(degmax=0, max_lambda_size=0, max_rank=1, t_count=1))
     assert all(r.passed for r in reports)
@@ -515,7 +524,11 @@ def test_clear_caches_empties_every_polynomial_cache():
     memos = set(caches) - TABLE_CACHES
     superchar.clear_caches()
     run_suite(SMALL)
-    # The suite fills every memo cache, so the emptiness below is not vacuous.
+    # The suite's dc sweep proves its relations over free h, so one dc request
+    # fills _plain_sides.
+    X, Y, _ = cauchy_alphabets(1, 1, 1)
+    assert folding.general_dc_check("plain_to_square", (1,), X, Y).passed
+    # Every memo cache is now filled, so the emptiness below is not vacuous.
     assert {name for name in memos if caches[name].cache_info().currsize} == memos
     superchar.clear_caches()
     assert {name for name in memos if caches[name].cache_info().currsize} == set()
