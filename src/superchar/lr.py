@@ -15,8 +15,8 @@ from .partitions import (
     Partition,
     PartitionClass,
     RectSubset,
+    _check_rect,
     as_partition,
-    box_partitions,
     checked_memo,
     contains,
     in_class,
@@ -135,16 +135,22 @@ def lr_table(lam: Partition) -> Mapping[tuple[Partition, Partition], int]:
     return MappingProxyType(table)
 
 
+def _check_box(m: int, a: int, *shapes: Partition) -> list[Partition]:
+    """The shapes made partitions, after checking the a x m box and that each fits inside it."""
+    _check_rect(m, a)
+    shapes = [as_partition(shape) for shape in shapes]
+    for shape in shapes:
+        if len(shape) > a or shape and shape[0] > m:
+            raise ValueError(f"{shape} does not fit inside the {a} x {m} rectangle")
+    return shapes
+
+
 def lr_rectangle(m: int, a: int, mu: Partition, nu: Partition) -> int:
     """Closed form for the rectangle coefficient: complementary pairs only.
 
     Returns 1 iff mu_i + nu_{a+1-i} = m for every 1 <= i <= a, else 0.
     """
-    mu = as_partition(mu)
-    nu = as_partition(nu)
-    box = (m,) * a
-    if not contains(box, mu) or not contains(box, nu):
-        raise ValueError(f"both inputs must fit inside the {a} x {m} rectangle")
+    mu, nu = _check_box(m, a, mu, nu)
     ok = all(part(mu, i) + part(nu, a + 1 - i) == m for i in range(1, a + 1))
     return 1 if ok else 0
 
@@ -161,18 +167,19 @@ def lr_rect_sum(m: int, a: int, mu: Partition, variant: PartitionClass) -> int:
 
     Summing LR^{(m^a)}_{kappa, mu} over kappa in the chosen class gives 1
     exactly when mu lies in the matching rectangle subset, else 0; the sum is
-    computed directly, membership is checked separately by the callers.
+    computed directly from the box's lr_table, membership is checked
+    separately by the callers.
     """
-    mu = as_partition(mu)
+    (mu,) = _check_box(m, a, mu)
+    if not isinstance(variant, PartitionClass):
+        raise ValueError(f"unknown class {variant!r}")
     box = (m,) * a
     want = size(box) - size(mu)
-    if want < 0:
-        return 0
-    total = 0
-    for kappa in box_partitions(m, a):
-        if size(kappa) == want and in_class(kappa, variant):
-            total += lr_coeff(box, kappa, mu)
-    return total
+    return sum(
+        c
+        for (kappa, nu), c in lr_table(box).items()
+        if nu == mu and size(kappa) == want and contains(box, kappa) and in_class(kappa, variant)
+    )
 
 
 def rect_sum_membership(m: int, a: int, mu: Partition, variant: PartitionClass) -> bool:

@@ -751,26 +751,38 @@ def schur_expand(p: LaurentPoly, n: int) -> dict[Partition, int]:
     table = p.table
     if len(table) != n:
         raise ValueError("polynomial table does not have n variables")
-    for exps, _ in p.terms():
+    unpack = table.unpack
+
+    def shape(exps):
+        return (sum(exps), exps) if all(exps[k] >= exps[k + 1] for k in range(n - 1)) else None
+
+    residual = Accumulator(table, p)
+    terms = residual.terms
+    # Each packed key's (degree, exponents), or None when the exponents are
+    # not partition-shaped; a residual term is read again on every step.
+    shapes: dict[int, tuple[int, tuple[int, ...]] | None] = {}
+    for key in terms:
+        exps = unpack(key)
         if any(e < 0 for e in exps):
             raise ValueError("schur_expand expects a polynomial, no negative exponents")
+        shapes[key] = shape(exps)
     out: dict[Partition, int] = {}
-    residual = p
     cleared = None  # (degree, exponents) of the monomial the last step cleared
-    while not residual.is_zero:
-        candidates = [
-            exps
-            for exps, _ in residual.terms()
-            if all(exps[k] >= exps[k + 1] for k in range(n - 1))
-        ]
-        if not candidates:
+    while terms:
+        lead = None
+        for key in terms:
+            if key not in shapes:
+                shapes[key] = shape(unpack(key))
+            here = shapes[key]
+            if here is not None and (lead is None or here > lead):
+                lead, lead_key = here, key
+        if lead is None:
             raise ValueError("polynomial is not symmetric: irreducible residual")
-        lead = max(candidates, key=lambda e: (sum(e), e))
-        if cleared is not None and (sum(lead), lead) >= cleared:
-            raise ValueError(f"S_{lam} left {lead} in the residual: it does not lead with 1")
-        lam = tuple(e for e in lead if e)
-        c = residual.coeff(lead)
+        if cleared is not None and lead >= cleared:
+            raise ValueError(f"S_{lam} left {lead[1]} in the residual: it does not lead with 1")
+        lam = tuple(e for e in lead[1] if e)
+        c = terms[lead_key]
         out[lam] = c
-        residual = residual - c * schur_in_table(lam, table)
-        cleared = (sum(lead), lead)
+        residual.add(schur_in_table(lam, table), -c)
+        cleared = lead
     return out

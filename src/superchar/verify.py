@@ -397,16 +397,19 @@ def check_lr_oracle(max_size: int) -> VerificationReport:
 
     A product that schur_expand cannot expand (a Schur polynomial that is not
     symmetric or does not lead with coefficient 1) fails the report, with
-    (mu, nu) and the error as its witness.
+    (mu, nu) and the error as its witness.  The counts are read from each
+    shape's lr_table.
     """
 
     def failures():
+        by_size = [list(partitions_of(k)) for k in range(max_size + 1)]
         for n in range(max_size + 1):
             nvars = max(n, 1)
             table = schur.t_table(nvars)
+            tables = [(lam, lr.lr_table(lam)) for lam in by_size[n]]
             for k in range(n + 1):
-                for mu in partitions_of(k):
-                    for nu in partitions_of(n - k):
+                for mu in by_size[k]:
+                    for nu in by_size[n - k]:
                         if (size(mu), mu) > (size(nu), nu):
                             continue  # product is symmetric; check both orders below
                         product = schur.schur_in_table(mu, table) * schur.schur_in_table(
@@ -417,9 +420,9 @@ def check_lr_oracle(max_size: int) -> VerificationReport:
                         except ValueError as err:
                             yield "lr.oracle", {"mu": list(mu), "nu": list(nu), "error": str(err)}
                             continue
-                        for lam in partitions_of(n):
+                        for lam, coeffs in tables:
                             want = expansion.get(lam, 0)
-                            if lr.lr_coeff(lam, mu, nu) != want or lr.lr_coeff(lam, nu, mu) != want:
+                            if coeffs.get((mu, nu), 0) != want or coeffs.get((nu, mu), 0) != want:
                                 yield "lr.oracle", {
                                     "lam": list(lam),
                                     "mu": list(mu),
@@ -431,21 +434,26 @@ def check_lr_oracle(max_size: int) -> VerificationReport:
 
 
 def check_lr_properties(max_size: int, stack_max: int = 4) -> list[VerificationReport]:
+    """LR symmetries, stacking and vanishing, each coefficient read from its shape's lr_table."""
+
     def failures():
+        by_size = [list(partitions_of(k)) for k in range(max(max_size, stack_max) + 1)]
+        conj = {lam: conjugate(lam) for shapes in by_size for lam in shapes}
         for n in range(max_size + 1):
-            for lam in partitions_of(n):
-                lam_c = conjugate(lam)
+            for lam in by_size[n]:
+                coeffs = lr.lr_table(lam)
+                coeffs_c = lr.lr_table(conj[lam])
                 for k in range(n + 1):
-                    for mu in partitions_of(k):
-                        for nu in partitions_of(n - k):
-                            c = lr.lr_coeff(lam, mu, nu)
-                            if c != lr.lr_coeff(lam, nu, mu):
+                    for mu in by_size[k]:
+                        for nu in by_size[n - k]:
+                            c = coeffs.get((mu, nu), 0)
+                            if c != coeffs.get((nu, mu), 0):
                                 yield "lr.symmetry", {
                                     "lam": list(lam),
                                     "mu": list(mu),
                                     "nu": list(nu),
                                 }
-                            if c != lr.lr_coeff(lam_c, conjugate(mu), conjugate(nu)):
+                            if c != coeffs_c.get((conj[mu], conj[nu]), 0):
                                 yield "lr.transpose", {
                                     "lam": list(lam),
                                     "mu": list(mu),
@@ -453,18 +461,19 @@ def check_lr_properties(max_size: int, stack_max: int = 4) -> list[VerificationR
                                 }
 
         for k in range(stack_max + 1):
-            for mu in partitions_of(k):
+            for mu in by_size[k]:
                 for j in range(stack_max + 1):
-                    for nu in partitions_of(j):
-                        if lr.lr_coeff(partitions.add(mu, nu), mu, nu) != 1:
+                    for nu in by_size[j]:
+                        if lr.lr_table(partitions.add(mu, nu)).get((mu, nu), 0) != 1:
                             yield "lr.stacking", {"mu": list(mu), "nu": list(nu)}
 
         for n in range(min(max_size, 5) + 1):
-            for lam in partitions_of(n):
+            for lam in by_size[n]:
+                coeffs = lr.lr_table(lam)
                 for k in range(n):
-                    for mu in partitions_of(k):
-                        for nu in partitions_of(max(n - k - 1, 0)):
-                            if size(mu) + size(nu) != n and lr.lr_coeff(lam, mu, nu) != 0:
+                    for mu in by_size[k]:
+                        for nu in by_size[n - k - 1]:  # |mu| + |nu| = n - 1
+                            if coeffs.get((mu, nu), 0) != 0:
                                 yield "lr.size-vanishing", {
                                     "lam": list(lam),
                                     "mu": list(mu),
@@ -472,10 +481,11 @@ def check_lr_properties(max_size: int, stack_max: int = 4) -> list[VerificationR
                                 }
 
         for n in range(min(max_size, 6) + 1):
-            for lam in partitions_of(n):
-                for nu in partitions_of(n):
+            for lam in by_size[n]:
+                coeffs = lr.lr_table(lam)
+                for nu in by_size[n]:
                     want = 1 if lam == nu else 0
-                    if lr.lr_coeff(lam, (), nu) != want or lr.lr_coeff(lam, nu, ()) != want:
+                    if coeffs.get(((), nu), 0) != want or coeffs.get((nu, ()), 0) != want:
                         yield "lr.empty-delta", {"lam": list(lam), "nu": list(nu)}
 
     return _first_failures(
@@ -491,14 +501,16 @@ def check_lr_properties(max_size: int, stack_max: int = 4) -> list[VerificationR
 
 
 def check_lr_rectangle(max_rect: int) -> list[VerificationReport]:
+    """The rectangle closed forms against the box's lr_table."""
+
     def failures():
         for m in range(1, max_rect + 1):
             for a in range(1, max_rect + 1):
                 box = partitions.box_partitions(m, a)
-                box_shape = (m,) * a
+                coeffs = lr.lr_table((m,) * a)
                 for mu in box:
                     for nu in box:
-                        if lr.lr_rectangle(m, a, mu, nu) != lr.lr_coeff(box_shape, mu, nu):
+                        if lr.lr_rectangle(m, a, mu, nu) != coeffs.get((mu, nu), 0):
                             yield "lr.rectangle", {
                                 "m": m,
                                 "a": a,

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import superchar
-from superchar import folding, laurent, schur, verify
+from superchar import folding, laurent, lr, schur, verify
 from superchar.laurent import LaurentPoly
 from superchar.partitions import enumerate_rect_subset
 
@@ -259,6 +259,26 @@ def test_dc_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
                 assert digest != pins[workloads.request_key(req)][0], req
                 checked += 1
         assert checked > 300
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+
+
+def test_the_lr_checks_run_one_search_per_shape(monkeypatch):
+    # The traced battery reads lr.lr_coeff's span and memo; the three LR
+    # checks must read lr_table instead, which searches each shape once: the
+    # 67 partitions of 0..8 and the boxes 3 x 3, 3 x 4, 4 x 3 and 4 x 4.
+    def forbidden(*args):
+        raise AssertionError("an LR check called lr.lr_coeff")
+
+    superchar.clear_caches()
+    monkeypatch.setattr(lr, "lr_coeff", forbidden)
+    searches = counter(monkeypatch, lr, "_fillings")
+    try:
+        assert verify.check_lr_oracle(6).passed
+        assert all(r.passed for r in verify.check_lr_properties(8))
+        assert all(r.passed for r in verify.check_lr_rectangle(4))
+        assert len(searches) == lr.lr_table.cache_info().currsize == 71
     finally:
         monkeypatch.undo()
         superchar.clear_caches()

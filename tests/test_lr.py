@@ -220,3 +220,34 @@ def test_rect_sum_indicates_membership():
                 for variant in PartitionClass:
                     want = 1 if rect_sum_membership(m, a, mu, variant) else 0
                     assert lr_rect_sum(m, a, mu, variant) == want, (m, a, mu, variant)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, 1, (), ()),  # an empty box
+        (True, 1, (), (1,)),  # a bool side
+        (1, 2.0, (), ()),
+        (2, 2, (1,), (3,)),  # nu wider than the box
+    ],
+)
+def test_rectangle_checks_the_box_first(args):
+    with pytest.raises(ValueError):
+        lr_rectangle(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, 1, (1,), PartitionClass.ALL),  # an empty box, once an early 0
+        (-1, 2, (1,), PartitionClass.ALL),
+        (True, 1, (1,), PartitionClass.ALL),
+        (1, 1, (5,), "junk"),  # mu outside the box and no class
+        (2, 2, (1,), "all"),  # a class value, not the class
+        (2, 2, (3,), PartitionClass.ALL),  # mu wider than the box
+        (2, 2, (1, 1, 1), PartitionClass.ALL),  # mu taller than the box
+    ],
+)
+def test_rect_sum_checks_its_inputs_before_any_early_return(args):
+    with pytest.raises(ValueError):
+        lr_rect_sum(*args)

@@ -385,8 +385,16 @@ def test_witness_is_first_failing_instance(monkeypatch):
     assert by_id["partitions.box-count"].witness == {"m": 1, "a": 1}
     monkeypatch.undo()
 
-    real = lr.lr_coeff
-    monkeypatch.setattr(lr, "lr_coeff", lambda lam, mu, nu: real(lam, mu, nu) + 1)
+    class Shifted:
+        # A shape's table with every coefficient, stored or not, one too large.
+        def __init__(self, coeffs):
+            self.coeffs = coeffs
+
+        def get(self, key, default=0):
+            return self.coeffs.get(key, default) + 1
+
+    real = lr.lr_table
+    monkeypatch.setattr(lr, "lr_table", lambda lam: Shifted(real(lam)))
     by_id = {r.check_id: r for r in check_lr_properties(3, 2)}
     assert by_id["lr.stacking"].witness == {"mu": [], "nu": []}
     assert by_id["lr.empty-delta"].witness == {"lam": [], "nu": []}
@@ -528,6 +536,8 @@ def test_clear_caches_empties_every_polynomial_cache():
     # fills _plain_sides.
     X, Y, _ = cauchy_alphabets(1, 1, 1)
     assert folding.general_dc_check("plain_to_square", (1,), X, Y).passed
+    # The LR checks read lr_table, so one single query fills lr_coeff's memo.
+    assert lr.lr_coeff((2, 1), (2,), (1,)) == 1
     # Every memo cache is now filled, so the emptiness below is not vacuous.
     assert {name for name in memos if caches[name].cache_info().currsize} == memos
     superchar.clear_caches()
