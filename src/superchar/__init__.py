@@ -40,7 +40,6 @@ def clear_caches() -> None:
         _folding._alphabets,
         _folding._palindromic_pair,
         _folding._with_consts,
-        _folding._plain_sides,
         _schur._h_list_cached,
         _schur.super_schur,
         _schur.bracket_schur,
@@ -50,7 +49,6 @@ def clear_caches() -> None:
         _lr.lr_table,
     ):
         cached.cache_clear()
-    _schur._table_values.clear()
     _schur._pair_series.clear()
     _schur._x_series.clear()
 

@@ -29,7 +29,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import Accumulator, InexactDivisionError, LaurentPoly, VarTable
+from . import schur
+from .laurent import InexactDivisionError, LaurentPoly, VarTable
 from .lr import lr_table
 from .lr import lr_coeff  # noqa: F401  (a site the benchmark tracer patches)
 from .partitions import (
@@ -44,17 +45,16 @@ from .partitions import (
 )
 from .report import VerificationReport, poly_comparison
 from .schur import (
-    _BRACKETS,
     Alphabet,
     BracketType,
+    _const_factors,
     _degree,
-    _table_dets,
+    _weighted_dets,
     bracket_sum,
     graded_parts,
     in_x,
     palindromic,
     super_schur,
-    table_sum,
 )
 from .schur import bracket_schur  # noqa: F401  (a site the benchmark tracer patches)
 
@@ -248,31 +248,16 @@ def decomposition_rhs(case: FoldingCase, branch: DecompBranch, a: int, m: int) -
     return bracket_sum(branch.bracket, weighted, *branch_alphabets(case, branch))
 
 
-def _compared(check_id: str, params: dict, lhs, lhs_x, rhs, table) -> VerificationReport:
-    """poly_comparison of both sides in x, given the left side over h_list's table and in x.
-
-    Equal values over the table have equal x images, so the right side is
-    turned into x only when it differs from the left side there.
-    """
-    rhs_x = lhs_x if rhs == lhs else in_x(rhs, table)
-    return poly_comparison(check_id, params, lhs_x, rhs_x)
-
-
 def verify_decomposition(
     case: FoldingCase, branch: DecompBranch, a: int, m: int
 ) -> VerificationReport:
     """Compare kr_supercharacter with decomposition_rhs, exactly.
 
-    Both sides are built over h_list's table; the left side is turned into x
-    once, and _compared hands both to poly_comparison in x.
+    fold_theorem's two sides at the case's palindromic base pair, compared
+    in x by _theorem_report.
     """
-    X, Y = fold_alphabets(case)
-    lhs = table_sum(BracketType.PLAIN, [(_rectangle(case, a, m), 1)], X, Y)
-    weighted = _rhs_weighted(case, branch, a, m)
-    BX, BY = branch_alphabets(case, branch)
-    rhs = table_sum(branch.bracket, weighted, BX, BY)
-    check_id, params = fold_report_id(case, branch, a, m)
-    return _compared(check_id, params, lhs, in_x(lhs, X.table), rhs, BX.table)
+    theorem = fold_theorem(case, branch, a, m)
+    return _theorem_report(*fold_report_id(case, branch, a, m), theorem, *_palindromic_pair(case))
 
 
 def fold_report_id(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple[str, dict]:
@@ -291,21 +276,6 @@ def fold_report_id(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> t
 # ---------------------------------------------------------------------------
 # The eight general decomposition relations
 # ---------------------------------------------------------------------------
-
-
-def _weighted_sum(
-    lam: Partition,
-    weight: PartitionClass | int,
-    bracket: BracketType,
-    X: Alphabet,
-    Y: Alphabet,
-) -> LaurentPoly:
-    """Sum of w(nu) c^lam_{nu,mu} bracket_mu(X|Y) over all pairs (nu, mu).
-
-    The coefficient of each mu comes from _dc_coeffs, and the brackets are
-    summed by one table_sum, over h_list's table.
-    """
-    return table_sum(bracket, _dc_coeffs(lam, weight).items(), X, Y)
 
 
 def _dc_coeffs(lam: Partition, weight: PartitionClass | int) -> dict[Partition, int]:
@@ -332,7 +302,7 @@ def _dc_rows(xi: int) -> dict[str, tuple]:
         s_lam(X + xp | Y + yp) = sum_{nu, mu} w(nu) c^lam_{nu,mu} bracket_mu(X + xs | Y + ys),
 
     where xp, yp, xs and ys are constants adjoined to the alphabets and w is a
-    weight as in _weighted_sum.
+    weight as in _dc_coeffs.
     """
     rows, columns = PartitionClass.EVEN_ROWS, PartitionClass.EVEN_COLUMNS
     square, angle = BracketType.SQUARE, BracketType.ANGLE
@@ -359,13 +329,6 @@ XI_RELATIONS = frozenset(
 )
 
 
-@lru_cache(maxsize=None)
-def _plain_sides(lam: Partition, X: Alphabet, Y: Alphabet) -> tuple[LaurentPoly, LaurentPoly]:
-    """s_lam(X|Y) over h_list's table and in x: relations that share a left side convert it once."""
-    value = table_sum(BracketType.PLAIN, [(lam, 1)], X, Y)
-    return value, in_x(value, X.table)
-
-
 def _dc_row(relation: str, lam, xi: int) -> tuple[Partition, tuple]:
     """lam as a partition and the relation's _dc_rows row at xi, both checked."""
     lam = as_partition(lam)
@@ -387,38 +350,36 @@ def general_dc_check(
 ) -> VerificationReport:
     """Check one of the eight alphabet-modification identities exactly.
 
-    Both sides are built over h_list's table (for formal alphabets with two
-    variables on some side, the e's of each side's x's).  The left side
-    comes in x from _plain_sides, and _compared hands both to
-    poly_comparison in x.
+    dc_theorem's two sides at the base pair (X|Y), compared in x by
+    _theorem_report.
     """
-    lam, (xp, yp, weight, bracket, xs, ys) = _dc_row(relation, lam, xi)
-    lhs, lhs_x = _plain_sides(lam, _with_consts(X, xp), _with_consts(Y, yp))
-    rhs = _weighted_sum(lam, weight, bracket, _with_consts(X, xs), _with_consts(Y, ys))
+    theorem = dc_theorem(relation, lam, xi)
     params = {
         "relation": relation,
-        "lam": list(lam),
+        "lam": list(as_partition(lam)),
         "x": X.describe(),
         "y": Y.describe(),
     }
     if relation in XI_RELATIONS:
         params["xi"] = xi
-    return _compared(f"dc.{relation}", params, lhs, lhs_x, rhs, X.table)
+    return _theorem_report(f"dc.{relation}", params, theorem, X, Y)
 
 
 # ---------------------------------------------------------------------------
-# Theorems over free h_1..h_D
+# Theorems, over free h_1..h_D or at a base pair
 # ---------------------------------------------------------------------------
 #
 # Both sides of a fold or dc identity are Jacobi-Trudi determinants in the
 # h_k of one base pair (X|Y), with constants adjoined to X or Y.  A theorem
 # is the pair of sides, each (x_consts, y_consts, bracket, weighted): the sum
 # of w * bracket_lam over the (lam, w) of weighted, over the base pair with
-# x_consts adjoined to X and y_consts to Y.  Sending each free h_k to
-# h_k(X|Y) is a ring map (Macdonald, Symmetric Functions, I.2), so a theorem
-# whose sides are equal over free h_1..h_D, with each ANGLE determinant
-# halved there, holds for every base pair.  The converse fails: a theorem
-# that is not proved free says nothing about a given pair.
+# x_consts adjoined to X and y_consts to Y.  theorem_sides evaluates both
+# sides from a series per side: the free h_k (free_sides) or h_list at a
+# base pair (pair_sides).  Sending each free h_k to h_k(X|Y) is a ring map
+# (Macdonald, Symmetric Functions, I.2), so a theorem whose sides are equal
+# over free h_1..h_D, with each ANGLE determinant halved there, holds for
+# every base pair.  The converse fails: a theorem that is not proved free
+# says nothing about a given pair.
 
 
 def fold_theorem(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
@@ -439,31 +400,65 @@ def dc_theorem(relation: str, lam, xi: int = 1) -> tuple:
     )
 
 
+def theorem_sides(theorem, series) -> list[LaurentPoly]:
+    """Both sides of the theorem, each a sum of its brackets over its own series.
+
+    series(x_consts, y_consts, D) is [h_0, ..., h_D] with the side's
+    constants applied, where D is the largest degree the side's
+    determinants read; the side is one _weighted_dets over it.
+    """
+    out = []
+    for x_consts, y_consts, bracket, weighted in theorem:
+        terms = [(lam, w) for lam, w in weighted if w]
+        hs = series(x_consts, y_consts, _degree(lam for lam, _ in terms))
+        out.append(_weighted_dets(bracket, terms, hs))
+    return out
+
+
+def pair_sides(theorem, X: Alphabet, Y: Alphabet) -> list[LaurentPoly]:
+    """Both sides of the theorem at the base pair (X|Y), over h_list's table.
+
+    Each side's series is one schur.h_list call on the pair with that
+    side's constants adjoined.
+    """
+
+    def series(x_consts, y_consts, degree):
+        return schur.h_list(_with_consts(X, x_consts), _with_consts(Y, y_consts), degree)
+
+    return theorem_sides(theorem, series)
+
+
+def _theorem_report(
+    check_id: str, params: dict, theorem, X: Alphabet, Y: Alphabet
+) -> VerificationReport:
+    """poly_comparison of the theorem's two sides at the base pair (X|Y), in x.
+
+    Equal values over h_list's table have equal x images, so the left side
+    is turned into x once and the right side only when it differs there.
+    """
+    lhs, rhs = pair_sides(theorem, X, Y)
+    lhs_x = in_x(lhs, X.table)
+    return poly_comparison(check_id, params, lhs_x, lhs_x if rhs == lhs else in_x(rhs, X.table))
+
+
 def free_sides(theorem) -> list[LaurentPoly] | None:
     """Both sides of the theorem over free h_1..h_D, or None if an ANGLE value does not halve.
 
-    D is the largest degree either side's determinants read.  The series is
-    h_0 = 1 plus the free h_k, and each side's constants are applied to it
-    by graded_parts, as h_list applies an alphabet's constants.
+    D is the largest degree either side's determinants read.  Each side's
+    series is h_0 = 1 plus the free h_k, with the side's constants applied
+    by _const_factors as h_list applies an alphabet's.
     """
     D = _degree(lam for side in theorem for lam, _ in side[3])
     table = VarTable(f"h{k}" for k in range(1, D + 1))
-    series = [LaurentPoly.const(table, 1)] + [LaurentPoly.variable(table, n) for n in table.names]
-    out = []
-    for x_consts, y_consts, bracket, weighted in theorem:
-        consts = [(((1, c),), True) for c in x_consts] + [(((1, c),), False) for c in y_consts]
-        terms = [(lam, w) for lam, w in weighted if w]
-        try:
-            values = _table_dets(
-                [lam for lam, _ in terms], graded_parts(series, consts, D), *_BRACKETS[bracket]
-            )
-        except InexactDivisionError:
-            return None
-        acc = Accumulator(table)
-        for value, (_, w) in zip(values, terms):
-            acc.add(value, w)
-        out.append(acc.value())
-    return out
+    free = [LaurentPoly.const(table, 1)] + [LaurentPoly.variable(table, n) for n in table.names]
+
+    def series(x_consts, y_consts, degree):
+        return graded_parts(free[: degree + 1], _const_factors(x_consts, y_consts), degree)
+
+    try:
+        return theorem_sides(theorem, series)
+    except InexactDivisionError:
+        return None
 
 
 def proved_free(theorem) -> bool:

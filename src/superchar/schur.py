@@ -30,10 +30,12 @@ over an e table of the x's.  Every other pair of alphabets is computed in
 x.  Every map back to x is an injective ring map (the e's of distinct
 variables are algebraically independent; Macdonald, Symmetric Functions,
 I.2), so values equal over a table are equal in x and ANGLE values halve
-exactly there.  Each character over an e-of-z table, or each weighted sum
-of bracket characters (:func:`bracket_sum`), is turned back into x once by
-:func:`in_x`; a character over an e table of x's is a determinant over the
-x view of its series, each h_m converted once per alphabet pair.  Every
+exactly there.  Each character over an e-of-z table is turned back into x
+once by :func:`in_x`; a weighted sum of bracket characters
+(:func:`bracket_sum`) is added over the table, from one h_list call, and
+then turned into x once.  A character over an e table of x's is a
+determinant over the x view of its series, each h_m converted once per
+alphabet pair.  Every
 character this module returns is over the alphabets' own table.
 """
 
@@ -354,6 +356,11 @@ def _variable_series(table: VarTable, route, x_elems, y_elems, degmax: int) -> l
     return graded_parts(LaurentPoly.const(etab, 1), factors, degmax)
 
 
+def _const_factors(x_consts, y_consts) -> list:
+    """graded_parts factors for constants: divide by 1 - c t per x constant, times it per y."""
+    return [(((1, c),), True) for c in x_consts] + [(((1, c),), False) for c in y_consts]
+
+
 # (table, X's non-constant elements, Y's) -> [h_0, ..., h_D] of the
 # non-constant elements alone, over x or an e table, for the largest D asked so
 # far: alphabets that differ only in their constants share it, and the route
@@ -376,13 +383,8 @@ def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, 
     if series is None or len(series) <= degmax:
         route = _route(x_elems, y_elems)
         series = _pair_series[key] = _variable_series(X.table, route, x_elems, y_elems, degmax)
-    consts = [
-        (((1, sign),), divide)
-        for alphabet, divide in ((X, True), (Y, False))
-        for sign, exps in alphabet.elements
-        if not any(exps)
-    ]
-    return tuple(graded_parts(series[: degmax + 1], consts, degmax))
+    x_consts, y_consts = (tuple(sign for sign, exps in A.elements if not any(exps)) for A in (X, Y))
+    return tuple(graded_parts(series[: degmax + 1], _const_factors(x_consts, y_consts), degmax))
 
 
 def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
@@ -606,18 +608,24 @@ def bracket_batch(tag: BracketType, shapes, X: Alphabet, Y: Alphabet) -> list[La
     return _jacobi_trudi([as_partition(lam) for lam in shapes], X, Y, *_BRACKETS[tag])
 
 
-# (tag, X, Y) -> {lam: bracket_lam(X|Y) over h_list's table}: bracket_sum's
-# memo, shared across the sums that meet a shape again.  clear_caches()
-# empties it.
-_table_values: dict[tuple, dict[Partition, LaurentPoly]] = {}
+def _weighted_dets(tag: BracketType, terms, hs) -> LaurentPoly:
+    """sum w * bracket_lam over the (lam, w) pairs of terms, from the series hs, over hs's table.
+
+    The determinants come from one _table_dets call and are added by one
+    Accumulator; the empty sum is 0.
+    """
+    values = _table_dets([lam for lam, _ in terms], hs, *_BRACKETS[tag])
+    acc = Accumulator(hs[0].table)
+    for value, (_, w) in zip(values, terms):
+        acc.add(value, w)
+    return acc.value()
 
 
 def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """sum w * bracket_lam(X|Y) over the (lam, w) pairs of weighted, over h_list's table.
 
-    The shapes not yet in the memo share one _table_dets call, and the terms
-    are added over the table by one Accumulator; :func:`in_x` turns the sum
-    into x.
+    The weights of a repeated shape are added first; the sum is
+    _weighted_dets over one h_list call, and :func:`in_x` turns it into x.
     """
     _require_tag(tag)
     weights: dict[Partition, int] = {}
@@ -627,20 +635,7 @@ def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPo
         lam = as_partition(lam)
         weights[lam] = weights.get(lam, 0) + w
     terms = [(lam, w) for lam, w in weights.items() if w]
-    memo = _table_values.setdefault((tag, X, Y), {})
-    missing = [lam for lam, _ in terms if lam not in memo]
-    if missing:
-        hs = h_list(X, Y, _degree(missing))
-        memo.update(zip(missing, _table_dets(missing, hs, *_BRACKETS[tag])))
-    values = [(memo[lam], w) for lam, w in terms]
-    if not values:
-        return LaurentPoly.zero(h_list(X, Y, 0)[0].table)
-    if len(values) == 1 and values[0][1] == 1:
-        return values[0][0]
-    acc = Accumulator(values[0][0].table)
-    for value, w in values:
-        acc.add(value, w)
-    return acc.value()
+    return _weighted_dets(tag, terms, h_list(X, Y, _degree(lam for lam, _ in terms)))
 
 
 def bracket_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:

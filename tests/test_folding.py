@@ -19,6 +19,7 @@ from superchar.folding import (
     general_dc_check,
     get_branch,
     kr_supercharacter,
+    pair_sides,
     proved_free,
     require_in_hook,
     verify_decomposition,
@@ -348,8 +349,13 @@ def test_dc_rejects_bad_arguments():
         general_dc_check("plain_to_square", (1,), X, Y, xi=2)
 
 
+def weighted_sum(lam, weight, bracket, X, Y):
+    """A dc relation's right side in x: sum of w(nu) c^lam_{nu,mu} bracket_mu(X|Y)."""
+    return in_x(table_sum(bracket, folding._dc_coeffs(lam, weight).items(), X, Y), X.table)
+
+
 def double_loop_weighted_sum(lam, weight, bracket, X, Y):
-    """_weighted_sum as the plain double loop over all partitions of each size."""
+    """weighted_sum as the plain double loop over all partitions of each size."""
     total = LaurentPoly.zero(X.table)
     n = size(lam)
     for k in range(n + 1):
@@ -376,7 +382,7 @@ def test_weighted_sum_matches_the_double_loop():
         for weight in weights:
             for bracket in (BracketType.SQUARE, BracketType.ANGLE):
                 want = double_loop_weighted_sum(lam, weight, bracket, X, Y)
-                got = in_x(folding._weighted_sum(lam, weight, bracket, X, Y), X.table)
+                got = weighted_sum(lam, weight, bracket, X, Y)
                 assert got == want, (lam, weight, bracket)
 
 
@@ -501,7 +507,7 @@ def per_shape_rhs(case, branch, a, m):
 
 
 def per_shape_weighted_sum(lam, weight, bracket, X, Y):
-    """_weighted_sum adding w(nu) c^lam_{nu,mu} bracket_mu(X|Y) in x, one (nu, mu) at a time."""
+    """weighted_sum adding w(nu) c^lam_{nu,mu} bracket_mu(X|Y) in x, one (nu, mu) at a time."""
     total = LaurentPoly.zero(X.table)
     n = size(lam)
     inside = list(partitions_inside(lam))
@@ -548,7 +554,7 @@ def test_one_pass_weighted_sums_match_the_per_shape_sums():
                     X, Y, _ = cauchy_alphabets(nx, ny, 1)
                     X, Y = folding._with_consts(X, xs), folding._with_consts(Y, ys)
                     for lam in partitions_upto(4):
-                        got = in_x(folding._weighted_sum(lam, weight, bracket, X, Y), X.table)
+                        got = weighted_sum(lam, weight, bracket, X, Y)
                         want = per_shape_weighted_sum(lam, weight, bracket, X, Y)
                         assert got == want, (relation, xi, nx, ny, lam)
 
@@ -848,12 +854,42 @@ def test_free_sides_specialize_to_the_dc_sides():
             X, Y, _ = cauchy_alphabets(nx, ny, 1)
             with_consts = folding._with_consts
             want_lhs = super_schur(lam, with_consts(X, xp), with_consts(Y, yp))
-            want_rhs = in_x(
-                folding._weighted_sum(lam, weight, bracket, with_consts(X, xs), with_consts(Y, ys)),
-                X.table,
-            )
+            want_rhs = weighted_sum(lam, weight, bracket, with_consts(X, xs), with_consts(Y, ys))
             assert specialized(lhs, X, Y) == want_lhs, (relation, xi, lam, nx, ny)
             assert specialized(rhs, X, Y) == want_rhs, (relation, xi, lam, nx, ny)
+
+
+def test_pair_sides_match_table_sum_side_by_side():
+    """Every fold pool request and every dc theorem at the dc sweep's pairs, over h_list's table.
+
+    The fold pool is r + s <= 3 and in-hook a, m <= 4; the dc theorems are
+    |lam| <= 5 at nx <= 3, ny <= 2, both xi.  Each side of the evaluator must
+    be table_sum of the side's brackets over the base pair with the side's
+    constants adjoined.
+    """
+
+    def check(theorem, X, Y, label):
+        got = pair_sides(theorem, X, Y)
+        want = [
+            table_sum(
+                bracket,
+                weighted,
+                X | Alphabet.constants(X.table, x_consts),
+                Y | Alphabet.constants(Y.table, y_consts),
+            )
+            for x_consts, y_consts, bracket, weighted in theorem
+        ]
+        assert [side.table for side in got] == [side.table for side in want], label
+        assert got == want, label
+
+    fold = fold_requests(3, 4)
+    assert len(fold) == 1412
+    for case, branch, a, m in fold:
+        check(fold_theorem(case, branch, a, m), *folding._palindromic_pair(case), (case, a, m))
+    dc = dc_requests(5, 3, 2)
+    assert len(dc) == 2736
+    for relation, lam, X, Y, xi in dc:
+        check(dc_theorem(relation, lam, xi), X, Y, (relation, lam, X, Y, xi))
 
 
 def mutate_branch(monkeypatch, tag, branch, mutant):

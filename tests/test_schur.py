@@ -900,7 +900,6 @@ def test_x_characters_convert_each_h_once_per_alphabet_pair():
     assert lengths == [2, 4, 4, 4]  # h_0..h_D for D = lam_1 + len(lam) - 1, grown as D rose
     assert all(h is firsts[0] for h in firsts)  # each h_m converted once
     assert [h.table for h in view] == [TABLE_3] * 4
-    assert not schur._table_values
     clear_caches()
     assert not schur._x_series
     assert values == [in_x(table_sum(BracketType.PLAIN, [(lam, 1)], X, Y), TABLE_3)

@@ -1,7 +1,10 @@
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -636,16 +639,60 @@ def test_clear_caches_empties_every_polynomial_cache():
     memos = set(caches) - TABLE_CACHES
     superchar.clear_caches()
     run_suite(SMALL)
-    # The suite's dc sweep proves its relations over free h, so one dc request
-    # fills _plain_sides.
-    X, Y, _ = cauchy_alphabets(1, 1, 1)
-    assert folding.general_dc_check("plain_to_square", (1,), X, Y).passed
     # The LR checks read lr_table, so one single query fills lr_coeff's memo.
     assert lr.lr_coeff((2, 1), (2,), (1,)) == 1
     # Every memo cache is now filled, so the emptiness below is not vacuous.
     assert {name for name in memos if caches[name].cache_info().currsize} == memos
     superchar.clear_caches()
     assert {name for name in memos if caches[name].cache_info().currsize} == set()
+
+
+# Run in a fresh interpreter, so no earlier test has filled a memo: prints the
+# size of every module-level dict, list and set of superchar at import, after
+# a default run_suite plus one fold and one dc request, and after clear_caches().
+CONTAINER_SCAN = """
+import importlib, json, pkgutil
+import superchar
+from superchar import folding
+from superchar.verify import SuiteConfig, cauchy_alphabets, run_suite
+
+modules = [superchar] + [
+    importlib.import_module(f"superchar.{info.name}")
+    for info in pkgutil.iter_modules(superchar.__path__)
+]
+
+
+def sizes():
+    return {
+        f"{module.__name__}.{name}": len(obj)
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, (dict, list, set))
+    }
+
+
+at_import = sizes()
+run_suite(SuiteConfig())
+case = folding.FoldingCase(folding.FoldingTag.A2_ODD, 1, 0)
+assert folding.verify_decomposition(case, folding.get_branch(case, "C"), 2, 2).passed
+X, Y, _ = cauchy_alphabets(2, 1, 1)
+assert folding.general_dc_check("yconst_to_square_shifted", (2, 1), X, Y).passed
+after_run = sizes()
+superchar.clear_caches()
+print(json.dumps([at_import, after_run, sizes()]))
+"""
+
+
+def test_clear_caches_empties_every_module_container_that_grows():
+    src = os.path.dirname(os.path.dirname(superchar.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", CONTAINER_SCAN], env=env, capture_output=True, text=True, check=True
+    )
+    at_import, after_run, cleared = json.loads(run.stdout)
+    grown = {name for name, n in after_run.items() if n > at_import.get(name, 0)}
+    assert {"superchar.schur._pair_series", "superchar.schur._x_series"} <= grown
+    assert {name: cleared[name] for name in grown if cleared[name]} == {}
 
 
 def test_clear_caches_leaves_no_table_value_behind(monkeypatch):
@@ -662,12 +709,11 @@ def test_clear_caches_leaves_no_table_value_behind(monkeypatch):
         for name, fn in lru_caches().items()
         if name.split(".")[0] in ("folding", "schur", "lr") and name not in TABLE_CACHES
     }
-    assert schur._table_values and memos["schur.super_schur"].cache_info().currsize
-    assert memos["folding._plain_sides"].cache_info().currsize
+    assert memos["schur.super_schur"].cache_info().currsize
     assert schur._pair_series and schur._x_series
     superchar.clear_caches()
     assert {name for name, fn in memos.items() if fn.cache_info().currsize} == set()
-    assert not schur._table_values and not schur._pair_series and not schur._x_series
+    assert not schur._pair_series and not schur._x_series
 
     # A stale table or x value would hide a fault injected after a warm run.
     real = schur.h_list
