@@ -639,6 +639,10 @@ def test_clear_caches_empties_every_polynomial_cache():
     memos = set(caches) - TABLE_CACHES
     superchar.clear_caches()
     run_suite(SMALL)
+    # One dc request runs the request path (pair_sides, then h_list with the
+    # constants adjoined) before the caches are cleared.
+    X, Y, _ = cauchy_alphabets(1, 1, 1)
+    assert folding.general_dc_check("plain_to_square", (1,), X, Y).passed
     # The LR checks read lr_table, so one single query fills lr_coeff's memo.
     assert lr.lr_coeff((2, 1), (2,), (1,)) == 1
     # Every memo cache is now filled, so the emptiness below is not vacuous.
