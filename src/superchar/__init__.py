@@ -8,7 +8,6 @@ from .schur import (
     bialternant_schur,
     bracket_schur,
     bracket_schur_altform,
-    bracket_sum,
     h_list,
     schur_expand,
     super_schur,
@@ -37,7 +36,6 @@ def clear_caches() -> None:
     from . import folding as _folding, lr as _lr, schur as _schur
 
     for cached in (
-        _folding._alphabets,
         _folding._palindromic_pair,
         _folding._with_consts,
         _schur._h_list_cached,
@@ -74,7 +72,6 @@ __all__ = [
     "bialternant_schur",
     "bracket_schur",
     "bracket_schur_altform",
-    "bracket_sum",
     "cauchy_check",
     "clear_caches",
     "conjugate",

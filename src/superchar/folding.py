@@ -50,7 +50,6 @@ from .schur import (
     _const_factors,
     _degree,
     _weighted_dets,
-    bracket_sum,
     graded_parts,
     in_x,
     palindromic,
@@ -76,6 +75,8 @@ class FoldingCase:
     s: int
 
     def __post_init__(self):
+        if not isinstance(self.tag, FoldingTag):
+            raise ValueError(f"folding tag must be a FoldingTag, not {self.tag!r}")
         require_counts(r=self.r, s=self.s)
         if self.x_count < 0:
             raise ValueError(f"the {self.tag.value} case needs r >= {least_r(self.tag)}")
@@ -164,17 +165,11 @@ def _palindromic_pair(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
     )
 
 
-@lru_cache(maxsize=None)
-def _alphabets(case: FoldingCase, x_consts: tuple, y_consts: tuple) -> tuple[Alphabet, Alphabet]:
-    """The palindromic x and y alphabets of the case, with constants adjoined."""
-    X, Y = _palindromic_pair(case)
-    return _with_consts(X, x_consts), _with_consts(Y, y_consts)
-
-
 def fold_alphabets(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
     """The folded (X, Y) pair defining the case's generating series."""
     row = _CASES[case.tag]
-    return _alphabets(case, row.x_consts, row.y_consts)
+    X, Y = _palindromic_pair(case)
+    return _with_consts(X, row.x_consts), _with_consts(Y, row.y_consts)
 
 
 def _branch_x_consts(branch: DecompBranch) -> tuple[int, ...]:
@@ -182,7 +177,8 @@ def _branch_x_consts(branch: DecompBranch) -> tuple[int, ...]:
 
 
 def branch_alphabets(case: FoldingCase, branch: DecompBranch) -> tuple[Alphabet, Alphabet]:
-    return _alphabets(case, _branch_x_consts(branch), ())
+    X, Y = _palindromic_pair(case)
+    return _with_consts(X, _branch_x_consts(branch)), Y
 
 
 def get_branch(case: FoldingCase, name: str) -> DecompBranch:
@@ -242,10 +238,21 @@ def _rhs_weighted(case: FoldingCase, branch: DecompBranch, a: int, m: int):
     ]
 
 
+def _rhs_side(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
+    """fold_theorem's right side: the branch's brackets over its rectangle subset."""
+    return (_branch_x_consts(branch), (), branch.bracket, _rhs_weighted(case, branch, a, m))
+
+
 def decomposition_rhs(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> LaurentPoly:
-    """Sum of bracket characters over the branch's rectangle subset."""
-    weighted = _rhs_weighted(case, branch, a, m)
-    return bracket_sum(branch.bracket, weighted, *branch_alphabets(case, branch))
+    """Sum of bracket characters over the branch's rectangle subset, in x.
+
+    fold_theorem's right side at the case's palindromic base pair, from
+    pair_sides, turned into x once.  A rectangle outside the hook is not
+    refused here.
+    """
+    X, Y = _palindromic_pair(case)
+    (rhs,) = pair_sides([_rhs_side(case, branch, a, m)], X, Y)
+    return in_x(rhs, X.table)
 
 
 def verify_decomposition(
@@ -334,8 +341,8 @@ def _dc_row(relation: str, lam, xi: int) -> tuple[Partition, tuple]:
     lam = as_partition(lam)
     if relation not in DC_RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    if xi not in (1, -1):
-        raise ValueError("xi must be +1 or -1")
+    if type(xi) is not int or xi not in (1, -1):
+        raise ValueError(f"xi must be the int 1 or -1, not {xi!r}")
     if xi != 1 and relation not in XI_RELATIONS:
         raise ValueError(f"relation {relation!r} does not depend on xi; use xi = 1")
     return lam, _DC_ROWS[xi][relation]
@@ -387,7 +394,7 @@ def fold_theorem(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tup
     row = _CASES[case.tag]
     return (
         (row.x_consts, row.y_consts, BracketType.PLAIN, [(_rectangle(case, a, m), 1)]),
-        (_branch_x_consts(branch), (), branch.bracket, _rhs_weighted(case, branch, a, m)),
+        _rhs_side(case, branch, a, m),
     )
 
 

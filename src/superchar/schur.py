@@ -32,8 +32,9 @@ variables are algebraically independent; Macdonald, Symmetric Functions,
 I.2), so values equal over a table are equal in x and ANGLE values halve
 exactly there.  Each character over an e-of-z table is turned back into x
 once by :func:`in_x`; a weighted sum of bracket characters
-(:func:`bracket_sum`) is added over the table, from one h_list call, and
-then turned into x once.  A character over an e table of x's is a
+(:func:`_weighted_dets`, which ``folding.theorem_sides`` runs for every
+fold and dc sum) is added over the table from one series, and its caller
+turns it into x once.  A character over an e table of x's is a
 determinant over the x view of its series, each h_m converted once per
 alphabet pair.  Every
 character this module returns is over the alphabets' own table.
@@ -619,31 +620,6 @@ def _weighted_dets(tag: BracketType, terms, hs) -> LaurentPoly:
     for value, (_, w) in zip(values, terms):
         acc.add(value, w)
     return acc.value()
-
-
-def table_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """sum w * bracket_lam(X|Y) over the (lam, w) pairs of weighted, over h_list's table.
-
-    The weights of a repeated shape are added first; the sum is
-    _weighted_dets over one h_list call, and :func:`in_x` turns it into x.
-    """
-    _require_tag(tag)
-    weights: dict[Partition, int] = {}
-    for lam, w in weighted:
-        if type(w) is not int:
-            raise ValueError(f"weights must be ints, got {w!r}")
-        lam = as_partition(lam)
-        weights[lam] = weights.get(lam, 0) + w
-    terms = [(lam, w) for lam, w in weights.items() if w]
-    return _weighted_dets(tag, terms, h_list(X, Y, _degree(lam for lam, _ in terms)))
-
-
-def bracket_sum(tag: BracketType, weighted, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """sum w * bracket_lam(X|Y) over the (lam, w) pairs of weighted, over X.table.
-
-    The table_sum, turned into x once.
-    """
-    return in_x(table_sum(tag, weighted, X, Y), X.table)
 
 
 # ---------------------------------------------------------------------------

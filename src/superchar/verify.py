@@ -12,7 +12,6 @@ degree is ever formed.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from itertools import chain, combinations, combinations_with_replacement
 
@@ -43,33 +42,6 @@ _CAUCHY_BRACKETS = {
 SUM_KINDS = ("schur_sum", "littlewood_even_rows", "littlewood_even_columns")
 
 
-def _graded_parts(
-    table: VarTable,
-    nT: int,
-    factors: Iterable[tuple[LaurentPoly, bool]],
-    degmax: int,
-    start: list[LaurentPoly] | None = None,
-) -> list[LaurentPoly]:
-    """The t-degree parts 0..degmax of start times factors (1 - u) and 1/(1 - u).
-
-    Each factor is (u, divide), with u a signed monomial of t-degree d >= 1 in
-    t1..tnT.  start is the list of parts 0..degmax to multiply, 1 when None;
-    it is not changed.  The parts come from schur.graded_parts, the
-    recurrence that also gives h_m, so no term above degmax is ever formed.
-    """
-    positions = [table.index[f"t{i}"] for i in range(1, nT + 1)]
-    graded = []
-    for u, divide in factors:
-        ((exps, _),) = u.terms()
-        d = sum(exps[i] for i in positions)
-        if d < 1:
-            raise ValueError(f"product factor {u} needs positive degree in the t variables")
-        graded.append((((d, u),), divide))
-    return schur.graded_parts(
-        LaurentPoly.const(table, 1) if start is None else start, graded, degmax
-    )
-
-
 def _parts_sum(parts: list[LaurentPoly]) -> LaurentPoly:
     """The nonzero parts added into one Accumulator."""
     acc = Accumulator(parts[0].table)
@@ -77,13 +49,6 @@ def _parts_sum(parts: list[LaurentPoly]) -> LaurentPoly:
         if not part.is_zero:
             acc.add(part)
     return acc.value()
-
-
-def _graded_product(
-    table: VarTable, nT: int, factors: Iterable[tuple[LaurentPoly, bool]], degmax: int
-) -> LaurentPoly:
-    """The part of t-degree <= degmax of a product of factors (1 - u) and 1/(1 - u)."""
-    return _parts_sum(_graded_parts(table, nT, factors, degmax))
 
 
 def cauchy_alphabets(nx: int, ny: int, nT: int) -> tuple[Alphabet, Alphabet, VarTable]:
@@ -135,35 +100,36 @@ def _alphabet_parts(
 ) -> list[LaurentPoly]:
     """The t-degree parts of the kind's alphabet factors, over X.table.
 
-    For each of t1..tnT: (1 - t y) over Y and 1/(1 - t x) over X; the dual
+    For each of t1..tnT: (1 - t y) over Y and 1/(1 - t x) over X, each a
+    schur.graded_parts factor of t-degree 1 (X and Y hold no t); the dual
     kind swaps the alphabets and negates them.  The plain, square and angle
     kinds share these parts.
     """
     mul_over, div_over = (X.negated(), Y.negated()) if kind == "cauchy_angle_dual" else (Y, X)
     t_polys = [LaurentPoly.variable(X.table, f"t{i}") for i in range(1, nT + 1)]
     factors = [
-        (t * w, divide)
+        (((1, t * w),), divide)
         for t in t_polys
         for divide, alphabet in ((False, mul_over), (True, div_over))
         for w in alphabet.polys()
     ]
-    return _graded_parts(X.table, nT, factors, degmax)
+    return schur.graded_parts(LaurentPoly.const(X.table, 1), factors, degmax)
 
 
 def _cauchy_rhs(kind: str, parts: list[LaurentPoly], nT: int, degmax: int) -> LaurentPoly:
-    """The kind's product side: its alphabet parts times its (1 - t_i t_j) factors, summed."""
+    """The kind's product side: its alphabet parts times its (1 - t_i t_j) factors, summed.
+
+    Each (1 - t_i t_j) is a schur.graded_parts factor of t-degree 2.
+    """
     if kind == "cauchy_plain":
         return _parts_sum(parts)
-    table = parts[0].table
+    t_polys = [LaurentPoly.variable(parts[0].table, f"t{i}") for i in range(1, nT + 1)]
     if kind == "cauchy_angle":
-        pairs = combinations(range(1, nT + 1), 2)
+        pairs = combinations(t_polys, 2)
     else:
-        pairs = combinations_with_replacement(range(1, nT + 1), 2)
-    factors = [
-        (LaurentPoly.variable(table, f"t{i}") * LaurentPoly.variable(table, f"t{j}"), False)
-        for i, j in pairs
-    ]
-    return _parts_sum(_graded_parts(table, nT, factors, degmax, parts))
+        pairs = combinations_with_replacement(t_polys, 2)
+    factors = [(((2, ti * tj),), False) for ti, tj in pairs]
+    return _parts_sum(schur.graded_parts(parts, factors, degmax))
 
 
 def _cauchy_report(
@@ -257,12 +223,14 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
 
     t_polys = [LaurentPoly.variable(table, name) for name in table.names]
     if kind == "littlewood_even_rows":
-        pairs = combinations_with_replacement(range(nT), 2)
+        pairs = combinations_with_replacement(t_polys, 2)
     else:
-        pairs = combinations(range(nT), 2)
-    singles = t_polys if kind == "schur_sum" else []
-    monomials = chain(singles, (t_polys[i] * t_polys[j] for i, j in pairs))
-    rhs = _graded_product(table, nT, ((u, True) for u in monomials), degmax)
+        pairs = combinations(t_polys, 2)
+    singles = [(1, t) for t in t_polys] if kind == "schur_sum" else []
+    # Each monomial u as (its t-degree, u): a single t_i has 1, t_i t_j has 2.
+    terms = chain(singles, ((2, ti * tj) for ti, tj in pairs))
+    factors = [((term,), True) for term in terms]
+    rhs = _parts_sum(schur.graded_parts(LaurentPoly.const(table, 1), factors, degmax))
 
     params = {"kind": kind, "nT": nT, "degmax": degmax}
     return poly_comparison(f"littlewood.{kind}", params, lhs, rhs)

@@ -47,7 +47,6 @@ from superchar.schur import (
     graded_parts,
     in_x,
     super_schur,
-    table_sum,
 )
 from superchar.verify import cauchy_alphabets, fold_cases
 
@@ -166,6 +165,10 @@ def test_case_validation():
         FoldingCase(FoldingTag.D2, 0, 1)
     with pytest.raises(ValueError):
         FoldingCase(FoldingTag.B1, -1, 0)
+    for tag in ("B1", None, BracketType.SQUARE):
+        with pytest.raises(ValueError, match="FoldingTag") as err:
+            FoldingCase(tag, 1, 0)
+        assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("r, s", [(1.5, 0), (True, 0), (1, 1.0), (1, "0"), (1, False)])
@@ -347,11 +350,24 @@ def test_dc_rejects_bad_arguments():
         general_dc_check("nonsense", (1,), X, Y)
     with pytest.raises(ValueError):
         general_dc_check("plain_to_square", (1,), X, Y, xi=2)
+    # xi must be the int 1 or -1: True, 1.0 and -1.0 compare equal to it but
+    # would write other report bytes.
+    for xi in (True, 1.0, -1.0):
+        relation = "yconst_to_square_signed"
+        with pytest.raises(ValueError, match="xi must be") as err:
+            general_dc_check(relation, (1,), X, Y, xi)
+        assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match="xi must be"):
+            dc_theorem(relation, (1,), xi)
 
 
 def weighted_sum(lam, weight, bracket, X, Y):
-    """A dc relation's right side in x: sum of w(nu) c^lam_{nu,mu} bracket_mu(X|Y)."""
-    return in_x(table_sum(bracket, folding._dc_coeffs(lam, weight).items(), X, Y), X.table)
+    """A dc relation's right side in x: sum of w(nu) c^lam_{nu,mu} bracket_mu(X|Y).
+
+    One side of weights and no constants, through pair_sides.
+    """
+    (side,) = pair_sides([((), (), bracket, list(folding._dc_coeffs(lam, weight).items()))], X, Y)
+    return in_x(side, X.table)
 
 
 def double_loop_weighted_sum(lam, weight, bracket, X, Y):
@@ -591,7 +607,8 @@ def explicit_report(case, branch, a, m):
     """The report with both table sides turned into x by in_x, whatever they are."""
     report = verify_decomposition(case, branch, a, m)
     X, Y = fold_alphabets(case)
-    lhs = in_x(table_sum(BracketType.PLAIN, [((m,) * a, 1)], X, Y), X.table)
+    (lhs,) = pair_sides([((), (), BracketType.PLAIN, [((m,) * a, 1)])], X, Y)
+    lhs = in_x(lhs, X.table)
     rhs = decomposition_rhs(case, branch, a, m)
     return poly_comparison(report.check_id, report.params, lhs, rhs).to_json()
 
@@ -859,37 +876,40 @@ def test_free_sides_specialize_to_the_dc_sides():
             assert specialized(rhs, X, Y) == want_rhs, (relation, xi, lam, nx, ny)
 
 
-def test_pair_sides_match_table_sum_side_by_side():
-    """Every fold pool request and every dc theorem at the dc sweep's pairs, over h_list's table.
+def test_pair_sides_match_the_per_shape_x_references():
+    """Every fold pool request and every dc theorem at the dc sweep's pairs, side by side.
 
     The fold pool is r + s <= 3 and in-hook a, m <= 4; the dc theorems are
-    |lam| <= 5 at nx <= 3, ny <= 2, both xi.  Each side of the evaluator must
-    be table_sum of the side's brackets over the base pair with the side's
-    constants adjoined.
+    |lam| <= 5 at nx <= 3, ny <= 2, both xi.  Each side of the evaluator
+    must be over h_list's table at the base pair with the side's constants
+    adjoined, and through in_x it must equal its per-shape reference in x:
+    kr_supercharacter and per_shape_rhs for a fold theorem, super_schur and
+    per_shape_weighted_sum for a dc theorem.
     """
+    with_consts = folding._with_consts
 
-    def check(theorem, X, Y, label):
+    def check(theorem, X, Y, want, label):
         got = pair_sides(theorem, X, Y)
-        want = [
-            table_sum(
-                bracket,
-                weighted,
-                X | Alphabet.constants(X.table, x_consts),
-                Y | Alphabet.constants(Y.table, y_consts),
-            )
-            for x_consts, y_consts, bracket, weighted in theorem
-        ]
-        assert [side.table for side in got] == [side.table for side in want], label
-        assert got == want, label
+        for (x_consts, y_consts, _, _), side, value in zip(theorem, got, want, strict=True):
+            series = schur.h_list(with_consts(X, x_consts), with_consts(Y, y_consts), 0)
+            assert side.table == series[0].table, label
+            assert in_x(side, X.table) == value, label
 
     fold = fold_requests(3, 4)
     assert len(fold) == 1412
     for case, branch, a, m in fold:
-        check(fold_theorem(case, branch, a, m), *folding._palindromic_pair(case), (case, a, m))
+        want = [kr_supercharacter(case, a, m), per_shape_rhs(case, branch, a, m)]
+        theorem = fold_theorem(case, branch, a, m)
+        check(theorem, *folding._palindromic_pair(case), want, (case, branch.name, a, m))
     dc = dc_requests(5, 3, 2)
     assert len(dc) == 2736
     for relation, lam, X, Y, xi in dc:
-        check(dc_theorem(relation, lam, xi), X, Y, (relation, lam, X, Y, xi))
+        xp, yp, weight, bracket, xs, ys = folding._DC_ROWS[xi][relation]
+        want = [
+            super_schur(lam, with_consts(X, xp), with_consts(Y, yp)),
+            per_shape_weighted_sum(lam, weight, bracket, with_consts(X, xs), with_consts(Y, ys)),
+        ]
+        check(dc_theorem(relation, lam, xi), X, Y, want, (relation, lam, X, Y, xi))
 
 
 def mutate_branch(monkeypatch, tag, branch, mutant):

@@ -25,7 +25,6 @@ from superchar.schur import (
     bracket_schur,
     bracket_schur_altform,
     ETable,
-    bracket_sum,
     e_table,
     h_list,
     in_x,
@@ -34,9 +33,9 @@ from superchar.schur import (
     schur_in_table,
     super_schur,
     t_table,
-    table_sum,
     z_table,
 )
+from superchar.folding import pair_sides
 from superchar.verify import cauchy_alphabets, check_lr_oracle
 
 
@@ -247,7 +246,14 @@ def test_characters_validate_before_the_memo(lam):
             bracket_schur_altform(tag, lam, X, Y)
 
 
+def x_sum(tag, weighted, X, Y):
+    """sum w * bracket_lam(X|Y) over the (lam, w) of weighted, as one pair_sides side, in x."""
+    (side,) = pair_sides([((), (), tag, weighted)], X, Y)
+    return in_x(side, X.table)
+
+
 def test_bracket_sum_matches_the_per_shape_sum():
+    """A weighted bracket sum from pair_sides, in x, on each route, against per-shape adds."""
     table = VarTable(("x1", "y1"))
     pairs = [
         formal_pair(2, 1)[:2],  # the x route
@@ -260,20 +266,11 @@ def test_bracket_sum_matches_the_per_shape_sum():
             want = LaurentPoly.zero(X.table)
             for lam, w in weighted:
                 want = want + w * bracket_schur(tag, lam, X, Y)
-            got = bracket_sum(tag, weighted, X, Y)
+            got = x_sum(tag, weighted, X, Y)
             assert got == want and got.table == X.table, tag
-            assert bracket_sum(tag, [], X, Y) == LaurentPoly.zero(X.table)
-            cancel = bracket_sum(tag, [((2,), 1), ((2,), -1)], X, Y)
+            assert x_sum(tag, [], X, Y) == LaurentPoly.zero(X.table)
+            cancel = x_sum(tag, [((2,), 1), ((2,), -1)], X, Y)
             assert cancel.is_zero and cancel.table == X.table
-
-
-def test_bracket_sum_rejects_bad_arguments():
-    X, Y, _ = formal_pair(1, 1)
-    for weighted in ([((1,), True)], [((1,), 1.0)], [((1.0,), 1)], [((True,), 1)]):
-        with pytest.raises(ValueError):
-            bracket_sum(BracketType.SQUARE, weighted, X, Y)
-    with pytest.raises(ValueError, match="BracketType"):
-        bracket_sum("square", [((1,), 1)], X, Y)
 
 
 def test_super_schur_hook_vanishing_example():
@@ -782,7 +779,8 @@ def test_angle_values_halve_exactly_in_e(all_in_x):
     clear_caches()
     in_e = []
     for X, Y in pairs:
-        values = [table_sum(BracketType.ANGLE, [(lam, 1)], X, Y) for lam in shapes]
+        hs = h_list(X, Y, schur._degree(shapes))
+        values = [schur._weighted_dets(BracketType.ANGLE, [(lam, 1)], hs) for lam in shapes]
         assert all(isinstance(v.table, ETable) for v in values)
         in_e.append([in_x(v, T) for v in values])
     all_in_x()
@@ -902,8 +900,12 @@ def test_x_characters_convert_each_h_once_per_alphabet_pair():
     assert [h.table for h in view] == [TABLE_3] * 4
     clear_caches()
     assert not schur._x_series
-    assert values == [in_x(table_sum(BracketType.PLAIN, [(lam, 1)], X, Y), TABLE_3)
-                      for lam in ((1,), (2, 1), (3,), (1, 1, 1))]
+
+    def plain(lam):
+        hs = h_list(X, Y, schur._degree([lam]))
+        return in_x(schur._weighted_dets(BracketType.PLAIN, [(lam, 1)], hs), TABLE_3)
+
+    assert values == [plain(lam) for lam in ((1,), (2, 1), (3,), (1, 1, 1))]
     clear_caches()
 
 
@@ -938,7 +940,8 @@ def test_angle_values_halve_exactly_in_formal_e(x_route):
     clear_caches()
     in_e = []
     for X, Y in pairs:
-        values = [table_sum(BracketType.ANGLE, [(lam, 1)], X, Y) for lam in shapes]
+        hs = h_list(X, Y, schur._degree(shapes))
+        values = [schur._weighted_dets(BracketType.ANGLE, [(lam, 1)], hs) for lam in shapes]
         assert all(isinstance(v.table, ETable) and not v.table.over_z for v in values)
         in_e.append([in_x(v, T) for v in values])
     x_route()
@@ -1104,6 +1107,7 @@ def test_no_entry_rule_reads_h_past_lam1_plus_len_minus_one(rule):
 
 
 def test_table_sum_adds_into_one_dict_like_the_add_chain():
+    """_weighted_dets over one h_list series against the ring's add chain of its shapes."""
     weighted = [((2, 1), 3), ((1,), -1), ((), 2), ((1,), 1), ((2,), 0), ((1, 1), -2), ((3,), 1)]
     merged = Counter()
     for lam, w in weighted:
@@ -1111,9 +1115,10 @@ def test_table_sum_adds_into_one_dict_like_the_add_chain():
     for X, Y in route_pairs():
         for tag in BracketType:
             clear_caches()
-            got = table_sum(tag, weighted, X, Y)
+            hs = h_list(X, Y, schur._degree(lam for lam, _ in weighted))
+            got = schur._weighted_dets(tag, weighted, hs)
             chain = LaurentPoly.zero(got.table)
             for lam, w in merged.items():
                 if w:
-                    chain = chain + w * table_sum(tag, [(lam, 1)], X, Y)
+                    chain = chain + w * schur._weighted_dets(tag, [(lam, 1)], hs)
             assert terms_and_bounds([got]) == terms_and_bounds([chain]), tag

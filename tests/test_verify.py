@@ -21,7 +21,7 @@ from superchar.schur import Alphabet
 from superchar.verify import (
     CAUCHY_KINDS,
     SuiteConfig,
-    _graded_product,
+    _parts_sum,
     cauchy_alphabets,
     cauchy_check,
     check_fold_dimensions,
@@ -109,7 +109,8 @@ def _reference_graded_product(table, nT, factors, degmax):
 @st.composite
 def graded_factor_lists(draw):
     """Signed monomials of t-degree 1-2 over 1-2 t variables and 0-2 others
-    (negative exponents allowed), each with a multiply-or-divide flag."""
+    (negative exponents allowed), each as (t-degree, u, divide) with a
+    multiply-or-divide flag."""
     nT = draw(st.integers(1, 2))
     others = draw(st.integers(0, 2))
     table = VarTable(
@@ -124,7 +125,7 @@ def graded_factor_lists(draw):
             t_exps = [first, d - first]
         exps = [draw(st.integers(-2, 2)) for _ in range(others)] + t_exps
         u = LaurentPoly.monomial(table, exps, draw(st.sampled_from((1, -1))))
-        return u, draw(st.booleans())
+        return d, u, draw(st.booleans())
 
     factors = [factor() for _ in range(draw(st.integers(0, 5)))]
     return table, nT, factors, draw(st.integers(0, 6))
@@ -133,9 +134,13 @@ def graded_factor_lists(draw):
 @settings(max_examples=150, deadline=None)
 @given(graded_factor_lists())
 def test_graded_product_matches_geometric_reference(case):
+    """schur.graded_parts, each factor at its stated t-degree, summed by _parts_sum."""
     table, nT, factors, degmax = case
-    expected = _reference_graded_product(table, nT, factors, degmax)
-    assert _graded_product(table, nT, factors, degmax) == expected
+    plain = [(u, divide) for _, u, divide in factors]
+    expected = _reference_graded_product(table, nT, plain, degmax)
+    graded = [(((d, u),), divide) for d, u, divide in factors]
+    parts = schur.graded_parts(LaurentPoly.const(table, 1), graded, degmax)
+    assert _parts_sum(parts) == expected
 
 
 def test_product_factor_of_degree_below_one_raises():
@@ -146,11 +151,6 @@ def test_product_factor_of_degree_below_one_raises():
         with pytest.raises(ValueError, match="holds t1") as err:
             cauchy_check(kind, X | t1_inverse, Y, 1, 3)
         assert "\n" not in str(err.value)
-    t1 = LaurentPoly.variable(table, "t1")
-    for u in (t1 * LaurentPoly.variable(table, "t1", -1), LaurentPoly.variable(table, "t1", -1)):
-        for divide in (False, True):
-            with pytest.raises(ValueError, match="positive degree"):
-                _graded_product(table, 1, [(t1, True), (u, divide)], 3)
 
 
 def test_graded_recurrence_never_multiplies_by_zero(monkeypatch):
@@ -170,11 +170,11 @@ def test_graded_recurrence_never_multiplies_by_zero(monkeypatch):
     X, Y, _ = cauchy_alphabets(0, 2, 1)
     table = schur.t_table(3)
     t = [LaurentPoly.variable(table, name) for name in table.names]
-    even_columns = [(t[i] * t[j], True) for i, j in combinations(range(3), 2)]
+    even_columns = [(((2, t[i] * t[j]),), True) for i, j in combinations(range(3), 2)]
     superchar.clear_caches()
     monkeypatch.setattr(Accumulator, "add", spy)
     hs = schur.h_list(X, Y, 5)
-    product = _graded_product(table, 3, even_columns, 6)
+    product = _parts_sum(schur.graded_parts(LaurentPoly.const(table, 1), even_columns, 6))
     monkeypatch.undo()
     assert calls and not zero_operands
     assert all(h.is_zero for h in hs[3:])
@@ -616,6 +616,12 @@ def test_run_suite_deterministic_across_cache_state():
     cold = suite_to_json(run_suite(SMALL))
     warm = suite_to_json(run_suite(SMALL))
     assert cold == warm
+
+
+def test_every_public_name_resolves_on_the_package():
+    names = superchar.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(superchar, name)] == []
 
 
 # lru_caches that hold variable tables, not polynomials: clear_caches keeps them.
