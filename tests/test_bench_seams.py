@@ -284,17 +284,18 @@ def test_the_lr_checks_run_one_search_per_shape(monkeypatch):
         superchar.clear_caches()
 
 
-def test_the_cauchy_sweep_shares_its_batches(monkeypatch):
-    # A cold default sweep makes one schur.bracket_batch per nT for the
-    # t-side and one per kind and alphabet pair for the characters: 3 + 4 * 9.
-    # One cauchy_check per report made two each, 216 in all.
+def test_the_cauchy_sweep_reads_one_t_side_per_nT(monkeypatch):
+    # A healthy cold default sweep decides every report by its free proof
+    # and its pair's series guard, so its only schur.bracket_batch calls are
+    # the t-sides, one per nT.  The alphabet characters made 4 * 9 more, and
+    # one cauchy_check per report two each, 216 in all.
     superchar.clear_caches()
     batches = counter(monkeypatch, schur, "bracket_batch")
     try:
         config = verify.SuiteConfig()
         reports = verify.check_cauchy_sweep(2, 2, config.t_count, config.degmax)
         assert len(reports) == 108 and all(r.passed for r in reports)
-        assert len(batches) == 39
+        assert len(batches) == config.t_count == 3
     finally:
         monkeypatch.undo()
         superchar.clear_caches()

@@ -10,6 +10,10 @@ and schur_expand unpacked and re-tested the whole residual on every step.
 For the checks, lr.lr_coeff is patched to read the same table as lr.lr_table,
 so the two forms see the same coefficients, healthy or corrupted, and must
 give the same reports: ids, params, pass and first-failure witnesses.
+
+check_lr_oracle now forms each product in the Schur basis by Pieri's rule;
+ref_check_lr_oracle is its form through schur_expand of explicit products,
+and the Pieri products are compared with those products one by one below.
 """
 
 from functools import cache
@@ -400,3 +404,50 @@ def test_schur_expand_matches_its_reference_when_schur_does_not_lead_with_one(mo
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+def test_horizontal_strips_are_the_interlacing_shapes():
+    for n in range(7):
+        for mu in partitions_of(n):
+            for k in range(5):
+                want = [
+                    lam
+                    for lam in partitions_of(n + k)
+                    if all(
+                        partitions.part(mu, i) <= partitions.part(lam, i)
+                        and (i == 1 or partitions.part(lam, i) <= partitions.part(mu, i - 1))
+                        for i in range(1, len(lam) + len(mu) + 1)
+                    )
+                ]
+                assert sorted(verify._horizontal_strips(mu, k)) == sorted(want), (mu, k)
+
+
+def test_the_pieri_products_match_schur_expand_of_the_explicit_products():
+    # Every (mu, nu) with |mu| + |nu| <= 6, both orders, in |mu| + |nu| variables.
+    checked = 0
+    for n in range(7):
+        table = t_table(max(n, 1))
+        for k in range(n + 1):
+            for mu in partitions_of(k):
+                for nu in partitions_of(n - k):
+                    product = schur_in_table(mu, table) * schur_in_table(nu, table)
+                    want = schur.schur_expand(product, len(table))
+                    assert verify._schur_product(mu, nu) == want, (mu, nu)
+                    checked += 1
+    assert checked == 139
+
+
+def test_a_raised_lr_coefficient_turns_the_pieri_oracle_red(monkeypatch):
+    real = lr.lr_table
+
+    def raised(lam):
+        coeffs = dict(real(lam))
+        if lam == (3, 2, 1):
+            coeffs[(2, 1), (2, 1)] += 1
+        return coeffs
+
+    assert real((3, 2, 1))[(2, 1), (2, 1)] == 2
+    monkeypatch.setattr(lr, "lr_table", raised)
+    report = verify.check_lr_oracle(6)
+    assert not report.passed
+    assert report.witness == {"lam": [3, 2, 1], "mu": [2, 1], "nu": [2, 1], "expected": 2}

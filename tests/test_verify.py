@@ -324,6 +324,76 @@ def test_cauchy_sweep_matches_the_per_check_reports_at_small_degrees():
     assert verify.check_cauchy_sweep(2, 2, 0, 6) == []
 
 
+def test_a_healthy_cauchy_sweep_decides_every_report_without_the_fallback(monkeypatch):
+    # Every (kind, nT) identity is proved over free h and every pair's series
+    # guard holds, so no report is built from alphabet characters.
+    def forbidden(*args):
+        raise AssertionError("the sweep fell back to cauchy_check")
+
+    real_batch = schur.bracket_batch
+
+    def t_side_only(tag, shapes, X, Y):
+        assert X.table.names[0].startswith("t"), "a bracket_batch over an alphabet pair"
+        return real_batch(tag, shapes, X, Y)
+
+    superchar.clear_caches()
+    monkeypatch.setattr(verify, "cauchy_check", forbidden)
+    monkeypatch.setattr(schur, "bracket_batch", t_side_only)
+    try:
+        reports = verify.check_cauchy_sweep(2, 2, 3, 6)
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert len(reports) == 108 and all(r.passed for r in reports)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in per_check_cauchy(3, 6)]
+
+
+def test_cauchy_sweep_with_swapped_brackets_is_red_and_byte_equal(monkeypatch):
+    # SQUARE <-> ANGLE: the square and angle kinds' identities fail at every
+    # nT, so their free proofs fail and their reports fall back.
+    monkeypatch.setitem(verify._CAUCHY_BRACKETS, "cauchy_square", schur.BracketType.ANGLE)
+    monkeypatch.setitem(verify._CAUCHY_BRACKETS, "cauchy_angle", schur.BracketType.SQUARE)
+    try:
+        superchar.clear_caches()
+        want = [r.to_json() for r in per_check_cauchy(3, 6)]
+        superchar.clear_caches()
+        got = verify.check_cauchy_sweep(2, 2, 3, 6)
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert [r.to_json() for r in got] == want
+    assert sum(not r.passed for r in got) == 2 * 27
+    assert {r.params["kind"] for r in got if not r.passed} == {"cauchy_square", "cauchy_angle"}
+
+
+def test_a_corrupted_series_guard_falls_back_to_green_per_check_reports(monkeypatch):
+    # With the guard's independent sum wrong, every pair falls back: the
+    # reports stay the green per-check bytes.
+    real = verify._monomial_h
+    fallbacks = []
+    real_check = verify.cauchy_check
+
+    def corrupted(table, nx, ny, k):
+        value = real(table, nx, ny, k)
+        return value + 1 if k == 2 else value
+
+    def counted(*args):
+        fallbacks.append(args)
+        return real_check(*args)
+
+    superchar.clear_caches()
+    monkeypatch.setattr(verify, "_monomial_h", corrupted)
+    monkeypatch.setattr(verify, "cauchy_check", counted)
+    try:
+        got = [r.to_json() for r in verify.check_cauchy_sweep(2, 2, 3, 6)]
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert len(fallbacks) == 108
+    assert got == [r.to_json() for r in per_check_cauchy(3, 6)]
+    assert all('"pass":true' in line for line in got)
+
+
 def test_failing_poly_comparison_witnesses_the_difference():
     table = VarTable(("x1", "y1"))
     x, y = (LaurentPoly.variable(table, name) for name in table.names)
