@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import schur
-from .laurent import InexactDivisionError, LaurentPoly, VarTable
+from .laurent import Accumulator, InexactDivisionError, LaurentPoly, VarTable
 from .lr import lr_table
 from .lr import lr_coeff  # noqa: F401  (a site the benchmark tracer patches)
 from .partitions import (
@@ -49,7 +49,6 @@ from .schur import (
     BracketType,
     _const_factors,
     _degree,
-    _weighted_dets,
     graded_parts,
     in_x,
     palindromic,
@@ -174,11 +173,6 @@ def fold_alphabets(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
 
 def _branch_x_consts(branch: DecompBranch) -> tuple[int, ...]:
     return () if branch.x_const is None else (branch.x_const,)
-
-
-def branch_alphabets(case: FoldingCase, branch: DecompBranch) -> tuple[Alphabet, Alphabet]:
-    X, Y = _palindromic_pair(case)
-    return _with_consts(X, _branch_x_consts(branch)), Y
 
 
 def get_branch(case: FoldingCase, name: str) -> DecompBranch:
@@ -380,13 +374,14 @@ def general_dc_check(
 # h_k of one base pair (X|Y), with constants adjoined to X or Y.  A theorem
 # is the pair of sides, each (x_consts, y_consts, bracket, weighted): the sum
 # of w * bracket_lam over the (lam, w) of weighted, over the base pair with
-# x_consts adjoined to X and y_consts to Y.  theorem_sides evaluates both
-# sides from a series per side: the free h_k (free_sides) or h_list at a
-# base pair (pair_sides).  Sending each free h_k to h_k(X|Y) is a ring map
-# (Macdonald, Symmetric Functions, I.2), so a theorem whose sides are equal
-# over free h_1..h_D, with each ANGLE determinant halved there, holds for
-# every base pair.  The converse fails: a theorem that is not proved free
-# says nothing about a given pair.
+# x_consts adjoined to X and y_consts to Y.  theorem_sides adds both sides
+# up from their determinants: over the free h_k, each taken once per batch
+# of theorems (_free_batch), or over h_list at a base pair (pair_sides).
+# Sending each free h_k to h_k(X|Y) is a ring map (Macdonald, Symmetric
+# Functions, I.2), so a theorem whose sides are equal over free h_1..h_D,
+# with each ANGLE determinant halved there, holds for every base pair.  The
+# converse fails: a theorem that is not proved free says nothing about a
+# given pair.
 
 
 def fold_theorem(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
@@ -407,32 +402,36 @@ def dc_theorem(relation: str, lam, xi: int = 1) -> tuple:
     )
 
 
-def theorem_sides(theorem, series) -> list[LaurentPoly]:
-    """Both sides of the theorem, each a sum of its brackets over its own series.
+def theorem_sides(theorem, dets) -> list[LaurentPoly]:
+    """Both sides of the theorem, each a sum of w * bracket_lam added into one Accumulator.
 
-    series(x_consts, y_consts, D) is [h_0, ..., h_D] with the side's
-    constants applied, where D is the largest degree the side's
-    determinants read; the side is one _weighted_dets over it.
+    dets(x_consts, y_consts, bracket, shapes) is the side's bracket
+    determinant of each shape, all over one table.  An empty sum asks for
+    the empty shape at weight 0, so it is 0 over that table.
     """
     out = []
     for x_consts, y_consts, bracket, weighted in theorem:
-        terms = [(lam, w) for lam, w in weighted if w]
-        hs = series(x_consts, y_consts, _degree(lam for lam, _ in terms))
-        out.append(_weighted_dets(bracket, terms, hs))
+        terms = [(lam, w) for lam, w in weighted if w] or [((), 0)]
+        values = dets(x_consts, y_consts, bracket, [lam for lam, _ in terms])
+        acc = Accumulator(values[0].table)
+        for value, (_, w) in zip(values, terms):
+            acc.add(value, w)
+        out.append(acc.value())
     return out
 
 
 def pair_sides(theorem, X: Alphabet, Y: Alphabet) -> list[LaurentPoly]:
     """Both sides of the theorem at the base pair (X|Y), over h_list's table.
 
-    Each side's series is one schur.h_list call on the pair with that
-    side's constants adjoined.
+    Each side's determinants are one _table_dets call over one schur.h_list
+    call on the pair with that side's constants adjoined.
     """
 
-    def series(x_consts, y_consts, degree):
-        return schur.h_list(_with_consts(X, x_consts), _with_consts(Y, y_consts), degree)
+    def dets(x_consts, y_consts, bracket, shapes):
+        hs = schur.h_list(_with_consts(X, x_consts), _with_consts(Y, y_consts), _degree(shapes))
+        return schur._table_dets(shapes, hs, *schur._BRACKETS[bracket])
 
-    return theorem_sides(theorem, series)
+    return theorem_sides(theorem, dets)
 
 
 def _theorem_report(
@@ -448,27 +447,48 @@ def _theorem_report(
     return poly_comparison(check_id, params, lhs_x, lhs_x if rhs == lhs else in_x(rhs, X.table))
 
 
-def free_sides(theorem) -> list[LaurentPoly] | None:
-    """Both sides of the theorem over free h_1..h_D, or None if an ANGLE value does not halve.
+def _free_batch(theorems: list):
+    """Each theorem's two sides over free h_1..h_D, or None if an ANGLE value does not halve.
 
-    D is the largest degree either side's determinants read.  Each side's
-    series is h_0 = 1 plus the free h_k, with the side's constants applied
-    by _const_factors as h_list applies an alphabet's.
+    D is the largest degree any side of the batch reads.  Each (x_consts,
+    y_consts) has one series, h_0 = 1 plus the free h_k with the constants
+    applied by _const_factors as h_list applies an alphabet's, and each
+    (constants, bracket, shape) one determinant: a side's missing shapes
+    come from one _table_dets call, stored only when the whole call halves.
     """
-    D = _degree(lam for side in theorem for lam, _ in side[3])
+    D = _degree(lam for theorem in theorems for side in theorem for lam, _ in side[3])
     table = VarTable(f"h{k}" for k in range(1, D + 1))
     free = [LaurentPoly.const(table, 1)] + [LaurentPoly.variable(table, n) for n in table.names]
+    series: dict[tuple, list[LaurentPoly]] = {}
+    values: dict[tuple, LaurentPoly] = {}
 
-    def series(x_consts, y_consts, degree):
-        return graded_parts(free[: degree + 1], _const_factors(x_consts, y_consts), degree)
+    def dets(x_consts, y_consts, bracket, shapes):
+        consts = (x_consts, y_consts)
+        if consts not in series:
+            series[consts] = graded_parts(free, _const_factors(x_consts, y_consts), D)
+        missing = [lam for lam in dict.fromkeys(shapes) if (consts, bracket, lam) not in values]
+        if missing:
+            got = schur._table_dets(missing, series[consts], *schur._BRACKETS[bracket])
+            values.update(((consts, bracket, lam), value) for lam, value in zip(missing, got))
+        return [values[consts, bracket, lam] for lam in shapes]
 
-    try:
-        return theorem_sides(theorem, series)
-    except InexactDivisionError:
-        return None
+    for theorem in theorems:
+        try:
+            yield theorem_sides(theorem, dets)
+        except InexactDivisionError:
+            yield None
+
+
+def free_sides(theorem) -> list[LaurentPoly] | None:
+    """Both sides of the theorem over free h_1..h_D, its own degree: the batch of one."""
+    return next(_free_batch([theorem]))
+
+
+def proved_free_all(theorems) -> list[bool]:
+    """Whether each theorem's sides are equal over free h_1..h_D, as one batch (_free_batch)."""
+    return [sides is not None and sides[0] == sides[1] for sides in _free_batch(list(theorems))]
 
 
 def proved_free(theorem) -> bool:
-    """Whether the theorem's sides are equal over free h_1..h_D (see free_sides)."""
-    sides = free_sides(theorem)
-    return sides is not None and sides[0] == sides[1]
+    """Whether the theorem's sides are equal over free h_1..h_D: the batch of one."""
+    return proved_free_all([theorem])[0]

@@ -150,9 +150,13 @@ def lr_rectangle(m: int, a: int, mu: Partition, nu: Partition) -> int:
 
     Returns 1 iff mu_i + nu_{a+1-i} = m for every 1 <= i <= a, else 0.
     """
-    mu, nu = _check_box(m, a, mu, nu)
-    ok = all(part(mu, i) + part(nu, a + 1 - i) == m for i in range(1, a + 1))
-    return 1 if ok else 0
+    return _rect_coeff(m, a, *_check_box(m, a, mu, nu))
+
+
+def _rect_coeff(m: int, a: int, mu: Partition, nu: Partition) -> int:
+    """lr_rectangle for partitions mu, nu already known to fit inside the a x m box."""
+    mu, nu = mu + (0,) * (a - len(mu)), nu + (0,) * (a - len(nu))
+    return int(all(x + y == m for x, y in zip(mu, reversed(nu))))
 
 
 _VARIANT_SUBSET = {

@@ -112,11 +112,6 @@ def partitions_of(n: int, max_len: int | None = None) -> Iterator[Partition]:
     yield from rec(n, n, max_len, EMPTY)
 
 
-def grevlex_key(lam: Partition) -> tuple:
-    """Graded order key: by size, then largest parts first within a grade."""
-    return (sum(lam), tuple(-p for p in lam))
-
-
 def partitions_upto(max_size: int, max_len: int | None = None) -> list[Partition]:
     """All partitions of size <= max_size, graded order (partitions_of's within a grade)."""
     return [lam for n in range(max_size + 1) for lam in partitions_of(n, max_len=max_len)]

@@ -32,9 +32,9 @@ variables are algebraically independent; Macdonald, Symmetric Functions,
 I.2), so values equal over a table are equal in x and ANGLE values halve
 exactly there.  Each character over an e-of-z table is turned back into x
 once by :func:`in_x`; a weighted sum of bracket characters
-(:func:`_weighted_dets`, which ``folding.theorem_sides`` runs for every
-fold and dc sum) is added over the table from one series, and its caller
-turns it into x once.  A character over an e table of x's is a
+(``folding.theorem_sides``, for every fold and dc sum) is added over the
+table from one :func:`_table_dets` call, and its caller turns it into x
+once.  A character over an e table of x's is a
 determinant over the x view of its series, each h_m converted once per
 alphabet pair.  Every
 character this module returns is over the alphabets' own table.
@@ -607,19 +607,6 @@ def bracket_batch(tag: BracketType, shapes, X: Alphabet, Y: Alphabet) -> list[La
     """
     _require_tag(tag)
     return _jacobi_trudi([as_partition(lam) for lam in shapes], X, Y, *_BRACKETS[tag])
-
-
-def _weighted_dets(tag: BracketType, terms, hs) -> LaurentPoly:
-    """sum w * bracket_lam over the (lam, w) pairs of terms, from the series hs, over hs's table.
-
-    The determinants come from one _table_dets call and are added by one
-    Accumulator; the empty sum is 0.
-    """
-    values = _table_dets([lam for lam, _ in terms], hs, *_BRACKETS[tag])
-    acc = Accumulator(hs[0].table)
-    for value, (_, w) in zip(values, terms):
-        acc.add(value, w)
-    return acc.value()
 
 
 # ---------------------------------------------------------------------------

@@ -687,7 +687,7 @@ def check_lr_rectangle(max_rect: int) -> list[VerificationReport]:
                 coeffs = lr.lr_table((m,) * a)
                 for mu in box:
                     for nu in box:
-                        if lr.lr_rectangle(m, a, mu, nu) != coeffs.get((mu, nu), 0):
+                        if lr._rect_coeff(m, a, mu, nu) != coeffs.get((mu, nu), 0):
                             yield "lr.rectangle", {
                                 "m": m,
                                 "a": a,
@@ -717,20 +717,20 @@ def check_dc_sweep(
 ) -> list[VerificationReport]:
     """All eight relations over all formal alphabet sizes and small shapes.
 
-    Each (relation, xi, lam) theorem is tried once over free h_1..h_D
-    (folding.proved_free); one that is not proved there is checked by
-    folding.general_dc_check at each alphabet pair, for its verdict and
-    witness.
+    The (relation, xi, lam) theorems are tried over free h_1..h_D as one
+    batch (folding.proved_free_all), so each determinant is taken once; one
+    that is not proved there is checked by folding.general_dc_check at each
+    alphabet pair, for its verdict and witness.
     """
     lams = partitions_upto(max_lambda)
-    proved: dict[tuple, bool] = {}
+    xis = {r: (1, -1) if r in folding.XI_RELATIONS else (1,) for r in folding.DC_RELATIONS}
+    keys = [(r, xi, lam) for r in folding.DC_RELATIONS for xi in xis[r] for lam in lams]
+    theorems = [folding.dc_theorem(r, lam, xi) for r, xi, lam in keys]
+    proved = dict(zip(keys, folding.proved_free_all(theorems)))
 
     def failures(relation, X, Y, xi):
         for lam in lams:
-            key = (relation, xi, lam)
-            if key not in proved:
-                proved[key] = folding.proved_free(folding.dc_theorem(relation, lam, xi))
-            if proved[key]:
+            if proved[relation, xi, lam]:
                 continue
             rep = folding.general_dc_check(relation, lam, X, Y, xi)
             if not rep.passed:
@@ -738,11 +738,10 @@ def check_dc_sweep(
 
     out = []
     for relation in folding.DC_RELATIONS:
-        xis = (1, -1) if relation in folding.XI_RELATIONS else (1,)
         for nx in range(max_x + 1):
             for ny in range(max_y + 1):
                 X, Y, _ = cauchy_alphabets(nx, ny, 1)
-                for xi in xis:
+                for xi in xis[relation]:
                     params = {
                         "relation": relation,
                         "nx": nx,
@@ -815,30 +814,32 @@ def fold_cases(max_rank: int) -> list[folding.FoldingCase]:
 def check_fold_sweep(max_rank: int, max_am: int = 3) -> list[VerificationReport]:
     """Every case, branch and in-hook a, m <= max_am rectangle at r + s <= max_rank.
 
-    Each (tag, branch, a, m) theorem is tried once over free h_1..h_D
-    (folding.proved_free), and passes at every (r, s) when proved there;
-    one that is not is checked by folding.verify_decomposition at each
-    (r, s), for its verdict and witness.
+    The distinct (tag, branch, a, m) theorems are tried over free
+    h_1..h_D as one batch (folding.proved_free_all), so each determinant is
+    taken once, and each passes at every (r, s) when proved there; one
+    that is not is checked by folding.verify_decomposition at each (r, s),
+    for its verdict and witness.
     """
-    proved: dict[tuple, bool] = {}
-    out = []
-    for case in fold_cases(max_rank):
-        M, N = folding.ambient_hook(case)
-        for branch in folding.branches(case):
-            for a in range(1, max_am + 1):
-                for m in range(1, max_am + 1):
-                    if not in_hook((m,) * a, M, N):
-                        continue
-                    key = (case.tag, branch, a, m)
-                    if key not in proved:
-                        proved[key] = folding.proved_free(folding.fold_theorem(case, branch, a, m))
-                    if proved[key]:
-                        out.append(
-                            VerificationReport(*folding.fold_report_id(case, branch, a, m), True)
-                        )
-                    else:
-                        out.append(folding.verify_decomposition(case, branch, a, m))
-    return out
+    requests = [
+        (case, branch, a, m)
+        for case in fold_cases(max_rank)
+        for branch in folding.branches(case)
+        for a in range(1, max_am + 1)
+        for m in range(1, max_am + 1)
+        if in_hook((m,) * a, *folding.ambient_hook(case))
+    ]
+    # (tag, branch, a, m) -> the first request of that theorem, which does not depend on r or s.
+    firsts = {}
+    for case, branch, a, m in requests:
+        firsts.setdefault((case.tag, branch, a, m), (case, branch, a, m))
+    theorems = [folding.fold_theorem(*request) for request in firsts.values()]
+    proved = dict(zip(firsts, folding.proved_free_all(theorems)))
+    return [
+        VerificationReport(*folding.fold_report_id(case, branch, a, m), True)
+        if proved[case.tag, branch, a, m]
+        else folding.verify_decomposition(case, branch, a, m)
+        for case, branch, a, m in requests
+    ]
 
 
 def check_fold_hook_sanity(max_rank: int, max_am: int = 4) -> VerificationReport:

@@ -93,15 +93,6 @@ def gl(M: int, N: int) -> AlgebraFamily:
     return AlgebraFamily(FamilyKind.GL, M, N)
 
 
-def type_c(s: int) -> AlgebraFamily:
-    return AlgebraFamily(FamilyKind.C, 1, s)
-
-
-def type_d(r: int, s: int, plus: bool = True) -> AlgebraFamily:
-    kind = FamilyKind.D_PLUS if plus else FamilyKind.D_MINUS
-    return AlgebraFamily(kind, r, s)
-
-
 def _require_hook(family: AlgebraFamily, lam: Partition) -> None:
     M, N = family.hook
     bad = part(lam, M + 1)

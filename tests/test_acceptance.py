@@ -6,15 +6,14 @@ Each test prints one `CRITERION <n> <name>: PASS|FAIL` line (run pytest with
 
 import time
 
-from superchar import clear_caches
+from superchar import clear_caches, folding
 from superchar.folding import (
     FoldingCase,
     FoldingTag,
-    branch_alphabets,
     get_branch,
     kr_supercharacter,
 )
-from superchar.schur import BracketType, bracket_schur
+from superchar.schur import Alphabet, BracketType, bracket_schur
 from superchar.verify import (
     CAUCHY_KINDS,
     SUM_KINDS,
@@ -115,8 +114,9 @@ def test_criterion_6_dimension_spots():
             if value != expect(r):
                 bad.append(f"{tag.value} r={r}: expected {expect(r)}, computed {value}")
             if tag is FoldingTag.D2:
-                alphabets = branch_alphabets(case, get_branch(case, "B"))
-                vector = bracket_schur(BracketType.SQUARE, (1,), *alphabets).eval_all_ones()
+                X, Y = folding._palindromic_pair(case)
+                X = X | Alphabet.constants(X.table, (get_branch(case, "B").x_const,))
+                vector = bracket_schur(BracketType.SQUARE, (1,), X, Y).eval_all_ones()
                 if vector != 2 * r + 1:
                     bad.append(f"D2 r={r}: vector summand expected {2 * r + 1}, computed {vector}")
     report(6, "dimension spot checks", bad, started)

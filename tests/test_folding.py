@@ -3,13 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from superchar import clear_caches, folding, schur, verify
+from superchar import clear_caches, folding, laurent, schur, verify
 from superchar.folding import (
     DC_RELATIONS,
     FoldingCase,
     FoldingTag,
     ambient_hook,
-    branch_alphabets,
     branches,
     dc_theorem,
     decomposition_rhs,
@@ -21,6 +20,7 @@ from superchar.folding import (
     kr_supercharacter,
     pair_sides,
     proved_free,
+    proved_free_all,
     require_in_hook,
     verify_decomposition,
 )
@@ -49,6 +49,12 @@ from superchar.schur import (
     super_schur,
 )
 from superchar.verify import cauchy_alphabets, fold_cases
+
+
+def branch_alphabets(case, branch):
+    """The case's palindromic pair with the branch's x constant adjoined to X."""
+    X, Y = folding._palindromic_pair(case)
+    return folding._with_consts(X, folding._branch_x_consts(branch)), Y
 
 
 def one_var_poly(terms):
@@ -949,28 +955,31 @@ def same_shapes(branch, k, a, m):
     return enumerate_rect_subset(mutant.subset, m, a) == enumerate_rect_subset(branch.subset, m, a)
 
 
+BRANCH_MUTATIONS = [
+    # a flipped x constant fails every theorem of the four branches with one
+    (
+        lambda b: b.x_const and replace(b, x_const=-b.x_const),
+        lambda b, a, m: False,
+    ),
+    # the other bracket fails all but the 1 x 1 box
+    (lambda b: replace(b, bracket=OTHER_BRACKET[b.bracket]), lambda b, a, m: a * m == 1),
+    # another rectangle subset fails wherever it holds other shapes
+    *(
+        (lambda b, k=k: other_subset(b, k), lambda b, a, m, k=k: same_shapes(b, k, a, m))
+        for k in (1, 2)
+    ),
+    # the sizes of COLPAIRED and EVENROW shapes have the parity of m a, so
+    # a flipped alternating sign fails the BOX branches alone
+    (
+        lambda b: replace(b, alternating=not b.alternating),
+        lambda b, a, m: b.subset is not RectSubset.BOX,
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "mutate, still_proved",
-    [
-        # a flipped x constant fails every theorem of the four branches with one
-        (
-            lambda b: b.x_const and replace(b, x_const=-b.x_const),
-            lambda b, a, m: False,
-        ),
-        # the other bracket fails all but the 1 x 1 box
-        (lambda b: replace(b, bracket=OTHER_BRACKET[b.bracket]), lambda b, a, m: a * m == 1),
-        # another rectangle subset fails wherever it holds other shapes
-        *(
-            (lambda b, k=k: other_subset(b, k), lambda b, a, m, k=k: same_shapes(b, k, a, m))
-            for k in (1, 2)
-        ),
-        # the sizes of COLPAIRED and EVENROW shapes have the parity of m a, so
-        # a flipped alternating sign fails the BOX branches alone
-        (
-            lambda b: replace(b, alternating=not b.alternating),
-            lambda b, a, m: b.subset is not RectSubset.BOX,
-        ),
-    ],
+    BRANCH_MUTATIONS,
     ids=["x-const", "bracket", "subset-1", "subset-2", "alternating"],
 )
 def test_a_mutated_branch_fails_the_free_check(monkeypatch, mutate, still_proved):
@@ -998,16 +1007,17 @@ def negate_sign(row):
     return None if isinstance(weight, PartitionClass) else (xp, yp, -weight, *rest)
 
 
+RELATION_MUTATIONS = [
+    # () and (1) have no nonempty nu in either class, and the self-conjugate
+    # (2, 1) has a conjugation-symmetric sum, so the swap leaves them proved
+    (swap_classes, {(), (1,), (2, 1)}),
+    # nu = () is all of lam = ()'s sum, and w(()) = 1 whatever the sign
+    (negate_sign, {()}),
+]
+
+
 @pytest.mark.parametrize(
-    "mutate, still_proved",
-    [
-        # () and (1) have no nonempty nu in either class, and the self-conjugate
-        # (2, 1) has a conjugation-symmetric sum, so the swap leaves them proved
-        (swap_classes, {(), (1,), (2, 1)}),
-        # nu = () is all of lam = ()'s sum, and w(()) = 1 whatever the sign
-        (negate_sign, {()}),
-    ],
-    ids=["swapped-classes", "negated-sign"],
+    "mutate, still_proved", RELATION_MUTATIONS, ids=["swapped-classes", "negated-sign"]
 )
 def test_a_mutated_relation_fails_the_free_check(monkeypatch, mutate, still_proved):
     count = 0
@@ -1059,3 +1069,88 @@ def test_a_mutated_dc_sweep_falls_back_to_the_per_alphabet_reports(monkeypatch):
     failing = {r.params["relation"] for r in want if not r.passed}
     assert failing == {"plain_to_square", "xconst_to_angle_signed"}
     assert verify.suite_to_json(got) == verify.suite_to_json(want)
+
+
+def mutated_theorems(monkeypatch):
+    """Every default-sweep theorem under each BRANCH_MUTATIONS and RELATION_MUTATIONS mutation."""
+    out = []
+    for mutate, _ in BRANCH_MUTATIONS:
+        for (tag, branch, a, m), (case, *_) in fold_theorems(3, 3).items():
+            mutant = mutate(branch)
+            if mutant:
+                with monkeypatch.context() as patch:
+                    mutate_branch(patch, tag, branch, mutant)
+                    out.append(fold_theorem(case, mutant, a, m))
+    for mutate, _ in RELATION_MUTATIONS:
+        for relation, lam, xi in dc_theorems(5):
+            mutant = mutate(folding._DC_ROWS[xi][relation])
+            if mutant is not None:
+                with monkeypatch.context() as patch:
+                    patch.setitem(folding._DC_ROWS[xi], relation, mutant)
+                    out.append(dc_theorem(relation, lam, xi))
+    return out
+
+
+def two_row_det_fault(monkeypatch):
+    """det one too large on every 2 x 2 matrix, so no two-row ANGLE determinant halves."""
+    real = schur.det
+    monkeypatch.setattr(schur, "det", lambda rows: real(rows) + (1 if len(rows) == 2 else 0))
+
+
+@pytest.mark.parametrize("fault", [None, two_row_det_fault], ids=["healthy", "two-row-det"])
+def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fault):
+    """proved_free_all against proved_free, theorem by theorem, in three orders.
+
+    The theorems are the default sweeps' and their mutants.  Under the fault
+    a side's _table_dets call can fail on one shape after others halved; the
+    batch must store none of them, so an unproved theorem put first must not
+    change any later verdict.
+    """
+    theorems = [dc_theorem(*theorem) for theorem in dc_theorems(5)]
+    theorems += [fold_theorem(*request) for request in fold_theorems(3, 3).values()]
+    theorems += mutated_theorems(monkeypatch)
+    assert len(theorems) == 987
+    if fault:
+        fault(monkeypatch)
+    alone = [proved_free(theorem) for theorem in theorems]
+    assert proved_free_all(theorems) == alone
+    assert proved_free_all(theorems[::-1]) == alone[::-1]
+    if fault:
+        # an ANGLE side over (1,) and (2, 1): the first halves, the second does not
+        first = ((((), (), BracketType.ANGLE, [((1,), 1), ((2, 1), 1)]),) * 2)
+        assert free_sides(first) is None
+        assert sum(free_sides(theorem) is None for theorem in theorems) == 219
+    else:
+        first = theorems[alone.index(False)]
+    assert proved_free_all([first] + theorems) == [False] + alone
+    assert alone.count(False) == (722 if fault else 551)
+
+
+@pytest.mark.parametrize("shift", [1, 2])
+def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
+    """The power_det tests' det + 1 fault, at both det sites, and det + 2.
+
+    Under det + 1 no ANGLE determinant halves, so the sweeps' fallback
+    raises; det + 2 halves, and each sweep gives the per-alphabet reports,
+    many of them red.
+    """
+    real = laurent.det
+    for owner in (laurent, schur):
+        monkeypatch.setattr(owner, "det", lambda rows: real(rows) + shift)
+    clear_caches()
+    try:
+        if shift == 1:
+            with pytest.raises(InexactDivisionError):
+                verify.check_dc_sweep(4, 2, 1)
+            with pytest.raises(InexactDivisionError):
+                verify.check_fold_sweep(2, 3)
+            return
+        for got, want in (
+            (verify.check_dc_sweep(4, 2, 1), per_alphabet_dc_sweep(4, 2, 1)),
+            (verify.check_fold_sweep(2, 3), per_alphabet_fold_sweep(2, 3)),
+        ):
+            assert verify.suite_to_json(got) == verify.suite_to_json(want)
+            assert sum(not r.passed for r in got) >= len(got) // 2
+    finally:
+        monkeypatch.undo()
+        clear_caches()

@@ -30,6 +30,7 @@ from superchar.partitions import (
     box_partitions,
     conjugate,
     in_class,
+    part,
     partitions_of,
     size,
 )
@@ -451,3 +452,33 @@ def test_a_raised_lr_coefficient_turns_the_pieri_oracle_red(monkeypatch):
     report = verify.check_lr_oracle(6)
     assert not report.passed
     assert report.witness == {"lam": [3, 2, 1], "mu": [2, 1], "nu": [2, 1], "expected": 2}
+
+
+def test_a_flipped_rectangle_coefficient_turns_the_rectangle_check_red(monkeypatch):
+    # check_lr_rectangle reads the unchecked lr._rect_coeff on box_partitions'
+    # shapes; one flipped pair must be the lr.rectangle report's first witness.
+    real = lr._rect_coeff
+    flipped = (3, 2, (2, 1), (2, 1))  # m, a, mu, nu: a complementary pair, so 1 -> 0
+    assert real(*flipped) == lr.lr_rectangle(*flipped) == 1
+
+    def rect_coeff(m, a, mu, nu):
+        value = real(m, a, mu, nu)
+        return 1 - value if (m, a, mu, nu) == flipped else value
+
+    monkeypatch.setattr(lr, "_rect_coeff", rect_coeff)
+    rectangle, rect_sum = verify.check_lr_rectangle(4)
+    assert (rectangle.check_id, rectangle.passed) == ("lr.rectangle", False)
+    assert rectangle.witness == {"m": 3, "a": 2, "mu": [2, 1], "nu": [2, 1]}
+    assert rect_sum.passed
+
+
+def test_the_unchecked_rectangle_coefficient_matches_the_closed_form_it_replaces():
+    # lr_rectangle's earlier body: mu_i + nu_{a+1-i} = m for every i, read by part().
+    for m in range(1, 5):
+        for a in range(1, 5):
+            box = box_partitions(m, a)
+            for mu in box:
+                for nu in box:
+                    ok = all(part(mu, i) + part(nu, a + 1 - i) == m for i in range(1, a + 1))
+                    assert lr._rect_coeff(m, a, mu, nu) == int(ok), (m, a, mu, nu)
+                    assert lr.lr_rectangle(m, a, list(mu), nu) == int(ok), (m, a, mu, nu)

@@ -10,7 +10,6 @@ from superchar.partitions import (
     conjugate,
     contains,
     enumerate_rect_subset,
-    grevlex_key,
     in_class,
     in_hook,
     in_rect_subset,
@@ -20,6 +19,11 @@ from superchar.partitions import (
     partitions_upto,
     size,
 )
+
+
+def grevlex_key(lam):
+    """Graded order key: by size, then largest parts first within a grade."""
+    return (sum(lam), tuple(-p for p in lam))
 
 
 def test_as_partition():

@@ -35,7 +35,7 @@ from superchar.schur import (
     t_table,
     z_table,
 )
-from superchar.folding import pair_sides
+from superchar.folding import pair_sides, theorem_sides
 from superchar.verify import cauchy_alphabets
 
 
@@ -777,7 +777,7 @@ def test_angle_values_halve_exactly_in_e(all_in_x):
     in_e = []
     for X, Y in pairs:
         hs = h_list(X, Y, schur._degree(shapes))
-        values = [schur._weighted_dets(BracketType.ANGLE, [(lam, 1)], hs) for lam in shapes]
+        values = schur._table_dets(shapes, hs, *schur._BRACKETS[BracketType.ANGLE])
         assert all(isinstance(v.table, ETable) for v in values)
         in_e.append([in_x(v, T) for v in values])
     all_in_x()
@@ -900,7 +900,7 @@ def test_x_characters_convert_each_h_once_per_alphabet_pair():
 
     def plain(lam):
         hs = h_list(X, Y, schur._degree([lam]))
-        return in_x(schur._weighted_dets(BracketType.PLAIN, [(lam, 1)], hs), TABLE_3)
+        return in_x(schur._table_dets([lam], hs, *schur._BRACKETS[BracketType.PLAIN])[0], TABLE_3)
 
     assert values == [plain(lam) for lam in ((1,), (2, 1), (3,), (1, 1, 1))]
     clear_caches()
@@ -938,7 +938,7 @@ def test_angle_values_halve_exactly_in_formal_e(x_route):
     in_e = []
     for X, Y in pairs:
         hs = h_list(X, Y, schur._degree(shapes))
-        values = [schur._weighted_dets(BracketType.ANGLE, [(lam, 1)], hs) for lam in shapes]
+        values = schur._table_dets(shapes, hs, *schur._BRACKETS[BracketType.ANGLE])
         assert all(isinstance(v.table, ETable) and not v.table.over_z for v in values)
         in_e.append([in_x(v, T) for v in values])
     x_route()
@@ -1104,7 +1104,7 @@ def test_no_entry_rule_reads_h_past_lam1_plus_len_minus_one(rule):
 
 
 def test_table_sum_adds_into_one_dict_like_the_add_chain():
-    """_weighted_dets over one h_list series against the ring's add chain of its shapes."""
+    """theorem_sides over one h_list series against the ring's add chain of its shapes."""
     weighted = [((2, 1), 3), ((1,), -1), ((), 2), ((1,), 1), ((2,), 0), ((1, 1), -2), ((3,), 1)]
     merged = Counter()
     for lam, w in weighted:
@@ -1113,9 +1113,13 @@ def test_table_sum_adds_into_one_dict_like_the_add_chain():
         for tag in BracketType:
             clear_caches()
             hs = h_list(X, Y, schur._degree(lam for lam, _ in weighted))
-            got = schur._weighted_dets(tag, weighted, hs)
+
+            def dets(x_consts, y_consts, bracket, shapes):
+                return schur._table_dets(shapes, hs, *schur._BRACKETS[bracket])
+
+            (got,) = theorem_sides([((), (), tag, weighted)], dets)
             chain = LaurentPoly.zero(got.table)
             for lam, w in merged.items():
                 if w:
-                    chain = chain + w * schur._weighted_dets(tag, [(lam, 1)], hs)
+                    chain = chain + w * dets((), (), tag, [lam])[0]
             assert terms_and_bounds([got]) == terms_and_bounds([chain]), tag

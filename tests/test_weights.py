@@ -12,9 +12,15 @@ from superchar.weights import (
     hw_from_diagram,
     is_finite_dimensional,
     kd_labels,
-    type_c,
-    type_d,
 )
+
+
+def type_c(s):
+    return AlgebraFamily(FamilyKind.C, 1, s)
+
+
+def type_d(r, s, plus=True):
+    return AlgebraFamily(FamilyKind.D_PLUS if plus else FamilyKind.D_MINUS, r, s)
 
 
 def F(*values):
