@@ -403,110 +403,149 @@ def _random_alphabet(rng: random.Random, table: VarTable, count: int) -> Alphabe
     return Alphabet(table, tuple(elems))
 
 
+def _stability_draws(max_lambda: int, seed: int, samples: int) -> list[tuple]:
+    """The (lam, X, Y, eta) of each sample, drawn from one random.Random(seed)."""
+    rng = random.Random(seed)
+    table = VarTable(("u1", "u2"))
+    lams = partitions_upto(max_lambda)
+    draws = []
+    for _ in range(samples):
+        lam = rng.choice(lams)
+        X = _random_alphabet(rng, table, rng.randint(0, 2))
+        Y = _random_alphabet(rng, table, rng.randint(0, 2))
+        eta = _random_alphabet(rng, table, 1)
+        draws.append((lam, X, Y, eta))
+    return draws
+
+
+def _stability_failures(draws):
+    """schur.stability's per-shape loop: each bracket at (X|Y) against (X+eta|Y+eta)."""
+    for lam, X, Y, eta in draws:
+        X2, Y2 = X | eta, Y | eta
+        for tag in BracketType:
+            if schur.bracket_schur(tag, lam, X, Y) != schur.bracket_schur(tag, lam, X2, Y2):
+                yield "schur.stability", {
+                    "lam": list(lam),
+                    "tag": tag.value,
+                    "x": X.describe(),
+                    "y": Y.describe(),
+                    "eta": eta.describe(),
+                }
+
+
 def check_schur_stability(
     max_lambda: int, seed: int, samples: int = 12
 ) -> VerificationReport:
     """Brackets are unchanged by adjoining one shared element to X and Y."""
-    rng = random.Random(seed)
-    table = VarTable(("u1", "u2"))
-    lams = partitions_upto(max_lambda)
-
-    def failures():
-        for _ in range(samples):
-            lam = rng.choice(lams)
-            X = _random_alphabet(rng, table, rng.randint(0, 2))
-            Y = _random_alphabet(rng, table, rng.randint(0, 2))
-            eta = _random_alphabet(rng, table, 1)
-            X2 = X | eta
-            Y2 = Y | eta
-            for tag in BracketType:
-                before = schur.bracket_schur(tag, lam, X, Y)
-                after = schur.bracket_schur(tag, lam, X2, Y2)
-                if before != after:
-                    yield "schur.stability", {
-                        "lam": list(lam),
-                        "tag": tag.value,
-                        "x": X.describe(),
-                        "y": Y.describe(),
-                        "eta": eta.describe(),
-                    }
-
+    draws = _stability_draws(max_lambda, seed, samples)
     params = {"max_lambda": max_lambda, "seed": seed, "samples": samples}
-    return _first_failures([("schur.stability", params)], failures())[0]
+    return _first_failures([("schur.stability", params)], _stability_failures(draws))[0]
+
+
+# The per-shape loops of check_schur_invariants' sub-checks, each a generator
+# of (check_id, witness) per failing instance over the shapes lams.
+
+
+def _hook_vanishing_failures(lams):
+    for nx, ny in ((1, 0), (0, 1), (1, 1), (2, 1)):
+        X, Y, _ = cauchy_alphabets(nx, ny, 1)
+        for lam in lams:
+            outside = partitions.part(lam, nx + 1) > ny
+            value = schur.super_schur(lam, X, Y)
+            if outside and not value.is_zero:
+                yield "schur.hook-vanishing", {"lam": list(lam), "nx": nx, "ny": ny}
+
+
+def _homogeneity_pairs() -> list[tuple]:
+    """((-X|), (X|)) for the formal X of 1, 2 and 3 variables, each with its nx."""
+    out = []
+    for nx in (1, 2, 3):
+        table = VarTable(tuple(f"x{i}" for i in range(1, nx + 1)))
+        X = Alphabet.formal(table)
+        none = Alphabet.empty(table)
+        out.append((nx, (X.negated(), none), (X, none)))
+    return out
+
+
+def _homogeneity_failures(lams):
+    for nx, negated, pair in _homogeneity_pairs():
+        for lam in lams:
+            sign = -1 if size(lam) % 2 else 1
+            if schur.super_schur(lam, *negated) != sign * schur.super_schur(lam, *pair):
+                yield "schur.homogeneity", {"lam": list(lam), "nx": nx}
+
+
+_DUAL_SIZES = ((1, 1), (2, 1), (2, 2))
+
+
+def _dual_plain_failures(lams):
+    for nx, ny in _DUAL_SIZES:
+        X, Y, _ = cauchy_alphabets(nx, ny, 1)
+        for lam in lams:
+            sign = -1 if size(lam) % 2 else 1
+            if schur.super_schur(conjugate(lam), X, Y) != sign * schur.super_schur(lam, Y, X):
+                yield "schur.dual-plain", {"lam": list(lam), "nx": nx, "ny": ny}
+
+
+def _dual_bracket_failures(lams):
+    for nx, ny in _DUAL_SIZES:
+        X, Y, _ = cauchy_alphabets(nx, ny, 1)
+        for lam in lams:
+            sign = -1 if size(lam) % 2 else 1
+            lhs = schur.bracket_schur(BracketType.ANGLE, conjugate(lam), X, Y)
+            rhs = sign * schur.bracket_schur(BracketType.SQUARE, lam, Y, X)
+            if lhs != rhs:
+                yield "schur.dual-bracket", {"lam": list(lam), "nx": nx, "ny": ny}
+
+
+def _altform_pairs() -> list[tuple[Alphabet, Alphabet]]:
+    pairs = [cauchy_alphabets(2, 1, 1)[:2], cauchy_alphabets(1, 2, 1)[:2]]
+    pal_table = VarTable(("x1", "x2"))
+    pal = schur.palindromic(pal_table, ("x1", "x2")) | Alphabet.constants(pal_table, (1,))
+    pairs.append((pal, Alphabet.empty(pal_table)))
+    return pairs
+
+
+def _altform_failures(lams):
+    for X, Y in _altform_pairs():
+        for lam in lams:
+            for tag in (BracketType.SQUARE, BracketType.ANGLE):
+                direct = schur.bracket_schur(tag, lam, X, Y)
+                alt = schur.bracket_schur_altform(tag, lam, X, Y)
+                if direct != alt:
+                    yield "schur.altform", {"lam": list(lam), "tag": tag.value, "x": X.describe()}
+
+
+def _bialternant_failures(lams):
+    for n in (1, 2, 3, 4):
+        table = schur.t_table(n)
+        T = Alphabet.formal(table)
+        none = Alphabet.empty(table)
+        for lam in lams:
+            if len(lam) > n:
+                continue
+            if schur.super_schur(lam, T, none) != schur.bialternant_schur(lam, n):
+                yield "schur.bialternant-agreement", {"lam": list(lam), "n": n}
+
+
+# Each sub-check of check_schur_invariants and its per-shape loop, in report order.
+_INVARIANT_LOOPS = {
+    "schur.hook-vanishing": _hook_vanishing_failures,
+    "schur.homogeneity": _homogeneity_failures,
+    "schur.dual-plain": _dual_plain_failures,
+    "schur.dual-bracket": _dual_bracket_failures,
+    "schur.altform": _altform_failures,
+    "schur.bialternant-agreement": _bialternant_failures,
+}
 
 
 def check_schur_invariants(max_lambda: int) -> list[VerificationReport]:
     """Hook vanishing, homogeneity, the two dualities, alternate forms, oracle."""
     lams = partitions_upto(max_lambda)
-
-    def failures():
-        for nx, ny in ((1, 0), (0, 1), (1, 1), (2, 1)):
-            X, Y, _ = cauchy_alphabets(nx, ny, 1)
-            for lam in lams:
-                outside = partitions.part(lam, nx + 1) > ny
-                value = schur.super_schur(lam, X, Y)
-                if outside and not value.is_zero:
-                    yield "schur.hook-vanishing", {"lam": list(lam), "nx": nx, "ny": ny}
-
-        for nx in (1, 2, 3):
-            table = VarTable(tuple(f"x{i}" for i in range(1, nx + 1)))
-            X = Alphabet.formal(table)
-            none = Alphabet.empty(table)
-            for lam in lams:
-                sign = -1 if size(lam) % 2 else 1
-                lhs = schur.super_schur(lam, X.negated(), none)
-                rhs = sign * schur.super_schur(lam, X, none)
-                if lhs != rhs:
-                    yield "schur.homogeneity", {"lam": list(lam), "nx": nx}
-
-        for nx, ny in ((1, 1), (2, 1), (2, 2)):
-            X, Y, _ = cauchy_alphabets(nx, ny, 1)
-            for lam in lams:
-                sign = -1 if size(lam) % 2 else 1
-                if schur.super_schur(conjugate(lam), X, Y) != sign * schur.super_schur(lam, Y, X):
-                    yield "schur.dual-plain", {"lam": list(lam), "nx": nx, "ny": ny}
-                lhs = schur.bracket_schur(BracketType.ANGLE, conjugate(lam), X, Y)
-                rhs = sign * schur.bracket_schur(BracketType.SQUARE, lam, Y, X)
-                if lhs != rhs:
-                    yield "schur.dual-bracket", {"lam": list(lam), "nx": nx, "ny": ny}
-
-        pairs = [cauchy_alphabets(2, 1, 1)[:2], cauchy_alphabets(1, 2, 1)[:2]]
-        pal_table = VarTable(("x1", "x2"))
-        pal = schur.palindromic(pal_table, ("x1", "x2")) | Alphabet.constants(pal_table, (1,))
-        pairs.append((pal, Alphabet.empty(pal_table)))
-        for X, Y in pairs:
-            for lam in lams:
-                for tag in (BracketType.SQUARE, BracketType.ANGLE):
-                    direct = schur.bracket_schur(tag, lam, X, Y)
-                    alt = schur.bracket_schur_altform(tag, lam, X, Y)
-                    if direct != alt:
-                        yield "schur.altform", {
-                            "lam": list(lam),
-                            "tag": tag.value,
-                            "x": X.describe(),
-                        }
-
-        for n in (1, 2, 3, 4):
-            table = schur.t_table(n)
-            T = Alphabet.formal(table)
-            none = Alphabet.empty(table)
-            for lam in lams:
-                if len(lam) > n:
-                    continue
-                if schur.super_schur(lam, T, none) != schur.bialternant_schur(lam, n):
-                    yield "schur.bialternant-agreement", {"lam": list(lam), "n": n}
-
     params = {"max_lambda": max_lambda}
     return _first_failures(
-        [
-            ("schur.hook-vanishing", params),
-            ("schur.homogeneity", params),
-            ("schur.dual-plain", params),
-            ("schur.dual-bracket", params),
-            ("schur.altform", params),
-            ("schur.bialternant-agreement", params),
-        ],
-        failures(),
+        [(check_id, params) for check_id in _INVARIANT_LOOPS],
+        chain.from_iterable(loop(lams) for loop in _INVARIANT_LOOPS.values()),
     )
 
 
@@ -905,6 +944,30 @@ def check_fold_dimensions(max_r: int) -> list[VerificationReport]:
     return out
 
 
+def _double_form_pairs(r: int) -> tuple[tuple, tuple]:
+    """The two (X|Y) of the twisted even-orthogonal character at rank r."""
+    names = tuple(f"x{i}" for i in range(1, r + 1))
+    table = VarTable(names)
+    pal = schur.palindromic(table, names)
+    first = (pal | Alphabet.constants(table, (1, 1)), Alphabet.constants(table, (1, -1)))
+    second = (pal | Alphabet.constants(table, (1,)), Alphabet.constants(table, (-1,)))
+    return first, second
+
+
+def _double_form_reports(r: int, max_am: int):
+    """fold.double-form's per-shape loop at rank r: one poly_comparison per rectangle."""
+    first, second = _double_form_pairs(r)
+    for a in range(1, max_am + 1):
+        for m in range(1, max_am + 1):
+            rect = (m,) * a
+            yield poly_comparison(
+                "fold.double-form",
+                {"r": r, "a": a, "m": m},
+                schur.super_schur(rect, *first),
+                schur.super_schur(rect, *second),
+            )
+
+
 def check_fold_double_form(max_r: int, max_am: int = 3) -> list[VerificationReport]:
     """Two ways to write the twisted even-orthogonal character agree.
 
@@ -912,27 +975,7 @@ def check_fold_double_form(max_r: int, max_am: int = 3) -> list[VerificationRepo
     times the pairs' factors.  So the check only tests how h_list handles
     constants that cancel, not the characters themselves.
     """
-    out = []
-    for r in range(1, max_r + 1):
-        names = tuple(f"x{i}" for i in range(1, r + 1))
-        table = VarTable(names)
-        pal = schur.palindromic(table, names)
-        X1 = pal | Alphabet.constants(table, (1, 1))
-        Y1 = Alphabet.constants(table, (1, -1))
-        X2 = pal | Alphabet.constants(table, (1,))
-        Y2 = Alphabet.constants(table, (-1,))
-        for a in range(1, max_am + 1):
-            for m in range(1, max_am + 1):
-                rect = (m,) * a
-                out.append(
-                    poly_comparison(
-                        "fold.double-form",
-                        {"r": r, "a": a, "m": m},
-                        schur.super_schur(rect, X1, Y1),
-                        schur.super_schur(rect, X2, Y2),
-                    )
-                )
-    return out
+    return [report for r in range(1, max_r + 1) for report in _double_form_reports(r, max_am)]
 
 
 # ---------------------------------------------------------------------------

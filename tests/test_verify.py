@@ -5,7 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -392,6 +392,134 @@ def test_a_corrupted_series_guard_falls_back_to_green_per_check_reports(monkeypa
     assert len(fallbacks) == 108
     assert got == [r.to_json() for r in per_check_cauchy(3, 6)]
     assert all('"pass":true' in line for line in got)
+
+
+def invariants_per_shape(max_lambda):
+    """check_schur_invariants as its six per-shape loops, every one run."""
+    lams = partitions.partitions_upto(max_lambda)
+    params = {"max_lambda": max_lambda}
+    loops = verify._INVARIANT_LOOPS
+    return _first_failures(
+        [(check_id, params) for check_id in loops],
+        chain.from_iterable(loop(lams) for loop in loops.values()),
+    )
+
+
+def stability_per_shape(seed):
+    """check_schur_stability(5, seed) as its per-shape loop."""
+    params = {"max_lambda": 5, "seed": seed, "samples": 12}
+    draws = verify._stability_draws(5, seed, 12)
+    return _first_failures([("schur.stability", params)], verify._stability_failures(draws))[0]
+
+
+def double_form_per_shape(max_r):
+    """check_fold_double_form(max_r) as its per-shape loop at each rank."""
+    return [report for r in range(1, max_r + 1) for report in verify._double_form_reports(r, 3)]
+
+
+# (the check, its per-shape route, the arguments each is run at)
+PER_SHAPE_ROUTES = [
+    (check_schur_invariants, invariants_per_shape, range(6)),
+    (lambda seed: [check_schur_stability(5, seed)], lambda seed: [stability_per_shape(seed)], range(8)),
+    (check_fold_double_form, double_form_per_shape, range(4)),
+]
+
+
+def one_pair_h1(real):
+    # h_1 + 1 at one pair of each check: the reversed dual pair (y1|x1,x2),
+    # the second double-form pair at rank 2, and the shifted pair of seed 3's
+    # first stability sample.
+    reversed_dual = cauchy_alphabets(2, 1, 1)[1::-1]
+    double_form = verify._double_form_pairs(2)[1]
+    _, X, Y, eta = verify._stability_draws(5, 3, 12)[0]
+    pairs = {reversed_dual, double_form, (X | eta, Y | eta)}
+
+    def corrupted(X, Y, degmax):
+        hs = list(real(X, Y, degmax))
+        if (X, Y) in pairs and len(hs) > 1:
+            hs[1] = hs[1] + 1
+        return tuple(hs)
+
+    return corrupted
+
+
+def one_degmax_h1(real):
+    # h_1 + 1 at every pair, but only in the lists of degree 3.
+    def corrupted(X, Y, degmax):
+        hs = list(real(X, Y, degmax))
+        if degmax == 3:
+            hs[1] = hs[1] + 1
+        return tuple(hs)
+
+    return corrupted
+
+
+def short_altform_square(real):
+    # The SQUARE alternate form without its last H_m correction.
+    return lambda base, j: real(base, j)[:-1]
+
+
+def shifted_jacobi_trudi(c):
+    # Every Jacobi-Trudi determinant (schur._table_dets) off by c before any
+    # halving; the bialternant oracle's alternants keep the true det.
+    def corrupt(real):
+        real_det = schur.det
+
+        def corrupted(shapes, hs, entry, halve):
+            schur.det = lambda rows: real_det(rows) + c
+            try:
+                return real(shapes, hs, entry, halve)
+            finally:
+                schur.det = real_det
+
+        return corrupted
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "fault, outcome",
+    [
+        (None, "green"),
+        (("h_list", one_pair_h1), "red"),
+        (("h_list", one_degmax_h1), "red"),
+        (("_altform_square_entry", short_altform_square), "red"),
+        (("_table_dets", shifted_jacobi_trudi(2)), "red"),
+        (("_table_dets", shifted_jacobi_trudi(1)), "raise"),
+    ],
+    ids=["healthy", "h1-one-pair", "h1-one-degmax", "altform-square", "det+2", "det+1"],
+)
+def test_invariant_stability_and_double_form_checks_match_their_per_shape_loops(
+    monkeypatch, fault, outcome
+):
+    # Each check's reports must be the bytes of its per-shape loops, healthy
+    # and under each fault; a det off by 1 leaves an ANGLE value that does not
+    # halve, and both routes must raise for it.
+    if fault is not None:
+        attr, corrupt = fault
+        monkeypatch.setattr(schur, attr, corrupt(getattr(schur, attr)))
+    red = raised = 0
+    try:
+        for check, per_shape, args in PER_SHAPE_ROUTES:
+            for arg in args:
+                outcomes = []
+                for route in (check, per_shape):
+                    superchar.clear_caches()
+                    try:
+                        outcomes.append(suite_to_json(route(arg)))
+                    except laurent.InexactDivisionError:
+                        outcomes.append(None)
+                assert outcomes[0] == outcomes[1], (check, arg)
+                if outcomes[0] is None:
+                    raised += 1
+                else:
+                    red += outcomes[0].count('"pass":false')
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert (bool(red), bool(raised)) == {
+        "green": (False, False), "red": (True, False), "raise": (False, True)
+    }[outcome]
 
 
 def test_failing_poly_comparison_witnesses_the_difference():
