@@ -457,8 +457,7 @@ def _free_batch(theorems: list):
     come from one _table_dets call, stored only when the whole call halves.
     """
     D = _degree(lam for theorem in theorems for side in theorem for lam, _ in side[3])
-    table = VarTable(f"h{k}" for k in range(1, D + 1))
-    free = [LaurentPoly.const(table, 1)] + [LaurentPoly.variable(table, n) for n in table.names]
+    free = schur._free_series(D)
     series: dict[tuple, list[LaurentPoly]] = {}
     values: dict[tuple, LaurentPoly] = {}
 

@@ -487,6 +487,13 @@ def _table_dets(shapes, hs, entry, halve: bool) -> list[LaurentPoly]:
     return out
 
 
+def _free_series(degree: int, names: tuple[str, ...] = ()) -> list[LaurentPoly]:
+    """[1, h_1, ..., h_degree] over a table of free h1..h<degree> followed by names."""
+    h_names = tuple(f"h{k}" for k in range(1, degree + 1))
+    table = VarTable(h_names + tuple(names))
+    return [LaurentPoly.const(table, 1)] + [LaurentPoly.variable(table, name) for name in h_names]
+
+
 # (X, Y) -> [h_0, ..., h_D] in x, for alphabets whose h_list is over an e
 # table of x's: each h_m is converted once, and the list grows with the
 # degree asked.  clear_caches() empties it.

@@ -299,3 +299,27 @@ def test_the_cauchy_sweep_reads_one_t_side_per_nT(monkeypatch):
     finally:
         monkeypatch.undo()
         superchar.clear_caches()
+
+
+@pytest.mark.parametrize(
+    "attr, check",
+    [
+        ("bracket_schur_altform", lambda: verify.check_schur_invariants(5)),
+        ("super_schur", lambda: verify.check_fold_double_form(3)),
+        ("bracket_schur", lambda: [verify.check_schur_stability(5, 0)]),
+    ],
+)
+def test_the_free_proofs_leave_the_per_shape_characters_unbuilt(monkeypatch, attr, check):
+    # A healthy check proves its determinant identities over free h and
+    # guards each alphabet pair's series, so it builds none of the per-shape
+    # characters it once compared: the alternate forms (114 at the default
+    # config), the double-form rectangles (54) and the stability brackets (72).
+    superchar.clear_caches()
+    calls = counter(monkeypatch, schur, attr)
+    try:
+        reports = check()
+        assert reports and all(r.passed for r in reports)
+        assert calls == []
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()

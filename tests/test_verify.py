@@ -420,7 +420,11 @@ def double_form_per_shape(max_r):
 # (the check, its per-shape route, the arguments each is run at)
 PER_SHAPE_ROUTES = [
     (check_schur_invariants, invariants_per_shape, range(6)),
-    (lambda seed: [check_schur_stability(5, seed)], lambda seed: [stability_per_shape(seed)], range(8)),
+    (
+        lambda seed: [check_schur_stability(5, seed)],
+        lambda seed: [stability_per_shape(seed)],
+        range(8),
+    ),
     (check_fold_double_form, double_form_per_shape, range(4)),
 ]
 
@@ -428,10 +432,10 @@ PER_SHAPE_ROUTES = [
 def one_pair_h1(real):
     # h_1 + 1 at one pair of each check: the reversed dual pair (y1|x1,x2),
     # the second double-form pair at rank 2, and the shifted pair of seed 3's
-    # first stability sample.
+    # first stability sample whose shape reads h_1.
     reversed_dual = cauchy_alphabets(2, 1, 1)[1::-1]
     double_form = verify._double_form_pairs(2)[1]
-    _, X, Y, eta = verify._stability_draws(5, 3, 12)[0]
+    _, X, Y, eta = next(draw for draw in verify._stability_draws(5, 3, 12) if len(draw[0]) > 1)
     pairs = {reversed_dual, double_form, (X | eta, Y | eta)}
 
     def corrupted(X, Y, degmax):
@@ -849,6 +853,12 @@ def test_clear_caches_empties_every_polynomial_cache():
     assert folding.general_dc_check("plain_to_square", (1,), X, Y).passed
     # The LR checks read lr_table, so one single query fills lr_coeff's memo.
     assert lr.lr_coeff((2, 1), (2,), (1,)) == 1
+    # The suite proves the bracket comparisons over free h, so one query
+    # each fills the bracket and alternate-form memos.
+    square = schur.BracketType.SQUARE
+    assert schur.bracket_schur(square, (2, 1), X, Y) == schur.bracket_schur_altform(
+        square, (2, 1), X, Y
+    )
     # Every memo cache is now filled, so the emptiness below is not vacuous.
     assert {name for name in memos if caches[name].cache_info().currsize} == memos
     superchar.clear_caches()
