@@ -1026,6 +1026,42 @@ def route_pairs():
     ]
 
 
+def halved(shapes, values):
+    """Each nonempty shape's value halved exactly; the empty shape's 1 is kept."""
+    return [value.exact_div(2) if lam else value for lam, value in zip(shapes, values)]
+
+
+def test_the_single_first_column_angle_rule_is_half_the_paired_rule():
+    """det with h_{b+1} in the first column against the paired det, over free h, |lam| <= 6.
+
+    The paired rule's first column is h_{b+1} + h_{b+1}, and a determinant
+    is linear in its first column.
+    """
+    shapes = partitions_upto(6)[1:]
+    hs = schur._free_series(schur._degree(shapes))
+    single = schur._table_dets(shapes, hs, schur._altform_angle_entry, False)
+    paired = schur._table_dets(shapes, hs, schur._angle_entry, False)
+    assert [2 * value for value in single] == paired
+
+
+def test_bracket_angle_is_the_halved_paired_det_on_every_route():
+    """bracket_schur(ANGLE) against the paired det halved over h_list's own table."""
+    mixed = Alphabet.formal(TABLE_3, ("x1",)) | Alphabet.formal(TABLE_3, ("x2",)).negated()
+    pairs = route_pairs() + [(mixed, Alphabet.formal(TABLE_3, ("y1",)))]
+    shapes = partitions_upto(5, max_len=4)
+    routes = set()
+    clear_caches()
+    for X, Y in pairs:
+        hs = h_list(X, Y, schur._degree(shapes))
+        table = hs[0].table
+        routes.add(table.over_z if isinstance(table, ETable) else "x")
+        want = halved(shapes, schur._table_dets(shapes, hs, schur._angle_entry, False))
+        got = [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
+        assert got == [in_x(value, X.table) for value in want]
+    assert routes == {"x", True, False}  # x, e of z's and e of x's
+    clear_caches()
+
+
 # name -> (the library's rule, the rule as the ring sum it used to return, halve)
 ENTRY_RULES = {
     "plain": (schur._plain_entry, lambda h, base, j: h(base + j), False),
