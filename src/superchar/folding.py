@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import schur
-from .laurent import Accumulator, InexactDivisionError, LaurentPoly, VarTable
+from .laurent import Accumulator, LaurentPoly, VarTable
 from .lr import lr_table
 from .lr import lr_coeff  # noqa: F401  (a site the benchmark tracer patches)
 from .partitions import (
@@ -378,10 +378,9 @@ def general_dc_check(
 # up from their determinants: over the free h_k, each taken once per batch
 # of theorems (_free_batch), or over h_list at a base pair (pair_sides).
 # Sending each free h_k to h_k(X|Y) is a ring map (Macdonald, Symmetric
-# Functions, I.2), so a theorem whose sides are equal over free h_1..h_D,
-# with each ANGLE determinant halved there, holds for every base pair.  The
-# converse fails: a theorem that is not proved free says nothing about a
-# given pair.
+# Functions, I.2), so a theorem whose sides are equal over free h_1..h_D
+# holds for every base pair.  The converse fails: a theorem that is not
+# proved free says nothing about a given pair.
 
 
 def fold_theorem(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
@@ -429,7 +428,7 @@ def pair_sides(theorem, X: Alphabet, Y: Alphabet) -> list[LaurentPoly]:
 
     def dets(x_consts, y_consts, bracket, shapes):
         hs = schur.h_list(_with_consts(X, x_consts), _with_consts(Y, y_consts), _degree(shapes))
-        return schur._table_dets(shapes, hs, *schur._BRACKETS[bracket])
+        return schur._table_dets(shapes, hs, schur._BRACKETS[bracket])
 
     return theorem_sides(theorem, dets)
 
@@ -448,13 +447,13 @@ def _theorem_report(
 
 
 def _free_batch(theorems: list):
-    """Each theorem's two sides over free h_1..h_D, or None if an ANGLE value does not halve.
+    """Each theorem's two sides over free h_1..h_D.
 
     D is the largest degree any side of the batch reads.  Each (x_consts,
     y_consts) has one series, h_0 = 1 plus the free h_k with the constants
     applied by _const_factors as h_list applies an alphabet's, and each
     (constants, bracket, shape) one determinant: a side's missing shapes
-    come from one _table_dets call, stored only when the whole call halves.
+    come from one _table_dets call.
     """
     D = _degree(lam for theorem in theorems for side in theorem for lam, _ in side[3])
     free = schur._free_series(D)
@@ -467,25 +466,21 @@ def _free_batch(theorems: list):
             series[consts] = graded_parts(free, _const_factors(x_consts, y_consts), D)
         missing = [lam for lam in dict.fromkeys(shapes) if (consts, bracket, lam) not in values]
         if missing:
-            got = schur._table_dets(missing, series[consts], *schur._BRACKETS[bracket])
+            got = schur._table_dets(missing, series[consts], schur._BRACKETS[bracket])
             values.update(((consts, bracket, lam), value) for lam, value in zip(missing, got))
         return [values[consts, bracket, lam] for lam in shapes]
 
-    for theorem in theorems:
-        try:
-            yield theorem_sides(theorem, dets)
-        except InexactDivisionError:
-            yield None
+    return [theorem_sides(theorem, dets) for theorem in theorems]
 
 
-def free_sides(theorem) -> list[LaurentPoly] | None:
+def free_sides(theorem) -> list[LaurentPoly]:
     """Both sides of the theorem over free h_1..h_D, its own degree: the batch of one."""
-    return next(_free_batch([theorem]))
+    return _free_batch([theorem])[0]
 
 
 def proved_free_all(theorems) -> list[bool]:
     """Whether each theorem's sides are equal over free h_1..h_D, as one batch (_free_batch)."""
-    return [sides is not None and sides[0] == sides[1] for sides in _free_batch(list(theorems))]
+    return [lhs == rhs for lhs, rhs in _free_batch(list(theorems))]
 
 
 def proved_free(theorem) -> bool:

@@ -29,15 +29,13 @@ variables (e_1 of one x is that x), a side's variables are one factor
 over an e table of the x's.  Every other pair of alphabets is computed in
 x.  Every map back to x is an injective ring map (the e's of distinct
 variables are algebraically independent; Macdonald, Symmetric Functions,
-I.2), so values equal over a table are equal in x and ANGLE values halve
-exactly there.  Each character over an e-of-z table is turned back into x
-once by :func:`in_x`; a weighted sum of bracket characters
-(``folding.theorem_sides``, for every fold and dc sum) is added over the
-table from one :func:`_table_dets` call, and its caller turns it into x
-once.  A character over an e table of x's is a
-determinant over the x view of its series, each h_m converted once per
-alphabet pair.  Every
-character this module returns is over the alphabets' own table.
+I.2), so values equal over a table are equal in x.  Each character over an
+e-of-z table is turned back into x once by :func:`in_x`; a weighted sum of
+bracket characters (``folding.theorem_sides``, for every fold and dc sum)
+is added over the table from one :func:`_table_dets` call, and its caller
+turns it into x once.  A character over an e table of x's is a determinant
+over the x view of its series, each h_m converted once per alphabet pair.
+Every character this module returns is over the alphabets' own table.
 """
 
 from __future__ import annotations
@@ -274,8 +272,7 @@ def _e_blocks(x_vars, y_vars) -> list[tuple[int, tuple[int, ...]]] | None:
     takes one sign on each side and distinct variables throughout.  Then the
     e's of each side are algebraically independent, and the map from them to
     x is injective (unitriangular over the integers for z's), so values
-    equal over the e table are equal in x, and a value halves exactly in e
-    when it does in x.
+    equal over the e table are equal in x.
     """
     blocks = []
     for variables in (x_vars, y_vars):
@@ -447,15 +444,13 @@ def _degree(shapes) -> int:
     return max((lam[0] + len(lam) - 1 for lam in shapes if lam), default=0)
 
 
-def _table_dets(shapes, hs, entry, halve: bool) -> list[LaurentPoly]:
+def _table_dets(shapes, hs, entry) -> list[LaurentPoly]:
     """det(E(lam_i - i, j)) over 1 <= i, j <= len(lam), for each shape.
 
     The entry E(base, j) is the sum c h(k) over the (c, k) of entry(base, j);
     h(k) is hs[k], read as 0 for k < 0, from one h_list call at the degree
     the batch asks for; the values stay over hs's table.  Each entry (base,
     j) is formed once per batch, by one Accumulator.  The empty shape is 1.
-    With halve, each other determinant is halved exactly on its own, so one
-    that does not halve raises.
     """
     table = hs[0].table
     # base -> [E(base, 1), E(base, 2), ...], as far as some shape asked.
@@ -482,8 +477,7 @@ def _table_dets(shapes, hs, entry, halve: bool) -> list[LaurentPoly]:
             row = rows.setdefault(base, [])
             row += [element(base, j) for j in range(len(row) + 1, n + 1)]
             matrix.append(row[:n])
-        value = det(matrix)
-        out.append(value.exact_div(2) if halve else value)
+        out.append(det(matrix))
     return out
 
 
@@ -500,7 +494,7 @@ def _free_series(degree: int, names: tuple[str, ...] = ()) -> list[LaurentPoly]:
 _x_series: dict[tuple, list[LaurentPoly]] = {}
 
 
-def _jacobi_trudi(shapes, X: Alphabet, Y: Alphabet, entry, halve=False) -> list[LaurentPoly]:
+def _jacobi_trudi(shapes, X: Alphabet, Y: Alphabet, entry) -> list[LaurentPoly]:
     """The shapes' determinants over X.table, from one h_list call; 1 for the empty shape.
 
     Over an e-of-z table the determinants are taken there and each is turned
@@ -515,8 +509,8 @@ def _jacobi_trudi(shapes, X: Alphabet, Y: Alphabet, entry, halve=False) -> list[
     if isinstance(table, ETable) and not table.over_z:
         view = _x_series.setdefault((X, Y), [])
         view += [in_x(h, X.table) for h in hs[len(view) :]]
-        return _table_dets(shapes, view, entry, halve)
-    return [in_x(value, X.table) for value in _table_dets(shapes, hs, entry, halve)]
+        return _table_dets(shapes, view, entry)
+    return [in_x(value, X.table) for value in _table_dets(shapes, hs, entry)]
 
 
 # Each entry rule maps (base, j) to the (c, k) of its entry sum c h_k.
@@ -531,26 +525,27 @@ def _square_entry(base: int, j: int) -> tuple:
 
 
 def _angle_entry(base: int, j: int) -> tuple:
+    # The paired rule's first column is h_{base+1} + h_{base+1}, and a
+    # determinant is linear in its first column, so one h_{base+1} there
+    # gives half the paired determinant.
+    return ((1, base + 1),) if j == 1 else _paired_angle_entry(base, j)
+
+
+def _paired_angle_entry(base: int, j: int) -> tuple:
+    # Its determinant is twice the ANGLE character: bracket_schur_altform's reference.
     return (1, base + j), (1, base - j + 2)
-
-
-def _altform_angle_entry(base: int, j: int) -> tuple:
-    # A single entry in the first column, paired sums in the others.
-    return ((1, base + 1),) if j == 1 else _angle_entry(base, j)
 
 
 def _altform_square_entry(base: int, j: int) -> tuple:
     # The ANGLE rule with H_m = h_m - h_{m-2} in place of h_m.
-    return tuple(
-        pair for c, k in _altform_angle_entry(base, j) for pair in ((c, k), (-c, k - 2))
-    )
+    return tuple(pair for c, k in _angle_entry(base, j) for pair in ((c, k), (-c, k - 2)))
 
 
-# Each bracket's entry rule, and whether its determinant is halved.
+# Each bracket's entry rule.
 _BRACKETS = {
-    BracketType.PLAIN: (_plain_entry, False),
-    BracketType.SQUARE: (_square_entry, False),
-    BracketType.ANGLE: (_angle_entry, True),
+    BracketType.PLAIN: _plain_entry,
+    BracketType.SQUARE: _square_entry,
+    BracketType.ANGLE: _angle_entry,
 }
 
 
@@ -578,31 +573,33 @@ def super_schur(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
 def bracket_schur(tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """The three determinant characters, selected by tag.
 
-    SQUARE is det(h_{lam_i-i+j} - h_{lam_i-i-j}); ANGLE is half of
-    det(h_{lam_i-i+j} + h_{lam_i-i-j+2}), where the halving is exact on the
-    integer determinant and failure to halve aborts the computation.  The
-    empty shape is 1, not halved.
+    SQUARE is det(h_{lam_i-i+j} - h_{lam_i-i-j}).  ANGLE is half of
+    det(h_{lam_i-i+j} + h_{lam_i-i-j+2}), taken as the determinant with
+    h_{lam_i-i+1} alone in the first column, so nothing is divided.  The
+    empty shape is 1.
     """
     if tag is BracketType.PLAIN:
         return super_schur(lam, X, Y)
-    return _jacobi_trudi([lam], X, Y, *_BRACKETS[tag])[0]
+    return _jacobi_trudi([lam], X, Y, _BRACKETS[tag])[0]
 
 
 @checked_memo(_bracket_args)
 def bracket_schur_altform(
     tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet
 ) -> LaurentPoly:
-    """Block-determinant forms of the bracket characters.
+    """Other determinant forms of the SQUARE and ANGLE characters.
 
-    The first column is a single entry per row and the remaining columns are
-    paired sums; the SQUARE case uses H_m = h_m - h_{m-2} in place of h_m and
-    needs no 1/2 prefactor.
+    SQUARE is the ANGLE rule with H_m = h_m - h_{m-2} in place of h_m.
+    ANGLE is the paired determinant det(h_{lam_i-i+j} + h_{lam_i-i-j+2})
+    halved exactly in x, so one that does not halve raises
+    InexactDivisionError; the empty shape is 1, not halved.
     """
     if tag is BracketType.PLAIN:
         raise ValueError("alternate forms exist for SQUARE and ANGLE only")
     if tag is BracketType.SQUARE:
         return _jacobi_trudi([lam], X, Y, _altform_square_entry)[0]
-    return _jacobi_trudi([lam], X, Y, _altform_angle_entry)[0]
+    value = _jacobi_trudi([lam], X, Y, _paired_angle_entry)[0]
+    return value.exact_div(2) if lam else value
 
 
 def bracket_batch(tag: BracketType, shapes, X: Alphabet, Y: Alphabet) -> list[LaurentPoly]:
@@ -613,7 +610,7 @@ def bracket_batch(tag: BracketType, shapes, X: Alphabet, Y: Alphabet) -> list[La
     the per-shape memos of super_schur and bracket_schur.
     """
     _require_tag(tag)
-    return _jacobi_trudi([as_partition(lam) for lam in shapes], X, Y, *_BRACKETS[tag])
+    return _jacobi_trudi([as_partition(lam) for lam in shapes], X, Y, _BRACKETS[tag])
 
 
 # ---------------------------------------------------------------------------

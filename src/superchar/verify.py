@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, combinations, combinations_with_replacement
 
 from . import folding, laurent, lr, partitions, schur
-from .laurent import Accumulator, InexactDivisionError, LaurentPoly, VarTable, widen
+from .laurent import Accumulator, LaurentPoly, VarTable, widen
 from .partitions import (
     Partition,
     PartitionClass,
@@ -147,7 +147,6 @@ def _cauchy_free_proof(kind: str, nT: int, degmax: int, t_side) -> bool:
     schur._table_dets over the free series, the shapes and s_lam(t) from
     t_side (a _cauchy_t_side), and the product from schur.graded_parts, with
     H(t_i) the factor of u_k = -h_k t_i^k at t-degree k, and _cauchy_rhs.
-    An ANGLE determinant that does not halve fails the proof.
     """
     shapes, s_ts = t_side
     hs = schur._free_series(degmax, schur.t_table(nT).names)
@@ -155,10 +154,7 @@ def _cauchy_free_proof(kind: str, nT: int, degmax: int, t_side) -> bool:
     dual = kind == "cauchy_angle_dual"
     if dual:
         shapes = [conjugate(lam) for lam in shapes]
-    try:
-        chars = schur._table_dets(shapes, hs, *schur._BRACKETS[_CAUCHY_BRACKETS[kind]])
-    except InexactDivisionError:
-        return False
+    chars = schur._table_dets(shapes, hs, schur._BRACKETS[_CAUCHY_BRACKETS[kind]])
     lhs = _cauchy_lhs(table, chars, [widen(s_t, table) for s_t in s_ts])
     # H(t) is the factor of u_k = -h_k t^k, and 1/H(-t) divides by the one of
     # u_k = -h_k (-t)^k; at degmax 0 either is 1.
@@ -409,7 +405,7 @@ def _random_alphabet(rng: random.Random, table: VarTable, count: int) -> Alphabe
 # once against the other pair's under the map.  Sending each free h_k to the
 # h_k of a series with h_0 = 1 is a ring map (Macdonald, Symmetric Functions,
 # I.2), and in_x is an injective ring map, so a proved identity holds at
-# every guarded pair, and an ANGLE determinant that halves free halves there.
+# every guarded pair.
 
 
 def _signed(hs: list[LaurentPoly]) -> list[LaurentPoly]:
@@ -426,14 +422,6 @@ def _reciprocal(hs: list[LaurentPoly]) -> list[LaurentPoly]:
     D = len(hs) - 1
     factors = [(tuple((k, -hs[k]) for k in range(1, D + 1)), True)] if D else []
     return schur.graded_parts(hs[0], factors, D)
-
-
-def _free_dets(shapes, hs: list[LaurentPoly], entry, halve: bool = False) -> dict | None:
-    """shape -> its determinant over hs, from schur._table_dets; None if one does not halve."""
-    try:
-        return dict(zip(shapes, schur._table_dets(shapes, hs, entry, halve)))
-    except InexactDivisionError:
-        return None
 
 
 def _degrees(shapes) -> list[int]:
@@ -500,16 +488,13 @@ def check_schur_stability(
     """Brackets are unchanged by adjoining one shared element to X and Y.
 
     (X+eta|Y+eta) has the series of (X|Y), so each bracket is the same
-    determinant of equal series and needs no proof; only each ANGLE
-    determinant is checked to halve over free h_1..h_D, once per sampled
-    shape.  Each sample's two pairs are guarded once (_guarded, at the
-    degree its shape reads).  When all hold the report passes; otherwise
-    it is _stability_failures', for its verdict and witness.
+    determinant of equal series and needs no proof.  Each sample's two pairs
+    are guarded once (_guarded, at the degree its shape reads).  When all
+    hold the report passes; otherwise it is _stability_failures', for its
+    verdict and witness.
     """
     draws = _stability_draws(max_lambda, seed, samples)
-    shapes = list(dict.fromkeys(lam for lam, *_ in draws if lam))
-    hs = schur._free_series(schur._degree(shapes))
-    decided = _free_dets(shapes, hs, *schur._BRACKETS[BracketType.ANGLE]) is not None and all(
+    decided = all(
         _guarded((X | eta, Y | eta), (X, Y), _degrees([lam])) for lam, X, Y, eta in draws
     )
     params = {"max_lambda": max_lambda, "seed": seed, "samples": samples}
@@ -621,19 +606,17 @@ def _invariant_proofs(lams) -> dict[str, bool]:
     - homogeneity: PLAIN_lam[(-1)^k h_k] = (-1)^|lam| PLAIN_lam[h];
     - dual-plain: PLAIN_lam'[h] = (-1)^|lam| PLAIN_lam[1/H];
     - dual-bracket: ANGLE_lam'[h] = (-1)^|lam| SQUARE_lam[1/H];
-    - altform: SQUARE_lam and ANGLE_lam against their alternate entry rules.
+    - altform: SQUARE_lam against its H_m = h_m - h_{m-2} rule, and
+      2 ANGLE_lam against the paired rule at each nonempty lam.
 
-    lams is closed under conjugation.  An ANGLE determinant that does not
-    halve fails the identities that read it.
+    lams is closed under conjugation.
     """
 
-    def dets(series, tag):
-        return _free_dets(lams, series, *schur._BRACKETS[tag])
+    def dets(series, entry):
+        return dict(zip(lams, schur._table_dets(lams, series, entry)))
 
     def agree(left, right, conj=False, signed=False) -> bool:
         """left at lam (at lam' with conj) against right at lam, times (-1)^|lam| with signed."""
-        if left is None or right is None:
-            return False
         return all(
             left[conjugate(lam) if conj else lam] == (-1) ** (signed * size(lam)) * right[lam]
             for lam in lams
@@ -641,13 +624,14 @@ def _invariant_proofs(lams) -> dict[str, bool]:
 
     hs = schur._free_series(schur._degree(lams))
     dual = _reciprocal(hs)
-    plain, square, angle = (dets(hs, tag) for tag in BracketType)
+    plain, square, angle = (dets(hs, schur._BRACKETS[tag]) for tag in BracketType)
+    paired = dets(hs, schur._paired_angle_entry)
     return {
-        "schur.homogeneity": agree(dets(_signed(hs), BracketType.PLAIN), plain, signed=True),
-        "schur.dual-plain": agree(plain, dets(dual, BracketType.PLAIN), conj=True, signed=True),
-        "schur.dual-bracket": agree(angle, dets(dual, BracketType.SQUARE), conj=True, signed=True),
-        "schur.altform": agree(square, _free_dets(lams, hs, schur._altform_square_entry))
-        and agree(angle, _free_dets(lams, hs, schur._altform_angle_entry)),
+        "schur.homogeneity": agree(dets(_signed(hs), schur._plain_entry), plain, signed=True),
+        "schur.dual-plain": agree(plain, dets(dual, schur._plain_entry), conj=True, signed=True),
+        "schur.dual-bracket": agree(angle, dets(dual, schur._square_entry), conj=True, signed=True),
+        "schur.altform": agree(square, dets(hs, schur._altform_square_entry))
+        and all(2 * angle[lam] == paired[lam] for lam in lams if lam),
     }
 
 

@@ -763,8 +763,14 @@ def test_in_x_rejects_a_foreign_table():
             in_x(LaurentPoly.variable(z_table(TABLE_3), "z(x1)"), table)
 
 
+def halved(shapes, values):
+    """Each nonempty shape's value halved exactly; the empty shape's 1 is kept."""
+    return [value.exact_div(2) if lam else value for lam, value in zip(shapes, values)]
+
+
 def test_angle_values_halve_exactly_in_e(all_in_x):
-    """Every ANGLE shape of size <= 6 over e-table alphabets, against the x route."""
+    """Every paired ANGLE determinant of size <= 6 over e-table alphabets, halved
+    there, against bracket_schur on the x route."""
     T = VarTable(("x1", "x2", "x3", "y1", "y2"))
     pairs = []
     for sign in (1, -1):
@@ -777,7 +783,7 @@ def test_angle_values_halve_exactly_in_e(all_in_x):
     in_e = []
     for X, Y in pairs:
         hs = h_list(X, Y, schur._degree(shapes))
-        values = schur._table_dets(shapes, hs, *schur._BRACKETS[BracketType.ANGLE])
+        values = halved(shapes, schur._table_dets(shapes, hs, schur._paired_angle_entry))
         assert all(isinstance(v.table, ETable) for v in values)
         in_e.append([in_x(v, T) for v in values])
     all_in_x()
@@ -900,7 +906,7 @@ def test_x_characters_convert_each_h_once_per_alphabet_pair():
 
     def plain(lam):
         hs = h_list(X, Y, schur._degree([lam]))
-        return in_x(schur._table_dets([lam], hs, *schur._BRACKETS[BracketType.PLAIN])[0], TABLE_3)
+        return in_x(schur._table_dets([lam], hs, schur._BRACKETS[BracketType.PLAIN])[0], TABLE_3)
 
     assert values == [plain(lam) for lam in ((1,), (2, 1), (3,), (1, 1, 1))]
     clear_caches()
@@ -919,7 +925,8 @@ def test_in_x_rejects_a_foreign_e_table_of_x():
 
 
 def test_angle_values_halve_exactly_in_formal_e(x_route):
-    """Every ANGLE shape of size <= 6 over formal e-table alphabets, against the x route."""
+    """Every paired ANGLE determinant of size <= 6 over formal e-table alphabets,
+    halved there, against bracket_schur on the x route."""
     T = VarTable(("x1", "x2", "x3", "y1", "y2"))
     pairs = []
     for sign in (1, -1):
@@ -938,7 +945,7 @@ def test_angle_values_halve_exactly_in_formal_e(x_route):
     in_e = []
     for X, Y in pairs:
         hs = h_list(X, Y, schur._degree(shapes))
-        values = schur._table_dets(shapes, hs, *schur._BRACKETS[BracketType.ANGLE])
+        values = halved(shapes, schur._table_dets(shapes, hs, schur._paired_angle_entry))
         assert all(isinstance(v.table, ETable) and not v.table.over_z for v in values)
         in_e.append([in_x(v, T) for v in values])
     x_route()
@@ -1026,11 +1033,6 @@ def route_pairs():
     ]
 
 
-def halved(shapes, values):
-    """Each nonempty shape's value halved exactly; the empty shape's 1 is kept."""
-    return [value.exact_div(2) if lam else value for lam, value in zip(shapes, values)]
-
-
 def test_the_single_first_column_angle_rule_is_half_the_paired_rule():
     """det with h_{b+1} in the first column against the paired det, over free h, |lam| <= 6.
 
@@ -1039,13 +1041,13 @@ def test_the_single_first_column_angle_rule_is_half_the_paired_rule():
     """
     shapes = partitions_upto(6)[1:]
     hs = schur._free_series(schur._degree(shapes))
-    single = schur._table_dets(shapes, hs, schur._altform_angle_entry, False)
-    paired = schur._table_dets(shapes, hs, schur._angle_entry, False)
+    single = schur._table_dets(shapes, hs, schur._angle_entry)
+    paired = schur._table_dets(shapes, hs, schur._paired_angle_entry)
     assert [2 * value for value in single] == paired
 
 
 def test_bracket_angle_is_the_halved_paired_det_on_every_route():
-    """bracket_schur(ANGLE) against the paired det halved over h_list's own table."""
+    """Both ANGLE forms against the paired det halved over h_list's own table."""
     mixed = Alphabet.formal(TABLE_3, ("x1",)) | Alphabet.formal(TABLE_3, ("x2",)).negated()
     pairs = route_pairs() + [(mixed, Alphabet.formal(TABLE_3, ("y1",)))]
     shapes = partitions_upto(5, max_len=4)
@@ -1055,28 +1057,32 @@ def test_bracket_angle_is_the_halved_paired_det_on_every_route():
         hs = h_list(X, Y, schur._degree(shapes))
         table = hs[0].table
         routes.add(table.over_z if isinstance(table, ETable) else "x")
-        want = halved(shapes, schur._table_dets(shapes, hs, schur._angle_entry, False))
-        got = [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
-        assert got == [in_x(value, X.table) for value in want]
+        want = halved(shapes, schur._table_dets(shapes, hs, schur._paired_angle_entry))
+        want = [in_x(value, X.table) for value in want]
+        assert [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes] == want
+        assert [bracket_schur_altform(BracketType.ANGLE, lam, X, Y) for lam in shapes] == want
     assert routes == {"x", True, False}  # x, e of z's and e of x's
     clear_caches()
 
 
-# name -> (the library's rule, the rule as the ring sum it used to return, halve)
+# name -> (the library's rule, the rule as the ring sum it used to return)
 ENTRY_RULES = {
-    "plain": (schur._plain_entry, lambda h, base, j: h(base + j), False),
-    "square": (schur._square_entry, lambda h, base, j: h(base + j) - h(base - j), False),
-    "angle": (schur._angle_entry, lambda h, base, j: h(base + j) + h(base - j + 2), True),
-    "altform_angle": (
-        schur._altform_angle_entry,
+    "plain": (schur._plain_entry, lambda h, base, j: h(base + j)),
+    "square": (schur._square_entry, lambda h, base, j: h(base + j) - h(base - j)),
+    "angle": (
+        schur._angle_entry,
         lambda h, base, j: h(base + 1) if j == 1 else h(base + j) + h(base - j + 2),
-        False,
     ),
-    "altform_square": (schur._altform_square_entry, _ring_altform_square, False),
+    # bracket_schur_altform's ANGLE reference, before it is halved
+    "altform_angle": (
+        schur._paired_angle_entry,
+        lambda h, base, j: h(base + j) + h(base - j + 2),
+    ),
+    "altform_square": (schur._altform_square_entry, _ring_altform_square),
 }
 
 
-def per_entry_dets(shapes, hs, ring_entry, halve):
+def per_entry_dets(shapes, hs, ring_entry):
     """_table_dets as it used to run: each entry of each shape formed on its own by the ring."""
     table = hs[0].table
     zero = LaurentPoly.zero(table)
@@ -1093,13 +1099,13 @@ def per_entry_dets(shapes, hs, ring_entry, halve):
         value = det(
             [[ring_entry(h, lam[i - 1] - i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
         )
-        out.append(value.exact_div(2) if halve else value)
+        out.append(value)
     return out
 
 
 @pytest.mark.parametrize("rule", ENTRY_RULES)
 def test_entries_formed_once_per_batch_match_the_per_entry_dets(rule):
-    entry, ring_entry, halve = ENTRY_RULES[rule]
+    entry, ring_entry = ENTRY_RULES[rule]
     shapes = partitions_upto(5, max_len=4)
     for X, Y in route_pairs():
         hs = h_list(X, Y, schur._degree(shapes))
@@ -1109,9 +1115,9 @@ def test_entries_formed_once_per_batch_match_the_per_entry_dets(rule):
             formed[base, j] += 1
             return entry(base, j)
 
-        got = schur._table_dets(shapes, hs, counted, halve)
+        got = schur._table_dets(shapes, hs, counted)
         assert set(formed.values()) == {1}
-        want = per_entry_dets(shapes, hs, ring_entry, halve)
+        want = per_entry_dets(shapes, hs, ring_entry)
         assert terms_and_bounds(got) == terms_and_bounds(want)
 
 
@@ -1129,13 +1135,13 @@ class ReadSpy(list):
 
 @pytest.mark.parametrize("rule", ENTRY_RULES)
 def test_no_entry_rule_reads_h_past_lam1_plus_len_minus_one(rule):
-    entry, _, halve = ENTRY_RULES[rule]
+    entry, _ = ENTRY_RULES[rule]
     X, Y = route_pairs()[1]
     for lam in partitions_upto(6, max_len=4)[1:]:
         degree = lam[0] + len(lam) - 1
         assert schur._degree([lam]) == degree
         hs = ReadSpy(h_list(X, Y, degree))
-        schur._table_dets([lam], hs, entry, halve)
+        schur._table_dets([lam], hs, entry)
         assert max(hs.read) == degree, lam  # at entry (1, len(lam))
 
 
@@ -1151,7 +1157,7 @@ def test_table_sum_adds_into_one_dict_like_the_add_chain():
             hs = h_list(X, Y, schur._degree(lam for lam, _ in weighted))
 
             def dets(x_consts, y_consts, bracket, shapes):
-                return schur._table_dets(shapes, hs, *schur._BRACKETS[bracket])
+                return schur._table_dets(shapes, hs, schur._BRACKETS[bracket])
 
             (got,) = theorem_sides([((), (), tag, weighted)], dets)
             chain = LaurentPoly.zero(got.table)

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import traceback
 from itertools import chain, combinations
 from math import comb
 
@@ -464,15 +465,16 @@ def short_altform_square(real):
 
 
 def shifted_jacobi_trudi(c):
-    # Every Jacobi-Trudi determinant (schur._table_dets) off by c before any
-    # halving; the bialternant oracle's alternants keep the true det.
+    # Every Jacobi-Trudi determinant (schur._table_dets) off by c, before the
+    # altform reference halves its paired one; the bialternant oracle's
+    # alternants keep the true det.
     def corrupt(real):
         real_det = schur.det
 
-        def corrupted(shapes, hs, entry, halve):
+        def corrupted(shapes, hs, entry):
             schur.det = lambda rows: real_det(rows) + c
             try:
-                return real(shapes, hs, entry, halve)
+                return real(shapes, hs, entry)
             finally:
                 schur.det = real_det
 
@@ -497,12 +499,14 @@ def test_invariant_stability_and_double_form_checks_match_their_per_shape_loops(
     monkeypatch, fault, outcome
 ):
     # Each check's reports must be the bytes of its per-shape loops, healthy
-    # and under each fault; a det off by 1 leaves an ANGLE value that does not
-    # halve, and both routes must raise for it.
+    # and under each fault.  A det off by 1 leaves a paired ANGLE determinant
+    # that does not halve: the altform reference's halving, the only one on
+    # these routes, must raise on both routes of the invariants, and nowhere
+    # else.
     if fault is not None:
         attr, corrupt = fault
         monkeypatch.setattr(schur, attr, corrupt(getattr(schur, attr)))
-    red = raised = 0
+    red, raised = 0, set()
     try:
         for check, per_shape, args in PER_SHAPE_ROUTES:
             for arg in args:
@@ -511,18 +515,20 @@ def test_invariant_stability_and_double_form_checks_match_their_per_shape_loops(
                     superchar.clear_caches()
                     try:
                         outcomes.append(suite_to_json(route(arg)))
-                    except laurent.InexactDivisionError:
+                    except laurent.InexactDivisionError as exc:
+                        frames = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+                        assert "bracket_schur_altform" in frames
                         outcomes.append(None)
                 assert outcomes[0] == outcomes[1], (check, arg)
                 if outcomes[0] is None:
-                    raised += 1
+                    raised.add(check)
                 else:
                     red += outcomes[0].count('"pass":false')
     finally:
         monkeypatch.undo()
         superchar.clear_caches()
-    assert (bool(red), bool(raised)) == {
-        "green": (False, False), "red": (True, False), "raise": (False, True)
+    assert (bool(red), raised) == {
+        "green": (False, set()), "red": (True, set()), "raise": (False, {check_schur_invariants})
     }[outcome]
 
 
@@ -780,6 +786,28 @@ def test_run_suite_default_all_pass():
     assert hashlib.sha256(suite_to_json(reports).encode()).hexdigest() == (
         "602a0ce87d95b7c6ff789c03b853276285305402fc1cba5704a32c1f59dbc8ea"
     )
+
+
+def test_a_healthy_default_suite_divides_no_character(monkeypatch):
+    # ANGLE is the determinant with one h in its first column, so nothing on
+    # the report path is halved; bracket_schur_altform's reference, the one
+    # halving left, runs only in a sub-check whose free proof fails.
+    calls = []
+    real = LaurentPoly.exact_div
+
+    def spy(self, divisor):
+        calls.append(divisor)
+        return real(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", spy)
+    superchar.clear_caches()
+    try:
+        reports = run_suite(SuiteConfig())
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert len(reports) == 1169 and all(r.passed for r in reports)
+    assert calls == []
 
 
 def test_run_suite_at_rank_five_is_pinned():
