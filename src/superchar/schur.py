@@ -592,7 +592,9 @@ def bracket_schur_altform(
     SQUARE is the ANGLE rule with H_m = h_m - h_{m-2} in place of h_m.
     ANGLE is the paired determinant det(h_{lam_i-i+j} + h_{lam_i-i-j+2})
     halved exactly in x, so one that does not halve raises
-    InexactDivisionError; the empty shape is 1, not halved.
+    InexactDivisionError; the empty shape is 1, not halved.  No battery
+    route calls it: check_schur_invariants compares the entry rules
+    themselves, twice ANGLE against the paired determinant.
     """
     if tag is BracketType.PLAIN:
         raise ValueError("alternate forms exist for SQUARE and ANGLE only")

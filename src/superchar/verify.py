@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement
 
 from . import folding, laurent, lr, partitions, schur
@@ -399,13 +400,13 @@ def _random_alphabet(rng: random.Random, table: VarTable, count: int) -> Alphabe
 
 
 # Comparisons of two Jacobi-Trudi determinants whose series are related by a
-# fixed map: equal, h_k -> (-1)^k h_k, or the reciprocal 1/H.  Each
-# determinant identity is proved once per shape over free h_1..h_D
-# (schur._free_series), and each alphabet pair's h_list series is guarded
-# once against the other pair's under the map.  Sending each free h_k to the
-# h_k of a series with h_0 = 1 is a ring map (Macdonald, Symmetric Functions,
-# I.2), and in_x is an injective ring map, so a proved identity holds at
-# every guarded pair.
+# fixed map: equal, h_k -> (-1)^k h_k, or the reciprocal 1/H.  Each identity
+# is proved over free h_1..h_D (schur._free_series), and each alphabet pair's
+# h_list series is guarded against the other pair's under the map; those of
+# check_schur_invariants are stated once, as the rows of _invariant_table.
+# Sending each free h_k to the h_k of a series with h_0 = 1 is a ring map
+# (Macdonald, Symmetric Functions, I.2), and in_x is an injective ring map, so
+# a proved identity holds at every guarded pair.
 
 
 def _signed(hs: list[LaurentPoly]) -> list[LaurentPoly]:
@@ -516,64 +517,72 @@ def _hook_vanishing_failures(lams):
                 yield "schur.hook-vanishing", {"lam": list(lam), "nx": nx, "ny": ny}
 
 
-def _homogeneity_pairs() -> list[tuple]:
-    """((-X|), (X|)) for the formal X of 1, 2 and 3 variables, each with its nx."""
-    out = []
+def _invariant_table() -> dict[str, tuple]:
+    """check_id -> (series map, comparisons, pairs) of each determinant identity proved free.
+
+    A comparison (fields, scale, left, conj, signed, right) asserts at each
+    nonempty lam (every rule gives 1 at the empty shape) that scale *
+    left(lam' if conj else lam) = (-1)^(|lam| signed) * right(lam); left and
+    right name schur's _<name>_entry rules, looked up at each comparison so
+    that a patched rule reaches every route.  A pair (fields, (X, Y), (X',
+    Y')) takes left over (X|Y) and right over (X'|Y'), and the series of
+    (X|Y) is the map of that of (X'|Y').  A witness is lam, then the
+    comparison's fields, then the pair's.
+    """
+    formal = []
     for nx in (1, 2, 3):
         table = VarTable(tuple(f"x{i}" for i in range(1, nx + 1)))
-        X = Alphabet.formal(table)
-        none = Alphabet.empty(table)
-        out.append((nx, (X.negated(), none), (X, none)))
-    return out
-
-
-def _homogeneity_failures(lams):
-    for nx, negated, pair in _homogeneity_pairs():
-        for lam in lams:
-            sign = -1 if size(lam) % 2 else 1
-            if schur.super_schur(lam, *negated) != sign * schur.super_schur(lam, *pair):
-                yield "schur.homogeneity", {"lam": list(lam), "nx": nx}
-
-
-_DUAL_SIZES = ((1, 1), (2, 1), (2, 2))
-
-
-def _dual_plain_failures(lams):
-    for nx, ny in _DUAL_SIZES:
+        X, none = Alphabet.formal(table), Alphabet.empty(table)
+        formal.append(({"nx": nx}, (X.negated(), none), (X, none)))
+    dual = []
+    for nx, ny in ((1, 1), (2, 1), (2, 2)):
         X, Y, _ = cauchy_alphabets(nx, ny, 1)
-        for lam in lams:
-            sign = -1 if size(lam) % 2 else 1
-            if schur.super_schur(conjugate(lam), X, Y) != sign * schur.super_schur(lam, Y, X):
-                yield "schur.dual-plain", {"lam": list(lam), "nx": nx, "ny": ny}
-
-
-def _dual_bracket_failures(lams):
-    for nx, ny in _DUAL_SIZES:
-        X, Y, _ = cauchy_alphabets(nx, ny, 1)
-        for lam in lams:
-            sign = -1 if size(lam) % 2 else 1
-            lhs = schur.bracket_schur(BracketType.ANGLE, conjugate(lam), X, Y)
-            rhs = sign * schur.bracket_schur(BracketType.SQUARE, lam, Y, X)
-            if lhs != rhs:
-                yield "schur.dual-bracket", {"lam": list(lam), "nx": nx, "ny": ny}
-
-
-def _altform_pairs() -> list[tuple[Alphabet, Alphabet]]:
-    pairs = [cauchy_alphabets(2, 1, 1)[:2], cauchy_alphabets(1, 2, 1)[:2]]
+        dual.append(({"nx": nx, "ny": ny}, (X, Y), (Y, X)))
     pal_table = VarTable(("x1", "x2"))
     pal = schur.palindromic(pal_table, ("x1", "x2")) | Alphabet.constants(pal_table, (1,))
-    pairs.append((pal, Alphabet.empty(pal_table)))
-    return pairs
+    altform = [cauchy_alphabets(2, 1, 1)[:2], cauchy_alphabets(1, 2, 1)[:2]]
+    altform.append((pal, Alphabet.empty(pal_table)))
+    return {
+        "schur.homogeneity": (_signed, [({}, 1, "plain", False, True, "plain")], formal),
+        "schur.dual-plain": (_reciprocal, [({}, 1, "plain", True, True, "plain")], dual),
+        "schur.dual-bracket": (_reciprocal, [({}, 1, "angle", True, True, "square")], dual),
+        "schur.altform": (
+            list,
+            [
+                ({"tag": "square"}, 1, "square", False, False, "altform_square"),
+                # Twice ANGLE is the paired determinant, so no side is divided.
+                ({"tag": "angle"}, 2, "angle", False, False, "paired_angle"),
+            ],
+            [({"x": X.describe()}, (X, Y), (X, Y)) for X, Y in altform],
+        ),
+    }
 
 
-def _altform_failures(lams):
-    for X, Y in _altform_pairs():
+def _holds(comparison: tuple, lam: Partition, left, right) -> bool:
+    """Whether comparison holds at lam; left and right map (entry rule, shape) to a value."""
+    _, scale, rule_l, conj, signed, rule_r = comparison
+    rule_l, rule_r = (getattr(schur, f"_{name}_entry") for name in (rule_l, rule_r))
+    lhs = left(rule_l, conjugate(lam) if conj else lam)
+    return scale * lhs == (-1) ** (signed * size(lam)) * right(rule_r, lam)
+
+
+def _at(pair: tuple):
+    """(rule, lam) -> lam's determinant over the pair, from the h_list at lam's own degree.
+
+    Each shape reads the list its per-shape character reads, so _guarded's
+    per-degree check covers what the loop reads.
+    """
+    return lambda rule, lam: schur._jacobi_trudi([lam], *pair, rule)[0]
+
+
+def _table_failures(check_id: str, lams):
+    """A table row's per-shape loop: each comparison at each pair, one shape at a time."""
+    _, comparisons, pairs = _invariant_table()[check_id]
+    for fields, left, right in pairs:
         for lam in lams:
-            for tag in (BracketType.SQUARE, BracketType.ANGLE):
-                direct = schur.bracket_schur(tag, lam, X, Y)
-                alt = schur.bracket_schur_altform(tag, lam, X, Y)
-                if direct != alt:
-                    yield "schur.altform", {"lam": list(lam), "tag": tag.value, "x": X.describe()}
+            for comparison in comparisons if lam else ():
+                if not _holds(comparison, lam, _at(left), _at(right)):
+                    yield check_id, {"lam": list(lam), **comparison[0], **fields}
 
 
 def _bialternant_failures(lams):
@@ -591,87 +600,58 @@ def _bialternant_failures(lams):
 # Each sub-check of check_schur_invariants and its per-shape loop, in report order.
 _INVARIANT_LOOPS = {
     "schur.hook-vanishing": _hook_vanishing_failures,
-    "schur.homogeneity": _homogeneity_failures,
-    "schur.dual-plain": _dual_plain_failures,
-    "schur.dual-bracket": _dual_bracket_failures,
-    "schur.altform": _altform_failures,
+    "schur.homogeneity": partial(_table_failures, "schur.homogeneity"),
+    "schur.dual-plain": partial(_table_failures, "schur.dual-plain"),
+    "schur.dual-bracket": partial(_table_failures, "schur.dual-bracket"),
+    "schur.altform": partial(_table_failures, "schur.altform"),
     "schur.bialternant-agreement": _bialternant_failures,
 }
 
 
-def _invariant_proofs(lams) -> dict[str, bool]:
-    """Whether each identity holds over free h_1..h_D at every shape of lams.
+def _invariant_decided(table: dict, lams) -> set[str]:
+    """The check_ids of the table's rows proved over free h and guarded at each pair.
 
-    With H = sum h_k t^k and D = schur._degree(lams):
-    - homogeneity: PLAIN_lam[(-1)^k h_k] = (-1)^|lam| PLAIN_lam[h];
-    - dual-plain: PLAIN_lam'[h] = (-1)^|lam| PLAIN_lam[1/H];
-    - dual-bracket: ANGLE_lam'[h] = (-1)^|lam| SQUARE_lam[1/H];
-    - altform: SQUARE_lam against its H_m = h_m - h_{m-2} rule, and
-      2 ANGLE_lam against the paired rule at each nonempty lam.
-
-    lams is closed under conjugation.
+    Proved: each comparison holds at each nonempty lam of lams (closed under
+    conjugation), left over map(h) and right over free h_1..h_D; each (map,
+    rule) batch is one schur._table_dets call, shared by every row.
+    Guarded: _guarded holds at each pair; each (map, pairs) is guarded once.
     """
-
-    def dets(series, entry):
-        return dict(zip(lams, schur._table_dets(lams, series, entry)))
-
-    def agree(left, right, conj=False, signed=False) -> bool:
-        """left at lam (at lam' with conj) against right at lam, times (-1)^|lam| with signed."""
-        return all(
-            left[conjugate(lam) if conj else lam] == (-1) ** (signed * size(lam)) * right[lam]
-            for lam in lams
-        )
-
     hs = schur._free_series(schur._degree(lams))
-    dual = _reciprocal(hs)
-    plain, square, angle = (dets(hs, schur._BRACKETS[tag]) for tag in BracketType)
-    paired = dets(hs, schur._paired_angle_entry)
-    return {
-        "schur.homogeneity": agree(dets(_signed(hs), schur._plain_entry), plain, signed=True),
-        "schur.dual-plain": agree(plain, dets(dual, schur._plain_entry), conj=True, signed=True),
-        "schur.dual-bracket": agree(angle, dets(dual, schur._square_entry), conj=True, signed=True),
-        "schur.altform": agree(square, dets(hs, schur._altform_square_entry))
-        and all(2 * angle[lam] == paired[lam] for lam in lams if lam),
-    }
-
-
-def _invariant_guards(lams) -> dict[str, bool]:
-    """Whether each sub-check's alphabet pairs pass _guarded under its map.
-
-    Homogeneity's (-X|) is (X|) under h_k -> (-1)^k h_k, and each dual
-    (Y|X) is the reciprocal of (X|Y), guarded once for both dualities.  An
-    altform pair is read by both sides, so it is guarded only on its own
-    h_0 and degrees.
-    """
     degrees = _degrees(lams)
-    dual = all(
-        _guarded((Y, X), (X, Y), degrees, _reciprocal)
-        for X, Y in (cauchy_alphabets(nx, ny, 1)[:2] for nx, ny in _DUAL_SIZES)
-    )
+
+    @cache
+    def dets(mapping, rule):
+        return dict(zip(lams, schur._table_dets(lams, mapping(hs), rule)))
+
+    @cache
+    def guarded(mapping, pairs) -> bool:
+        return all(_guarded(left, right, degrees, mapping) for left, right in pairs)
+
+    def proved(mapping, comparisons) -> bool:
+        left, right = (lambda rule, lam, m=m: dets(m, rule)[lam] for m in (mapping, list))
+        return all(_holds(c, lam, left, right) for c in comparisons for lam in lams if lam)
+
     return {
-        "schur.homogeneity": all(
-            _guarded(negated, pair, degrees, _signed) for _, negated, pair in _homogeneity_pairs()
-        ),
-        "schur.dual-plain": dual,
-        "schur.dual-bracket": dual,
-        "schur.altform": all(_guarded(pair, pair, degrees) for pair in _altform_pairs()),
+        check_id
+        for check_id, (mapping, comparisons, pairs) in table.items()
+        if proved(mapping, comparisons)
+        and guarded(mapping, tuple((left, right) for _, left, right in pairs))
     }
 
 
 def check_schur_invariants(max_lambda: int) -> list[VerificationReport]:
     """Hook vanishing, homogeneity, the two dualities, alternate forms, oracle.
 
-    Homogeneity, the two dualities and the alternate forms each compare two
-    determinants whose series are related by a fixed map: each identity is
-    proved once over free h (_invariant_proofs) and each alphabet pair
-    guarded once (_invariant_guards).  A sub-check whose proofs and guards
-    all hold passes; every other runs its per-shape loop (_INVARIANT_LOOPS)
+    Homogeneity, the two dualities and the alternate forms are the rows of
+    _invariant_table, each two determinants whose series are related by a
+    fixed map.  A row proved over free h and guarded at each of its
+    alphabet pairs (_invariant_decided) passes; every other runs its
+    per-shape loop (_INVARIANT_LOOPS), the same comparisons at each pair,
     for its verdict and witness.  Hook vanishing and bialternant agreement
     are facts about particular alphabets, and always run their loops.
     """
     lams = partitions_upto(max_lambda)
-    proved, guarded = _invariant_proofs(lams), _invariant_guards(lams)
-    decided = {check_id for check_id in proved if proved[check_id] and guarded[check_id]}
+    decided = _invariant_decided(_invariant_table(), lams)
     params = {"max_lambda": max_lambda}
     return _first_failures(
         [(check_id, params) for check_id in _INVARIANT_LOOPS],

@@ -323,3 +323,21 @@ def test_the_free_proofs_leave_the_per_shape_characters_unbuilt(monkeypatch, att
     finally:
         monkeypatch.undo()
         superchar.clear_caches()
+
+
+def test_the_invariants_share_their_determinant_batches_and_series_guards(monkeypatch):
+    # check_schur_invariants' free proofs take each (series map, entry rule)
+    # batch once across the table's rows: 8 batches of 18 determinants at
+    # max_lambda 5, where one per comparison side would be 10 (352
+    # schur.det calls).  The two dualities share one series guard, where one
+    # guard per row reads 264 schur.h_list.
+    superchar.clear_caches()
+    dets = counter(monkeypatch, schur, "det")
+    h_lists = counter(monkeypatch, schur, "h_list")
+    try:
+        reports = verify.check_schur_invariants(5)
+        assert reports and all(r.passed for r in reports)
+        assert len(dets) <= 316 and len(h_lists) <= 228
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()

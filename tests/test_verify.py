@@ -5,7 +5,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import traceback
 from itertools import chain, combinations
 from math import comb
 
@@ -465,9 +464,8 @@ def short_altform_square(real):
 
 
 def shifted_jacobi_trudi(c):
-    # Every Jacobi-Trudi determinant (schur._table_dets) off by c, before the
-    # altform reference halves its paired one; the bialternant oracle's
-    # alternants keep the true det.
+    # Every Jacobi-Trudi determinant (schur._table_dets) off by c; the
+    # bialternant oracle's alternants keep the true det.
     def corrupt(real):
         real_det = schur.det
 
@@ -491,7 +489,7 @@ def shifted_jacobi_trudi(c):
         (("h_list", one_degmax_h1), "red"),
         (("_altform_square_entry", short_altform_square), "red"),
         (("_table_dets", shifted_jacobi_trudi(2)), "red"),
-        (("_table_dets", shifted_jacobi_trudi(1)), "raise"),
+        (("_table_dets", shifted_jacobi_trudi(1)), "red"),
     ],
     ids=["healthy", "h1-one-pair", "h1-one-degmax", "altform-square", "det+2", "det+1"],
 )
@@ -499,37 +497,71 @@ def test_invariant_stability_and_double_form_checks_match_their_per_shape_loops(
     monkeypatch, fault, outcome
 ):
     # Each check's reports must be the bytes of its per-shape loops, healthy
-    # and under each fault.  A det off by 1 leaves a paired ANGLE determinant
-    # that does not halve: the altform reference's halving, the only one on
-    # these routes, must raise on both routes of the invariants, and nowhere
-    # else.
+    # and under each fault.  No route divides: a det off by 1, which leaves
+    # every paired ANGLE determinant odd, turns reports red like any other.
     if fault is not None:
         attr, corrupt = fault
         monkeypatch.setattr(schur, attr, corrupt(getattr(schur, attr)))
-    red, raised = 0, set()
+    red = 0
     try:
         for check, per_shape, args in PER_SHAPE_ROUTES:
             for arg in args:
                 outcomes = []
                 for route in (check, per_shape):
                     superchar.clear_caches()
-                    try:
-                        outcomes.append(suite_to_json(route(arg)))
-                    except laurent.InexactDivisionError as exc:
-                        frames = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
-                        assert "bracket_schur_altform" in frames
-                        outcomes.append(None)
+                    outcomes.append(suite_to_json(route(arg)))
                 assert outcomes[0] == outcomes[1], (check, arg)
-                if outcomes[0] is None:
-                    raised.add(check)
-                else:
-                    red += outcomes[0].count('"pass":false')
+                red += outcomes[0].count('"pass":false')
     finally:
         monkeypatch.undo()
         superchar.clear_caches()
-    assert (bool(red), raised) == {
-        "green": (False, set()), "red": (True, set()), "raise": (False, {check_schur_invariants})
-    }[outcome]
+    assert bool(red) == (outcome == "red")
+
+
+# One false identity per row of verify._invariant_table, each keeping every
+# pair's left series the map of its right one.  Homogeneity's map becomes
+# equality, so each pair's left alphabet becomes its right one: the sign
+# then claims PLAIN_lam = -PLAIN_lam at odd |lam|.
+TABLE_MUTATIONS = {
+    "schur.homogeneity": lambda mapping, comparisons, pairs: (
+        list, comparisons, [(fields, right, right) for fields, _, right in pairs]
+    ),
+    "schur.dual-plain": lambda mapping, comparisons, pairs: (
+        mapping, [(f, k, left, False, signed, right) for f, k, left, _, signed, right in comparisons],
+        pairs,
+    ),
+    "schur.dual-bracket": lambda mapping, comparisons, pairs: (
+        mapping, [(f, k, left, conj, not s, right) for f, k, left, conj, s, right in comparisons],
+        pairs,
+    ),
+    "schur.altform": lambda mapping, comparisons, pairs: (
+        mapping, [(f, 1, *rest) for f, _, *rest in comparisons], pairs
+    ),
+}
+
+
+@pytest.mark.parametrize("check_id", list(TABLE_MUTATIONS))
+def test_a_false_table_row_turns_exactly_its_sub_check_red(monkeypatch, check_id):
+    # The decided route proves, guards and falls back from the same table the
+    # per-shape loops read, so a false row is red, alone, on both routes.
+    real = verify._invariant_table
+
+    def mutated():
+        table = real()
+        table[check_id] = TABLE_MUTATIONS[check_id](*table[check_id])
+        return table
+
+    monkeypatch.setattr(verify, "_invariant_table", mutated)
+    routes = []
+    try:
+        for route in (check_schur_invariants, invariants_per_shape):
+            superchar.clear_caches()
+            routes.append(route(5))
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert suite_to_json(routes[0]) == suite_to_json(routes[1])
+    assert [r.check_id for r in routes[0] if not r.passed] == [check_id]
 
 
 def test_failing_poly_comparison_witnesses_the_difference():
@@ -791,7 +823,7 @@ def test_run_suite_default_all_pass():
 def test_a_healthy_default_suite_divides_no_character(monkeypatch):
     # ANGLE is the determinant with one h in its first column, so nothing on
     # the report path is halved; bracket_schur_altform's reference, the one
-    # halving left, runs only in a sub-check whose free proof fails.
+    # halving left, runs on no battery route.
     calls = []
     real = LaurentPoly.exact_div
 
