@@ -148,15 +148,20 @@ def _check_box(m: int, a: int, *shapes: Partition) -> list[Partition]:
 def lr_rectangle(m: int, a: int, mu: Partition, nu: Partition) -> int:
     """Closed form for the rectangle coefficient: complementary pairs only.
 
-    Returns 1 iff mu_i + nu_{a+1-i} = m for every 1 <= i <= a, else 0.
+    Returns 1 iff mu_i + nu_{a+1-i} = m for every 1 <= i <= a, that is iff
+    nu is mu's rotated complement in the box, else 0.
     """
     return _rect_coeff(m, a, *_check_box(m, a, mu, nu))
 
 
+def _rect_complement(m: int, a: int, mu: Partition) -> Partition:
+    """mu's rotated complement in the a x m box, for mu known to fit: m - mu_{a+1-i} in row i."""
+    return tuple(filter(None, (m - part(mu, i) for i in range(a, 0, -1))))
+
+
 def _rect_coeff(m: int, a: int, mu: Partition, nu: Partition) -> int:
     """lr_rectangle for partitions mu, nu already known to fit inside the a x m box."""
-    mu, nu = mu + (0,) * (a - len(mu)), nu + (0,) * (a - len(nu))
-    return int(all(x + y == m for x, y in zip(mu, reversed(nu))))
+    return int(_rect_complement(m, a, mu) == nu)
 
 
 _VARIANT_SUBSET = {
@@ -166,24 +171,36 @@ _VARIANT_SUBSET = {
 }
 
 
+def _rect_sums(m: int, a: int) -> dict[tuple[Partition, PartitionClass], int]:
+    """(mu, class) -> sum of LR^{(m^a)}_{kappa, mu} over the kappa of the class, for every mu.
+
+    One pass over the box's lr_table: an entry (kappa, mu) counts when
+    kappa fits the box and |kappa| + |mu| is the box's size.  A mu with no
+    such entry is absent.
+    """
+    box = (m,) * a
+    total = size(box)
+    sums: dict[tuple[Partition, PartitionClass], int] = {}
+    for (kappa, mu), c in lr_table(box).items():
+        if size(kappa) + size(mu) == total and contains(box, kappa):
+            for variant in PartitionClass:
+                if in_class(kappa, variant):
+                    sums[mu, variant] = sums.get((mu, variant), 0) + c
+    return sums
+
+
 def lr_rect_sum(m: int, a: int, mu: Partition, variant: PartitionClass) -> int:
     """Sum of rectangle coefficients over a class of complements.
 
     Summing LR^{(m^a)}_{kappa, mu} over kappa in the chosen class gives 1
     exactly when mu lies in the matching rectangle subset, else 0; the sum is
-    computed directly from the box's lr_table, membership is checked
+    read from the box's class sums (_rect_sums), membership is checked
     separately by the callers.
     """
     (mu,) = _check_box(m, a, mu)
     if not isinstance(variant, PartitionClass):
         raise ValueError(f"unknown class {variant!r}")
-    box = (m,) * a
-    want = size(box) - size(mu)
-    return sum(
-        c
-        for (kappa, nu), c in lr_table(box).items()
-        if nu == mu and size(kappa) == want and contains(box, kappa) and in_class(kappa, variant)
-    )
+    return _rect_sums(m, a).get((mu, variant), 0)
 
 
 def rect_sum_membership(m: int, a: int, mu: Partition, variant: PartitionClass) -> bool:

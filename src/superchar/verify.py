@@ -437,17 +437,18 @@ def _guarded(pair: tuple, other: tuple, degrees: list[int], mapping=list) -> boo
     pair's series is its h_list at the largest degree, and must have h_0 = 1
     and hold the list at each other degree as its prefix.  Over one table
     the two are compared there, since in_x is injective and commutes with
-    each map; else both go to x.  No degrees means no series is read.
+    each map; else both go to x.  No degrees means no series is read, and a
+    pair guarded against itself under list is read once.
     """
     if not degrees:
         return True
     series = []
-    for X, Y in (pair, other):
+    for X, Y in (pair,) if pair == other and mapping is list else (pair, other):
         hs = schur.h_list(X, Y, degrees[-1])
         if hs[0] != 1 or any(schur.h_list(X, Y, d) != hs[: d + 1] for d in degrees):
             return False
         series.append(list(hs))
-    a, b = series[0], mapping(series[1])
+    a, b = series[0], mapping(series[-1])
     if a[0].table != b[0].table:
         a, b = ([schur.in_x(h, pair[0].table) for h in s] for s in (a, b))
     return a == b
@@ -586,14 +587,27 @@ def _table_failures(check_id: str, lams):
 
 
 def _bialternant_failures(lams):
+    """s_lam(t_1..t_n) by Jacobi-Trudi against the ratio of alternants, multiplied out.
+
+    s_lam a_delta = a_{lam+delta} (Macdonald, Symmetric Functions, I.3), with
+    a_delta = prod_{i<j} (t_i - t_j) formed once per n as a product, and
+    each a_{lam+delta} by schur._alternant; nothing is divided.
+    """
     for n in (1, 2, 3, 4):
         table = schur.t_table(n)
         T = Alphabet.formal(table)
         none = Alphabet.empty(table)
+        t = [LaurentPoly.variable(table, name) for name in table.names]
+        vandermonde = LaurentPoly.const(table, 1)
+        for ti, tj in combinations(t, 2):
+            vandermonde = vandermonde * (ti - tj)
+        monomials: dict = {}
         for lam in lams:
             if len(lam) > n:
                 continue
-            if schur.super_schur(lam, T, none) != schur.bialternant_schur(lam, n):
+            if schur.super_schur(lam, T, none) * vandermonde != schur._alternant(
+                table, lam, monomials
+            ):
                 yield "schur.bialternant-agreement", {"lam": list(lam), "n": n}
 
 
@@ -690,7 +704,7 @@ def _horizontal_strips(mu: Partition, k: int) -> list[Partition]:
     return [(*lam, left) if left else lam for lam, left in grown if left <= last]
 
 
-def _pieri_det(start: dict[Partition, int], rows) -> dict[Partition, int]:
+def _pieri_det(start: dict[Partition, int], rows, strips: dict) -> dict[Partition, int]:
     """start times det(rows), in the Schur basis; start itself for a 0 x 0 matrix.
 
     Each entry of the square matrix is a tuple of (c, k) standing for
@@ -698,7 +712,9 @@ def _pieri_det(start: dict[Partition, int], rows) -> dict[Partition, int]:
     expanded by cofactors row by row: each partial product is keyed by the
     bitmask of the columns its rows took, and taking column j after the
     columns of mask costs the sign (-1)^(columns of mask right of j).  Each
-    product with h_k is one _horizontal_strips per shape.
+    product with h_k reads each shape's _horizontal_strips from strips, a
+    dict (mu, k) -> shapes filled here, which a caller may share across
+    products.
     """
     layer = {0: start}
     for row in rows:
@@ -713,16 +729,20 @@ def _pieri_det(start: dict[Partition, int], rows) -> dict[Partition, int]:
                     if k < 0:
                         continue
                     for mu, a in value.items():
-                        for lam in _horizontal_strips(mu, k):
+                        grown = strips.get((mu, k))
+                        if grown is None:
+                            grown = strips[mu, k] = _horizontal_strips(mu, k)
+                        for lam in grown:
                             out[lam] = out.get(lam, 0) + sign * c * a
         layer = {mask: {lam: c for lam, c in v.items() if c} for mask, v in following.items()}
     return layer.get((1 << len(rows)) - 1, {})
 
 
-def _schur_product(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """s_mu s_nu in the Schur basis: det(h_{nu_i - i + j}) applied to s_mu."""
+def _schur_product(mu: Partition, nu: Partition, strips: dict) -> dict[Partition, int]:
+    """s_mu s_nu in the Schur basis: det(h_{nu_i - i + j}) applied to s_mu (see _pieri_det)."""
     n = len(nu)
-    return _pieri_det({mu: 1}, [[((1, nu[i] - i + j),) for j in range(n)] for i in range(n)])
+    rows = [[((1, nu[i] - i + j),) for j in range(n)] for i in range(n)]
+    return _pieri_det({mu: 1}, rows, strips)
 
 
 def check_lr_oracle(max_size: int) -> VerificationReport:
@@ -740,6 +760,7 @@ def check_lr_oracle(max_size: int) -> VerificationReport:
 
     def failures():
         by_size = [list(partitions_of(k)) for k in range(max_size + 1)]
+        strips: dict = {}  # the call's (mu, k) -> horizontal strips, shared by every product
         for n in range(max_size + 1):
             tables = [(lam, lr.lr_table(lam)) for lam in by_size[n]]
             for k in range(n + 1):
@@ -747,7 +768,7 @@ def check_lr_oracle(max_size: int) -> VerificationReport:
                     for nu in by_size[n - k]:
                         if (size(mu), mu) > (size(nu), nu):
                             continue  # product is symmetric; check both orders below
-                        expansion = _schur_product(mu, nu)
+                        expansion = _schur_product(mu, nu, strips)
                         for lam, coeffs in tables:
                             want = expansion.get(lam, 0)
                             if coeffs.get((mu, nu), 0) != want or coeffs.get((nu, mu), 0) != want:
@@ -829,27 +850,34 @@ def check_lr_properties(max_size: int, stack_max: int = 4) -> list[VerificationR
 
 
 def check_lr_rectangle(max_rect: int) -> list[VerificationReport]:
-    """The rectangle closed forms against the box's lr_table."""
+    """The rectangle closed forms against the box's lr_table.
+
+    The closed form is {(mu, comp mu): 1} (lr._rect_complement), so a pair
+    of box shapes can disagree with the table only at a complement pair or
+    at one of the table's entries; those are compared, and the mismatches
+    yielded in box order of mu, then of nu.  The class sums of every mu come
+    from one lr._rect_sums pass over the table.
+    """
 
     def failures():
         for m in range(1, max_rect + 1):
             for a in range(1, max_rect + 1):
                 box = partitions.box_partitions(m, a)
                 coeffs = lr.lr_table((m,) * a)
-                for mu in box:
-                    for nu in box:
-                        if lr._rect_coeff(m, a, mu, nu) != coeffs.get((mu, nu), 0):
-                            yield "lr.rectangle", {
-                                "m": m,
-                                "a": a,
-                                "mu": list(mu),
-                                "nu": list(nu),
-                            }
+                index = {mu: i for i, mu in enumerate(box)}
+                # each shape's index and its complement's, None outside the box
+                complement = [index.get(lr._rect_complement(m, a, mu)) for mu in box]
+                pairs = {(index[mu], index[nu]) for mu, nu in coeffs if mu in index and nu in index}
+                pairs.update((i, j) for i, j in enumerate(complement) if j is not None)
+                for i, j in sorted(pairs):
+                    mu, nu = box[i], box[j]
+                    if int(complement[i] == j) != coeffs.get((mu, nu), 0):
+                        yield "lr.rectangle", {"m": m, "a": a, "mu": list(mu), "nu": list(nu)}
+                sums = lr._rect_sums(m, a)
                 for mu in box:
                     for variant in PartitionClass:
-                        got = lr.lr_rect_sum(m, a, mu, variant)
                         want = 1 if lr.rect_sum_membership(m, a, mu, variant) else 0
-                        if got != want:
+                        if sums.get((mu, variant), 0) != want:
                             yield "lr.rect-sum", {
                                 "m": m,
                                 "a": a,

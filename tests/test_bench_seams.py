@@ -304,7 +304,7 @@ def test_the_cauchy_sweep_reads_one_t_side_per_nT(monkeypatch):
 @pytest.mark.parametrize(
     "attr, check",
     [
-        ("bracket_schur_altform", lambda: verify.check_schur_invariants(5)),
+        ("divide_linear", lambda: verify.check_schur_invariants(5)),
         ("super_schur", lambda: verify.check_fold_double_form(3)),
         ("bracket_schur", lambda: [verify.check_schur_stability(5, 0)]),
     ],
@@ -312,8 +312,10 @@ def test_the_cauchy_sweep_reads_one_t_side_per_nT(monkeypatch):
 def test_the_free_proofs_leave_the_per_shape_characters_unbuilt(monkeypatch, attr, check):
     # A healthy check proves its determinant identities over free h and
     # guards each alphabet pair's series, so it builds none of the per-shape
-    # characters it once compared: the alternate forms (114 at the default
-    # config), the double-form rectangles (54) and the stability brackets (72).
+    # characters it once compared: the double-form rectangles (54 at the
+    # default config) and the stability brackets (72).  Bialternant agreement
+    # multiplies each Jacobi-Trudi character by the Vandermonde, so the
+    # invariants divide nothing (the quotients took 168 divide_linear calls).
     superchar.clear_caches()
     calls = counter(monkeypatch, schur, attr)
     try:
@@ -330,14 +332,15 @@ def test_the_invariants_share_their_determinant_batches_and_series_guards(monkey
     # batch once across the table's rows: 8 batches of 18 determinants at
     # max_lambda 5, where one per comparison side would be 10 (352
     # schur.det calls).  The two dualities share one series guard, where one
-    # guard per row reads 264 schur.h_list.
+    # guard per row reads 264 schur.h_list, and each altform pair, guarded
+    # against itself, is read once, where reading it as both sides made 228.
     superchar.clear_caches()
     dets = counter(monkeypatch, schur, "det")
     h_lists = counter(monkeypatch, schur, "h_list")
     try:
         reports = verify.check_schur_invariants(5)
         assert reports and all(r.passed for r in reports)
-        assert len(dets) <= 316 and len(h_lists) <= 228
+        assert len(dets) <= 316 and len(h_lists) <= 210
     finally:
         monkeypatch.undo()
         superchar.clear_caches()

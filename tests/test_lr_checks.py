@@ -14,8 +14,14 @@ give the same reports: ids, params, pass and first-failure witnesses.
 check_lr_oracle now forms each product in the Schur basis by Pieri's rule;
 ref_check_lr_oracle is its form through schur_expand of explicit products,
 and the Pieri products are compared with those products one by one below.
+
+check_lr_rectangle now compares the closed form, a map from each shape to
+its rotated complement, with the box table's entries alone, and takes the
+class sums from one pass over the table; ref_check_lr_rectangle_pairs is its
+all-pairs form, which asked lr._rect_coeff at every pair of box shapes.
 """
 
+import json
 from functools import cache
 from types import MappingProxyType
 
@@ -145,6 +151,41 @@ def ref_check_lr_rectangle(max_rect: int) -> list[VerificationReport]:
                 for mu in box:
                     for nu in box:
                         if lr.lr_rectangle(m, a, mu, nu) != lr.lr_coeff(box_shape, mu, nu):
+                            yield "lr.rectangle", {
+                                "m": m,
+                                "a": a,
+                                "mu": list(mu),
+                                "nu": list(nu),
+                            }
+                for mu in box:
+                    for variant in PartitionClass:
+                        got = lr.lr_rect_sum(m, a, mu, variant)
+                        want = 1 if lr.rect_sum_membership(m, a, mu, variant) else 0
+                        if got != want:
+                            yield "lr.rect-sum", {
+                                "m": m,
+                                "a": a,
+                                "mu": list(mu),
+                                "variant": variant.value,
+                            }
+
+    return _first_failures(
+        [("lr.rectangle", {"max": max_rect}), ("lr.rect-sum", {"max": max_rect})],
+        failures(),
+    )
+
+
+def ref_check_lr_rectangle_pairs(max_rect: int) -> list[VerificationReport]:
+    """check_lr_rectangle's earlier form: lr._rect_coeff at every (mu, nu) of each box."""
+
+    def failures():
+        for m in range(1, max_rect + 1):
+            for a in range(1, max_rect + 1):
+                box = partitions.box_partitions(m, a)
+                coeffs = lr.lr_table((m,) * a)
+                for mu in box:
+                    for nu in box:
+                        if lr._rect_coeff(m, a, mu, nu) != coeffs.get((mu, nu), 0):
                             yield "lr.rectangle", {
                                 "m": m,
                                 "a": a,
@@ -433,7 +474,7 @@ def test_the_pieri_products_match_schur_expand_of_the_explicit_products():
                 for nu in partitions_of(n - k):
                     product = schur_in_table(mu, table) * schur_in_table(nu, table)
                     want = schur.schur_expand(product, len(table))
-                    assert verify._schur_product(mu, nu) == want, (mu, nu)
+                    assert verify._schur_product(mu, nu, {}) == want, (mu, nu)
                     checked += 1
     assert checked == 139
 
@@ -454,21 +495,73 @@ def test_a_raised_lr_coefficient_turns_the_pieri_oracle_red(monkeypatch):
     assert report.witness == {"lam": [3, 2, 1], "mu": [2, 1], "nu": [2, 1], "expected": 2}
 
 
+def rect_both_forms(monkeypatch):
+    """check_lr_rectangle(4) and its all-pairs form (class sums by ref_lr_rect_sum), as JSON."""
+    new = verify.suite_to_json(verify.check_lr_rectangle(4))
+    with monkeypatch.context() as m:
+        m.setattr(lr, "lr_rect_sum", ref_lr_rect_sum)
+        old = verify.suite_to_json(ref_check_lr_rectangle_pairs(4))
+    return new, old
+
+
+def test_the_rectangle_check_matches_its_all_pairs_form_on_a_faulty_box_table(
+    monkeypatch, shared_table
+):
+    # Each table fault on four boxes; the check reads only the table's
+    # entries and the complement pairs, the reference every pair of the box.
+    failed = set()
+    for name, fault in FAULTS.items():
+        for target in [(2, 2), (3, 3), (2, 2, 2), (4, 4, 4)]:
+            shared_table(fault, target)
+            new, old = rect_both_forms(monkeypatch)
+            assert new == old, (name, target)
+            failed |= {r["id"] for r in map(json.loads, new.splitlines()) if not r["pass"]}
+            monkeypatch.undo()
+    assert failed == {"lr.rectangle", "lr.rect-sum"}
+
+
+def _complement_fault(result):
+    # (2, 1)'s complement in the 2 x 3 box, (2, 1) itself, replaced by result.
+    real = lr._rect_complement
+    return lambda m, a, mu: result if (m, a, mu) == (3, 2, (2, 1)) else real(m, a, mu)
+
+
+@pytest.mark.parametrize(
+    "complement, witness",
+    [
+        (lr._rect_complement, None),  # healthy
+        # a box shape before (2, 1) in graded order: two mismatches, (3,) first
+        (_complement_fault((3,)), {"m": 3, "a": 2, "mu": [2, 1], "nu": [3]}),
+        # no complement, as when 1 -> 0 at the pair ((2, 1), (2, 1))
+        (_complement_fault(None), {"m": 3, "a": 2, "mu": [2, 1], "nu": [2, 1]}),
+        # every shape its own complement: mismatches in every box, first at ((), ())
+        (lambda m, a, mu: mu, {"m": 1, "a": 1, "mu": [], "nu": []}),
+    ],
+    ids=["healthy", "earlier-shape", "none", "itself"],
+)
+def test_the_rectangle_check_matches_its_all_pairs_form_under_a_wrong_complement(
+    monkeypatch, complement, witness
+):
+    monkeypatch.setattr(lr, "_rect_complement", complement)
+    new, old = rect_both_forms(monkeypatch)
+    assert new == old
+    rectangle, rect_sum = verify.check_lr_rectangle(4)
+    assert rectangle.witness == witness and rect_sum.passed
+
+
 def test_a_flipped_rectangle_coefficient_turns_the_rectangle_check_red(monkeypatch):
-    # check_lr_rectangle reads the unchecked lr._rect_coeff on box_partitions'
-    # shapes; one flipped pair must be the lr.rectangle report's first witness.
-    real = lr._rect_coeff
-    flipped = (3, 2, (2, 1), (2, 1))  # m, a, mu, nu: a complementary pair, so 1 -> 0
-    assert real(*flipped) == lr.lr_rectangle(*flipped) == 1
-
-    def rect_coeff(m, a, mu, nu):
-        value = real(m, a, mu, nu)
-        return 1 - value if (m, a, mu, nu) == flipped else value
-
-    monkeypatch.setattr(lr, "_rect_coeff", rect_coeff)
+    # check_lr_rectangle reads the unchecked lr._rect_complement on
+    # box_partitions' shapes; (2, 1) left without its complement flips the
+    # complementary pair ((2, 1), (2, 1)) from 1 to 0, and that pair must be
+    # the lr.rectangle report's first witness, as in the all-pairs form.
+    flipped = (3, 2, (2, 1), (2, 1))  # m, a, mu, nu
+    assert lr._rect_coeff(*flipped) == lr.lr_rectangle(*flipped) == 1
+    monkeypatch.setattr(lr, "_rect_complement", _complement_fault(None))
+    assert lr._rect_coeff(*flipped) == 0
     rectangle, rect_sum = verify.check_lr_rectangle(4)
     assert (rectangle.check_id, rectangle.passed) == ("lr.rectangle", False)
     assert rectangle.witness == {"m": 3, "a": 2, "mu": [2, 1], "nu": [2, 1]}
+    assert rectangle.witness == ref_check_lr_rectangle_pairs(4)[0].witness
     assert rect_sum.passed
 
 

@@ -52,7 +52,7 @@ def bracket(tag, lam):
     """bracket_lam over pure h in the Schur basis; an ANGLE one is halved exactly."""
     n = len(lam)
     rows = [[ENTRIES[tag](lam[i] - i - 1, j) for j in range(1, n + 1)] for i in range(n)]
-    value = _pieri_det({(): 1}, rows)
+    value = _pieri_det({(): 1}, rows, {})
     if tag is not BracketType.ANGLE or not lam:
         return value
     assert not any(c % 2 for c in value.values()), lam

@@ -564,6 +564,58 @@ def test_a_false_table_row_turns_exactly_its_sub_check_red(monkeypatch, check_id
     assert [r.check_id for r in routes[0] if not r.passed] == [check_id]
 
 
+def ref_bialternant_failures(lams):
+    """schur.bialternant-agreement's earlier loop: each alternant divided by the Vandermonde."""
+    for n in (1, 2, 3, 4):
+        table = schur.t_table(n)
+        T = Alphabet.formal(table)
+        none = Alphabet.empty(table)
+        for lam in lams:
+            if len(lam) > n:
+                continue
+            if schur.super_schur(lam, T, none) != schur.bialternant_schur(lam, n):
+                yield "schur.bialternant-agreement", {"lam": list(lam), "n": n}
+
+
+def at_one_shape(name, change):
+    # schur.<name> changed by change(value) at lam = (2, 1) over t1, t2, t3 only.
+    real = getattr(schur, name)
+
+    def corrupted(*args):
+        value = real(*args)
+        return change(value) if (2, 1) in args and value.table == schur.t_table(3) else value
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        None,
+        ("super_schur", lambda value: value + 1),
+        # twice the alternant is still divisible by the Vandermonde
+        ("_alternant", lambda value: 2 * value),
+    ],
+    ids=["healthy", "super_schur+1", "alternant*2"],
+)
+def test_bialternant_agreement_by_multiplication_matches_the_division_route(monkeypatch, fault):
+    outcomes = []
+    for loop in (verify._bialternant_failures, ref_bialternant_failures):
+        superchar.clear_caches()
+        with monkeypatch.context() as m:
+            if fault is not None:
+                m.setattr(schur, fault[0], at_one_shape(*fault))
+            m.setitem(verify._INVARIANT_LOOPS, "schur.bialternant-agreement", loop)
+            outcomes.append(check_schur_invariants(5))
+    superchar.clear_caches()
+    assert suite_to_json(outcomes[0]) == suite_to_json(outcomes[1])
+    red = [(r.check_id, r.witness) for r in outcomes[0] if not r.passed]
+    if fault is None:
+        assert red == []
+    else:
+        assert red == [("schur.bialternant-agreement", {"lam": [2, 1], "n": 3})]
+
+
 def test_failing_poly_comparison_witnesses_the_difference():
     table = VarTable(("x1", "y1"))
     x, y = (LaurentPoly.variable(table, name) for name in table.names)
@@ -919,6 +971,9 @@ def test_clear_caches_empties_every_polynomial_cache():
     assert schur.bracket_schur(square, (2, 1), X, Y) == schur.bracket_schur_altform(
         square, (2, 1), X, Y
     )
+    # Bialternant agreement multiplies by the Vandermonde, so one query fills
+    # the quotient memo.
+    assert schur.bialternant_schur((1,), 2).eval_all_ones() == 2
     # Every memo cache is now filled, so the emptiness below is not vacuous.
     assert {name for name in memos if caches[name].cache_info().currsize} == memos
     superchar.clear_caches()
