@@ -234,7 +234,8 @@ def _rhs_weighted(case: FoldingCase, branch: DecompBranch, a: int, m: int):
 
 def _rhs_side(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
     """fold_theorem's right side: the branch's brackets over its rectangle subset."""
-    return (_branch_x_consts(branch), (), branch.bracket, _rhs_weighted(case, branch, a, m))
+    weighted = _rhs_weighted(case, branch, a, m)
+    return (_branch_x_consts(branch), (), list, branch.bracket.value, weighted)
 
 
 def decomposition_rhs(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> LaurentPoly:
@@ -370,24 +371,25 @@ def general_dc_check(
 # Theorems, over free h_1..h_D or at a base pair
 # ---------------------------------------------------------------------------
 #
-# Both sides of a fold or dc identity are Jacobi-Trudi determinants in the
-# h_k of one base pair (X|Y), with constants adjoined to X or Y.  A theorem
-# is the pair of sides, each (x_consts, y_consts, bracket, weighted): the sum
-# of w * bracket_lam over the (lam, w) of weighted, over the base pair with
-# x_consts adjoined to X and y_consts to Y.  theorem_sides adds both sides
-# up from their determinants: over the free h_k, each taken once per batch
-# of theorems (_free_batch), or over h_list at a base pair (pair_sides).
-# Sending each free h_k to h_k(X|Y) is a ring map (Macdonald, Symmetric
-# Functions, I.2), so a theorem whose sides are equal over free h_1..h_D
-# holds for every base pair.  The converse fails: a theorem that is not
-# proved free says nothing about a given pair.
+# Both sides of a fold or dc identity, and of each Schur invariant
+# comparison, are Jacobi-Trudi determinants in the h_k of one series.  A
+# theorem is the pair of sides, each (x_consts, y_consts, mapping, rule,
+# weighted): the sum of w * det_lam over the (lam, w) of weighted, each by
+# schur's _<rule>_entry (a bracket's rule is its BracketType value) over the
+# series with x_consts adjoined to X and y_consts to Y, then mapped by
+# mapping (list, or verify's _signed or _reciprocal).  Sending each free h_k
+# to the h_k of a series with h_0 = 1 is a ring map (Macdonald, Symmetric
+# Functions, I.2), and in_x is an injective one, so a theorem whose sides
+# are equal over free h_1..h_D holds at every pair whose series is the
+# map's image.  The converse fails: a theorem that is not proved free says
+# nothing about a given pair.
 
 
 def fold_theorem(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
     """verify_decomposition's identity as a theorem; it does not depend on r or s."""
     row = _CASES[case.tag]
     return (
-        (row.x_consts, row.y_consts, BracketType.PLAIN, [(_rectangle(case, a, m), 1)]),
+        (row.x_consts, row.y_consts, list, "plain", [(_rectangle(case, a, m), 1)]),
         _rhs_side(case, branch, a, m),
     )
 
@@ -396,22 +398,22 @@ def dc_theorem(relation: str, lam, xi: int = 1) -> tuple:
     """general_dc_check's identity as a theorem; it does not depend on X or Y."""
     lam, (xp, yp, weight, bracket, xs, ys) = _dc_row(relation, lam, xi)
     return (
-        (xp, yp, BracketType.PLAIN, [(lam, 1)]),
-        (xs, ys, bracket, list(_dc_coeffs(lam, weight).items())),
+        (xp, yp, list, "plain", [(lam, 1)]),
+        (xs, ys, list, bracket.value, list(_dc_coeffs(lam, weight).items())),
     )
 
 
 def theorem_sides(theorem, dets) -> list[LaurentPoly]:
-    """Both sides of the theorem, each a sum of w * bracket_lam added into one Accumulator.
+    """Both sides of the theorem, each a sum of w * det_lam added into one Accumulator.
 
-    dets(x_consts, y_consts, bracket, shapes) is the side's bracket
-    determinant of each shape, all over one table.  An empty sum asks for
-    the empty shape at weight 0, so it is 0 over that table.
+    dets(key, shapes) is the determinant of each shape under the side's key
+    (x_consts, y_consts, mapping, rule), all over one table.  An empty sum
+    asks for the empty shape at weight 0, so it is 0 over that table.
     """
     out = []
-    for x_consts, y_consts, bracket, weighted in theorem:
+    for *key, weighted in theorem:
         terms = [(lam, w) for lam, w in weighted if w] or [((), 0)]
-        values = dets(x_consts, y_consts, bracket, [lam for lam, _ in terms])
+        values = dets(tuple(key), [lam for lam, _ in terms])
         acc = Accumulator(values[0].table)
         for value, (_, w) in zip(values, terms):
             acc.add(value, w)
@@ -423,12 +425,14 @@ def pair_sides(theorem, X: Alphabet, Y: Alphabet) -> list[LaurentPoly]:
     """Both sides of the theorem at the base pair (X|Y), over h_list's table.
 
     Each side's determinants are one _table_dets call over one schur.h_list
-    call on the pair with that side's constants adjoined.
+    call on the pair with that side's constants adjoined; the pair's series
+    is taken to be the image of the side's mapping.
     """
 
-    def dets(x_consts, y_consts, bracket, shapes):
+    def dets(key, shapes):
+        x_consts, y_consts, _, rule = key
         hs = schur.h_list(_with_consts(X, x_consts), _with_consts(Y, y_consts), _degree(shapes))
-        return schur._table_dets(shapes, hs, schur._BRACKETS[bracket])
+        return schur._table_dets(shapes, hs, schur._entry_rule(rule))
 
     return theorem_sides(theorem, dets)
 
@@ -449,26 +453,26 @@ def _theorem_report(
 def _free_batch(theorems: list):
     """Each theorem's two sides over free h_1..h_D.
 
-    D is the largest degree any side of the batch reads.  Each (x_consts,
-    y_consts) has one series, h_0 = 1 plus the free h_k with the constants
-    applied by _const_factors as h_list applies an alphabet's, and each
-    (constants, bracket, shape) one determinant: a side's missing shapes
-    come from one _table_dets call.
+    D is the largest degree any side of the batch reads.  Each side key
+    (x_consts, y_consts, mapping, rule) has its shapes gathered from the
+    whole batch and taken by one _table_dets call, over its series: h_0 = 1
+    plus the free h_k, the constants applied by _const_factors as h_list
+    applies an alphabet's, then mapped.
     """
-    D = _degree(lam for theorem in theorems for side in theorem for lam, _ in side[3])
+    sides = [side for theorem in theorems for side in theorem]
+    D = _degree(lam for *_, weighted in sides for lam, _ in weighted)
     free = schur._free_series(D)
-    series: dict[tuple, list[LaurentPoly]] = {}
-    values: dict[tuple, LaurentPoly] = {}
+    batches: dict[tuple, dict] = {}  # side key -> {shape: its determinant}
+    for *key, weighted in sides:
+        # The empty shape, which an empty sum reads, takes no determinant.
+        batches.setdefault(tuple(key), {(): None}).update((lam, None) for lam, w in weighted if w)
+    for (x_consts, y_consts, mapping, rule), batch in batches.items():
+        hs = mapping(graded_parts(free, _const_factors(x_consts, y_consts), D))
+        lams = list(batch)
+        batch.update(zip(lams, schur._table_dets(lams, hs, schur._entry_rule(rule))))
 
-    def dets(x_consts, y_consts, bracket, shapes):
-        consts = (x_consts, y_consts)
-        if consts not in series:
-            series[consts] = graded_parts(free, _const_factors(x_consts, y_consts), D)
-        missing = [lam for lam in dict.fromkeys(shapes) if (consts, bracket, lam) not in values]
-        if missing:
-            got = schur._table_dets(missing, series[consts], schur._BRACKETS[bracket])
-            values.update(((consts, bracket, lam), value) for lam, value in zip(missing, got))
-        return [values[consts, bracket, lam] for lam in shapes]
+    def dets(key, lams):
+        return [batches[key][lam] for lam in lams]
 
     return [theorem_sides(theorem, dets) for theorem in theorems]
 

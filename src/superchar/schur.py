@@ -541,12 +541,9 @@ def _altform_square_entry(base: int, j: int) -> tuple:
     return tuple(pair for c, k in _angle_entry(base, j) for pair in ((c, k), (-c, k - 2)))
 
 
-# Each bracket's entry rule.
-_BRACKETS = {
-    BracketType.PLAIN: _plain_entry,
-    BracketType.SQUARE: _square_entry,
-    BracketType.ANGLE: _angle_entry,
-}
+def _entry_rule(rule: str):
+    """_<rule>_entry, looked up at each call so that a patched rule reaches every route."""
+    return globals()[f"_{rule}_entry"]
 
 
 def _require_tag(tag) -> None:
@@ -580,7 +577,7 @@ def bracket_schur(tag: BracketType, lam: Partition, X: Alphabet, Y: Alphabet) ->
     """
     if tag is BracketType.PLAIN:
         return super_schur(lam, X, Y)
-    return _jacobi_trudi([lam], X, Y, _BRACKETS[tag])[0]
+    return _jacobi_trudi([lam], X, Y, _entry_rule(tag.value))[0]
 
 
 @checked_memo(_bracket_args)
@@ -612,7 +609,7 @@ def bracket_batch(tag: BracketType, shapes, X: Alphabet, Y: Alphabet) -> list[La
     the per-shape memos of super_schur and bracket_schur.
     """
     _require_tag(tag)
-    return _jacobi_trudi([as_partition(lam) for lam in shapes], X, Y, _BRACKETS[tag])
+    return _jacobi_trudi([as_partition(lam) for lam in shapes], X, Y, _entry_rule(tag.value))
 
 
 # ---------------------------------------------------------------------------

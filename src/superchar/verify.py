@@ -155,7 +155,7 @@ def _cauchy_free_proof(kind: str, nT: int, degmax: int, t_side) -> bool:
     dual = kind == "cauchy_angle_dual"
     if dual:
         shapes = [conjugate(lam) for lam in shapes]
-    chars = schur._table_dets(shapes, hs, schur._BRACKETS[_CAUCHY_BRACKETS[kind]])
+    chars = schur._table_dets(shapes, hs, schur._entry_rule(_CAUCHY_BRACKETS[kind].value))
     lhs = _cauchy_lhs(table, chars, [widen(s_t, table) for s_t in s_ts])
     # H(t) is the factor of u_k = -h_k t^k, and 1/H(-t) divides by the one of
     # u_k = -h_k (-t)^k; at degmax 0 either is 1.
@@ -399,14 +399,10 @@ def _random_alphabet(rng: random.Random, table: VarTable, count: int) -> Alphabe
     return Alphabet(table, tuple(elems))
 
 
-# Comparisons of two Jacobi-Trudi determinants whose series are related by a
-# fixed map: equal, h_k -> (-1)^k h_k, or the reciprocal 1/H.  Each identity
-# is proved over free h_1..h_D (schur._free_series), and each alphabet pair's
-# h_list series is guarded against the other pair's under the map; those of
-# check_schur_invariants are stated once, as the rows of _invariant_table.
-# Sending each free h_k to the h_k of a series with h_0 = 1 is a ring map
-# (Macdonald, Symmetric Functions, I.2), and in_x is an injective ring map, so
-# a proved identity holds at every guarded pair.
+# An identity proved over free h under a series map (folding's theorems)
+# holds at each alphabet pair whose h_list series is guarded as the map's
+# image of the other pair's.  The maps are equality, h_k -> (-1)^k h_k, and
+# the reciprocal 1/H.
 
 
 def _signed(hs: list[LaurentPoly]) -> list[LaurentPoly]:
@@ -523,12 +519,11 @@ def _invariant_table() -> dict[str, tuple]:
 
     A comparison (fields, scale, left, conj, signed, right) asserts at each
     nonempty lam (every rule gives 1 at the empty shape) that scale *
-    left(lam' if conj else lam) = (-1)^(|lam| signed) * right(lam); left and
-    right name schur's _<name>_entry rules, looked up at each comparison so
-    that a patched rule reaches every route.  A pair (fields, (X, Y), (X',
-    Y')) takes left over (X|Y) and right over (X'|Y'), and the series of
-    (X|Y) is the map of that of (X'|Y').  A witness is lam, then the
-    comparison's fields, then the pair's.
+    left(lam' if conj else lam) = (-1)^(|lam| signed) * right(lam), left and
+    right naming entry rules as a folding theorem's sides do.  A pair
+    (fields, (X, Y), (X', Y')) takes left over (X|Y) and right over (X'|Y'),
+    and the series of (X|Y) is the map of that of (X'|Y').  A witness is
+    lam, then the comparison's fields, then the pair's.
     """
     formal = []
     for nx in (1, 2, 3):
@@ -559,30 +554,32 @@ def _invariant_table() -> dict[str, tuple]:
     }
 
 
-def _holds(comparison: tuple, lam: Partition, left, right) -> bool:
-    """Whether comparison holds at lam; left and right map (entry rule, shape) to a value."""
-    _, scale, rule_l, conj, signed, rule_r = comparison
-    rule_l, rule_r = (getattr(schur, f"_{name}_entry") for name in (rule_l, rule_r))
-    lhs = left(rule_l, conjugate(lam) if conj else lam)
-    return scale * lhs == (-1) ** (signed * size(lam)) * right(rule_r, lam)
-
-
-def _at(pair: tuple):
-    """(rule, lam) -> lam's determinant over the pair, from the h_list at lam's own degree.
-
-    Each shape reads the list its per-shape character reads, so _guarded's
-    per-degree check covers what the loop reads.
-    """
-    return lambda rule, lam: schur._jacobi_trudi([lam], *pair, rule)[0]
+def _comparison_theorem(mapping, comparison: tuple, lam: Partition) -> tuple:
+    """The comparison at lam as a folding theorem: its left side over the mapped series."""
+    _, scale, left, conj, signed, right = comparison
+    return (
+        ((), (), mapping, left, [(conjugate(lam) if conj else lam, scale)]),
+        ((), (), list, right, [(lam, (-1) ** (signed * size(lam)))]),
+    )
 
 
 def _table_failures(check_id: str, lams):
-    """A table row's per-shape loop: each comparison at each pair, one shape at a time."""
-    _, comparisons, pairs = _invariant_table()[check_id]
+    """A table row's per-shape loop: each comparison's theorem at each pair, one shape at a time.
+
+    The left side is taken by folding.pair_sides at the pair's left
+    alphabets and the right at its right ones, each from the h_list at the
+    shape's degree (which _guarded covers), and the two compared in x.
+    """
+    mapping, comparisons, pairs = _invariant_table()[check_id]
     for fields, left, right in pairs:
         for lam in lams:
             for comparison in comparisons if lam else ():
-                if not _holds(comparison, lam, _at(left), _at(right)):
+                theorem = _comparison_theorem(mapping, comparison, lam)
+                lhs, rhs = (
+                    schur.in_x(folding.pair_sides([side], *pair)[0], pair[0].table)
+                    for side, pair in zip(theorem, (left, right))
+                )
+                if lhs != rhs:
                     yield check_id, {"lam": list(lam), **comparison[0], **fields}
 
 
@@ -625,30 +622,29 @@ _INVARIANT_LOOPS = {
 def _invariant_decided(table: dict, lams) -> set[str]:
     """The check_ids of the table's rows proved over free h and guarded at each pair.
 
-    Proved: each comparison holds at each nonempty lam of lams (closed under
-    conjugation), left over map(h) and right over free h_1..h_D; each (map,
-    rule) batch is one schur._table_dets call, shared by every row.
-    Guarded: _guarded holds at each pair; each (map, pairs) is guarded once.
+    Proved: each comparison's theorem at each nonempty lam of lams, every
+    row's in one folding.proved_free_all batch.  Guarded: _guarded holds at
+    each pair of a proved row; each (map, pairs) is guarded once.
     """
-    hs = schur._free_series(schur._degree(lams))
     degrees = _degrees(lams)
-
-    @cache
-    def dets(mapping, rule):
-        return dict(zip(lams, schur._table_dets(lams, mapping(hs), rule)))
+    keyed = [
+        (check_id, _comparison_theorem(mapping, comparison, lam))
+        for check_id, (mapping, comparisons, _) in table.items()
+        for comparison in comparisons
+        for lam in lams
+        if lam
+    ]
+    proved = folding.proved_free_all(theorem for _, theorem in keyed)
+    unproved = {check_id for (check_id, _), holds in zip(keyed, proved) if not holds}
 
     @cache
     def guarded(mapping, pairs) -> bool:
         return all(_guarded(left, right, degrees, mapping) for left, right in pairs)
 
-    def proved(mapping, comparisons) -> bool:
-        left, right = (lambda rule, lam, m=m: dets(m, rule)[lam] for m in (mapping, list))
-        return all(_holds(c, lam, left, right) for c in comparisons for lam in lams if lam)
-
     return {
         check_id
-        for check_id, (mapping, comparisons, pairs) in table.items()
-        if proved(mapping, comparisons)
+        for check_id, (mapping, _, pairs) in table.items()
+        if check_id not in unproved
         and guarded(mapping, tuple((left, right) for _, left, right in pairs))
     }
 

@@ -327,13 +327,32 @@ def test_the_free_proofs_leave_the_per_shape_characters_unbuilt(monkeypatch, att
         superchar.clear_caches()
 
 
+def test_the_sweeps_take_each_side_key_batch_once(monkeypatch):
+    # The dc and fold sweeps each prove their theorems as one batch, which
+    # gathers every side's shapes by side key (constants, series map, entry
+    # rule) and takes each key's determinants by one schur._table_dets call:
+    # 13 keys for the dc sweep and 11 for the fold sweep.  Taking each side's
+    # missing shapes as it came made 352 _table_dets calls.
+    superchar.clear_caches()
+    dets = counter(monkeypatch, schur, "det")
+    batches = counter(monkeypatch, schur, "_table_dets")
+    try:
+        reports = verify.check_dc_sweep(5, 3, 2) + verify.check_fold_sweep(3)
+        assert reports and all(r.passed for r in reports)
+        assert len(dets) <= 366 and len(batches) <= 24
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+
+
 def test_the_invariants_share_their_determinant_batches_and_series_guards(monkeypatch):
-    # check_schur_invariants' free proofs take each (series map, entry rule)
-    # batch once across the table's rows: 8 batches of 18 determinants at
-    # max_lambda 5, where one per comparison side would be 10 (352
-    # schur.det calls).  The two dualities share one series guard, where one
-    # guard per row reads 264 schur.h_list, and each altform pair, guarded
-    # against itself, is read once, where reading it as both sides made 228.
+    # check_schur_invariants proves the table's comparisons as one batch of
+    # theorems, which takes each (series map, entry rule) key once across
+    # the rows: 8 batches of 18 determinants at max_lambda 5, where one per
+    # comparison side would be 10 (352 schur.det calls).  The two dualities
+    # share one series guard, where one guard per row reads 264
+    # schur.h_list, and each altform pair, guarded against itself, is read
+    # once, where reading it as both sides made 228.
     superchar.clear_caches()
     dets = counter(monkeypatch, schur, "det")
     h_lists = counter(monkeypatch, schur, "h_list")

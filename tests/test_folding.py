@@ -372,7 +372,8 @@ def weighted_sum(lam, weight, bracket, X, Y):
 
     One side of weights and no constants, through pair_sides.
     """
-    (side,) = pair_sides([((), (), bracket, list(folding._dc_coeffs(lam, weight).items()))], X, Y)
+    weighted = list(folding._dc_coeffs(lam, weight).items())
+    (side,) = pair_sides([((), (), list, bracket.value, weighted)], X, Y)
     return in_x(side, X.table)
 
 
@@ -611,7 +612,7 @@ def explicit_report(case, branch, a, m):
     """The report with both table sides turned into x by in_x, whatever they are."""
     report = verify_decomposition(case, branch, a, m)
     X, Y = fold_alphabets(case)
-    (lhs,) = pair_sides([((), (), BracketType.PLAIN, [((m,) * a, 1)])], X, Y)
+    (lhs,) = pair_sides([((), (), list, "plain", [((m,) * a, 1)])], X, Y)
     lhs = in_x(lhs, X.table)
     rhs = decomposition_rhs(case, branch, a, m)
     return poly_comparison(report.check_id, report.params, lhs, rhs).to_json()
@@ -894,7 +895,7 @@ def test_pair_sides_match_the_per_shape_x_references():
 
     def check(theorem, X, Y, want, label):
         got = pair_sides(theorem, X, Y)
-        for (x_consts, y_consts, _, _), side, value in zip(theorem, got, want, strict=True):
+        for (x_consts, y_consts, *_), side, value in zip(theorem, got, want, strict=True):
             series = schur.h_list(with_consts(X, x_consts), with_consts(Y, y_consts), 0)
             assert side.table == series[0].table, label
             assert in_x(side, X.table) == value, label
@@ -1089,6 +1090,22 @@ def mutated_theorems(monkeypatch):
     return out
 
 
+def invariant_theorems():
+    """Each verify._invariant_table row's theorems at |lam| <= 5, then one false one per row.
+
+    The false one is the row's first comparison at (2, 1) with its right
+    side negated.
+    """
+    true, false = [], []
+    for mapping, comparisons, _ in verify._invariant_table().values():
+        for comparison in comparisons:
+            for lam in partitions_upto(5)[1:]:
+                true.append(verify._comparison_theorem(mapping, comparison, lam))
+        lhs, (*key, [(lam, w)]) = verify._comparison_theorem(mapping, comparisons[0], (2, 1))
+        false.append((lhs, (*key, [(lam, -w)])))
+    return true + false
+
+
 def two_row_det_fault(monkeypatch):
     """det one too large on every 2 x 2 matrix."""
     real = schur.det
@@ -1099,14 +1116,20 @@ def two_row_det_fault(monkeypatch):
 def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fault):
     """proved_free_all against proved_free, theorem by theorem, in three orders.
 
-    The theorems are the default sweeps' and their mutants.  An unproved
-    theorem put first must not change any later verdict, nor may a faulty
-    two-row determinant that the batch stores once for many theorems.
+    The theorems are the default sweeps' and their mutants, with the Schur
+    invariant table's mixed in among them, sharing side keys (constants,
+    mapping, rule) with the dc theorems.  An unproved theorem put first
+    must not change any later verdict, nor may a faulty two-row determinant
+    that the batch stores once for many theorems.
     """
     theorems = [dc_theorem(*theorem) for theorem in dc_theorems(5)]
     theorems += [fold_theorem(*request) for request in fold_theorems(3, 3).values()]
     theorems += mutated_theorems(monkeypatch)
-    assert len(theorems) == 987
+    invariant = invariant_theorems()
+    assert len(theorems) == 987 and len(invariant) == 5 * 18 + 4
+    fold_dc, table = ({side[:4] for t in family for side in t} for family in (theorems, invariant))
+    assert {((), (), list, rule) for rule in ("plain", "square", "angle")} <= fold_dc & table
+    theorems[400:400] = invariant
     if fault:
         fault(monkeypatch)
     alone = [proved_free(theorem) for theorem in theorems]
@@ -1114,7 +1137,8 @@ def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fau
     assert proved_free_all(theorems[::-1]) == alone[::-1]
     first = theorems[alone.index(False)]
     assert proved_free_all([first] + theorems) == [False] + alone
-    assert alone.count(False) == (694 if fault else 551)
+    # the invariant table adds its 4 false theorems, and 31 under the fault
+    assert alone.count(False) == (694 + 31 if fault else 551 + 4)
 
 
 @pytest.mark.parametrize("shift", [1, 2])

@@ -248,7 +248,7 @@ def test_characters_validate_before_the_memo(lam):
 
 def x_sum(tag, weighted, X, Y):
     """sum w * bracket_lam(X|Y) over the (lam, w) of weighted, as one pair_sides side, in x."""
-    (side,) = pair_sides([((), (), tag, weighted)], X, Y)
+    (side,) = pair_sides([((), (), list, tag.value, weighted)], X, Y)
     return in_x(side, X.table)
 
 
@@ -906,7 +906,7 @@ def test_x_characters_convert_each_h_once_per_alphabet_pair():
 
     def plain(lam):
         hs = h_list(X, Y, schur._degree([lam]))
-        return in_x(schur._table_dets([lam], hs, schur._BRACKETS[BracketType.PLAIN])[0], TABLE_3)
+        return in_x(schur._table_dets([lam], hs, schur._entry_rule("plain"))[0], TABLE_3)
 
     assert values == [plain(lam) for lam in ((1,), (2, 1), (3,), (1, 1, 1))]
     clear_caches()
@@ -1156,12 +1156,13 @@ def test_table_sum_adds_into_one_dict_like_the_add_chain():
             clear_caches()
             hs = h_list(X, Y, schur._degree(lam for lam, _ in weighted))
 
-            def dets(x_consts, y_consts, bracket, shapes):
-                return schur._table_dets(shapes, hs, schur._BRACKETS[bracket])
+            def dets(key, shapes):
+                return schur._table_dets(shapes, hs, schur._entry_rule(key[3]))
 
-            (got,) = theorem_sides([((), (), tag, weighted)], dets)
+            key = ((), (), list, tag.value)
+            (got,) = theorem_sides([(*key, weighted)], dets)
             chain = LaurentPoly.zero(got.table)
             for lam, w in merged.items():
                 if w:
-                    chain = chain + w * dets((), (), tag, [lam])[0]
+                    chain = chain + w * dets(key, [lam])[0]
             assert terms_and_bounds([got]) == terms_and_bounds([chain]), tag

@@ -36,24 +36,24 @@ from superchar.folding import (
     proved_free,
 )
 from superchar.partitions import partitions_upto, size
-from superchar.schur import BracketType
 from superchar.verify import _pieri_det
 
-# Each bracket's entry (i, j) as (c, k) pairs of sum c h_k, at base = lam_i - i.
+# Each bracket's entry (i, j) as (c, k) pairs of sum c h_k, at base = lam_i - i,
+# keyed by the bracket's rule name.
 ENTRIES = {
-    BracketType.PLAIN: lambda base, j: ((1, base + j),),
-    BracketType.SQUARE: lambda base, j: ((1, base + j), (-1, base - j)),
-    BracketType.ANGLE: lambda base, j: ((1, base + j), (1, base - j + 2)),
+    "plain": lambda base, j: ((1, base + j),),
+    "square": lambda base, j: ((1, base + j), (-1, base - j)),
+    "angle": lambda base, j: ((1, base + j), (1, base - j + 2)),
 }
-OTHER_BRACKET = {BracketType.SQUARE: BracketType.ANGLE, BracketType.ANGLE: BracketType.SQUARE}
+OTHER_BRACKET = {"square": "angle", "angle": "square"}
 
 
-def bracket(tag, lam):
+def bracket(rule, lam):
     """bracket_lam over pure h in the Schur basis; an ANGLE one is halved exactly."""
     n = len(lam)
-    rows = [[ENTRIES[tag](lam[i] - i - 1, j) for j in range(1, n + 1)] for i in range(n)]
+    rows = [[ENTRIES[rule](lam[i] - i - 1, j) for j in range(1, n + 1)] for i in range(n)]
     value = _pieri_det({(): 1}, rows, {})
-    if tag is not BracketType.ANGLE or not lam:
+    if rule != "angle" or not lam:
         return value
     assert not any(c % 2 for c in value.values()), lam
     return {mu: c // 2 for mu, c in value.items()}
@@ -81,10 +81,11 @@ def with_constant(value, c, vertical):
 
 def side_in_schur_basis(side):
     """sum w * bracket_lam of the side, its constants applied."""
-    x_consts, y_consts, tag, weighted = side
+    x_consts, y_consts, mapping, rule, weighted = side
+    assert mapping is list  # every fold and dc side is over the series itself
     total = {}
     for lam, w in weighted:
-        value = bracket(tag, lam) if w else {}
+        value = bracket(rule, lam) if w else {}
         for mu, c in value.items():
             total[mu] = total.get(mu, 0) + w * c
     for c in x_consts:
@@ -156,13 +157,13 @@ def test_every_free_proof_holds_in_the_schur_basis():
 
 
 def wrong_bracket(theorem):
-    lhs, (x_consts, y_consts, tag, weighted) = theorem
-    return lhs, (x_consts, y_consts, OTHER_BRACKET[tag], weighted)
+    lhs, (x_consts, y_consts, mapping, rule, weighted) = theorem
+    return lhs, (x_consts, y_consts, mapping, OTHER_BRACKET[rule], weighted)
 
 
 def flipped_x_const(theorem):
-    lhs, (x_consts, y_consts, tag, weighted) = theorem
-    return lhs, (tuple(-c for c in x_consts), y_consts, tag, weighted)
+    lhs, (x_consts, y_consts, mapping, rule, weighted) = theorem
+    return lhs, (tuple(-c for c in x_consts), y_consts, mapping, rule, weighted)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from functools import cache, partial
 from itertools import chain, combinations
 from math import comb
 
@@ -562,6 +563,120 @@ def test_a_false_table_row_turns_exactly_its_sub_check_red(monkeypatch, check_id
         superchar.clear_caches()
     assert suite_to_json(routes[0]) == suite_to_json(routes[1])
     assert [r.check_id for r in routes[0] if not r.passed] == [check_id]
+
+
+def ref_holds(comparison, lam, left, right):
+    """Whether comparison holds at lam; left and right map (entry rule, shape) to a value."""
+    _, scale, rule_l, conj, signed, rule_r = comparison
+    rule_l, rule_r = (getattr(schur, f"_{name}_entry") for name in (rule_l, rule_r))
+    lhs = left(rule_l, partitions.conjugate(lam) if conj else lam)
+    return scale * lhs == (-1) ** (signed * partitions.size(lam)) * right(rule_r, lam)
+
+
+def ref_at(pair):
+    """(rule, lam) -> lam's determinant over the pair, from the h_list at lam's own degree."""
+    return lambda rule, lam: schur._jacobi_trudi([lam], *pair, rule)[0]
+
+
+def ref_table_failures(check_id, lams):
+    """A table row's earlier per-shape loop: each comparison at each pair, through ref_at."""
+    _, comparisons, pairs = verify._invariant_table()[check_id]
+    for fields, left, right in pairs:
+        for lam in lams:
+            for comparison in comparisons if lam else ():
+                if not ref_holds(comparison, lam, ref_at(left), ref_at(right)):
+                    yield check_id, {"lam": list(lam), **comparison[0], **fields}
+
+
+def ref_invariant_decided(table, lams):
+    """The earlier decided route: one call-local cache of (map, rule) batches over free h."""
+    hs = schur._free_series(schur._degree(lams))
+    degrees = verify._degrees(lams)
+
+    @cache
+    def dets(mapping, rule):
+        return dict(zip(lams, schur._table_dets(lams, mapping(hs), rule)))
+
+    @cache
+    def guarded(mapping, pairs):
+        return all(verify._guarded(left, right, degrees, mapping) for left, right in pairs)
+
+    def proved(mapping, comparisons):
+        left, right = (lambda rule, lam, m=m: dets(m, rule)[lam] for m in (mapping, list))
+        return all(ref_holds(c, lam, left, right) for c in comparisons for lam in lams if lam)
+
+    return {
+        check_id
+        for check_id, (mapping, comparisons, pairs) in table.items()
+        if proved(mapping, comparisons)
+        and guarded(mapping, tuple((left, right) for _, left, right in pairs))
+    }
+
+
+def mutated_row(check_id):
+    # The table with TABLE_MUTATIONS' false identity in check_id's row.
+    def apply(monkeypatch):
+        real = verify._invariant_table
+
+        def mutated():
+            table = real()
+            table[check_id] = TABLE_MUTATIONS[check_id](*table[check_id])
+            return table
+
+        monkeypatch.setattr(verify, "_invariant_table", mutated)
+
+    return apply
+
+
+def schur_fault(attr, corrupt):
+    return lambda monkeypatch: monkeypatch.setattr(schur, attr, corrupt(getattr(schur, attr)))
+
+
+INVARIANT_SETTINGS = {
+    "healthy": lambda monkeypatch: None,
+    **{f"mutated-{check_id}": mutated_row(check_id) for check_id in TABLE_MUTATIONS},
+    "altform-square": schur_fault("_altform_square_entry", short_altform_square),
+    "det+1": schur_fault("_table_dets", shifted_jacobi_trudi(1)),
+    "h1-one-pair": schur_fault("h_list", one_pair_h1),
+}
+
+
+@pytest.mark.parametrize("setting", list(INVARIANT_SETTINGS))
+def test_the_table_theorems_match_the_comparison_routes(monkeypatch, setting):
+    # The invariant table's rows as theorems of the one free prover, and its
+    # per-shape loop through pair_sides, against the earlier routes: a
+    # call-local (map, rule) cache with _holds, and a loop through _at.
+    # Each decided set, each row's failures and each check_schur_invariants
+    # report must be the references'.
+    INVARIANT_SETTINGS[setting](monkeypatch)
+    routes = [
+        (decide, {check_id: partial(loop, check_id) for check_id in TABLE_MUTATIONS})
+        for decide, loop in (
+            (verify._invariant_decided, verify._table_failures),
+            (ref_invariant_decided, ref_table_failures),
+        )
+    ]
+    lams = partitions.partitions_upto(5)
+    outcomes = []
+    try:
+        for decide, loops in routes:
+            superchar.clear_caches()
+            decided = decide(verify._invariant_table(), lams)
+            failures = [list(loop(lams)) for loop in loops.values()]
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_invariant_decided", decide)
+                for check_id, loop in loops.items():
+                    m.setitem(verify._INVARIANT_LOOPS, check_id, loop)
+                superchar.clear_caches()
+                reports = suite_to_json(check_schur_invariants(5))
+            outcomes.append((decided, failures, reports))
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert outcomes[0] == outcomes[1]
+    decided, failures, _ = outcomes[0]
+    assert (decided == set(TABLE_MUTATIONS)) == (setting == "healthy")
+    assert any(failures) == (setting != "healthy")
 
 
 def ref_bialternant_failures(lams):
