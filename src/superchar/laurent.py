@@ -24,6 +24,14 @@ passes EXPONENT_LIMIT raises :class:`ExponentOverflowError` before any key is
 formed, so fields never carry into one another.  Exponent tuples are the only
 form seen outside this module: the public constructor validates and packs
 them, and ``terms``, ``coeff``, ``map_terms`` and the serializers unpack.
+
+The substitution z_i = x_i + x_i^-1 (:func:`z_to_x`, and :func:`z_to_x_skew`
+with the factors x_i - x_i^-1) runs in two phases.  The fold phase writes
+each z_i^a in a Chebyshev basis, T_k = x^k + x^-k (with T_0 = 1) or
+(x - x^-1) U_k(x + x^-1) = x^(k+1) - x^-(k+1), with the rows C(a, j) or
+C(a, j) - C(a, j - 1) for j <= a/2; terms cancel there, while the
+polynomial has one term per basis product.  The unfold phase writes each
+basis element as its x monomials, and cancels nothing.
 """
 
 from __future__ import annotations
@@ -273,7 +281,17 @@ class LaurentPoly:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """``json.dumps(self.to_json_dict(), separators=(",", ":"))``, written term by term.
+
+        The same bytes without a dict and a list per term: exponents and
+        coefficient digits need no escaping, so only the names go through
+        ``json``, and each term is one %-format of its unpacked key.
+        """
+        unpack = self.table.unpack
+        term = '{"exp":[' + ",".join(["%d"] * len(self.table)) + '],"coeff":"%d"}'
+        terms = ",".join(term % (*unpack(key), coeff) for key, coeff in sorted(self._terms.items()))
+        names = json.dumps(self.table.names, separators=(",", ":"))
+        return f'{{"vars":{names},"terms":[{terms}]}}'
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
@@ -466,28 +484,54 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return _trusted(first.table, terms, bound)
 
 
-def _z_row(a: int) -> list[int]:
-    """C(a, j) for j = 0..a: z^a = (x + x^-1)^a = sum_j C(a, j) x^(a - 2j)."""
-    return [comb(a, j) for j in range(a + 1)]
+def _fold_row(a: int, lift: int) -> list[int]:
+    """z^a (x - x^-1)^lift in the lift's Chebyshev basis: the coefficient of k = a - 2j, j <= a/2.
+
+    With lift 0 the basis is T_0 = 1 and T_k = x^k + x^-k, and the row is
+    C(a, j), since z^a = (x + x^-1)^a = sum_j C(a, j) x^(a - 2j) pairs
+    x^(a - 2j) with x^-(a - 2j).  With lift 1 it is (x - x^-1) U_k(z) =
+    x^(k + 1) - x^-(k + 1), and the row is the ballot numbers
+    C(a, j) - C(a, j - 1), which are positive for j <= a/2.
+    """
+    row = [comb(a, j) for j in range(a // 2 + 1)]
+    return [c - d for c, d in zip(row, [0] + row)] if lift else row
 
 
-def _skew_row(a: int) -> list[int]:
-    """C(a, j) - C(a, j - 1) for j = 0..a+1: (x - x^-1) z^a = sum_j those x^(a + 1 - 2j)."""
-    row = _z_row(a)
-    return [c - d for c, d in zip(row + [0], [0] + row)]
+def _unfold(terms: dict[int, int], table: VarTable, lift: int) -> dict[int, int]:
+    """Basis terms over ``table``, each index k of x_i written as x_i^(k + lift) +- x_i^-(k + lift).
+
+    The sign is + for lift 0 (T_k) and - for lift 1 (the U_k times
+    x_i - x_i^-1), and T_0 is the one monomial x_i^0.  Distinct indices
+    give disjoint supports, so no two terms of a pass meet and none
+    cancels: each pass writes every key once.
+    """
+    half, mask, bias = 1 << (FIELD_BITS - 1), (1 << FIELD_BITS) - 1, table._bias
+    sign = -1 if lift else 1
+    for shift in table.shifts:
+        up = lift << shift  # the key of x_i^lift
+        out: dict[int, int] = {}
+        for key, coeff in terms.items():
+            k = (((key + bias) >> shift) & mask) - half
+            if k or lift:
+                out[key + up] = coeff
+                out[key - ((2 * k + lift) << shift)] = sign * coeff
+            else:
+                out[key] = coeff
+        terms = out
+    return terms
 
 
-def _z_passes(
-    p: LaurentPoly, table: VarTable, row_of: Callable[[int], list[int]], lift: int
-) -> dict[int, int]:
-    """p's terms with each z_i^a expanded into sum_j row_of(a)[j] x_i^(a + lift - 2j).
+def _z_passes(p: LaurentPoly, table: VarTable, lift: int) -> dict[int, int]:
+    """p's terms with each z_i^a replaced by z_i^a (x_i - x_i^-1)^lift, written in x_i.
 
-    The loop of :func:`z_to_x` and :func:`z_to_x_skew`, one pass per
-    variable, with one row per exponent a.  p must have no negative
-    exponent, and its table as many variables as ``table``, so a key of p
-    is a key over ``table`` too: a row's first term is the term's key moved
-    up by lift units of x_i, and each next one 2 units lower.  A row's zero
-    coefficients (the middle one of an odd exponent's skew row) write no key.
+    The engine of :func:`z_to_x` (lift 0) and :func:`z_to_x_skew` (lift 1),
+    in two phases of one pass per variable.  The fold phase rewrites each
+    z_i^a as sum_j row[j] B_(a - 2j), in the basis and row of
+    :func:`_fold_row`; a key keeps the index a - 2j in x_i's field, so
+    terms cancel while the polynomial is still compact.  The unfold phase
+    (:func:`_unfold`) writes each basis element as its x monomials and
+    cancels nothing.  p must have no negative exponent, and its table as
+    many variables as ``table``, so a key of p is a key over ``table`` too.
     """
     if len(p.table) != len(table):
         raise ValueError(f"{p.table!r} and {table!r} differ in length")
@@ -495,7 +539,7 @@ def _z_passes(
     rows: dict[int, list[int]] = {}
     terms = p._terms
     for shift in table.shifts:
-        two, up = 2 << shift, lift << shift  # the keys of x_i^2 and x_i^lift
+        two = 2 << shift  # the key of x_i^2
         acc: dict[int, int] = {}
         get = acc.get
         for key, coeff in terms.items():
@@ -504,39 +548,39 @@ def _z_passes(
             if row is None:
                 if a < 0:
                     raise ValueError("z_to_x and z_to_x_skew expect no negative exponents")
-                row = rows[a] = row_of(a)
-            key += up
+                row = rows[a] = _fold_row(a, lift)
             for b in row:
-                if b:
-                    acc[key] = get(key, 0) + coeff * b
+                acc[key] = get(key, 0) + coeff * b
                 key -= two
         terms = _nonzero(acc)
-    return terms
+    return _unfold(terms, table, lift)
 
 
 def z_to_x(p: LaurentPoly, table: VarTable) -> LaurentPoly:
     """p with its i-th variable z_i replaced by x_i + x_i^-1, x_i the i-th of table.
 
     p must have no negative exponent, and its table as many variables as
-    ``table``.  One pass per variable (:func:`_z_passes`) expands z_i^a
-    into sum_j C(a, j) x_i^(a - 2j).  Each exponent a becomes exponents in
-    [-a, a], so p's bound still holds.
+    ``table``.  :func:`_z_passes` first folds each z_i^a into
+    sum_{j <= a/2} C(a, j) T_(a - 2j), with T_0 = 1 and
+    T_k = x_i^k + x_i^-k, then unfolds each T_k.  Each exponent a becomes
+    exponents in [-a, a], so p's bound still holds.
     """
-    return _trusted(table, _z_passes(p, table, _z_row, 0), p._bound)
+    return _trusted(table, _z_passes(p, table, 0), p._bound)
 
 
 def z_to_x_skew(p: LaurentPoly, table: VarTable) -> LaurentPoly:
     """z_to_x(p, table) times prod_i (x_i - x_i^-1), in z_to_x's passes.
 
-    Each pass expands z_i^a into (x_i - x_i^-1)(x_i + x_i^-1)^a =
-    sum_j (C(a, j) - C(a, j - 1)) x_i^(a + 1 - 2j), so no product is
-    formed.  p must have no negative exponent, and its table as many
-    variables as ``table``.  Each exponent a becomes exponents in
-    [-a - 1, a + 1], so the bound is p's plus one, checked against the
-    field before any key is formed.
+    :func:`_z_passes` folds each z_i^a into
+    sum_{j <= a/2} (C(a, j) - C(a, j - 1)) U_(a - 2j), then unfolds each
+    U_k into (x_i - x_i^-1) U_k(x_i + x_i^-1) = x_i^(k + 1) - x_i^-(k + 1),
+    so no product is formed.  p must have no negative exponent, and its
+    table as many variables as ``table``.  Each exponent a becomes
+    exponents in [-a - 1, a + 1], so the bound is p's plus one, checked
+    against the field before any key is formed.
     """
     bound = _product_bound(p._bound, 1)
-    return _trusted(table, _z_passes(p, table, _skew_row, 1), bound)
+    return _trusted(table, _z_passes(p, table, 1), bound)
 
 
 def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...]) -> LaurentPoly:

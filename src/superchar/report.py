@@ -8,6 +8,11 @@ from dataclasses import dataclass
 
 from .laurent import LaurentPoly
 
+# json.dumps with keyword arguments builds a JSONEncoder per call; these are
+# the encoders it would build, made once.
+_REPORT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_PARAMS_KEY = json.JSONEncoder(sort_keys=True, default=str)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -32,10 +37,10 @@ class VerificationReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return _REPORT_JSON.encode(self.to_json_dict())
 
     def sort_key(self) -> tuple[str, str]:
-        return (self.check_id, json.dumps(self.params, sort_keys=True, default=str))
+        return (self.check_id, _PARAMS_KEY.encode(self.params))
 
 
 def poly_comparison(check_id: str, params: dict, lhs, rhs) -> VerificationReport:

@@ -312,9 +312,15 @@ def power_det_check(m: int) -> VerificationReport:
     (t_j - t_i)(1 - t_j t_i) = t_i t_j (z_i - z_j).  The Vandermonde has
     m! terms; ``laurent.z_to_x_skew`` turns it into t times the factors
     (t_i - t_i^-1), and one Accumulator product applies the sign and the
-    monomial.  The product side is built before the determinant, so the
-    two never hold their working sets at once.  The determinant is looked
-    up in ``laurent`` and no h_m is read.
+    monomial.  Its fold phase takes the Vandermonde into the basis
+    (t - t^-1) U_k(t + t^-1) = t^(k+1) - t^-(k+1) with the ballot rows
+    C(a, j) - C(a, j - 1), where it ends at m! terms again (it is
+    det U_(j-1)(z_i), each U_k monic of degree k in z; at m = 6 its passes
+    peak at 3,312 terms); the unfold phase writes each U_k as its two t
+    monomials, 2^m m! terms, and cancels nothing.  The product side is
+    built before the determinant, so the two never hold their working sets
+    at once.  The determinant is looked up in ``laurent`` and no h_m is
+    read.
     """
     require_counts(m=m)
     if m < 1:

@@ -1,12 +1,15 @@
 import itertools
 import json
+import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from superchar import schur, verify
 from superchar.laurent import (
     EXPONENT_LIMIT,
     Accumulator,
@@ -161,6 +164,34 @@ def test_json_round_trip():
     exps = [tuple(t["exp"]) for t in data["terms"]]
     assert exps == sorted(exps)
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
+    assert LaurentPoly.from_json_dict(json.loads(p.to_json())) == p
+
+
+
+@st.composite
+def json_polys(draw):
+    """Polynomials over 0-3 names that JSON must escape, negative exponents, huge coefficients."""
+    names = draw(
+        st.lists(
+            st.text(st.sampled_from('ab"\\\x00\n/éλ\u2028\U0001f600'), min_size=1, max_size=4),
+            max_size=3,
+            unique=True,
+        )
+    )
+    table = VarTable(names)
+    exps = st.tuples(*[st.integers(-EXPONENT_LIMIT, EXPONENT_LIMIT)] * len(names))
+    coeffs = st.integers(-(2**80), 2**80) | st.sampled_from((2**64, -(2**64) - 1, 10**40))
+    return LaurentPoly(table, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_polys())
+@example(LaurentPoly.zero(T2))
+@example(LaurentPoly.zero(VarTable(())))
+@example(LaurentPoly.const(VarTable(()), -(2**64)))
+@example(LaurentPoly(VarTable(('"', "\\", "é")), {(-1, 0, 2): 2**64 + 1, (0, -3, 0): -1}))
+def test_to_json_is_the_json_dumps_of_to_json_dict(p):
+    assert p.to_json() == json.dumps(p.to_json_dict(), separators=(",", ":"))
     assert LaurentPoly.from_json_dict(json.loads(p.to_json())) == p
 
 
@@ -812,6 +843,29 @@ def test_z_to_x_rejects_negative_exponents_and_foreign_lengths():
 # ---------------------------------------------------------------------------
 
 
+# The row-by-row passes that the fold and unfold phases replaced: each
+# z_i^a is expanded straight into x_i, one row of binomials per exponent.
+def reference_z_row(a):
+    return [math.comb(a, j) for j in range(a + 1)]
+
+
+def reference_skew_row(a):
+    row = reference_z_row(a)
+    return [c - d for c, d in zip(row + [0], [0] + row)]
+
+
+def reference_z_passes(p, table, row_of, lift):
+    terms = dict(p.terms())
+    for i in range(len(table)):
+        acc = {}
+        for exps, coeff in terms.items():
+            for j, b in enumerate(row_of(exps[i])):
+                out = exps[:i] + (exps[i] + lift - 2 * j,) + exps[i + 1 :]
+                acc[out] = acc.get(out, 0) + coeff * b
+        terms = {e: c for e, c in acc.items() if c}
+    return LaurentPoly(table, terms)
+
+
 def skewed(p):
     """z_to_x_skew by ring arithmetic: z_to_x(p), then one * per factor (x_i - x_i^-1)."""
     out = z_to_x(p, T2)
@@ -829,9 +883,10 @@ def test_z_to_x_skew_of_a_constant_is_the_skew_factors():
 
 @settings(max_examples=200, deadline=None)
 @given(z_polys())
+@example(LaurentPoly.zero(Z2))
 def test_z_to_x_skew_is_z_to_x_times_the_skew_factors(p):
     x = z_to_x_skew(p, T2)
-    assert x == skewed(p)
+    assert x == skewed(p) == reference_z_passes(p, T2, reference_skew_row, 1)
     assert x._bound == p._bound + 1
     assert all(abs(e) <= x._bound for exps, _ in x.terms() for e in exps)
 
@@ -854,6 +909,59 @@ def test_z_to_x_skew_raises_past_the_field():
     assert z_to_x_skew(_trusted(Z2, {0: 3}, EXPONENT_LIMIT - 1), T2)._bound == EXPONENT_LIMIT
     with pytest.raises(ExponentOverflowError):
         z_to_x_skew(_trusted(Z2, {0: 3}, EXPONENT_LIMIT), T2)
+
+
+@st.composite
+def wide_z_polys(draw):
+    """z polynomials over 0-3 variables with exponents up to 7, the zero polynomial among them."""
+    n = draw(st.integers(0, 3))
+    ztab = VarTable(tuple(f"z(v{i})" for i in range(n)))
+    exps = st.tuples(*[st.integers(0, 7)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(-(2**70), 2**70), max_size=8))
+    return LaurentPoly(ztab, terms), VarTable(tuple(f"v{i}" for i in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_z_polys())
+@example((LaurentPoly.zero(Z2), T2))
+@example((LaurentPoly.zero(VarTable(())), VarTable(())))
+@example((LaurentPoly.const(VarTable(()), 5), VarTable(())))
+def test_chebyshev_passes_match_the_row_passes(case):
+    p, table = case
+    assert z_to_x(p, table) == reference_z_passes(p, table, reference_z_row, 0)
+    assert z_to_x_skew(p, table) == reference_z_passes(p, table, reference_skew_row, 1)
+
+
+def test_chebyshev_passes_match_the_row_passes_on_the_power_det_vandermondes():
+    for m in range(1, 5):
+        table = schur.t_table(m)
+        v = verify._z_vandermonde(table)
+        assert z_to_x_skew(v, table) == reference_z_passes(v, table, reference_skew_row, 1), m
+        assert z_to_x(v, table) == reference_z_passes(v, table, reference_z_row, 0), m
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of one call, and its value."""
+    tracemalloc.start()
+    try:
+        value = call()
+        return tracemalloc.get_traced_memory()[1], value
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_det_5_skew_and_json_stay_small():
+    # The m = 5 Vandermonde's 120 z terms become 3,840 x terms.  Measured on
+    # CPython 3.11: 528 kB for z_to_x_skew and 540 kB for to_json, against
+    # 1,141 kB and 3,909 kB for the row passes and a to_json through
+    # to_json_dict.  Each bound is its measured peak plus 25%.
+    table = schur.t_table(5)
+    v = verify._z_vandermonde(table)
+    peak, x = traced_peak(lambda: z_to_x_skew(v, table))
+    assert len(x) == 3840
+    assert peak <= 660_000, peak
+    peak, _ = traced_peak(x.to_json)
+    assert peak <= 675_000, peak
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from functools import cache, partial
 from itertools import chain, combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +48,23 @@ def test_report_invariant():
         VerificationReport("x", {}, False)
     with pytest.raises(ValueError):  # a failure under an id nobody reports
         _first_failures([("x", {})], iter([("y", "oops")]))
+
+
+def test_report_json_and_sort_key_are_the_json_dumps_bytes():
+    # The module's shared encoders give what json.dumps gives with the same arguments.
+    t = LaurentPoly.variable(VarTable(('"é\\',)), '"é\\', -3)
+    reports = [
+        VerificationReport("x", {}, True),
+        VerificationReport("a.b", {"z": [1, (2, 3)], "λ": "é"}, True),
+        VerificationReport("x", {"m": 2}, False, witness=t * (2**70)),
+        VerificationReport("x", {"m": 2}, False, witness={"expected": "1", "actual": "\x00"}),
+    ]
+    for r in reports:
+        assert r.to_json() == json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert r.sort_key() == (r.check_id, json.dumps(r.params, sort_keys=True, default=str))
+    # A parameter JSON cannot hold is keyed by its str.
+    unusual = VerificationReport("x", {"k": range(3)}, True)
+    assert unusual.sort_key() == ("x", '{"k": "range(0, 3)"}')
 
 
 def test_cauchy_single_row_example():
@@ -806,13 +822,18 @@ def test_power_det_product_matches_the_old_order(monkeypatch):
         assert seen == [every_square_first(table, m)], m
 
 
-def corrupt_skew_row(monkeypatch):
-    # (x + x^-1) z^a in place of (x - x^-1) z^a: the row C(a, j) + C(a, j - 1).
-    def row(a):
-        binomials = [comb(a, j) for j in range(a + 1)]
-        return [c + d for c, d in zip(binomials + [0], [0] + binomials)]
+def corrupt_skew_unfold(monkeypatch):
+    # x^(k+1) + x^-(k+1) in place of (x - x^-1) U_k(x + x^-1) = x^(k+1) - x^-(k+1):
+    # each U index unfolded as the T index one above it.  At m = 1 the
+    # Vandermonde is 1 = U_0, whose fold row cannot go wrong, so the fault
+    # is in the unfold phase.
+    real = laurent._unfold
 
-    monkeypatch.setattr(laurent, "_skew_row", row)
+    def unfold(terms, table, lift):
+        up = sum(lift << shift for shift in table.shifts)
+        return real({key + up: c for key, c in terms.items()}, table, 0)
+
+    monkeypatch.setattr(laurent, "_unfold", unfold)
 
 
 def corrupt_vandermonde_factor(monkeypatch):
@@ -835,7 +856,7 @@ def corrupt_det(monkeypatch):
 
 @pytest.mark.parametrize(
     "fault, first_m",
-    [(corrupt_skew_row, 1), (corrupt_vandermonde_factor, 2), (corrupt_det, 1)],
+    [(corrupt_skew_unfold, 1), (corrupt_vandermonde_factor, 2), (corrupt_det, 1)],
 )
 def test_power_det_fails_under_a_fault(monkeypatch, fault, first_m):
     # m = 1 has no Vandermonde factor to corrupt.
