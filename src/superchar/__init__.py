@@ -33,11 +33,9 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Reset every memoized layer (series, characters, coefficients)."""
-    from . import folding as _folding, lr as _lr, schur as _schur
+    from . import lr as _lr, schur as _schur
 
     for cached in (
-        _folding._palindromic_pair,
-        _folding._with_consts,
         _schur._h_list_cached,
         _schur.super_schur,
         _schur.bracket_schur,
@@ -48,7 +46,6 @@ def clear_caches() -> None:
     ):
         cached.cache_clear()
     _schur._pair_series.clear()
-    _schur._x_series.clear()
 
 
 __all__ = [

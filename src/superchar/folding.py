@@ -147,16 +147,14 @@ def _vartable(x_count: int, s: int) -> VarTable:
     return VarTable(names)
 
 
-@lru_cache(maxsize=None)
 def _with_consts(base: Alphabet, consts: tuple[int, ...]) -> Alphabet:
     if not consts:
         return base
     return base | Alphabet.constants(base.table, consts)
 
 
-@lru_cache(maxsize=None)
 def _palindromic_pair(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
-    """The case's palindromic x and y alphabets before any constant, shared by all its pairs."""
+    """The case's palindromic x and y alphabets, to which its pairs adjoin their constants."""
     table = _vartable(case.x_count, case.s)
     return (
         palindromic(table, table.names[: case.x_count]),

@@ -480,7 +480,10 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         memo[mask] = out = _nonzero(acc), bound
         return out
 
-    terms, bound = minor(tuple(range(n)), (1 << n) - 1)
+    try:
+        terms, bound = minor(tuple(range(n)), (1 << n) - 1)
+    finally:
+        del minor  # minor's closure cell refers to minor: a cycle that would keep the memo alive
     return _trusted(first.table, terms, bound)
 
 

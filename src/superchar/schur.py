@@ -34,8 +34,8 @@ e-of-z table is turned back into x once by :func:`in_x`; a weighted sum of
 bracket characters (``folding.theorem_sides``, for every fold and dc sum)
 is added over the table from one :func:`_table_dets` call, and its caller
 turns it into x once.  A character over an e table of x's is a determinant
-over the x view of its series, each h_m converted once per alphabet pair.
-Every character this module returns is over the alphabets' own table.
+over the x view of its series, each h_m converted once per call.  Every
+character this module returns is over the alphabets' own table.
 """
 
 from __future__ import annotations
@@ -488,28 +488,19 @@ def _free_series(degree: int, names: tuple[str, ...] = ()) -> list[LaurentPoly]:
     return [LaurentPoly.const(table, 1)] + [LaurentPoly.variable(table, name) for name in h_names]
 
 
-# (X, Y) -> [h_0, ..., h_D] in x, for alphabets whose h_list is over an e
-# table of x's: each h_m is converted once, and the list grows with the
-# degree asked.  clear_caches() empties it.
-_x_series: dict[tuple, list[LaurentPoly]] = {}
-
-
 def _jacobi_trudi(shapes, X: Alphabet, Y: Alphabet, entry) -> list[LaurentPoly]:
     """The shapes' determinants over X.table, from one h_list call; 1 for the empty shape.
 
     Over an e-of-z table the determinants are taken there and each is turned
-    into x.  Over an e table of x's they are taken over the x view
-    of the same series, _x_series, so each h_m, not each character, is
-    converted.
+    into x.  Over an e table of x's they are taken over the x view of the
+    same series, built here, so each h_m, not each character, is converted.
     """
     if not any(shapes):
         return [LaurentPoly.const(X.table, 1) for _ in shapes]
     hs = h_list(X, Y, _degree(shapes))
     table = hs[0].table
     if isinstance(table, ETable) and not table.over_z:
-        view = _x_series.setdefault((X, Y), [])
-        view += [in_x(h, X.table) for h in hs[len(view) :]]
-        return _table_dets(shapes, view, entry)
+        return _table_dets(shapes, [in_x(h, X.table) for h in hs], entry)
     return [in_x(value, X.table) for value in _table_dets(shapes, hs, entry)]
 
 

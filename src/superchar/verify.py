@@ -511,12 +511,12 @@ def check_schur_stability(
 
 
 def _hook_vanishing_failures(lams):
+    """s_lam(X|Y) at each shape outside the (nx, ny) hook, one bracket_batch per pair."""
     for nx, ny in ((1, 0), (0, 1), (1, 1), (2, 1)):
         X, Y, _ = cauchy_alphabets(nx, ny, 1)
-        for lam in lams:
-            outside = partitions.part(lam, nx + 1) > ny
-            value = schur.super_schur(lam, X, Y)
-            if outside and not value.is_zero:
+        outside = [lam for lam in lams if partitions.part(lam, nx + 1) > ny]
+        for lam, value in zip(outside, schur.bracket_batch(BracketType.PLAIN, outside, X, Y)):
+            if not value.is_zero:
                 yield "schur.hook-vanishing", {"lam": list(lam), "nx": nx, "ny": ny}
 
 
@@ -593,24 +593,23 @@ def _bialternant_failures(lams):
     """s_lam(t_1..t_n) by Jacobi-Trudi against the ratio of alternants, multiplied out.
 
     s_lam a_delta = a_{lam+delta} (Macdonald, Symmetric Functions, I.3), with
-    a_delta = prod_{i<j} (t_i - t_j) formed once per n as a product, and
-    each a_{lam+delta} by schur._alternant; nothing is divided.
+    a_delta = prod_{i<j} (t_i - t_j) formed once per n as a product, each
+    s_lam from one schur.bracket_batch per n, and each a_{lam+delta} by
+    schur._alternant; nothing is divided.
     """
     for n in (1, 2, 3, 4):
         table = schur.t_table(n)
-        T = Alphabet.formal(table)
-        none = Alphabet.empty(table)
         t = [LaurentPoly.variable(table, name) for name in table.names]
         vandermonde = LaurentPoly.const(table, 1)
         for ti, tj in combinations(t, 2):
             vandermonde = vandermonde * (ti - tj)
+        shapes = [lam for lam in lams if len(lam) <= n]
+        chars = schur.bracket_batch(
+            BracketType.PLAIN, shapes, Alphabet.formal(table), Alphabet.empty(table)
+        )
         monomials: dict = {}
-        for lam in lams:
-            if len(lam) > n:
-                continue
-            if schur.super_schur(lam, T, none) * vandermonde != schur._alternant(
-                table, lam, monomials
-            ):
+        for lam, char in zip(shapes, chars):
+            if char * vandermonde != schur._alternant(table, lam, monomials):
                 yield "schur.bialternant-agreement", {"lam": list(lam), "n": n}
 
 
@@ -1039,19 +1038,20 @@ def check_fold_hook_sanity(max_rank: int, max_am: int = 4) -> VerificationReport
             X, Y = folding.fold_alphabets(case)
             M, N = len(X), len(Y)
             M_api, N_api = folding.ambient_hook(case)
-            for a in range(1, max_am + 1):
-                for m in range(1, max_am + 1):
-                    rect = (m,) * a
-                    where = {"case": case.tag.value, "r": case.r, "s": case.s, "a": a, "m": m}
-                    if not in_hook(rect, M, N) and not schur.super_schur(rect, X, Y).is_zero:
-                        yield "fold.hook-sanity", where
-                    rejected = False
-                    try:
-                        folding.require_in_hook(case, a, m)
-                    except ValueError:
-                        rejected = True
-                    if rejected != (not in_hook(rect, M_api, N_api)):
-                        yield "fold.hook-sanity", {**where, "rejection": rejected}
+            rects = {(a, m): (m,) * a for a in range(1, max_am + 1) for m in range(1, max_am + 1)}
+            outside = [rect for rect in rects.values() if not in_hook(rect, M, N)]
+            chars = dict(zip(outside, schur.bracket_batch(BracketType.PLAIN, outside, X, Y)))
+            for (a, m), rect in rects.items():
+                where = {"case": case.tag.value, "r": case.r, "s": case.s, "a": a, "m": m}
+                if rect in chars and not chars[rect].is_zero:
+                    yield "fold.hook-sanity", where
+                rejected = False
+                try:
+                    folding.require_in_hook(case, a, m)
+                except ValueError:
+                    rejected = True
+                if rejected != (not in_hook(rect, M_api, N_api)):
+                    yield "fold.hook-sanity", {**where, "rejection": rejected}
 
     params = {"max_rank": max_rank, "max_am": max_am}
     return _first_failures([("fold.hook-sanity", params)], failures())[0]

@@ -307,6 +307,12 @@ def test_the_cauchy_sweep_reads_one_t_side_per_nT(monkeypatch):
         ("divide_linear", lambda: verify.check_schur_invariants(5)),
         ("super_schur", lambda: verify.check_fold_double_form(3)),
         ("bracket_schur", lambda: [verify.check_schur_stability(5, 0)]),
+        pytest.param(
+            "super_schur", lambda: verify.check_schur_invariants(5), id="super_schur-invariants"
+        ),
+        pytest.param(
+            "super_schur", lambda: [verify.check_fold_hook_sanity(3)], id="super_schur-hook-sanity"
+        ),
     ],
 )
 def test_the_free_proofs_leave_the_per_shape_characters_unbuilt(monkeypatch, attr, check):
@@ -316,6 +322,9 @@ def test_the_free_proofs_leave_the_per_shape_characters_unbuilt(monkeypatch, att
     # default config) and the stability brackets (72).  Bialternant agreement
     # multiplies each Jacobi-Trudi character by the Vandermonde, so the
     # invariants divide nothing (the quotients took 168 divide_linear calls).
+    # The characters the invariants and the hook sanity do build (hook
+    # vanishing, bialternant agreement, the out-of-hook rectangles) come in
+    # one schur.bracket_batch per alphabet pair, not one super_schur per shape.
     superchar.clear_caches()
     calls = counter(monkeypatch, schur, attr)
     try:
@@ -352,14 +361,17 @@ def test_the_invariants_share_their_determinant_batches_and_series_guards(monkey
     # comparison side would be 10 (352 schur.det calls).  The two dualities
     # share one series guard, where one guard per row reads 264
     # schur.h_list, and each altform pair, guarded against itself, is read
-    # once, where reading it as both sides made 228.
+    # once, where reading it as both sides made 228.  Hook vanishing and
+    # bialternant agreement take one batch per alphabet pair, where one
+    # super_schur per shape made 128 schur._table_dets and 210 h_list calls.
     superchar.clear_caches()
     dets = counter(monkeypatch, schur, "det")
     h_lists = counter(monkeypatch, schur, "h_list")
+    batches = counter(monkeypatch, schur, "_table_dets")
     try:
         reports = verify.check_schur_invariants(5)
         assert reports and all(r.passed for r in reports)
-        assert len(dets) <= 316 and len(h_lists) <= 210
+        assert len(dets) <= 316 and len(h_lists) <= 98 and len(batches) <= 16
     finally:
         monkeypatch.undo()
         superchar.clear_caches()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -531,11 +532,34 @@ def test_det_makes_no_ring_operation_on_either_kind_of_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("invariant", [True, False])
-def test_det_raises_past_the_field_on_both_paths(invariant):
+def test_det_raises_past_the_field_on_either_kind_of_matrix(invariant):
     big = var("a", 2**30) + var("a", -(2**30))
     other = big if invariant else big + var("a", 2**30)
     with pytest.raises(ExponentOverflowError):
         det([[big, big], [other, big]])
+
+
+def test_det_leaves_no_cycle_behind():
+    # The memo of minors is freed on return, by reference counting alone,
+    # whether det returns or raises.
+    a, b = var("a"), var("b")
+    rows = [[a + b, a, b], [b, a * b, a], [a, b + 1, a]]
+    want = cofactor_det(rows)
+    big = var("a", 2**30) + var("a", -(2**30))
+    gc.collect()
+    gc.disable()
+    try:
+        assert det(rows) == want
+        assert gc.collect() == 0
+        try:
+            det([[big, big], [big, big]])
+        except ExponentOverflowError:
+            pass
+        else:
+            raise AssertionError("det did not raise past the field")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_det_rejects_an_entry_over_a_foreign_table():

@@ -889,26 +889,33 @@ def test_formal_factor_is_the_product_of_the_variable_factors():
             assert got == want, (n, sign)
 
 
-def test_x_characters_convert_each_h_once_per_alphabet_pair():
+def test_x_characters_convert_each_h_once_per_call(monkeypatch):
     X, Y = formal("x1", "x2"), formal("y1")
+    shapes = [(1,), (2, 1), (3,), (1, 1, 1)]
+    real = schur.in_x
+    converted = []
+
+    def spy(value, table):
+        converted.append(value)
+        return real(value, table)
+
     clear_caches()
-    values, lengths, firsts = [], [], []
-    for lam in ((1,), (2, 1), (3,), (1, 1, 1)):
-        values.append(super_schur(lam, X, Y))
-        view = schur._x_series[X, Y]
-        lengths.append(len(view))
-        firsts.append(view[1])
-    assert lengths == [2, 4, 4, 4]  # h_0..h_D for D = lam_1 + len(lam) - 1, grown as D rose
-    assert all(h is firsts[0] for h in firsts)  # each h_m converted once
-    assert [h.table for h in view] == [TABLE_3] * 4
-    clear_caches()
-    assert not schur._x_series
+    monkeypatch.setattr(schur, "in_x", spy)
+    values = schur.bracket_batch(BracketType.PLAIN, shapes, X, Y)
+    # h_0..h_D for D = 3, the largest lam_1 + len(lam) - 1: each h_m, not each character.
+    hs = h_list(X, Y, 3)
+    assert len(converted) == 4 and all(got is h for got, h in zip(converted, hs))
+    # Nothing is kept across calls: the next call converts its own view.
+    assert super_schur((2, 1), X, Y) == values[1]
+    assert len(converted) == 4 + 4 and converted[4:] == converted[:4]
+    monkeypatch.undo()
 
     def plain(lam):
         hs = h_list(X, Y, schur._degree([lam]))
         return in_x(schur._table_dets([lam], hs, schur._entry_rule("plain"))[0], TABLE_3)
 
-    assert values == [plain(lam) for lam in ((1,), (2, 1), (3,), (1, 1, 1))]
+    assert [value.table for value in values] == [TABLE_3] * 4
+    assert values == [plain(lam) for lam in shapes]
     clear_caches()
 
 

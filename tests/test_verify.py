@@ -704,17 +704,27 @@ def ref_bialternant_failures(lams):
         for lam in lams:
             if len(lam) > n:
                 continue
-            if schur.super_schur(lam, T, none) != schur.bialternant_schur(lam, n):
+            (char,) = schur.bracket_batch(schur.BracketType.PLAIN, [lam], T, none)
+            if char != schur.bialternant_schur(lam, n):
                 yield "schur.bialternant-agreement", {"lam": list(lam), "n": n}
 
 
-def at_one_shape(name, change):
-    # schur.<name> changed by change(value) at lam = (2, 1) over t1, t2, t3 only.
-    real = getattr(schur, name)
-
+def at_one_shape(real, change):
+    # real changed by change(value) at lam = (2, 1) over t1, t2, t3 only.
     def corrupted(*args):
         value = real(*args)
         return change(value) if (2, 1) in args and value.table == schur.t_table(3) else value
+
+    return corrupted
+
+
+def in_batch_at_one_shape(real, change):
+    # A batch function like schur.bracket_batch, changed as at_one_shape changes real.
+    def corrupted(tag, shapes, X, Y):
+        values = real(tag, shapes, X, Y)
+        if X.table != schur.t_table(3):
+            return values
+        return [change(v) if tuple(lam) == (2, 1) else v for lam, v in zip(shapes, values)]
 
     return corrupted
 
@@ -723,11 +733,11 @@ def at_one_shape(name, change):
     "fault",
     [
         None,
-        ("super_schur", lambda value: value + 1),
+        (in_batch_at_one_shape, "bracket_batch", lambda value: value + 1),
         # twice the alternant is still divisible by the Vandermonde
-        ("_alternant", lambda value: 2 * value),
+        (at_one_shape, "_alternant", lambda value: 2 * value),
     ],
-    ids=["healthy", "super_schur+1", "alternant*2"],
+    ids=["healthy", "bracket_batch+1", "alternant*2"],
 )
 def test_bialternant_agreement_by_multiplication_matches_the_division_route(monkeypatch, fault):
     outcomes = []
@@ -735,7 +745,8 @@ def test_bialternant_agreement_by_multiplication_matches_the_division_route(monk
         superchar.clear_caches()
         with monkeypatch.context() as m:
             if fault is not None:
-                m.setattr(schur, fault[0], at_one_shape(*fault))
+                corrupt, name, change = fault
+                m.setattr(schur, name, corrupt(getattr(schur, name), change))
             m.setitem(verify._INVARIANT_LOOPS, "schur.bialternant-agreement", loop)
             outcomes.append(check_schur_invariants(5))
     superchar.clear_caches()
@@ -939,20 +950,23 @@ def test_witness_is_first_failing_instance(monkeypatch):
 
 def test_hook_sanity_builds_only_out_of_hook_rectangles(monkeypatch):
     superchar.clear_caches()
-    real = schur.super_schur
-    built = []
+    real = schur.bracket_batch
+    built, batches = [], []
 
-    def spy(rect, X, Y):
-        built.append((rect, len(X), len(Y)))
-        return real(rect, X, Y)
+    def spy(tag, rects, X, Y):
+        batches.append(tag)
+        built.extend((rect, len(X), len(Y)) for rect in rects)
+        return real(tag, rects, X, Y)
 
     def forbidden(case, a, m):
         raise AssertionError("check_fold_hook_sanity called kr_supercharacter")
 
-    monkeypatch.setattr(schur, "super_schur", spy)
+    monkeypatch.setattr(schur, "bracket_batch", spy)
     monkeypatch.setattr(folding, "kr_supercharacter", forbidden)
     assert check_fold_hook_sanity(3).passed
     assert built
+    # One plain batch per folding case.
+    assert batches == [schur.BracketType.PLAIN] * len(verify.fold_cases(3))
     inside = [entry for entry in built if in_hook(*entry)]
     assert not inside, inside[:3]
 
@@ -967,7 +981,10 @@ def test_hook_sanity_reports_a_missing_rejection(monkeypatch):
 
 
 def test_hook_sanity_reports_a_nonvanishing_character(monkeypatch):
-    monkeypatch.setattr(schur, "super_schur", lambda rect, X, Y: LaurentPoly.const(X.table, 1))
+    def ones(tag, rects, X, Y):
+        return [LaurentPoly.const(X.table, 1)] * len(rects)
+
+    monkeypatch.setattr(schur, "bracket_batch", ones)
     rep = check_fold_hook_sanity(3)
     assert not rep.passed
     # B1 at r = 0, s = 1 folds to |X| = 0, |Y| = 3: 1 x 4 is the first
@@ -1160,7 +1177,7 @@ def test_clear_caches_empties_every_module_container_that_grows():
     )
     at_import, after_run, cleared = json.loads(run.stdout)
     grown = {name for name, n in after_run.items() if n > at_import.get(name, 0)}
-    assert {"superchar.schur._pair_series", "superchar.schur._x_series"} <= grown
+    assert "superchar.schur._pair_series" in grown
     assert {name: cleared[name] for name in grown if cleared[name]} == {}
 
 
@@ -1179,10 +1196,10 @@ def test_clear_caches_leaves_no_table_value_behind(monkeypatch):
         if name.split(".")[0] in ("folding", "schur", "lr") and name not in TABLE_CACHES
     }
     assert memos["schur.super_schur"].cache_info().currsize
-    assert schur._pair_series and schur._x_series
+    assert schur._pair_series
     superchar.clear_caches()
     assert {name for name, fn in memos.items() if fn.cache_info().currsize} == set()
-    assert not schur._pair_series and not schur._x_series
+    assert not schur._pair_series
 
     # A stale table or x value would hide a fault injected after a warm run.
     real = schur.h_list
