@@ -38,6 +38,7 @@ from .partitions import (
     PartitionClass,
     RectSubset,
     as_partition,
+    conjugate,
     enumerate_rect_subset,
     in_class,
     require_counts,
@@ -254,7 +255,8 @@ def verify_decomposition(
     """Compare kr_supercharacter with decomposition_rhs, exactly.
 
     fold_theorem's two sides at the case's palindromic base pair, compared
-    in x by _theorem_report.
+    in x by _theorem_report (which takes a tall rectangle, a > m, as its
+    dual at the swapped pair).
     """
     theorem = fold_theorem(case, branch, a, m)
     return _theorem_report(*fold_report_id(case, branch, a, m), theorem, *_palindromic_pair(case))
@@ -351,7 +353,8 @@ def general_dc_check(
     """Check one of the eight alphabet-modification identities exactly.
 
     dc_theorem's two sides at the base pair (X|Y), compared in x by
-    _theorem_report.
+    _theorem_report; a tall lam's theorem is evaluated as its dual at (Y|X),
+    on conjugate shapes, which gives the same two values.
     """
     theorem = dc_theorem(relation, lam, xi)
     params = {
@@ -381,6 +384,10 @@ def general_dc_check(
 # are equal over free h_1..h_D holds at every pair whose series is the
 # map's image.  The converse fails: a theorem that is not proved free says
 # nothing about a given pair.
+#
+# A theorem's dual (_dual_theorem) has at the swapped pair (Y|X) the sides
+# the theorem has at (X|Y), on conjugate shapes; _theorem_report evaluates a
+# theorem with a tall left shape through it, so its determinants are smaller.
 
 
 def fold_theorem(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
@@ -435,14 +442,45 @@ def pair_sides(theorem, X: Alphabet, Y: Alphabet) -> list[LaurentPoly]:
     return theorem_sides(theorem, dets)
 
 
+# Each rule's dual: s_lam(X|Y) = (-1)^|lam| s_lam'(Y|X), and the square
+# bracket of lam at (X|Y) is likewise the angle bracket of lam' at (Y|X).
+_DUAL = {"plain": "plain", "square": "angle", "angle": "square"}
+
+
+def _dual_theorem(theorem) -> tuple:
+    """The theorem's dual: each side's value at (X|Y) is its dual side's at (Y|X).
+
+    h_list's series of (Y|X) is the reciprocal of that of (X|Y), so h_k(Y|X)
+    = (-1)^k e_k(X|Y), and the e form of Jacobi-Trudi (Macdonald, Symmetric
+    Functions, I.3.5) gives the duality with its sign.  A side's constants
+    swap with its alphabets; only the mapping list, and the rules in _DUAL,
+    have a dual.
+    """
+    out = []
+    for x_consts, y_consts, mapping, rule, weighted in theorem:
+        if mapping is not list or rule not in _DUAL:
+            raise ValueError(f"no dual for the side's mapping {mapping!r} and rule {rule!r}")
+        dual = [(conjugate(lam), w * (-1) ** size(lam)) for lam, w in weighted]
+        out.append((y_consts, x_consts, list, _DUAL[rule], dual))
+    return tuple(out)
+
+
 def _theorem_report(
     check_id: str, params: dict, theorem, X: Alphabet, Y: Alphabet
 ) -> VerificationReport:
     """poly_comparison of the theorem's two sides at the base pair (X|Y), in x.
 
-    Equal values over h_list's table have equal x images, so the left side
-    is turned into x once and the right side only when it differs there.
+    A theorem whose left shape lam is tall (more rows than columns) is
+    evaluated as its _dual_theorem at (Y|X), which has the same sides.  Every
+    shape of a fold or dc theorem lies in lam's box, so no determinant has
+    more than lam_1 rows; each side still reads one h_list series.  Equal
+    values over h_list's table have equal x images, so the left side is
+    turned into x once, over the pair's one table, and the right side only
+    when it differs there.
     """
+    ((lam, _),) = theorem[0][-1]
+    if lam and len(lam) > lam[0]:
+        theorem, X, Y = _dual_theorem(theorem), Y, X
     lhs, rhs = pair_sides(theorem, X, Y)
     lhs_x = in_x(lhs, X.table)
     return poly_comparison(check_id, params, lhs_x, lhs_x if rhs == lhs else in_x(rhs, X.table))

@@ -511,10 +511,16 @@ def check_schur_stability(
 
 
 def _hook_vanishing_failures(lams):
-    """s_lam(X|Y) at each shape outside the (nx, ny) hook, one bracket_batch per pair."""
+    """s_lam(X|Y) at each shape outside the (nx, ny) hook, one bracket_batch per pair.
+
+    A pair with no shape of lams outside its hook takes its corner, the
+    least shape outside it: nx + 1 rows of ny + 1 boxes.  (2, 1) does at
+    max_lambda 5.
+    """
     for nx, ny in ((1, 0), (0, 1), (1, 1), (2, 1)):
         X, Y, _ = cauchy_alphabets(nx, ny, 1)
         outside = [lam for lam in lams if partitions.part(lam, nx + 1) > ny]
+        outside = outside or [(ny + 1,) * (nx + 1)]
         for lam, value in zip(outside, schur.bracket_batch(BracketType.PLAIN, outside, X, Y)):
             if not value.is_zero:
                 yield "schur.hook-vanishing", {"lam": list(lam), "nx": nx, "ny": ny}

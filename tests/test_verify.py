@@ -695,6 +695,40 @@ def test_the_table_theorems_match_the_comparison_routes(monkeypatch, setting):
     assert any(failures) == (setting != "healthy")
 
 
+def test_hook_vanishing_takes_a_shape_at_every_pair(monkeypatch):
+    # No shape of size <= 5 lies outside the (2, 1) hook, so that pair takes
+    # its corner (2, 2, 2); h_1 + 1 at that pair alone turns the check red.
+    batches = []
+    real_batch = schur.bracket_batch
+
+    def spy(tag, shapes, X, Y):
+        batches.append(list(shapes))
+        return real_batch(tag, shapes, X, Y)
+
+    monkeypatch.setattr(schur, "bracket_batch", spy)
+    assert list(verify._hook_vanishing_failures(partitions.partitions_upto(5))) == []
+    assert all(batches) and batches[3] == [(2, 2, 2)]
+
+    pair = cauchy_alphabets(2, 1, 1)[:2]
+    real_h_list = schur.h_list
+
+    def corrupted(X, Y, degmax):
+        hs = list(real_h_list(X, Y, degmax))
+        if (X, Y) == pair and len(hs) > 1:
+            hs[1] = hs[1] + 1
+        return tuple(hs)
+
+    monkeypatch.setattr(schur, "h_list", corrupted)
+    superchar.clear_caches()
+    try:
+        (report,) = [r for r in check_schur_invariants(5) if r.check_id == "schur.hook-vanishing"]
+        assert not report.passed
+        assert report.witness == {"lam": [2, 2, 2], "nx": 2, "ny": 1}
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+
+
 def ref_bialternant_failures(lams):
     """schur.bialternant-agreement's earlier loop: each alternant divided by the Vandermonde."""
     for n in (1, 2, 3, 4):
