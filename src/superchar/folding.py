@@ -473,14 +473,27 @@ def _theorem_report(
     A theorem whose left shape lam is tall (more rows than columns) is
     evaluated as its _dual_theorem at (Y|X), which has the same sides.  Every
     shape of a fold or dc theorem lies in lam's box, so no determinant has
-    more than lam_1 rows; each side still reads one h_list series.  Equal
-    values over h_list's table have equal x images, so the left side is
-    turned into x once, over the pair's one table, and the right side only
-    when it differs there.
+    more than lam_1 rows; each side still reads one h_list series.  The
+    comparison is pair_report's.
     """
     ((lam, _),) = theorem[0][-1]
     if lam and len(lam) > lam[0]:
         theorem, X, Y = _dual_theorem(theorem), Y, X
+    return pair_report(check_id, params, theorem, X, Y)
+
+
+def pair_report(
+    check_id: str, params: dict, theorem, X: Alphabet, Y: Alphabet
+) -> VerificationReport:
+    """poly_comparison of the theorem's two sides at (X|Y), as it stands, in x.
+
+    Equal values over h_list's table have equal x images, so the left side
+    is turned into x once, over the pair's one table, and the right side
+    only when it differs there.  The sweeps check a theorem their free proof
+    did not prove here, on the sides that proof compared, so a determinant
+    fault that cancels on the dual (a shift, where the dual's weight sums
+    agree) still shows.
+    """
     lhs, rhs = pair_sides(theorem, X, Y)
     lhs_x = in_x(lhs, X.table)
     return poly_comparison(check_id, params, lhs_x, lhs_x if rhs == lhs else in_x(rhs, X.table))

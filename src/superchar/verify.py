@@ -905,20 +905,21 @@ def check_dc_sweep(
 
     The (relation, xi, lam) theorems are tried over free h_1..h_D as one
     batch (folding.proved_free_all), so each determinant is taken once; one
-    that is not proved there is checked by folding.general_dc_check at each
-    alphabet pair, for its verdict and witness.
+    that is not proved there is checked by folding.pair_report at each
+    alphabet pair, for its verdict and witness: the theorem the free proof
+    compared, not the dual general_dc_check takes for a tall lam.
     """
     lams = partitions_upto(max_lambda)
     xis = {r: (1, -1) if r in folding.XI_RELATIONS else (1,) for r in folding.DC_RELATIONS}
     keys = [(r, xi, lam) for r in folding.DC_RELATIONS for xi in xis[r] for lam in lams]
-    theorems = [folding.dc_theorem(r, lam, xi) for r, xi, lam in keys]
-    proved = dict(zip(keys, folding.proved_free_all(theorems)))
+    theorems = {(r, xi, lam): folding.dc_theorem(r, lam, xi) for r, xi, lam in keys}
+    proved = dict(zip(keys, folding.proved_free_all(theorems.values())))
 
     def failures(relation, X, Y, xi):
         for lam in lams:
             if proved[relation, xi, lam]:
                 continue
-            rep = folding.general_dc_check(relation, lam, X, Y, xi)
+            rep = folding.pair_report(f"dc.{relation}", {}, theorems[relation, xi, lam], X, Y)
             if not rep.passed:
                 yield f"dc.{relation}", {"lam": list(lam), "diff": str(rep.witness)}
 
@@ -1003,8 +1004,9 @@ def check_fold_sweep(max_rank: int, max_am: int = 3) -> list[VerificationReport]
     The distinct (tag, branch, a, m) theorems are tried over free
     h_1..h_D as one batch (folding.proved_free_all), so each determinant is
     taken once, and each passes at every (r, s) when proved there; one
-    that is not is checked by folding.verify_decomposition at each (r, s),
-    for its verdict and witness.
+    that is not is checked by folding.pair_report at each (r, s), for its
+    verdict and witness: verify_decomposition's report, on the theorem the
+    free proof compared rather than the dual it takes for a tall rectangle.
     """
     requests = [
         (case, branch, a, m)
@@ -1018,12 +1020,16 @@ def check_fold_sweep(max_rank: int, max_am: int = 3) -> list[VerificationReport]
     firsts = {}
     for case, branch, a, m in requests:
         firsts.setdefault((case.tag, branch, a, m), (case, branch, a, m))
-    theorems = [folding.fold_theorem(*request) for request in firsts.values()]
-    proved = dict(zip(firsts, folding.proved_free_all(theorems)))
+    theorems = {key: folding.fold_theorem(*request) for key, request in firsts.items()}
+    proved = dict(zip(firsts, folding.proved_free_all(theorems.values())))
     return [
         VerificationReport(*folding.fold_report_id(case, branch, a, m), True)
         if proved[case.tag, branch, a, m]
-        else folding.verify_decomposition(case, branch, a, m)
+        else folding.pair_report(
+            *folding.fold_report_id(case, branch, a, m),
+            theorems[case.tag, branch, a, m],
+            *folding._palindromic_pair(case),
+        )
         for case, branch, a, m in requests
     ]
 

@@ -261,7 +261,9 @@ def test_dc_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
             if e_route and reads_h1:
                 assert digest != pins[workloads.request_key(req)][0], req
                 checked += 1
-        assert checked >= 195
+        # Measured: 195 of the 678 e-route requests read h_1 on the shape
+        # evaluated (lam' for a tall lam); 390 read it on lam itself.
+        assert checked == 195
     finally:
         monkeypatch.undo()
         superchar.clear_caches()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -1218,18 +1219,43 @@ def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fau
     assert alone.count(False) == (694 + 31 if fault else 551 + 4)
 
 
-# The fold.A2_EVEN.D reports, as (r, s, a, m), that check_fold_sweep(2, 3)
-# passes and the per-alphabet route turns red under det + shift.  The shift
-# adds shift times each side's weight sum over its nonempty shapes, so it
-# cancels wherever the evaluated theorem's two sums agree.  The sweep's free
-# proof takes the forward theorem, whose alternating weights sum to its left
-# side's, and is fooled; a tall rectangle's report takes the dual theorem,
-# whose weights w (-1)^|lam| do not.  The same rule leaves the 25 tall
-# non-alternating BOX reports (B1.D, A2_ODD.C and D2.B at a = 3) green on
-# both routes: there it is the dual's sums that agree.
+# Under det + shift every determinant gains shift, so each evaluated side
+# gains shift times its weight sum over its nonempty shapes, and the shift
+# cancels wherever the two sums agree.  The sweeps' free proof is fooled
+# wherever the forward theorem's sums agree, and each theorem it does not
+# prove is checked on the forward theorem (folding.pair_report), so both
+# sweeps read byte for byte as they did before tall requests took their
+# dual: the sha256 of suite_to_json for (dc, fold), per shift, with 72 of
+# 72 dc and 264 of 448 fold reports red.
+DET_SHIFT_SWEEP_SHA256 = {
+    1: ("10665c5a82f7cfd0f5d3722a9b0742af60e369cddcdfa32d9bdfa462c0a30e09",
+        "3ee9093fd4008e8654971b1a0e08233cf9f111eed86400993661d617fe8b91ba"),
+    2: ("4e2d8d838da5a409053796feb00285d7c1a30ea2305abdff3f2ba06737fcb2e8",
+        "ff902fa7883d3a5d664db64fa695755cb4aa8719c3d102bb0077735bc6a6ff2a"),
+}
+
+# The fold reports, as (check_id, r, s, a, m), on which the request route
+# (verify_decomposition, which takes a tall rectangle's dual) differs from
+# the sweep under det + shift.  Red on the request route alone: the
+# fold.A2_EVEN.D tall rectangles, whose dual weights w (-1)^|lam| no longer
+# sum alike.  Red in the sweep alone: the tall non-alternating BOX reports,
+# whose forward sums differ but whose dual's agree.
 DET_SHIFT_PER_ALPHABET_RED = [
-    (0, 1, 3, 1), (0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 3, 2), (1, 0, 3, 1),
-    (1, 1, 3, 1), (1, 1, 3, 2), (2, 0, 3, 1), (2, 0, 3, 2),
+    ("fold.A2_EVEN.D", *params) for params in (
+        (0, 1, 3, 1), (0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 3, 2), (1, 0, 3, 1),
+        (1, 1, 3, 1), (1, 1, 3, 2), (2, 0, 3, 1), (2, 0, 3, 2),
+    )
+]
+DET_SHIFT_SWEEP_RED = [
+    ("fold.B1.D", *params) for params in (
+        (0, 1, 3, 1), (0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 3, 2), (1, 0, 3, 1),
+        (1, 1, 3, 1), (1, 1, 3, 2), (2, 0, 3, 1), (2, 0, 3, 2),
+    )
+] + [
+    ("fold.A2_ODD.C", r, s, 3, m)
+    for r, s in ((0, 1), (0, 2), (1, 0), (1, 1), (2, 0)) for m in (1, 2)
+] + [
+    ("fold.D2.B", r, s, 3, m) for r, s in ((1, 0), (1, 1), (2, 0)) for m in (1, 2)
 ]
 
 
@@ -1237,10 +1263,11 @@ DET_SHIFT_PER_ALPHABET_RED = [
 def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
     """The power_det tests' det + 1 fault, at both det sites, and det + 2.
 
-    Under either shift each sweep gives the per-alphabet reports, many of
-    them red: no character on their path is divided.  The fold sweep's
-    exceptions are DET_SHIFT_PER_ALPHABET_RED, each red on the per-alphabet
-    route alone.
+    Under either shift each sweep reads as it did before tall requests took
+    their dual (DET_SHIFT_SWEEP_SHA256), many of its reports red: no
+    character on their path is divided.  The dc requests give the sweep's
+    reports; the fold requests differ on DET_SHIFT_PER_ALPHABET_RED and
+    DET_SHIFT_SWEEP_RED alone.
     """
     real = laurent.det
     for owner in (laurent, schur):
@@ -1248,14 +1275,24 @@ def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
     clear_caches()
     try:
         dc, fold = verify.check_dc_sweep(4, 2, 1), verify.check_fold_sweep(2, 3)
+        digests = tuple(
+            hashlib.sha256(verify.suite_to_json(reports).encode()).hexdigest()
+            for reports in (dc, fold)
+        )
+        assert digests == DET_SHIFT_SWEEP_SHA256[shift]
         assert verify.suite_to_json(dc) == verify.suite_to_json(per_alphabet_dc_sweep(4, 2, 1))
-        red_alone = []
+        red_alone = {True: [], False: []}  # red on the request route alone, in the sweep alone
         for got, want in zip(fold, per_alphabet_fold_sweep(2, 3), strict=True):
-            if got.to_json() != want.to_json():
-                assert got.passed and not want.passed, got.params
-                assert got.check_id == "fold.A2_EVEN.D", got.params
-                red_alone.append(tuple(got.params[k] for k in ("r", "s", "a", "m")))
-        assert red_alone == DET_SHIFT_PER_ALPHABET_RED
+            # A report red on both routes may differ in its witness: under
+            # the fault the dual's sides are not the forward sides.
+            assert (got.check_id, got.params) == (want.check_id, want.params)
+            if got.passed != want.passed:
+                red_alone[got.passed].append(
+                    (got.check_id, *(got.params[k] for k in ("r", "s", "a", "m")))
+                )
+        assert red_alone[True] == DET_SHIFT_PER_ALPHABET_RED
+        assert sorted(red_alone[False]) == sorted(DET_SHIFT_SWEEP_RED)
+        assert [sum(not r.passed for r in reports) for reports in (dc, fold)] == [72, 264]
         for reports in (dc, fold):
             assert sum(not r.passed for r in reports) >= len(reports) // 2
     finally:
