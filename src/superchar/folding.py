@@ -255,8 +255,8 @@ def verify_decomposition(
     """Compare kr_supercharacter with decomposition_rhs, exactly.
 
     fold_theorem's two sides at the case's palindromic base pair, compared
-    in x by _theorem_report (which takes a tall rectangle, a > m, as its
-    dual at the swapped pair).
+    in x by _theorem_report (which takes a tall rectangle, a > m, and a
+    square one when case.x_count > s, as its dual at the swapped pair).
     """
     theorem = fold_theorem(case, branch, a, m)
     return _theorem_report(*fold_report_id(case, branch, a, m), theorem, *_palindromic_pair(case))
@@ -353,8 +353,9 @@ def general_dc_check(
     """Check one of the eight alphabet-modification identities exactly.
 
     dc_theorem's two sides at the base pair (X|Y), compared in x by
-    _theorem_report; a tall lam's theorem is evaluated as its dual at (Y|X),
-    on conjugate shapes, which gives the same two values.
+    _theorem_report; the theorem of a tall lam, or of a square lam when X
+    has more variables than Y, is evaluated as its dual at (Y|X), on
+    conjugate shapes, which gives the same two values.
     """
     theorem = dc_theorem(relation, lam, xi)
     params = {
@@ -387,7 +388,9 @@ def general_dc_check(
 #
 # A theorem's dual (_dual_theorem) has at the swapped pair (Y|X) the sides
 # the theorem has at (X|Y), on conjugate shapes; _theorem_report evaluates a
-# theorem with a tall left shape through it, so its determinants are smaller.
+# theorem with a tall left shape through it, so its determinants are smaller,
+# and one with a square left shape when X has more variables than Y, so its
+# series divides by fewer.
 
 
 def fold_theorem(case: FoldingCase, branch: DecompBranch, a: int, m: int) -> tuple:
@@ -465,6 +468,11 @@ def _dual_theorem(theorem) -> tuple:
     return tuple(out)
 
 
+def _variable_count(A: Alphabet) -> int:
+    """The number of A's non-constant elements."""
+    return sum(1 for _, exps in A.elements if any(exps))
+
+
 def _theorem_report(
     check_id: str, params: dict, theorem, X: Alphabet, Y: Alphabet
 ) -> VerificationReport:
@@ -473,11 +481,14 @@ def _theorem_report(
     A theorem whose left shape lam is tall (more rows than columns) is
     evaluated as its _dual_theorem at (Y|X), which has the same sides.  Every
     shape of a fold or dc theorem lies in lam's box, so no determinant has
-    more than lam_1 rows; each side still reads one h_list series.  The
-    comparison is pair_report's.
+    more than lam_1 rows; each side still reads one h_list series.  A square
+    lam takes the dual when X has more variables (non-constant elements)
+    than Y: the series divides by X's factors, so the h_k of the side with
+    fewer divided variables have fewer terms.  The comparison is
+    pair_report's.
     """
     ((lam, _),) = theorem[0][-1]
-    if lam and len(lam) > lam[0]:
+    if lam and (len(lam), _variable_count(X)) > (lam[0], _variable_count(Y)):
         theorem, X, Y = _dual_theorem(theorem), Y, X
     return pair_report(check_id, params, theorem, X, Y)
 

@@ -863,7 +863,8 @@ def check_lr_rectangle(max_rect: int) -> list[VerificationReport]:
     of box shapes can disagree with the table only at a complement pair or
     at one of the table's entries; those are compared, and the mismatches
     yielded in box order of mu, then of nu.  The class sums of every mu come
-    from one lr._rect_sums pass over the table.
+    from one lr._rect_sums pass over the table, and each class's members
+    from one enumerate_rect_subset of the box.
     """
 
     def failures():
@@ -881,10 +882,13 @@ def check_lr_rectangle(max_rect: int) -> list[VerificationReport]:
                     if int(complement[i] == j) != coeffs.get((mu, nu), 0):
                         yield "lr.rectangle", {"m": m, "a": a, "mu": list(mu), "nu": list(nu)}
                 sums = lr._rect_sums(m, a)
+                members = {
+                    variant: set(partitions.enumerate_rect_subset(subset, m, a))
+                    for variant, subset in lr._VARIANT_SUBSET.items()
+                }
                 for mu in box:
                     for variant in PartitionClass:
-                        want = 1 if lr.rect_sum_membership(m, a, mu, variant) else 0
-                        if sums.get((mu, variant), 0) != want:
+                        if sums.get((mu, variant), 0) != int(mu in members[variant]):
                             yield "lr.rect-sum", {
                                 "m": m,
                                 "a": a,

@@ -454,6 +454,45 @@ def test_folded_rectangles_satisfy_the_t_system():
     assert (instances, failures) == (240, 0)
 
 
+def q_system_holds(rows, rank, m):
+    """Whether the C-type Q-system's two end-node identities hold at m, as a pair.
+
+    They are (i) R_r(m) = Q_{floor(m/2)} Q_{ceil(m/2)} and (ii) Q_m^2 =
+    Q_{m+1} Q_{m-1} + R_{r-1}(2m), with r = rows, over the SPO alphabet of
+    the given rank at s = 0.  R_a(m) is the folded a x m rectangle, the
+    EVENROW/ANGLE subset sum of the fold theorem, and Q_k the angle bracket
+    of the rows x k rectangle, the sp(2 rank) irreducible; Q_0 = 1.
+    """
+    case = FoldingCase(FoldingTag.SPO, rank, 0)
+    X, Y = folding._palindromic_pair(case)
+
+    def R(a, m):
+        return kr_supercharacter(case, a, m)
+
+    def Q(k):
+        if not k:
+            return LaurentPoly.const(X.table, 1)
+        return in_x(bracket_schur(BracketType.ANGLE, (k,) * rows, X, Y), X.table)
+
+    first = R(rows, m) == Q(m // 2) * Q((m + 1) // 2)
+    second = Q(m) * Q(m) == Q(m + 1) * Q(m - 1) + R(rows - 1, 2 * m)
+    return first, second
+
+
+def test_the_spo_end_nodes_satisfy_the_c_type_q_system():
+    # The Q-system of C_r^(1) at nodes r and r - 1 (Kirillov-Reshetikhin
+    # 1987; Hernandez 2006 for KR characters), with W^(r)_k the r x k angle
+    # rectangle and the folded r x m rectangle the product of Q's (i).
+    # Unlike the T-system these are rank-specific: the r-row rectangles over
+    # the alphabet of a higher rank fail both.
+    for rows, top in ((2, 3), (3, 2)):
+        for m in range(1, top + 1):
+            assert q_system_holds(rows, rows, m) == (True, True), (rows, m)
+    for rows, rank in ((2, 3), (2, 4), (3, 4)):
+        assert q_system_holds(rows, rank, 1) == (True, False), (rows, rank)
+        assert q_system_holds(rows, rank, 2) == (False, False), (rows, rank)
+
+
 # ---------------------------------------------------------------------------
 # Folded characters against a reference computed in x
 # ---------------------------------------------------------------------------
@@ -995,6 +1034,30 @@ def test_a_tall_request_reads_the_dual_rule(monkeypatch, rule):
         clear_caches()
 
 
+@pytest.mark.parametrize("rule", ["square", "angle"])
+def test_a_square_request_takes_the_dual_when_x_has_more_variables(monkeypatch, rule):
+    """A square rectangle's orientation is chosen by the variables of each alphabet.
+
+    The A2_ODD 2x2 request at (r, s) = (2, 0) has four x variables and no
+    y, so it is evaluated on its dual and a corrupted entry rule turns red
+    the other bracket's branch.  At (0, 2) X has fewer variables, and at
+    (1, 1) the tie keeps the forward theorem: each branch reads its own rule.
+    """
+    real = getattr(schur, f"_{rule}_entry")
+    monkeypatch.setattr(schur, f"_{rule}_entry", lambda base, j: (*real(base, j), (1, base + j)))
+    clear_caches()
+    try:
+        for (r, s), dual in (((2, 0), True), ((0, 2), False), ((1, 1), False)):
+            case = FoldingCase(FoldingTag.A2_ODD, r, s)
+            for name in ("B", "C"):
+                own = get_branch(case, name).bracket.value == rule
+                passed = verify_decomposition(case, get_branch(case, name), 2, 2).passed
+                assert passed == (own == dual), (r, s, name)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
 def mutate_branch(monkeypatch, tag, branch, mutant):
     """Put mutant in place of branch in the tag's row of the case table."""
     row = folding._CASES[tag]
@@ -1234,28 +1297,45 @@ DET_SHIFT_SWEEP_SHA256 = {
         "ff902fa7883d3a5d664db64fa695755cb4aa8719c3d102bb0077735bc6a6ff2a"),
 }
 
+# The dc sweep's reports are verdict by verdict those of the request route
+# (general_dc_check at every pair), but a square lam at nx > ny is evaluated
+# on its dual there, so 12 of its witnesses differ: the sha256 of the request
+# route's dc suite_to_json, per shift.
+DET_SHIFT_REQUEST_DC_SHA256 = {
+    1: "85836291cb57aac7ec5c84ddbc7af09281a9663447ad11cbdfeb180c4613f7ef",
+    2: "732b0b78554d2eff3362ff3d8929de38121ced298e6b05f2ff42b18f91bb2335",
+}
+
 # The fold reports, as (check_id, r, s, a, m), on which the request route
-# (verify_decomposition, which takes a tall rectangle's dual) differs from
-# the sweep under det + shift.  Red on the request route alone: the
-# fold.A2_EVEN.D tall rectangles, whose dual weights w (-1)^|lam| no longer
-# sum alike.  Red in the sweep alone: the tall non-alternating BOX reports,
-# whose forward sums differ but whose dual's agree.
+# (verify_decomposition, which takes the dual of a tall rectangle, and of a
+# square one when X has more variables than Y, r > s) differs from the sweep
+# under det + shift.  Red on the request route alone: those fold.A2_EVEN.D
+# rectangles, whose dual weights w (-1)^|lam| no longer sum alike.  Red in
+# the sweep alone: those non-alternating BOX reports, whose forward sums
+# differ but whose dual's agree.
 DET_SHIFT_PER_ALPHABET_RED = [
     ("fold.A2_EVEN.D", *params) for params in (
-        (0, 1, 3, 1), (0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 3, 2), (1, 0, 3, 1),
-        (1, 1, 3, 1), (1, 1, 3, 2), (2, 0, 3, 1), (2, 0, 3, 2),
+        (0, 1, 3, 1), (0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 3, 2), (1, 0, 2, 2),
+        (1, 0, 3, 1), (1, 1, 3, 1), (1, 1, 3, 2), (2, 0, 2, 2), (2, 0, 3, 1),
+        (2, 0, 3, 2), (2, 0, 3, 3),
     )
 ]
 DET_SHIFT_SWEEP_RED = [
     ("fold.B1.D", *params) for params in (
-        (0, 1, 3, 1), (0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 3, 2), (1, 0, 3, 1),
-        (1, 1, 3, 1), (1, 1, 3, 2), (2, 0, 3, 1), (2, 0, 3, 2),
+        (0, 1, 3, 1), (0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 3, 2), (1, 0, 2, 2),
+        (1, 0, 3, 1), (1, 1, 3, 1), (1, 1, 3, 2), (2, 0, 2, 2), (2, 0, 3, 1),
+        (2, 0, 3, 2), (2, 0, 3, 3),
     )
 ] + [
     ("fold.A2_ODD.C", r, s, 3, m)
     for r, s in ((0, 1), (0, 2), (1, 0), (1, 1), (2, 0)) for m in (1, 2)
 ] + [
+    ("fold.A2_ODD.C", *params)
+    for params in ((1, 0, 2, 2), (1, 0, 3, 3), (2, 0, 2, 2), (2, 0, 3, 3))
+] + [
     ("fold.D2.B", r, s, 3, m) for r, s in ((1, 0), (1, 1), (2, 0)) for m in (1, 2)
+] + [
+    ("fold.D2.B", *params) for params in ((2, 0, 2, 2), (2, 0, 3, 3))
 ]
 
 
@@ -1266,8 +1346,9 @@ def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
     Under either shift each sweep reads as it did before tall requests took
     their dual (DET_SHIFT_SWEEP_SHA256), many of its reports red: no
     character on their path is divided.  The dc requests give the sweep's
-    reports; the fold requests differ on DET_SHIFT_PER_ALPHABET_RED and
-    DET_SHIFT_SWEEP_RED alone.
+    verdicts (DET_SHIFT_REQUEST_DC_SHA256 pins their witnesses); the fold
+    requests differ on DET_SHIFT_PER_ALPHABET_RED and DET_SHIFT_SWEEP_RED
+    alone.
     """
     real = laurent.det
     for owner in (laurent, schur):
@@ -1280,7 +1361,12 @@ def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
             for reports in (dc, fold)
         )
         assert digests == DET_SHIFT_SWEEP_SHA256[shift]
-        assert verify.suite_to_json(dc) == verify.suite_to_json(per_alphabet_dc_sweep(4, 2, 1))
+        requests = per_alphabet_dc_sweep(4, 2, 1)
+        assert [(r.check_id, r.params, r.passed) for r in requests] == [
+            (r.check_id, r.params, r.passed) for r in dc
+        ]
+        request_digest = hashlib.sha256(verify.suite_to_json(requests).encode()).hexdigest()
+        assert request_digest == DET_SHIFT_REQUEST_DC_SHA256[shift]
         red_alone = {True: [], False: []}  # red on the request route alone, in the sweep alone
         for got, want in zip(fold, per_alphabet_fold_sweep(2, 3), strict=True):
             # A report red on both routes may differ in its witness: under
@@ -1290,7 +1376,7 @@ def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
                 red_alone[got.passed].append(
                     (got.check_id, *(got.params[k] for k in ("r", "s", "a", "m")))
                 )
-        assert red_alone[True] == DET_SHIFT_PER_ALPHABET_RED
+        assert sorted(red_alone[True]) == DET_SHIFT_PER_ALPHABET_RED
         assert sorted(red_alone[False]) == sorted(DET_SHIFT_SWEEP_RED)
         assert [sum(not r.passed for r in reports) for reports in (dc, fold)] == [72, 264]
         for reports in (dc, fold):

@@ -269,15 +269,20 @@ def test_cauchy_check_refuses_t_variables_it_cannot_use(monkeypatch):
     assert cauchy_check("cauchy_square", Alphabet.formal(table, ("x1", "t2")), none, 1, 4).passed
 
 
-def per_check_cauchy(t_count, degmax):
-    """The suite's Cauchy reports as one cauchy_check each, in the sweep's order."""
+def per_check_args(t_count, degmax):
+    """The arguments of one cauchy_check per suite Cauchy report, in the sweep's order."""
     return [
-        cauchy_check(kind, *cauchy_alphabets(nx, ny, nT)[:2], nT, degmax)
+        (kind, *cauchy_alphabets(nx, ny, nT)[:2], nT, degmax)
         for kind in CAUCHY_KINDS
         for nx in range(3)
         for ny in range(3)
         for nT in range(1, t_count + 1)
     ]
+
+
+def per_check_cauchy(t_count, degmax):
+    """The suite's Cauchy reports as one cauchy_check each, in the sweep's order."""
+    return [cauchy_check(*args) for args in per_check_args(t_count, degmax)]
 
 
 def corrupted_formal_factor(real):
@@ -310,16 +315,34 @@ def test_cauchy_sweep_is_byte_equal_to_the_per_check_reports(monkeypatch, fault,
     # The sweep shares the t-side, the characters and the plain product; each
     # report must still be the bytes cauchy_check gives, witnesses included,
     # on the healthy library and under a corrupted series, which the Cauchy
-    # reports are the battery's guard of.
+    # reports are the battery's guard of.  A report the sweep hands to
+    # cauchy_check is that call's result, so a spy checks that the call
+    # carries the per-check arguments, in order; only the reports the sweep
+    # decides itself are compared with a cauchy_check of their own.
     if fault is not None:
         attr, corrupt = fault
         monkeypatch.setattr(schur, attr, corrupt(getattr(schur, attr)))
+    calls = []
+
+    def spy(*args):
+        calls.append((args, cauchy_check(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "cauchy_check", spy)
     try:
         for t_count, degmax in ((3, 6), (4, 7)):
+            args = per_check_args(t_count, degmax)
             superchar.clear_caches()
-            want = per_check_cauchy(t_count, degmax)
-            superchar.clear_caches()
+            calls.clear()
             got = verify.check_cauchy_sweep(2, 2, t_count, degmax)
+            assert len(got) == len(args), (t_count, degmax)
+            handed = []  # the indices of the reports that are calls' results, in order
+            for i, report in enumerate(got):
+                if len(handed) < len(calls) and report is calls[len(handed)][1]:
+                    handed.append(i)
+            assert [call for call, _ in calls] == [args[i] for i in handed], (t_count, degmax)
+            superchar.clear_caches()
+            want = [r if i in handed else cauchy_check(*args[i]) for i, r in enumerate(got)]
             # Equal reports (id, params, verdict, witness over the same table)
             # serialize to equal bytes; at (4, 7) under a fault the witnesses
             # hold some 24 MB of JSON, so only (3, 6) is serialized here.
