@@ -537,16 +537,7 @@ def _free_batch(theorems: list):
     return [theorem_sides(theorem, dets) for theorem in theorems]
 
 
-def free_sides(theorem) -> list[LaurentPoly]:
-    """Both sides of the theorem over free h_1..h_D, its own degree: the batch of one."""
-    return _free_batch([theorem])[0]
-
-
 def proved_free_all(theorems) -> list[bool]:
     """Whether each theorem's sides are equal over free h_1..h_D, as one batch (_free_batch)."""
     return [lhs == rhs for lhs, rhs in _free_batch(list(theorems))]
 
-
-def proved_free(theorem) -> bool:
-    """Whether the theorem's sides are equal over free h_1..h_D: the batch of one."""
-    return proved_free_all([theorem])[0]

@@ -20,7 +20,6 @@ from .partitions import (
     checked_memo,
     contains,
     in_class,
-    in_rect_subset,
     part,
     size,
 )
@@ -202,7 +201,3 @@ def lr_rect_sum(m: int, a: int, mu: Partition, variant: PartitionClass) -> int:
         raise ValueError(f"unknown class {variant!r}")
     return _rect_sums(m, a).get((mu, variant), 0)
 
-
-def rect_sum_membership(m: int, a: int, mu: Partition, variant: PartitionClass) -> bool:
-    """The subset membership the class sum is predicted to indicate."""
-    return in_rect_subset(_VARIANT_SUBSET[variant], m, a, mu)

@@ -448,8 +448,9 @@ def _table_dets(shapes, hs, entry) -> list[LaurentPoly]:
     """det(E(lam_i - i, j)) over 1 <= i, j <= len(lam), for each shape.
 
     The entry E(base, j) is the sum c h(k) over the (c, k) of entry(base, j);
-    h(k) is hs[k], read as 0 for k < 0, from one h_list call at the degree
-    the batch asks for; the values stay over hs's table.  Each entry (base,
+    h(k) is hs[k], read as 0 for k < 0, from one series at least as long as
+    the degree the batch asks for (an h_list call, free h's or e's); the
+    values stay over hs's table.  Each entry (base,
     j) is formed once per batch, by one Accumulator.  The empty shape is 1.
     """
     table = hs[0].table
@@ -617,7 +618,7 @@ def _alternant(table: VarTable, lam: Partition, monomials: dict) -> LaurentPoly:
     """det(t_i^{lam_j + n - j}) over the n variables of table; 1 when n = 0.
 
     monomials maps (t, e) to t^e, filled here as entries are first met, so
-    the alternants of one sum share them.
+    the alternants of one batch share them.
     """
     n = len(table)
     if not n:
@@ -644,41 +645,19 @@ def _bialternant_in(table: VarTable, lam: Partition) -> LaurentPoly:
     return _by_vandermonde(_alternant(table, lam, {}))
 
 
-def _checked_shapes(lams, n: int) -> list[Partition]:
-    require_counts(n=n)
-    out = [as_partition(lam) for lam in lams]
-    for lam in out:
-        if n < len(lam):
-            raise ValueError(f"need at least {len(lam)} variables for {lam}")
-    return out
-
-
 def bialternant_schur(lam: Partition, n: int) -> LaurentPoly:
     """The ratio of alternants det(t_i^{lam_j + n - j}) / det(t_i^{n - j}).
 
     The denominator is the Vandermonde product, and the division is exact
     polynomial division, one ``divide_linear`` per pair of variables; this
-    is the independent oracle for the determinant route, and the per-shape
-    reference for :func:`bialternant_sum`.
+    is the independent oracle for the determinant route.  No report path
+    calls it: the battery multiplies by the Vandermonde instead.
     """
-    (lam,) = _checked_shapes([lam], n)
+    require_counts(n=n)
+    lam = as_partition(lam)
+    if n < len(lam):
+        raise ValueError(f"need at least {len(lam)} variables for {lam}")
     return _bialternant_in(t_table(n), lam)
-
-
-def bialternant_sum(lams, n: int) -> LaurentPoly:
-    """sum of the Schur polynomials s_lam(t_1..t_n) over lams, as one ratio of alternants.
-
-    The alternants det(t_i^{lam_j + n - j}) of all the shapes are added into
-    one numerator, which is divided by the Vandermonde product once.  No h_m
-    is read.  The empty list gives 0; a repeated shape counts once per entry.
-    """
-    shapes = _checked_shapes(lams, n)
-    table = t_table(n)
-    numerator = LaurentPoly.zero(table)
-    monomials: dict = {}
-    for lam in shapes:
-        numerator = numerator + _alternant(table, lam, monomials)
-    return _by_vandermonde(numerator)
 
 
 def schur_in_table(lam: Partition, table: VarTable) -> LaurentPoly:

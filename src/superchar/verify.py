@@ -255,11 +255,14 @@ def cauchy_check(
 def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
     """Classical sum of Schur polynomials against its product form.
 
-    The left side is schur.bialternant_sum over the kind's shapes with
-    |lam| <= degmax and at most nT rows: the shapes' alternants added into
-    one numerator and divided by the Vandermonde product once (Macdonald,
-    Symmetric Functions, I.3 and I.5).  No h_m is read.  The right side is
-    the product of 1/(1 - u) over the kind's monomials u, to t-degree degmax.
+    The left side sums s_lam(t_1..t_nT) over the kind's shapes with |lam|
+    <= degmax and at most nT rows, each by the e form of Jacobi-Trudi,
+    det(e_{lam'_i - i + j}) (Macdonald, Symmetric Functions, I.3.5 and
+    I.5).  The determinants are one schur._table_dets batch over the e table
+    of the t's, whose series is [1, e_1, ..., e_nT] and zeros above; their
+    sum is turned into t once by schur.in_x.  No h_m is read and nothing is
+    divided.  The right side is the product of 1/(1 - u) over the kind's
+    monomials u, to t-degree degmax.
     """
     if kind not in SUM_KINDS:
         raise ValueError(f"unknown sum kind {kind!r}")
@@ -273,9 +276,12 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
         "littlewood_even_rows": PartitionClass.EVEN_ROWS,
         "littlewood_even_columns": PartitionClass.EVEN_COLUMNS,
     }[kind]
-    lhs = schur.bialternant_sum(
-        [lam for lam in partitions_upto(degmax, max_len=nT) if in_class(lam, cls)], nT
-    )
+    shapes = [conjugate(lam) for lam in partitions_upto(degmax, max_len=nT) if in_class(lam, cls)]
+    etab = schur.e_table((table.names,), False)
+    es = [LaurentPoly.const(etab, 1)] + [LaurentPoly.variable(etab, name) for name in etab.names]
+    es += [LaurentPoly.zero(etab)] * (schur._degree(shapes) + 1 - len(es))
+    dets = schur._table_dets(shapes, es, schur._entry_rule("plain"))
+    lhs = schur.in_x(_parts_sum(dets), table)
 
     t_polys = [LaurentPoly.variable(table, name) for name in table.names]
     if kind == "littlewood_even_rows":

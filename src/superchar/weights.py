@@ -89,10 +89,6 @@ class AlgebraFamily:
         return f"{self.kind.value}({self.r},{self.s})"
 
 
-def gl(M: int, N: int) -> AlgebraFamily:
-    return AlgebraFamily(FamilyKind.GL, M, N)
-
-
 def _require_hook(family: AlgebraFamily, lam: Partition) -> None:
     M, N = family.hook
     bad = part(lam, M + 1)

@@ -177,7 +177,8 @@ def test_fold_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
 def test_classical_requests_hand_poly_comparison_the_pinned_lhs(monkeypatch):
     # The classical sums and power_det hand poly_comparison (looked up on
     # verify) their left side over the t table, which the benchmark digests:
-    # the one-division sums and the determinant must give the pinned values.
+    # the e-form Jacobi-Trudi sums and the determinant must give the pinned
+    # values.
     workloads = import_perfbench("workloads")
     pins = json.loads((Path(PERFBENCH) / "pinned.json").read_text())["identity"]
     pool = workloads.identity_pool()
@@ -318,6 +319,16 @@ def test_the_cauchy_sweep_reads_one_t_side_per_nT(monkeypatch):
         pytest.param(
             "super_schur", lambda: [verify.check_fold_hook_sanity(3)], id="super_schur-hook-sanity"
         ),
+        pytest.param(
+            "divide_linear",
+            lambda: verify.run_suite(verify.SuiteConfig()),
+            id="divide_linear-suite",
+        ),
+        pytest.param(
+            "divide_linear",
+            lambda: [verify.littlewood_sum_check(kind, 5, 10) for kind in verify.SUM_KINDS],
+            id="divide_linear-sums",
+        ),
     ],
 )
 def test_the_free_proofs_leave_the_per_shape_characters_unbuilt(monkeypatch, attr, check):
@@ -327,6 +338,9 @@ def test_the_free_proofs_leave_the_per_shape_characters_unbuilt(monkeypatch, att
     # default config) and the stability brackets (72).  Bialternant agreement
     # multiplies each Jacobi-Trudi character by the Vandermonde, so the
     # invariants divide nothing (the quotients took 168 divide_linear calls).
+    # The classical sums take the e form of Jacobi-Trudi, so they and the
+    # whole cold default suite divide nothing either (the summed alternants
+    # took one divide_linear per pair of t's).
     # The characters the invariants and the hook sanity do build (hook
     # vanishing, bialternant agreement, the out-of-hook rectangles) come in
     # one schur.bracket_batch per alphabet pair, not one super_schur per shape.

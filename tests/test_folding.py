@@ -9,18 +9,17 @@ from superchar.folding import (
     DC_RELATIONS,
     FoldingCase,
     FoldingTag,
+    _free_batch,
     ambient_hook,
     branches,
     dc_theorem,
     decomposition_rhs,
     fold_alphabets,
     fold_theorem,
-    free_sides,
     general_dc_check,
     get_branch,
     kr_supercharacter,
     pair_sides,
-    proved_free,
     proved_free_all,
     require_in_hook,
     verify_decomposition,
@@ -870,10 +869,10 @@ def per_alphabet_fold_sweep(max_rank, max_am):
 def test_every_default_sweep_theorem_is_proved_free():
     """The default suite's sweeps: every theorem proved free, every alphabet passing alike."""
     assert len(dc_theorems(5)) == 228
-    assert all(proved_free(dc_theorem(*theorem)) for theorem in dc_theorems(5))
+    assert all(proved_free_all([dc_theorem(*theorem)])[0] for theorem in dc_theorems(5))
     fold = fold_theorems(3, 3)
     assert len(fold) == 99
-    assert all(proved_free(fold_theorem(*request)) for request in fold.values())
+    assert all(proved_free_all([fold_theorem(*request)])[0] for request in fold.values())
 
     clear_caches()
     want = per_alphabet_dc_sweep(5, 3, 2) + per_alphabet_fold_sweep(3, 3)
@@ -900,7 +899,7 @@ def test_free_sides_specialize_to_the_fold_characters():
     count = 0
     for case, branch, a, m in fold_requests(2, 3):
         X, Y = folding._palindromic_pair(case)
-        lhs, rhs = free_sides(fold_theorem(case, branch, a, m))
+        lhs, rhs = _free_batch([fold_theorem(case, branch, a, m)])[0]
         assert specialized(lhs, X, Y) == kr_supercharacter(case, a, m), (case, branch, a, m)
         assert specialized(rhs, X, Y) == decomposition_rhs(case, branch, a, m), (case, branch, a, m)
         count += 1
@@ -911,7 +910,7 @@ def test_free_sides_specialize_to_the_dc_sides():
     """Sent to the base pair's h_k, the free sides are general_dc_check's two sides in x."""
     for relation, lam, xi in dc_theorems(4):
         xp, yp, weight, bracket, xs, ys = folding._DC_ROWS[xi][relation]
-        lhs, rhs = free_sides(dc_theorem(relation, lam, xi))
+        lhs, rhs = _free_batch([dc_theorem(relation, lam, xi)])[0]
         for nx, ny in ((1, 1), (2, 1), (0, 2)):
             X, Y, _ = cauchy_alphabets(nx, ny, 1)
             with_consts = folding._with_consts
@@ -1066,7 +1065,7 @@ def mutate_branch(monkeypatch, tag, branch, mutant):
 
 
 def free_outcomes(monkeypatch, mutate):
-    """(tag, branch, a, m) -> proved_free of each default-sweep theorem, with the branch mutated.
+    """(tag, branch, a, m) -> the free proof of each default-sweep theorem, branch mutated.
 
     Branches that mutate gives None for are left out.
     """
@@ -1077,7 +1076,7 @@ def free_outcomes(monkeypatch, mutate):
             continue
         with monkeypatch.context() as patch:
             mutate_branch(patch, tag, branch, mutant)
-            out[tag, branch, a, m] = proved_free(fold_theorem(case, mutant, a, m))
+            out[tag, branch, a, m] = proved_free_all([fold_theorem(case, mutant, a, m)])[0]
     return out
 
 
@@ -1167,7 +1166,7 @@ def test_a_mutated_relation_fails_the_free_check(monkeypatch, mutate, still_prov
             continue
         with monkeypatch.context() as patch:
             patch.setitem(folding._DC_ROWS[xi], relation, mutant)
-            assert proved_free(dc_theorem(relation, lam, xi)) == (lam in still_proved), (
+            assert proved_free_all([dc_theorem(relation, lam, xi)])[0] == (lam in still_proved), (
                 relation, xi, lam
             )
         count += 1
@@ -1255,7 +1254,7 @@ def two_row_det_fault(monkeypatch):
 
 @pytest.mark.parametrize("fault", [None, two_row_det_fault], ids=["healthy", "two-row-det"])
 def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fault):
-    """proved_free_all against proved_free, theorem by theorem, in three orders.
+    """proved_free_all of the batch against each theorem's batch of one, in three orders.
 
     The theorems are the default sweeps' and their mutants, with the Schur
     invariant table's mixed in among them, sharing side keys (constants,
@@ -1273,7 +1272,7 @@ def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fau
     theorems[400:400] = invariant
     if fault:
         fault(monkeypatch)
-    alone = [proved_free(theorem) for theorem in theorems]
+    alone = [proved_free_all([theorem])[0] for theorem in theorems]
     assert proved_free_all(theorems) == alone
     assert proved_free_all(theorems[::-1]) == alone[::-1]
     first = theorems[alone.index(False)]

@@ -1,12 +1,13 @@
 import pytest
 
-from superchar.lr import lr_coeff, lr_rect_sum, lr_rectangle, lr_table, rect_sum_membership
+from superchar.lr import _VARIANT_SUBSET, lr_coeff, lr_rect_sum, lr_rectangle, lr_table
 from superchar.partitions import (
     PartitionClass,
     add,
     box_partitions,
     conjugate,
     contains,
+    in_rect_subset,
     part,
     partitions_inside,
     partitions_of,
@@ -218,7 +219,7 @@ def test_rect_sum_indicates_membership():
         for a in range(1, 4):
             for mu in box_partitions(m, a):
                 for variant in PartitionClass:
-                    want = 1 if rect_sum_membership(m, a, mu, variant) else 0
+                    want = 1 if in_rect_subset(_VARIANT_SUBSET[variant], m, a, mu) else 0
                     assert lr_rect_sum(m, a, mu, variant) == want, (m, a, mu, variant)
 
 

@@ -2,8 +2,9 @@
 
 The battery's three LR checks read every coefficient from one lr_table per
 shape, and lr_rect_sum reads the box's table once.  The functions named ref_*
-below are the earlier forms, verbatim but for their names and lr.lr_coeff in
-ref_lr_rect_sum, which the patch below must reach: the checks
+below are the earlier forms, verbatim but for their names, lr.lr_coeff in
+ref_lr_rect_sum, which the patch below must reach, and the subset membership,
+read by partitions.in_rect_subset at lr._VARIANT_SUBSET: the checks
 asked lr.lr_coeff once per coefficient, lr_rect_sum asked it once per kappa,
 and schur_expand unpacked and re-tested the whole residual on every step.
 
@@ -160,7 +161,8 @@ def ref_check_lr_rectangle(max_rect: int) -> list[VerificationReport]:
                 for mu in box:
                     for variant in PartitionClass:
                         got = lr.lr_rect_sum(m, a, mu, variant)
-                        want = 1 if lr.rect_sum_membership(m, a, mu, variant) else 0
+                        member = partitions.in_rect_subset(lr._VARIANT_SUBSET[variant], m, a, mu)
+                        want = 1 if member else 0
                         if got != want:
                             yield "lr.rect-sum", {
                                 "m": m,
@@ -195,7 +197,8 @@ def ref_check_lr_rectangle_pairs(max_rect: int) -> list[VerificationReport]:
                 for mu in box:
                     for variant in PartitionClass:
                         got = lr.lr_rect_sum(m, a, mu, variant)
-                        want = 1 if lr.rect_sum_membership(m, a, mu, variant) else 0
+                        member = partitions.in_rect_subset(lr._VARIANT_SUBSET[variant], m, a, mu)
+                        want = 1 if member else 0
                         if got != want:
                             yield "lr.rect-sum", {
                                 "m": m,

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superchar import clear_caches, schur
+from superchar import clear_caches, schur, verify
 from superchar.laurent import (
     EXPONENT_LIMIT,
     ExponentOverflowError,
-    InexactDivisionError,
     LaurentPoly,
     VarTable,
     det,
@@ -21,7 +20,6 @@ from superchar.schur import (
     Alphabet,
     BracketType,
     bialternant_schur,
-    bialternant_sum,
     bracket_schur,
     bracket_schur_altform,
     ETable,
@@ -461,42 +459,59 @@ def test_alternant_numerator_matches_permutation_expansion():
 def test_bialternant_rejects_short_tables():
     with pytest.raises(ValueError):
         bialternant_schur((1, 1, 1), 2)
-    with pytest.raises(ValueError):
-        bialternant_sum([(1,), (1, 1, 1)], 2)
     for n in (-1, 1.5, True):
         with pytest.raises(ValueError):
-            bialternant_sum([], n)
+            bialternant_schur((), n)
 
 
-def test_bialternant_sum_matches_the_per_shape_sum():
-    # One Vandermonde division of the summed alternants against the sum of
-    # the per-shape ratios, for the three classes of the classical sums.
-    for n in range(5):
-        assert bialternant_sum([], n) == LaurentPoly.zero(t_table(n))
-    for n in range(1, 5):
-        for degmax in range(8):
+# Each classical sum kind with the class of its shapes.
+SUM_CLASSES = dict(
+    zip(
+        verify.SUM_KINDS,
+        (PartitionClass.ALL, PartitionClass.EVEN_ROWS, PartitionClass.EVEN_COLUMNS),
+    )
+)
+
+
+def test_bialternant_sum_matches_the_per_shape_sum(monkeypatch):
+    # The left side each classical sum hands poly_comparison, one e-form
+    # Jacobi-Trudi batch turned into t once, against the sum of the
+    # per-shape ratios of alternants, over the benchmark's range of sums.
+    seen = []
+    real = verify.poly_comparison
+
+    def capture(check_id, params, lhs, rhs):
+        seen.append(lhs)
+        return real(check_id, params, lhs, rhs)
+
+    monkeypatch.setattr(verify, "poly_comparison", capture)
+    for n in range(1, 6):
+        for degmax in range(11):
             shapes = partitions_upto(degmax, max_len=n)
-            for cls in PartitionClass:
-                lams = [lam for lam in shapes if in_class(lam, cls)]
+            for kind, cls in SUM_CLASSES.items():
+                seen.clear()
+                assert verify.littlewood_sum_check(kind, n, degmax).passed
                 expected = sum(
-                    (bialternant_schur(lam, n) for lam in lams), LaurentPoly.zero(t_table(n))
+                    (bialternant_schur(lam, n) for lam in shapes if in_class(lam, cls)),
+                    LaurentPoly.zero(t_table(n)),
                 )
-                assert bialternant_sum(lams, n) == expected, (n, degmax, cls)
+                (lhs,) = seen
+                assert lhs == expected, (kind, n, degmax)
 
 
-def test_bialternant_sum_rejects_a_numerator_that_is_not_alternating(monkeypatch):
-    # An alternant with one term dropped is no longer divisible by the
-    # Vandermonde product, and the one division must say so.
-    real = schur._alternant
+def test_a_determinant_fault_turns_every_classical_sum_red(monkeypatch):
+    # Every sum's left side is one schur._table_dets batch, so each value
+    # off by one must show in every sum, the empty shape's alone included.
+    real = schur._table_dets
 
-    def dropped(table, lam, monomials):
-        value = real(table, lam, monomials)
-        (exps, _), *_ = value.sorted_terms()
-        return value - LaurentPoly.monomial(table, exps, value.coeff(exps))
+    def shifted(shapes, hs, entry):
+        return [value + 1 for value in real(shapes, hs, entry)]
 
-    monkeypatch.setattr(schur, "_alternant", dropped)
-    with pytest.raises(InexactDivisionError):
-        bialternant_sum([(2, 1)], 3)
+    monkeypatch.setattr(schur, "_table_dets", shifted)
+    for n in range(1, 6):
+        for degmax in range(11):
+            for kind in verify.SUM_KINDS:
+                assert not verify.littlewood_sum_check(kind, n, degmax).passed, (kind, n, degmax)
 
 
 def test_jacobi_trudi_matches_bialternant():

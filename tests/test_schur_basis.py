@@ -1,6 +1,6 @@
 """Every fold and dc free proof, cross-checked in the Schur basis.
 
-folding.free_sides evaluates a theorem's two sides over free h_1..h_D, with
+folding._free_batch evaluates theorems' two sides over free h_1..h_D, with
 laurent.det, schur._table_dets and schur.graded_parts, and those same
 engines build the alphabet sides that its other tests compare it with.  Here
 each side is evaluated in the Schur basis of the ring of symmetric functions
@@ -15,8 +15,8 @@ each side is evaluated in the Schur basis of the ring of symmetric functions
 
 Each side is re-expanded into free h by Jacobi-Trudi, as a dict from the
 sorted h indices of a monomial to its coefficient, and compared with
-free_sides term for term; the two sides must also agree in the Schur basis
-exactly when proved_free says they agree.
+_free_batch of the theorem alone term for term; the two sides must also agree
+in the Schur basis exactly when proved_free_all says they agree.
 """
 
 from functools import cache
@@ -29,11 +29,11 @@ from superchar.folding import (
     XI_RELATIONS,
     FoldingCase,
     FoldingTag,
+    _free_batch,
     branches,
     dc_theorem,
     fold_theorem,
-    free_sides,
-    proved_free,
+    proved_free_all,
 )
 from superchar.partitions import partitions_upto, size
 from superchar.verify import _pieri_det
@@ -119,7 +119,7 @@ def in_free_h(value):
 
 
 def as_monomials(poly):
-    """A polynomial over free_sides' table h1..hD as in_free_h words it."""
+    """A polynomial over _free_batch's table h1..hD as in_free_h words it."""
     return {
         tuple(k for k, e in enumerate(exps, 1) for _ in range(e)): c for exps, c in poly.terms()
     }
@@ -152,7 +152,7 @@ def test_every_free_proof_holds_in_the_schur_basis():
     for name, theorem in checked:
         sides = schur_basis_sides(theorem)
         assert sides[0] == sides[1], name
-        free = free_sides(theorem)
+        free = _free_batch([theorem])[0]
         assert [in_free_h(side) for side in sides] == [as_monomials(s) for s in free], name
 
 
@@ -183,10 +183,10 @@ def test_a_mutated_theorem_fails_in_the_schur_basis_as_it_fails_free(mutate, app
             continue
         mutant = mutate(theorem)
         sides = schur_basis_sides(mutant)
-        free = free_sides(mutant)
+        free = _free_batch([mutant])[0]
         assert [in_free_h(side) for side in sides] == [as_monomials(s) for s in free], name
         proved = sides[0] == sides[1]
-        assert proved == proved_free(mutant), name
+        assert proved == proved_free_all([mutant])[0], name
         failed += not proved
     assert failed == fails
 

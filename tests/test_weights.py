@@ -8,11 +8,14 @@ from superchar.weights import (
     FIXED_R,
     AlgebraFamily,
     FamilyKind,
-    gl,
     hw_from_diagram,
     is_finite_dimensional,
     kd_labels,
 )
+
+
+def gl(M, N):
+    return AlgebraFamily(FamilyKind.GL, M, N)
 
 
 def type_c(s):
