@@ -192,11 +192,12 @@ def _cmd_suite(args) -> int:
             config = verify.SuiteConfig.from_json_dict(json.load(fh))
     else:
         config = verify.SuiteConfig(**given)
+    if args.persist:  # an unusable directory exits 2 before the battery runs
+        os.makedirs(args.persist, exist_ok=True)
     reports = verify.run_suite(config)
     payload = verify.suite_to_json(reports)
     _emit(payload, args.out)
     if args.persist:
-        os.makedirs(args.persist, exist_ok=True)
         stamp = datetime.datetime.now().strftime("%Y%m%dT%H%M%S%f")
         with open(os.path.join(args.persist, f"suite-{stamp}.json"), "w") as fh:
             fh.write(payload)

@@ -149,18 +149,21 @@ def _vartable(x_count: int, s: int) -> VarTable:
 
 
 def _with_consts(base: Alphabet, consts: tuple[int, ...]) -> Alphabet:
+    """base with the constants +-1 of consts adjoined, each sign checked once."""
     if not consts:
         return base
-    return base | Alphabet.constants(base.table, consts)
+    for c in consts:
+        if type(c) is not int or c not in (1, -1):
+            raise ValueError(f"element sign must be +-1, got {c!r}")
+    zero = (0,) * len(base.table)
+    return Alphabet._of_checked(base.table, base.elements + tuple((c, zero) for c in consts))
 
 
 def _palindromic_pair(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
     """The case's palindromic x and y alphabets, to which its pairs adjoin their constants."""
-    table = _vartable(case.x_count, case.s)
-    return (
-        palindromic(table, table.names[: case.x_count]),
-        palindromic(table, table.names[case.x_count :]),
-    )
+    n = case.x_count
+    table = _vartable(n, case.s)
+    return palindromic(table, table.names[:n]), palindromic(table, table.names[n:])
 
 
 def fold_alphabets(case: FoldingCase) -> tuple[Alphabet, Alphabet]:
@@ -219,10 +222,9 @@ def kr_supercharacter(case: FoldingCase, a: int, m: int) -> LaurentPoly:
 
 
 def _rhs_weighted(case: FoldingCase, branch: DecompBranch, a: int, m: int):
-    """The branch's rectangle subset as (shape, sign) pairs."""
+    """The branch's rectangle subset as (shape, sign) pairs; a and m are checked counts."""
     if branch not in branches(case):
         raise ValueError(f"branch {branch.name!r} does not belong to {case.tag.value}")
-    require_counts(a=a, m=m)
     if a == 0 or m == 0:
         return [((), 1)]
     sign = -1 if branch.alternating else 1
@@ -244,6 +246,7 @@ def decomposition_rhs(case: FoldingCase, branch: DecompBranch, a: int, m: int) -
     pair_sides, turned into x once.  A rectangle outside the hook is not
     refused here.
     """
+    require_counts(a=a, m=m)
     X, Y = _palindromic_pair(case)
     (rhs,) = pair_sides([_rhs_side(case, branch, a, m)], X, Y)
     return in_x(rhs, X.table)
@@ -416,12 +419,16 @@ def theorem_sides(theorem, dets) -> list[LaurentPoly]:
 
     dets(key, shapes) is the determinant of each shape under the side's key
     (x_consts, y_consts, mapping, rule), all over one table.  An empty sum
-    asks for the empty shape at weight 0, so it is 0 over that table.
+    asks for the empty shape at weight 0, so it is 0 over that table.  A
+    side of one shape at weight 1 is that shape's determinant.
     """
     out = []
     for *key, weighted in theorem:
         terms = [(lam, w) for lam, w in weighted if w] or [((), 0)]
         values = dets(tuple(key), [lam for lam, _ in terms])
+        if len(terms) == 1 and terms[0][1] == 1:
+            out.append(values[0])
+            continue
         acc = Accumulator(values[0].table)
         for value, (_, w) in zip(values, terms):
             acc.add(value, w)
@@ -488,7 +495,8 @@ def _theorem_report(
     pair_report's.
     """
     ((lam, _),) = theorem[0][-1]
-    if lam and (len(lam), _variable_count(X)) > (lam[0], _variable_count(Y)):
+    rows = len(lam)
+    if lam and (rows > lam[0] or rows == lam[0] and _variable_count(X) > _variable_count(Y)):
         theorem, X, Y = _dual_theorem(theorem), Y, X
     return pair_report(check_id, params, theorem, X, Y)
 

@@ -506,15 +506,19 @@ def _unfold(terms: dict[int, int], table: VarTable, lift: int) -> dict[int, int]
     The sign is + for lift 0 (T_k) and - for lift 1 (the U_k times
     x_i - x_i^-1), and T_0 is the one monomial x_i^0.  Distinct indices
     give disjoint supports, so no two terms of a pass meet and none
-    cancels: each pass writes every key once.
+    cancels: each pass writes every key once.  The passes run from the
+    first variable, the highest field, down: the fields below a pass's own
+    are still nonnegative indices, and a field an earlier pass made
+    negative borrows only from the fields above it, so each pass reads its
+    field from the key's bits directly.
     """
-    half, mask, bias = 1 << (FIELD_BITS - 1), (1 << FIELD_BITS) - 1, table._bias
+    mask = (1 << FIELD_BITS) - 1
     sign = -1 if lift else 1
     for shift in table.shifts:
         up = lift << shift  # the key of x_i^lift
         out: dict[int, int] = {}
         for key, coeff in terms.items():
-            k = (((key + bias) >> shift) & mask) - half
+            k = (key >> shift) & mask
             if k or lift:
                 out[key + up] = coeff
                 out[key - ((2 * k + lift) << shift)] = sign * coeff
@@ -535,10 +539,13 @@ def _z_passes(p: LaurentPoly, table: VarTable, lift: int) -> dict[int, int]:
     (:func:`_unfold`) writes each basis element as its x monomials and
     cancels nothing.  p must have no negative exponent, and its table as
     many variables as ``table``, so a key of p is a key over ``table`` too.
+    Every field stays nonnegative in the fold phase, so a pass reads its
+    field from the key's bits; a negative exponent reads as at least half
+    the field in its own pass, if no pass above has read so first.
     """
     if len(p.table) != len(table):
         raise ValueError(f"{p.table!r} and {table!r} differ in length")
-    half, mask, bias = 1 << (FIELD_BITS - 1), (1 << FIELD_BITS) - 1, table._bias
+    half, mask = 1 << (FIELD_BITS - 1), (1 << FIELD_BITS) - 1
     rows: dict[int, list[int]] = {}
     terms = p._terms
     for shift in table.shifts:
@@ -546,10 +553,10 @@ def _z_passes(p: LaurentPoly, table: VarTable, lift: int) -> dict[int, int]:
         acc: dict[int, int] = {}
         get = acc.get
         for key, coeff in terms.items():
-            a = (((key + bias) >> shift) & mask) - half
+            a = (key >> shift) & mask
             row = rows.get(a)
             if row is None:
-                if a < 0:
+                if a >= half:
                     raise ValueError("z_to_x and z_to_x_skew expect no negative exponents")
                 row = rows[a] = _fold_row(a, lift)
             for b in row:
@@ -595,13 +602,15 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
     not be injective) or falls outside ``table`` is refused, and so is a
     negative exponent in p.
     A key of the pass is the z key shifted above p's fields plus the e
-    exponents still to expand, so one pass per e variable expands e_k^a (the
-    product of a sums, formed once per pass and a) and clears its field.
-    The passes run from e_n, a single monomial whose pass only moves each
-    term's field, down to e_1, so the terms multiply as late as they can (a
-    block of one, e_1 = z, is that move alone).  The z exponent of a variable is at most
-    the sum of its block's e exponents, so the bound is p's times the
-    longest block.
+    exponents still to expand.  Each block's e_n is a single monomial, so
+    one first pass only moves each term's e_n fields to the blocks' z's;
+    then one pass per other e variable expands e_k^a (the product of a sums,
+    formed once per pass and a) and clears its field, from e_(n-1) down to
+    e_1, so the terms multiply as late as they can.  When every block is
+    one variable (e_1 = z) the move is the whole map, and when those
+    variables are table's own, in order, it leaves every key as it is.  The
+    z exponent of a variable is at most the sum of its block's e exponents,
+    so the bound is p's times the longest block.
     """
     etab = p.table
     if sum(map(len, blocks)) != len(etab):
@@ -613,41 +622,44 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
     for key in p._terms:
         if (key + bias) & bias != bias:  # some field's sign bit is set
             raise ValueError("e_to_z expects no negative exponents")
-    bound = p._bound * max(map(len, blocks), default=0)
+    longest = max(map(len, blocks), default=0)
+    bound = p._bound * longest
     if bound > EXPONENT_LIMIT:
         raise ExponentOverflowError(f"z exponent bound {bound} passes the packed field limit")
+    if longest == 1 and positions == list(range(len(table))):
+        return _trusted(table, p._terms, bound)
     width = FIELD_BITS * len(etab)
-    terms = p._terms
+    moves, passes = [], []  # (e_n's field, its z key); (e_k's field, the z keys, k) for k < n
     first = 0  # the position of the block's e_1 in p's table
     for block in blocks:
         units = [1 << (table.shifts[i] + width) for i in block]
-        for k in range(len(block), 0, -1):
-            shift = etab.shifts[first + k - 1]
-            acc: dict[int, int] = {}
-            get = acc.get
-            if k == len(block):  # e_k is one monomial: each term only moves its field there
-                unit = sum(units)
-                for key, coeff in terms.items():
-                    a = (key >> shift) & mask
-                    key += a * unit - (a << shift)
-                    acc[key] = get(key, 0) + coeff
-                terms = acc
-                continue
-            e_k = [sum(combo) for combo in combinations(units, k)]
-            powers = [{0: 1}]
-            for key, coeff in terms.items():
-                a = (key >> shift) & mask
-                while len(powers) <= a:
-                    last, step = powers[-1], {}
-                    for k1, c1 in last.items():
-                        for k2 in e_k:
-                            step[k1 + k2] = step.get(k1 + k2, 0) + c1
-                    powers.append(step)
-                key -= a << shift
-                for k2, c2 in powers[a].items():
-                    acc[key + k2] = get(key + k2, 0) + coeff * c2
-            terms = acc
+        moves.append((etab.shifts[first + len(block) - 1], sum(units)))
+        passes += [(etab.shifts[first + k - 1], units, k) for k in range(len(block) - 1, 0, -1)]
         first += len(block)
+    # Distinct blocks move to disjoint z's, so no two moved terms meet.
+    terms = {}
+    for key, coeff in p._terms.items():
+        for shift, unit in moves:
+            a = (key >> shift) & mask
+            key += a * unit - (a << shift)
+        terms[key] = coeff
+    for shift, units, k in passes:
+        e_k = [sum(combo) for combo in combinations(units, k)]
+        powers = [{0: 1}]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, coeff in terms.items():
+            a = (key >> shift) & mask
+            while len(powers) <= a:
+                last, step = powers[-1], {}
+                for k1, c1 in last.items():
+                    for k2 in e_k:
+                        step[k1 + k2] = step.get(k1 + k2, 0) + c1
+                powers.append(step)
+            key -= a << shift
+            for k2, c2 in powers[a].items():
+                acc[key + k2] = get(key + k2, 0) + coeff * c2
+        terms = acc
     return _trusted(table, {key >> width: c for key, c in _nonzero(terms).items()}, bound)
 
 

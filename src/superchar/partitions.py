@@ -66,9 +66,17 @@ def size(lam: Partition) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return EMPTY
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+    """The transposed diagram, walking the rows once from the last.
+
+    Columns lam_(i+1) + 1 .. lam_i have length i (lam_(l+1) = 0), so row i
+    adds lam_i - lam_(i+1) columns of length i, from the last row up.
+    """
+    out: list[int] = []
+    below = 0
+    for i in range(len(lam), 0, -1):
+        out += [i] * (lam[i - 1] - below)
+        below = lam[i - 1]
+    return tuple(out)
 
 
 def contains(outer: Partition, inner: Partition) -> bool:

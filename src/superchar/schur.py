@@ -151,14 +151,16 @@ class Alphabet:
 
 def palindromic(table: VarTable, names: tuple[str, ...]) -> Alphabet:
     """The multiset {v, v^-1 for v in names}, in v..., then inverses order."""
-    units = []
+    exps = [0] * len(table)
+    units, inverses = [], []
     for name in names:
-        exps = [0] * len(table)
-        exps[table.index[name]] = 1
-        units.append(exps)
-    elements = [(1, tuple(exps)) for exps in units]
-    elements += [(1, tuple(-e for e in exps)) for exps in units]
-    return Alphabet._of_checked(table, tuple(elements))
+        i = table.index[name]
+        exps[i] = 1
+        units.append((1, tuple(exps)))
+        exps[i] = -1
+        inverses.append((1, tuple(exps)))
+        exps[i] = 0
+    return Alphabet._of_checked(table, tuple(units + inverses))
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +245,21 @@ def _inverse_pairs(elements: tuple[SignedMonomial, ...]) -> list[SignedMonomial]
 
     They qualify when each is one variable to the power +-1 and its inverse
     occurs with the same sign and multiplicity; the v returned are the ones
-    at power +1.  The elements are counted only when as many are at power
-    +1 as at -1.
+    at power +1, in order.  One pass classifies each element and keeps the
+    balance of (sign, variable) at power +1 against -1; all must be 0.
     """
-    pairs, inverses = [], []
+    pairs, balance = [], {}
     for sign, exps in elements:
         if sum(map(abs, exps)) != 1:
             return None
-        (pairs if 1 in exps else inverses).append((sign, exps))
-    if len(pairs) != len(inverses):
-        return None
-    if sorted(pairs) != sorted((s, tuple(-e for e in exps)) for s, exps in inverses):
-        return None
-    return pairs
+        if 1 in exps:
+            pairs.append((sign, exps))
+            key = sign, exps.index(1)
+            balance[key] = balance.get(key, 0) + 1
+        else:
+            key = sign, exps.index(-1)
+            balance[key] = balance.get(key, 0) - 1
+    return None if any(balance.values()) else pairs
 
 
 def _formal(elements: tuple[SignedMonomial, ...]) -> tuple[SignedMonomial, ...] | None:
@@ -287,29 +291,30 @@ def _e_blocks(x_vars, y_vars) -> list[tuple[int, tuple[int, ...]]] | None:
     return blocks
 
 
-def _e_factor(sign: int, e: list) -> tuple:
-    """prod (1 - sign z_i t + t^2) over a block's z's, as graded_parts terms.
+def _e_factor(sign: int, e: list):
+    """prod (1 - sign z_i t + t^2) over a block's z's, as graded_parts terms in ascending d.
 
     e is [1, e_1, ..., e_r] of the block.  The product is
     sum_k (-sign)^k e_k t^k (1 + t^2)^(r-k), so each u_d of 1 - sum u_d t^d
     is linear in the e_k; it is given as one term (d, c e_k) per k, with
-    e_0 = 1 an int.
+    e_0 = 1 an int.  The terms are yielded as they are formed, so a caller
+    that stops past its degree forms no more.
     """
     r = len(e) - 1
-    return tuple(
-        (d, -((-sign) ** k) * comb(r - k, (d - k) // 2) * e[k])
-        for d in range(1, 2 * r + 1)
-        for k in range(d % 2, min(d, r) + 1, 2)
-        if (d - k) // 2 <= r - k
-    )
+    for d in range(1, 2 * r + 1):
+        for k in range(d % 2, min(d, r) + 1, 2):
+            if (d - k) // 2 <= r - k:
+                yield d, -((-sign) ** k) * comb(r - k, (d - k) // 2) * e[k]
 
 
-def _formal_factor(sign: int, e: list) -> tuple:
+def _formal_factor(sign: int, e: list):
     """prod (1 - sign x_i t) = sum_k (-sign)^k e_k t^k over a block's x's, as graded_parts terms.
 
-    e is [1, e_1, ..., e_n] of the block; u_k is -(-sign)^k e_k.
+    e is [1, e_1, ..., e_n] of the block; u_k is -(-sign)^k e_k.  The terms
+    are yielded in ascending k, as they are formed.
     """
-    return tuple((k, -((-sign) ** k) * e[k]) for k in range(1, len(e)))
+    for k in range(1, len(e)):
+        yield k, -((-sign) ** k) * e[k]
 
 
 def _route(x_elems, y_elems) -> tuple | None:
@@ -333,7 +338,10 @@ def _route(x_elems, y_elems) -> tuple | None:
 
 
 def _variable_series(table: VarTable, route, x_elems, y_elems, degmax: int) -> list:
-    """[h_0, ..., h_degmax] of the non-constant elements: X's factors divided, Y's multiplied."""
+    """[h_0, ..., h_degmax] of the non-constant elements: X's factors divided, Y's multiplied.
+
+    A factor's terms past degmax are never read, so they are not formed.
+    """
     if route is None:
         factors = [
             (((1, LaurentPoly.monomial(table, exps, sign)),), divide)
@@ -346,17 +354,33 @@ def _variable_series(table: VarTable, route, x_elems, y_elems, degmax: int) -> l
     etab = e_table(tuple(tuple(names[i] for i in block) for _, block in blocks if block), over_z)
     e = iter(_trusted(etab, {1 << shift: 1}, 1) for shift in etab.shifts)
     factor = _e_factor if over_z else _formal_factor
-    factors = [
-        (factor(sign, [1] + [next(e) for _ in block]), divide)
-        for (sign, block), divide in zip(blocks, (True, False))
-        if block
-    ]
+    factors = []
+    for (sign, block), divide in zip(blocks, (True, False)):
+        if block:
+            terms = []
+            for d, u in factor(sign, [1] + [next(e) for _ in block]):
+                if d > degmax:  # the terms come in ascending d: none is read from here on
+                    break
+                terms.append((d, u))
+            if terms:
+                factors.append((tuple(terms), divide))
     return graded_parts(LaurentPoly.const(etab, 1), factors, degmax)
 
 
 def _const_factors(x_consts, y_consts) -> list:
     """graded_parts factors for constants: divide by 1 - c t per x constant, times it per y."""
     return [(((1, c),), True) for c in x_consts] + [(((1, c),), False) for c in y_consts]
+
+
+def _split(elements: tuple[SignedMonomial, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """An alphabet's non-constant elements and the signs of its constants, in one pass."""
+    variables, consts = [], []
+    for element in elements:
+        if any(element[1]):
+            variables.append(element)
+        else:
+            consts.append(element[0])
+    return tuple(variables), tuple(consts)
 
 
 # (table, X's non-constant elements, Y's) -> [h_0, ..., h_D] of the
@@ -373,15 +397,17 @@ def _h_list_cached(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, 
     In x each element u is the factor 1 - u t.  Over an e table, all of a
     side's pairs are one _e_factor, or all of its formal variables one
     _formal_factor.  The non-constant elements' series comes from
-    _pair_series, and each constant c is then the factor 1 - c t.
+    _pair_series, and each constant c is then the factor 1 - c t; a pair
+    with no constants is that series' prefix itself.
     """
-    x_elems, y_elems = (tuple(el for el in A.elements if any(el[1])) for A in (X, Y))
+    (x_elems, x_consts), (y_elems, y_consts) = _split(X.elements), _split(Y.elements)
     key = (X.table, x_elems, y_elems)
     series = _pair_series.get(key)
     if series is None or len(series) <= degmax:
         route = _route(x_elems, y_elems)
         series = _pair_series[key] = _variable_series(X.table, route, x_elems, y_elems, degmax)
-    x_consts, y_consts = (tuple(sign for sign, exps in A.elements if not any(exps)) for A in (X, Y))
+    if not (x_consts or y_consts):
+        return tuple(series[: degmax + 1])
     return tuple(graded_parts(series[: degmax + 1], _const_factors(x_consts, y_consts), degmax))
 
 
@@ -399,8 +425,9 @@ def h_list(X: Alphabet, Y: Alphabet, degmax: int) -> tuple[LaurentPoly, ...]:
     be an exact nonnegative int.  Results are cached on the alphabets as
     given; the verification sweeps re-query identical pairs constantly.
     """
-    require_counts(degmax=degmax)
-    if X.table != Y.table:
+    if type(degmax) is not int or degmax < 0:
+        require_counts(degmax=degmax)
+    if X.table is not Y.table and X.table != Y.table:
         raise ValueError("alphabets over different tables")
     return _h_list_cached(X, Y, degmax)
 
@@ -450,22 +477,13 @@ def _table_dets(shapes, hs, entry) -> list[LaurentPoly]:
     The entry E(base, j) is the sum c h(k) over the (c, k) of entry(base, j);
     h(k) is hs[k], read as 0 for k < 0, from one series at least as long as
     the degree the batch asks for (an h_list call, free h's or e's); the
-    values stay over hs's table.  Each entry (base,
-    j) is formed once per batch, by one Accumulator.  The empty shape is 1.
+    values stay over hs's table.  Each entry (base, j) is formed once per
+    batch: a lone h(k) at coefficient 1 is hs[k] itself, any other sum one
+    Accumulator.  The empty shape is 1.
     """
     table = hs[0].table
     # base -> [E(base, 1), E(base, 2), ...], as far as some shape asked.
     rows: dict[int, list[LaurentPoly]] = {}
-
-    def element(base: int, j: int) -> LaurentPoly:
-        combination = [(c, k) for c, k in entry(base, j) if k >= 0]
-        if len(combination) == 1 and combination[0][0] == 1:
-            return hs[combination[0][1]]
-        acc = Accumulator(table)
-        for c, k in combination:
-            acc.add(hs[k], c)
-        return acc.value()
-
     out = []
     for lam in shapes:
         if not lam:
@@ -473,10 +491,18 @@ def _table_dets(shapes, hs, entry) -> list[LaurentPoly]:
             continue
         n = len(lam)
         matrix = []
-        for i in range(1, n + 1):
-            base = lam[i - 1] - i
+        for i, part in enumerate(lam, 1):
+            base = part - i
             row = rows.setdefault(base, [])
-            row += [element(base, j) for j in range(len(row) + 1, n + 1)]
+            for j in range(len(row) + 1, n + 1):
+                combination = [(c, k) for c, k in entry(base, j) if k >= 0]
+                if len(combination) == 1 and combination[0][0] == 1:
+                    row.append(hs[combination[0][1]])
+                    continue
+                acc = Accumulator(table)
+                for c, k in combination:
+                    acc.add(hs[k], c)
+                row.append(acc.value())
             matrix.append(row[:n])
         out.append(det(matrix))
     return out

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from superchar import clear_caches, laurent
+from superchar import clear_caches, laurent, verify
 from superchar.cli import main
 from superchar.laurent import LaurentPoly
 from superchar.schur import super_schur
@@ -191,6 +191,22 @@ def test_suite_command(tmp_path, capsys):
     saved = list(persist.glob("suite-*.json"))
     assert len(saved) == 1
     assert saved[0].read_text() == out
+
+
+def test_suite_persist_under_a_regular_file_exits_2_before_the_battery(
+    tmp_path, capsys, monkeypatch
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ran = []
+    monkeypatch.setattr(verify, "run_suite", lambda config: ran.append(config) or [])
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--degmax", "1", "--persist", str(blocker / "results")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not ran
+    message = captured.err.strip()
+    assert message.startswith("error: ") and "\n" not in message
 
 
 def test_suite_byte_stable(tmp_path, capsys):

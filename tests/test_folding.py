@@ -727,6 +727,68 @@ def test_a_corrupted_e_factor_fails_the_dimensions_only(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The typical rectangles: the series route against Berele and Regev's product
+# ---------------------------------------------------------------------------
+
+
+def typical_rectangle_product(X, Y, m):
+    """prod_{x in X, y in Y} (x - y) * (prod_{x in X} x)^(m - |Y|), by products in x alone."""
+    out = LaurentPoly.const(X.table, 1)
+    ys = Y.polys()
+    for x in X.polys():
+        for y in ys:
+            out = out * (x - y)
+        for _ in range(m - len(Y)):
+            out = out * x
+    return out
+
+
+def typical_rectangle_failures():
+    """The cases of fold_cases(3) but D2 whose (m^M) character is not the product, m = max(N, 1).
+
+    For |X| = M, |Y| = N and m >= N, s_(m^M)(X|Y) is the product (Berele
+    and Regev, 1987), in the sign convention of h_list's series.  Each
+    case's ambient hook is [M, N] but D2's, whose [2r, 2s+2] is not.
+    """
+    cases = [case for case in fold_cases(3) if case.tag is not FoldingTag.D2]
+    assert len(cases) == 54
+    failing = []
+    for case in cases:
+        X, Y = fold_alphabets(case)
+        M, N = len(X), len(Y)
+        assert (M, N) == ambient_hook(case)
+        m = max(N, 1)
+        if kr_supercharacter(case, M, m) != typical_rectangle_product(X, Y, m):
+            failing.append(case)
+    return failing
+
+
+def test_typical_rectangles_are_the_product_over_the_series_route():
+    # The left side reads h_list's series (the e-of-z route, with each
+    # side's constants) and a determinant at the hook's corner; the right
+    # side is formed in x, so the guard sees a fault of the series route
+    # that the decompositions, which hold for any series, do not.
+    clear_caches()
+    assert typical_rectangle_failures() == []
+
+
+def test_a_corrupted_e_factor_turns_typical_rectangles_red(monkeypatch):
+    real = schur._e_factor
+
+    def corrupted(sign, e):
+        (d, u), *rest = real(sign, e)
+        return ((d, u + e[1]), *rest)  # one coefficient of u_1 off by one
+
+    monkeypatch.setattr(schur, "_e_factor", corrupted)
+    clear_caches()
+    try:
+        assert len(typical_rectangle_failures()) == 33
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+# ---------------------------------------------------------------------------
 # The dc relations over the e table of the formal x's against the x route
 # ---------------------------------------------------------------------------
 
