@@ -43,6 +43,7 @@ def clear_caches() -> None:
         _schur._bialternant_in,
         _lr.lr_coeff,
         _lr.lr_table,
+        _lr._class_table,
     ):
         cached.cache_clear()
     _schur._pair_series.clear()

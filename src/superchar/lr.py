@@ -16,6 +16,7 @@ from .partitions import (
     PartitionClass,
     RectSubset,
     _check_rect,
+    _class_inside,
     as_partition,
     checked_memo,
     contains,
@@ -132,6 +133,27 @@ def lr_table(lam: Partition) -> Mapping[tuple[Partition, Partition], int]:
         key = nu, tuple(filter(None, counts[2:]))
         table[key] = get(key, 0) + 1
     return MappingProxyType(table)
+
+
+@checked_memo(_int_parts)
+def _class_table(lam: Partition, tag: PartitionClass) -> Mapping[Partition, int]:
+    """mu -> the sum of c^lam_{nu,mu} over the nu of the class tag inside lam.
+
+    One lattice-word pass (_fillings) over each skew shape lam/nu of the
+    class: a filling of content mu is a tableau counted by lr_coeff(lam, nu,
+    mu), so the sums are lr_table's entries summed over the class, and a mu
+    with none is absent.  Letter v is capped at lam_v, as mu lies inside
+    lam.  The mapping is the memo's own, read-only.
+    """
+    lam = as_partition(lam)
+    caps = list(lam)
+    sums: dict[Partition, int] = {}
+    get = sums.get
+    for nu in _class_inside(lam, tag):
+        for _, counts in _fillings(lam, nu, caps, False):
+            mu = tuple(filter(None, counts[1:]))
+            sums[mu] = get(mu, 0) + 1
+    return MappingProxyType(sums)
 
 
 def _check_box(m: int, a: int, *shapes: Partition) -> list[Partition]:

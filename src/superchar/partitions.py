@@ -208,6 +208,21 @@ def _inside(outer: Partition) -> list[Partition]:
     return out
 
 
+def _class_inside(outer: Partition, tag: PartitionClass) -> list[Partition]:
+    """The members of the class tag inside a valid outer, graded order.
+
+    EVEN_ROWS doubles each part of a partition inside outer's halved rows;
+    EVEN_COLUMNS repeats each row of one inside (outer_2, outer_4, ...), as a
+    pair of equal rows fits when its lower row does.  Both maps keep size
+    order and lexicographic order, so the list comes out graded.
+    """
+    if tag is PartitionClass.EVEN_ROWS:
+        return [tuple(2 * p for p in nu) for nu in _inside(tuple(p // 2 for p in outer if p > 1))]
+    if tag is PartitionClass.EVEN_COLUMNS:
+        return [sum(zip(nu, nu), EMPTY) for nu in _inside(outer[1::2])]
+    raise ValueError(f"no member enumeration for the class {tag!r}")
+
+
 def partitions_inside(outer: Iterable[int]) -> list[Partition]:
     """All partitions inside outer (outer and the empty one included), graded order."""
     return _inside(as_partition(outer))

@@ -21,7 +21,7 @@ import pytest
 import superchar
 from superchar import folding, laurent, lr, schur, verify
 from superchar.laurent import LaurentPoly
-from superchar.partitions import conjugate, enumerate_rect_subset
+from superchar.partitions import _class_inside, conjugate, enumerate_rect_subset, partitions_upto
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -285,6 +285,51 @@ def test_the_lr_checks_run_one_search_per_shape(monkeypatch):
         assert all(r.passed for r in verify.check_lr_properties(8))
         assert all(r.passed for r in verify.check_lr_rectangle(4))
         assert len(searches) == lr.lr_table.cache_info().currsize == 71
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+
+
+@pytest.mark.parametrize("by_class", [True, False], ids=["class-weighted", "sign-weighted"])
+def test_a_cold_dc_request_builds_only_the_coefficients_its_weight_reads(by_class):
+    # A class weight's sums come from the class's own skew passes
+    # (lr._class_table), so its cold request builds no lr_table; a sign
+    # weight reads every nu, from exactly one lr_table and no class memo.
+    X, Y, _ = verify.cauchy_alphabets(2, 1, 1)
+    rows = [
+        (relation, xi)
+        for xi, table in folding._DC_ROWS.items()
+        for relation, row in table.items()
+        if (xi == 1 or relation in folding.XI_RELATIONS)
+        and isinstance(row[2], superchar.PartitionClass) == by_class
+    ]
+    assert len(rows) == (8 if by_class else 4)
+    for relation, xi in rows:
+        superchar.clear_caches()
+        assert folding.general_dc_check(relation, (3, 2, 1), X, Y, xi).passed, (relation, xi)
+        built = lr.lr_table.cache_info().currsize, lr._class_table.cache_info().currsize
+        assert built == ((0, 1) if by_class else (1, 0)), (relation, xi)
+    superchar.clear_caches()
+
+
+def test_a_cold_dc_sweep_builds_each_class_sum_once(monkeypatch):
+    # The sweep states 8 class-weighted theorems per shape, two per class:
+    # the 19 shapes of size <= 5 fill the class memo once per (lam, class),
+    # 38 entries, each from one skew pass per class member inside lam, and
+    # read it 114 more times.  Only the 4 sign rows read lr_table.
+    lams = partitions_upto(5)
+    classes = (superchar.PartitionClass.EVEN_ROWS, superchar.PartitionClass.EVEN_COLUMNS)
+    members = sum(len(_class_inside(lam, tag)) for lam in lams for tag in classes)
+    superchar.clear_caches()
+    passes = counter(monkeypatch, lr, "_fillings")
+    try:
+        reports = verify.check_dc_sweep(5, 3, 2)
+        assert reports and all(r.passed for r in reports)
+        memo = lr._class_table.cache_info()
+        assert memo.currsize == memo.misses == 2 * len(lams) == 38
+        assert memo.hits == 8 * len(lams) - 38
+        assert lr.lr_table.cache_info().currsize == len(lams)
+        assert len(passes) == members + len(lams)
     finally:
         monkeypatch.undo()
         superchar.clear_caches()

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from superchar import clear_caches, folding, laurent, schur, verify
+from superchar import clear_caches, folding, laurent, lr, schur, verify
 from superchar.folding import (
     DC_RELATIONS,
     FoldingCase,
@@ -1269,6 +1269,49 @@ def test_a_mutated_dc_sweep_falls_back_to_the_per_alphabet_reports(monkeypatch):
         clear_caches()
     failing = {r.params["relation"] for r in want if not r.passed}
     assert failing == {"plain_to_square", "xconst_to_angle_signed"}
+    assert verify.suite_to_json(got) == verify.suite_to_json(want)
+
+
+def double_a_skew_filling(monkeypatch):
+    """lr._fillings yields the first filling of every unmarked pass over lam/(2, 2) twice."""
+    real = lr._fillings
+
+    def doubled(lam, nu, caps, marked):
+        for k, filling in enumerate(real(lam, nu, caps, marked)):
+            yield filling
+            if k == 0 and not marked and nu == (2, 2):
+                yield filling
+
+    monkeypatch.setattr(lr, "_fillings", doubled)
+
+
+def test_a_doubled_skew_filling_turns_the_class_weighted_dc_relations_red(monkeypatch):
+    """One extra filling of lam/(2, 2) breaks each class-weighted theorem on a lam over (2, 2).
+
+    The class weights' sums are lr._class_table's skew passes, so the
+    request route fails exactly those theorems, the sweep's free proof
+    proves none of them, and its pair_report fallback gives the
+    per-alphabet reports, witnesses included.  The sign weights read the
+    marked pass of lr_table and stay green.
+    """
+    theorems = dc_theorems(5)
+    X, Y, _ = cauchy_alphabets(2, 1, 1)
+    double_a_skew_filling(monkeypatch)
+    clear_caches()
+    try:
+        requests = {(r, lam, xi): general_dc_check(r, lam, X, Y, xi).passed for r, lam, xi in theorems}
+        proved = proved_free_all(dc_theorem(r, lam, xi) for r, lam, xi in theorems)
+        want = per_alphabet_dc_sweep(5, 2, 1)
+        got = verify.check_dc_sweep(5, 2, 1)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    by_class = {r for r, row in folding._DC_ROWS[1].items() if isinstance(row[2], PartitionClass)}
+    corrupted = {(r, lam, xi) for r, lam, xi in theorems if r in by_class and contains(lam, (2, 2))}
+    assert len(by_class) == 6 and len(corrupted) == 8 * 3  # lam = (2, 2), (3, 2), (2, 2, 1)
+    assert {key for key, passed in requests.items() if not passed} == corrupted
+    assert {key for key, p in zip(theorems, proved) if not p} == corrupted
+    assert {r.params["relation"] for r in want if not r.passed} == by_class
     assert verify.suite_to_json(got) == verify.suite_to_json(want)
 
 

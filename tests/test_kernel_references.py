@@ -7,7 +7,8 @@ the oracle: ``partitions.conjugate`` (one generator sum per column),
 ``_h_list_cached`` without the degree bound or the constant-free shortcut,
 ``schur._table_dets`` with its entry closure, ``laurent.e_to_z`` with one
 pass per e variable, and ``_z_passes``/``_unfold`` reading each field
-through the bias.  Every comparison is exact: values, bounds and element
+through the bias, and ``folding._dc_coeffs`` summing every weight over
+``lr.lr_table``.  Every comparison is exact: values, bounds and element
 tuples.
 """
 
@@ -19,7 +20,7 @@ from math import comb
 
 import pytest
 
-from superchar import clear_caches, folding, schur
+from superchar import clear_caches, folding, lr, schur
 from superchar.laurent import (
     FIELD_BITS,
     Accumulator,
@@ -33,7 +34,16 @@ from superchar.laurent import (
     z_to_x,
     z_to_x_skew,
 )
-from superchar.partitions import EMPTY, conjugate, partitions_upto
+from superchar.partitions import (
+    EMPTY,
+    PartitionClass,
+    _class_inside,
+    conjugate,
+    in_class,
+    partitions_inside,
+    partitions_upto,
+    size,
+)
 from superchar.schur import Alphabet, graded_parts
 
 # ---------------------------------------------------------------------------
@@ -45,6 +55,18 @@ def ref_conjugate(lam):
     if not lam:
         return EMPTY
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+
+
+def ref_dc_coeffs(lam, weight):
+    coeffs = {}
+    for (nu, mu), c in lr.lr_table(lam).items():
+        if isinstance(weight, PartitionClass):
+            w_nu = int(in_class(nu, weight))
+        else:
+            w_nu = weight ** size(nu)
+        if w_nu:
+            coeffs[mu] = coeffs.get(mu, 0) + w_nu * c
+    return coeffs
 
 
 def ref_inverse_pairs(elements):
@@ -310,6 +332,25 @@ def test_conjugate_matches_its_reference_on_every_partition_up_to_12():
     assert len(lams) == 272  # p(0) + p(1) + ... + p(12)
     for lam in lams:
         assert conjugate(lam) == ref_conjugate(lam), lam
+
+
+def test_class_members_are_the_partitions_inside_filtered_by_class():
+    for lam in partitions_upto(12):
+        for tag in (PartitionClass.EVEN_ROWS, PartitionClass.EVEN_COLUMNS):
+            want = [nu for nu in partitions_inside(lam) if in_class(nu, tag)]
+            assert _class_inside(lam, tag) == want, (lam, tag)
+
+
+def test_dc_coeffs_match_their_lr_table_reference_up_to_size_9():
+    # The class weights sum lr._class_table's skew passes, the sign weights
+    # lam's lr_table; the reference sums lr_table for all four.
+    lams = partitions_upto(9)
+    assert len(lams) == 97
+    clear_caches()
+    for lam in lams:
+        for weight in (PartitionClass.EVEN_ROWS, PartitionClass.EVEN_COLUMNS, 1, -1):
+            assert dict(folding._dc_coeffs(lam, weight)) == ref_dc_coeffs(lam, weight), (lam, weight)
+    clear_caches()
 
 
 def test_inverse_pairs_and_route_match_their_references_on_random_alphabets():
