@@ -34,12 +34,13 @@ from .report import VerificationReport, _first_failures, poly_comparison, value_
 from .schur import Alphabet, BracketType
 
 CAUCHY_KINDS = ("cauchy_plain", "cauchy_square", "cauchy_angle", "cauchy_angle_dual")
-# The bracket each Cauchy kind sums; the dual kind takes it at the conjugate shapes.
+# The bracket each Cauchy kind sums.  The dual kind is the square kind at
+# (Y|X) under t -> -t (cauchy_check), so it sums SQUARE brackets too.
 _CAUCHY_BRACKETS = {
     "cauchy_plain": BracketType.PLAIN,
     "cauchy_square": BracketType.SQUARE,
     "cauchy_angle": BracketType.ANGLE,
-    "cauchy_angle_dual": BracketType.ANGLE,
+    "cauchy_angle_dual": BracketType.SQUARE,
 }
 SUM_KINDS = ("schur_sum", "littlewood_even_rows", "littlewood_even_columns")
 
@@ -90,22 +91,17 @@ def _cauchy_lhs(table: VarTable, chars, s_ts) -> LaurentPoly:
     return acc.value()
 
 
-def _alphabet_parts(
-    kind: str, X: Alphabet, Y: Alphabet, nT: int, degmax: int
-) -> list[LaurentPoly]:
-    """The t-degree parts of the kind's alphabet factors, over X.table.
+def _alphabet_parts(X: Alphabet, Y: Alphabet, nT: int, degmax: int) -> list[LaurentPoly]:
+    """The t-degree parts of the alphabet factors, over X.table.
 
     For each of t1..tnT: (1 - t y) over Y and 1/(1 - t x) over X, each a
-    schur.graded_parts factor of t-degree 1 (X and Y hold no t); the dual
-    kind swaps the alphabets and negates them.  The plain, square and angle
-    kinds share these parts.
+    schur.graded_parts factor of t-degree 1 (X and Y hold no t).
     """
-    mul_over, div_over = (X.negated(), Y.negated()) if kind == "cauchy_angle_dual" else (Y, X)
     t_polys = [LaurentPoly.variable(X.table, f"t{i}") for i in range(1, nT + 1)]
     factors = [
         (((1, t * w),), divide)
         for t in t_polys
-        for divide, alphabet in ((False, mul_over), (True, div_over))
+        for divide, alphabet in ((False, Y), (True, X))
         for w in alphabet.polys()
     ]
     return schur.graded_parts(LaurentPoly.const(X.table, 1), factors, degmax)
@@ -142,27 +138,20 @@ def _cauchy_free_proof(kind: str, nT: int, degmax: int, t_side) -> bool:
     """Whether the kind's identity holds over free h_1..h_degmax, to t-degree degmax.
 
     The identity is sum_lam bracket_lam[h] s_lam(t) = prod_i H(t_i) times
-    the kind's (1 - t_i t_j), with H(t) = sum_k h_k t^k; the dual kind takes
-    its brackets at the conjugate shapes and 1/H(-t_i) for H(t_i).  The
-    table is h1..h<degmax> then t1..tnT.  The brackets come from
-    schur._table_dets over the free series, the shapes and s_lam(t) from
-    t_side (a _cauchy_t_side), and the product from schur.graded_parts, with
-    H(t_i) the factor of u_k = -h_k t_i^k at t-degree k, and _cauchy_rhs.
+    the kind's (1 - t_i t_j), with H(t) = sum_k h_k t^k.  The table is
+    h1..h<degmax> then t1..tnT.  The brackets come from schur._table_dets
+    over the free series, the shapes and s_lam(t) from t_side (a
+    _cauchy_t_side), and the product from schur.graded_parts, with H(t_i)
+    the factor of u_k = -h_k t_i^k at t-degree k, and _cauchy_rhs.
     """
     shapes, s_ts = t_side
     hs = schur._free_series(degmax, schur.t_table(nT).names)
     table = hs[0].table
-    dual = kind == "cauchy_angle_dual"
-    if dual:
-        shapes = [conjugate(lam) for lam in shapes]
     chars = schur._table_dets(shapes, hs, schur._entry_rule(_CAUCHY_BRACKETS[kind].value))
     lhs = _cauchy_lhs(table, chars, [widen(s_t, table) for s_t in s_ts])
-    # H(t) is the factor of u_k = -h_k t^k, and 1/H(-t) divides by the one of
-    # u_k = -h_k (-t)^k; at degmax 0 either is 1.
-    sign = -1 if dual else 1
     degrees = range(1, degmax + 1)
     factors = [
-        (tuple((k, -(sign**k) * hs[k] * LaurentPoly.variable(table, t, k)) for k in degrees), dual)
+        (tuple((k, -hs[k] * LaurentPoly.variable(table, t, k)) for k in degrees), False)
         for t in (schur.t_table(nT).names if degmax else ())
     ]
     parts = schur.graded_parts(LaurentPoly.const(table, 1), factors, degmax)
@@ -234,7 +223,10 @@ def cauchy_check(
     the graded recurrence to the same degree: the alphabet factors first,
     then the kind's (1 - t_i t_j).  check_cauchy_sweep runs the same pieces
     over free h for the suite, and calls this for each report it does not
-    decide there.
+    decide there.  The dual kind, sum <lam'>(X|Y) s_lam(t), is the square
+    kind at (Y|X) under t -> -t, since <lam'>(X|Y) = (-1)^|lam| [lam](Y|X)
+    (Macdonald, Symmetric Functions, I.5, the involution omega): each
+    term is signed (-1)^|lam|, and each product part of t-degree k (-1)^k.
     """
     if kind not in CAUCHY_KINDS:
         raise ValueError(f"unknown cauchy kind {kind!r}")
@@ -242,12 +234,15 @@ def cauchy_check(
     if nT < 1:
         raise ValueError("need at least one t variable")
     _require_cauchy_alphabets(X, Y, nT)
+    dual = kind == "cauchy_angle_dual"
+    A, B = (Y, X) if dual else (X, Y)
     shapes, s_ts = _cauchy_t_side(nT, degmax)
-    if kind == "cauchy_angle_dual":
-        shapes = [conjugate(lam) for lam in shapes]
-    chars = schur.bracket_batch(_CAUCHY_BRACKETS[kind], shapes, X, Y)
+    if dual:
+        s_ts = [-s_t if size(lam) % 2 else s_t for lam, s_t in zip(shapes, s_ts)]
+    chars = schur.bracket_batch(_CAUCHY_BRACKETS[kind], shapes, A, B)
     lhs = _cauchy_lhs(X.table, chars, [widen(s_t, X.table) for s_t in s_ts])
-    rhs = _cauchy_rhs(kind, _alphabet_parts(kind, X, Y, nT, degmax), nT, degmax)
+    parts = _alphabet_parts(A, B, nT, degmax)
+    rhs = _cauchy_rhs(kind, _signed(parts) if dual else parts, nT, degmax)
     # poly_comparison is looked up on this module, where the benchmark's tracer wraps it.
     return poly_comparison(f"cauchy.{kind}", _cauchy_params(kind, X, Y, nT, degmax), lhs, rhs)
 
@@ -960,37 +955,41 @@ def check_cauchy_sweep(
     The reports come in the order kind, nx, ny, nT, each the bytes
     cauchy_check gives.  Each (kind, nT) identity is tried once over free
     h_1..h_degmax (_cauchy_free_proof), from the s_lam(t) of one
-    _cauchy_t_side per nT, and each (nx, ny) pair's series is guarded once
-    (_series_guard).  A report whose identity is proved and whose pair is
+    _cauchy_t_side per nT, and each pair's series a report reads is guarded
+    once (_series_guard).  A report whose identity is proved and whose pair is
     guarded passes, as poly_comparison passes it; any other is cauchy_check's
-    report, for its verdict and witness.
+    report, for its verdict and witness.  A dual report at (nx, ny) reads the
+    square kind's proof and the guard of (ny, nx), as cauchy_check does.
 
     Why the two imply the report: sending each free h_k to h_k(X|Y) is a
     ring map that fixes the t's (Macdonald, Symmetric Functions, I.2), so a
     proved identity holds with the brackets taken in the h_k(X|Y) and the
     product prod_i H(t_i) = prod_i prod_y (1 - y t_i) / prod_x (1 - x t_i),
-    which is cauchy_check's alphabet product (its dual, 1/H(-t_i), likewise).
-    cauchy_check takes its brackets from h_list's series of the pair, built
-    by the same determinants, and its s_lam(t) from the same
-    _cauchy_t_side; the guard shows that series is the h_k(X|Y).  X and Y
-    hold no t, so widening the table by t1..tnT changes no value.
+    which is cauchy_check's alphabet product; t -> -t fixes the h_k.
+    cauchy_check takes its brackets from h_list's series of the pair it
+    reads, built by the same determinants, and its s_lam(t) from the same
+    _cauchy_t_side; the guard shows that series is the h_k of the pair.  X
+    and Y hold no t, so widening the table by t1..tnT changes no value; nor
+    does naming the dual's Y by x's and its X by y's.
     """
     if t_count < 1:
         return []
     t_sides = {nT: _cauchy_t_side(nT, degmax) for nT in range(1, t_count + 1)}
     proved = {
         (kind, nT): _cauchy_free_proof(kind, nT, degmax, t_side)
-        for kind in CAUCHY_KINDS
+        for kind in CAUCHY_KINDS if kind != "cauchy_angle_dual"
         for nT, t_side in t_sides.items()
     }
     pairs = [(nx, ny) for nx in range(max_x + 1) for ny in range(max_y + 1)]
-    guarded = {pair: _series_guard(*pair, degmax) for pair in pairs}
+    guarded = cache(partial(_series_guard, degmax=degmax))  # each pair read, once
     out = []
     for kind in CAUCHY_KINDS:
+        dual = kind == "cauchy_angle_dual"
         for nx, ny in pairs:
+            proof_kind, pair = ("cauchy_square", (ny, nx)) if dual else (kind, (nx, ny))
             for nT in t_sides:
                 X, Y, _ = cauchy_alphabets(nx, ny, nT)
-                if proved[kind, nT] and guarded[nx, ny]:
+                if proved[proof_kind, nT] and guarded(*pair):
                     params = _cauchy_params(kind, X, Y, nT, degmax)
                     out.append(VerificationReport(f"cauchy.{kind}", params, True))
                 else:

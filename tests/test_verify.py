@@ -436,6 +436,120 @@ def test_a_corrupted_series_guard_falls_back_to_green_per_check_reports(monkeypa
     assert all('"pass":true' in line for line in got)
 
 
+def off_by_one(real):
+    def entry(base, j):
+        return (*real(base, j), (1, 0))  # each entry plus h_0 = 1
+
+    return entry
+
+
+@pytest.mark.parametrize(
+    "rule, red_kinds",
+    [
+        ("_angle_entry", {"cauchy_angle"}),
+        ("_square_entry", {"cauchy_square", "cauchy_angle_dual"}),
+    ],
+)
+def test_the_dual_kind_reads_the_square_rule(monkeypatch, rule, red_kinds):
+    # The dual kind is the square kind at (Y|X) under t -> -t, so a fault in
+    # the ANGLE rule leaves it green and one in the SQUARE rule turns it red.
+    # _entry_rule looks each rule up at call time, so the fault reaches the
+    # free proofs and the per-check characters alike.
+    monkeypatch.setattr(schur, rule, off_by_one(getattr(schur, rule)))
+    try:
+        superchar.clear_caches()
+        want = per_check_cauchy(3, 6)
+        superchar.clear_caches()
+        got = verify.check_cauchy_sweep(2, 2, 3, 6)
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert {r.params["kind"] for r in got if not r.passed} == red_kinds
+
+
+def test_no_cauchy_determinant_has_more_rows_than_t_variables(monkeypatch):
+    # The dual kind's characters are taken at the shapes themselves, which
+    # have at most nT rows, not at their conjugates (up to degmax rows); the
+    # sweep proves the three forward kinds only.
+    rows, proofs = [], []
+    real_det, real_proof = schur.det, verify._cauchy_free_proof
+
+    def det(matrix):
+        rows.append(len(matrix))
+        return real_det(matrix)
+
+    def proof(kind, *args):
+        proofs.append(kind)
+        return real_proof(kind, *args)
+
+    monkeypatch.setattr(schur, "det", det)
+    monkeypatch.setattr(verify, "_cauchy_free_proof", proof)
+    superchar.clear_caches()
+    try:
+        assert cauchy_check("cauchy_angle_dual", *cauchy_alphabets(2, 2, 3)[:2], 3, 8).passed
+        assert max(rows) == 3
+        rows.clear()
+        superchar.clear_caches()
+        assert all(r.passed for r in verify.check_cauchy_sweep(2, 2, 3, 6))
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert max(rows) == 3
+    assert proofs == [kind for kind in CAUCHY_KINDS[:3] for _ in range(3)]
+
+
+@pytest.mark.parametrize(
+    "corrupt, falls_back",
+    [
+        # Only the forward kinds read (2, 1): the dual report that would read
+        # it, at (1, 2), is past max_y.
+        ((2, 1), [(kind, 2, 1) for kind in CAUCHY_KINDS[:3]]),
+        # Only the dual at (2, 1) reads (1, 2), which is past max_y itself.
+        ((1, 2), [("cauchy_angle_dual", 2, 1)]),
+        ((1, 0), [*((kind, 1, 0) for kind in CAUCHY_KINDS[:3]), ("cauchy_angle_dual", 0, 1)]),
+    ],
+)
+def test_the_dual_kind_reads_the_guard_of_the_swapped_pair(monkeypatch, corrupt, falls_back):
+    # cauchy_check reads the dual kind's series at (Y|X), so the sweep decides
+    # a dual report at (nx, ny) by the guard of (ny, nx), and takes that
+    # guard even where (ny, nx) is past the sweep's bounds.
+    args = [
+        (kind, *cauchy_alphabets(nx, ny, nT)[:2], nT, 5)
+        for kind in CAUCHY_KINDS
+        for nx in range(3)
+        for ny in range(2)
+        for nT in (1, 2)
+    ]
+    superchar.clear_caches()
+    want = [cauchy_check(*a).to_json() for a in args]
+    superchar.clear_caches()
+    assert [r.to_json() for r in verify.check_cauchy_sweep(2, 1, 2, 5)] == want
+
+    real = verify._monomial_h
+    real_check = verify.cauchy_check
+    fallbacks = []
+
+    def corrupted(table, nx, ny, k):
+        value = real(table, nx, ny, k)
+        return value + 1 if (nx, ny) == corrupt and k == 2 else value
+
+    def spy(kind, X, Y, nT, degmax):
+        fallbacks.append((kind, len(X), len(Y), nT))
+        return real_check(kind, X, Y, nT, degmax)
+
+    superchar.clear_caches()
+    monkeypatch.setattr(verify, "_monomial_h", corrupted)
+    monkeypatch.setattr(verify, "cauchy_check", spy)
+    try:
+        got = [r.to_json() for r in verify.check_cauchy_sweep(2, 1, 2, 5)]
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert fallbacks == [(*report, nT) for report in falls_back for nT in (1, 2)]
+    assert got == want
+
+
 def invariants_per_shape(max_lambda):
     """check_schur_invariants as its six per-shape loops, every one run."""
     lams = partitions.partitions_upto(max_lambda)
