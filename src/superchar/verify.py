@@ -33,16 +33,26 @@ from .partitions import (
 from .report import VerificationReport, _first_failures, poly_comparison, value_comparison
 from .schur import Alphabet, BracketType
 
-CAUCHY_KINDS = ("cauchy_plain", "cauchy_square", "cauchy_angle", "cauchy_angle_dual")
-# The bracket each Cauchy kind sums.  The dual kind is the square kind at
-# (Y|X) under t -> -t (cauchy_check), so it sums SQUARE brackets too.
-_CAUCHY_BRACKETS = {
-    "cauchy_plain": BracketType.PLAIN,
-    "cauchy_square": BracketType.SQUARE,
-    "cauchy_angle": BracketType.ANGLE,
-    "cauchy_angle_dual": BracketType.SQUARE,
+# One row per Cauchy kind: (bracket, t-pair rule, dual).  The identity sums
+# bracket_lam(X|Y) s_lam(t) against the alphabet product times (1 - t_i t_j)
+# over the pairs of t's the rule gives: i < j, i <= j, or none for None.  A
+# dual row is taken at (Y|X) under t -> -t, since <lam'>(X|Y) = (-1)^|lam|
+# [lam](Y|X) (Macdonald, Symmetric Functions, I.5, the involution omega).
+_CAUCHY_ROWS = {
+    "cauchy_plain": (BracketType.PLAIN, None, False),
+    "cauchy_square": (BracketType.SQUARE, combinations_with_replacement, False),
+    "cauchy_angle": (BracketType.ANGLE, combinations, False),
+    "cauchy_angle_dual": (BracketType.SQUARE, combinations_with_replacement, True),
 }
-SUM_KINDS = ("schur_sum", "littlewood_even_rows", "littlewood_even_columns")
+CAUCHY_KINDS = tuple(_CAUCHY_ROWS)
+# One row per classical sum: (shape class, 1/(1 - t_i) factors, t-pair rule),
+# the product's 1/(1 - t_i t_j) taken over the pairs the rule gives.
+_SUM_ROWS = {
+    "schur_sum": (PartitionClass.ALL, True, combinations),
+    "littlewood_even_rows": (PartitionClass.EVEN_ROWS, False, combinations_with_replacement),
+    "littlewood_even_columns": (PartitionClass.EVEN_COLUMNS, False, combinations),
+}
+SUM_KINDS = tuple(_SUM_ROWS)
 
 
 def _parts_sum(parts: list[LaurentPoly]) -> LaurentPoly:
@@ -83,14 +93,6 @@ def _cauchy_t_side(nT: int, degmax: int) -> tuple[list, list[LaurentPoly]]:
     return shapes, schur.bracket_batch(BracketType.PLAIN, shapes, Alphabet.formal(table), none)
 
 
-def _cauchy_lhs(table: VarTable, chars, s_ts) -> LaurentPoly:
-    """sum char * s_t over table, in one Accumulator."""
-    acc = Accumulator(table)
-    for char, s_t in zip(chars, s_ts):
-        acc.add(s_t, 1, char)
-    return acc.value()
-
-
 def _alphabet_parts(X: Alphabet, Y: Alphabet, nT: int, degmax: int) -> list[LaurentPoly]:
     """The t-degree parts of the alphabet factors, over X.table.
 
@@ -107,20 +109,29 @@ def _alphabet_parts(X: Alphabet, Y: Alphabet, nT: int, degmax: int) -> list[Laur
     return schur.graded_parts(LaurentPoly.const(X.table, 1), factors, degmax)
 
 
-def _cauchy_rhs(kind: str, parts: list[LaurentPoly], nT: int, degmax: int) -> LaurentPoly:
-    """The kind's product side: its alphabet parts times its (1 - t_i t_j) factors, summed.
+def _pair_products(rule, t_polys: list[LaurentPoly]) -> list[LaurentPoly]:
+    """t_i t_j for each pair of t_polys that a row's t-pair rule gives; none for None."""
+    return [ti * tj for ti, tj in rule(t_polys, 2)] if rule else []
 
-    Each (1 - t_i t_j) is a schur.graded_parts factor of t-degree 2.
+
+def _cauchy_sides(row: tuple, nT: int, degmax: int, t_side, chars, parts) -> tuple:
+    """Both sides of the row's Cauchy identity over the table of parts, to t-degree degmax.
+
+    chars are the brackets of the shapes of t_side (a _cauchy_t_side), and
+    parts the t-degree parts of prod_i H(t_i).  Each char * s_lam(t) is added
+    into one Accumulator; parts is multiplied by the row's (1 - t_i t_j),
+    each a schur.graded_parts factor of t-degree 2.  A dual row takes t -> -t:
+    each term is signed (-1)^|lam| and each part of t-degree k (-1)^k.
     """
-    if kind == "cauchy_plain":
-        return _parts_sum(parts)
-    t_polys = [LaurentPoly.variable(parts[0].table, f"t{i}") for i in range(1, nT + 1)]
-    if kind == "cauchy_angle":
-        pairs = combinations(t_polys, 2)
-    else:
-        pairs = combinations_with_replacement(t_polys, 2)
-    factors = [(((2, ti * tj),), False) for ti, tj in pairs]
-    return _parts_sum(schur.graded_parts(parts, factors, degmax))
+    _, rule, dual = row
+    table = parts[0].table
+    lhs = Accumulator(table)
+    for lam, s_t, char in zip(*t_side, chars):
+        lhs.add(widen(s_t, table), -1 if dual and size(lam) % 2 else 1, char)
+    t_polys = [LaurentPoly.variable(table, f"t{i}") for i in range(1, nT + 1)]
+    factors = [(((2, u),), False) for u in _pair_products(rule, t_polys)]
+    rhs = schur.graded_parts(_signed(parts) if dual else parts, factors, degmax)
+    return lhs.value(), _parts_sum(rhs)
 
 
 def _cauchy_params(kind: str, X: Alphabet, Y: Alphabet, nT: int, degmax: int) -> dict:
@@ -134,28 +145,28 @@ def _cauchy_params(kind: str, X: Alphabet, Y: Alphabet, nT: int, degmax: int) ->
     }
 
 
-def _cauchy_free_proof(kind: str, nT: int, degmax: int, t_side) -> bool:
-    """Whether the kind's identity holds over free h_1..h_degmax, to t-degree degmax.
+def _cauchy_free_proof(bracket: BracketType, rule, nT: int, degmax: int, t_side) -> bool:
+    """Whether the identity of (bracket, rule) holds over free h_1..h_degmax, to t-degree degmax.
 
     The identity is sum_lam bracket_lam[h] s_lam(t) = prod_i H(t_i) times
-    the kind's (1 - t_i t_j), with H(t) = sum_k h_k t^k.  The table is
+    the rule's (1 - t_i t_j), with H(t) = sum_k h_k t^k.  The table is
     h1..h<degmax> then t1..tnT.  The brackets come from schur._table_dets
     over the free series, the shapes and s_lam(t) from t_side (a
-    _cauchy_t_side), and the product from schur.graded_parts, with H(t_i)
-    the factor of u_k = -h_k t_i^k at t-degree k, and _cauchy_rhs.
+    _cauchy_t_side), the product parts from schur.graded_parts, with H(t_i)
+    the factor of u_k = -h_k t_i^k at t-degree k, and both sides from
+    _cauchy_sides.  t -> -t fixes the h's, so this proves a dual row too.
     """
-    shapes, s_ts = t_side
     hs = schur._free_series(degmax, schur.t_table(nT).names)
     table = hs[0].table
-    chars = schur._table_dets(shapes, hs, schur._entry_rule(_CAUCHY_BRACKETS[kind].value))
-    lhs = _cauchy_lhs(table, chars, [widen(s_t, table) for s_t in s_ts])
+    chars = schur._table_dets(t_side[0], hs, schur._entry_rule(bracket.value))
     degrees = range(1, degmax + 1)
     factors = [
         (tuple((k, -hs[k] * LaurentPoly.variable(table, t, k)) for k in degrees), False)
         for t in (schur.t_table(nT).names if degmax else ())
     ]
     parts = schur.graded_parts(LaurentPoly.const(table, 1), factors, degmax)
-    return lhs == _cauchy_rhs(kind, parts, nT, degmax)
+    lhs, rhs = _cauchy_sides((bracket, rule, False), nT, degmax, t_side, chars, parts)
+    return lhs == rhs
 
 
 def _monomial_h(table: VarTable, nx: int, ny: int, k: int) -> LaurentPoly:
@@ -215,18 +226,13 @@ def cauchy_check(
 
     X.table must hold t1..tnT as one contiguous run, and no element of X or Y
     may hold one of those t's; either fault raises a one-line ValueError
-    before any work.  The character sum side runs over shapes of size at
-    most degmax with at most nT rows: the characters come from one
-    schur.bracket_batch over X.table and the s_lam(t1..tnT) from one over
-    schur.t_table(nT), moved into X.table by laurent.widen, and each
-    product is added into one Accumulator.  The product side is built by
-    the graded recurrence to the same degree: the alphabet factors first,
-    then the kind's (1 - t_i t_j).  check_cauchy_sweep runs the same pieces
-    over free h for the suite, and calls this for each report it does not
-    decide there.  The dual kind, sum <lam'>(X|Y) s_lam(t), is the square
-    kind at (Y|X) under t -> -t, since <lam'>(X|Y) = (-1)^|lam| [lam](Y|X)
-    (Macdonald, Symmetric Functions, I.5, the involution omega): each
-    term is signed (-1)^|lam|, and each product part of t-degree k (-1)^k.
+    before any work.  The kind's _CAUCHY_ROWS row gives its bracket, its
+    t-pair rule and whether it is taken at (Y|X) under t -> -t.  The shapes
+    have size at most degmax and at most nT rows: their brackets come from
+    one schur.bracket_batch and their s_lam(t1..tnT) from one over
+    schur.t_table(nT).  _cauchy_sides builds both sides from these and the
+    alphabet factors' graded parts, as it does over free h for
+    check_cauchy_sweep, which calls this for each report it does not decide.
     """
     if kind not in CAUCHY_KINDS:
         raise ValueError(f"unknown cauchy kind {kind!r}")
@@ -234,15 +240,13 @@ def cauchy_check(
     if nT < 1:
         raise ValueError("need at least one t variable")
     _require_cauchy_alphabets(X, Y, nT)
-    dual = kind == "cauchy_angle_dual"
+    row = _CAUCHY_ROWS[kind]
+    bracket, _, dual = row
     A, B = (Y, X) if dual else (X, Y)
-    shapes, s_ts = _cauchy_t_side(nT, degmax)
-    if dual:
-        s_ts = [-s_t if size(lam) % 2 else s_t for lam, s_t in zip(shapes, s_ts)]
-    chars = schur.bracket_batch(_CAUCHY_BRACKETS[kind], shapes, A, B)
-    lhs = _cauchy_lhs(X.table, chars, [widen(s_t, X.table) for s_t in s_ts])
+    t_side = _cauchy_t_side(nT, degmax)
+    chars = schur.bracket_batch(bracket, t_side[0], A, B)
     parts = _alphabet_parts(A, B, nT, degmax)
-    rhs = _cauchy_rhs(kind, _signed(parts) if dual else parts, nT, degmax)
+    lhs, rhs = _cauchy_sides(row, nT, degmax, t_side, chars, parts)
     # poly_comparison is looked up on this module, where the benchmark's tracer wraps it.
     return poly_comparison(f"cauchy.{kind}", _cauchy_params(kind, X, Y, nT, degmax), lhs, rhs)
 
@@ -257,7 +261,8 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
     of the t's, whose series is [1, e_1, ..., e_nT] and zeros above; their
     sum is turned into t once by schur.in_x.  No h_m is read and nothing is
     divided.  The right side is the product of 1/(1 - u) over the kind's
-    monomials u, to t-degree degmax.
+    monomials u, to t-degree degmax: the single t_i if the kind's _SUM_ROWS
+    row has them, and the t_i t_j of the row's t-pair rule.
     """
     if kind not in SUM_KINDS:
         raise ValueError(f"unknown sum kind {kind!r}")
@@ -266,11 +271,7 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
         raise ValueError("need at least one t variable")
     table = schur.t_table(nT)
 
-    cls = {
-        "schur_sum": PartitionClass.ALL,
-        "littlewood_even_rows": PartitionClass.EVEN_ROWS,
-        "littlewood_even_columns": PartitionClass.EVEN_COLUMNS,
-    }[kind]
+    cls, singles, rule = _SUM_ROWS[kind]
     shapes = [conjugate(lam) for lam in partitions_upto(degmax, max_len=nT) if in_class(lam, cls)]
     etab = schur.e_table((table.names,), False)
     es = [LaurentPoly.const(etab, 1)] + [LaurentPoly.variable(etab, name) for name in etab.names]
@@ -279,13 +280,9 @@ def littlewood_sum_check(kind: str, nT: int, degmax: int) -> VerificationReport:
     lhs = schur.in_x(_parts_sum(dets), table)
 
     t_polys = [LaurentPoly.variable(table, name) for name in table.names]
-    if kind == "littlewood_even_rows":
-        pairs = combinations_with_replacement(t_polys, 2)
-    else:
-        pairs = combinations(t_polys, 2)
-    singles = [(1, t) for t in t_polys] if kind == "schur_sum" else []
     # Each monomial u as (its t-degree, u): a single t_i has 1, t_i t_j has 2.
-    terms = chain(singles, ((2, ti * tj) for ti, tj in pairs))
+    terms = [(1, t) for t in t_polys] if singles else []
+    terms += [(2, u) for u in _pair_products(rule, t_polys)]
     factors = [((term,), True) for term in terms]
     rhs = _parts_sum(schur.graded_parts(LaurentPoly.const(table, 1), factors, degmax))
 
@@ -912,7 +909,8 @@ def check_dc_sweep(
     batch (folding.proved_free_all), so each determinant is taken once; one
     that is not proved there is checked by folding.pair_report at each
     alphabet pair, for its verdict and witness: the theorem the free proof
-    compared, not the dual general_dc_check takes for a tall lam.
+    compared, not the dual general_dc_check takes (folding._theorem_report)
+    for a tall lam, or for a square lam when X has more variables than Y.
     """
     lams = partitions_upto(max_lambda)
     xis = {r: (1, -1) if r in folding.XI_RELATIONS else (1,) for r in folding.DC_RELATIONS}
@@ -953,43 +951,43 @@ def check_cauchy_sweep(
     """Every Cauchy kind at nx <= max_x, ny <= max_y and 1 <= nT <= t_count.
 
     The reports come in the order kind, nx, ny, nT, each the bytes
-    cauchy_check gives.  Each (kind, nT) identity is tried once over free
-    h_1..h_degmax (_cauchy_free_proof), from the s_lam(t) of one
-    _cauchy_t_side per nT, and each pair's series a report reads is guarded
-    once (_series_guard).  A report whose identity is proved and whose pair is
-    guarded passes, as poly_comparison passes it; any other is cauchy_check's
-    report, for its verdict and witness.  A dual report at (nx, ny) reads the
-    square kind's proof and the guard of (ny, nx), as cauchy_check does.
+    cauchy_check gives.  A report reads its kind's _CAUCHY_ROWS row: the
+    identity of each (bracket, t-pair rule, nT) is tried once over free
+    h_1..h_degmax (_cauchy_free_proof), from one _cauchy_t_side per nT, and
+    the series of the pair the row reads, (nx, ny), or (ny, nx) for a dual
+    row, is guarded once (_series_guard).  A report whose identity is proved
+    and whose pair is guarded passes, as poly_comparison passes it; any
+    other is cauchy_check's report, for its verdict and witness.  Both sides
+    come from _cauchy_sides on both paths.
 
     Why the two imply the report: sending each free h_k to h_k(X|Y) is a
     ring map that fixes the t's (Macdonald, Symmetric Functions, I.2), so a
     proved identity holds with the brackets taken in the h_k(X|Y) and the
     product prod_i H(t_i) = prod_i prod_y (1 - y t_i) / prod_x (1 - x t_i),
-    which is cauchy_check's alphabet product; t -> -t fixes the h_k.
-    cauchy_check takes its brackets from h_list's series of the pair it
-    reads, built by the same determinants, and its s_lam(t) from the same
-    _cauchy_t_side; the guard shows that series is the h_k of the pair.  X
-    and Y hold no t, so widening the table by t1..tnT changes no value; nor
-    does naming the dual's Y by x's and its X by y's.
+    which is cauchy_check's alphabet product; t -> -t fixes the h_k, so it
+    holds for a dual row too.  cauchy_check takes its brackets from
+    h_list's series of the pair it reads, built by the same determinants,
+    and its s_lam(t) from the same _cauchy_t_side; the guard shows that
+    series is the h_k of the pair.  X and Y hold no t, so widening the table
+    by t1..tnT changes no value; nor does naming a dual row's Y by x's and
+    its X by y's.
     """
     if t_count < 1:
         return []
     t_sides = {nT: _cauchy_t_side(nT, degmax) for nT in range(1, t_count + 1)}
-    proved = {
-        (kind, nT): _cauchy_free_proof(kind, nT, degmax, t_side)
-        for kind in CAUCHY_KINDS if kind != "cauchy_angle_dual"
-        for nT, t_side in t_sides.items()
-    }
+
+    @cache
+    def proved(bracket, rule, nT) -> bool:
+        return _cauchy_free_proof(bracket, rule, nT, degmax, t_sides[nT])
+
     pairs = [(nx, ny) for nx in range(max_x + 1) for ny in range(max_y + 1)]
     guarded = cache(partial(_series_guard, degmax=degmax))  # each pair read, once
     out = []
-    for kind in CAUCHY_KINDS:
-        dual = kind == "cauchy_angle_dual"
+    for kind, (bracket, rule, dual) in _CAUCHY_ROWS.items():
         for nx, ny in pairs:
-            proof_kind, pair = ("cauchy_square", (ny, nx)) if dual else (kind, (nx, ny))
             for nT in t_sides:
                 X, Y, _ = cauchy_alphabets(nx, ny, nT)
-                if proved[proof_kind, nT] and guarded(*pair):
+                if proved(bracket, rule, nT) and guarded(*((ny, nx) if dual else (nx, ny))):
                     params = _cauchy_params(kind, X, Y, nT, degmax)
                     out.append(VerificationReport(f"cauchy.{kind}", params, True))
                 else:
@@ -1015,7 +1013,8 @@ def check_fold_sweep(max_rank: int, max_am: int = 3) -> list[VerificationReport]
     taken once, and each passes at every (r, s) when proved there; one
     that is not is checked by folding.pair_report at each (r, s), for its
     verdict and witness: verify_decomposition's report, on the theorem the
-    free proof compared rather than the dual it takes for a tall rectangle.
+    free proof compared rather than the dual it takes (folding._theorem_report)
+    for a tall rectangle, or for a square one when X has more variables than Y.
     """
     requests = [
         (case, branch, a, m)

@@ -514,6 +514,19 @@ def test_a_determinant_fault_turns_every_classical_sum_red(monkeypatch):
                 assert not verify.littlewood_sum_check(kind, n, degmax).passed, (kind, n, degmax)
 
 
+def test_a_swapped_sum_row_turns_only_its_kind_red(monkeypatch):
+    # The even-rows row with the even-columns pair rule (i < j) loses its
+    # 1/(1 - t_i^2) factors, so from degree 2 on its product lacks the t_1^2
+    # that s_(2) holds.  Each kind reads its own row, so the others stay green.
+    cls, singles, _ = verify._SUM_ROWS["littlewood_even_rows"]
+    monkeypatch.setitem(verify._SUM_ROWS, "littlewood_even_rows", (cls, singles, combinations))
+    for n in range(1, 6):
+        for degmax in range(11):
+            for kind in verify.SUM_KINDS:
+                red = kind == "littlewood_even_rows" and degmax >= 2
+                assert verify.littlewood_sum_check(kind, n, degmax).passed != red, (kind, n, degmax)
+
+
 def test_jacobi_trudi_matches_bialternant():
     # n <= 6 with |lam| <= 6 is the range of the LR oracle in the battery,
     # which takes its Schur polynomials from schur_in_table.

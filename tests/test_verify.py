@@ -391,10 +391,12 @@ def test_a_healthy_cauchy_sweep_decides_every_report_without_the_fallback(monkey
 
 
 def test_cauchy_sweep_with_swapped_brackets_is_red_and_byte_equal(monkeypatch):
-    # SQUARE <-> ANGLE: the square and angle kinds' identities fail at every
-    # nT, so their free proofs fail and their reports fall back.
-    monkeypatch.setitem(verify._CAUCHY_BRACKETS, "cauchy_square", schur.BracketType.ANGLE)
-    monkeypatch.setitem(verify._CAUCHY_BRACKETS, "cauchy_angle", schur.BracketType.SQUARE)
+    # SQUARE <-> ANGLE in the square and angle rows: their identities fail at
+    # every nT, so their free proofs fail and their reports fall back.  The
+    # dual row keeps SQUARE, and stays green.
+    rows = verify._CAUCHY_ROWS
+    for kind, bracket in (("cauchy_square", "ANGLE"), ("cauchy_angle", "SQUARE")):
+        monkeypatch.setitem(rows, kind, (schur.BracketType[bracket], *rows[kind][1:]))
     try:
         superchar.clear_caches()
         want = [r.to_json() for r in per_check_cauchy(3, 6)]
@@ -406,6 +408,36 @@ def test_cauchy_sweep_with_swapped_brackets_is_red_and_byte_equal(monkeypatch):
     assert [r.to_json() for r in got] == want
     assert sum(not r.passed for r in got) == 2 * 27
     assert {r.params["kind"] for r in got if not r.passed} == {"cauchy_square", "cauchy_angle"}
+
+
+def test_the_sweep_decides_the_dual_kind_by_its_own_row(monkeypatch):
+    # With the dual row alone set to ANGLE, cauchy_check sums angle brackets
+    # at (Y|X), which fail the square kind's product.  The sweep proves the
+    # dual's own (bracket, pair rule), one more proof per nT, so it fails
+    # too and the dual reports fall back to the per-check bytes.
+    dual = verify._CAUCHY_ROWS["cauchy_angle_dual"]
+    monkeypatch.setitem(
+        verify._CAUCHY_ROWS, "cauchy_angle_dual", (schur.BracketType.ANGLE, *dual[1:])
+    )
+    real_proof, proofs = verify._cauchy_free_proof, []
+
+    def proof(bracket, rule, *args):
+        proofs.append((bracket, rule))
+        return real_proof(bracket, rule, *args)
+
+    monkeypatch.setattr(verify, "_cauchy_free_proof", proof)
+    try:
+        superchar.clear_caches()
+        want = [r.to_json() for r in per_check_cauchy(3, 6)]
+        superchar.clear_caches()
+        got = verify.check_cauchy_sweep(2, 2, 3, 6)
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+    assert [r.to_json() for r in got] == want
+    assert sum(not r.passed for r in got) == 27
+    assert {r.params["kind"] for r in got if not r.passed} == {"cauchy_angle_dual"}
+    assert len(proofs) == 12 and proofs[-3:] == [(schur.BracketType.ANGLE, dual[1])] * 3
 
 
 def test_a_corrupted_series_guard_falls_back_to_green_per_check_reports(monkeypatch):
@@ -471,7 +503,8 @@ def test_the_dual_kind_reads_the_square_rule(monkeypatch, rule, red_kinds):
 def test_no_cauchy_determinant_has_more_rows_than_t_variables(monkeypatch):
     # The dual kind's characters are taken at the shapes themselves, which
     # have at most nT rows, not at their conjugates (up to degmax rows); the
-    # sweep proves the three forward kinds only.
+    # sweep proves each (bracket, pair rule) once per nT, and the dual row's
+    # is the square kind's.
     rows, proofs = [], []
     real_det, real_proof = schur.det, verify._cauchy_free_proof
 
@@ -479,9 +512,9 @@ def test_no_cauchy_determinant_has_more_rows_than_t_variables(monkeypatch):
         rows.append(len(matrix))
         return real_det(matrix)
 
-    def proof(kind, *args):
-        proofs.append(kind)
-        return real_proof(kind, *args)
+    def proof(bracket, rule, *args):
+        proofs.append((bracket, rule))
+        return real_proof(bracket, rule, *args)
 
     monkeypatch.setattr(schur, "det", det)
     monkeypatch.setattr(verify, "_cauchy_free_proof", proof)
@@ -496,7 +529,8 @@ def test_no_cauchy_determinant_has_more_rows_than_t_variables(monkeypatch):
         monkeypatch.undo()
         superchar.clear_caches()
     assert max(rows) == 3
-    assert proofs == [kind for kind in CAUCHY_KINDS[:3] for _ in range(3)]
+    rows = [verify._CAUCHY_ROWS[kind][:2] for kind in CAUCHY_KINDS[:3]]
+    assert proofs == [row for row in rows for _ in range(3)]
 
 
 @pytest.mark.parametrize(
