@@ -270,6 +270,78 @@ def test_dc_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
         superchar.clear_caches()
 
 
+def test_an_e_to_z_fault_turns_the_x_reports_and_the_pinned_digests_red(monkeypatch):
+    # laurent.e_to_z turns every e-table value into x.  With one term dropped
+    # from each e_k that its passes expand, the battery's reports that compare
+    # in x turn red (the Cauchy and classical-sum reports, the dimensions and
+    # the bialternant agreement), and so do the pinned digests of the x left
+    # sides.  The dc and fold verdicts compare over the e table and stay green.
+    workloads = import_perfbench("workloads")
+    pins = json.loads((Path(PERFBENCH) / "pinned.json").read_text())
+    real = laurent.combinations
+    monkeypatch.setattr(laurent, "combinations", lambda units, k: list(real(units, k))[:-1])
+    seen = []
+
+    def capture_on(module):
+        real_comparison = module.poly_comparison
+
+        def capture(check_id, params, lhs, rhs):
+            seen.append(lhs)
+            return real_comparison(check_id, params, lhs, rhs)
+
+        monkeypatch.setattr(module, "poly_comparison", capture)
+
+    def outcomes(requests, pool):
+        passed = red = 0
+        for req in requests:
+            superchar.clear_caches()
+            module, name, args = workloads.prepare(req)
+            seen.clear()
+            passed += getattr(module, name)(*args).passed
+            red += workloads.lhs_digest(seen[0]) != pins[pool][workloads.request_key(req)][0]
+        return len(requests), passed, red
+
+    superchar.clear_caches()
+    try:
+        reports = verify.run_suite(verify.SuiteConfig())
+        red = {}
+        for report in reports:
+            if not report.passed:
+                red[report.check_id] = red.get(report.check_id, 0) + 1
+        assert red == {
+            "cauchy.cauchy_plain": 21,
+            "cauchy.cauchy_square": 23,
+            "cauchy.cauchy_angle": 22,
+            "cauchy.cauchy_angle_dual": 23,
+            "littlewood.schur_sum": 2,
+            "littlewood.littlewood_even_rows": 2,
+            "littlewood.littlewood_even_columns": 1,
+            "fold.dimension": 13,
+            "schur.bialternant-agreement": 1,
+        }
+        dc_and_fold = [
+            r
+            for r in reports
+            if r.check_id.startswith(("dc.", "fold.")) and r.check_id != "fold.dimension"
+        ]
+        assert len(dc_and_fold) == 1007 and all(r.passed for r in dc_and_fold)
+
+        capture_on(folding)
+        capture_on(verify)
+        fold = workloads.fold_pool()
+        fold = [req for req in fold if req[2] + req[3] <= 2 and max(req[5:]) <= 3]
+        identity = workloads.identity_pool()
+        sums = [req for req in identity if req[0] == "sum" and req[2] <= 4]
+        dc = [req for req in identity if req[0] == "dc" and sum(req[2]) <= 3]
+        # (requests, verdicts green, digests red)
+        assert outcomes(fold, "fold") == (448, 448, 164)
+        assert outcomes(sums, "identity") == (132, 57, 75)
+        assert outcomes(dc, "identity") == (1008, 1008, 554)
+    finally:
+        monkeypatch.undo()
+        superchar.clear_caches()
+
+
 def test_the_lr_checks_run_one_search_per_shape(monkeypatch):
     # The traced battery reads lr.lr_coeff's span and memo; the three LR
     # checks must read lr_table instead, which searches each shape once: the

@@ -6,24 +6,28 @@ the oracle: ``partitions.conjugate`` (one generator sum per column),
 ``schur.palindromic``, the factors as whole tuples, ``_variable_series`` and
 ``_h_list_cached`` without the degree bound or the constant-free shortcut,
 ``schur._table_dets`` with its entry closure, ``laurent.e_to_z`` with one
-pass per e variable, and ``_z_passes``/``_unfold`` reading each field
-through the bias, and ``folding._dc_coeffs`` summing every weight over
-``lr.lr_table``.  Every comparison is exact: values, bounds and element
-tuples.
+pass per e variable (``ref_e_to_z``) and with every pass key stacking the z
+key above the e fields (``ref_e_to_z_stacked``), ``_z_passes``/``_unfold``
+reading each field through the bias, and ``folding._dc_coeffs`` summing
+every weight over ``lr.lr_table``.  Every comparison is exact: values,
+bounds and element tuples.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from superchar import clear_caches, folding, lr, schur
+from superchar import clear_caches, folding, lr, schur, verify
 from superchar.laurent import (
+    EXPONENT_LIMIT,
     FIELD_BITS,
     Accumulator,
+    ExponentOverflowError,
     LaurentPoly,
     VarTable,
     _fold_row,
@@ -40,6 +44,7 @@ from superchar.partitions import (
     _class_inside,
     conjugate,
     in_class,
+    in_hook,
     partitions_inside,
     partitions_upto,
     size,
@@ -213,6 +218,57 @@ def ref_e_to_z(p, table, blocks):
                     acc[key + k2] = get(key + k2, 0) + coeff * c2
             terms = acc
         first += len(block)
+    return _trusted(table, {key >> width: c for key, c in _nonzero(terms).items()}, bound)
+
+
+def ref_e_to_z_stacked(p, table, blocks):
+    etab = p.table
+    if sum(map(len, blocks)) != len(etab):
+        raise ValueError(f"blocks {blocks!r} do not fit {etab!r}")
+    positions = [i for block in blocks for i in block]
+    if len(set(positions)) != len(positions) or not all(0 <= i < len(table) for i in positions):
+        raise ValueError(f"blocks {blocks!r} repeat or leave the positions of {table!r}")
+    bias, mask = etab._bias, (1 << FIELD_BITS) - 1
+    for key in p._terms:
+        if (key + bias) & bias != bias:
+            raise ValueError("e_to_z expects no negative exponents")
+    longest = max(map(len, blocks), default=0)
+    bound = p._bound * longest
+    if bound > EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"z exponent bound {bound} passes the packed field limit")
+    if longest == 1 and positions == list(range(len(table))):
+        return _trusted(table, p._terms, bound)
+    width = FIELD_BITS * len(etab)
+    moves, passes = [], []
+    first = 0
+    for block in blocks:
+        units = [1 << (table.shifts[i] + width) for i in block]
+        moves.append((etab.shifts[first + len(block) - 1], sum(units)))
+        passes += [(etab.shifts[first + k - 1], units, k) for k in range(len(block) - 1, 0, -1)]
+        first += len(block)
+    terms = {}
+    for key, coeff in p._terms.items():
+        for shift, unit in moves:
+            a = (key >> shift) & mask
+            key += a * unit - (a << shift)
+        terms[key] = coeff
+    for shift, units, k in passes:
+        e_k = [sum(combo) for combo in combinations(units, k)]
+        powers = [{0: 1}]
+        acc = {}
+        get = acc.get
+        for key, coeff in terms.items():
+            a = (key >> shift) & mask
+            while len(powers) <= a:
+                last, step = powers[-1], {}
+                for k1, c1 in last.items():
+                    for k2 in e_k:
+                        step[k1 + k2] = step.get(k1 + k2, 0) + c1
+                powers.append(step)
+            key -= a << shift
+            for k2, c2 in powers[a].items():
+                acc[key + k2] = get(key + k2, 0) + coeff * c2
+        terms = acc
     return _trusted(table, {key >> width: c for key, c in _nonzero(terms).items()}, bound)
 
 
@@ -467,6 +523,7 @@ def random_blocks(rng, n_table, sizes):
         (3, (3,)),
         (4, (2, 2)),
         (5, (1, 3)),
+        (6, (3, 2)),
     ],
 )
 def test_e_to_z_matches_its_reference(n_table, sizes):
@@ -479,7 +536,105 @@ def test_e_to_z_matches_its_reference(n_table, sizes):
     for blocks in sorted(layouts):
         for _ in range(10):
             p = random_poly(rng, etab, 4)
-            assert same(e_to_z(p, table, blocks), ref_e_to_z(p, table, blocks)), (p, blocks)
+            got = e_to_z(p, table, blocks)
+            assert same(got, ref_e_to_z(p, table, blocks)), (p, blocks)
+            assert same(got, ref_e_to_z_stacked(p, table, blocks)), (p, blocks)
+
+
+def test_e_to_z_matches_the_stacked_kernel_on_its_edge_values():
+    a_b_c = VarTable(("a", "b", "c"))
+    etab = schur.e_table((a_b_c.names,), False)
+    values = [LaurentPoly.zero(etab)]
+    # Merged groups whose terms cancel: the keys a*b, a*c and b*c in
+    # e1^2 - 2 e2, and a*b*c
+    # in e1 e2 - 3 e3, with the expanded group met first or last.
+    for terms in (
+        {(2, 0, 0): 1, (0, 1, 0): -2},
+        {(0, 1, 0): -2, (2, 0, 0): 1},
+        {(1, 1, 0): 1, (0, 0, 1): -3},
+        {(0, 0, 1): -3, (1, 1, 0): 1},
+    ):
+        values.append(LaurentPoly(etab, terms))
+    for p in values:
+        assert same(e_to_z(p, a_b_c, ((0, 1, 2),)), ref_e_to_z_stacked(p, a_b_c, ((0, 1, 2),)))
+    a, b, c = (LaurentPoly.variable(a_b_c, name) for name in a_b_c.names)
+    assert e_to_z(values[1], a_b_c, ((0, 1, 2),)) == a * a + b * b + c * c
+    assert e_to_z(values[3], a_b_c, ((0, 1, 2),)) == (
+        a * a * (b + c) + b * b * (a + c) + c * c * (a + b)
+    )
+    # One-variable blocks out of table order only move each field.
+    rng = random.Random(47)
+    etab = VarTable(("e0", "e1", "e2"))
+    for blocks in ((2,), (0,), (1,)), ((1,), (0,)), ((2,),), ():
+        sub = VarTable(etab.names[: len(blocks)])
+        for p in [LaurentPoly.zero(sub)] + [random_poly(rng, sub, 5) for _ in range(20)]:
+            assert same(e_to_z(p, a_b_c, blocks), ref_e_to_z_stacked(p, a_b_c, blocks)), blocks
+
+
+def test_e_to_z_matches_the_stacked_kernel_on_e_of_z_blocks():
+    rng = random.Random(4747)
+    table = VarTable(("x1", "x2", "x3", "y1", "y2"))
+    for names in (
+        (("x1", "x2", "x3"), ("y1", "y2")),
+        (("y2", "x1"), ("x3",), ("y1", "x2")),
+        (("x2",), ("y1",)),
+    ):
+        etab = schur.e_table(names, True)
+        blocks = tuple(tuple(table.index[v] for v in block) for block in names)
+        for _ in range(40):
+            p = random_poly(rng, etab, 4)
+            got = e_to_z(p, schur.z_table(table), blocks)
+            assert same(got, ref_e_to_z_stacked(p, schur.z_table(table), blocks)), (p, names)
+
+
+def small_cold_requests():
+    """Zero-argument checks of small fold, dc, classical-sum and Cauchy pools."""
+    calls = []
+    for case in verify.fold_cases(2):
+        M, N = folding.ambient_hook(case)
+        for branch in folding.branches(case):
+            for a in range(1, 4):
+                for m in range(1, 4):
+                    if in_hook((m,) * a, M, N):
+                        calls.append(partial(folding.verify_decomposition, case, branch, a, m))
+    for relation in folding.DC_RELATIONS:
+        for xi in (1, -1) if relation in folding.XI_RELATIONS else (1,):
+            for nx in range(4):
+                for ny in range(3):
+                    X, Y, _ = verify.cauchy_alphabets(nx, ny, 1)
+                    for lam in partitions_upto(3):
+                        calls.append(partial(folding.general_dc_check, relation, lam, X, Y, xi))
+    for kind in verify.SUM_KINDS:
+        for nT in range(1, 5):
+            calls.append(partial(verify.littlewood_sum_check, kind, nT, 6))
+    for kind in verify.CAUCHY_KINDS:
+        for nx, ny in ((1, 2), (2, 1), (2, 2)):
+            X, Y, _ = verify.cauchy_alphabets(nx, ny, 2)
+            calls.append(partial(verify.cauchy_check, kind, X, Y, 2, 5))
+    return calls
+
+
+def test_e_to_z_matches_the_stacked_kernel_on_every_value_of_small_cold_pools(monkeypatch):
+    seen = []
+    real = schur.e_to_z
+
+    def capture(p, table, blocks):
+        seen.append((p, table, blocks))
+        return real(p, table, blocks)
+
+    monkeypatch.setattr(schur, "e_to_z", capture)
+    try:
+        for check in small_cold_requests():
+            clear_caches()
+            assert check().passed, check
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    over_z = [p.table.over_z for p, _, _ in seen]
+    assert len(seen) > 1000 and any(over_z) and not all(over_z)
+    assert max(len(block) for _, _, blocks in seen for block in blocks) >= 3
+    for p, table, blocks in seen:
+        assert same(e_to_z(p, table, blocks), ref_e_to_z_stacked(p, table, blocks)), (p, blocks)
 
 
 @pytest.mark.parametrize("lift", [0, 1])
