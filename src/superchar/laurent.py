@@ -601,16 +601,20 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
     sum of the products of k of them.  A position that repeats (the map would
     not be injective) or falls outside ``table`` is refused, and so is a
     negative exponent in p.
-    A key of the pass is the z key shifted above p's fields plus the e
-    exponents still to expand.  Each block's e_n is a single monomial, so
-    one first pass only moves each term's e_n fields to the blocks' z's;
-    then one pass per other e variable expands e_k^a (the product of a sums,
-    formed once per pass and a) and clears its field, from e_(n-1) down to
-    e_1, so the terms multiply as late as they can.  When every block is
-    one variable (e_1 = z) the move is the whole map, and when those
-    variables are table's own, in order, it leaves every key as it is.  The
-    z exponent of a variable is at most the sum of its block's e exponents,
-    so the bound is p's times the longest block.
+    The terms are held in groups: a dict from the e exponents still to
+    expand (a key over p's table) to a dict of z keys over ``table``.  Each
+    block's e_n is a single monomial, so one first pass only moves each
+    term's e_n fields to the blocks' z's and files the term under the rest
+    of its e key.  Then one pass per other e variable, from e_(n-1) down to
+    e_1 so the terms multiply as late as they can, reads e_k's exponent a
+    off each group's key, clears it, and multiplies the group's z dict by
+    e_k^a (the product of a sums, formed once per pass and a), forming each
+    new z key once; a group with a = 0 merges as it is.  After the last
+    pass the one group left, under the key 0, is the value.  When every
+    block is one variable (e_1 = z) the move is the whole map, and when
+    those variables are table's own, in order, it leaves every key as it
+    is.  The z exponent of a variable is at most the sum of its block's e
+    exponents, so the bound is p's times the longest block.
     """
     etab = p.table
     if sum(map(len, blocks)) != len(etab):
@@ -628,39 +632,54 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
         raise ExponentOverflowError(f"z exponent bound {bound} passes the packed field limit")
     if longest == 1 and positions == list(range(len(table))):
         return _trusted(table, p._terms, bound)
-    width = FIELD_BITS * len(etab)
     moves, passes = [], []  # (e_n's field, its z key); (e_k's field, the z keys, k) for k < n
     first = 0  # the position of the block's e_1 in p's table
     for block in blocks:
-        units = [1 << (table.shifts[i] + width) for i in block]
+        units = [1 << table.shifts[i] for i in block]
         moves.append((etab.shifts[first + len(block) - 1], sum(units)))
         passes += [(etab.shifts[first + k - 1], units, k) for k in range(len(block) - 1, 0, -1)]
         first += len(block)
     # Distinct blocks move to disjoint z's, so no two moved terms meet.
-    terms = {}
+    groups: dict[int, dict[int, int]] = {}
     for key, coeff in p._terms.items():
+        z = 0
         for shift, unit in moves:
             a = (key >> shift) & mask
-            key += a * unit - (a << shift)
-        terms[key] = coeff
+            z += a * unit
+            key -= a << shift
+        group = groups.get(key)
+        if group is None:
+            groups[key] = {z: coeff}
+        else:
+            group[z] = coeff
     for shift, units, k in passes:
         e_k = [sum(combo) for combo in combinations(units, k)]
         powers = [{0: 1}]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for key, coeff in terms.items():
+        out: dict[int, dict[int, int]] = {}
+        for key, group in groups.items():
             a = (key >> shift) & mask
+            key -= a << shift
+            acc = out.get(key)
+            if acc is None:
+                if not a:
+                    out[key] = group
+                    continue
+                acc = out[key] = {}
             while len(powers) <= a:
                 last, step = powers[-1], {}
                 for k1, c1 in last.items():
                     for k2 in e_k:
-                        step[k1 + k2] = step.get(k1 + k2, 0) + c1
+                        key2 = k1 + k2
+                        step[key2] = step.get(key2, 0) + c1
                 powers.append(step)
-            key -= a << shift
-            for k2, c2 in powers[a].items():
-                acc[key + k2] = get(key + k2, 0) + coeff * c2
-        terms = acc
-    return _trusted(table, {key >> width: c for key, c in _nonzero(terms).items()}, bound)
+            get = acc.get
+            power = powers[a].items()
+            for z, coeff in group.items():
+                for k2, c2 in power:
+                    key2 = z + k2
+                    acc[key2] = get(key2, 0) + coeff * c2
+        groups = out
+    return _trusted(table, _nonzero(groups.get(0, {})), bound)
 
 
 def divide_linear(p: LaurentPoly, var_i: str, var_j: str) -> LaurentPoly:

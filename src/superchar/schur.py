@@ -124,12 +124,6 @@ class Alphabet:
 
     __or__ = union
 
-    def inverses(self) -> "Alphabet":
-        return Alphabet._of_checked(
-            self.table,
-            tuple((s, tuple(-e for e in exps)) for s, exps in self.elements),
-        )
-
     def negated(self) -> "Alphabet":
         return Alphabet._of_checked(self.table, tuple((-s, exps) for s, exps in self.elements))
 
