@@ -340,6 +340,24 @@ def _nonzero(terms: dict[int, int]) -> dict[int, int]:
     return {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
 
 
+def _add_products(acc: dict[int, int], p: dict[int, int], u: dict[int, int], c: int) -> None:
+    """Add c * p * u into acc, all dicts of packed terms: the ring's one product loop.
+
+    The shorter operand runs outside.  Terms that cancel stay in acc at 0
+    for the caller's :func:`_nonzero`, and the caller checks the product's
+    bound (:func:`_product_bound`) first, so no key passes the field.
+    """
+    if len(p) > len(u):
+        p, u = u, p
+    get = acc.get
+    items = u.items()
+    for k1, c1 in p.items():
+        c1 *= c
+        for k2, c2 in items:
+            key = k1 + k2
+            acc[key] = get(key, 0) + c1 * c2
+
+
 def _trusted(table: VarTable, terms: dict[int, int], bound: int) -> LaurentPoly:
     """Wrap ring-operation output: keys packed over ``table``, no zero coefficients."""
     poly = object.__new__(LaurentPoly)
@@ -353,10 +371,11 @@ class Accumulator:
     """A running sum of polynomials and products, added into one dict of packed terms.
 
     ``add(p, c, u)`` is the in-place form of ``total + c * u * p`` (of
-    ``total + c * p`` without u): no product or partial sum is built.  The
-    ring's ``+``, ``-`` and ``*`` are each one Accumulator.  A sum's bound is
-    the larger of its operands', a product's the sum of both, and a product
-    past the field raises before any of its keys is formed.
+    ``total + c * p`` without u): no product or partial sum is built, and a
+    product is added by :func:`_add_products`.  The ring's ``+``, ``-`` and
+    ``*`` are each one Accumulator.  A sum's bound is the larger of its
+    operands', a product's the sum of both, and a product past the field
+    raises before any of its keys is formed.
     """
 
     __slots__ = ("table", "terms", "bound")
@@ -394,15 +413,7 @@ class Accumulator:
             return
         p._check(u)
         self.bound = max(self.bound, _product_bound(u._bound, p._bound))
-        outer, inner = p._terms, u._terms
-        if len(outer) > len(inner):
-            outer, inner = inner, outer
-        inner_items = inner.items()
-        for k1, c1 in outer.items():
-            c1 *= c
-            for k2, c2 in inner_items:
-                key = k1 + k2
-                acc[key] = get(key, 0) + c1 * c2
+        _add_products(acc, p._terms, u._terms, c)
 
     def value(self) -> LaurentPoly:
         """The sum, without its zero coefficients; the value takes over the dict, so add no more."""
@@ -437,8 +448,9 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
 
     Each minor is one dict of packed terms, with the bound that ``*``, ``+``
     and ``-`` would give it, so a product past the field raises exactly as in
-    the ring.  The one-column minors are the last row's entries themselves
-    (a zero entry is 0 with bound 0); their dicts are only read.
+    the ring; each cofactor step is one :func:`_add_products`.  The
+    one-column minors are the last row's entries themselves (a zero entry is
+    0 with bound 0); their dicts are only read.
     """
     n = len(rows)
     if n == 0:
@@ -460,23 +472,15 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         # Called on memo misses only: each sub-minor is looked up first.
         row = rows[n - len(cols)]
         acc: dict[int, int] = {}
-        get = acc.get
         bound = 0
         for pos, col in enumerate(cols):
             entry = row[col]
             if not entry._terms:
                 continue
-            items = entry._terms.items()
             sub = mask ^ (1 << col)
             rest, rest_bound = memo.get(sub) or minor(cols[:pos] + cols[pos + 1 :], sub)
             bound = max(bound, _product_bound(entry._bound, rest_bound))
-            odd = pos % 2
-            for k, c in rest.items():
-                if odd:
-                    c = -c
-                for k2, c2 in items:
-                    key = k + k2
-                    acc[key] = get(key, 0) + c * c2
+            _add_products(acc, rest, entry._terms, -1 if pos % 2 else 1)
         memo[mask] = out = _nonzero(acc), bound
         return out
 
@@ -609,12 +613,13 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
     e_1 so the terms multiply as late as they can, reads e_k's exponent a
     off each group's key, clears it, and multiplies the group's z dict by
     e_k^a (the product of a sums, formed once per pass and a), forming each
-    new z key once; a group with a = 0 merges as it is.  After the last
-    pass the one group left, under the key 0, is the value.  When every
-    block is one variable (e_1 = z) the move is the whole map, and when
-    those variables are table's own, in order, it leaves every key as it
-    is.  The z exponent of a variable is at most the sum of its block's e
-    exponents, so the bound is p's times the longest block.
+    new z key once; a group with a = 0 merges as it is.  Both products are
+    :func:`_add_products`, with e_k as a dict of its keys at coefficient 1.
+    After the last pass the one group left, under the key 0, is the value.
+    When every block is one variable (e_1 = z) the move is the whole map,
+    and when those variables are table's own, in order, it leaves every key
+    as it is.  The z exponent of a variable is at most the sum of its
+    block's e exponents, so the bound is p's times the longest block.
     """
     etab = p.table
     if sum(map(len, blocks)) != len(etab):
@@ -653,7 +658,7 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
         else:
             group[z] = coeff
     for shift, units, k in passes:
-        e_k = [sum(combo) for combo in combinations(units, k)]
+        e_k = dict.fromkeys(map(sum, combinations(units, k)), 1)
         powers = [{0: 1}]
         out: dict[int, dict[int, int]] = {}
         for key, group in groups.items():
@@ -666,18 +671,9 @@ def e_to_z(p: LaurentPoly, table: VarTable, blocks: tuple[tuple[int, ...], ...])
                     continue
                 acc = out[key] = {}
             while len(powers) <= a:
-                last, step = powers[-1], {}
-                for k1, c1 in last.items():
-                    for k2 in e_k:
-                        key2 = k1 + k2
-                        step[key2] = step.get(key2, 0) + c1
-                powers.append(step)
-            get = acc.get
-            power = powers[a].items()
-            for z, coeff in group.items():
-                for k2, c2 in power:
-                    key2 = z + k2
-                    acc[key2] = get(key2, 0) + coeff * c2
+                powers.append({})
+                _add_products(powers[-1], powers[-2], e_k, 1)
+            _add_products(acc, group, powers[a], 1)
         groups = out
     return _trusted(table, _nonzero(groups.get(0, {})), bound)
 

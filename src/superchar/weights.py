@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import Partition, as_partition, conjugate, part, require_counts
+from .partitions import Partition, as_partition, conjugate, in_hook, part, require_counts
 
 Weight = tuple[Fraction, ...]
 Labels = tuple[Fraction, ...]
@@ -91,10 +91,9 @@ class AlgebraFamily:
 
 def _require_hook(family: AlgebraFamily, lam: Partition) -> None:
     M, N = family.hook
-    bad = part(lam, M + 1)
-    if bad > N:
+    if not in_hook(lam, M, N):
         raise ValueError(
-            f"{family.describe()}: part {M + 1} of {lam} is {bad} > {N}, "
+            f"{family.describe()}: part {M + 1} of {lam} is {part(lam, M + 1)} > {N}, "
             f"outside the [{M},{N}] hook"
         )
 

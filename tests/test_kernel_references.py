@@ -10,7 +10,9 @@ pass per e variable (``ref_e_to_z``) and with every pass key stacking the z
 key above the e fields (``ref_e_to_z_stacked``), ``_z_passes``/``_unfold``
 reading each field through the bias, and ``folding._dc_coeffs`` summing
 every weight over ``lr.lr_table``.  Every comparison is exact: values,
-bounds and element tuples.
+bounds and element tuples.  The ring's one product kernel,
+``laurent._add_products``, is compared with a naive product over
+exponent-tuple dicts (``naive_add_products``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from superchar.laurent import (
     ExponentOverflowError,
     LaurentPoly,
     VarTable,
+    _add_products,
     _fold_row,
     _nonzero,
     _trusted,
@@ -494,6 +497,75 @@ def test_table_dets_match_their_reference():
             got, want = schur._table_dets(batch, hs, entry), ref_table_dets(batch, hs, entry)
             assert all(map(same, got, want)), (entry, batch)
     clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# The product kernel
+# ---------------------------------------------------------------------------
+
+
+def naive_add_products(acc, p, u, c):
+    """acc + c * p * u over exponent-tuple dicts, in a new dict: zero coefficients stay.
+
+    The shorter operand (p on a tie) runs outside, so new keys come in the
+    kernel's order.
+    """
+    out = dict(acc)
+    outer, inner = (p, u) if len(p) <= len(u) else (u, p)
+    for e1, c1 in outer.items():
+        for e2, c2 in inner.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c * c1 * c2
+    return out
+
+
+def unpacked(table, terms):
+    return {table.unpack(k): v for k, v in terms.items()}
+
+
+def check_add_products(table, acc, p, u, c):
+    """One kernel call against the naive product: every item, zeros and key order included."""
+    want = naive_add_products(unpacked(table, acc), unpacked(table, p), unpacked(table, u), c)
+    operands = (dict(p), dict(u))
+    got = dict(acc)
+    _add_products(got, p, u, c)
+    assert list(unpacked(table, got).items()) == list(want.items()), (acc, p, u, c)
+    assert (p, u) == operands  # the operands are only read
+    return got
+
+
+@pytest.mark.parametrize("c", [1, -1, 3])
+def test_add_products_matches_a_naive_product_in_both_operand_orders(c):
+    rng = random.Random(20261022 + c)
+    for table in TABLES:
+        for _ in range(60):
+            acc, p, u = (random_poly(rng, table, 3, signed=True)._terms for _ in range(3))
+            check_add_products(table, acc, p, u, c)
+            check_add_products(table, acc, u, p, c)
+
+
+def test_add_products_with_an_empty_operand_leaves_acc_as_it_is():
+    table = TABLES[2]
+    acc = {table.pack((0, 2, 1)): 5}
+    p = {table.pack((1, 0, -1)): 2, table.pack((0, 0, 0)): -1}
+    for c in (1, -1, 3):
+        assert check_add_products(table, acc, p, {}, c) == acc
+        assert check_add_products(table, acc, {}, p, c) == acc
+        assert check_add_products(table, {}, {}, {}, c) == {}
+
+
+def test_add_products_keeps_cancelled_terms_at_zero_for_nonzero():
+    table = VarTable(("a", "b"))
+    pack = table.pack
+    one_plus_a = {pack((0, 0)): 1, pack((1, 0)): 1}
+    one_minus_a = {pack((0, 0)): 1, pack((1, 0)): -1}
+    acc = {pack((0, 1)): 3}
+    got = check_add_products(table, acc, one_plus_a, one_minus_a, -1)
+    assert got[pack((1, 0))] == 0  # a - a cancels, and stays in acc
+    assert _nonzero(got) == {pack((0, 1)): 3, pack((0, 0)): -1, pack((2, 0)): 1}
+    # A product that cancels a term acc already holds leaves it at 0 too.
+    got = check_add_products(table, {pack((2, 0)): 1}, one_plus_a, one_minus_a, 1)
+    assert got == {pack((2, 0)): 0, pack((0, 0)): 1, pack((1, 0)): 0}
 
 
 # ---------------------------------------------------------------------------
