@@ -235,7 +235,9 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def exact_div(self, divisor: int) -> "LaurentPoly":
-        """Divide every coefficient by an integer, failing loudly on remainders."""
+        """Divide every coefficient by a nonzero int, failing loudly on remainders."""
+        if type(divisor) is not int or not divisor:  # also rejects bool, a subclass of int
+            raise ValueError(f"divisor {divisor!r} is not a nonzero int")
         out = {}
         for key, coeff in self._terms.items():
             q, r = divmod(coeff, divisor)
@@ -455,6 +457,8 @@ def det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix has no table to build 1 over")
+    if len(rows[0]) != n:
+        raise ValueError("matrix is not square")
     first = rows[0][0]
     for row in rows:
         if len(row) != n:

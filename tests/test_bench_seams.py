@@ -23,6 +23,8 @@ from superchar import folding, laurent, lr, schur, verify
 from superchar.laurent import LaurentPoly
 from superchar.partitions import _class_inside, conjugate, enumerate_rect_subset, partitions_upto
 
+from faults import h1_plus_one, inject
+
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
@@ -240,17 +242,7 @@ def test_dc_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
         assert report.passed and digest == pins[workloads.request_key(req)][0], req
     assert all(on_e[:6]) and any(on_e[6:]) and not all(on_e[6:])
 
-    real_h_list = schur.h_list
-
-    def corrupted(X, Y, degmax):
-        hs = list(real_h_list(X, Y, degmax))
-        if len(hs) > 1:
-            hs[1] = hs[1] + 1
-        return tuple(hs)
-
-    monkeypatch.setattr(schur, "h_list", corrupted)
-    superchar.clear_caches()
-    try:
+    with inject(monkeypatch, h1_plus_one()):
         checked = 0
         for req, e_route in zip(requests, on_e):
             _, digest = run(req)
@@ -265,9 +257,6 @@ def test_dc_requests_hand_poly_comparison_the_pinned_x_lhs(monkeypatch):
         # Measured: 195 of the 678 e-route requests read h_1 on the shape
         # evaluated (lam' for a tall lam); 390 read it on lam itself.
         assert checked == 195
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
 
 
 def test_an_e_to_z_fault_turns_the_x_reports_and_the_pinned_digests_red(monkeypatch):

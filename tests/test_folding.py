@@ -50,6 +50,15 @@ from superchar.schur import (
 )
 from superchar.verify import cauchy_alphabets, fold_cases
 
+from faults import (
+    U1_IN_E_FACTOR,
+    U1_IN_FORMAL_FACTOR,
+    det_plus,
+    entry_plus_h,
+    h1_plus_one,
+    inject,
+)
+
 
 def branch_alphabets(case, branch):
     """The case's palindromic pair with the branch's x constant adjoined to X."""
@@ -683,54 +692,30 @@ def test_e_route_reports_match_the_z_route(all_in_x):
     assert warm == want
 
 
-def corrupt_h1(monkeypatch):
-    real = schur.h_list
-
-    def corrupted(X, Y, degmax):
-        hs = list(real(X, Y, degmax))
-        if len(hs) > 1:
-            hs[1] = hs[1] + 1
-        return tuple(hs)
-
-    monkeypatch.setattr(schur, "h_list", corrupted)
-
-
 def test_a_corrupted_series_fails_alike_on_both_routes(monkeypatch, all_in_x):
     # h_1 + 1 is a different series on each side of a decomposition, so it
     # fails many of them, with the same witness on the e and the x route.
     requests = [req for req in fold_requests(3, 3) if req[0].r + req[0].s == 3]
-    corrupt_h1(monkeypatch)
-    clear_caches()
-    got = [report_json(req) for req in requests]
-    failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
-    assert any(on_e_table(case) for case, *_ in failing)
-    all_in_x()
-    assert got == [report_json(req) for req in requests]
+    with inject(monkeypatch, h1_plus_one()):
+        got = [report_json(req) for req in requests]
+        failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
+        assert any(on_e_table(case) for case, *_ in failing)
+        all_in_x()
+        assert got == [report_json(req) for req in requests]
 
 
 def test_a_corrupted_e_factor_fails_the_dimensions_only(monkeypatch):
     # Both sides of a decomposition share the pairs' block factor, and the
     # identities hold for any series of it, so a corrupted factor leaves the
     # decomposition reports green; the all-ones dimensions see it.
-    real = schur._e_factor
-
-    def corrupted(sign, e):
-        (d, u), *rest = real(sign, e)
-        return ((d, u + e[1]), *rest)  # one coefficient of u_1 off by one
-
     requests = [req for req in fold_requests(3, 3) if on_e_table(req[0])]
     e_cases = [case for case in fold_cases(3) if case.s == 0 and on_e_table(case)]
-    monkeypatch.setattr(schur, "_e_factor", corrupted)
-    clear_caches()
-    try:
+    with inject(monkeypatch, U1_IN_E_FACTOR):
         failing = [rep.params for rep in verify.check_fold_dimensions(3) if not rep.passed]
         assert failing == [{"case": case.tag.value, "r": case.r} for case in e_cases]
         for request in requests:
             got = report_json(request)
             assert json.loads(got)["pass"] and got == explicit_report(*request), request
-    finally:
-        monkeypatch.undo()
-        clear_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -779,25 +764,9 @@ def test_typical_rectangles_are_the_product_over_the_series_route():
     assert typical_rectangle_failures() == []
 
 
-def corrupt_e_factor(monkeypatch):
-    """Patch schur._e_factor so that one coefficient of each factor's u_1 is off by one."""
-    real = schur._e_factor
-
-    def corrupted(sign, e):
-        (d, u), *rest = real(sign, e)
-        return ((d, u + e[1]), *rest)
-
-    monkeypatch.setattr(schur, "_e_factor", corrupted)
-
-
 def test_a_corrupted_e_factor_turns_typical_rectangles_red(monkeypatch):
-    corrupt_e_factor(monkeypatch)
-    clear_caches()
-    try:
+    with inject(monkeypatch, U1_IN_E_FACTOR):
         assert len(typical_rectangle_failures()) == 33
-    finally:
-        monkeypatch.undo()
-        clear_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -874,13 +843,8 @@ def test_folded_characters_are_the_supertableau_sums():
 
 def test_a_corrupted_e_factor_turns_folded_characters_red(monkeypatch):
     # Every case with a variable reads _e_factor; D2 at r = 1, s = 0 has none.
-    corrupt_e_factor(monkeypatch)
-    clear_caches()
-    try:
+    with inject(monkeypatch, U1_IN_E_FACTOR):
         pairs, failing = tableau_failures(2)
-    finally:
-        monkeypatch.undo()
-        clear_caches()
     assert pairs == 180 and len(failing) == 159
     green = set(fold_cases(3)) - {case for case, _ in failing}
     assert green == {FoldingCase(FoldingTag.D2, 1, 0)}
@@ -944,35 +908,23 @@ def test_a_corrupted_series_fails_the_dc_relations_alike_on_both_routes(monkeypa
     # the relations whose sides differ in them, with the same witness on
     # the formal e and the x route.
     requests = dc_requests(4, 3, 2)
-    corrupt_h1(monkeypatch)
-    clear_caches()
-    got = [general_dc_check(*req).to_json() for req in requests]
-    failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
-    assert any(on_formal_e_table(X, Y) for _, _, X, Y, _ in failing)
-    x_route()
-    assert got == [general_dc_check(*req).to_json() for req in requests]
+    with inject(monkeypatch, h1_plus_one()):
+        got = [general_dc_check(*req).to_json() for req in requests]
+        failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
+        assert any(on_formal_e_table(X, Y) for _, _, X, Y, _ in failing)
+        x_route()
+        assert got == [general_dc_check(*req).to_json() for req in requests]
 
 
 def test_a_corrupted_formal_factor_leaves_the_dc_relations_green(monkeypatch):
     # Both sides of a dc relation share the variables' factor, and the
     # relations hold for any series of it, so a corrupted factor leaves the
     # dc reports green; the x-valued characters (here the single box) see it.
-    real = schur._formal_factor
-
-    def corrupted(sign, e):
-        (d, u), *rest = real(sign, e)
-        return ((d, u + e[1]), *rest)  # one coefficient of u_1 off by one
-
     requests = [req for req in dc_requests(4, 3, 2) if on_formal_e_table(*req[2:4])]
     X, Y, _ = cauchy_alphabets(2, 1, 1)
-    monkeypatch.setattr(schur, "_formal_factor", corrupted)
-    clear_caches()
-    try:
+    with inject(monkeypatch, U1_IN_FORMAL_FACTOR):
         assert all(general_dc_check(*req).passed for req in requests)
         assert super_schur((1,), X, Y) != sum(X.polys(), LaurentPoly.zero(X.table)) - Y.polys()[0]
-    finally:
-        monkeypatch.undo()
-        clear_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -1180,17 +1132,11 @@ def test_a_tall_request_reads_the_dual_rule(monkeypatch, rule):
     a = 2, m = 3 they read their own.
     """
     case = FoldingCase(FoldingTag.A2_ODD, 2, 0)
-    real = getattr(schur, f"_{rule}_entry")
-    monkeypatch.setattr(schur, f"_{rule}_entry", lambda base, j: (*real(base, j), (1, base + j)))
-    clear_caches()
-    try:
+    with inject(monkeypatch, entry_plus_h(f"_{rule}_entry", lambda base, j: base + j)):
         for name in ("B", "C"):
             own = get_branch(case, name).bracket.value == rule
             assert verify_decomposition(case, get_branch(case, name), 2, 3).passed != own, name
             assert verify_decomposition(case, get_branch(case, name), 3, 2).passed == own, name
-    finally:
-        monkeypatch.undo()
-        clear_caches()
 
 
 @pytest.mark.parametrize("rule", ["square", "angle"])
@@ -1202,19 +1148,13 @@ def test_a_square_request_takes_the_dual_when_x_has_more_variables(monkeypatch, 
     the other bracket's branch.  At (0, 2) X has fewer variables, and at
     (1, 1) the tie keeps the forward theorem: each branch reads its own rule.
     """
-    real = getattr(schur, f"_{rule}_entry")
-    monkeypatch.setattr(schur, f"_{rule}_entry", lambda base, j: (*real(base, j), (1, base + j)))
-    clear_caches()
-    try:
+    with inject(monkeypatch, entry_plus_h(f"_{rule}_entry", lambda base, j: base + j)):
         for (r, s), dual in (((2, 0), True), ((0, 2), False), ((1, 1), False)):
             case = FoldingCase(FoldingTag.A2_ODD, r, s)
             for name in ("B", "C"):
                 own = get_branch(case, name).bracket.value == rule
                 passed = verify_decomposition(case, get_branch(case, name), 2, 2).passed
                 assert passed == (own == dual), (r, s, name)
-    finally:
-        monkeypatch.undo()
-        clear_caches()
 
 
 def mutate_branch(monkeypatch, tag, branch, mutant):
@@ -1449,13 +1389,7 @@ def invariant_theorems():
     return true + false
 
 
-def two_row_det_fault(monkeypatch):
-    """det one too large on every 2 x 2 matrix."""
-    real = schur.det
-    monkeypatch.setattr(schur, "det", lambda rows: real(rows) + (1 if len(rows) == 2 else 0))
-
-
-@pytest.mark.parametrize("fault", [None, two_row_det_fault], ids=["healthy", "two-row-det"])
+@pytest.mark.parametrize("fault", [None, det_plus(1, size=2)], ids=["healthy", "two-row-det"])
 def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fault):
     """proved_free_all of the batch against each theorem's batch of one, in three orders.
 
@@ -1473,13 +1407,12 @@ def test_the_batch_proves_each_theorem_as_the_batch_of_one_does(monkeypatch, fau
     fold_dc, table = ({side[:4] for t in family for side in t} for family in (theorems, invariant))
     assert {((), (), list, rule) for rule in ("plain", "square", "angle")} <= fold_dc & table
     theorems[400:400] = invariant
-    if fault:
-        fault(monkeypatch)
-    alone = [proved_free_all([theorem])[0] for theorem in theorems]
-    assert proved_free_all(theorems) == alone
-    assert proved_free_all(theorems[::-1]) == alone[::-1]
-    first = theorems[alone.index(False)]
-    assert proved_free_all([first] + theorems) == [False] + alone
+    with inject(monkeypatch, fault):
+        alone = [proved_free_all([theorem])[0] for theorem in theorems]
+        assert proved_free_all(theorems) == alone
+        assert proved_free_all(theorems[::-1]) == alone[::-1]
+        first = theorems[alone.index(False)]
+        assert proved_free_all([first] + theorems) == [False] + alone
     # the invariant table adds its 4 false theorems, and 31 under the fault
     assert alone.count(False) == (694 + 31 if fault else 551 + 4)
 
@@ -1552,11 +1485,7 @@ def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
     requests differ on DET_SHIFT_PER_ALPHABET_RED and DET_SHIFT_SWEEP_RED
     alone.
     """
-    real = laurent.det
-    for owner in (laurent, schur):
-        monkeypatch.setattr(owner, "det", lambda rows: real(rows) + shift)
-    clear_caches()
-    try:
+    with inject(monkeypatch, det_plus(shift, laurent), det_plus(shift, schur)):
         dc, fold = verify.check_dc_sweep(4, 2, 1), verify.check_fold_sweep(2, 3)
         digests = tuple(
             hashlib.sha256(verify.suite_to_json(reports).encode()).hexdigest()
@@ -1583,6 +1512,3 @@ def test_a_det_fault_turns_the_sweeps_red(monkeypatch, shift):
         assert [sum(not r.passed for r in reports) for reports in (dc, fold)] == [72, 264]
         for reports in (dc, fold):
             assert sum(not r.passed for r in reports) >= len(reports) // 2
-    finally:
-        monkeypatch.undo()
-        clear_caches()

@@ -23,16 +23,22 @@ alpha_i = e_i - e_(i+1) for i < r, and alpha_r is e_r for B_r ((e|e) = 1),
 2 e_r for C_r ((e|e) = 1/2) and e_(r-1) + e_r for D_r ((e|e) = 1).  For a < r
 (a <= r - 2 for D_r) m w_a is the a-row rectangle of width m, so the
 candidates lam are the partitions with at most r parts, lam_1 <= m and
-|lam| <= a m.
+|lam| <= a m.  At B_r's spin node the r-row rectangle of width m is 2m w_r,
+the highest weight of W^(r)_2m.  The D_r node r - 1, whose KR modules are
+not read off a fermionic sum here, is checked as a product of Weyl
+alternants at the end of the file.
 """
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
+from superchar.laurent import LaurentPoly, VarTable
 from superchar.partitions import RectSubset, enumerate_rect_subset
+from superchar.schur import Alphabet, BracketType, bracket_schur, palindromic
 
 
 def simple_roots(kind, r):
@@ -95,8 +101,13 @@ def configurations(ns):
 
 
 @cache
-def branching(kind, r, a, m):
-    """{lam: M(W^(a)_m, lam)} over the lam with a nonzero multiplicity."""
+def branching(kind, r, a, m, level=None):
+    """{lam: M(W^(a)_level, lam)} over the lam with a nonzero multiplicity.
+
+    The highest weight is the a-row rectangle of width m, and level defaults
+    to m.  At B_r's spin node a = r that rectangle is 2m w_r, at level 2m.
+    """
+    level = level or m
     roots, norm = simple_roots(kind, r)
     gram = [[sum(x * y for x, y in zip(u, w)) * norm for w in roots] for u in roots]
     t = [2 / gram[b][b] for b in range(r)]
@@ -113,12 +124,12 @@ def branching(kind, r, a, m):
             term = 1
             for b, counts in enumerate(config):
                 for i, mult in counts.items():
-                    p = (min(i, m) if b == a - 1 else 0) - sum(
+                    p = (min(i, level) if b == a - 1 else 0) - sum(
                         gram[b][c] * min(t[c] * i, t[b] * k) * mk
                         for c, other in enumerate(config)
                         for k, mk in other.items()
                     )
-                    assert p.denominator == 1, (kind, r, a, m, lam, config)
+                    assert p.denominator == 1, (kind, r, a, level, lam, config)
                     if p < 0:
                         term = 0
                         break
@@ -161,3 +172,88 @@ def test_the_other_subset_differs_except_at_a_single_box():
     ]
     assert same == [case for case in CASES if case[2] == case[3] == 1]
     assert (len(CASES), len(same)) == (30, 6)
+
+
+SPIN_CASES = [(r, m) for r in (3, 4) for m in (1, 2)]
+
+
+@pytest.mark.parametrize("r,m", SPIN_CASES)
+def test_the_b_spin_node_branching_at_even_level_is_the_colpaired_rectangle(r, m):
+    # 2m w_r = m(e_1 + ... + e_r) is the r-row rectangle of width m, at level 2m.
+    want = {lam: 1 for lam in enumerate_rect_subset(RectSubset.COLPAIRED, m, r)}
+    assert branching("B", r, r, m, 2 * m) == want
+
+
+def test_the_b_spin_node_branching_is_not_the_evenrow_rectangle():
+    assert all(
+        branching("B", r, r, m, 2 * m)
+        != {lam: 1 for lam in enumerate_rect_subset(RectSubset.EVENROW, m, r)}
+        for r, m in SPIN_CASES
+    )
+
+
+# D_r at node r - 1.  The folded (r-1)-row rectangle of width m is predicted
+# to be W^(r-1)_m (x) W^(r)_m classically, and both spin nodes are minuscule,
+# so that is V(m w_(r-1)) (x) V(m w_r).  Checked without division, with every
+# exponent doubled so that the spin weights are integral:
+#
+#     sum_{mu in COLPAIRED(m^(r-1))} SQUARE_mu(xx|0) A_rho^2 = A_(m w_(r-1) + rho) A_(m w_r + rho),
+#
+# A_v = sum_{w in W(D_r)} sgn(w) e^(w v) over the permutations and the even
+# sign changes, rho = (r - 1, ..., 0).  Each mu has at most r - 1 rows, so
+# its O(2r) character SQUARE_mu(xx|0) is irreducible for SO(2r).
+
+D_RANK = 4
+
+
+def d_alternant(table, twice_v):
+    """A_v over W(D_r) in the doubled exponents twice_v, one monomial per group element."""
+    r = len(twice_v)
+    terms = {}
+    for perm in permutations(range(r)):
+        inversions = sum(i > j for i, j in combinations(perm, 2))
+        for signs in product((1, -1), repeat=r):
+            if signs.count(-1) % 2 == 0:
+                exps = tuple(s * twice_v[p] for s, p in zip(signs, perm))
+                terms[exps] = terms.get(exps, 0) + (-1) ** inversions
+    return LaurentPoly(table, terms)
+
+
+def doubled(p):
+    return LaurentPoly(p.table, {tuple(2 * e for e in exps): c for exps, c in p.terms()})
+
+
+def spin_weight(m, last_sign):
+    """Twice m w_(r-1) (last_sign -1) or m w_r (last_sign 1), plus twice rho."""
+    r = D_RANK
+    return tuple(m + 2 * (r - 1 - i) for i in range(r - 1)) + (last_sign * m,)
+
+
+def d_node_sides(tag, m, right_signs):
+    """(left, right) of the node r - 1 identity with tag's subset and the spin pair right_signs."""
+    r = D_RANK
+    table = VarTable(tuple(f"x{i}" for i in range(1, r + 1)))
+    xx, none = palindromic(table, table.names), Alphabet.empty(table)
+    a_rho = d_alternant(table, tuple(2 * (r - 1 - i) for i in range(r)))
+    chars = LaurentPoly.zero(table)
+    for mu in enumerate_rect_subset(tag, m, r - 1):
+        chars = chars + doubled(bracket_schur(BracketType.SQUARE, mu, xx, none))
+    left = chars * a_rho * a_rho
+    first, second = (d_alternant(table, spin_weight(m, sign)) for sign in right_signs)
+    return left, first * second
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_the_d_node_before_last_rectangle_is_the_product_of_the_spin_nodes(m):
+    left, right = d_node_sides(RectSubset.COLPAIRED, m, (-1, 1))
+    assert left == right
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_the_d_node_before_last_identity_fails_with_another_subset_or_spin_pair(m):
+    wrong = [
+        d_node_sides(RectSubset.BOX, m, (-1, 1)),
+        d_node_sides(RectSubset.EVENROW, m, (-1, 1)),
+        d_node_sides(RectSubset.COLPAIRED, m, (1, 1)),
+    ]
+    assert all(left != right for left, right in wrong)

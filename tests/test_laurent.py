@@ -94,6 +94,22 @@ def test_exact_div():
         (var("a") + 1).exact_div(2)
 
 
+@pytest.mark.parametrize("divisor", [2.0, True, 0])
+def test_exact_div_takes_only_a_nonzero_int(divisor):
+    # A float would leave float coefficients in the polynomial, and True
+    # would pass as 1: like a coefficient, a divisor must be an exact int.
+    with pytest.raises(ValueError) as err:
+        (2 * var("a")).exact_div(divisor)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_det_rejects_an_empty_first_row_before_reading_it(n):
+    # The first row's length is checked before rows[0][0] is read.
+    with pytest.raises(ValueError, match="matrix is not square"):
+        det([[] for _ in range(n)])
+
+
 def test_divide_linear():
     a, b = var("a"), var("b")
     product = (a - b) * (a + b + 3)

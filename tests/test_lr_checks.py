@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 import pytest
 
-from superchar import clear_caches, lr, partitions, schur, verify
+from superchar import lr, partitions, schur, verify
 from superchar.laurent import LaurentPoly
 from superchar.partitions import (
     Partition,
@@ -43,6 +43,8 @@ from superchar.partitions import (
 )
 from superchar.report import VerificationReport, _first_failures
 from superchar.schur import schur_in_table, t_table
+
+from faults import U1_IN_FORMAL_FACTOR, inject
 
 
 def ref_check_lr_oracle(max_size: int) -> VerificationReport:
@@ -433,22 +435,11 @@ def test_schur_expand_matches_its_reference_on_the_error_paths():
 
 
 def test_schur_expand_matches_its_reference_when_schur_does_not_lead_with_one(monkeypatch):
-    real = schur._formal_factor
-
-    def corrupted(sign, e):
-        (d, u), *rest = real(sign, e)
-        return ((d, u + e[1]), *rest)
-
-    monkeypatch.setattr(schur, "_formal_factor", corrupted)
-    clear_caches()
-    try:
+    with inject(monkeypatch, U1_IN_FORMAL_FACTOR):
         products = list(oracle_products(3))
         messages = [_expand(schur.schur_expand, p, n) for p, n in products]
         assert any("does not lead with 1" in str(m) for m in messages)
         assert messages == [_expand(ref_schur_expand, p, n) for p, n in products]
-    finally:
-        monkeypatch.undo()
-        clear_caches()
 
 
 def test_horizontal_strips_are_the_interlacing_shapes():

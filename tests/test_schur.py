@@ -36,6 +36,8 @@ from superchar.schur import (
 from superchar.folding import pair_sides, theorem_sides
 from superchar.verify import cauchy_alphabets
 
+from faults import U1_IN_FORMAL_FACTOR, inject
+
 
 def formal_pair(nx, ny):
     names = tuple(f"x{i}" for i in range(1, nx + 1)) + tuple(
@@ -619,22 +621,11 @@ def test_schur_expand_stops_on_a_schur_polynomial_that_does_not_lead_with_one(mo
     # With u_1 of the formal-variable factor off by one e_1, S_(1)(t1, t2) is
     # 2 t1 + 2 t2: subtracting c S_lam never clears the leading monomial, so
     # the expansion must raise, not hang.
-    real = schur._formal_factor
-
-    def corrupted(sign, e):
-        (d, u), *rest = real(sign, e)
-        return ((d, u + e[1]), *rest)
-
-    monkeypatch.setattr(schur, "_formal_factor", corrupted)
-    clear_caches()
-    try:
+    with inject(monkeypatch, U1_IN_FORMAL_FACTOR):
         s1 = schur_in_table((1,), t_table(2))
         assert s1.eval_all_ones() == 4
         with pytest.raises(ValueError, match="does not lead with 1"):
             schur_expand(s1 * s1, 2)
-    finally:
-        monkeypatch.undo()
-        clear_caches()
 
 
 def test_alphabet_validation():

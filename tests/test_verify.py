@@ -40,6 +40,16 @@ from superchar.verify import (
     suite_to_json,
 )
 
+from faults import (
+    U1_IN_FORMAL_FACTOR,
+    det_plus,
+    det_plus_in_table_dets,
+    entry_plus_h,
+    h1_plus_one,
+    inject,
+    monomial_h2_plus_one,
+)
+
 SMALL = SuiteConfig(degmax=3, max_lambda_size=2, max_rank=1, t_count=2, seed=1)
 
 
@@ -287,31 +297,8 @@ def per_check_cauchy(t_count, degmax):
     return [cauchy_check(*args) for args in per_check_args(t_count, degmax)]
 
 
-def corrupted_formal_factor(real):
-    def corrupted(sign, e):
-        (d, u), *rest = real(sign, e)
-        return ((d, u + e[1]), *rest)  # one coefficient of u_1 off by one
-
-    return corrupted
-
-
-def corrupted_h_list(real):
-    def corrupted(X, Y, degmax):
-        hs = list(real(X, Y, degmax))
-        if len(hs) > 1:
-            hs[1] = hs[1] + 1
-        return tuple(hs)
-
-    return corrupted
-
-
 @pytest.mark.parametrize(
-    "fault, red_at_3_6",
-    [
-        (None, 0),
-        (("_formal_factor", corrupted_formal_factor), 89),
-        (("h_list", corrupted_h_list), 108),
-    ],
+    "fault, red_at_3_6", [(None, 0), (U1_IN_FORMAL_FACTOR, 89), (h1_plus_one(), 108)]
 )
 def test_cauchy_sweep_is_byte_equal_to_the_per_check_reports(monkeypatch, fault, red_at_3_6):
     # The sweep shares the t-side, the characters and the plain product; each
@@ -321,9 +308,6 @@ def test_cauchy_sweep_is_byte_equal_to_the_per_check_reports(monkeypatch, fault,
     # cauchy_check is that call's result, so a spy checks that the call
     # carries the per-check arguments, in order; only the reports the sweep
     # decides itself are compared with a cauchy_check of their own.
-    if fault is not None:
-        attr, corrupt = fault
-        monkeypatch.setattr(schur, attr, corrupt(getattr(schur, attr)))
     calls = []
 
     def spy(*args):
@@ -331,7 +315,7 @@ def test_cauchy_sweep_is_byte_equal_to_the_per_check_reports(monkeypatch, fault,
         return calls[-1][1]
 
     monkeypatch.setattr(verify, "cauchy_check", spy)
-    try:
+    with inject(monkeypatch, fault):
         for t_count, degmax in ((3, 6), (4, 7)):
             args = per_check_args(t_count, degmax)
             superchar.clear_caches()
@@ -352,9 +336,6 @@ def test_cauchy_sweep_is_byte_equal_to_the_per_check_reports(monkeypatch, fault,
             if (t_count, degmax) == (3, 6):
                 assert [r.to_json() for r in got] == [r.to_json() for r in want]
                 assert sum(not r.passed for r in got) == red_at_3_6
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
 
 
 def test_cauchy_sweep_matches_the_per_check_reports_at_small_degrees():
@@ -443,36 +424,19 @@ def test_the_sweep_decides_the_dual_kind_by_its_own_row(monkeypatch):
 def test_a_corrupted_series_guard_falls_back_to_green_per_check_reports(monkeypatch):
     # With the guard's independent sum wrong, every pair falls back: the
     # reports stay the green per-check bytes.
-    real = verify._monomial_h
     fallbacks = []
     real_check = verify.cauchy_check
-
-    def corrupted(table, nx, ny, k):
-        value = real(table, nx, ny, k)
-        return value + 1 if k == 2 else value
 
     def counted(*args):
         fallbacks.append(args)
         return real_check(*args)
 
-    superchar.clear_caches()
-    monkeypatch.setattr(verify, "_monomial_h", corrupted)
     monkeypatch.setattr(verify, "cauchy_check", counted)
-    try:
+    with inject(monkeypatch, monomial_h2_plus_one()):
         got = [r.to_json() for r in verify.check_cauchy_sweep(2, 2, 3, 6)]
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
     assert len(fallbacks) == 108
     assert got == [r.to_json() for r in per_check_cauchy(3, 6)]
     assert all('"pass":true' in line for line in got)
-
-
-def off_by_one(real):
-    def entry(base, j):
-        return (*real(base, j), (1, 0))  # each entry plus h_0 = 1
-
-    return entry
 
 
 @pytest.mark.parametrize(
@@ -487,15 +451,10 @@ def test_the_dual_kind_reads_the_square_rule(monkeypatch, rule, red_kinds):
     # the ANGLE rule leaves it green and one in the SQUARE rule turns it red.
     # _entry_rule looks each rule up at call time, so the fault reaches the
     # free proofs and the per-check characters alike.
-    monkeypatch.setattr(schur, rule, off_by_one(getattr(schur, rule)))
-    try:
-        superchar.clear_caches()
+    with inject(monkeypatch, entry_plus_h(rule, lambda base, j: 0)):  # each entry plus h_0 = 1
         want = per_check_cauchy(3, 6)
         superchar.clear_caches()
         got = verify.check_cauchy_sweep(2, 2, 3, 6)
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
     assert {r.params["kind"] for r in got if not r.passed} == red_kinds
 
@@ -560,26 +519,16 @@ def test_the_dual_kind_reads_the_guard_of_the_swapped_pair(monkeypatch, corrupt,
     superchar.clear_caches()
     assert [r.to_json() for r in verify.check_cauchy_sweep(2, 1, 2, 5)] == want
 
-    real = verify._monomial_h
     real_check = verify.cauchy_check
     fallbacks = []
-
-    def corrupted(table, nx, ny, k):
-        value = real(table, nx, ny, k)
-        return value + 1 if (nx, ny) == corrupt and k == 2 else value
 
     def spy(kind, X, Y, nT, degmax):
         fallbacks.append((kind, len(X), len(Y), nT))
         return real_check(kind, X, Y, nT, degmax)
 
-    superchar.clear_caches()
-    monkeypatch.setattr(verify, "_monomial_h", corrupted)
     monkeypatch.setattr(verify, "cauchy_check", spy)
-    try:
+    with inject(monkeypatch, monomial_h2_plus_one(lambda nx, ny: (nx, ny) == corrupt)):
         got = [r.to_json() for r in verify.check_cauchy_sweep(2, 1, 2, 5)]
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
     assert fallbacks == [(*report, nT) for report in falls_back for nT in (1, 2)]
     assert got == want
 
@@ -619,33 +568,19 @@ PER_SHAPE_ROUTES = [
 ]
 
 
-def one_pair_h1(real):
-    # h_1 + 1 at one pair of each check: the reversed dual pair (y1|x1,x2),
-    # the second double-form pair at rank 2, and the shifted pair of seed 3's
-    # first stability sample whose shape reads h_1.
+@cache
+def one_pair_each():
+    # One pair of each check: the reversed dual pair (y1|x1,x2), the second
+    # double-form pair at rank 2, and the shifted pair of seed 3's first
+    # stability sample whose shape reads h_1.
     reversed_dual = cauchy_alphabets(2, 1, 1)[1::-1]
     double_form = verify._double_form_pairs(2)[1]
     _, X, Y, eta = next(draw for draw in verify._stability_draws(5, 3, 12) if len(draw[0]) > 1)
-    pairs = {reversed_dual, double_form, (X | eta, Y | eta)}
-
-    def corrupted(X, Y, degmax):
-        hs = list(real(X, Y, degmax))
-        if (X, Y) in pairs and len(hs) > 1:
-            hs[1] = hs[1] + 1
-        return tuple(hs)
-
-    return corrupted
+    return {reversed_dual, double_form, (X | eta, Y | eta)}
 
 
-def one_degmax_h1(real):
-    # h_1 + 1 at every pair, but only in the lists of degree 3.
-    def corrupted(X, Y, degmax):
-        hs = list(real(X, Y, degmax))
-        if degmax == 3:
-            hs[1] = hs[1] + 1
-        return tuple(hs)
-
-    return corrupted
+H1_ONE_PAIR = h1_plus_one(lambda X, Y, degmax: (X, Y) in one_pair_each())
+H1_ONE_DEGMAX = h1_plus_one(lambda X, Y, degmax: degmax == 3)
 
 
 def short_altform_square(real):
@@ -653,33 +588,18 @@ def short_altform_square(real):
     return lambda base, j: real(base, j)[:-1]
 
 
-def shifted_jacobi_trudi(c):
-    # Every Jacobi-Trudi determinant (schur._table_dets) off by c; the
-    # bialternant oracle's alternants keep the true det.
-    def corrupt(real):
-        real_det = schur.det
-
-        def corrupted(shapes, hs, entry):
-            schur.det = lambda rows: real_det(rows) + c
-            try:
-                return real(shapes, hs, entry)
-            finally:
-                schur.det = real_det
-
-        return corrupted
-
-    return corrupt
+SHORT_ALTFORM_SQUARE = (schur, "_altform_square_entry", short_altform_square)
 
 
 @pytest.mark.parametrize(
     "fault, outcome",
     [
         (None, "green"),
-        (("h_list", one_pair_h1), "red"),
-        (("h_list", one_degmax_h1), "red"),
-        (("_altform_square_entry", short_altform_square), "red"),
-        (("_table_dets", shifted_jacobi_trudi(2)), "red"),
-        (("_table_dets", shifted_jacobi_trudi(1)), "red"),
+        (H1_ONE_PAIR, "red"),
+        (H1_ONE_DEGMAX, "red"),
+        (SHORT_ALTFORM_SQUARE, "red"),
+        (det_plus_in_table_dets(2), "red"),
+        (det_plus_in_table_dets(1), "red"),
     ],
     ids=["healthy", "h1-one-pair", "h1-one-degmax", "altform-square", "det+2", "det+1"],
 )
@@ -689,11 +609,8 @@ def test_invariant_stability_and_double_form_checks_match_their_per_shape_loops(
     # Each check's reports must be the bytes of its per-shape loops, healthy
     # and under each fault.  No route divides: a det off by 1, which leaves
     # every paired ANGLE determinant odd, turns reports red like any other.
-    if fault is not None:
-        attr, corrupt = fault
-        monkeypatch.setattr(schur, attr, corrupt(getattr(schur, attr)))
     red = 0
-    try:
+    with inject(monkeypatch, fault):
         for check, per_shape, args in PER_SHAPE_ROUTES:
             for arg in args:
                 outcomes = []
@@ -702,9 +619,6 @@ def test_invariant_stability_and_double_form_checks_match_their_per_shape_loops(
                     outcomes.append(suite_to_json(route(arg)))
                 assert outcomes[0] == outcomes[1], (check, arg)
                 red += outcomes[0].count('"pass":false')
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
     assert bool(red) == (outcome == "red")
 
 
@@ -730,26 +644,28 @@ TABLE_MUTATIONS = {
 }
 
 
+def mutated_row(check_id):
+    # The table with TABLE_MUTATIONS' false identity in check_id's row.
+    def wrap(real):
+        def mutated():
+            table = real()
+            table[check_id] = TABLE_MUTATIONS[check_id](*table[check_id])
+            return table
+
+        return mutated
+
+    return verify, "_invariant_table", wrap
+
+
 @pytest.mark.parametrize("check_id", list(TABLE_MUTATIONS))
 def test_a_false_table_row_turns_exactly_its_sub_check_red(monkeypatch, check_id):
     # The decided route proves, guards and falls back from the same table the
     # per-shape loops read, so a false row is red, alone, on both routes.
-    real = verify._invariant_table
-
-    def mutated():
-        table = real()
-        table[check_id] = TABLE_MUTATIONS[check_id](*table[check_id])
-        return table
-
-    monkeypatch.setattr(verify, "_invariant_table", mutated)
     routes = []
-    try:
+    with inject(monkeypatch, mutated_row(check_id)):
         for route in (check_schur_invariants, invariants_per_shape):
             superchar.clear_caches()
             routes.append(route(5))
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
     assert suite_to_json(routes[0]) == suite_to_json(routes[1])
     assert [r.check_id for r in routes[0] if not r.passed] == [check_id]
 
@@ -802,31 +718,12 @@ def ref_invariant_decided(table, lams):
     }
 
 
-def mutated_row(check_id):
-    # The table with TABLE_MUTATIONS' false identity in check_id's row.
-    def apply(monkeypatch):
-        real = verify._invariant_table
-
-        def mutated():
-            table = real()
-            table[check_id] = TABLE_MUTATIONS[check_id](*table[check_id])
-            return table
-
-        monkeypatch.setattr(verify, "_invariant_table", mutated)
-
-    return apply
-
-
-def schur_fault(attr, corrupt):
-    return lambda monkeypatch: monkeypatch.setattr(schur, attr, corrupt(getattr(schur, attr)))
-
-
 INVARIANT_SETTINGS = {
-    "healthy": lambda monkeypatch: None,
+    "healthy": None,
     **{f"mutated-{check_id}": mutated_row(check_id) for check_id in TABLE_MUTATIONS},
-    "altform-square": schur_fault("_altform_square_entry", short_altform_square),
-    "det+1": schur_fault("_table_dets", shifted_jacobi_trudi(1)),
-    "h1-one-pair": schur_fault("h_list", one_pair_h1),
+    "altform-square": SHORT_ALTFORM_SQUARE,
+    "det+1": det_plus_in_table_dets(1),
+    "h1-one-pair": H1_ONE_PAIR,
 }
 
 
@@ -837,7 +734,6 @@ def test_the_table_theorems_match_the_comparison_routes(monkeypatch, setting):
     # call-local (map, rule) cache with _holds, and a loop through _at.
     # Each decided set, each row's failures and each check_schur_invariants
     # report must be the references'.
-    INVARIANT_SETTINGS[setting](monkeypatch)
     routes = [
         (decide, {check_id: partial(loop, check_id) for check_id in TABLE_MUTATIONS})
         for decide, loop in (
@@ -847,7 +743,7 @@ def test_the_table_theorems_match_the_comparison_routes(monkeypatch, setting):
     ]
     lams = partitions.partitions_upto(5)
     outcomes = []
-    try:
+    with inject(monkeypatch, INVARIANT_SETTINGS[setting]):
         for decide, loops in routes:
             superchar.clear_caches()
             decided = decide(verify._invariant_table(), lams)
@@ -859,9 +755,6 @@ def test_the_table_theorems_match_the_comparison_routes(monkeypatch, setting):
                 superchar.clear_caches()
                 reports = suite_to_json(check_schur_invariants(5))
             outcomes.append((decided, failures, reports))
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
     assert outcomes[0] == outcomes[1]
     decided, failures, _ = outcomes[0]
     assert (decided == set(TABLE_MUTATIONS)) == (setting == "healthy")
@@ -883,23 +776,10 @@ def test_hook_vanishing_takes_a_shape_at_every_pair(monkeypatch):
     assert all(batches) and batches[3] == [(2, 2, 2)]
 
     pair = cauchy_alphabets(2, 1, 1)[:2]
-    real_h_list = schur.h_list
-
-    def corrupted(X, Y, degmax):
-        hs = list(real_h_list(X, Y, degmax))
-        if (X, Y) == pair and len(hs) > 1:
-            hs[1] = hs[1] + 1
-        return tuple(hs)
-
-    monkeypatch.setattr(schur, "h_list", corrupted)
-    superchar.clear_caches()
-    try:
+    with inject(monkeypatch, h1_plus_one(lambda X, Y, degmax: (X, Y) == pair)):
         (report,) = [r for r in check_schur_invariants(5) if r.check_id == "schur.hook-vanishing"]
         assert not report.passed
         assert report.witness == {"lam": [2, 2, 2], "nx": 2, "ny": 1}
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
 
 
 def ref_bialternant_failures(lams):
@@ -1040,47 +920,43 @@ def test_power_det_product_matches_the_old_order(monkeypatch):
         assert seen == [every_square_first(table, m)], m
 
 
-def corrupt_skew_unfold(monkeypatch):
+def skew_unfold(real):
     # x^(k+1) + x^-(k+1) in place of (x - x^-1) U_k(x + x^-1) = x^(k+1) - x^-(k+1):
     # each U index unfolded as the T index one above it.  At m = 1 the
     # Vandermonde is 1 = U_0, whose fold row cannot go wrong, so the fault
     # is in the unfold phase.
-    real = laurent._unfold
-
     def unfold(terms, table, lift):
         up = sum(lift << shift for shift in table.shifts)
         return real({key + up: c for key, c in terms.items()}, table, 0)
 
-    monkeypatch.setattr(laurent, "_unfold", unfold)
+    return unfold
 
 
-def corrupt_vandermonde_factor(monkeypatch):
+def vandermonde_factor(real):
     # The Vandermonde with its factor (z_m - z_1) swapped for (z_m + z_1).
-    real = verify._z_vandermonde
-
     def vandermonde(table):
         v = real(table)
         first, last = v.table.names[0], v.table.names[-1]
         z1, zm = (LaurentPoly.variable(v.table, name) for name in (first, last))
         return laurent.divide_linear(v, last, first) * (zm + z1)
 
-    monkeypatch.setattr(verify, "_z_vandermonde", vandermonde)
-
-
-def corrupt_det(monkeypatch):
-    real = laurent.det
-    monkeypatch.setattr(laurent, "det", lambda rows: real(rows) + 1)
+    return vandermonde
 
 
 @pytest.mark.parametrize(
     "fault, first_m",
-    [(corrupt_skew_unfold, 1), (corrupt_vandermonde_factor, 2), (corrupt_det, 1)],
+    [
+        ((laurent, "_unfold", skew_unfold), 1),
+        ((verify, "_z_vandermonde", vandermonde_factor), 2),
+        (det_plus(1, laurent), 1),
+    ],
+    ids=["corrupt_skew_unfold-1", "corrupt_vandermonde_factor-2", "corrupt_det-1"],
 )
 def test_power_det_fails_under_a_fault(monkeypatch, fault, first_m):
     # m = 1 has no Vandermonde factor to corrupt.
-    fault(monkeypatch)
-    for m in range(first_m, 6):
-        assert not power_det_check(m).passed, m
+    with inject(monkeypatch, fault):
+        for m in range(first_m, 6):
+            assert not power_det_check(m).passed, m
 
 
 def test_power_det_rejects_zero():
@@ -1440,45 +1316,20 @@ def test_clear_caches_leaves_no_table_value_behind(monkeypatch):
     assert not schur._pair_series
 
     # A stale table or x value would hide a fault injected after a warm run.
-    real = schur.h_list
-
-    def corrupted(X, Y, degmax):
-        hs = list(real(X, Y, degmax))
-        if len(hs) > 1:
-            hs[1] = hs[1] + 1
-        return tuple(hs)
-
-    monkeypatch.setattr(schur, "h_list", corrupted)
-    try:
+    with inject(monkeypatch, h1_plus_one()):
         assert folding.decomposition_rhs(case, branch, 2, 2) != warm
         assert not folding.verify_decomposition(case, branch, 2, 2).passed
         assert schur.super_schur((2, 1), X, Y) != warm_char
         # The two sides' alphabets differ in constants, so h_1 + 1 breaks it.
         assert not folding.general_dc_check("yconst_to_square_shifted", (2, 1), X, Y).passed
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
 
 
 def test_corrupted_series_is_detected(monkeypatch):
-    superchar.clear_caches()
-    real = schur.h_list
-
-    def corrupted(X, Y, degmax):
-        hs = list(real(X, Y, degmax))
-        if len(hs) > 1:
-            hs[1] = hs[1] + 1  # inject a wrong constant term
-        return tuple(hs)
-
-    monkeypatch.setattr(schur, "h_list", corrupted)
-    try:
+    with inject(monkeypatch, h1_plus_one()):
         reports = run_suite(SuiteConfig(degmax=2, max_lambda_size=1, max_rank=1, t_count=1))
         failing = [r for r in reports if not r.passed]
         assert failing
         assert all(r.witness is not None for r in failing)
-    finally:
-        monkeypatch.undo()
-        superchar.clear_caches()
 
 
 def test_suite_json_is_valid_json_lines():
