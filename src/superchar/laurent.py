@@ -265,7 +265,11 @@ class LaurentPoly:
         return self.table == other.table and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.table, frozenset(self._terms.items())))
+        # A constant hashes as its int, which it equals.
+        terms = self._terms
+        if not terms or terms.keys() == {0}:
+            return hash(terms.get(0, 0))
+        return hash((self.table, frozenset(terms.items())))
 
     # -- serialization -----------------------------------------------------
 

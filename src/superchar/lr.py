@@ -26,16 +26,11 @@ from .partitions import (
 )
 
 
-def _int_parts(*shapes):
-    # One type pass over the tuples before the memo, which would take (True,)
-    # and (2.0,) for (1,) and (2,); the body validates everything else, and
-    # other iterables reach it untouched.
-    for shape in shapes:
-        if isinstance(shape, tuple):
-            for p in shape:
-                if type(p) is not int:
-                    raise ValueError(f"partition parts must be ints, got {p!r}")
-    return shapes
+def _int_parts(*args):
+    # Each shape made a canonical partition before the memo, which would take
+    # (True,) and (2.0,) for (1,) and (2,) and cannot hash a list; a class
+    # tag passes through.
+    return tuple(a if isinstance(a, PartitionClass) else as_partition(a) for a in args)
 
 
 def _fillings(lam: Partition, inner: Partition, caps: list[int], marked: bool):
@@ -98,9 +93,6 @@ def _fillings(lam: Partition, inner: Partition, caps: list[int], marked: bool):
 @checked_memo(_int_parts)
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of S_lam in S_mu * S_nu; 0 on any size or shape mismatch."""
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    nu = as_partition(nu)
     if size(lam) != size(mu) + size(nu):
         return 0
     if not contains(lam, mu):
@@ -119,7 +111,6 @@ def lr_table(lam: Partition) -> Mapping[tuple[Partition, Partition], int]:
     lr_coeff(lam, nu, mu), so the table agrees with it entry by entry.  The
     mapping is the memo's own, read-only.
     """
-    lam = as_partition(lam)
     rows = []  # each row's cells, a slice of the filling
     start = 0
     for length in lam:
@@ -145,7 +136,6 @@ def _class_table(lam: Partition, tag: PartitionClass) -> Mapping[Partition, int]
     with none is absent.  Letter v is capped at lam_v, as mu lies inside
     lam.  The mapping is the memo's own, read-only.
     """
-    lam = as_partition(lam)
     caps = list(lam)
     sums: dict[Partition, int] = {}
     get = sums.get

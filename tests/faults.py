@@ -1,17 +1,23 @@
-"""The faults the tests inject into the library, each written once.
+"""The seams the tests patch in the library, each written once.
 
-A fault is a triple ``(owner, name, wrap)``: the one seam ``owner.name`` it
-patches, and ``wrap(real)``, which returns the faulty stand-in for the real
-attribute.  A test injects faults with :func:`inject`::
+A seam patch is a triple ``(owner, name, wrap)``: the one seam ``owner.name``
+it patches, and ``wrap(real)``, which returns the stand-in for the real
+attribute.  Most are faults; ``ALL_IN_X`` and ``X_ROUTE`` are route switches,
+which send alphabets to the x route.  A test takes patches through
+:func:`inject`::
 
     with inject(monkeypatch, faults.h1_plus_one()):
         ...
 
-To add a fault that more than one test injects, write a factory here that
-returns its triple, and take it from every such test.  A fault that one
-test alone injects stays in that test, written as a triple when it goes
-through :func:`inject`.  When a layer is renamed or rerouted, the seam of
-each fault on it is one line here.
+To add a patch that more than one test takes, write its triple (or a
+factory that returns it) here, and take it from every such test.  A fault
+that one test alone injects stays in that test, written as a triple when it
+goes through :func:`inject`.  When a layer is renamed or rerouted, the seam
+of each patch on it is one line here.
+
+A test that needs a fault on both routes takes two blocks one after the
+other, the second with the route switch too.  Nested blocks would wrap the
+already patched attribute a second time.
 """
 
 from contextlib import contextmanager
@@ -20,21 +26,27 @@ from superchar import clear_caches, schur, verify
 
 
 @contextmanager
-def inject(monkeypatch, *faults):
-    """Patch each fault's seam on clear caches; on exit undo monkeypatch and clear them again.
+def inject(monkeypatch, *patches):
+    """Patch each seam on clear caches; on exit undo monkeypatch and clear them again.
 
-    A None in place of a fault is the healthy library.  The exit undoes every
+    A None in place of a patch is the healthy library.  The exit undoes every
     patch monkeypatch holds, those made before the block included, so no
     faulty value or spy outlives the block.
     """
     clear_caches()
-    for owner, name, wrap in filter(None, faults):
+    for owner, name, wrap in filter(None, patches):
         monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
     try:
         yield
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+# The route switches.  With no e blocks every pair of alphabets takes the x
+# route; with no formal e table the formal alphabets do.
+ALL_IN_X = (schur, "_e_blocks", lambda real: lambda x_vars, y_vars: None)
+X_ROUTE = (schur, "_formal", lambda real: lambda alphabet: None)
 
 
 def everywhere(X, Y, degmax):

@@ -51,13 +51,16 @@ from superchar.schur import (
 from superchar.verify import cauchy_alphabets, fold_cases
 
 from faults import (
+    ALL_IN_X,
     U1_IN_E_FACTOR,
     U1_IN_FORMAL_FACTOR,
+    X_ROUTE,
     det_plus,
     entry_plus_h,
     h1_plus_one,
     inject,
 )
+from oracles import count_supertableaux, inverses, tableau_schur
 
 
 def branch_alphabets(case, branch):
@@ -349,13 +352,6 @@ def test_dc_empty_shape():
     X, Y, _ = cauchy_alphabets(1, 1, 1)
     for relation in DC_RELATIONS:
         assert general_dc_check(relation, (), X, Y).passed
-
-
-def inverses(alphabet):
-    """The alphabet of each element's inverse, in order, with its sign kept."""
-    return Alphabet(
-        alphabet.table, tuple((s, tuple(-e for e in exps)) for s, exps in alphabet.elements)
-    )
 
 
 def test_dc_square_signed_workhorse():
@@ -673,7 +669,7 @@ def explicit_report(case, branch, a, m):
     return poly_comparison(report.check_id, report.params, lhs, rhs).to_json()
 
 
-def test_e_route_reports_match_the_z_route(all_in_x):
+def test_e_route_reports_match_the_z_route(monkeypatch):
     """Every fold request with r + s <= 2 and a, m <= 3, cold and warm, against x.
 
     The reference was once the z table's recurrence; it is now the x one.
@@ -685,14 +681,14 @@ def test_e_route_reports_match_the_z_route(all_in_x):
         cold.append(report_json(request))
         warm.append(report_json(request))
     assert any(on_e_table(case) for case, *_ in requests)
-    all_in_x()
-    assert not any(on_e_table(case) for case, *_ in requests)
-    want = [explicit_report(*request) for request in requests]
+    with inject(monkeypatch, ALL_IN_X):
+        assert not any(on_e_table(case) for case, *_ in requests)
+        want = [explicit_report(*request) for request in requests]
     assert cold == want
     assert warm == want
 
 
-def test_a_corrupted_series_fails_alike_on_both_routes(monkeypatch, all_in_x):
+def test_a_corrupted_series_fails_alike_on_both_routes(monkeypatch):
     # h_1 + 1 is a different series on each side of a decomposition, so it
     # fails many of them, with the same witness on the e and the x route.
     requests = [req for req in fold_requests(3, 3) if req[0].r + req[0].s == 3]
@@ -700,7 +696,7 @@ def test_a_corrupted_series_fails_alike_on_both_routes(monkeypatch, all_in_x):
         got = [report_json(req) for req in requests]
         failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
         assert any(on_e_table(case) for case, *_ in failing)
-        all_in_x()
+    with inject(monkeypatch, h1_plus_one(), ALL_IN_X):
         assert got == [report_json(req) for req in requests]
 
 
@@ -774,39 +770,6 @@ def test_a_corrupted_e_factor_turns_typical_rectangles_red(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def tableau_schur(lam, X, Y):
-    """s_lam(X|Y) as the signed sum over supertableaux on the letters X then Y.
-
-    An X letter weakly increases along a row and strictly down a column; a Y
-    letter strictly along a row and weakly down a column.  Each letter is
-    weighted by its element, a Y letter by -y, the sign of h_list's
-    prod (1 - y t) (Berele and Regev, 1987; Macdonald, Symmetric Functions,
-    I.5, Example 23).  No series, determinant or e table is read, and the
-    constants +-1 are letters like any other.
-    """
-    letters = [(sign, exps, False) for sign, exps in X.elements]
-    letters += [(-sign, exps, True) for sign, exps in Y.elements]
-    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
-    filled, terms = {}, {}
-
-    def fill(pos, sign, exps):
-        if pos == len(cells):
-            terms[exps] = terms.get(exps, 0) + sign
-            return
-        i, j = cells[pos]
-        left, above = filled.get((i, j - 1), -1), filled.get((i - 1, j), -1)
-        for k in range(max(left, above, 0), len(letters)):
-            letter_sign, letter_exps, odd = letters[k]
-            if k == left and odd or k == above and not odd:
-                continue
-            filled[i, j] = k
-            fill(pos + 1, sign * letter_sign, tuple(map(sum, zip(exps, letter_exps))))
-        filled.pop((i, j), None)
-
-    fill(0, 1, (0,) * len(X.table))
-    return LaurentPoly(X.table, terms)
-
-
 def tableau_failures(max_size):
     """(count, failing) over the (case, lam) of fold_cases(3) with 1 <= |lam| <= max_size.
 
@@ -830,6 +793,12 @@ def test_the_tableau_sum_counts_supertableaux():
     X, Y = Alphabet.formal(table, ("x1",)), Alphabet.formal(table, ("y1",)).negated()
     assert tableau_schur((2, 1), X, Y).eval_all_ones() == 2
     assert tableau_schur((2, 2), X, Y).is_zero
+    # The counts: (2, 2) lies outside the [1, 1] hook, inside [1, 2]; and
+    # eight semistandard tableaux of shape (2, 1) have entries <= 3.
+    assert count_supertableaux((2, 1), 1, 1) == 2
+    assert count_supertableaux((2, 2), 1, 1) == 0
+    assert count_supertableaux((2, 2), 1, 2) > 0
+    assert count_supertableaux((2, 1), 3, 0) == 8
 
 
 def test_folded_characters_are_the_supertableau_sums():
@@ -888,22 +857,22 @@ def dc_outcomes(monkeypatch, requests):
         monkeypatch.setattr(folding, "poly_comparison", real)
 
 
-def test_dc_reports_match_the_x_route(monkeypatch, x_route):
+def test_dc_reports_match_the_x_route(monkeypatch):
     """The battery's dc sweep, |lam| <= 5, nx <= 3, ny <= 2, both xi: cold, then warm."""
     requests = dc_requests(5, 3, 2)
     clear_caches()
     cold = dc_outcomes(monkeypatch, requests)
     warm = dc_outcomes(monkeypatch, requests)
     assert any(on_formal_e_table(X, Y) for _, _, X, Y, _ in requests)
-    x_route()
-    assert not any(on_formal_e_table(X, Y) for _, _, X, Y, _ in requests)
-    want = dc_outcomes(monkeypatch, requests)
+    with inject(monkeypatch, X_ROUTE):
+        assert not any(on_formal_e_table(X, Y) for _, _, X, Y, _ in requests)
+        want = dc_outcomes(monkeypatch, requests)
     assert all(lhs.table == X.table for (_, (lhs, _)), (_, _, X, _, _) in zip(want, requests))
     assert cold == want
     assert warm == want
 
 
-def test_a_corrupted_series_fails_the_dc_relations_alike_on_both_routes(monkeypatch, x_route):
+def test_a_corrupted_series_fails_the_dc_relations_alike_on_both_routes(monkeypatch):
     # h_1 + 1 is a different series for each side's constants, so it fails
     # the relations whose sides differ in them, with the same witness on
     # the formal e and the x route.
@@ -912,7 +881,7 @@ def test_a_corrupted_series_fails_the_dc_relations_alike_on_both_routes(monkeypa
         got = [general_dc_check(*req).to_json() for req in requests]
         failing = [req for req, rep in zip(requests, got) if not json.loads(rep)["pass"]]
         assert any(on_formal_e_table(X, Y) for _, _, X, Y, _ in failing)
-        x_route()
+    with inject(monkeypatch, h1_plus_one(), X_ROUTE):
         assert got == [general_dc_check(*req).to_json() for req in requests]
 
 

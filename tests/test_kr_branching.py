@@ -36,9 +36,11 @@ from math import comb
 
 import pytest
 
-from superchar.laurent import LaurentPoly, VarTable
+from superchar.laurent import LaurentPoly
 from superchar.partitions import RectSubset, enumerate_rect_subset
-from superchar.schur import Alphabet, BracketType, bracket_schur, palindromic
+from superchar.schur import BracketType, bracket_schur
+
+from oracles import doubled, x_alphabets
 
 
 def simple_roots(kind, r):
@@ -153,8 +155,16 @@ CASES = [
     for m in (1, 2)
 ]
 
+# The fast cases at m = 3, about 0.4 s in all.  B_4 at a = 2, 3 and D_5 at
+# a = 2, 3 match too, but take 0.4-6 s each.
+M3_CASES = [
+    ("B", 3, 1, 3), ("B", 3, 2, 3), ("B", 4, 1, 3),
+    ("C", 3, 1, 3), ("C", 3, 2, 3), ("C", 4, 1, 3), ("C", 4, 2, 3), ("C", 4, 3, 3),
+    ("D", 4, 1, 3), ("D", 4, 2, 3), ("D", 5, 1, 3),
+]
 
-@pytest.mark.parametrize("kind,r,a,m", CASES)
+
+@pytest.mark.parametrize("kind,r,a,m", CASES + M3_CASES)
 def test_the_fold_subset_is_the_kr_branching(kind, r, a, m):
     want = {lam: 1 for lam in enumerate_rect_subset(TAGS[kind], m, a)}
     assert branching(kind, r, a, m) == want
@@ -172,6 +182,14 @@ def test_the_other_subset_differs_except_at_a_single_box():
     ]
     assert same == [case for case in CASES if case[2] == case[3] == 1]
     assert (len(CASES), len(same)) == (30, 6)
+
+
+def test_the_other_subset_differs_at_width_three():
+    # No m = 3 case is a single box, so the other tag's subset fails each.
+    assert all(
+        branching(kind, r, a, m) != {lam: 1 for lam in enumerate_rect_subset(OTHER[kind], m, a)}
+        for kind, r, a, m in M3_CASES
+    )
 
 
 SPIN_CASES = [(r, m) for r in (3, 4) for m in (1, 2)]
@@ -219,10 +237,6 @@ def d_alternant(table, twice_v):
     return LaurentPoly(table, terms)
 
 
-def doubled(p):
-    return LaurentPoly(p.table, {tuple(2 * e for e in exps): c for exps, c in p.terms()})
-
-
 def spin_weight(m, last_sign):
     """Twice m w_(r-1) (last_sign -1) or m w_r (last_sign 1), plus twice rho."""
     r = D_RANK
@@ -232,8 +246,7 @@ def spin_weight(m, last_sign):
 def d_node_sides(tag, m, right_signs):
     """(left, right) of the node r - 1 identity with tag's subset and the spin pair right_signs."""
     r = D_RANK
-    table = VarTable(tuple(f"x{i}" for i in range(1, r + 1)))
-    xx, none = palindromic(table, table.names), Alphabet.empty(table)
+    table, xx, none = x_alphabets(r)
     a_rho = d_alternant(table, tuple(2 * (r - 1 - i) for i in range(r)))
     chars = LaurentPoly.zero(table)
     for mu in enumerate_rect_subset(tag, m, r - 1):

@@ -72,6 +72,16 @@ def test_eval_all_ones():
     assert (var("a", 2) + 2 + var("a", -2)).eval_all_ones() == 4
 
 
+def test_a_constant_hashes_as_the_int_it_equals():
+    # Equal values must hash alike: a constant, zero included, equals its int.
+    for c in (0, 1, -3):
+        assert const(c) == c and hash(const(c)) == hash(c)
+        assert len({const(c), c}) == 1
+    a = var("a")
+    assert hash(a - a) == hash(0)
+    assert len({a, a * const(1)}) == 1
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(20240811)
     for _ in range(1000):

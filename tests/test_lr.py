@@ -1,6 +1,13 @@
 import pytest
 
-from superchar.lr import _VARIANT_SUBSET, lr_coeff, lr_rect_sum, lr_rectangle, lr_table
+from superchar.lr import (
+    _VARIANT_SUBSET,
+    _class_table,
+    lr_coeff,
+    lr_rect_sum,
+    lr_rectangle,
+    lr_table,
+)
 from superchar.partitions import (
     PartitionClass,
     add,
@@ -14,7 +21,9 @@ from superchar.partitions import (
     partitions_upto,
     size,
 )
-from superchar.schur import schur_expand, schur_in_table, t_table
+from superchar.schur import schur_expand
+
+from oracles import oracle_products
 
 
 def test_lr_coeff_requires_exact_int_parts():
@@ -31,6 +40,16 @@ def test_lr_coeff_checks_types_before_the_memo():
     for args in [((2.0,), (True,), (1,)), ((2,), (1.0,), (1,)), ((2,), (1,), (True,))]:
         with pytest.raises(ValueError, match="must be ints"):
             lr_coeff(*args)
+
+
+def test_lr_coeff_and_lr_table_take_any_iterable():
+    # Each shape becomes its canonical tuple before the memo, so a list, an
+    # iterator or a stored zero reads the same entry as the tuple.
+    assert lr_coeff([2, 1], [1], [1, 1]) == lr_coeff((2, 1), (1,), iter([1, 1])) == 1
+    assert lr_coeff([3, 0], [2], [1]) == 1
+    assert lr_table([2, 1]) is lr_table((2, 1, 0)) is lr_table((2, 1))
+    even = PartitionClass.EVEN_ROWS
+    assert _class_table([2, 1], even) is _class_table((2, 1), even)
 
 
 def test_empty_side_is_delta():
@@ -54,20 +73,10 @@ def test_known_multiplicity_two():
     assert lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
 
 
-def oracle_products(max_size):
-    for n in range(max_size + 1):
-        nvars = max(n, 1)
-        table = t_table(nvars)
-        for k in range(n + 1):
-            for mu in partitions_of(k):
-                for nu in partitions_of(n - k):
-                    product = schur_in_table(mu, table) * schur_in_table(nu, table)
-                    yield mu, nu, schur_expand(product, nvars), n
-
-
 def test_matches_expansion_oracle_small():
-    for mu, nu, expansion, n in oracle_products(4):
-        for lam in partitions_of(n):
+    for mu, nu, product, nvars in oracle_products(4):
+        expansion = schur_expand(product, nvars)
+        for lam in partitions_of(size(mu) + size(nu)):
             assert lr_coeff(lam, mu, nu) == expansion.get(lam, 0), (lam, mu, nu)
 
 

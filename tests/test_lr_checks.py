@@ -45,6 +45,7 @@ from superchar.report import VerificationReport, _first_failures
 from superchar.schur import schur_in_table, t_table
 
 from faults import U1_IN_FORMAL_FACTOR, inject
+from oracles import oracle_products
 
 
 def ref_check_lr_oracle(max_size: int) -> VerificationReport:
@@ -392,15 +393,13 @@ def test_rect_sum_matches_its_reference():
                     ), (m, a, mu, variant)
 
 
-def oracle_products(max_size):
-    for n in range(max_size + 1):
-        nvars = max(n, 1)
-        table = t_table(nvars)
-        for k in range(n + 1):
-            for mu in partitions_of(k):
-                for nu in partitions_of(n - k):
-                    if (size(mu), mu) <= (size(nu), nu):
-                        yield schur_in_table(mu, table) * schur_in_table(nu, table), nvars
+def unordered_products(max_size):
+    """(S_mu * S_nu, nvars) of oracle_products, one per unordered pair."""
+    return [
+        (p, nvars)
+        for mu, nu, p, nvars in oracle_products(max_size)
+        if (size(mu), mu) <= (size(nu), nu)
+    ]
 
 
 def _expand(fn, p, n):
@@ -411,7 +410,7 @@ def _expand(fn, p, n):
 
 
 def test_schur_expand_matches_its_reference_on_the_oracle_products():
-    products = list(oracle_products(6))
+    products = unordered_products(6)
     assert len(products) == 73
     for p, n in products:
         assert schur.schur_expand(p, n) == ref_schur_expand(p, n)
@@ -436,7 +435,7 @@ def test_schur_expand_matches_its_reference_on_the_error_paths():
 
 def test_schur_expand_matches_its_reference_when_schur_does_not_lead_with_one(monkeypatch):
     with inject(monkeypatch, U1_IN_FORMAL_FACTOR):
-        products = list(oracle_products(3))
+        products = unordered_products(3)
         messages = [_expand(schur.schur_expand, p, n) for p, n in products]
         assert any("does not lead with 1" in str(m) for m in messages)
         assert messages == [_expand(ref_schur_expand, p, n) for p, n in products]
@@ -461,15 +460,10 @@ def test_horizontal_strips_are_the_interlacing_shapes():
 def test_the_pieri_products_match_schur_expand_of_the_explicit_products():
     # Every (mu, nu) with |mu| + |nu| <= 6, both orders, in |mu| + |nu| variables.
     checked = 0
-    for n in range(7):
-        table = t_table(max(n, 1))
-        for k in range(n + 1):
-            for mu in partitions_of(k):
-                for nu in partitions_of(n - k):
-                    product = schur_in_table(mu, table) * schur_in_table(nu, table)
-                    want = schur.schur_expand(product, len(table))
-                    assert verify._schur_product(mu, nu, {}) == want, (mu, nu)
-                    checked += 1
+    for mu, nu, product, nvars in oracle_products(6):
+        want = schur.schur_expand(product, nvars)
+        assert verify._schur_product(mu, nu, {}) == want, (mu, nu)
+        checked += 1
     assert checked == 139
 
 

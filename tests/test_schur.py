@@ -36,7 +36,8 @@ from superchar.schur import (
 from superchar.folding import pair_sides, theorem_sides
 from superchar.verify import cauchy_alphabets
 
-from faults import U1_IN_FORMAL_FACTOR, inject
+from faults import ALL_IN_X, U1_IN_FORMAL_FACTOR, X_ROUTE, inject
+from oracles import count_supertableaux, inverses, leibniz, tableau_schur
 
 
 def formal_pair(nx, ny):
@@ -87,13 +88,6 @@ def test_h_list_single_dual_variable():
     assert hs[0] == 1
     assert hs[1] == -LaurentPoly.variable(table, "y1")
     assert hs[2].is_zero and hs[3].is_zero
-
-
-def inverses(alphabet):
-    """The alphabet of each element's inverse, in order, with its sign kept."""
-    return Alphabet(
-        alphabet.table, tuple((s, tuple(-e for e in exps)) for s, exps in alphabet.elements)
-    )
 
 
 def test_palindromic_matches_formal_union_inverses():
@@ -396,29 +390,6 @@ def test_conjugate_dualities():
         )
 
 
-def count_ssyt(shape, n):
-    """Brute-force count of semistandard tableaux with entries <= n."""
-    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
-
-    def fill(pos, tableau):
-        if pos == len(cells):
-            return 1
-        i, j = cells[pos]
-        lo = 1
-        if j > 0:
-            lo = max(lo, tableau[(i, j - 1)])
-        if i > 0:
-            lo = max(lo, tableau[(i - 1, j)] + 1)
-        total = 0
-        for v in range(lo, n + 1):
-            tableau[(i, j)] = v
-            total += fill(pos + 1, tableau)
-            del tableau[(i, j)]
-        return total
-
-    return fill(0, {})
-
-
 def test_bialternant_examples():
     table = t_table(2)
     assert bialternant_schur((1,), 2) == LaurentPoly.variable(
@@ -427,42 +398,31 @@ def test_bialternant_examples():
     assert bialternant_schur((), 3) == 1
     assert bialternant_schur((), 0) == 1
     assert bialternant_schur((2, 1), 3).eval_all_ones() == 8
-    assert count_ssyt((2, 1), 3) == 8
 
 
 def test_bialternant_counts_tableaux():
     for n in (2, 3):
         for lam in partitions_upto(4, max_len=n):
-            assert bialternant_schur(lam, n).eval_all_ones() == count_ssyt(lam, n)
-
-
-def reference_alternant(lam, n):
-    """det(t_i^{lam_j + n - j}) by permutation expansion, one term per permutation."""
-    exps = [(lam[j] if j < len(lam) else 0) + n - 1 - j for j in range(n)]
-    terms = {}
-
-    def expand(remaining, sign, powers):
-        if not remaining:
-            terms[tuple(powers)] = terms.get(tuple(powers), 0) + sign
-            return
-        for pos, col in enumerate(remaining):
-            expand(
-                remaining[:pos] + remaining[pos + 1 :],
-                sign if pos % 2 == 0 else -sign,
-                powers + [exps[col]],
-            )
-
-    expand(tuple(range(n)), 1, [])
-    return LaurentPoly(t_table(n), terms)
+            assert bialternant_schur(lam, n).eval_all_ones() == count_supertableaux(lam, n, 0)
 
 
 def test_alternant_numerator_matches_permutation_expansion():
     # The division by the Vandermonde a_delta is exact, so the numerator the
     # determinant route formed is the quotient times a_delta.
     for n in range(1, 6):
-        vandermonde = reference_alternant((), n)
+        table = t_table(n)
+
+        def alternant(lam):
+            """det(t_j^(lam_i + n - i)) over the rows i and the variables t_j."""
+            return leibniz(
+                [[LaurentPoly.variable(table, t, part(lam, i) + n - i) for t in table.names]
+                 for i in range(1, n + 1)],
+                table,
+            )
+
+        vandermonde = alternant(())
         for lam in partitions_upto(6, max_len=n):
-            assert bialternant_schur(lam, n) * vandermonde == reference_alternant(lam, n)
+            assert bialternant_schur(lam, n) * vandermonde == alternant(lam)
 
 
 def test_bialternant_rejects_short_tables():
@@ -549,42 +509,6 @@ def test_jacobi_trudi_matches_bialternant():
             assert schur_in_table(lam, table) == reference
 
 
-def supertableau_sum(lam, X, Y):
-    """Sum over (k|l)-semistandard supertableaux of shape lam; no determinant, no h_m.
-
-    Letters 0..k-1 are the even ones, weighted x_i; rows weakly increase and
-    columns strictly increase in them.  Letters k..k+l-1 are the odd ones,
-    weighted -y_j (h_1 = sum x - sum y); rows strictly increase and columns
-    weakly increase in them.  Even letters come before odd ones.
-    """
-    k = len(X)
-    letters = list(X.elements) + [(-sign, exps) for sign, exps in Y.elements]
-    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
-    filling = {}
-    terms = Counter()
-
-    def fits(c, i, j):
-        left, up = filling.get((i, j - 1)), filling.get((i - 1, j))
-        if c < k:
-            return (left is None or left <= c) and (up is None or up < c)
-        return (left is None or left < c) and (up is None or up <= c)
-
-    def fill(n, sign, exps):
-        if n == len(cells):
-            terms[exps] += sign
-            return
-        i, j = cells[n]
-        for c in range(len(letters)):
-            if fits(c, i, j):
-                filling[i, j] = c
-                s, e = letters[c]
-                fill(n + 1, sign * s, tuple(a + b for a, b in zip(exps, e)))
-                del filling[i, j]
-
-    fill(0, 1, (0,) * len(X.table))
-    return LaurentPoly(X.table, terms)
-
-
 def test_super_schur_matches_the_supertableau_sum():
     for nx in range(5):
         for ny in range(5 - nx):
@@ -592,7 +516,7 @@ def test_super_schur_matches_the_supertableau_sum():
                 continue
             X, Y, _ = cauchy_alphabets(nx, ny, 1)
             for lam in partitions_upto(5):
-                assert super_schur(lam, X, Y) == supertableau_sum(lam, X, Y), (nx, ny, lam)
+                assert super_schur(lam, X, Y) == tableau_schur(lam, X, Y), (nx, ny, lam)
 
 
 def test_schur_expand_pieri():
@@ -799,7 +723,7 @@ def halved(shapes, values):
     return [value.exact_div(2) if lam else value for lam, value in zip(shapes, values)]
 
 
-def test_angle_values_halve_exactly_in_e(all_in_x):
+def test_angle_values_halve_exactly_in_e(monkeypatch):
     """Every paired ANGLE determinant of size <= 6 over e-table alphabets, halved
     there, against bracket_schur on the x route."""
     T = VarTable(("x1", "x2", "x3", "y1", "y2"))
@@ -817,11 +741,11 @@ def test_angle_values_halve_exactly_in_e(all_in_x):
         values = halved(shapes, schur._table_dets(shapes, hs, schur._paired_angle_entry))
         assert all(isinstance(v.table, ETable) for v in values)
         in_e.append([in_x(v, T) for v in values])
-    all_in_x()
-    for (X, Y), values in zip(pairs, in_e):
-        assert all(v.table == T for v in values)
-        assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
-        assert h_list(X, Y, 0)[0].table == T
+    with inject(monkeypatch, ALL_IN_X):
+        for (X, Y), values in zip(pairs, in_e):
+            assert all(v.table == T for v in values)
+            assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
+            assert h_list(X, Y, 0)[0].table == T
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +798,7 @@ def per_pair_x_series(X, Y, degmax):
     return schur.graded_parts(LaurentPoly.const(X.table, 1), factors, degmax)
 
 
-def test_x_route_shares_one_variables_series_per_alphabet_pair(x_route):
+def test_x_route_shares_one_variables_series_per_alphabet_pair(monkeypatch):
     """The x route builds each pair's non-constant series once, then the constants as ints."""
     T = TABLE_3
     consts = [(), (1,), (-1,), (1, -1)]
@@ -888,19 +812,19 @@ def test_x_route_shares_one_variables_series_per_alphabet_pair(x_route):
         (formal("x1", "x2"), inverses(formal("y1"))),
         (formal("x1", "x2"), Alphabet(T, ((1, (0, 0, 2)),))),
     ]
-    x_route()
-    for X0, Y0 in bases:
-        for xc in consts:
-            for yc in consts:
-                X = X0 | Alphabet.constants(T, xc)
-                Y = Y0 | Alphabet.constants(T, yc)
-                got = h_list(X, Y, 5)
-                assert got[0].table == T
-                want = per_pair_x_series(X, Y, 5)
-                assert terms_and_bounds(got) == terms_and_bounds(want), (X, Y)
-    assert len(schur._pair_series) == len(bases)
-    clear_caches()
-    assert not schur._pair_series
+    with inject(monkeypatch, X_ROUTE):
+        for X0, Y0 in bases:
+            for xc in consts:
+                for yc in consts:
+                    X = X0 | Alphabet.constants(T, xc)
+                    Y = Y0 | Alphabet.constants(T, yc)
+                    got = h_list(X, Y, 5)
+                    assert got[0].table == T
+                    want = per_pair_x_series(X, Y, 5)
+                    assert terms_and_bounds(got) == terms_and_bounds(want), (X, Y)
+        assert len(schur._pair_series) == len(bases)
+        clear_caches()
+        assert not schur._pair_series
 
 
 def test_formal_factor_is_the_product_of_the_variable_factors():
@@ -962,7 +886,7 @@ def test_in_x_rejects_a_foreign_e_table_of_x():
              VarTable(("x1", "y1")))
 
 
-def test_angle_values_halve_exactly_in_formal_e(x_route):
+def test_angle_values_halve_exactly_in_formal_e(monkeypatch):
     """Every paired ANGLE determinant of size <= 6 over formal e-table alphabets,
     halved there, against bracket_schur on the x route."""
     T = VarTable(("x1", "x2", "x3", "y1", "y2"))
@@ -986,10 +910,10 @@ def test_angle_values_halve_exactly_in_formal_e(x_route):
         values = halved(shapes, schur._table_dets(shapes, hs, schur._paired_angle_entry))
         assert all(isinstance(v.table, ETable) and not v.table.over_z for v in values)
         in_e.append([in_x(v, T) for v in values])
-    x_route()
-    for (X, Y), values in zip(pairs, in_e):
-        assert h_list(X, Y, 0)[0].table == T
-        assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
+    with inject(monkeypatch, X_ROUTE):
+        for (X, Y), values in zip(pairs, in_e):
+            assert h_list(X, Y, 0)[0].table == T
+            assert values == [bracket_schur(BracketType.ANGLE, lam, X, Y) for lam in shapes]
 
 
 # ---------------------------------------------------------------------------

@@ -18,22 +18,11 @@ The determinants are expanded here by Leibniz's formula with ring products
 only: no laurent.det and no h_m.
 """
 
-from itertools import combinations, permutations
-
-from superchar.laurent import LaurentPoly, VarTable
+from superchar.laurent import LaurentPoly
 from superchar.partitions import part, partitions_upto
-from superchar.schur import Alphabet, BracketType, bracket_schur, palindromic
+from superchar.schur import Alphabet, BracketType, bracket_schur
 
-
-def leibniz(rows, table):
-    total = LaurentPoly.zero(table)
-    for perm in permutations(range(len(rows))):
-        inversions = sum(a > b for a, b in combinations(perm, 2))
-        term = LaurentPoly.const(table, -1 if inversions % 2 else 1)
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        total = total + term
-    return total
+from oracles import doubled, leibniz, x_alphabets
 
 
 def alternant(table, powers, sign):
@@ -48,18 +37,9 @@ def alternant(table, powers, sign):
     return leibniz(rows, table)
 
 
-def doubled(p):
-    return LaurentPoly(p.table, {tuple(2 * e for e in exps): c for exps, c in p.terms()})
-
-
 def instances():
     """(r, lam) for r <= 3 and |lam| <= 5 with at most r parts."""
     return [(r, lam) for r in (1, 2, 3) for lam in partitions_upto(5, max_len=r)]
-
-
-def x_alphabets(r):
-    table = VarTable(tuple(f"x{i}" for i in range(1, r + 1)))
-    return table, palindromic(table, table.names), Alphabet.empty(table)
 
 
 def symplectic_holds(r, lam, tag=BracketType.ANGLE):
