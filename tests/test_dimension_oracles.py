@@ -93,3 +93,9 @@ def test_two_alphabet_character_counts_supertableaux():
         for lam in partitions_upto(4):
             value = super_schur(lam, X, Y).eval_all_ones()
             assert value == count_supertableaux(lam, M, N), (M, N, lam)
+
+
+def test_supertableau_count_respects_hook():
+    assert count_supertableaux((2, 1), 1, 1) == 2
+    assert count_supertableaux((2, 2), 1, 1) == 0  # outside the [1,1] hook
+    assert count_supertableaux((2, 2), 1, 2) > 0

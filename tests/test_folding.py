@@ -793,11 +793,7 @@ def test_the_tableau_sum_counts_supertableaux():
     X, Y = Alphabet.formal(table, ("x1",)), Alphabet.formal(table, ("y1",)).negated()
     assert tableau_schur((2, 1), X, Y).eval_all_ones() == 2
     assert tableau_schur((2, 2), X, Y).is_zero
-    # The counts: (2, 2) lies outside the [1, 1] hook, inside [1, 2]; and
-    # eight semistandard tableaux of shape (2, 1) have entries <= 3.
-    assert count_supertableaux((2, 1), 1, 1) == 2
-    assert count_supertableaux((2, 2), 1, 1) == 0
-    assert count_supertableaux((2, 2), 1, 2) > 0
+    # Eight semistandard tableaux of shape (2, 1) have entries <= 3.
     assert count_supertableaux((2, 1), 3, 0) == 8
 
 
